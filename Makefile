@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-obs test-faults test-conformance conform bench bench-smoke bench-scale bench-sharded bench-chain bench-offload bench-obs-overhead examples validate clean results
+.PHONY: install test test-obs test-faults test-conformance conform bench bench-smoke bench-scale bench-sharded bench-chain bench-offload bench-obs-overhead ledger-smoke ledger-pinned examples validate clean results
 
 install:
 	$(PYTHON) setup.py develop
@@ -27,6 +27,21 @@ bench-offload:
 
 bench-obs-overhead:
 	$(PYTHON) benchmarks/bench_obs_overhead.py
+
+ledger-smoke:
+	$(PYTHON) benchmarks/ledger/run.py --smoke
+
+# The simulated clock is pinned: at the reference seed every workload
+# must reproduce its committed sim_digest, pass its checks and resolve
+# every traced target. Exit 3 (host noise) only disturbs the timings,
+# which this gate does not read.
+ledger-pinned:
+	@out=$$($(PYTHON) benchmarks/ledger/run.py --seed 7 --seconds 2); \
+	status=$$?; echo "$$out"; \
+	if [ $$status -ne 0 ] && [ $$status -ne 3 ]; then exit $$status; fi; \
+	if echo "$$out" | grep -E "MOVED|FAILED:|missing \(no longer resolves\)"; \
+	then exit 1; fi; \
+	[ $$(echo "$$out" | grep -c "(PINNED)") -eq 5 ]
 
 test-obs:
 	$(PYTHON) -m pytest tests/ -m obs

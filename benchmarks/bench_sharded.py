@@ -3,10 +3,11 @@
 Figure 13 shows per-move time growing linearly with concurrency because
 every message serializes through one controller inbox. This benchmark
 re-runs that setup — N disjoint DummyNF pairs, one loss-free move each,
-all simultaneous — against a :class:`ShardedControlPlane` at 1, 2, and
-4 shards, plus a pure event-drain measurement (a burst of NF events
-spread across flow space). Both the aggregate operation throughput and
-the event throughput must scale at least 3x from 1 shard to 4.
+all simultaneous — against the controller at 1, 2, and 4 shards
+(``Deployment(shards=N)``), plus a pure event-drain measurement (a
+burst of NF events spread across flow space). Both the aggregate
+operation throughput and the event throughput must scale at least 3x
+from 1 shard to 4.
 
 Writes ``benchmarks/results/BENCH_sharded.json`` (gated by
 ``check_regression.py``: ``*_per_s`` / ``*_speedup_x`` keys must not

@@ -6,11 +6,11 @@ writes the headline numbers to ``benchmarks/results/BENCH_southbound.json``
 so regressions in control-plane message counts or move time show up in
 version control, not just in the full benchmark suite.
 
-``OPENNF_SHARDS=N`` (N > 1) runs the move half against an N-shard
-:class:`ShardedControlPlane` deployment instead of the classic
-controller and writes ``BENCH_southbound_shardsN.json``, so CI smokes
-the sharded plane with the exact same workload and gates its message
-counts and move time separately from the single-controller baseline.
+``OPENNF_SHARDS=N`` (N > 1) runs the move half with the controller's
+flow space split across N shards (``Deployment(shards=N)``) and writes
+``BENCH_southbound_shardsN.json``, so CI smokes the sharded routing
+with the exact same workload and gates its message counts and move time
+separately from the single-shard baseline.
 
 Runs standalone (``python benchmarks/bench_smoke.py``) or under pytest
 without ``pytest-benchmark``.

@@ -49,7 +49,6 @@ from repro.controller import (
     OpenNFController,
     Operation,
     OperationReport,
-    ShardedControlPlane,
     ShareOperation,
 )
 from repro.faults import FaultPlan
@@ -105,7 +104,6 @@ __all__ = [
     "Operation",
     "OperationReport",
     "Packet",
-    "ShardedControlPlane",
     "PacketEvent",
     "Process",
     "REDecoder",

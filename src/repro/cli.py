@@ -56,6 +56,50 @@ def _guarantee(value: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _add_run_flags(parser, guarantee: str, flows: int,
+                   rate: float = 2500.0, seed: int = 7) -> None:
+    """The one-move experiment every run-style subcommand replays."""
+    parser.add_argument("--guarantee", default=guarantee, type=_guarantee,
+                        metavar="LEVEL",
+                        help="move safety level (ng, loss-free/lf, op, "
+                             "op-strong, or any Guarantee alias)")
+    parser.add_argument("--flows", type=int, default=flows)
+    parser.add_argument("--rate", type=float, default=rate,
+                        help="replay rate in packets/second")
+    parser.add_argument("--seed", type=int, default=seed)
+
+
+#: Control-path mode flags, named after the ``Deployment`` keyword each sets.
+_MODE_FLAGS = {
+    "shards": dict(type=int, default=1, metavar="N",
+                   help="partition flow-space ownership across N "
+                        "controller shards (serialized message loops)"),
+    "faults": dict(metavar="SPEC", default=None,
+                   help="fault-plan spec, e.g. 'seed=3,drop=0.05' "
+                        "(default: $OPENNF_FAULTS if set)"),
+    "batching": dict(action="store_true",
+                     help="batch control-plane messages (§8.3)"),
+    "offload": dict(action="store_true",
+                    help="buffer the move window in switch-local state "
+                         "machines (data-plane offload)"),
+}
+
+
+def _add_mode_flags(parser, *names: str) -> None:
+    for name in names:
+        parser.add_argument("--" + name, **_MODE_FLAGS[name])
+
+
+def _mode_kwargs(args: argparse.Namespace) -> dict:
+    """``Deployment`` keywords for the mode flags this subcommand has."""
+    modes = {
+        name: getattr(args, name) for name in _MODE_FLAGS if name in args
+    }
+    if "faults" in modes:
+        modes["faults"] = _fault_plan_from(modes["faults"])
+    return modes
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -63,15 +107,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    demo = sub.add_parser("demo-move", help="run one instrumented move")
-    demo.add_argument("--guarantee", default="loss-free", type=_guarantee,
-                      metavar="LEVEL",
-                      help="move safety level (ng, loss-free/lf, op, "
-                           "op-strong, or any Guarantee alias)")
-    demo.add_argument("--flows", type=int, default=200)
-    demo.add_argument("--rate", type=float, default=2500.0,
-                      help="replay rate in packets/second")
-    demo.add_argument("--seed", type=int, default=7)
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        added = sub.add_parser(name, help=help)
+        added.set_defaults(func=func)
+        return added
+
+    demo = command("demo-move", _cmd_demo_move,
+                   "run one instrumented move")
+    _add_run_flags(demo, "loss-free", flows=200)
     demo.add_argument("--no-parallel", action="store_true",
                       help="disable the parallelizing optimization")
     demo.add_argument("--early-release", action="store_true")
@@ -79,105 +122,73 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="zlib-compress state chunks (§8.3)")
     demo.add_argument("--peer-to-peer", action="store_true",
                       help="stream chunks NF-to-NF (footnote 10)")
-    demo.add_argument("--faults", metavar="SPEC", default=None,
-                      help="fault-plan spec, e.g. 'seed=3,drop=0.05' "
-                           "(default: $OPENNF_FAULTS if set)")
-    demo.add_argument("--batching", action="store_true",
-                      help="batch control-plane messages (§8.3)")
+    _add_mode_flags(demo, "faults", "batching")
 
-    faults = sub.add_parser(
-        "faults",
-        help="run one move under an injected-fault plan and report "
-             "retries, drops, and the exactly-once verdict",
+    faults = command(
+        "faults", _cmd_faults,
+        "run one move under an injected-fault plan and report "
+        "retries, drops, and the exactly-once verdict",
     )
     faults.add_argument("--spec", metavar="SPEC", default=None,
                         help="fault-plan spec, e.g. "
                              "'seed=3,drop=0.05,delay=0.02,crash=inst2#40' "
                              "(default: $OPENNF_FAULTS)")
-    faults.add_argument("--guarantee", default="op", type=_guarantee,
-                        metavar="LEVEL",
-                        help="move safety level (any Guarantee alias)")
-    faults.add_argument("--flows", type=int, default=100)
-    faults.add_argument("--rate", type=float, default=2500.0,
-                        help="replay rate in packets/second")
-    faults.add_argument("--seed", type=int, default=7)
+    _add_run_flags(faults, "op", flows=100)
 
-    trace = sub.add_parser(
-        "trace", help="run one observed move and render its span timeline"
+    trace = command(
+        "trace", _cmd_trace,
+        "run one observed move and render its span timeline",
     )
-    trace.add_argument("--guarantee", default="op", type=_guarantee,
-                       metavar="LEVEL",
-                       help="move safety level (any Guarantee alias)")
-    trace.add_argument("--flows", type=int, default=100)
-    trace.add_argument("--rate", type=float, default=2500.0,
-                       help="replay rate in packets/second")
-    trace.add_argument("--seed", type=int, default=7)
+    _add_run_flags(trace, "op", flows=100)
     trace.add_argument("--scope", default="per",
                        help="state scope(s) to move (per, multi, all, ...)")
     trace.add_argument("--json", metavar="PATH", default=None,
                        help="also dump raw spans/records as JSON lines")
 
-    validate = sub.add_parser(
-        "validate", help="check the §5.1 guarantees over several seeds"
+    validate = command(
+        "validate", _cmd_validate,
+        "check the §5.1 guarantees over several seeds",
     )
     validate.add_argument("--seeds", type=int, default=3)
     validate.add_argument("--flows", type=int, default=60)
     validate.add_argument("--rate", type=float, default=5000.0)
 
-    audit = sub.add_parser(
-        "audit",
-        help="run the guarantee auditors over a live move, a recorded "
-             ".trace.jsonl, or render a flight-recorder bundle",
+    audit = command(
+        "audit", _cmd_audit,
+        "run the guarantee auditors over a live move, a recorded "
+        ".trace.jsonl, or render a flight-recorder bundle",
     )
     audit.add_argument("path", nargs="?", default=None, metavar="FILE",
                        help="a flight-recorder bundle (.json) to render, "
                             "or a span/record trace (.jsonl) to replay "
-                            "through the auditors; omit for a live run")
-    audit.add_argument("--guarantee", default="loss-free", type=_guarantee,
-                       metavar="LEVEL",
-                       help="live run: move safety level (any alias)")
+                            "through the auditors; omit for a live run "
+                            "(which the remaining flags configure)")
+    _add_run_flags(audit, "loss-free", flows=60, rate=5000.0)
     audit.add_argument("--baseline", choices=["splitmerge"], default=None,
-                       help="live run: audit a prior-control-plane "
-                            "baseline instead of an OpenNF move")
-    audit.add_argument("--flows", type=int, default=60)
-    audit.add_argument("--rate", type=float, default=5000.0,
-                       help="replay rate in packets/second")
-    audit.add_argument("--seed", type=int, default=7)
-    audit.add_argument("--faults", metavar="SPEC", default=None,
-                       help="fault-plan spec for the live run "
-                            "(default: $OPENNF_FAULTS if set)")
-    audit.add_argument("--batching", action="store_true",
-                       help="live run: batch control-plane messages")
-    audit.add_argument("--offload", action="store_true",
-                       help="live run: buffer the move window in "
-                            "switch-local state machines (data-plane "
-                            "offload)")
+                       help="audit a prior-control-plane baseline instead "
+                            "of an OpenNF move")
+    _add_mode_flags(audit, "faults", "batching", "offload")
     audit.add_argument("--abort-at", type=float, default=None, metavar="MS",
-                       help="live run: abort the operation this many ms "
-                            "after it starts (exercises the recorder)")
+                       help="abort the operation this many ms after it "
+                            "starts (exercises the recorder)")
     audit.add_argument("--bundle", metavar="PATH", default=None,
                        help="also write any captured post-mortem bundle "
                             "as JSON to this path")
 
-    metrics = sub.add_parser(
-        "metrics",
-        help="run one observed move and print Prometheus-format metrics",
+    metrics = command(
+        "metrics", _cmd_metrics,
+        "run one observed move and print Prometheus-format metrics",
     )
-    metrics.add_argument("--guarantee", default="op", type=_guarantee,
-                         metavar="LEVEL")
-    metrics.add_argument("--flows", type=int, default=100)
-    metrics.add_argument("--rate", type=float, default=2500.0,
-                         help="replay rate in packets/second")
-    metrics.add_argument("--seed", type=int, default=7)
+    _add_run_flags(metrics, "op", flows=100)
     metrics.add_argument("--filter", dest="name_filter", default=None,
                          metavar="PREFIX",
                          help="only print metrics whose name starts here")
 
-    conform = sub.add_parser(
-        "conform",
-        help="run the verified-migration conformance kit: the NF × "
-             "guarantee matrix, one schedule file, a corpus replay, or "
-             "a counterexample hunt",
+    conform = command(
+        "conform", _cmd_conform,
+        "run the verified-migration conformance kit: the NF × "
+        "guarantee matrix, one schedule file, a corpus replay, or "
+        "a counterexample hunt",
     )
     conform.add_argument("schedule", nargs="?", default=None,
                          metavar="SCHEDULE",
@@ -199,80 +210,43 @@ def _build_parser() -> argparse.ArgumentParser:
     conform.add_argument("--corpus-dir", metavar="DIR", default=None,
                          help="with --hunt: persist the shrunk "
                               "counterexample as a corpus entry here")
-    conform.add_argument("--shards", type=int, default=1, metavar="N",
-                         help="run schedules against a sharded control "
-                              "plane of N controller replicas "
-                              "(default 1: the classic controller)")
-    conform.add_argument("--offload", action="store_true",
-                         help="run schedules with data-plane offload on "
-                              "(LF/LF+OP moves buffer at the switch)")
+    _add_mode_flags(conform, "shards", "offload")
     conform.add_argument("--verbose", action="store_true",
                          help="print every matrix cell, not just "
                               "failures and the summary")
 
-    chain = sub.add_parser(
-        "chain",
-        help="run one audited chain-wide move over a 3-hop "
-             "IDS → NAT → proxy chain and print per-hop reports",
+    chain = command(
+        "chain", _cmd_chain,
+        "run one audited chain-wide move over a 3-hop "
+        "IDS → NAT → proxy chain and print per-hop reports",
     )
-    chain.add_argument("--guarantee", default="loss-free", type=_guarantee,
-                       metavar="LEVEL",
-                       help="chain-wide safety level (any Guarantee alias)")
+    _add_run_flags(chain, "loss-free", flows=40, seed=5)
     chain.add_argument("--hop-guarantee", action="append", default=[],
                        metavar="HOP=LEVEL", dest="hop_guarantees",
                        help="override one hop's guarantee, e.g. nat=ng "
                             "(repeatable)")
-    chain.add_argument("--flows", type=int, default=40)
-    chain.add_argument("--rate", type=float, default=2500.0,
-                       help="replay rate in packets/second")
-    chain.add_argument("--seed", type=int, default=5)
-    chain.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="run against a sharded control plane of N "
-                            "replicas")
-    chain.add_argument("--faults", metavar="SPEC", default=None,
-                       help="fault-plan spec, e.g. 'seed=3,drop=0.05' "
-                            "(default: $OPENNF_FAULTS if set)")
-    chain.add_argument("--batching", action="store_true",
-                       help="batch control-plane messages (§8.3)")
+    _add_mode_flags(chain, "shards", "faults", "batching")
     chain.add_argument("--abort-at", type=float, default=None, metavar="MS",
                        help="abort the chain operation this many ms after "
                             "it starts (exercises hop rollback)")
 
-    offload = sub.add_parser(
-        "offload",
-        help="run the same move with and without data-plane offload "
-             "(switch-local buffer/release state machines) and print "
-             "the control-message and latency deltas",
+    offload = command(
+        "offload", _cmd_offload,
+        "run the same move with and without data-plane offload "
+        "(switch-local buffer/release state machines) and print "
+        "the control-message and latency deltas",
     )
-    offload.add_argument("--guarantee", default="loss-free",
-                         type=_guarantee, metavar="LEVEL",
-                         help="move safety level (lf or lf+op offload; "
-                              "any Guarantee alias)")
-    offload.add_argument("--flows", type=int, default=200)
-    offload.add_argument("--rate", type=float, default=4000.0,
-                         help="replay rate in packets/second")
-    offload.add_argument("--seed", type=int, default=7)
-    offload.add_argument("--batching", action="store_true",
-                         help="batch control-plane messages in both runs "
-                              "(the bench baseline)")
+    _add_run_flags(offload, "loss-free", flows=200, rate=4000.0)
+    _add_mode_flags(offload, "batching")
 
-    top = sub.add_parser(
-        "top",
-        help="run one fully-telemetered move and print periodic "
-             "'top'-style snapshots: events/s and inbox depth per shard, "
-             "ops in flight, per-NF processing rates, XFSM occupancy",
+    top = command(
+        "top", _cmd_top,
+        "run one fully-telemetered move and print periodic "
+        "'top'-style snapshots: events/s and inbox depth per shard, "
+        "ops in flight, per-NF processing rates, XFSM occupancy",
     )
-    top.add_argument("--guarantee", default="loss-free", type=_guarantee,
-                     metavar="LEVEL",
-                     help="move safety level (any Guarantee alias)")
-    top.add_argument("--flows", type=int, default=200)
-    top.add_argument("--rate", type=float, default=2500.0,
-                     help="replay rate in packets/second")
-    top.add_argument("--seed", type=int, default=7)
-    top.add_argument("--shards", type=int, default=1,
-                     help="controller replicas (>1 shards the plane)")
-    top.add_argument("--offload", action="store_true",
-                     help="enable data-plane offload for the move")
+    _add_run_flags(top, "loss-free", flows=200)
+    _add_mode_flags(top, "shards", "offload")
     top.add_argument("--interval", type=float, default=1000.0,
                      help="snapshot interval in simulated ms")
     top.add_argument("--jsonl", metavar="PATH", default=None,
@@ -282,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="also print the time-series Prometheus "
                           "rendering at the end")
 
-    sub.add_parser("version", help="print the package version")
+    command("version", _cmd_version, "print the package version")
     return parser
 
 
@@ -327,8 +301,7 @@ def _cmd_demo_move(args: argparse.Namespace) -> int:
         rate_pps=args.rate,
         seed=args.seed,
         operation=operation,
-        fault_plan=_fault_plan_from(args.faults),
-        batching=True if args.batching else None,
+        deployment_kwargs=_mode_kwargs(args),
     )
     report = result.report
     print(report.summary())
@@ -506,9 +479,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         seed=args.seed,
         operation=operation,
         audit=True,
-        fault_plan=_fault_plan_from(args.faults),
-        batching=True if args.batching else None,
-        offload=True if args.offload else None,
+        deployment_kwargs=_mode_kwargs(args),
     )
     obs = result.deployment.obs
     print(result.report.summary())
@@ -590,10 +561,9 @@ def _cmd_conform(args: argparse.Namespace) -> int:
             print("repro conform: error: %s" % exc, file=sys.stderr)
             return 2
         spec = ScheduleSpec.from_dict(data.get("schedule", data))
-        if args.shards > 1:
-            spec.shards = args.shards
-        if args.offload:
-            spec.offload = True
+        # The flags only ever add to what the schedule file asks for.
+        spec.shards = max(spec.shards, args.shards)
+        spec.offload = spec.offload or args.offload
         result = run_schedule(spec)
         print(result.summary())
         for violation in result.violations:
@@ -617,7 +587,7 @@ def _cmd_conform(args: argparse.Namespace) -> int:
     failed = []
     expected_dirty = 0
     for cell in cells:
-        result = run_cell(cell, shards=args.shards, offload=args.offload)
+        result = run_cell(cell, **_mode_kwargs(args))
         if result.clean:
             if args.verbose:
                 print("%-40s clean" % cell.label())
@@ -666,12 +636,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
               "→ proxy)" % ", ".join(sorted(unknown)), file=sys.stderr)
         return 2
 
-    dep = Deployment(
-        audit=True,
-        shards=args.shards,
-        faults=_fault_plan_from(args.faults),
-        batching=True if args.batching else None,
-    )
+    dep = Deployment(audit=True, **_mode_kwargs(args))
     nfs_by_hop = []
     for hop_name, names in hops:
         members = []
@@ -743,8 +708,7 @@ def _cmd_offload(args: argparse.Namespace) -> int:
             n_flows=args.flows,
             rate_pps=args.rate,
             seed=args.seed,
-            batching=True if args.batching else None,
-            offload=offload,
+            deployment_kwargs=dict(_mode_kwargs(args), offload=offload),
         )
         messages = _count_control_messages(result.deployment)
         rows.append((result, messages))
@@ -802,9 +766,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
         n_flows=args.flows,
         rate_pps=args.rate,
         seed=args.seed,
-        shards=args.shards,
-        offload=True if args.offload else None,
         telemetry=True,
+        deployment_kwargs=_mode_kwargs(args),
         on_deployment=on_deployment,
     )
     dep = result.deployment
@@ -856,32 +819,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_version(args: argparse.Namespace) -> int:
+    print("opennf-repro %s" % __version__)
+    return 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "version":
-        print("opennf-repro %s" % __version__)
-        return 0
-    if args.command == "demo-move":
-        return _cmd_demo_move(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "faults":
-        return _cmd_faults(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "audit":
-        return _cmd_audit(args)
-    if args.command == "metrics":
-        return _cmd_metrics(args)
-    if args.command == "conform":
-        return _cmd_conform(args)
-    if args.command == "chain":
-        return _cmd_chain(args)
-    if args.command == "offload":
-        return _cmd_offload(args)
-    if args.command == "top":
-        return _cmd_top(args)
-    return 2
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -149,8 +149,8 @@ class ScheduleSpec:
     #: Fault-plan spec string (``repro.faults.FaultPlan.from_spec``).
     faults: Optional[str] = None
     batching: bool = False
-    #: Controller replicas; >1 runs the schedule against a
-    #: :class:`~repro.controller.sharding.ShardedControlPlane`.
+    #: Controller shards (serialized message loops) the schedule runs
+    #: against.
     shards: int = 1
     #: Data-plane offload: LF / LF+OP moves buffer the window in
     #: switch-local XFSMs instead of eventing packets to the controller.

@@ -14,11 +14,7 @@ from repro.controller.operation import (
 from repro.controller.pipeline import WindowedPutPipeline
 from repro.controller.reports import OperationReport
 from repro.controller.share import ShareOperation
-from repro.controller.sharding import (
-    CrossShardOperation,
-    ShardedControlPlane,
-    ShardMap,
-)
+from repro.controller.sharding import CrossShardOperation, ShardMap
 
 __all__ = [
     "Chain",
@@ -35,7 +31,6 @@ __all__ = [
     "Operation",
     "OperationAborted",
     "OperationReport",
-    "ShardedControlPlane",
     "ShardMap",
     "ShareOperation",
     "SwitchClient",

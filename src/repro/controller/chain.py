@@ -211,6 +211,7 @@ class ChainOperation(Operation):
     def __init__(
         self,
         controller,
+        shard,
         chain: Chain,
         flt: Filter,
         dst_map: Dict[str, str],
@@ -224,6 +225,8 @@ class ChainOperation(Operation):
         if mode not in ("move", "scale"):
             raise ValueError("unknown chain operation mode %r" % mode)
         self.controller = controller
+        #: Home shard: every hop move of the chain runs on it.
+        self.shard = shard
         self.sim = controller.sim
         self.chain = chain
         self.flt = flt
@@ -299,7 +302,7 @@ class ChainOperation(Operation):
             mode=mode,
             hops=self._hops_attr(),
             instances=",".join(involved),
-            **controller.trace_attrs,
+            **shard.trace_attrs,
         )
         if self.trace.root.span_id is not None:
             self.trace.root.set(op_id=self.trace.root.span_id)
@@ -344,8 +347,8 @@ class ChainOperation(Operation):
 
     def _start_hop(self, plan: _HopPlan) -> Operation:
         chain = self.chain
-        start, _ = self.controller._move_start(
-            plan.src, plan.dst, self.flt,
+        return self.controller._move_start(
+            self.shard, plan.src, plan.dst, self.flt,
             scope=self.scope,
             guarantee=plan.guarantee,
             parallel=self.parallel,
@@ -355,7 +358,6 @@ class ChainOperation(Operation):
             ),
             trace_attrs=self._chain_trace_attrs(plan),
         )
-        return start()
 
     def _normalize(self, index: int, port: str):
         """Collapse a hop's post-move rules back to one MID multicast rule.
@@ -460,8 +462,8 @@ class ChainOperation(Operation):
                 continue
             self._rolled_back.add(plan.index)
             chain = self.chain
-            start, _ = self.controller._move_start(
-                plan.dst, plan.src, self.flt,
+            reverse = self.controller._move_start(
+                self.shard, plan.dst, plan.src, self.flt,
                 scope=self.scope,
                 guarantee=Guarantee.LOSS_FREE,
                 parallel=self.parallel,
@@ -473,7 +475,6 @@ class ChainOperation(Operation):
                     self._chain_trace_attrs(plan), rollback="1"
                 ),
             )
-            reverse = start()
             yield reverse.done
             if reverse.report.aborted:
                 self.report.notes.append(
@@ -515,11 +516,10 @@ class ChainOperation(Operation):
                 continue
             inst_a = self.chain.hop(a).active
             inst_b = self.chain.hop(b).active
-            start, _ = self.controller._share_start(
-                [inst_a, inst_b], self.flt,
+            share = self.controller._share_start(
+                self.shard, [inst_a, inst_b], self.flt,
                 scope="multi", consistency="strong",
             )
-            share = start()
             yield share.started
             yield share.stop()
             self.report.notes.append(

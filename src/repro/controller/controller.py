@@ -15,15 +15,25 @@ interested in them. The northbound API (§5) is exposed as methods:
 * :meth:`notify` — subscribe a control application to state-update hints.
 
 Inbound messages — NF events, switch packet-ins, and streamed state
-chunks — all pass through one serialized inbox costing ``msg_proc_ms``
+chunks — all pass through a serialized inbox costing ``msg_proc_ms``
 each, modeling the prototype's single-threaded message handling: §8.3's
 profile found controller "threads are busy reading from sockets most of
 the time", and this queue is why heavy event traffic stretches
 operations and why Figure 13's per-move time grows with concurrency.
+
+The controller runs ``shards`` such message loops (:class:`Shard`), each
+owning a slice of flow space (:mod:`repro.controller.sharding`). What
+is plane-wide lives on the controller once — registration, interests,
+the switch connection, per-NF event sequencing, routing and the
+admission entry :meth:`OpenNFController._submit`; a shard holds only its
+inbox, its admission table, and its labels. The default single shard is
+the paper's controller: its shard map has one entry, so routing never
+looks at a header and admission never finds a foreign conflict.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -35,9 +45,14 @@ from repro.nf.base import NetworkFunction
 from repro.nf.events import EVENT_ACK_BYTES, PacketEvent
 from repro.nf.southbound import NFClient
 from repro.nf.state import normalize_scope
+from repro.controller.chain import ChainOperation
+from repro.controller.copy import CopyOperation
 from repro.controller.forwarding import SwitchClient
-from repro.controller.operation import DeferredOperation, Operation
+from repro.controller.move import Guarantee, MoveOperation
+from repro.controller.operation import DeferredOperation, Operation, when_all
 from repro.controller.pump import ChunkPump
+from repro.controller.share import ShareOperation
+from repro.controller.sharding import CrossShardOperation, ShardMap
 from repro.obs import NULL_OBS
 from repro.sim.core import Simulator
 
@@ -62,6 +77,155 @@ class _Interest:
         return self.filter is None or self.filter.matches_packet(packet)
 
 
+class Shard:
+    """One serialized message loop and the operations admitted on it.
+
+    Holds only what is genuinely per-shard: the ``msg_proc_ms`` inbox,
+    the admission table of in-flight operation filters, and the label
+    its traces and metrics carry. Operations keep a reference to their
+    home shard for exactly these (chunk streaming, drain barriers,
+    deferral re-checks); everything else goes through the controller.
+    """
+
+    def __init__(self, controller: "OpenNFController", shard_id: int,
+                 labelled: bool) -> None:
+        self.controller = controller
+        self.sim = controller.sim
+        self.shard_id = shard_id
+        #: Extra attributes on this shard's operation traces and metric
+        #: series; empty for a single shard, so its output is unlabelled.
+        self.trace_attrs: Dict[str, str] = (
+            {"shard": str(shard_id)} if labelled else {}
+        )
+        #: Serialized inbound-message handling loop (events, packet-ins,
+        #: streamed chunks), msg_proc_ms per message. Dispatch is
+        #: plane-wide: interests are shared by every shard.
+        self.inbox = ChunkPump(
+            self.sim, controller.msg_proc_ms, controller._handle_inbox_item
+        )
+        self.events_received = 0
+        #: Admission table of in-flight operation filters (moves, copies,
+        #: AND shares): two simultaneous operations over overlapping flow
+        #: space would race on rules and state; the later one is deferred
+        #: until the earlier finishes. (handle -> (filter, done event))
+        self._admission: Dict[int, Tuple[Filter, Any]] = {}
+        self._operation_handle_counter = 0
+        # Pre-bound inbound-path telemetry, rebuilt lazily per
+        # observability bundle. kind -> bound ctrl.inbox counter handle.
+        self._obs_cache_for = None
+        self._m_inbox: Dict[str, Any] = {}
+        self._ts_events = None
+        self._ts_ops = None
+
+    def _inbox_metric(self, kind: str):
+        """Bound ``ctrl.inbox`` counter handle for one message kind.
+
+        First use per bundle also wires the shard-labelled time-series:
+        the inbox-depth gauge onto the pump's depth probe, the events/s
+        rate series, and the ops-in-flight gauge series.
+        """
+        obs = self.controller.obs
+        if self._obs_cache_for is not obs:
+            self._m_inbox = {}
+            self._obs_cache_for = obs
+            hub = getattr(obs, "timeseries", None)
+            self._ts_events = None
+            self._ts_ops = None
+            self.inbox.on_depth = None
+            if hub is not None:
+                label = self.trace_attrs
+                self._ts_events = hub.series("ctrl.events", **label)
+                self._ts_ops = hub.series(
+                    "ctrl.ops_in_flight", kind="gauge", **label
+                )
+                depth_series = hub.series(
+                    "ctrl.inbox.depth", kind="gauge", **label
+                )
+                sim = self.sim
+
+                def probe(depth, _series=depth_series, _sim=sim):
+                    _series.record(_sim.now, float(depth))
+
+                self.inbox.on_depth = probe
+        handle = self._m_inbox.get(kind)
+        if handle is None:
+            handle = self._m_inbox[kind] = obs.metrics.counter(
+                "ctrl.inbox"
+            ).bind(kind=kind, **self.trace_attrs)
+        return handle
+
+    def _record_ops_in_flight(self) -> None:
+        """Fold the admission-table size into the ops-in-flight gauge."""
+        if self.controller.obs.enabled:
+            self._inbox_metric("event")  # ensure series are wired
+            ts = self._ts_ops
+            if ts is not None:
+                ts.record(self.sim.now, float(len(self._admission)))
+
+    # -------------------------------------------------------------------- inbox
+
+    def enqueue_chunk(self, handler: Callable[[Any], None], chunk: Any) -> None:
+        """Route a streamed state chunk through the serialized inbox."""
+        if self.controller.obs.enabled:
+            self._inbox_metric("chunk").inc(1)
+        self.inbox.push(("chunk", chunk, handler))
+
+    def enqueue_chunks(
+        self, handler: Callable[[List[Any]], None], chunks: List[Any]
+    ) -> None:
+        """Route a multi-chunk frame through the inbox as ONE item.
+
+        The §8.3 fast path: a frame of N chunks costs one ``msg_proc_ms``
+        handling slot instead of N, and ``handler`` receives the whole
+        list at once.
+        """
+        chunks = list(chunks)
+        if not chunks:
+            return
+        if self.controller.obs.enabled:
+            self._inbox_metric("chunk-frame").inc(1)
+        self.inbox.push(("chunk", chunks, handler), weight=len(chunks))
+
+    # ---------------------------------------------------------------- admission
+
+    def _conflicting(self, flt: Filter,
+                     before: Optional[int] = None) -> List[Any]:
+        """Done-events of in-flight operations overlapping ``flt``.
+
+        ``before`` bounds the scan to handles admitted earlier than the
+        given one — a deferred operation re-checking conflicts at launch
+        must only wait on *older* entries (its own reservation, and
+        reservations of operations queued behind it, would otherwise
+        deadlock the FIFO chain).
+        """
+        return [
+            done for handle, (active_filter, done)
+            in self._admission.items()
+            if (before is None or handle < before)
+            and active_filter.intersects(flt)
+        ]
+
+    def _reserve(self, flt: Filter, done) -> int:
+        """Hold ``flt`` in the admission table until ``done`` triggers.
+
+        Used both for live operations and for deferred ones: reserving
+        the deferred filter at submission time is what makes deferral
+        FIFO — a later overlapping operation defers behind the
+        reservation instead of leapfrogging it.
+        """
+        self._operation_handle_counter += 1
+        handle = self._operation_handle_counter
+        self._admission[handle] = (flt, done)
+        self._record_ops_in_flight()
+
+        def _release(_evt, _handle=handle):
+            self._admission.pop(_handle, None)
+            self._record_ops_in_flight()
+
+        done.add_callback(_release)
+        return handle
+
+
 class OpenNFController:
     """Northbound API provider and event/packet-in dispatcher."""
 
@@ -78,14 +242,17 @@ class OpenNFController:
         retry=None,
         batching: Optional[BatchConfig] = None,
         offload: bool = False,
+        shards: int = 1,
+        handoff_latency_ms: float = 5.0,
     ) -> None:
         self.sim = sim
         self.obs = obs or NULL_OBS
         #: Data-plane offload (switch-local XFSM buffering): when True,
         #: loss-free and order-preserving moves install a
         #: buffer-until-release machine at the switch instead of
-        #: buffering per-packet events at the controller. ``False``
-        #: keeps the classic event path byte-identical.
+        #: buffering per-packet events at the controller. The switch
+        #: connection is plane-wide, so an ownership handoff hands the
+        #: machine along with the flow space.
         self.offload = bool(offload)
         #: Optional :class:`repro.net.channel.BatchConfig`. Installing
         #: one turns on the §8.3 fast path everywhere: queued sends
@@ -121,92 +288,44 @@ class OpenNFController:
         #: Incrementally maintained inverse of :attr:`nf_ports`, so
         #: per-packet port resolution is O(1) instead of a linear scan.
         self._port_to_nf: Dict[str, str] = {}
-        #: Sharding hooks: a replica inside a
-        #: :class:`~repro.controller.sharding.ShardedControlPlane` gets
-        #: its index, a back-reference to the plane (used to route
-        #: inbound messages to the owning replica's inbox), and extra
-        #: labels for operation traces / metrics. All inert (and the
-        #: timeline byte-identical) for a standalone controller.
-        self.shard_id: Optional[int] = None
-        self.plane = None
-        self.trace_attrs: Dict[str, str] = {}
-        self._shard_label: Dict[str, str] = {}
-        self.switch: Optional[Switch] = None
-        self.switch_client: Optional[SwitchClient] = None
-        if switch is not None:
-            self.attach_switch(switch)
         self._event_interests: List[_Interest] = []
         self._packet_interests: List[_Interest] = []
-        #: Serialized inbound-message handling loop (events, packet-ins,
-        #: streamed chunks), msg_proc_ms per message.
-        self.inbox = ChunkPump(self.sim, msg_proc_ms, self._handle_inbox_item)
         #: Fallback handler for events no operation claimed (used by apps).
         self.default_event_handler: Optional[Callable[[PacketEvent], None]] = None
-        self.events_received = 0
+        self.shard_map = ShardMap(shards)
+        #: One control-channel round trip between shards: the cost of
+        #: the ownership-transfer message exchange in a cross-shard
+        #: handshake (the drain barrier is extra, and workload-driven).
+        self.handoff_latency_ms = handoff_latency_ms
+        #: The per-shard records, indexed by shard id.
+        self.replicas: List[Shard] = [
+            Shard(self, index, labelled=shards > 1) for index in range(shards)
+        ]
+        #: Operation-lifetime routing claims: (filter, shard) in
+        #: submission order; oldest matching claim routes a message.
+        self._claims: List[Tuple[Filter, Shard]] = []
+        #: Persistent ownership overrides left by completed handoffs;
+        #: newest wins. Bounded: recording an override drops the older
+        #: ones it covers.
+        self._ownership: List[Tuple[Filter, Shard]] = []
+        self.cross_shard_operations = 0
+        self.handoffs_completed = 0
         self.packet_ins_received = 0
-        #: Admission table of in-flight operation filters (moves, copies,
-        #: AND shares): two simultaneous operations over overlapping flow
-        #: space would race on rules and state; the later one is deferred
-        #: until the earlier finishes. (handle -> (filter, done event))
-        self._admission: Dict[int, Tuple[Filter, Any]] = {}
-        self._operation_handle_counter = 0
-        # Pre-bound inbound-path telemetry (lazily rebuilt: a sharded
-        # plane assigns shard labels after construction, and bundles
-        # can be swapped). kind -> bound ctrl.inbox counter handle.
-        self._obs_cache_for = None
-        self._m_inbox: Dict[str, Any] = {}
-        self._ts_events = None
-        self._ts_ops = None
         #: Total operations (any kind) deferred by admission control.
         self.operations_queued_for_conflict = 0
         #: Moves specifically (kept for the pre-unification callers).
         self.moves_queued_for_conflict = 0
+        self.switch: Optional[Switch] = None
+        self.switch_client: Optional[SwitchClient] = None
+        if switch is not None:
+            self.attach_switch(switch)
+
+    @property
+    def events_received(self) -> int:
+        """NF events accepted into any shard's inbox."""
+        return sum(shard.events_received for shard in self.replicas)
 
     # -------------------------------------------------------------------- wiring
-
-    def _inbox_metric(self, kind: str):
-        """Bound ``ctrl.inbox`` counter handle for one message kind.
-
-        First use per bundle also wires the shard-labelled time-series:
-        the inbox-depth gauge onto the pump's depth probe, the events/s
-        rate series, and the ops-in-flight gauge series.
-        """
-        if self._obs_cache_for is not self.obs:
-            self._m_inbox = {}
-            self._obs_cache_for = self.obs
-            hub = getattr(self.obs, "timeseries", None)
-            self._ts_events = None
-            self._ts_ops = None
-            self.inbox.on_depth = None
-            if hub is not None:
-                shard = self._shard_label
-                self._ts_events = hub.series("ctrl.events", **shard)
-                self._ts_ops = hub.series(
-                    "ctrl.ops_in_flight", kind="gauge", **shard
-                )
-                depth_series = hub.series(
-                    "ctrl.inbox.depth", kind="gauge", **shard
-                )
-                sim = self.sim
-
-                def probe(depth, _series=depth_series, _sim=sim):
-                    _series.record(_sim.now, float(depth))
-
-                self.inbox.on_depth = probe
-        handle = self._m_inbox.get(kind)
-        if handle is None:
-            handle = self._m_inbox[kind] = self.obs.metrics.counter(
-                "ctrl.inbox"
-            ).bind(kind=kind, **self._shard_label)
-        return handle
-
-    def _record_ops_in_flight(self) -> None:
-        """Fold the admission-table size into the ops-in-flight gauge."""
-        if self.obs.enabled:
-            self._inbox_metric("event")  # ensure series are wired
-            ts = self._ts_ops
-            if ts is not None:
-                ts.record(self.sim.now, float(len(self._admission)))
 
     def _attach_faults(self, channel: ControlChannel) -> None:
         """Install the fault plan's injector for this channel, if any."""
@@ -376,13 +495,10 @@ class OpenNFController:
         return interest.handle
 
     def remove_interest(self, handle: int) -> None:
-        # Mutate in place: under a ShardedControlPlane the interest lists
-        # are literally shared between replicas, so rebinding one
-        # replica's attribute would silently fork the view.
-        self._event_interests[:] = [
+        self._event_interests = [
             i for i in self._event_interests if i.handle != handle
         ]
-        self._packet_interests[:] = [
+        self._packet_interests = [
             i for i in self._packet_interests if i.handle != handle
         ]
 
@@ -394,18 +510,18 @@ class OpenNFController:
         self._deliver_event(event)
 
     def _deliver_event(self, event: PacketEvent) -> None:
-        # Under a sharded plane, the replica holding the NF's southbound
-        # channel receives the event, but the replica *owning the flow*
-        # must dispatch it (its operations hold the interests).
-        target = self if self.plane is None \
-            else self.plane.shard_for_event(event)
-        target.events_received += 1
-        if target.obs.enabled:
-            target._inbox_metric("event").inc(1)
-            ts = target._ts_events
+        # The shard *owning the flow* serializes the event: the
+        # operation working on that flow space drains its inbox.
+        replicas = self.replicas
+        shard = replicas[0] if len(replicas) == 1 \
+            else self._route(event.packet.headers())
+        shard.events_received += 1
+        if self.obs.enabled:
+            shard._inbox_metric("event").inc(1)
+            ts = shard._ts_events
             if ts is not None:
-                ts.record(target.sim.now, 1.0)
-        target.inbox.push(("event", event, None))
+                ts.record(self.sim.now, 1.0)
+        shard.inbox.push(("event", event, None))
 
     def _handle_sequenced_event(self, event: PacketEvent) -> None:
         """Reliable event channel: ack, dedupe, and release in seq order.
@@ -430,7 +546,7 @@ class OpenNFController:
             self.events_duplicate_dropped += 1
             if self.obs.enabled:
                 self.obs.metrics.counter("ctrl.events.duplicates").inc(
-                    1, nf=event.nf_name, **self._shard_label
+                    1, nf=event.nf_name
                 )
             return
         state["pending"][event.seq] = event
@@ -458,7 +574,7 @@ class OpenNFController:
         self.events_gap_skipped += 1
         if self.obs.enabled:
             self.obs.metrics.counter("ctrl.events.gap_skipped").inc(
-                1, nf=nf_name, **self._shard_label
+                1, nf=nf_name
             )
         state["next"] = min(state["pending"])
         self._release_in_order(state)
@@ -479,35 +595,19 @@ class OpenNFController:
     def handle_packet_in(self, packet: Packet) -> None:
         """Entry point for packet-ins from the switch."""
         self.packet_ins_received += 1
+        replicas = self.replicas
+        shard = replicas[0] if len(replicas) == 1 \
+            else self._route(packet.headers())
         if self.obs.enabled:
-            self._inbox_metric("packet-in").inc(1)
-        self.inbox.push(("packet-in", packet, None))
-
-    def enqueue_chunk(self, handler: Callable[[Any], None], chunk: Any) -> None:
-        """Route a streamed state chunk through the serialized inbox."""
-        if self.obs.enabled:
-            self._inbox_metric("chunk").inc(1)
-        self.inbox.push(("chunk", chunk, handler))
-
-    def enqueue_chunks(
-        self, handler: Callable[[List[Any]], None], chunks: List[Any]
-    ) -> None:
-        """Route a multi-chunk frame through the inbox as ONE item.
-
-        The §8.3 fast path: a frame of N chunks costs one ``msg_proc_ms``
-        handling slot instead of N, and ``handler`` receives the whole
-        list at once.
-        """
-        chunks = list(chunks)
-        if not chunks:
-            return
-        if self.obs.enabled:
-            self._inbox_metric("chunk-frame").inc(1)
-        self.inbox.push(("chunk", chunks, handler), weight=len(chunks))
+            shard._inbox_metric("packet-in").inc(1)
+        shard.inbox.push(("packet-in", packet, None))
 
     def inbox_drained(self):
-        """Event firing when everything queued so far has been handled."""
-        return self.inbox.drained()
+        """Fires once every shard has handled what it has queued so far."""
+        drained = self.sim.event("inboxes-drained")
+        when_all([shard.inbox.drained() for shard in self.replicas],
+                 drained.trigger)
+        return drained
 
     def _handle_inbox_item(self, item) -> None:
         kind, payload, handler = item
@@ -524,73 +624,102 @@ class OpenNFController:
                 interest.callback(packet)
                 return
 
+    # ------------------------------------------------------------------ routing
+
+    def _route(self, headers) -> Shard:
+        """The shard whose inbox must serialize a message with ``headers``."""
+        for flt, shard in self._claims:  # oldest claim wins
+            if flt.matches_headers(headers):
+                return shard
+        for flt, shard in reversed(self._ownership):  # newest handoff wins
+            if flt.matches_headers(headers):
+                return shard
+        return self.replicas[self.shard_map.shard_for_headers(headers)]
+
+    def _owner_shard(self, flt: Filter) -> Shard:
+        """Which shard owns (most of) ``flt``'s flow space right now."""
+        for owned, shard in reversed(self._ownership):
+            if owned.intersects(flt):
+                return shard
+        return self.replicas[self.shard_map.shard_for_filter(flt)]
+
+    def _claim(self, flt: Filter, shard: Shard, done) -> None:
+        """Route ``flt``'s messages to ``shard`` until ``done`` triggers,
+        so an in-flight operation keeps its flows on its own inbox."""
+        entry = (flt, shard)
+        self._claims.append(entry)
+        done.add_callback(lambda _evt: self._claims.remove(entry))
+
+    def _transfer_ownership(self, flt: Filter, shard: Shard) -> None:
+        """A cross-shard handshake completed: ``shard`` now owns ``flt``.
+
+        Older overrides the new one covers are dropped — newest-wins
+        already shadows them, so routing is unchanged and the list stays
+        bounded by the number of distinct live overrides.
+        """
+        self.handoffs_completed += 1
+        self._ownership = [
+            (owned, owner) for owned, owner in self._ownership
+            if not (flt.covers(owned)
+                    and (flt.symmetric or not owned.symmetric))
+        ]
+        self._ownership.append((flt, shard))
+
     # ----------------------------------------------------------------- admission
 
-    def _conflicting(self, flt: Filter, exclude=(),
-                     before: Optional[int] = None) -> List[Any]:
-        """Done-events of in-flight operations overlapping ``flt``.
+    def _submit(self, kind: str, flt: Filter,
+                start: Callable[[Shard], Operation], guarantee: Any = None):
+        """The one admission entry every northbound operation goes through.
 
-        ``exclude`` lists admission handles to skip. ``before`` bounds
-        the scan to handles admitted earlier than the given one — a
-        deferred operation re-checking conflicts at launch must only
-        wait on *older* entries (its own reservation, and reservations
-        of operations queued behind it, would otherwise deadlock the
-        FIFO chain).
-        """
-        return [
-            done for handle, (active_filter, done)
-            in self._admission.items()
-            if handle not in exclude
-            and (before is None or handle < before)
-            and active_filter.intersects(flt)
-        ]
-
-    def _reserve(self, flt: Filter, done) -> int:
-        """Hold ``flt`` in the admission table until ``done`` triggers.
-
-        Used both for live operations and for deferred ones: reserving
-        the deferred filter at submission time is what makes deferral
-        FIFO — a later overlapping operation defers behind the
-        reservation instead of leapfrogging it.
-        """
-        self._operation_handle_counter += 1
-        handle = self._operation_handle_counter
-        self._admission[handle] = (flt, done)
-        self._record_ops_in_flight()
-
-        def _release(_evt, _handle=handle):
-            self._admission.pop(_handle, None)
-            self._record_ops_in_flight()
-
-        done.add_callback(_release)
-        return handle
-
-    def _track_operation(self, flt: Filter, operation):
-        """Enter a live operation into the admission table until done."""
-        self._reserve(flt, operation.done)
-        return operation
-
-    def _admit(self, kind: str, flt: Filter, start, guarantee: Any = None):
-        """Start ``start()`` now, or defer it behind conflicting flow space.
-
-        One admission table covers move, copy, AND share: any in-flight
-        operation whose filter intersects ``flt`` defers the newcomer
-        (uniformly — an overlapping copy during a move used to race
-        unguarded). Callers always receive the same
+        ``start(shard)`` constructs (and so starts) the operation on the
+        shard owning ``flt``. It runs now if no in-flight operation on
+        any shard intersects ``flt``. A conflict on the home shard only
+        defers it FIFO behind that flow space
+        (:class:`~repro.controller.operation.DeferredOperation`); a
+        conflict on another shard additionally needs the ownership
+        handshake first
+        (:class:`~repro.controller.sharding.CrossShardOperation`).
+        One admission path covers move, copy, share AND chains, and
+        callers always receive the same
         :class:`~repro.controller.operation.Operation` handle surface.
         """
-        conflicts = self._conflicting(flt)
-        if not conflicts:
-            return self._track_operation(flt, start())
-        self.operations_queued_for_conflict += 1
-        if kind == "move":
-            self.moves_queued_for_conflict += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("ctrl.admission.deferred").inc(
-                1, kind=kind, **self._shard_label
-            )
-        return DeferredOperation(self, kind, flt, conflicts, start,
-                                 guarantee=guarantee)
+        home = self._owner_shard(flt)
+        conflicts = home._conflicting(flt)
+        prior_owners: List[Shard] = []
+        foreign_conflicts: List[Any] = []
+        for shard in self.replicas:
+            if shard is not home:
+                found = shard._conflicting(flt)
+                if found:
+                    prior_owners.append(shard)
+                    foreign_conflicts.extend(found)
+        if not conflicts and not prior_owners:
+            operation = start(home)
+            home._reserve(flt, operation.done)
+        else:
+            self.operations_queued_for_conflict += 1
+            if kind == "move":
+                self.moves_queued_for_conflict += 1
+            if self.obs.enabled:
+                labels = dict(home.trace_attrs, kind=kind)
+                if prior_owners:
+                    labels["cross_shard"] = "true"
+                self.obs.metrics.counter("ctrl.admission.deferred").inc(
+                    1, **labels
+                )
+            begin = functools.partial(start, home)
+            if prior_owners:
+                self.cross_shard_operations += 1
+                operation = CrossShardOperation(
+                    home, kind, flt, foreign_conflicts + conflicts, begin,
+                    guarantee=guarantee, prior_owners=prior_owners,
+                )
+            else:
+                operation = DeferredOperation(
+                    home, kind, flt, conflicts, begin, guarantee=guarantee
+                )
+        self._claim(flt, home, operation.done)
+        return operation
 
     # ---------------------------------------------------------------- northbound
 
@@ -617,76 +746,45 @@ class OpenNFController:
         flow space conflicts with an in-flight operation); its ``done``
         event triggers with the operation report.
         """
-        start, parsed = self._move_start(
-            src, dst, flt, scope=scope, guarantee=guarantee,
-            parallel=parallel, early_release=early_release,
-            compress=compress, peer_to_peer=peer_to_peer,
-            drain_grace_ms=drain_grace_ms,
-        )
-        return self._admit("move", flt, start, guarantee=parsed)
-
-    def _move_start(
-        self, src, dst, flt, scope="per", guarantee="loss-free",
-        parallel=True, early_release=False, compress=False,
-        peer_to_peer=False, drain_grace_ms=30.0,
-        route_actions=None, trace_attrs=None,
-    ):
-        """Build (start-closure, parsed guarantee) for a move.
-
-        Split from :meth:`move` so a sharded plane can construct the
-        operation on the owning replica after its own admission step.
-        ``route_actions``/``trace_attrs`` let a chain operation make each
-        hop move chain-aware (full action lists on reroute installs,
-        chain-scoped trace attributes) without widening ``move()``.
-        """
-        from repro.controller.move import Guarantee, MoveOperation
-
         parsed = Guarantee.parse(guarantee)
-
-        def start() -> MoveOperation:
-            return MoveOperation(
-                controller=self,
-                src=self.client(src),
-                dst=self.client(dst),
-                flt=flt,
-                scopes=normalize_scope(scope),
-                guarantee=parsed,
-                parallel=parallel,
-                early_release=early_release,
-                compress=compress,
-                peer_to_peer=peer_to_peer,
+        return self._submit(
+            "move", flt,
+            lambda shard: self._move_start(
+                shard, src, dst, flt, scope=scope, guarantee=parsed,
+                parallel=parallel, early_release=early_release,
+                compress=compress, peer_to_peer=peer_to_peer,
                 drain_grace_ms=drain_grace_ms,
-                route_actions=route_actions,
-                trace_attrs=trace_attrs,
-            )
+            ),
+            guarantee=parsed,
+        )
 
-        return start, parsed
+    def _move_start(self, shard: Shard, src, dst, flt, scope="per",
+                    **options: Any) -> MoveOperation:
+        """Start a move on ``shard``, past admission.
+
+        :meth:`move` admits first; a chain's hop moves come straight
+        here (the chain's own reservation covers the filter), adding
+        ``route_actions`` / ``trace_attrs`` to make each hop chain-aware
+        without widening ``move()``.
+        """
+        return MoveOperation(
+            controller=self, shard=shard,
+            src=self.client(src), dst=self.client(dst), flt=flt,
+            scopes=normalize_scope(scope), **options,
+        )
 
     def copy(self, src: Any, dst: Any, flt: Filter, scope: Any = "multi",
              parallel: bool = True, compress: bool = False) -> Operation:
         """``copy(srcInst, dstInst, filter, scope)`` (§5.2.1)."""
-        start, _ = self._copy_start(
-            src, dst, flt, scope=scope, parallel=parallel,
-            compress=compress,
-        )
-        return self._admit("copy", flt, start)
-
-    def _copy_start(self, src, dst, flt, scope="multi", parallel=True,
-                    compress=False):
-        from repro.controller.copy import CopyOperation
-
-        def start() -> CopyOperation:
-            return CopyOperation(
-                controller=self,
-                src=self.client(src),
-                dst=self.client(dst),
-                flt=flt,
+        return self._submit(
+            "copy", flt,
+            lambda shard: CopyOperation(
+                controller=self, shard=shard,
+                src=self.client(src), dst=self.client(dst), flt=flt,
                 scopes=normalize_scope(scope),
-                parallel=parallel,
-                compress=compress,
-            )
-
-        return start, None
+                parallel=parallel, compress=compress,
+            ),
+        )
 
     def share(
         self,
@@ -697,27 +795,24 @@ class OpenNFController:
         group_by: str = "host",
     ) -> Operation:
         """``share(list<inst>, filter, scope, consistency)`` (§5.2.2)."""
-        start, parsed = self._share_start(
-            instances, flt, scope=scope, consistency=consistency,
-            group_by=group_by,
+        return self._submit(
+            "share", flt,
+            lambda shard: self._share_start(
+                shard, instances, flt, scope=scope,
+                consistency=consistency, group_by=group_by,
+            ),
+            guarantee=consistency,
         )
-        return self._admit("share", flt, start, guarantee=parsed)
 
-    def _share_start(self, instances, flt, scope="multi",
-                     consistency="strong", group_by="host"):
-        from repro.controller.share import ShareOperation
-
-        def start() -> ShareOperation:
-            return ShareOperation(
-                controller=self,
-                instances=[self.client(i) for i in instances],
-                flt=flt,
-                scopes=normalize_scope(scope),
-                consistency=consistency,
-                group_by=group_by,
-            )
-
-        return start, consistency
+    def _share_start(self, shard: Shard, instances, flt, scope="multi",
+                     consistency="strong", group_by="host") -> ShareOperation:
+        """Start a share on ``shard``, past admission (see :meth:`_move_start`)."""
+        return ShareOperation(
+            controller=self, shard=shard,
+            instances=[self.client(i) for i in instances], flt=flt,
+            scopes=normalize_scope(scope),
+            consistency=consistency, group_by=group_by,
+        )
 
     def move_chain(
         self,
@@ -738,13 +833,11 @@ class OpenNFController:
         packet ever crosses a half-migrated chain. ``hop_guarantees``
         optionally overrides the guarantee per hop (by hop name).
         """
-        start, parsed = self._chain_start(
-            chain, flt, dst_map, guarantee=guarantee, scope=scope,
-            parallel=parallel, drain_grace_ms=drain_grace_ms,
+        return self._submit_chain(
+            chain, flt, dict(dst_map or {}), guarantee, mode="move",
+            scope=scope, parallel=parallel, drain_grace_ms=drain_grace_ms,
             hop_guarantees=hop_guarantees,
         )
-        use_flt = flt if flt is not None else chain.flt
-        return self._admit("chain", use_flt, start, guarantee=parsed)
 
     def scale_chain(
         self,
@@ -765,47 +858,28 @@ class OpenNFController:
         instance set; the sub-filter keeps routing to the new instance
         afterwards (recorded as a chain override).
         """
-        start, parsed = self._chain_start(
-            chain, flt, {hop: new_instance}, guarantee=guarantee,
+        return self._submit_chain(
+            chain, flt, {hop: new_instance}, guarantee, mode="scale",
             scope=scope, parallel=parallel, drain_grace_ms=drain_grace_ms,
-            mode="scale",
         )
-        use_flt = flt if flt is not None else chain.flt
-        return self._admit("chain", use_flt, start, guarantee=parsed)
 
-    def _chain_start(
-        self, chain, flt=None, dst_map=None, guarantee="loss-free",
-        scope="per", parallel=True, drain_grace_ms=30.0,
-        hop_guarantees=None, mode="move",
-    ):
-        """Build (start-closure, parsed guarantee) for a chain operation.
+    def _submit_chain(self, chain, flt, dst_map, guarantee, **options: Any):
+        """Admit one composite chain operation over the chain's filter.
 
-        Mirrors :meth:`_move_start` so the sharded plane can construct
-        the composite on the owning replica. The per-hop moves inside
-        the chain bypass admission — the chain's own reservation already
-        covers the filter.
+        It homes on one shard and every hop move inside it runs there,
+        past admission — the chain's own reservation already covers the
+        filter.
         """
-        from repro.controller.chain import ChainOperation
-        from repro.controller.move import Guarantee
-
         parsed = Guarantee.parse(guarantee)
         use_flt = flt if flt is not None else chain.flt
-
-        def start() -> ChainOperation:
-            return ChainOperation(
-                controller=self,
-                chain=chain,
-                flt=use_flt,
-                dst_map=dict(dst_map or {}),
-                guarantee=parsed,
-                scope=scope,
-                parallel=parallel,
-                drain_grace_ms=drain_grace_ms,
-                hop_guarantees=hop_guarantees,
-                mode=mode,
-            )
-
-        return start, parsed
+        return self._submit(
+            "chain", use_flt,
+            lambda shard: ChainOperation(
+                controller=self, shard=shard, chain=chain, flt=use_flt,
+                dst_map=dst_map, guarantee=parsed, **options,
+            ),
+            guarantee=parsed,
+        )
 
     def notify(
         self,

@@ -48,7 +48,7 @@ from repro.nf.events import DO_NOT_BUFFER, EventAction, PacketEvent
 from repro.nf.southbound import SouthboundError
 from repro.nf.state import Scope, StateChunk
 from repro.controller.operation import Operation
-from repro.controller.pipeline import WindowedPutPipeline
+from repro.controller.pipeline import transfer_scope
 from repro.controller.reports import OperationReport
 from repro.sim.process import AllOf, AnyOf
 
@@ -96,6 +96,7 @@ class MoveOperation(Operation):
     def __init__(
         self,
         controller,
+        shard,
         src,
         dst,
         flt: Filter,
@@ -121,6 +122,8 @@ class MoveOperation(Operation):
         if peer_to_peer and not parallel:
             raise ValueError("peer-to-peer transfer implies chunk streaming")
         self.controller = controller
+        #: Home shard: its inbox serializes this move's streamed chunks.
+        self.shard = shard
         self.sim = controller.sim
         self.src = src
         self.dst = dst
@@ -140,9 +143,8 @@ class MoveOperation(Operation):
         #: XFSM instead of eventing every packet to the controller.
         #: Only the LF / LF+OP fast paths offload — NONE has nothing to
         #: buffer and the strong variant *requires* the controller as
-        #: the serialization point. ``controller.offload`` is False by
-        #: default, keeping the classic timeline byte-identical.
-        self.offload = bool(getattr(controller, "offload", False)) and (
+        #: the serialization point.
+        self.offload = controller.offload and (
             guarantee in (Guarantee.LOSS_FREE, Guarantee.ORDER_PRESERVING)
         )
         #: True once the machine is installed (drives abort cleanup).
@@ -168,7 +170,7 @@ class MoveOperation(Operation):
         #: Observability bundle shared with the owning controller; phase
         #: marks in :attr:`report` are derived from phase-span closes.
         self.obs = controller.obs
-        operation_attrs = dict(controller.trace_attrs)
+        operation_attrs = dict(shard.trace_attrs)
         if trace_attrs:
             # Chain-scoped attributes (chain_id / hop) ride every hop
             # move's trace so the chain auditor can stitch the per-hop
@@ -215,9 +217,6 @@ class MoveOperation(Operation):
         self._src_drops_at_start = 0
         self._dst_buffered_at_start = 0
         self._interest_handles: List[int] = []
-        #: Reliability accounting baseline (client stats are cumulative
-        #: and shared; concurrent operations on the same clients may
-        #: attribute each other's retries).
         self._sb_stats_at_start = self._sb_stats()
 
         self.process = self.sim.spawn(self._run(), name="move-op")
@@ -344,20 +343,6 @@ class MoveOperation(Operation):
             self.trace.finish(aborted=self.report.aborted)
         self.done.trigger(self.report)
         return self.report
-
-    def _sb_stats(self) -> Dict[str, int]:
-        return {
-            key: self.src.stats[key] + self.dst.stats[key]
-            for key in ("retries", "timeouts")
-        }
-
-    def _finalize_reliability(self) -> None:
-        """Fill the report's retry/timeout counts from client deltas."""
-        now = self._sb_stats()
-        self.report.retries = now["retries"] - self._sb_stats_at_start["retries"]
-        self.report.timeouts = (
-            now["timeouts"] - self._sb_stats_at_start["timeouts"]
-        )
 
     # -------------------------------------------------------------- NG variant
 
@@ -692,22 +677,8 @@ class MoveOperation(Operation):
 
     # --------------------------------------------------------- state transfer
 
-    def _note_chunk(self, scope: Scope, chunk: StateChunk) -> None:
-        """Account one exported chunk (report + transfer metrics)."""
-        self.report.add_chunk(
-            scope.value, chunk.size_bytes, chunk.wire_size_bytes
-        )
-        self._exported_chunks.append(chunk)
-        if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.counter("ctrl.chunks.transferred").inc(1, scope=scope.value)
-            metrics.counter("ctrl.chunks.wire_bytes").inc(
-                chunk.wire_size_bytes, scope=scope.value
-            )
-
     def _transfer_state(self, lock_per_chunk: bool, parent=None):
         silent_lock = self.guarantee is Guarantee.NONE
-        batching = self.controller.batching
         for scope in self.scopes:
             self._checkpoint()
             getter, putter, deleter = self._scope_calls(scope)
@@ -719,75 +690,16 @@ class MoveOperation(Operation):
                     yield from self._transfer_scope_peer(
                         scope, getter, deleter, lock_per_chunk, silent_lock
                     )
-                elif self.parallel and batching is not None:
-                    # §8.3 fast path: chunks arrive in multi-chunk frames
-                    # (one inbox slot per frame) and forward to the
-                    # destination as windowed frame puts — the source
-                    # keeps streaming while earlier frames apply.
-                    pipeline = WindowedPutPipeline(
-                        self.sim, putter, batching.pipeline_window,
-                        on_frame_done=(
+                else:
+                    yield from transfer_scope(
+                        self, scope, getter, putter, deleter,
+                        on_applied=(
                             self._release_frame if self.early_release else None
                         ),
-                    )
-
-                    def handle_chunk_frame(frame, _scope=scope,
-                                           _pipeline=pipeline):
-                        for chunk in frame:
-                            self._note_chunk(_scope, chunk)
-                        _pipeline.submit(frame)
-
-                    chunks = yield getter(
-                        self.flt,
-                        stream_frame=lambda frame, _h=handle_chunk_frame: (
-                            self.controller.enqueue_chunks(_h, frame)
-                        ),
+                        exported=self._exported_chunks,
                         lock_per_chunk=lock_per_chunk,
                         lock_silent=silent_lock,
-                        compress=self.compress,
                     )
-                    if deleter is not None and chunks:
-                        yield deleter([c.flowid for c in chunks if c.flowid])
-                    yield self.controller.inbox_drained()
-                    yield pipeline.drained()
-                    self._checkpoint()
-                elif self.parallel:
-                    put_events: List[Any] = []
-
-                    def handle_chunk(chunk: StateChunk, _putter=putter,
-                                     _scope=scope):
-                        self._note_chunk(_scope, chunk)
-                        put_event = _putter([chunk])
-                        if self.early_release:
-                            put_event.add_callback(
-                                lambda _evt, c=chunk: self._release_flow(c.flowid)
-                            )
-                        put_events.append(put_event)
-
-                    # Each streamed chunk passes through the controller's
-                    # serialized inbox before its put is issued (§8.3).
-                    chunks = yield getter(
-                        self.flt,
-                        stream=lambda c: self.controller.enqueue_chunk(
-                            handle_chunk, c
-                        ),
-                        lock_per_chunk=lock_per_chunk,
-                        lock_silent=silent_lock,
-                        compress=self.compress,
-                    )
-                    if deleter is not None and chunks:
-                        yield deleter([c.flowid for c in chunks if c.flowid])
-                    yield self.controller.inbox_drained()
-                    if put_events:
-                        yield AllOf(put_events)
-                    self._checkpoint()
-                else:
-                    chunks = yield getter(self.flt, compress=self.compress)
-                    for chunk in chunks:
-                        self._note_chunk(scope, chunk)
-                    if deleter is not None and chunks:
-                        yield deleter([c.flowid for c in chunks if c.flowid])
-                    yield putter(chunks)
                 scope_ph.span.set(
                     chunks=len(self._exported_chunks) - exported_before
                 )
@@ -831,6 +743,7 @@ class MoveOperation(Operation):
 
         def ship(chunk: StateChunk) -> None:
             self._note_chunk(scope, chunk)
+            self._exported_chunks.append(chunk)
             peer.send(chunk.wire_size_bytes + 74, deliver, chunk)
 
         chunks = yield getter(
@@ -872,26 +785,6 @@ class MoveOperation(Operation):
             yield 25.0 * reship_rounds
         if put_events:
             yield AllOf(put_events)
-
-    def _scope_calls(self, scope: Scope):
-        if scope is Scope.PERFLOW:
-            return (self.src.get_perflow, self.dst.put_perflow, self.src.del_perflow)
-        if scope is Scope.MULTIFLOW:
-            return (
-                self.src.get_multiflow,
-                self.dst.put_multiflow,
-                self.src.del_multiflow,
-            )
-
-        def get_allflows(flt, stream=None, lock_per_chunk=False,
-                         lock_silent=False, compress=False, raw_stream=None,
-                         stream_frame=None):
-            return self.src.get_allflows(
-                stream=stream, compress=compress, raw_stream=raw_stream,
-                stream_frame=stream_frame,
-            )
-
-        return (get_allflows, self.dst.put_allflows, None)
 
     # --------------------------------------------------------- event plumbing
 

@@ -24,11 +24,29 @@ know whether their operation started immediately.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.flowspace.filter import Filter
 from repro.nf.southbound import SouthboundError
+from repro.nf.state import Scope, StateChunk
 from repro.controller.reports import OperationReport
+
+
+def when_all(events: List[Any], then: Callable[[], None]) -> None:
+    """Call ``then()`` once every event has fired (at once if none pend)."""
+    remaining = len(events)
+    if not remaining:
+        then()
+        return
+
+    def one_fired(_evt) -> None:
+        nonlocal remaining
+        remaining -= 1
+        if not remaining:
+            then()
+
+    for event in events:
+        event.add_callback(one_fired)
 
 
 class OperationAborted(SouthboundError):
@@ -93,12 +111,69 @@ class Operation:
                 "aborted: %s" % self._abort_requested, self._abort_target()
             )
 
+    # ---- shared by the src -> dst state-transfer operations (move, copy)
+
+    def _sb_stats(self) -> Dict[str, int]:
+        """Cumulative retry/timeout counts of the two clients involved.
+
+        Client stats are shared: concurrent operations on the same
+        clients may attribute each other's retries.
+        """
+        return {
+            key: self.src.stats[key] + self.dst.stats[key]
+            for key in ("retries", "timeouts")
+        }
+
+    def _finalize_reliability(self) -> None:
+        """Fill the report's retry/timeout counts from client deltas."""
+        now = self._sb_stats()
+        self.report.retries = now["retries"] - self._sb_stats_at_start["retries"]
+        self.report.timeouts = (
+            now["timeouts"] - self._sb_stats_at_start["timeouts"]
+        )
+
+    def _note_chunk(self, scope: Scope, chunk: StateChunk) -> None:
+        """Account one exported chunk (report + transfer metrics)."""
+        self.report.add_chunk(
+            scope.value, chunk.size_bytes, chunk.wire_size_bytes
+        )
+        if self.obs.enabled:
+            metrics = self.obs.metrics
+            metrics.counter("ctrl.chunks.transferred").inc(1, scope=scope.value)
+            metrics.counter("ctrl.chunks.wire_bytes").inc(
+                chunk.wire_size_bytes, scope=scope.value
+            )
+
+    def _scope_calls(self, scope: Scope):
+        """Southbound (getter, putter, deleter) for one state scope.
+
+        All-flows state has no filter and no delete; its getter takes
+        (and ignores) the filter and lock arguments so the transfer loop
+        calls every scope the same way.
+        """
+        if scope is Scope.PERFLOW:
+            return (self.src.get_perflow, self.dst.put_perflow,
+                    self.src.del_perflow)
+        if scope is Scope.MULTIFLOW:
+            return (self.src.get_multiflow, self.dst.put_multiflow,
+                    self.src.del_multiflow)
+
+        def get_allflows(flt, stream=None, lock_per_chunk=False,
+                         lock_silent=False, compress=False, raw_stream=None,
+                         stream_frame=None):
+            return self.src.get_allflows(
+                stream=stream, compress=compress, raw_stream=raw_stream,
+                stream_frame=stream_frame,
+            )
+
+        return (get_allflows, self.dst.put_allflows, None)
+
 
 class DeferredOperation(Operation):
     """An admitted-but-waiting operation with the full handle surface.
 
-    Created by the controller's admission table when a new operation's
-    filter overlaps in-flight flow space. The deferred filter is itself
+    Created by the controller's admission step when a new operation's
+    filter overlaps flow space in flight on its home shard. The deferred filter is itself
     *reserved* in the admission table at submission time, so any later
     operation overlapping it queues behind this one — deferral is FIFO
     per overlapping flow space, and a stream of newcomers can no longer
@@ -113,40 +188,30 @@ class DeferredOperation(Operation):
 
     def __init__(
         self,
-        controller,
+        shard,
         kind: str,
         flt: Filter,
         conflicts: List[Any],
         start: Callable[[], Operation],
         guarantee: Any = None,
     ) -> None:
-        self.controller = controller
+        self.shard = shard
+        self.sim = shard.sim
         self.deferred_kind = kind
         self.flt = flt
         self._start = start
         self._guarantee = guarantee
         self.operation: Optional[Operation] = None
         self._abort_requested = None
-        self.done = controller.sim.event("deferred-%s-done" % kind)
+        self.done = self.sim.event("deferred-%s-done" % kind)
         # FIFO: reserve our filter NOW. The reservation is released when
         # self.done triggers — after the launched operation completes
         # (its done mirrors into ours) or on abort-while-deferred.
-        self._admission_handle = controller._reserve(flt, self.done)
+        self._admission_handle = shard._reserve(flt, self.done)
         self._await(conflicts)
 
     def _await(self, conflicts: List[Any]) -> None:
-        if not conflicts:
-            self.controller.sim.schedule(0.0, self._launch)
-            return
-        remaining = {"count": len(conflicts)}
-
-        def on_conflict_done(_evt) -> None:
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                self.controller.sim.schedule(0.0, self._launch)
-
-        for done in conflicts:
-            done.add_callback(on_conflict_done)
+        when_all(conflicts, lambda: self.sim.schedule(0.0, self._launch))
 
     def _launch(self) -> None:
         if self.done.triggered:  # aborted while waiting
@@ -155,7 +220,7 @@ class DeferredOperation(Operation):
         # are queued behind us (waiting on our done), and waiting on
         # them back would deadlock; our own reservation is newer than
         # nothing, so `before` also excludes it.
-        conflicts = self.controller._conflicting(
+        conflicts = self.shard._conflicting(
             self.flt, before=self._admission_handle
         )
         if conflicts:
@@ -166,10 +231,10 @@ class DeferredOperation(Operation):
     def _begin(self) -> None:
         """Flow space is clear: construct and run the real operation.
 
-        No _track_operation here: our standing reservation already
-        covers the filter until self.done (mirroring the live
-        operation's done) triggers. Overridden by the cross-shard
-        handshake to interpose the ownership transfer.
+        No new reservation here: our standing one already covers the
+        filter until self.done (mirroring the live operation's done)
+        triggers. Overridden by the cross-shard handshake to interpose
+        the ownership transfer.
         """
         operation = self._start()
         self.operation = operation
@@ -190,8 +255,8 @@ class DeferredOperation(Operation):
                 kind=self.deferred_kind,
                 guarantee=self._guarantee,
                 filter_repr=repr(self.flt),
-                started_at=self.controller.sim.now,
-                finished_at=self.controller.sim.now,
+                started_at=self.sim.now,
+                finished_at=self.sim.now,
                 aborted="aborted while deferred: %s" % reason,
             )
             self.report_override = report

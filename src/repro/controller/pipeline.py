@@ -1,4 +1,9 @@
-"""Windowed get→put pipelining for state transfer (§8.3 fast path).
+"""The get → (del) → put state hand-off shared by ``move`` and ``copy``.
+
+:func:`transfer_scope` is the one per-scope transfer loop (serial,
+streamed per chunk, or streamed in batched frames);
+:class:`WindowedPutPipeline` is the batched form's put side:
+windowed get→put pipelining for state transfer (§8.3 fast path).
 
 The classic parallelized transfer issues one ``put`` per streamed chunk
 the moment it clears the controller inbox — correct, but every chunk
@@ -18,10 +23,12 @@ restores them from the operation's export log).
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional
 
 from repro.sim.core import Event, Simulator
+from repro.sim.process import AllOf
 
 
 class WindowedPutPipeline:
@@ -103,3 +110,88 @@ class WindowedPutPipeline:
                 evt.fail(self._failure)
             else:
                 evt.trigger(self.frames_completed)
+
+
+def transfer_scope(
+    op,
+    scope,
+    getter: Callable[..., Event],
+    putter: Callable[[List[Any]], Event],
+    deleter: Optional[Callable[[List[Any]], Event]] = None,
+    on_applied: Optional[Callable[[List[Any]], None]] = None,
+    exported: Optional[List[Any]] = None,
+    **lock_kwargs: Any,
+):
+    """Generator: export ``scope`` state via ``getter``, import via ``putter``.
+
+    ``op`` is the driving operation (its filter, ``parallel`` /
+    ``compress`` options, home ``shard``, ``_note_chunk`` accounting and
+    abort ``_checkpoint``). ``deleter`` removes the exported state at
+    the source (move; copy passes none). ``on_applied(chunks)`` is
+    called as each streamed put completes (move's early release);
+    ``exported`` collects every chunk as it reaches the controller
+    (move's restore-on-abort log); ``lock_kwargs`` (late locking) reach
+    only the streamed getter.
+
+    Three forms: with batching on, chunks arrive in multi-chunk frames
+    (one inbox slot per frame) and forward as windowed frame puts, so
+    the source keeps streaming while earlier frames apply; otherwise
+    the parallelizing optimization streams each chunk through the
+    shard's serialized inbox and issues one put per chunk (§8.3); and
+    without it the whole scope is one get then one put.
+    """
+    shard = op.shard
+    batching = op.controller.batching
+    if not op.parallel:
+        chunks = yield getter(op.flt, compress=op.compress)
+        for chunk in chunks:
+            op._note_chunk(scope, chunk)
+        if exported is not None:
+            exported.extend(chunks)
+        if deleter is not None and chunks:
+            yield deleter([c.flowid for c in chunks if c.flowid])
+        yield putter(chunks)
+        return
+
+    pipeline: Optional[WindowedPutPipeline] = None
+    put_events: List[Event] = []
+    if batching is not None:
+        pipeline = WindowedPutPipeline(
+            op.sim, putter, batching.pipeline_window,
+            on_frame_done=on_applied,
+        )
+
+        def handle_frame(frame: List[Any]) -> None:
+            for chunk in frame:
+                op._note_chunk(scope, chunk)
+            if exported is not None:
+                exported.extend(frame)
+            pipeline.submit(frame)
+
+        stream = {"stream_frame": functools.partial(
+            shard.enqueue_chunks, handle_frame
+        )}
+    else:
+        def handle_chunk(chunk: Any) -> None:
+            op._note_chunk(scope, chunk)
+            if exported is not None:
+                exported.append(chunk)
+            put_event = putter([chunk])
+            if on_applied is not None:
+                put_event.add_callback(lambda _evt: on_applied([chunk]))
+            put_events.append(put_event)
+
+        stream = {"stream": functools.partial(
+            shard.enqueue_chunk, handle_chunk
+        )}
+    chunks = yield getter(
+        op.flt, compress=op.compress, **stream, **lock_kwargs
+    )
+    if deleter is not None and chunks:
+        yield deleter([c.flowid for c in chunks if c.flowid])
+    yield shard.inbox.drained()
+    if pipeline is not None:
+        yield pipeline.drained()
+    elif put_events:
+        yield AllOf(put_events)
+    op._checkpoint()

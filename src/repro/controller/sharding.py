@@ -1,52 +1,34 @@
-"""A sharded control plane: flow-space ownership across controller replicas.
+"""Flow-space sharding: the partition function and the ownership handshake.
 
-Every message the classic :class:`OpenNFController` handles — NF events,
-switch packet-ins, streamed state chunks — funnels through ONE serialized
-inbox costing ``msg_proc_ms`` each, which is exactly the wall §8.3's
-profile measured and Figure 13 quantifies: per-move time grows with the
-number of concurrent operations because they all share one handling
-loop. :class:`ShardedControlPlane` removes that wall the way distributed
-SDN controllers do (the NomClient/NomServer split): it partitions
-flow-space *ownership* across N replica controllers, each with its own
-inbox, so operations over different shards proceed fully in parallel.
-
-Architecture
-------------
+Every message the controller handles — NF events, switch packet-ins,
+streamed state chunks — costs ``msg_proc_ms`` in a serialized inbox,
+which is exactly the wall §8.3's profile measured and Figure 13
+quantifies: per-move time grows with the number of concurrent
+operations because they all share one handling loop.
+:class:`~repro.controller.controller.OpenNFController` removes that wall
+the way distributed SDN controllers do: it partitions flow-space
+*ownership* across N shards, each with its own inbox and admission
+table, so operations over different shards proceed fully in parallel.
+With one shard the map has one entry and none of this module runs.
 
 * **Shard map** (:class:`ShardMap`): a deterministic hash partition of
   flow space. Exact-match filters fold their direction-normalized
   5-tuple key; CIDR-prefix filters bucket by network prefix so adjacent
-  subnets land on different replicas; everything else (true wildcards)
+  subnets land on different shards; everything else (true wildcards)
   defaults to shard 0. Both orientations of a flow always map to the
   same shard.
 
-* **Shared view**: the replicas literally share the registration state —
-  ``clients``, ``nf_ports``, the port reverse map, and the event/packet
-  interest lists are the *same objects* on every replica, so a write on
-  one is immediately visible to all (a write-through replicated view
-  with zero propagation delay, the idealization of a NIB). Per-replica
-  state — the inbox, the admission table, per-NF event sequencing — is
-  NOT shared; that is the parallelism.
-
-* **Routing**: each northbound operation installs a *claim*
-  (filter → owning shard) for its lifetime; NF events and packet-ins
-  are routed to the claim's shard first (oldest claim wins, so an
-  in-flight operation keeps its flow's messages on its own inbox),
-  then to any persistent ownership override left by a completed
-  handoff (newest wins), then by the shard map.
-
 * **Cross-shard handshake** (:class:`CrossShardOperation`): an
-  operation whose filter intersects flow space another replica is
-  currently operating on cannot just start — the two replicas would
-  race on rules and state. Instead the plane reserves the filter in
-  EVERY replica's admission table (so nothing new intersecting starts
-  anywhere), waits for the conflicting operations to finish, then
-  performs an ownership transfer: one control-channel round trip
-  (``handoff_latency_ms``) plus a drain barrier on the prior owners'
-  inboxes (any in-flight message for the flow space is handled before
-  the new owner proceeds). Only then does the operation start on its
-  home replica, and the plane records the ownership override so
-  subsequent traffic routes there.
+  operation whose filter intersects flow space another shard is
+  currently operating on cannot just start — the two would race on
+  rules and state. Instead the filter is reserved in EVERY shard's
+  admission table (so nothing new intersecting starts anywhere), the
+  conflicting operations finish, and ownership transfers: one
+  control-channel round trip (``handoff_latency_ms``) plus a drain
+  barrier on the prior owners' inboxes (any in-flight message for the
+  flow space is handled before the new owner proceeds). Only then does
+  the operation start on its home shard, and the controller records the
+  ownership override so subsequent traffic routes there.
 
 Failure semantics of a mid-handoff crash are discussed in
 ``docs/internals.md``; the short version is that the reservation +
@@ -58,16 +40,11 @@ through the normal deferred-abort path without ever starting.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
 from repro.flowspace.filter import Filter, packet_match_keys
 from repro.flowspace.ip import parse_prefix
-from repro.net.switch import Switch
-from repro.nf.base import NetworkFunction
-from repro.nf.events import PacketEvent
-from repro.nf.southbound import NFClient
-from repro.controller.controller import OpenNFController
-from repro.controller.operation import DeferredOperation, Operation
+from repro.controller.operation import DeferredOperation, Operation, when_all
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -99,11 +76,6 @@ class ShardMap:
         if n_shards < 1:
             raise ValueError("need at least one shard, got %d" % n_shards)
         self.n_shards = n_shards
-
-    def shard_for_name(self, name: str) -> int:
-        """Home shard for an NF instance (by name): holds its southbound
-        channel and per-NF event sequencing state."""
-        return _fold(*name.encode("utf-8")) % self.n_shards
 
     def shard_for_key(self, key: Tuple) -> int:
         """Shard for an exact-match key from :meth:`Filter.exact_key`.
@@ -157,459 +129,54 @@ class CrossShardOperation(DeferredOperation):
     """An operation whose flow space spans shards: handshake, then run.
 
     Presents the standard deferred handle (``kind == "deferred"``) and
-    reserves its filter in **every** replica's admission table at
-    submission, so no replica admits an intersecting operation while
-    the handshake is pending — and later operations queue FIFO behind
-    it exactly as they would behind a same-shard deferral. Once all
-    pre-existing conflicts finish, the plane transfers ownership of the
-    flow space to the home replica (latency + prior-owner inbox
-    drains); only then does the real operation start.
+    reserves its filter in **every** shard's admission table at
+    submission, so no shard admits an intersecting operation while the
+    handshake is pending — and later operations queue FIFO behind it
+    exactly as they would behind a same-shard deferral. Once all
+    pre-existing conflicts finish, ownership of the flow space
+    transfers to the home shard: one inter-shard round trip to agree on
+    the transfer, then a drain barrier on each prior owner's inbox so
+    every message already accepted for the flow space is handled under
+    the old owner before the new owner touches it. Only then does the
+    real operation start.
     """
 
     def __init__(
         self,
-        plane: "ShardedControlPlane",
-        home: OpenNFController,
+        home,
         kind: str,
         flt: Filter,
         conflicts: List[Any],
         start: Callable[[], Operation],
         guarantee: Any = None,
-        prior_owners: Tuple[OpenNFController, ...] = (),
+        prior_owners: Tuple[Any, ...] = (),
     ) -> None:
-        self._plane = plane
         self._prior_owners = tuple(prior_owners)
-        self._handoff_done = False
         super().__init__(home, kind, flt, conflicts, start,
                          guarantee=guarantee)
         # Reserve everywhere else too (home is reserved by the parent
-        # constructor): the whole plane treats this flow space as busy.
-        for replica in plane.replicas:
-            if replica is not home:
-                replica._reserve(flt, self.done)
+        # constructor): every shard treats this flow space as busy.
+        for shard in home.controller.replicas:
+            if shard is not home:
+                shard._reserve(flt, self.done)
 
     def _begin(self) -> None:
-        if self._handoff_done:
-            DeferredOperation._begin(self)
-            return
-        self._plane._transfer_ownership(self)
+        """Flow space is clear on every shard: hand it over, then start."""
+        controller = self.shard.controller
+        if controller.obs.enabled:
+            controller.obs.metrics.counter("ctrl.shard.handoff").inc(
+                1, shard=str(self.shard.shard_id)
+            )
+        self.sim.schedule(
+            controller.handoff_latency_ms,
+            lambda: when_all(
+                [owner.inbox.drained() for owner in self._prior_owners],
+                self._complete_handoff,
+            ),
+        )
 
     def _complete_handoff(self) -> None:
-        self._handoff_done = True
+        self.shard.controller._transfer_ownership(self.flt, self.shard)
         if self.done.triggered:  # aborted while the handoff was in flight
             return
-        DeferredOperation._begin(self)
-
-
-class ShardedControlPlane:
-    """N controller replicas behind the classic northbound surface.
-
-    Duck-types :class:`OpenNFController` for everything deployments,
-    control applications, and baselines use — ``move``/``copy``/
-    ``share``/``notify``, registration, interests, port resolution,
-    aggregate counters — while fanning the serialized message handling
-    out over per-replica inboxes. ``ShardedControlPlane(shards=1)`` is
-    one replica plus routing bookkeeping; its operation timeline is
-    identical to the classic controller's.
-    """
-
-    def __init__(
-        self,
-        sim,
-        switch: Optional[Switch] = None,
-        shards: int = 2,
-        handoff_latency_ms: float = 5.0,
-        obs=None,
-        **controller_kwargs: Any,
-    ) -> None:
-        self.sim = sim
-        self.shard_map = ShardMap(shards)
-        self.n_shards = shards
-        #: One control-channel round trip between replicas: the cost of
-        #: the ownership-transfer message exchange in a cross-shard
-        #: handshake (the drain barrier is extra, and workload-driven).
-        self.handoff_latency_ms = handoff_latency_ms
-        self.replicas: List[OpenNFController] = []
-        for index in range(shards):
-            replica = OpenNFController(sim, switch=None, obs=obs,
-                                       **controller_kwargs)
-            replica.shard_id = index
-            replica.plane = self
-            if shards > 1:
-                replica.trace_attrs = {"shard": str(index)}
-                replica._shard_label = {"shard": str(index)}
-            self.replicas.append(replica)
-        primary = self.replicas[0]
-        self.obs = primary.obs
-        # Write-through shared view: registration state and interest
-        # lists are the same objects on every replica. (Interest lists
-        # are mutated in place everywhere for exactly this reason.)
-        for replica in self.replicas[1:]:
-            replica.clients = primary.clients
-            replica.nf_ports = primary.nf_ports
-            replica._port_to_nf = primary._port_to_nf
-            replica._event_interests = primary._event_interests
-            replica._packet_interests = primary._packet_interests
-        #: Operation-lifetime routing claims: (filter, shard) in
-        #: submission order; oldest matching claim routes a message.
-        self._claims: List[Tuple[Filter, int]] = []
-        #: Persistent ownership overrides left by completed handoffs;
-        #: newest wins.
-        self._ownership: List[Tuple[Filter, int]] = []
-        self.cross_shard_operations = 0
-        self.handoffs_completed = 0
-        self.switch: Optional[Switch] = None
-        self.switch_client = None
-        if switch is not None:
-            self.attach_switch(switch)
-
-    # ------------------------------------------------------------------ wiring
-
-    def attach_switch(self, switch: Switch) -> None:
-        """One switch, one southbound connection (on replica 0), with
-        packet-ins routed to the owning replica's inbox by the plane."""
-        primary = self.replicas[0]
-        primary.attach_switch(switch)
-        self.switch = switch
-        self.switch_client = primary.switch_client
-        for replica in self.replicas[1:]:
-            replica.switch = switch
-            replica.switch_client = primary.switch_client
-        switch.set_packet_in_handler(self.handle_packet_in)
-
-    def register_nf(self, nf: NetworkFunction,
-                    port: Optional[str] = None) -> NFClient:
-        """Register ``nf`` on its home shard (southbound channel + event
-        sequencing live there); the shared view makes it visible to all."""
-        home = self.replicas[self.shard_map.shard_for_name(nf.name)]
-        return home.register_nf(nf, port=port)
-
-    def deregister_nf(self, name: str) -> None:
-        self.replicas[self.shard_map.shard_for_name(name)].deregister_nf(name)
-
-    # ----------------------------------------------------------------- routing
-
-    def _route_headers(self, headers) -> int:
-        for flt, shard in self._claims:  # oldest claim wins
-            if flt.matches_headers(headers):
-                return shard
-        for flt, shard in reversed(self._ownership):  # newest handoff wins
-            if flt.matches_headers(headers):
-                return shard
-        return self.shard_map.shard_for_headers(headers)
-
-    def shard_for_event(self, event: PacketEvent) -> OpenNFController:
-        """The replica whose inbox must serialize this NF event."""
-        return self.replicas[self._route_headers(event.packet.headers())]
-
-    def handle_packet_in(self, packet) -> None:
-        """Switch packet-ins enter the owning replica's inbox."""
-        self.replicas[self._route_headers(packet.headers())] \
-            .handle_packet_in(packet)
-
-    def _owner_shard(self, flt: Filter) -> int:
-        """Which shard owns (most of) ``flt``'s flow space right now."""
-        for owned, shard in reversed(self._ownership):
-            if owned.intersects(flt):
-                return shard
-        return self.shard_map.shard_for_filter(flt)
-
-    def _claim(self, flt: Filter, shard: int, done) -> None:
-        entry = (flt, shard)
-        self._claims.append(entry)
-        done.add_callback(lambda _evt: self._claims.remove(entry))
-
-    # -------------------------------------------------------------- handshake
-
-    def _transfer_ownership(self, operation: CrossShardOperation) -> None:
-        """Run the handoff protocol, then let ``operation`` start.
-
-        Models the two-controller exchange: one inter-controller round
-        trip to agree on the transfer, then a drain barrier on each
-        prior owner's inbox so every message already accepted for the
-        flow space is handled under the old owner before the new owner
-        touches it.
-        """
-        home = operation.controller
-        if self.obs.enabled:
-            self.obs.metrics.counter("ctrl.shard.handoff").inc(
-                1, shard=str(home.shard_id)
-            )
-
-        def after_round_trip() -> None:
-            pending = [rep.inbox.drained()
-                       for rep in operation._prior_owners]
-            remaining = {"count": len(pending)}
-
-            def one_drained(_evt) -> None:
-                remaining["count"] -= 1
-                if remaining["count"] <= 0:
-                    finish()
-
-            if not pending:
-                finish()
-                return
-            for evt in pending:
-                evt.add_callback(one_drained)
-
-        def finish() -> None:
-            self.handoffs_completed += 1
-            self._ownership.append((operation.flt, home.shard_id))
-            operation._complete_handoff()
-
-        self.sim.schedule(self.handoff_latency_ms, after_round_trip)
-
-    # -------------------------------------------------------------- northbound
-
-    def _submit(self, kind: str, flt: Filter, build, guarantee=None):
-        """Admission across the plane: route to the owner, or handshake.
-
-        ``build(home)`` returns ``(start_closure, parsed_guarantee)``
-        from the home replica's northbound builder.
-        """
-        home = self.replicas[self._owner_shard(flt)]
-        start, parsed = build(home)
-        if guarantee is None:
-            guarantee = parsed
-        prior_owners = []
-        foreign_conflicts: List[Any] = []
-        for replica in self.replicas:
-            if replica is home:
-                continue
-            conflicts = replica._conflicting(flt)
-            if conflicts:
-                prior_owners.append(replica)
-                foreign_conflicts.extend(conflicts)
-        if not prior_owners:
-            operation = home._admit(kind, flt, start, guarantee=guarantee)
-            self._claim(flt, home.shard_id, operation.done)
-            return operation
-        # Cross-shard: another replica is operating on intersecting flow
-        # space. Handshake-transfer ownership before starting.
-        self.cross_shard_operations += 1
-        home.operations_queued_for_conflict += 1
-        if kind == "move":
-            home.moves_queued_for_conflict += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("ctrl.admission.deferred").inc(
-                1, kind=kind, cross_shard="true", **home._shard_label
-            )
-        all_conflicts = foreign_conflicts + home._conflicting(flt)
-        operation = CrossShardOperation(
-            self, home, kind, flt, all_conflicts, start,
-            guarantee=guarantee, prior_owners=prior_owners,
-        )
-        self._claim(flt, home.shard_id, operation.done)
-        return operation
-
-    def move(self, src, dst, flt: Filter, scope: Any = "per",
-             guarantee: Any = "loss-free", parallel: bool = True,
-             early_release: bool = False, compress: bool = False,
-             peer_to_peer: bool = False,
-             drain_grace_ms: float = 30.0) -> Operation:
-        """Same contract as :meth:`OpenNFController.move`."""
-        return self._submit(
-            "move", flt,
-            lambda home: home._move_start(
-                src, dst, flt, scope=scope, guarantee=guarantee,
-                parallel=parallel, early_release=early_release,
-                compress=compress, peer_to_peer=peer_to_peer,
-                drain_grace_ms=drain_grace_ms,
-            ),
-        )
-
-    def copy(self, src, dst, flt: Filter, scope: Any = "multi",
-             parallel: bool = True, compress: bool = False) -> Operation:
-        """Same contract as :meth:`OpenNFController.copy`."""
-        return self._submit(
-            "copy", flt,
-            lambda home: home._copy_start(
-                src, dst, flt, scope=scope, parallel=parallel,
-                compress=compress,
-            ),
-        )
-
-    def share(self, instances: List[Any], flt: Filter,
-              scope: Any = "multi", consistency: str = "strong",
-              group_by: str = "host") -> Operation:
-        """Same contract as :meth:`OpenNFController.share`."""
-        return self._submit(
-            "share", flt,
-            lambda home: home._share_start(
-                instances, flt, scope=scope, consistency=consistency,
-                group_by=group_by,
-            ),
-        )
-
-    def move_chain(self, chain: Any, flt: Optional[Filter] = None,
-                   dst_map=None, guarantee: Any = "loss-free",
-                   scope: Any = "per", parallel: bool = True,
-                   drain_grace_ms: float = 30.0,
-                   hop_guarantees=None) -> Operation:
-        """Same contract as :meth:`OpenNFController.move_chain`.
-
-        The chain filter homes on one replica; the composite operation
-        (and every hop move inside it) runs there. Overlapping foreign
-        flow space triggers the usual cross-shard ownership handshake
-        before the first hop migrates.
-        """
-        use_flt = flt if flt is not None else chain.flt
-        return self._submit(
-            "chain", use_flt,
-            lambda home: home._chain_start(
-                chain, use_flt, dst_map, guarantee=guarantee, scope=scope,
-                parallel=parallel, drain_grace_ms=drain_grace_ms,
-                hop_guarantees=hop_guarantees,
-            ),
-        )
-
-    def scale_chain(self, chain: Any, hop: str, new_instance: str,
-                    flt: Optional[Filter] = None,
-                    guarantee: Any = "loss-free", scope: Any = "per",
-                    parallel: bool = True,
-                    drain_grace_ms: float = 30.0) -> Operation:
-        """Same contract as :meth:`OpenNFController.scale_chain`."""
-        use_flt = flt if flt is not None else chain.flt
-        return self._submit(
-            "chain", use_flt,
-            lambda home: home._chain_start(
-                chain, use_flt, {hop: new_instance}, guarantee=guarantee,
-                scope=scope, parallel=parallel,
-                drain_grace_ms=drain_grace_ms, mode="scale",
-            ),
-        )
-
-    def notify(self, flt: Filter, inst: Any, enable: bool,
-               callback=None):
-        """Same contract as :meth:`OpenNFController.notify`.
-
-        Delegated to the instance's home replica; the interest lands in
-        the shared list, so whichever replica dispatches the event finds
-        it.
-        """
-        name = self.client(inst).name
-        home = self.replicas[self.shard_map.shard_for_name(name)]
-        return home.notify(flt, inst, enable, callback)
-
-    def handle_nf_event(self, event: PacketEvent) -> None:
-        """Same contract as :meth:`OpenNFController.handle_nf_event`.
-
-        Sequenced events must pass through the NF's home replica (the
-        per-NF reorder state lives there); unsequenced events route by
-        flow ownership inside ``_deliver_event`` regardless of which
-        replica accepts them.
-        """
-        home = self.replicas[self.shard_map.shard_for_name(event.nf_name)]
-        home.handle_nf_event(event)
-
-    # ----------------------------------------------------- facade / aggregates
-
-    def client(self, nf: Any) -> NFClient:
-        return self.replicas[0].client(nf)
-
-    def port_of(self, nf: Any) -> str:
-        return self.replicas[0].port_of(nf)
-
-    def instance_at_port(self, port: str) -> Optional[str]:
-        return self.replicas[0].instance_at_port(port)
-
-    def add_event_interest(self, nf_name, flt, callback) -> int:
-        return self.replicas[0].add_event_interest(nf_name, flt, callback)
-
-    def add_packet_interest(self, flt, callback) -> int:
-        return self.replicas[0].add_packet_interest(flt, callback)
-
-    def remove_interest(self, handle: int) -> None:
-        self.replicas[0].remove_interest(handle)
-
-    def inbox_drained(self):
-        """Fires once every replica has drained what it has queued so far."""
-        combined = self.sim.event("plane-drained")
-        remaining = {"count": len(self.replicas)}
-
-        def one_drained(_evt) -> None:
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                combined.trigger()
-
-        for replica in self.replicas:
-            replica.inbox.drained().add_callback(one_drained)
-        return combined
-
-    @property
-    def clients(self) -> Dict[str, NFClient]:
-        return self.replicas[0].clients
-
-    @property
-    def nf_ports(self) -> Dict[str, str]:
-        return self.replicas[0].nf_ports
-
-    @property
-    def batching(self):
-        return self.replicas[0].batching
-
-    @property
-    def faults(self):
-        return self.replicas[0].faults
-
-    @property
-    def reliable(self) -> bool:
-        return self.replicas[0].reliable
-
-    @property
-    def offload(self) -> bool:
-        # Every replica shares the flag (controller_kwargs fan out), and
-        # the switch client is shared too — so the owning replica of a
-        # moved flow space installs the machine, and an ownership
-        # handoff implicitly hands the machine along with the flow
-        # space: the new owner issues releases over the same southbound
-        # connection.
-        return self.replicas[0].offload
-
-    @property
-    def msg_proc_ms(self) -> float:
-        return self.replicas[0].msg_proc_ms
-
-    @property
-    def default_event_handler(self):
-        return self.replicas[0].default_event_handler
-
-    @default_event_handler.setter
-    def default_event_handler(self, handler) -> None:
-        # Any replica may end up dispatching an event (routing follows
-        # flow ownership), so the fallback must exist on all of them.
-        for replica in self.replicas:
-            replica.default_event_handler = handler
-
-    @property
-    def events_received(self) -> int:
-        return sum(r.events_received for r in self.replicas)
-
-    @property
-    def packet_ins_received(self) -> int:
-        return sum(r.packet_ins_received for r in self.replicas)
-
-    @property
-    def events_duplicate_dropped(self) -> int:
-        return sum(r.events_duplicate_dropped for r in self.replicas)
-
-    @property
-    def events_gap_skipped(self) -> int:
-        return sum(r.events_gap_skipped for r in self.replicas)
-
-    @property
-    def operations_queued_for_conflict(self) -> int:
-        return sum(r.operations_queued_for_conflict for r in self.replicas)
-
-    @property
-    def moves_queued_for_conflict(self) -> int:
-        return sum(r.moves_queued_for_conflict for r in self.replicas)
-
-    @property
-    def messages_handled(self) -> int:
-        """Aggregate logical messages through all replica inboxes."""
-        return sum(r.inbox.messages_handled for r in self.replicas)
-
-    def backlog_by_shard(self) -> Dict[int, int]:
-        """Peak inbox backlog per replica (load-balance diagnostics)."""
-        return {r.shard_id: r.inbox.max_backlog for r in self.replicas}
+        super()._begin()

@@ -54,6 +54,7 @@ class ShareOperation(Operation):
     def __init__(
         self,
         controller,
+        shard,
         instances: List[Any],
         flt: Filter,
         scopes: Tuple[Scope, ...],
@@ -104,7 +105,7 @@ class ShareOperation(Operation):
             group_by=group_by,
             filter=repr(flt),
             instances=",".join(i.name for i in instances),
-            **controller.trace_attrs,
+            **shard.trace_attrs,
         )
         # Causally bound stubs (pass-throughs while tracing is off):
         # every RPC and switch command below inherits the session's

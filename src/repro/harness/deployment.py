@@ -46,24 +46,17 @@ class Deployment:
         record_ground_truth: bool = True,
         shards: int = 1,
         handoff_latency_ms: float = 5.0,
-        offload: Optional[bool] = None,
-        telemetry: Optional[bool] = None,
+        offload: bool = False,
+        telemetry: bool = False,
         timeseries=None,
         sampling=None,
     ) -> None:
         self.sim = sim or Simulator()
         #: Scale-ready telemetry (windowed time-series + trace sampling).
-        #: ``telemetry=True`` turns both on with defaults; ``None`` defers
-        #: to the ``OPENNF_TELEMETRY`` environment variable. The finer
+        #: ``telemetry=True`` turns both on with defaults. The finer
         #: ``timeseries=``/``sampling=`` knobs pass straight through to
         #: :class:`~repro.obs.Observability` (a hub, a policy, or a
         #: sampler instance) and individually override ``telemetry``.
-        if telemetry is None:
-            import os
-
-            telemetry = os.environ.get("OPENNF_TELEMETRY", "").lower() in (
-                "1", "true", "yes"
-            )
         if telemetry:
             if timeseries is None:
                 timeseries = True
@@ -103,15 +96,8 @@ class Deployment:
             batching = None
         self.batching = batching
         #: Data-plane offload (switch-local buffer/release XFSMs for the
-        #: move fast path). ``None`` defers to the ``OPENNF_OFFLOAD``
-        #: environment variable; ``False``/unset keeps the classic
-        #: controller-buffered timeline byte-for-byte identical.
-        if offload is None:
-            import os
-
-            offload = os.environ.get("OPENNF_OFFLOAD", "").lower() in (
-                "1", "true", "yes"
-            )
+        #: move fast path); ``False`` keeps the window buffered at the
+        #: controller.
         self.offload = bool(offload)
         #: Ground-truth logging (forward_log / processing_log / durations).
         #: Cheap bookkeeping, on by default; benchmarks turn it off so log
@@ -125,13 +111,13 @@ class Deployment:
             obs=self.obs,
             record_ground_truth=record_ground_truth,
         )
-        #: ``shards > 1`` swaps the single controller for a
-        #: :class:`~repro.controller.sharding.ShardedControlPlane` of
-        #: that many replicas (same northbound surface). ``shards=1``
-        #: keeps the classic controller, byte-identical to before the
-        #: plane existed.
+        #: How many serialized message loops the controller partitions
+        #: flow-space ownership across (the paper's controller has one);
+        #: ``handoff_latency_ms`` is one inter-shard round trip.
         self.shards = shards
-        controller_kwargs = dict(
+        self.controller = OpenNFController(
+            self.sim,
+            switch=self.switch,
             msg_proc_ms=msg_proc_ms,
             nf_channel_latency_ms=nf_channel_latency_ms,
             sw_channel_latency_ms=sw_channel_latency_ms,
@@ -141,21 +127,9 @@ class Deployment:
             retry=retry,
             batching=self.batching,
             offload=self.offload,
+            shards=shards,
+            handoff_latency_ms=handoff_latency_ms,
         )
-        if shards > 1:
-            from repro.controller.sharding import ShardedControlPlane
-
-            self.controller = ShardedControlPlane(
-                self.sim,
-                switch=self.switch,
-                shards=shards,
-                handoff_latency_ms=handoff_latency_ms,
-                **controller_kwargs,
-            )
-        else:
-            self.controller = OpenNFController(
-                self.sim, switch=self.switch, **controller_kwargs
-            )
         self.nf_link_latency_ms = nf_link_latency_ms
         self.nfs: Dict[str, NetworkFunction] = {}
 

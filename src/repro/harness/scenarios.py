@@ -85,8 +85,8 @@ def run_move_experiment(
     fault_plan: Any = None,
     batching: Any = None,
     shards: int = 1,
-    offload: Optional[bool] = None,
-    telemetry: Optional[bool] = None,
+    offload: bool = False,
+    telemetry: bool = False,
     on_deployment: Optional[Callable[[Deployment], None]] = None,
 ) -> MoveExperimentResult:
     """Replay a trace to instance 1, move flows to instance 2 mid-trace.
@@ -113,12 +113,9 @@ def run_move_experiment(
         kwargs.setdefault("faults", fault_plan)
     if batching is not None:
         kwargs.setdefault("batching", batching)
-    if shards > 1:
-        kwargs.setdefault("shards", shards)
-    if offload is not None:
-        kwargs.setdefault("offload", offload)
-    if telemetry is not None:
-        kwargs.setdefault("telemetry", telemetry)
+    kwargs.setdefault("shards", shards)
+    kwargs.setdefault("offload", offload)
+    kwargs.setdefault("telemetry", telemetry)
     dep = Deployment(**kwargs)
     src = nf_factory(dep.sim, "inst1")
     dst = nf_factory(dep.sim, "inst2")

@@ -308,15 +308,13 @@ def snapshot_top(deployment) -> Dict[str, Any]:
     to the ``nfs`` entries of the frames it emits.
     """
     sim = deployment.sim
-    controller = deployment.controller
-    replicas = getattr(controller, "replicas", None) or [controller]
     obs = deployment.obs
 
     shards = {}
     ops_in_flight = 0
-    for replica in replicas:
+    for replica in deployment.controller.replicas:
         ops_in_flight += len(replica._admission)
-        shards[replica.shard_id if replica.shard_id is not None else 0] = {
+        shards[replica.shard_id] = {
             "inbox_depth": len(replica.inbox._queue),
             "handled": replica.inbox.messages_handled,
             "max_backlog": replica.inbox.max_backlog,

@@ -182,7 +182,7 @@ class TestMoveChain:
         assert [hop.active for hop in chain.hops] == ["i1", "n1", "p1"]
         rollbacks = [n for n in report.notes if n.startswith("rolled back")]
         assert rollbacks and len(rollbacks) == len(set(rollbacks))
-        assert dep.controller._admission == {}
+        assert dep.controller.replicas[0]._admission == {}
 
     def test_rejects_destination_outside_hop(self):
         dep, chain, _ = build_chain_deployment()

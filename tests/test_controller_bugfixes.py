@@ -174,7 +174,7 @@ class TestDeferralFifo:
         ok, detail = check_loss_free(dep.switch, [a, b, c])
         assert ok, detail
         # Everything drained out of the admission table.
-        assert dep.controller._admission == {}
+        assert dep.controller.replicas[0]._admission == {}
 
     def test_fifo_chain_preserves_submission_order(self):
         dep, (a, b, c) = build_multi_instance_deployment(3)
@@ -215,7 +215,7 @@ class TestAbortWhileDeferred:
         assert ("aborted while deferred: raced the done callback"
                 == second.report.aborted)
         # The aborted reservation is released; the table is empty.
-        assert dep.controller._admission == {}
+        assert dep.controller.replicas[0]._admission == {}
         # And the state actually moved only once (first op).
         assert b.conn_count() == 4
         assert c.conn_count() == 0
@@ -289,4 +289,4 @@ class TestChainAbortRacingHopCompletion:
         # The head hop never launched; every active is back at the
         # original instance and the admission table drained.
         assert [hop.active for hop in chain.hops] == ["a1", "b1"]
-        assert dep.controller._admission == {}
+        assert dep.controller.replicas[0]._admission == {}

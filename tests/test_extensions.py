@@ -100,8 +100,10 @@ class TestPeerToPeerTransfer:
                 peer_to_peer=True,
             ),
         )
-        relayed_handled = relayed.deployment.controller.inbox.items_handled
-        p2p_handled = p2p.deployment.controller.inbox.items_handled
+        relayed_handled, p2p_handled = (
+            result.deployment.controller.replicas[0].inbox.items_handled
+            for result in (relayed, p2p)
+        )
         # The relayed move pushes every chunk through the inbox; P2P only
         # the events.
         assert p2p_handled < relayed_handled

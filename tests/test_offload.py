@@ -97,18 +97,16 @@ class TestCrashMidOffload:
 
 
 class TestOffloadOffIsInert:
-    def test_classic_timeline_is_byte_identical(self, monkeypatch):
-        monkeypatch.delenv("OPENNF_OFFLOAD", raising=False)
-
-        def run(offload):
+    def test_classic_timeline_is_byte_identical(self):
+        def run(**mode):
             reset_uid_counter()
             return run_move_experiment(
                 Guarantee.LOSS_FREE, n_flows=30, rate_pps=3000.0, seed=11,
-                offload=offload,
+                **mode,
             )
 
-        implicit = run(None)     # seed default: env unset, offload off
-        explicit = run(False)
+        implicit = run()         # the default: offload off
+        explicit = run(offload=False)
         assert implicit.report.to_dict() == explicit.report.to_dict()
         assert (implicit.deployment.switch.forward_log
                 == explicit.deployment.switch.forward_log)

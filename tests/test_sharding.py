@@ -1,19 +1,21 @@
-"""Tests for the sharded control plane.
+"""Tests for flow-space sharding of the controller.
 
 Covers the shard map (determinism, orientation normalization, prefix
-bucketing, balance), the single-shard == classic-controller timeline
-guarantee, the parallelism win (disjoint operations no longer serialize
-through one inbox), the cross-shard ownership handshake (including
-abort-mid-handoff), and the shared registration view.
+bucketing, balance), the one-class structure (any shard count is the
+same controller; timelines are pinned by test_golden_control_path), the
+parallelism win (disjoint operations no longer serialize through one
+inbox), the cross-shard ownership handshake (including
+abort-mid-handoff and the bounded override list), and the plane-wide
+registration view.
 """
 
-import dataclasses
-
+import repro
 from repro.controller.controller import OpenNFController
-from repro.controller.sharding import ShardMap, ShardedControlPlane
+from repro.controller.sharding import ShardMap
 from repro.flowspace import Filter, FiveTuple
 from repro.harness import Deployment
-from repro.net.packet import reset_uid_counter
+from repro.net.packet import Packet, reset_uid_counter
+from repro.nf.events import EventAction, PacketEvent
 from repro.nfs.dummy import DummyNF
 from repro.conformance import run_schedule
 from repro.conformance.schedule import BurstSpec, OpSpec, ScheduleSpec
@@ -70,14 +72,10 @@ class TestShardMap:
             ShardMap(0)
 
 
-def _run_move(controller_kind, n_flows=60):
+def _run_move(n_flows=60):
     """One preloaded DummyNF move; returns (report, deployment)."""
     reset_uid_counter()
     dep = Deployment()
-    if controller_kind == "plane":
-        dep.controller = ShardedControlPlane(
-            dep.sim, switch=dep.switch, shards=1, obs=dep.obs
-        )
     src = DummyNF(dep.sim, "inst1")
     dst = DummyNF(dep.sim, "inst2")
     dep.add_nf(src)
@@ -90,17 +88,22 @@ def _run_move(controller_kind, n_flows=60):
     return op.report, dep
 
 
-class TestSingleShardIdentical:
-    def test_deployment_shards_1_is_the_classic_controller(self):
-        dep = Deployment(shards=1)
-        assert isinstance(dep.controller, OpenNFController)
-        assert dep.controller.plane is None
+class TestOneControllerClass:
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_any_shard_count_is_the_same_class(self, shards):
+        controller = Deployment(shards=shards).controller
+        assert type(controller) is OpenNFController
+        assert len(controller.replicas) == shards
+        assert [s.shard_id for s in controller.replicas] == list(range(shards))
 
-    def test_one_replica_plane_timeline_matches_classic(self):
-        classic, _ = _run_move("classic")
-        plane, dep = _run_move("plane")
-        assert dataclasses.asdict(plane) == dataclasses.asdict(classic)
+    def test_the_second_class_is_gone(self):
+        assert "ShardedControlPlane" not in repro.__all__
+        assert "ShardedControlPlane" not in repro.controller.__all__
+
+    def test_single_shard_never_hands_off(self):
+        _report, dep = _run_move()
         assert dep.controller.cross_shard_operations == 0
+        assert dep.controller.handoffs_completed == 0
 
 
 class TestParallelism:
@@ -131,7 +134,7 @@ class TestParallelism:
         """
         classic = self._two_moves(shards=1)
         sharded = self._two_moves(shards=2)
-        solo_report, _ = _run_move("classic", n_flows=120)
+        solo_report, _ = _run_move(n_flows=120)
         solo = solo_report.duration_ms
         assert max(sharded) < max(classic) * 0.75
         assert max(sharded) < solo * 1.2
@@ -211,7 +214,7 @@ class TestCrossShard:
         # previously routed to shard 1 by hash routes to the new owner.
         headers = FiveTuple("172.17.0.9", 10000, "198.18.0.1",
                             80, 6).headers()
-        assert plane._route_headers(headers) == 0
+        assert plane._route(headers) is plane.replicas[0]
         # Operation-lifetime claims are all released.
         assert plane._claims == []
 
@@ -241,37 +244,79 @@ class TestCrossShard:
             assert replica._admission == {}
 
 
+    def test_ownership_overrides_stay_bounded(self):
+        """50 handoffs ping-ponging over two prefixes keep two overrides.
+
+        Every completed handoff used to append an override that nothing
+        ever removed, while every routed message scans the list.
+        """
+        dep = Deployment(shards=2)
+        for name in ("inst1", "inst2"):
+            dep.add_nf(DummyNF(dep.sim, name))
+        plane = dep.controller
+        # Disjoint prefixes homed on shards 0 and 1, and a bridge filter
+        # intersecting both: it homes wherever the newest override pulls
+        # it, i.e. on the shard the *other* prefix was last handed to.
+        prefixes = [
+            Filter({"nw_src": "172.16.0.0/16"}, symmetric=True),
+            Filter({"nw_src": "172.17.0.0/16"}, symmetric=True),
+        ]
+        bridge = Filter({"nw_dst": "198.19.0.0/16"})
+        unpruned = []
+        for round_ in range(50):
+            prefix = prefixes[round_ % 2]
+            first = plane.move("inst1", "inst2", bridge, guarantee="lf")
+            second = plane.move("inst2", "inst1", prefix, guarantee="lf")
+            dep.run()
+            assert first.done.triggered and second.done.triggered
+            unpruned.append((prefix, second.shard))
+        assert plane.handoffs_completed == 50
+        assert len(plane._ownership) <= 2
+
+        def route_unpruned(headers):
+            for flt, shard in reversed(unpruned):
+                if flt.matches_headers(headers):
+                    return shard
+            return plane.replicas[plane.shard_map.shard_for_headers(headers)]
+
+        for index in range(64):
+            headers = FiveTuple(
+                "172.%d.%d.9" % (15 + index % 4, index), 10000 + index,
+                "198.%d.0.1" % (18 + index % 2), 80, 6,
+            ).headers()
+            assert plane._route(headers) is route_unpruned(headers)
+
+
 class TestSharedView:
-    def test_registration_visible_on_every_replica(self):
+    def test_registration_is_plane_wide(self):
         dep = Deployment(shards=4)
         for name in ("inst1", "inst2", "inst3"):
             dep.add_nf(DummyNF(dep.sim, name))
         plane = dep.controller
-        homes = {plane.shard_map.shard_for_name(n)
-                 for n in ("inst1", "inst2", "inst3")}
-        assert len(homes) > 1  # names spread across home shards
-        for replica in plane.replicas:
-            assert set(replica.clients) == {"inst1", "inst2", "inst3"}
-            assert replica.instance_at_port("inst2") == "inst2"
+        assert set(plane.clients) == {"inst1", "inst2", "inst3"}
+        assert plane.instance_at_port("inst2") == "inst2"
 
-    def test_duplicate_port_rejected_across_replicas(self):
+    def test_duplicate_port_rejected(self):
         dep = Deployment(shards=4)
         plane = dep.controller
         plane.register_nf(DummyNF(dep.sim, "inst1"), port="shared-port")
-        # Pick a name homed on a different replica than inst1's.
-        other = next(
-            "other%d" % i for i in range(32)
-            if plane.shard_map.shard_for_name("other%d" % i)
-            != plane.shard_map.shard_for_name("inst1")
-        )
         with pytest.raises(ValueError, match="already claimed"):
-            plane.register_nf(DummyNF(dep.sim, other), port="shared-port")
+            plane.register_nf(DummyNF(dep.sim, "other"), port="shared-port")
 
-    def test_interest_removal_is_visible_everywhere(self):
+    def test_interest_dispatches_from_any_shard(self):
+        """An interest is found whichever shard's inbox carries the event."""
         dep = Deployment(shards=2)
         dep.add_nf(DummyNF(dep.sim, "inst1"))
         plane = dep.controller
-        handle = plane.add_event_interest("inst1", None, lambda e: None)
-        assert all(r._event_interests for r in plane.replicas)
-        plane.replicas[1].remove_interest(handle)
-        assert all(not r._event_interests for r in plane.replicas)
+        seen = []
+        handle = plane.add_event_interest("inst1", None, seen.append)
+        for shard, prefix in enumerate(("172.16.0.9", "172.17.0.9")):
+            flow = FiveTuple(prefix, 10000, "198.18.0.1", 80, 6)
+            assert plane._route(flow.headers()).shard_id == shard
+            plane.handle_nf_event(PacketEvent(
+                "inst1", Packet(flow), EventAction.PROCESS, dep.sim.now))
+        dep.run()
+        assert len(seen) == 2
+        assert [s.events_received for s in plane.replicas] == [1, 1]
+        plane.remove_interest(handle)
+        assert not plane._event_interests
