@@ -9,14 +9,13 @@ decoder's data store to rapidly become out of synch with the encoders."
 This example runs the same workload — repeating payloads, where each
 repetition is an encoded token referencing the previous raw packet —
 through a mid-stream move under three guarantee levels and counts
-decoder desynchronizations. It also prints the control-plane journal
-for the order-preserving run, showing Figure 6 unfolding.
+decoder desynchronizations. It also prints the order-preserving run's
+operation records and phase spans, showing Figure 6 unfolding.
 
 Run:  python examples/order_matters.py
 """
 
 from repro import Deployment, Filter, FiveTuple, Packet, REDecoder, REEncoder
-from repro.controller import Journal
 from repro.nf import Scope
 from repro.traffic import TraceReplayer
 from repro.traffic.generator import PacketBlueprint
@@ -48,14 +47,13 @@ def build_workload():
     return blueprints
 
 
-def run(guarantee: str, journal: bool = False):
-    dep = Deployment()
+def run(guarantee: str, observe: bool = False):
+    dep = Deployment(observe=observe)
     src = REDecoder(dep.sim, "dec1")
     dst = REDecoder(dep.sim, "dec2")
     dep.add_nf(src)
     dep.add_nf(dst)
     dep.set_default_route("dec1")
-    attached = Journal.attach(dep.controller) if journal else None
 
     # Encode on the fly at injection: repeat payloads become tokens.
     encoder = REEncoder(dep.sim, "enc")
@@ -80,7 +78,7 @@ def run(guarantee: str, journal: bool = False):
     )
     dep.sim.run()
     desyncs = src.desync_drops + dst.desync_drops
-    return desyncs, attached
+    return desyncs, dep.obs.exporter
 
 
 def main() -> None:
@@ -89,15 +87,18 @@ def main() -> None:
         desyncs, _ = run(guarantee)
         print("  %-11s %3d desyncs" % (guarantee, desyncs))
 
-    desyncs, journal = run("op", journal=True)
+    desyncs, exporter = run("op", observe=True)
     assert desyncs == 0
     print()
-    print("Order-preserving run: zero desyncs. Control-plane journal "
-          "(operations only):")
-    for entry in journal.entries:
-        if entry.kind.startswith("op-"):
+    print("Order-preserving run: zero desyncs. Operation records:")
+    for record in exporter.records:
+        if record["name"] in ("op.start", "op.end"):
             print("  %8.1f ms  %-8s %s"
-                  % (entry.time, entry.kind, entry.detail))
+                  % (record["time_ms"], record["name"], record["kind"]))
+    print("Figure 6, phase by phase:")
+    phases = [s for s in exporter.spans if s.name.startswith("move.")]
+    for span in sorted(phases, key=lambda s: (s.start, s.span_id)):
+        print("  %8.1f ..%8.1f ms  %s" % (span.start, span.end, span.name))
 
 
 if __name__ == "__main__":

@@ -4,7 +4,6 @@ from repro.controller.chain import Chain, ChainOperation, ChainSpec
 from repro.controller.controller import OpenNFController
 from repro.controller.copy import CopyOperation
 from repro.controller.forwarding import SwitchClient
-from repro.controller.journal import Journal, JournalEntry
 from repro.controller.move import Guarantee, MoveOperation
 from repro.controller.operation import (
     DeferredOperation,
@@ -24,8 +23,6 @@ __all__ = [
     "CrossShardOperation",
     "DeferredOperation",
     "Guarantee",
-    "Journal",
-    "JournalEntry",
     "MoveOperation",
     "OpenNFController",
     "Operation",

@@ -32,17 +32,24 @@ smaller transfers), and ``peer_to_peer=True`` streams chunks directly
 from the source NF to the destination NF over an NF–NF channel instead
 of relaying them through the controller (footnote 10), bypassing the
 controller's serialized inbox entirely.
+
+Every variant is one row of :data:`MOVE_PLANS`: ``_run`` looks up
+``(guarantee, offload)`` and walks the row's named steps; abort,
+cleanup and the event callbacks read the same row.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.flowspace.filter import Filter, FlowId
+from repro.net.channel import ControlChannel
 from repro.net.flowtable import HIGH_PRIORITY, MID_PRIORITY
 from repro.net.packet import Packet
 from repro.net.switch import CONTROLLER_PORT
+from repro.net.xfsm import BufferUntilRelease
 from repro.nf.base import NFCrash
 from repro.nf.events import DO_NOT_BUFFER, EventAction, PacketEvent
 from repro.nf.southbound import SouthboundError
@@ -86,6 +93,93 @@ class Guarantee(enum.Enum):
             return aliases[text]
         except KeyError:
             raise ValueError("unknown guarantee %r" % (value,))
+
+
+def _plan(*steps, mark=False, retire_mid=False, drain_src=False,
+          late_lock=True, unmarked=()):
+    return SimpleNamespace(
+        steps=steps, mark=mark, retire_mid=retire_mid, drain_src=drain_src,
+        late_lock=late_lock, unmarked=unmarked,
+    )
+
+
+# One row per move variant. ``steps`` is what ``MoveOperation._run``
+# walks: a string names a step (its ``_step_*`` generator, written
+# once); a tuple is a span-only wrapper phase around the entries after
+# its name. The other fields are the facts abort, cleanup and the event
+# callbacks read instead of re-deriving the variant:
+#
+# ``mark``        the destination buffers its direct arrivals, so every
+#                 packet the controller forwards carries DO_NOT_BUFFER;
+# ``retire_mid``  the live route is a HIGH rule laid over a MID rule,
+#                 which cleanup removes;
+# ``drain_src``   the reroute waits for the source's queue to drain;
+# ``late_lock``   early release replaces the up-front source lock by
+#                 per-flow late locking (else it adds it on top);
+# ``unmarked``    phases this row opens span-only where other rows also
+#                 stamp a report mark (pinned by the golden timelines).
+_NO_GUARANTEE = _plan(
+    "lock-silent", "transfer", "reroute", unmarked=("state-transfer",)
+)
+_LOSS_FREE = _plan("arm-src-events", "transfer", "flush", "reroute")
+# Figure 6 in full: the loss-free steps, then buffering at the
+# destination plus the two-phase forwarding update.
+_ORDER_PRESERVING = _plan(
+    "arm-src-events", "transfer", "flush", "arm-dst-buffering",
+    ("forwarding-update", "two-phase-update",
+     ("await-last-packet",
+      "await-counters", "await-src-last", "await-dst-last")),
+    "release-dst",
+    mark=True, retire_mid=True, unmarked=("event-flush",),
+)
+# The offloaded fast path: buffer the window at the switch, not here.
+# One ``install_state_machine`` message parks every in-window packet in
+# switch-local rings; one ``release`` message flushes them — in arrival
+# order — straight to the destination port. The per-packet NF→controller
+# event round trip and the packet-out storm both disappear, and so does
+# the two-phase update: the machine already guarantees the destination
+# sees the window in switch arrival order, for the loss-free and
+# order-preserving guarantees alike. The reroute comes BEFORE the
+# release: when the machine's flush drains and it steps to REDIRECT,
+# fall-through arrivals hit the new rule.
+_OFFLOADED = (
+    "install-xfsm", "arm-src-events", "transfer", "reroute", "release-xfsm"
+)
+# Order preservation without trusting the sw→srcInst path (the
+# technical report's variant of §5.1.2): the controller becomes the
+# serialization point. The redirect is a consistent update — nothing is
+# lost, and every packet the switch handles after it reaches the
+# controller in switch order. Stragglers already in flight on the
+# (possibly reordering) sw→src path surface as source events; they are
+# all *earlier* in switch order than any packet-in, so replaying src
+# events first, then the redirect buffer, is order-correct up to the
+# residual ambiguity *within* the straggler set, which one flow-mod
+# window (not a whole move) of in-order delivery resolves. Both replays
+# are marked do-not-buffer; the destination buffers its direct arrivals
+# until it has processed the last replayed packet. (The up-front source
+# lock stays even under early release: pinned.)
+_STRONG = _plan(
+    "redirect", "arm-src-events", "transfer", "arm-dst-buffering", "flush",
+    "reroute",
+    ("await-last-packet", "await-counters", "await-dst-last"),
+    "release-dst",
+    mark=True, retire_mid=True, late_lock=False,
+    unmarked=("event-flush", "dst-buffering"),
+)
+
+#: ``(guarantee, controller offload on?)`` → plan. Only the LF / LF+OP
+#: fast paths offload: NONE has nothing to buffer, and the strong
+#: variant *requires* the controller as the serialization point.
+MOVE_PLANS = {
+    (Guarantee.NONE, False): _NO_GUARANTEE,
+    (Guarantee.NONE, True): _NO_GUARANTEE,
+    (Guarantee.LOSS_FREE, False): _LOSS_FREE,
+    (Guarantee.LOSS_FREE, True): _plan(*_OFFLOADED),
+    (Guarantee.ORDER_PRESERVING, False): _ORDER_PRESERVING,
+    (Guarantee.ORDER_PRESERVING, True): _plan(*_OFFLOADED, drain_src=True),
+    (Guarantee.ORDER_PRESERVING_STRONG, False): _STRONG,
+    (Guarantee.ORDER_PRESERVING_STRONG, True): _STRONG,
+}
 
 
 class MoveOperation(Operation):
@@ -139,15 +233,10 @@ class MoveOperation(Operation):
         self.counter_poll_ms = counter_poll_ms
         self.dst_port = controller.port_of(dst.name)
         self.src_port = controller.port_of(src.name)
-        #: Data-plane offload: buffer the window at the switch in an
-        #: XFSM instead of eventing every packet to the controller.
-        #: Only the LF / LF+OP fast paths offload — NONE has nothing to
-        #: buffer and the strong variant *requires* the controller as
-        #: the serialization point.
-        self.offload = controller.offload and (
-            guarantee in (Guarantee.LOSS_FREE, Guarantee.ORDER_PRESERVING)
-        )
-        #: True once the machine is installed (drives abort cleanup).
+        #: This variant's row: its steps, and the facts everything reads.
+        self.plan = MOVE_PLANS[guarantee, controller.offload]
+        #: True while a switch-local machine is installed (abort and
+        #: cleanup retire it).
         self._xfsm_installed = False
         #: How a forwarding target becomes a rule action list. The
         #: default (identity) keeps classic moves byte-identical; a
@@ -202,6 +291,8 @@ class MoveOperation(Operation):
         # moves that include multi-flow state, §5.1.2).
         self._buffering = False
         self._event_buffer: List[Packet] = []
+        #: Packet-ins captured while the flow space is redirected here.
+        self._ctrl_buffer: List[Packet] = []
         self._released_filters: List[Filter] = []
         self._src_evented_uids: set = set()
         self._dst_processed_uids: set = set()
@@ -213,9 +304,6 @@ class MoveOperation(Operation):
         self._packet_in_count = 0
         # Chunks exported so far, for restore-on-abort.
         self._exported_chunks: List[StateChunk] = []
-        # Accounting snapshots.
-        self._src_drops_at_start = 0
-        self._dst_buffered_at_start = 0
         self._interest_handles: List[int] = []
         self._sb_stats_at_start = self._sb_stats()
 
@@ -235,105 +323,17 @@ class MoveOperation(Operation):
         self._dst_buffered_at_start = len(self.dst.nf.buffered_log)
         try:
             self._checkpoint()
-            if self.guarantee is Guarantee.NONE:
-                yield from self._run_no_guarantee()
-            elif self.guarantee is Guarantee.ORDER_PRESERVING_STRONG:
-                yield from self._run_strong_order_preserving()
-            elif self.offload:
-                yield from self._run_offloaded(
-                    order_preserving=self.guarantee is Guarantee.ORDER_PRESERVING
-                )
-            else:
-                yield from self._run_loss_free(
-                    order_preserving=self.guarantee is Guarantee.ORDER_PRESERVING
-                )
+            yield from self._walk(self.plan.steps, self.trace.root)
             self.report.finished_at = self.sim.now
             yield from self._cleanup()
         except (NFCrash, SouthboundError) as crash:
-            # An instance died (or became unreachable past the retry
-            # budget) mid-operation: surface the abort instead of
-            # wedging. Buffered events are flushed towards whichever
-            # instance still works so packets are not stranded.
-            self.report.aborted = str(crash)
-            self.report.finished_at = self.sim.now
-            self._buffering = False
-            src_down = self.src.nf.failed or (
-                isinstance(crash, SouthboundError)
-                and crash.nf_name == self.src.name
-            )
-            dst_down = self.dst.nf.failed or (
-                isinstance(crash, SouthboundError)
-                and crash.nf_name == self.dst.name
-            )
-            try:
-                if not dst_down:
-                    self._flush_queues(
-                        mark=not self.offload
-                        and self.guarantee is not Guarantee.LOSS_FREE
-                    )
-                    if self._xfsm_installed:
-                        # Crash mid-offload: hand the switch rings to
-                        # the destination and retire the machine — the
-                        # same packets the classic path would have
-                        # flushed from the controller's buffer.
-                        yield self.switch.release_state_machine(
-                            self.flt, self.dst_port
-                        )
-                        yield self.switch.remove_state_machine(self.flt)
-                        self._xfsm_installed = False
-                elif not src_down:
-                    # Destination died: restore the already-exported (and
-                    # deleted) state to the source, stop intercepting
-                    # there, and hand the buffered packets back to it.
-                    if self._exported_chunks:
-                        restores: Dict[Scope, List[StateChunk]] = {}
-                        for chunk in self._exported_chunks:
-                            restores.setdefault(chunk.scope, []).append(chunk)
-                        for scope, chunks in restores.items():
-                            if scope is Scope.PERFLOW:
-                                yield self.src.put_perflow(chunks)
-                            elif scope is Scope.MULTIFLOW:
-                                yield self.src.put_multiflow(chunks)
-                            else:
-                                yield self.src.put_allflows(chunks)
-                        self.report.notes.append(
-                            "restored %d chunks to %s"
-                            % (len(self._exported_chunks), self.src.name)
-                        )
-                        if not self.dst.nf.failed:
-                            # Unreachable-but-alive destination: chunks
-                            # it already imported now coexist with the
-                            # restored copies; record them so the caller
-                            # can reconcile once it is reachable again.
-                            self.report.notes.append(
-                                "%s may hold stale copies" % self.dst.name
-                            )
-                    yield self.src.disable_events_covered(self.flt)
-                    self._flush_queues(mark=False, port=self.src_port)
-                    if self._xfsm_installed:
-                        # Destination died mid-offload: the restored
-                        # source keeps serving, so the rings flush back
-                        # to it and the machine comes out.
-                        yield self.switch.release_state_machine(
-                            self.flt, self.src_port
-                        )
-                        yield self.switch.remove_state_machine(self.flt)
-                        self._xfsm_installed = False
-                if not src_down:
-                    yield self.src.disable_events_covered(self.flt)
-            except (NFCrash, SouthboundError) as recovery_exc:
-                # Best-effort recovery: the surviving side vanished too.
-                self.report.notes.append(
-                    "abort recovery incomplete: %s" % recovery_exc
-                )
+            yield from self._recover(crash)
         except Exception as exc:
             # Anything else is an internal error: fail loudly so callers
             # never hang on a move that died (the done event carries the
             # exception).
             self.report.aborted = "internal error: %r" % (exc,)
             self.report.finished_at = self.sim.now
-            for handle in self._interest_handles:
-                self.controller.remove_interest(handle)
             self.done.fail(exc)
             raise
         finally:
@@ -344,369 +344,290 @@ class MoveOperation(Operation):
         self.done.trigger(self.report)
         return self.report
 
-    # -------------------------------------------------------------- NG variant
+    def _walk(self, steps, parent):
+        """Run one plan row: steps in order, wrapper phases nested."""
+        for step in steps:
+            if isinstance(step, tuple):
+                with self._phase(step[0], None, parent) as ph:
+                    yield from self._walk(step[1:], ph.span)
+            else:
+                run_step = getattr(self, "_step_" + step.replace("-", "_"))
+                yield from run_step(parent)
 
-    def _run_no_guarantee(self):
-        # Drop (without events) at the source for the operation window.
-        with self.trace.phase("lock", mark="locked"):
-            yield self.src.enable_events(self.flt, EventAction.DROP, silent=True)
-        with self.trace.phase("state-transfer", mark=None) as ph:
-            yield from self._transfer_state(lock_per_chunk=False, parent=ph.span)
-        with self.trace.phase("reroute", mark="rerouted"):
-            yield self.switch.install(
-                self.flt, self._route(self.dst_port), MID_PRIORITY
+    def _phase(self, name: str, mark: Optional[str], parent):
+        """Open a phase; span-only on the rows that leave it unmarked."""
+        if name in self.plan.unmarked:
+            mark = None
+        return self.trace.phase(name, mark=mark, parent=parent)
+
+    def _recover(self, crash):
+        # An instance died (or became unreachable past the retry budget)
+        # mid-operation: surface the abort instead of wedging. Buffered
+        # packets — the controller's and the switch machine's rings —
+        # go to whichever instance still works so none are stranded.
+        self.report.aborted = str(crash)
+        self.report.finished_at = self.sim.now
+        self._buffering = False
+        # A SouthboundError names the instance it could not reach.
+        unreachable = getattr(crash, "nf_name", None)
+        src_down = self.src.nf.failed or unreachable == self.src.name
+        dst_down = self.dst.nf.failed or unreachable == self.dst.name
+        try:
+            if not dst_down:
+                rings_to = self.dst_port
+                self._flush_queues(mark=self.plan.mark)
+            elif not src_down:
+                # Destination died: restore the already-exported (and
+                # deleted) state to the source, stop intercepting there,
+                # and hand the buffered packets back to it.
+                rings_to = self.src_port
+                yield from self._restore_exported()
+                yield self.src.disable_events_covered(self.flt)
+                self._flush_queues(mark=False, port=self.src_port)
+            else:
+                # Nobody left to serve the window: the rings empty
+                # towards the dead source, which counts them as lost, so
+                # the machine stops swallowing the flow space.
+                rings_to = self.src_port
+                if self._xfsm_installed:
+                    self.report.notes.append(
+                        "both instances down: switch rings dropped"
+                    )
+            yield from self._retire_xfsm(rings_to)
+            if not src_down:
+                yield self.src.disable_events_covered(self.flt)
+        except (NFCrash, SouthboundError) as recovery_exc:
+            # Best-effort recovery: the surviving side vanished too.
+            self.report.notes.append(
+                "abort recovery incomplete: %s" % recovery_exc
             )
 
-    # -------------------------------------------------- LF / LF+OP (Figure 6)
+    def _restore_exported(self):
+        if not self._exported_chunks:
+            return
+        restores: Dict[Scope, List[StateChunk]] = {}
+        for chunk in self._exported_chunks:
+            restores.setdefault(chunk.scope, []).append(chunk)
+        for scope, chunks in restores.items():
+            yield getattr(self.src, "put_" + scope.value)(chunks)
+        self.report.notes.append(
+            "restored %d chunks to %s"
+            % (len(self._exported_chunks), self.src.name)
+        )
+        if not self.dst.nf.failed:
+            # Unreachable-but-alive destination: chunks it already
+            # imported now coexist with the restored copies; record them
+            # so the caller can reconcile once it is reachable again.
+            self.report.notes.append(
+                "%s may hold stale copies" % self.dst.name
+            )
 
-    def _run_loss_free(self, order_preserving: bool):
+    def _retire_xfsm(self, port: Optional[str]):
+        """Flush the installed machine's rings towards ``port`` (``None``:
+        already released), then take it out of the data path."""
+        if not self._xfsm_installed:
+            return
+        if port is not None:
+            yield self.switch.release_state_machine(self.flt, port)
+        yield self.switch.remove_state_machine(self.flt)
+        self._xfsm_installed = False
+
+    # ------------------------------------------------------------------- steps
+
+    def _step_lock_silent(self, parent):
+        # Drop (without events) at the source for the operation window.
+        with self._phase("lock", "locked", parent):
+            yield self.src.enable_events(self.flt, EventAction.DROP, silent=True)
+
+    def _step_install_xfsm(self, parent):
+        with self._phase("xfsm-install", "xfsm-installed", parent):
+            yield self.switch.install_state_machine(
+                self.flt, BufferUntilRelease(trace_id=self.trace.trace_id)
+            )
+        self._xfsm_installed = True
+
+    def _step_redirect(self, parent):
+        # Packet-ins can beat the install's ack: buffer from now on.
+        self._buffering = True
+        self._interest_handles.append(
+            self.controller.add_packet_interest(
+                self.flt, self._on_strong_packet_in
+            )
+        )
+        with self._phase("redirect", "redirected", parent):
+            yield self.switch.install(
+                self.flt, self._route(CONTROLLER_PORT), MID_PRIORITY
+            )
+
+    def _step_arm_src_events(self, parent):
         # shouldBufferEvents <- true; route events from src to this op.
+        # Behind a switch machine or a redirect this still catches the
+        # stragglers — packets that passed the flow table before it took
+        # effect (in flight to the source, or queued in it). They are
+        # earlier in switch order than anything buffered behind them.
         self._buffering = True
         self._interest_handles.append(
             self.controller.add_event_interest(
                 self.src.name, self.flt, self._on_src_event
             )
         )
-        if not self.early_release:
-            # srcInst.enableEvents(filter, DROP)
-            with self.trace.phase("events-enabled"):
+        if not (self.early_release and self.plan.late_lock):
+            # srcInst.enableEvents(filter, DROP); late locking covers
+            # each flow inside the get when early release is on.
+            with self._phase("events-enabled", "events-enabled", parent):
                 yield self.src.enable_events(self.flt, EventAction.DROP)
 
-        # get/del/put (late-locking inside get when early_release).
-        with self.trace.phase("state-transfer", mark="state-transferred") as ph:
-            yield from self._transfer_state(
-                lock_per_chunk=self.early_release, parent=ph.span
-            )
+    def _step_transfer(self, parent):
+        # get/del/put, one scope after the other. Late locking only
+        # where arm-src-events listens for the events it raises.
+        lock_per_chunk = self.early_release and self._buffering
+        on_applied = self._release_frame if self.early_release else None
+        with self._phase("state-transfer", "state-transferred", parent) as ph:
+            for scope in self.scopes:
+                self._checkpoint()
+                getter, putter, deleter = self._scope_calls(scope)
+                exported_before = len(self._exported_chunks)
+                with self._phase(
+                    "transfer.%s" % scope.value, None, ph.span
+                ) as scope_ph:
+                    if self.peer_to_peer:
+                        yield from self._transfer_scope_peer(
+                            scope, getter, deleter, lock_per_chunk
+                        )
+                    else:
+                        yield from transfer_scope(
+                            self, scope, getter, putter, deleter,
+                            on_applied=on_applied,
+                            exported=self._exported_chunks,
+                            lock_per_chunk=lock_per_chunk,
+                        )
+                    scope_ph.span.set(
+                        chunks=len(self._exported_chunks) - exported_before
+                    )
 
+    def _step_flush(self, parent):
         # Flush events buffered at the controller; later ones forward
-        # immediately. In the OP variant forwarded packets carry
-        # "do-not-buffer" so dstInst processes them despite its BUFFER rule.
-        with self.trace.phase(
-            "event-flush", mark=None if order_preserving else "events-flushed"
-        ) as flush_ph:
-            flush_ph.span.set(buffered=len(self._event_buffer))
-            self._flush_queues(mark=order_preserving)
+        # immediately (marked "do-not-buffer" where dstInst has a BUFFER
+        # rule to get them past).
+        with self._phase("event-flush", "events-flushed", parent) as ph:
+            ph.span.set(buffered=len(self._event_buffer))
+            if "redirect" in self.plan.steps:
+                ph.span.set(redirected=len(self._ctrl_buffer))
+            # Source stragglers first, then the redirect buffer.
+            self._flush_queues(mark=self.plan.mark)
+            redirected, self._ctrl_buffer = self._ctrl_buffer, []
+            self._release(redirected, "redirect", self.plan.mark, self.dst_port)
             self._buffering = False
-            if not order_preserving:
-                # Ensure flushed event packets have actually left the
-                # switch (rate-capped packet-out path) before switching
-                # traffic over.
+            if not self.plan.mark:
+                # Nothing at the destination orders these behind the
+                # rerouted traffic: ensure they have actually left the
+                # switch (rate-capped packet-out path) first.
                 yield self.switch.packet_out_barrier()
 
-        if not order_preserving:
-            with self.trace.phase("reroute", mark="rerouted"):
-                yield self.switch.install(
-                    self.flt, self._route(self.dst_port), MID_PRIORITY
-                )
-            return
+    def _step_reroute(self, parent):
+        with self._phase("reroute", "rerouted", parent):
+            installed = self.switch.install(
+                self.flt, self._route(self.dst_port),
+                HIGH_PRIORITY if self.plan.retire_mid else MID_PRIORITY,
+            )
+            if self.plan.drain_src:
+                # Its idle response trails every straggler event on the
+                # FIFO NF channel, so after this yield the controller
+                # buffer holds ALL packets that are earlier in switch
+                # order than the rings. (Loss-free moves skip this — a
+                # late straggler still gets forwarded, just possibly
+                # out of order.)
+                yield self.src.drain_barrier()
+            yield installed
 
+    def _step_release_xfsm(self, parent):
+        with self._phase("sw-release", "released", parent) as ph:
+            # Controller-buffered stragglers first (they precede the
+            # rings in switch order); the release is a plain send behind
+            # them on the same channel, so the switch emits them before
+            # it flushes.
+            self._flush_queues(mark=self.plan.mark)
+            self._buffering = False
+            flushed = yield self.switch.release_state_machine(
+                self.flt, self.dst_port
+            )
+            ph.span.set(flushed=flushed)
+            self.report.packets_buffered_at_switch = flushed
+
+    def _step_arm_dst_buffering(self, parent):
         # dstInst.enableEvents(filter, BUFFER)
         self._interest_handles.append(
             self.controller.add_event_interest(
                 self.dst.name, self.flt, self._on_dst_event
             )
         )
-        with self.trace.phase("dst-buffering"):
+        with self._phase("dst-buffering", "dst-buffering", parent):
             yield self.dst.enable_events(self.flt, EventAction.BUFFER)
 
-        with self.trace.phase("forwarding-update", mark=None) as fwd:
-            # Phase 1: sw.install(filter, {srcInst, ctrl}, LOW_PRIORITY).
-            self._interest_handles.append(
-                self.controller.add_packet_interest(self.flt, self._on_packet_in)
-            )
-            with self.trace.phase(
-                "phase1-install", mark="phase1-installed", parent=fwd.span
-            ):
-                yield self.switch.install(
-                    self.flt,
-                    self._route(self.src_port) + [CONTROLLER_PORT],
-                    MID_PRIORITY,
-                )
-
-            # wait(GOT_FIRST_PKT_FROM_SW) — with a timeout so a silent flow
-            # space cannot wedge the operation (the paper assumes traffic).
-            with self.trace.phase(
-                "await-first-packet", mark=None, parent=fwd.span
-            ):
-                yield AnyOf(
-                    [
-                        self._first_packet_event,
-                        self.sim.timeout(self.first_packet_timeout_ms),
-                    ]
-                )
-
-            # Phase 2: sw.install(filter, dstInst, HIGH_PRIORITY).
-            with self.trace.phase(
-                "phase2-install", mark="phase2-installed", parent=fwd.span
-            ):
-                yield self.switch.install(
-                    self.flt, self._route(self.dst_port), HIGH_PRIORITY
-                )
-
-            with self.trace.phase(
-                "await-last-packet", mark=None, parent=fwd.span
-            ) as await_ph:
-                # Footnote 9: confirm via rule counters that the stored
-                # packet is really the last one forwarded to srcInst.
-                while True:
-                    packets, _bytes = (
-                        yield self.switch.read_counters(
-                            self.flt, MID_PRIORITY
-                        )
-                    )
-                    if packets == self._packet_in_count:
-                        break
-                    yield self.counter_poll_ms
-
-                await_ph.span.set(packet_ins=self._packet_in_count)
-                if self._packet_in_count > 0:
-                    last_uid = self._last_packet.uid
-                    # wait for srcInst's event for the last packet (it is
-                    # then forwarded to dstInst by _on_src_event, marked
-                    # do-not-buffer).
-                    if last_uid not in self._src_evented_uids:
-                        waiter = self.sim.event("await-src-last")
-                        self._await_src = (last_uid, waiter)
-                        yield waiter
-                    # wait(DST_PROCESSED_LAST_PKT)
-                    if last_uid not in self._dst_processed_uids:
-                        waiter = self.sim.event("await-dst-last")
-                        self._await_dst = (last_uid, waiter)
-                        yield waiter
-
-        # dstInst.disableEvents(filter): release the destination buffer.
-        with self.trace.phase("dst-release", mark="dst-released"):
-            yield self.dst.disable_events(self.flt)
-
-    # ------------------------------------------- offloaded LF / LF+OP (XFSM)
-
-    def _run_offloaded(self, order_preserving: bool):
-        """The move fast path: buffer the window at the switch, not here.
-
-        One ``install_state_machine`` message parks every in-window
-        packet in switch-local rings; one ``release`` message flushes
-        them — in arrival order — straight to the destination port. The
-        per-packet NF→controller event round trip and the packet-out
-        storm both disappear, and so does Figure 6's two-phase
-        forwarding update: the machine already guarantees the
-        destination sees the window in switch arrival order, for the
-        loss-free and order-preserving guarantees alike.
-
-        The controller's classic event buffer still catches stragglers —
-        packets that passed the flow table before the machine activated
-        (in flight to the source, or queued in it). They are earlier in
-        switch order than anything the machine holds, and they flush on
-        the same channel *before* the release message, so global order
-        survives.
-        """
-        from repro.net.xfsm import BufferUntilRelease
-
-        with self.trace.phase("xfsm-install", mark="xfsm-installed"):
-            yield self.switch.install_state_machine(
-                self.flt, BufferUntilRelease(trace_id=self.trace.trace_id)
-            )
-        self._xfsm_installed = True
-
-        self._buffering = True
+    def _step_two_phase_update(self, parent):
+        # Phase 1: sw.install(filter, {srcInst, ctrl}, LOW_PRIORITY).
         self._interest_handles.append(
-            self.controller.add_event_interest(
-                self.src.name, self.flt, self._on_src_event
-            )
+            self.controller.add_packet_interest(self.flt, self._on_packet_in)
         )
-        if not self.early_release:
-            # Stragglers surface as classic DROP events (late locking
-            # covers them per flow when early release is on).
-            with self.trace.phase("events-enabled"):
-                yield self.src.enable_events(self.flt, EventAction.DROP)
-
-        with self.trace.phase("state-transfer", mark="state-transferred") as ph:
-            yield from self._transfer_state(
-                lock_per_chunk=self.early_release, parent=ph.span
-            )
-
-        # Reroute BEFORE releasing: when the machine's flush drains and
-        # it steps to REDIRECT, fall-through arrivals hit this rule.
-        with self.trace.phase("reroute", mark="rerouted"):
-            reroute_done = self.switch.install(
-                self.flt, self._route(self.dst_port), MID_PRIORITY
-            )
-            if order_preserving:
-                # Wait for the source's queue to drain: its idle response
-                # trails every straggler event on the FIFO NF channel, so
-                # after this yield the controller buffer holds ALL
-                # packets that are earlier in switch order than the
-                # rings. (Loss-free moves skip this — a late straggler
-                # still gets forwarded, just possibly out of order.)
-                yield self.src.drain_barrier()
-            yield reroute_done
-
-        with self.trace.phase("sw-release", mark="released") as rel_ph:
-            # Controller-buffered stragglers first (they precede the
-            # rings in switch order); the release is a plain send behind
-            # them on the same channel, so the switch emits them before
-            # it flushes.
-            self._flush_queues(mark=False)
-            self._buffering = False
-            flushed = yield self.switch.release_state_machine(
-                self.flt, self.dst_port
-            )
-            rel_ph.span.set(flushed=flushed)
-            self.report.packets_buffered_at_switch = flushed
-
-    # ------------------------------------- strong OP (technical report, §5.1.2)
-
-    def _run_strong_order_preserving(self):
-        """Order preservation without trusting the sw→srcInst path.
-
-        The paper's Figure 6 relies on in-order delivery between the
-        switch and the source; its technical report sketches a stronger
-        variant. Here the controller becomes the serialization point:
-
-        1. redirect all matching traffic to the controller (consistent
-           update: nothing is lost, and every packet the switch handles
-           after the redirect reaches the controller in switch order);
-        2. drop-with-events at the source so stragglers already in
-           flight on the (possibly reordering) sw→src path surface as
-           events — they are all *earlier* in switch order than any
-           controller packet-in, so replaying src events first, then
-           the controller buffer, is order-correct up to the residual
-           ambiguity *within* the straggler set, which one flow-mod
-           window (not a whole move) of in-order delivery resolves;
-        3. transfer the state; replay src-event packets, then buffered
-           packet-ins, all marked do-not-buffer, towards the
-           destination (which buffers its direct arrivals);
-        4. switch traffic to the destination, confirm via rule counters
-           that the controller has seen every redirected packet, wait
-           for the destination to process the last replayed one, and
-           release its buffer.
-        """
-        self._buffering = True
-        self._ctrl_buffer: List[Packet] = []
-        self._interest_handles.append(
-            self.controller.add_event_interest(
-                self.src.name, self.flt, self._on_src_event
-            )
-        )
-        self._interest_handles.append(
-            self.controller.add_event_interest(
-                self.dst.name, self.flt, self._on_dst_event
-            )
-        )
-        self._interest_handles.append(
-            self.controller.add_packet_interest(
-                self.flt, self._on_strong_packet_in
-            )
-        )
-        # 1. Redirect the flow space through the controller.
-        with self.trace.phase("redirect", mark="redirected"):
+        with self._phase("phase1-install", "phase1-installed", parent):
             yield self.switch.install(
-                self.flt, self._route(CONTROLLER_PORT), MID_PRIORITY
+                self.flt,
+                self._route(self.src_port) + [CONTROLLER_PORT],
+                MID_PRIORITY,
             )
-        # 2. Surface in-flight stragglers as events.
-        with self.trace.phase("events-enabled"):
-            yield self.src.enable_events(self.flt, EventAction.DROP)
-
-        # 3. Transfer state (same pipeline as the LF path).
-        with self.trace.phase("state-transfer", mark="state-transferred") as ph:
-            yield from self._transfer_state(
-                lock_per_chunk=self.early_release, parent=ph.span
+        # wait(GOT_FIRST_PKT_FROM_SW) — with a timeout so a silent flow
+        # space cannot wedge the operation (the paper assumes traffic).
+        with self._phase("await-first-packet", None, parent):
+            yield AnyOf(
+                [
+                    self._first_packet_event,
+                    self.sim.timeout(self.first_packet_timeout_ms),
+                ]
             )
-
-        with self.trace.phase("dst-buffering", mark=None):
-            yield self.dst.enable_events(self.flt, EventAction.BUFFER)
-
-        # Replay: src-event stragglers first (earlier in switch order),
-        # then the controller's redirect buffer, marked do-not-buffer.
-        with self.trace.phase("event-flush", mark=None) as flush_ph:
-            flush_ph.span.set(
-                buffered=len(self._event_buffer),
-                redirected=len(self._ctrl_buffer),
-            )
-            self._flush_queues(mark=True)      # src events
-            ctrl_buffered, self._ctrl_buffer = self._ctrl_buffer, []
-            if ctrl_buffered and self.obs.enabled:
-                self.obs.metrics.counter(
-                    "ctrl.move.buffered_packets_released"
-                ).inc(len(ctrl_buffered))
-                for packet in ctrl_buffered:
-                    self._record_packet("ctrl.release", packet, "redirect")
-            for packet in ctrl_buffered:
-                self._forward_to_dst(packet, True)
-            self._buffering = False            # later arrivals: immediate
-
-        # 4. Hand the flow space to the destination.
-        with self.trace.phase("reroute", mark="rerouted"):
+        # Phase 2: sw.install(filter, dstInst, HIGH_PRIORITY).
+        with self._phase("phase2-install", "phase2-installed", parent):
             yield self.switch.install(
                 self.flt, self._route(self.dst_port), HIGH_PRIORITY
             )
-        with self.trace.phase("await-last-packet", mark=None) as await_ph:
-            # Confirm the controller saw every redirected packet.
-            while True:
-                packets, _bytes = (
-                    yield self.switch.read_counters(
-                        self.flt, MID_PRIORITY
-                    )
-                )
-                if packets == self._packet_in_count:
-                    break
-                yield self.counter_poll_ms
-            await_ph.span.set(packet_ins=self._packet_in_count)
-            if self._last_packet is not None:
-                last_uid = self._last_packet.uid
-                if last_uid not in self._dst_processed_uids:
-                    waiter = self.sim.event("await-dst-last-strong")
-                    self._await_dst = (last_uid, waiter)
-                    yield waiter
-        with self.trace.phase("dst-release", mark="dst-released"):
+
+    def _step_await_counters(self, parent):
+        # Footnote 9: confirm via rule counters that the controller saw
+        # every packet the MID rule forwarded, so the stored one really
+        # is the last.
+        while True:
+            packets, _bytes = yield self.switch.read_counters(
+                self.flt, MID_PRIORITY
+            )
+            if packets == self._packet_in_count:
+                break
+            yield self.counter_poll_ms
+        parent.set(packet_ins=self._packet_in_count)
+
+    def _step_await_src_last(self, parent):
+        # wait for srcInst's event for the last packet (it is then
+        # forwarded to dstInst by _on_src_event, marked do-not-buffer).
+        last = self._last_packet
+        if last is not None and last.uid not in self._src_evented_uids:
+            waiter = self.sim.event("await-src-last")
+            self._await_src = (last.uid, waiter)
+            yield waiter
+
+    def _step_await_dst_last(self, parent):
+        # wait(DST_PROCESSED_LAST_PKT)
+        last = self._last_packet
+        if last is not None and last.uid not in self._dst_processed_uids:
+            waiter = self.sim.event("await-dst-last")
+            self._await_dst = (last.uid, waiter)
+            yield waiter
+
+    def _step_release_dst(self, parent):
+        # dstInst.disableEvents(filter): release the destination buffer.
+        with self._phase("dst-release", "dst-released", parent):
             yield self.dst.disable_events(self.flt)
 
-    def _on_strong_packet_in(self, packet: Packet) -> None:
-        self._packet_in_count += 1
-        self._last_packet = packet
-        self.report.packets_in_events += 1
-        self.report.affected_uids.add(packet.uid)
-        if self._buffering:
-            if self.obs.enabled:
-                self.obs.metrics.counter(
-                    "ctrl.move.buffered_packets_captured"
-                ).inc(1)
-                self._record_packet("ctrl.buffer", packet, "redirect")
-            self._ctrl_buffer.append(packet)
-        else:
-            self._forward_to_dst(packet, True)
+    # ---------------------------------------------------- peer-to-peer transfer
 
-    # --------------------------------------------------------- state transfer
-
-    def _transfer_state(self, lock_per_chunk: bool, parent=None):
-        silent_lock = self.guarantee is Guarantee.NONE
-        for scope in self.scopes:
-            self._checkpoint()
-            getter, putter, deleter = self._scope_calls(scope)
-            exported_before = len(self._exported_chunks)
-            with self.trace.phase(
-                "transfer.%s" % scope.value, mark=None, parent=parent
-            ) as scope_ph:
-                if self.peer_to_peer:
-                    yield from self._transfer_scope_peer(
-                        scope, getter, deleter, lock_per_chunk, silent_lock
-                    )
-                else:
-                    yield from transfer_scope(
-                        self, scope, getter, putter, deleter,
-                        on_applied=(
-                            self._release_frame if self.early_release else None
-                        ),
-                        exported=self._exported_chunks,
-                        lock_per_chunk=lock_per_chunk,
-                        lock_silent=silent_lock,
-                    )
-                scope_ph.span.set(
-                    chunks=len(self._exported_chunks) - exported_before
-                )
-
-    def _transfer_scope_peer(
-        self, scope, getter, deleter, lock_per_chunk, silent_lock
-    ):
+    def _transfer_scope_peer(self, scope, getter, deleter, lock_per_chunk):
         """Footnote-10 mode: chunks flow src→dst directly.
 
         The source's get streams each serialized chunk over a dedicated
@@ -714,8 +635,6 @@ class MoveOperation(Operation):
         relay, no inbox queueing). Early release is signalled back to
         the controller over the destination's event channel.
         """
-        from repro.net.channel import ControlChannel
-
         peer = ControlChannel(
             self.sim,
             name="%s->%s" % (self.src.name, self.dst.name),
@@ -750,7 +669,6 @@ class MoveOperation(Operation):
             self.flt,
             raw_stream=ship,
             lock_per_chunk=lock_per_chunk,
-            lock_silent=silent_lock,
             compress=self.compress,
         )
         if deleter is not None and chunks:
@@ -797,23 +715,14 @@ class MoveOperation(Operation):
             waiter = self._await_src[1]
             self._await_src = None
             waiter.trigger()
-        mark = self.guarantee in (
-            Guarantee.ORDER_PRESERVING, Guarantee.ORDER_PRESERVING_STRONG
-        )
-        if self._buffering:
-            if self.early_release and any(
+        if self._buffering and not (
+            self.early_release and any(
                 f.matches_packet(packet) for f in self._released_filters
-            ):
-                self._forward_to_dst(packet, mark)
-            else:
-                if self.obs.enabled:
-                    self.obs.metrics.counter(
-                        "ctrl.move.buffered_packets_captured"
-                    ).inc(1)
-                    self._record_packet("ctrl.buffer", packet, "events")
-                self._event_buffer.append(packet)
+            )
+        ):
+            self._capture(self._event_buffer, packet, "events")
         else:
-            self._forward_to_dst(packet, mark)
+            self._forward_to_dst(packet, self.plan.mark)
 
     def _on_dst_event(self, event: PacketEvent) -> None:
         uid = event.packet.uid
@@ -829,10 +738,43 @@ class MoveOperation(Operation):
         if not self._first_packet_event.triggered:
             self._first_packet_event.trigger()
 
+    def _on_strong_packet_in(self, packet: Packet) -> None:
+        self._packet_in_count += 1
+        self._last_packet = packet
+        self.report.packets_in_events += 1
+        self.report.affected_uids.add(packet.uid)
+        if self._buffering:
+            self._capture(self._ctrl_buffer, packet, "redirect")
+        else:
+            self._forward_to_dst(packet, self.plan.mark)
+
     def _forward_to_dst(self, packet: Packet, mark: bool) -> None:
         if mark:
             packet.mark(DO_NOT_BUFFER)
         self.switch.packet_out(packet, self.dst_port)
+
+    def _capture(self, buffer: List[Packet], packet: Packet, where: str):
+        if self.obs.enabled:
+            self.obs.metrics.counter(
+                "ctrl.move.buffered_packets_captured"
+            ).inc(1)
+            self._record_packet("ctrl.buffer", packet, where)
+        buffer.append(packet)
+
+    def _release(
+        self, packets: List[Packet], where: str, mark: bool, port: str
+    ) -> None:
+        """Packet-out ``packets`` (already taken off their buffer)."""
+        if packets and self.obs.enabled:
+            self.obs.metrics.counter(
+                "ctrl.move.buffered_packets_released"
+            ).inc(len(packets))
+            for packet in packets:
+                self._record_packet("ctrl.release", packet, where)
+        for packet in packets:
+            if mark:
+                packet.mark(DO_NOT_BUFFER)
+            self.switch.packet_out(packet, port)
 
     def _record_packet(self, name: str, packet: Packet, where: str) -> None:
         """Buffered/released packet record, tagged with the trace id."""
@@ -861,24 +803,15 @@ class MoveOperation(Operation):
             return
         release_filter = Filter(flowid.fields, symmetric=True)
         self._released_filters.append(release_filter)
-        mark = not self.offload and self.guarantee in (
-            Guarantee.ORDER_PRESERVING, Guarantee.ORDER_PRESERVING_STRONG
-        )
         kept: List[Packet] = []
         flushed: List[Packet] = []
         for packet in self._event_buffer:
             if release_filter.matches_packet(packet):
-                self._forward_to_dst(packet, mark)
                 flushed.append(packet)
             else:
                 kept.append(packet)
         self._event_buffer = kept
-        if flushed and self.obs.enabled:
-            self.obs.metrics.counter(
-                "ctrl.move.buffered_packets_released"
-            ).inc(len(flushed))
-            for packet in flushed:
-                self._record_packet("ctrl.release", packet, "early")
+        self._release(flushed, "early", self.plan.mark, self.dst_port)
         if self._xfsm_installed:
             # Early release composes per flow: one release message flushes
             # this flow's switch-local ring to the destination (behind any
@@ -887,44 +820,27 @@ class MoveOperation(Operation):
             self.switch.release_state_machine(release_filter, self.dst_port)
 
     def _flush_queues(self, mark: bool, port: Optional[str] = None) -> None:
-        target = self.dst_port if port is None else port
         buffered, self._event_buffer = self._event_buffer, []
-        if buffered and self.obs.enabled:
-            self.obs.metrics.counter(
-                "ctrl.move.buffered_packets_released"
-            ).inc(len(buffered))
-            for packet in buffered:
-                self._record_packet("ctrl.release", packet, "flush")
-        for packet in buffered:
-            if mark:
-                packet.mark(DO_NOT_BUFFER)
-            self.switch.packet_out(packet, target)
+        self._release(
+            buffered, "flush", mark, self.dst_port if port is None else port
+        )
 
     # ----------------------------------------------------------------- cleanup
 
     def _cleanup(self):
         with self.trace.phase("cleanup", mark=None):
             yield self.drain_grace_ms
-            if not self.offload and self.guarantee in (
-                Guarantee.ORDER_PRESERVING, Guarantee.ORDER_PRESERVING_STRONG
-            ):
-                # The phase-1 {src, ctrl} rule is shadowed by the HIGH rule;
-                # retire it so later operations start from a clean table.
-                # (Under offload the MID rule IS the live reroute — it
-                # stays; there is no HIGH rule above it.)
+            if self.plan.retire_mid:
+                # The {src, ctrl} / redirect rule is shadowed by the HIGH
+                # rule; retire it so later operations start from a clean
+                # table. (Under offload the MID rule IS the live reroute —
+                # it stays; there is no HIGH rule above it.)
                 yield self.switch.remove(self.flt, MID_PRIORITY)
-            if self._xfsm_installed:
-                # Retire the (now fully drained) machine; matching
-                # packets fall through to the MID reroute rule.
-                yield self.switch.remove_state_machine(self.flt)
-                self._xfsm_installed = False
+            # The machine is fully drained by now; matching packets fall
+            # through to the MID reroute rule.
+            yield from self._retire_xfsm(None)
             # Remove the source's event rules (global and late-locked per-flow).
             yield self.src.disable_events_covered(self.flt)
-            # Flush anything that trickled in during the grace period.
-            self._flush_queues(
-                mark=not self.offload
-                and self.guarantee is Guarantee.ORDER_PRESERVING
-            )
             self.report.packets_dropped = (
                 self.src.nf.packets_dropped_silent - self._src_drops_at_start
             )

@@ -16,7 +16,7 @@ import pytest
 
 from repro import Guarantee
 from repro.conformance.properties import write_trace_file
-from repro.harness import run_move_experiment
+from repro.harness import LOCAL_NET_FILTER, run_move_experiment
 from repro.net.packet import reset_uid_counter
 from repro.obs.audit import replay_trace
 
@@ -94,6 +94,33 @@ class TestCrashMidOffload:
         assert result.deployment.obs.violations() == []
         # Nothing left parked at the switch.
         assert result.deployment.switch.state_machines() == []
+
+    def test_both_endpoints_down_still_retires_the_machine(self):
+        # Source and destination both die mid-transfer: nobody is left
+        # to take the rings, but a machine left in ``buffer`` state
+        # would swallow the flow space forever — even after a
+        # replacement instance is routed.
+        def operation(dep):
+            op = dep.controller.move(
+                "inst1", "inst2", LOCAL_NET_FILTER,
+                guarantee=Guarantee.LOSS_FREE,
+            )
+            for name in ("inst1", "inst2"):
+                nf = dep.controller.clients[name].nf
+                dep.sim.schedule(14.0, nf.fail, "power")
+            return op
+
+        result = run_offloaded(Guarantee.LOSS_FREE, audit=False,
+                               operation=operation)
+        assert result.report.aborted == "inst2 is down: power"
+        assert result.deployment.switch.state_machines() == []
+        assert result.report.notes == [
+            "both instances down: switch rings dropped"
+        ]
+        # The parked packets went to the dead source: counted, not lost
+        # track of.
+        src_nf = result.deployment.controller.clients["inst1"].nf
+        assert src_nf.packets_lost_to_failure >= 225
 
 
 class TestOffloadOffIsInert:
