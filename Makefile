@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-obs test-faults test-conformance conform bench bench-smoke bench-scale bench-sharded bench-chain bench-offload bench-obs-overhead ledger-smoke ledger-pinned examples validate clean results
+.PHONY: install test test-obs test-faults test-conformance conform bench bench-smoke bench-sharded bench-chain bench-offload bench-obs-overhead ledger-smoke ledger-pinned examples validate clean results
 
 install:
 	$(PYTHON) setup.py develop
@@ -12,9 +12,6 @@ test: bench-smoke
 
 bench-smoke:
 	$(PYTHON) benchmarks/bench_smoke.py
-
-bench-scale:
-	$(PYTHON) benchmarks/bench_scale_dataplane.py
 
 bench-sharded:
 	$(PYTHON) benchmarks/bench_sharded.py

@@ -21,8 +21,11 @@ import pytest
 
 from repro.baselines import RerouteOnlyScaler
 from repro.flowspace import Filter
-from repro.harness import build_multi_instance_deployment
-from repro.metrics import sustained_throughput, throughput_timeline
+from repro.harness import (
+    build_multi_instance_deployment,
+    sustained_throughput,
+    throughput_timeline,
+)
 from repro.nf.costs import PRADS_COSTS
 from repro.nfs.monitor import AssetMonitor
 from repro.traffic import TraceConfig, TraceReplayer, build_university_cloud_trace

@@ -19,18 +19,21 @@ from repro.nf.events import PacketEvent
 from repro.sim.core import Event
 
 
+#: Source prefix of the local clients whose HTTP requests trigger
+#: standby updates (Figure 9's ``10.0.0.0/8``).
+LOCAL_PREFIX = "10.0.0.0/8"
+
+
 class FastFailureRecovery:
     """The Figure 9 control application."""
 
     def __init__(
         self,
         controller,
-        local_prefix: str = "10.0.0.0/8",
         health_poll_ms: float = 100.0,
     ) -> None:
         self.controller = controller
         self.sim = controller.sim
-        self.local_prefix = local_prefix
         self.health_poll_ms = health_poll_ms
         #: primary name -> standby name
         self.standbys: Dict[str, str] = {}
@@ -62,7 +65,7 @@ class FastFailureRecovery:
             for flt in (
                 Filter({"nw_proto": 6, "tcp_flags": "SYN"}),
                 Filter({"nw_proto": 6, "tcp_flags": "RST"}),
-                Filter({"nw_src": self.local_prefix, "nw_proto": 6,
+                Filter({"nw_src": LOCAL_PREFIX, "nw_proto": 6,
                         "tp_dst": 80}),
             ):
                 handle = self.controller.notify(

@@ -17,6 +17,12 @@ from repro.flowspace.filter import Filter
 from repro.sim.core import Event
 
 
+#: Alert kind that escalates a flow to the cloud IDS.
+TRIGGER_KIND = "outdated_browser"
+#: How often the local IDS's alert stream is polled.
+POLL_INTERVAL_MS = 25.0
+
+
 class SelectiveRemoteProcessing:
     """Escalate alert-triggering flows from a local to a cloud IDS."""
 
@@ -25,15 +31,11 @@ class SelectiveRemoteProcessing:
         controller,
         local: Any,
         cloud: Any,
-        trigger_kind: str = "outdated_browser",
-        poll_interval_ms: float = 25.0,
     ) -> None:
         self.controller = controller
         self.sim = controller.sim
         self.local = controller.client(local)
         self.cloud = controller.client(cloud)
-        self.trigger_kind = trigger_kind
-        self.poll_interval_ms = poll_interval_ms
         self.escalated: List[Filter] = []
         self._seen_alerts = 0
         self._escalated_flows: Set[str] = set()
@@ -48,7 +50,7 @@ class SelectiveRemoteProcessing:
             new_alerts = alerts[self._seen_alerts :]
             self._seen_alerts = len(alerts)
             for alert in new_alerts:
-                if alert.kind != self.trigger_kind or alert.flow is None:
+                if alert.kind != TRIGGER_KIND or alert.flow is None:
                     continue
                 key = str(alert.flow.canonical())
                 if key in self._escalated_flows:
@@ -64,7 +66,7 @@ class SelectiveRemoteProcessing:
                     scope="per",
                     guarantee="loss-free",
                 )
-            yield self.poll_interval_ms
+            yield POLL_INTERVAL_MS
         self.stopped.trigger()
 
     def stop(self) -> None:

@@ -19,7 +19,7 @@ demonstrate them under adversarial timing.
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Any, List
 
 from repro.flowspace.filter import Filter
 from repro.net.flowtable import HIGH_PRIORITY, MID_PRIORITY
@@ -27,6 +27,7 @@ from repro.net.packet import Packet
 from repro.net.switch import CONTROLLER_PORT
 from repro.nf.events import EventAction
 from repro.nf.state import Scope
+from repro.controller.move import DRAIN_GRACE_MS
 from repro.controller.reports import OperationReport
 from repro.sim.process import AllOf
 
@@ -40,16 +41,12 @@ class SplitMergeMigrate:
         src: Any,
         dst: Any,
         flt: Filter,
-        scopes: Tuple[Scope, ...] = (Scope.PERFLOW,),
-        drain_grace_ms: float = 30.0,
     ) -> None:
         self.controller = controller
         self.sim = controller.sim
         self.src = controller.client(src)
         self.dst = controller.client(dst)
         self.flt = flt
-        self.scopes = scopes
-        self.drain_grace_ms = drain_grace_ms
         self.dst_port = controller.port_of(self.dst.name)
         self.report = OperationReport(
             kind="splitmerge-migrate",
@@ -118,20 +115,13 @@ class SplitMergeMigrate:
         yield AllOf([drop_armed, halted])
         self.report.mark_phase("halted", self.sim.now)
 
-        # 3. Move the state.
-        for scope in self.scopes:
-            if scope is Scope.PERFLOW:
-                chunks = yield self.src.get_perflow(self.flt)
-                for chunk in chunks:
-                    self.report.add_chunk(scope.value, chunk.size_bytes)
-                yield self.src.del_perflow([c.flowid for c in chunks])
-                yield self.dst.put_perflow(chunks)
-            elif scope is Scope.MULTIFLOW:
-                chunks = yield self.src.get_multiflow(self.flt)
-                for chunk in chunks:
-                    self.report.add_chunk(scope.value, chunk.size_bytes)
-                yield self.src.del_multiflow([c.flowid for c in chunks])
-                yield self.dst.put_multiflow(chunks)
+        # 3. Move the state (Split/Merge migrates partitioned, i.e.
+        # per-flow, state only).
+        chunks = yield self.src.get_perflow(self.flt)
+        for chunk in chunks:
+            self.report.add_chunk(Scope.PERFLOW.value, chunk.size_bytes)
+        yield self.src.del_perflow([c.flowid for c in chunks])
+        yield self.dst.put_perflow(chunks)
         self.report.mark_phase("state-transferred", self.sim.now)
 
         # 4. Flush the packets buffered at the orchestrator...
@@ -158,7 +148,7 @@ class SplitMergeMigrate:
         self.report.mark_phase("rerouted", self.sim.now)
         self.report.finished_at = self.sim.now
 
-        yield self.drain_grace_ms
+        yield DRAIN_GRACE_MS
         self.controller.remove_interest(self._interest)
         yield self.src.disable_events_covered(self.flt)
         yield self.switch.remove(self.flt, MID_PRIORITY)

@@ -46,11 +46,9 @@ class VMReplicator:
     def __init__(
         self,
         sim: Simulator,
-        bandwidth_bytes_per_ms: float = SNAPSHOT_BANDWIDTH_BYTES_PER_MS,
         snapshot_overhead_ms: float = 50.0,
     ) -> None:
         self.sim = sim
-        self.bandwidth_bytes_per_ms = bandwidth_bytes_per_ms
         self.snapshot_overhead_ms = snapshot_overhead_ms
 
     def clone(self, src: NetworkFunction, dst: NetworkFunction) -> Event:
@@ -78,7 +76,7 @@ class VMReplicator:
 
         transfer_ms = (
             self.snapshot_overhead_ms
-            + report.total_bytes / self.bandwidth_bytes_per_ms
+            + report.total_bytes / SNAPSHOT_BANDWIDTH_BYTES_PER_MS
         )
         done = self.sim.event("vm-clone-done")
 

@@ -216,9 +216,6 @@ class ChainOperation(Operation):
         flt: Filter,
         dst_map: Dict[str, str],
         guarantee: Guarantee,
-        scope: Any = "per",
-        parallel: bool = True,
-        drain_grace_ms: float = 30.0,
         hop_guarantees: Optional[Dict[str, Any]] = None,
         mode: str = "move",
     ) -> None:
@@ -231,9 +228,6 @@ class ChainOperation(Operation):
         self.chain = chain
         self.flt = flt
         self.guarantee = guarantee
-        self.scope = scope
-        self.parallel = parallel
-        self.drain_grace_ms = drain_grace_ms
         self.mode = mode
         self.obs = controller.obs
 
@@ -349,10 +343,7 @@ class ChainOperation(Operation):
         chain = self.chain
         return self.controller._move_start(
             self.shard, plan.src, plan.dst, self.flt,
-            scope=self.scope,
             guarantee=plan.guarantee,
-            parallel=self.parallel,
-            drain_grace_ms=self.drain_grace_ms,
             route_actions=lambda port, index=plan.index: chain.route_for(
                 index, port
             ),
@@ -464,10 +455,7 @@ class ChainOperation(Operation):
             chain = self.chain
             reverse = self.controller._move_start(
                 self.shard, plan.dst, plan.src, self.flt,
-                scope=self.scope,
                 guarantee=Guarantee.LOSS_FREE,
-                parallel=self.parallel,
-                drain_grace_ms=self.drain_grace_ms,
                 route_actions=lambda port, index=plan.index: chain.route_for(
                     index, port
                 ),

@@ -43,11 +43,11 @@ from repro.net.packet import Packet
 from repro.net.switch import Switch
 from repro.nf.base import NetworkFunction
 from repro.nf.events import EVENT_ACK_BYTES, PacketEvent
-from repro.nf.southbound import NFClient
+from repro.nf.southbound import NF_CHANNEL_LATENCY_MS, NFClient
 from repro.nf.state import normalize_scope
 from repro.controller.chain import ChainOperation
 from repro.controller.copy import CopyOperation
-from repro.controller.forwarding import SwitchClient
+from repro.controller.forwarding import SW_CHANNEL_LATENCY_MS, SwitchClient
 from repro.controller.move import Guarantee, MoveOperation
 from repro.controller.operation import DeferredOperation, Operation, when_all
 from repro.controller.pump import ChunkPump
@@ -234,16 +234,12 @@ class OpenNFController:
         sim: Simulator,
         switch: Optional[Switch] = None,
         msg_proc_ms: float = 0.15,
-        nf_channel_latency_ms: float = 1.0,
-        sw_channel_latency_ms: float = 0.6,
         nf_channel_bandwidth_bytes_per_ms: float = 125_000.0,
         obs=None,
         faults=None,
-        retry=None,
         batching: Optional[BatchConfig] = None,
         offload: bool = False,
         shards: int = 1,
-        handoff_latency_ms: float = 5.0,
     ) -> None:
         self.sim = sim
         self.obs = obs or NULL_OBS
@@ -263,8 +259,6 @@ class OpenNFController:
         self.batching = batching if (batching is None or batching.enabled) \
             else None
         self.msg_proc_ms = msg_proc_ms
-        self.nf_channel_latency_ms = nf_channel_latency_ms
-        self.sw_channel_latency_ms = sw_channel_latency_ms
         self.nf_channel_bandwidth = nf_channel_bandwidth_bytes_per_ms
         #: Optional :class:`repro.faults.FaultPlan`. Installing one turns
         #: on the reliability machinery end to end: southbound retries
@@ -272,7 +266,6 @@ class OpenNFController:
         #: fault injection. ``None`` (default) is the classic fast path —
         #: no request ids, no acks, byte-identical message timeline.
         self.faults = faults
-        self.retry = retry
         self.reliable = faults is not None
         #: Per-NF in-order reassembly for sequenced events:
         #: nf_name -> {"next": seq, "pending": {seq: event}}.
@@ -293,10 +286,6 @@ class OpenNFController:
         #: Fallback handler for events no operation claimed (used by apps).
         self.default_event_handler: Optional[Callable[[PacketEvent], None]] = None
         self.shard_map = ShardMap(shards)
-        #: One control-channel round trip between shards: the cost of
-        #: the ownership-transfer message exchange in a cross-shard
-        #: handshake (the drain barrier is extra, and workload-driven).
-        self.handoff_latency_ms = handoff_latency_ms
         #: The per-shard records, indexed by shard id.
         self.replicas: List[Shard] = [
             Shard(self, index, labelled=shards > 1) for index in range(shards)
@@ -345,15 +334,14 @@ class OpenNFController:
             switch,
             to_switch=ControlChannel(
                 self.sim, name="ctrl->sw",
-                latency_ms=self.sw_channel_latency_ms, obs=self.obs,
+                latency_ms=SW_CHANNEL_LATENCY_MS, obs=self.obs,
             ),
             from_switch=ControlChannel(
                 self.sim, name="sw->ctrl",
-                latency_ms=self.sw_channel_latency_ms, obs=self.obs,
+                latency_ms=SW_CHANNEL_LATENCY_MS, obs=self.obs,
             ),
             obs=self.obs,
             reliable=self.reliable,
-            retry=self.retry,
         )
         self._attach_faults(self.switch_client.to_switch)
         self._attach_faults(self.switch_client.from_switch)
@@ -390,20 +378,19 @@ class OpenNFController:
             to_nf=ControlChannel(
                 self.sim,
                 name="ctrl->%s" % nf.name,
-                latency_ms=self.nf_channel_latency_ms,
+                latency_ms=NF_CHANNEL_LATENCY_MS,
                 bandwidth_bytes_per_ms=self.nf_channel_bandwidth,
                 obs=self.obs,
             ),
             from_nf=ControlChannel(
                 self.sim,
                 name="%s->ctrl" % nf.name,
-                latency_ms=self.nf_channel_latency_ms,
+                latency_ms=NF_CHANNEL_LATENCY_MS,
                 bandwidth_bytes_per_ms=self.nf_channel_bandwidth,
                 obs=self.obs,
             ),
             obs=self.obs,
             reliable=self.reliable,
-            retry=self.retry,
             batch=self.batching,
         )
         self._attach_faults(client.to_nf)
@@ -734,7 +721,6 @@ class OpenNFController:
         early_release: bool = False,
         compress: bool = False,
         peer_to_peer: bool = False,
-        drain_grace_ms: float = 30.0,
     ) -> Operation:
         """``move(srcInst, dstInst, filter, scope, properties)`` (§5.1).
 
@@ -753,7 +739,6 @@ class OpenNFController:
                 shard, src, dst, flt, scope=scope, guarantee=parsed,
                 parallel=parallel, early_release=early_release,
                 compress=compress, peer_to_peer=peer_to_peer,
-                drain_grace_ms=drain_grace_ms,
             ),
             guarantee=parsed,
         )
@@ -774,15 +759,14 @@ class OpenNFController:
         )
 
     def copy(self, src: Any, dst: Any, flt: Filter, scope: Any = "multi",
-             parallel: bool = True, compress: bool = False) -> Operation:
+             parallel: bool = True) -> Operation:
         """``copy(srcInst, dstInst, filter, scope)`` (§5.2.1)."""
         return self._submit(
             "copy", flt,
             lambda shard: CopyOperation(
                 controller=self, shard=shard,
                 src=self.client(src), dst=self.client(dst), flt=flt,
-                scopes=normalize_scope(scope),
-                parallel=parallel, compress=compress,
+                scopes=normalize_scope(scope), parallel=parallel,
             ),
         )
 
@@ -820,9 +804,6 @@ class OpenNFController:
         flt: Optional[Filter] = None,
         dst_map: Optional[Dict[str, str]] = None,
         guarantee: Any = "loss-free",
-        scope: Any = "per",
-        parallel: bool = True,
-        drain_grace_ms: float = 30.0,
         hop_guarantees: Optional[Dict[str, Any]] = None,
     ) -> Operation:
         """``move_chain(chain, filter, dst_map, guarantee)``: chain-wide move.
@@ -835,7 +816,6 @@ class OpenNFController:
         """
         return self._submit_chain(
             chain, flt, dict(dst_map or {}), guarantee, mode="move",
-            scope=scope, parallel=parallel, drain_grace_ms=drain_grace_ms,
             hop_guarantees=hop_guarantees,
         )
 
@@ -846,9 +826,6 @@ class OpenNFController:
         new_instance: str,
         flt: Optional[Filter] = None,
         guarantee: Any = "loss-free",
-        scope: Any = "per",
-        parallel: bool = True,
-        drain_grace_ms: float = 30.0,
     ) -> Operation:
         """Split ``flt`` of one hop's flow space onto ``new_instance``.
 
@@ -860,7 +837,6 @@ class OpenNFController:
         """
         return self._submit_chain(
             chain, flt, {hop: new_instance}, guarantee, mode="scale",
-            scope=scope, parallel=parallel, drain_grace_ms=drain_grace_ms,
         )
 
     def _submit_chain(self, chain, flt, dst_map, guarantee, **options: Any):

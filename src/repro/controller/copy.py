@@ -25,6 +25,8 @@ class CopyOperation(Operation):
     """One in-flight ``copy``; ``done`` fires with the OperationReport."""
 
     kind = "copy"
+    #: Read by :func:`transfer_scope`; only ``move`` offers compression.
+    compress = False
 
     def __init__(
         self,
@@ -35,7 +37,6 @@ class CopyOperation(Operation):
         flt: Filter,
         scopes: Tuple[Scope, ...],
         parallel: bool = True,
-        compress: bool = False,
     ) -> None:
         self.controller = controller
         #: Home shard: its inbox serializes this copy's streamed chunks.
@@ -46,7 +47,6 @@ class CopyOperation(Operation):
         self.flt = flt
         self.scopes = scopes
         self.parallel = parallel
-        self.compress = compress
         self.report = OperationReport(
             kind="copy",
             guarantee="",

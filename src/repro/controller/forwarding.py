@@ -19,13 +19,16 @@ from repro.net.switch import Switch
 from repro.net.xfsm import BufferUntilRelease
 from repro.nf.southbound import (
     REQUEST_ID_BYTES,
-    RetryPolicy,
     SouthboundTimeout,
+    send_until_done,
 )
 from repro.obs import NULL_OBS
 from repro.sim.core import Event, Simulator
 
 _MSG_BYTES = 128
+
+#: Calibrated controller↔switch control-channel propagation delay.
+SW_CHANNEL_LATENCY_MS = 0.6
 
 _xfsm_rpc_ids = itertools.count(1)
 
@@ -41,7 +44,6 @@ class SwitchClient:
         from_switch: Optional[ControlChannel] = None,
         obs=None,
         reliable: bool = False,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.sim = sim
         self.switch = switch
@@ -50,7 +52,6 @@ class SwitchClient:
         #: carry request ids, retry on a timeout, and are deduplicated
         #: switch-side; False keeps the classic single-send path.
         self.reliable = reliable
-        self.retry = retry or RetryPolicy()
         self.rpc_retries = 0
         self.to_switch = to_switch or ControlChannel(
             sim, name="ctrl->sw", obs=self.obs
@@ -221,56 +222,54 @@ class SwitchClient:
     # -------------------------------------------- XFSM (data-plane offload)
 
     def _send_command(
-        self, label: str, size: int, at_switch: Callable[[], None], done: Event
+        self,
+        label: str,
+        at_switch: Callable[[], Optional[Callable[[], None]]],
+        done: Event,
     ) -> None:
-        """One southbound switch command, retried with an id when reliable.
+        """One XFSM command to the switch, applied at most once.
 
         The classic path is a single plain send (an ordering barrier:
         pending batch frames — e.g. queued packet-outs — flush first, so
         a release can never overtake packets the controller emitted
-        before it). The reliable path adds a request id, switch-side
-        dedup, and capped-backoff retries until ``done`` resolves.
+        before it). The reliable path puts the request id on the wire
+        and resends until ``done`` resolves; the switch applies the
+        first copy and answers any later one by re-running the resend
+        thunk ``at_switch`` returned (none for a command whose effect,
+        not a response, resolves ``done``).
         """
-        if not self.reliable:
-            self.to_switch.send(size, at_switch)
-            return
         request_id = next(_xfsm_rpc_ids)
 
         def deliver() -> None:
             if self.switch.xfsm_rpc_deliver(request_id):
-                at_switch()
+                resend = at_switch()
+                if resend is not None:
+                    self.switch.xfsm_rpc_complete(request_id, resend)
 
-        self._retry_loop(label, size + REQUEST_ID_BYTES, deliver, done)
+        if not self.reliable:
+            self.to_switch.send(_MSG_BYTES, deliver)
+            return
 
-    def _retry_loop(
-        self, label: str, size: int, deliver: Callable[[], None], done: Event
-    ) -> None:
-        """Resend ``deliver`` with capped backoff until ``done`` resolves."""
-        state = {"settled": False, "attempt": 0}
-        done.add_callback(lambda _evt: state.update(settled=True))
-
-        def attempt() -> None:
-            if state["settled"]:
+        def on_timeout(final: bool) -> None:
+            if final:
                 return
-            if state["attempt"] >= self.retry.max_attempts:
-                done.fail(SouthboundTimeout(
-                    "switch rpc %s exhausted %d attempts"
-                    % (label, self.retry.max_attempts),
-                    self.switch.name,
-                ))
-                return
-            timeout = self.retry.timeout_for(state["attempt"])
-            if state["attempt"] > 0:
-                self.rpc_retries += 1
-                if self.obs.enabled:
-                    self.obs.metrics.counter("sw.rpc_retries").inc(
-                        1, sw=self.switch.name, rpc=label
-                    )
-            state["attempt"] += 1
-            self.to_switch.send(size, deliver)
-            self.sim.schedule(timeout, attempt)
+            self.rpc_retries += 1
+            if self.obs.enabled:
+                self.obs.metrics.counter("sw.rpc_retries").inc(
+                    1, sw=self.switch.name, rpc=label
+                )
 
-        attempt()
+        send_until_done(
+            self.sim, done,
+            lambda: self.to_switch.send(
+                _MSG_BYTES + REQUEST_ID_BYTES, deliver
+            ),
+            on_timeout,
+            lambda attempts: SouthboundTimeout(
+                "switch rpc %s exhausted %d attempts" % (label, attempts),
+                self.switch.name,
+            ),
+        )
 
     def install_state_machine(
         self, flt: Filter, spec: BufferUntilRelease
@@ -289,7 +288,7 @@ class SwitchClient:
                 lambda _evt: None if done.triggered else done.trigger()
             )
 
-        self._send_command("xfsm_install", _MSG_BYTES, at_switch, done)
+        self._send_command("xfsm_install", at_switch, done)
         return self._observe_flowmod("xfsm_install", done, flt)
 
     def remove_state_machine(self, flt: Filter) -> Event:
@@ -301,7 +300,7 @@ class SwitchClient:
                 lambda _evt: None if done.triggered else done.trigger()
             )
 
-        self._send_command("xfsm_remove", _MSG_BYTES, at_switch, done)
+        self._send_command("xfsm_remove", at_switch, done)
         return self._observe_flowmod("xfsm_remove", done, flt)
 
     def release_state_machine(self, flt: Filter, port: str) -> Event:
@@ -312,11 +311,8 @@ class SwitchClient:
         packet-out path. Fires with the number of packets flushed.
         """
         done = self.sim.event("xfsm-release@sw")
-        request_id = next(_xfsm_rpc_ids)
 
-        def at_switch() -> None:
-            if not self.switch.xfsm_rpc_deliver(request_id):
-                return
+        def at_switch() -> Callable[[], None]:
             flushed = self.switch.release_state_machine(flt, port)
 
             def respond() -> None:
@@ -325,13 +321,8 @@ class SwitchClient:
                     lambda: None if done.triggered else done.trigger(flushed),
                 )
 
-            self.switch.xfsm_rpc_complete(request_id, respond)
             respond()
+            return respond
 
-        if not self.reliable:
-            self.to_switch.send(_MSG_BYTES, at_switch)
-            return done
-        self._retry_loop(
-            "xfsm_release", _MSG_BYTES + REQUEST_ID_BYTES, at_switch, done
-        )
+        self._send_command("xfsm_release", at_switch, done)
         return done

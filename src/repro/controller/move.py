@@ -52,12 +52,21 @@ from repro.net.switch import CONTROLLER_PORT
 from repro.net.xfsm import BufferUntilRelease
 from repro.nf.base import NFCrash
 from repro.nf.events import DO_NOT_BUFFER, EventAction, PacketEvent
-from repro.nf.southbound import SouthboundError
+from repro.nf.southbound import NF_CHANNEL_LATENCY_MS, SouthboundError
 from repro.nf.state import Scope, StateChunk
 from repro.controller.operation import Operation
 from repro.controller.pipeline import transfer_scope
 from repro.controller.reports import OperationReport
 from repro.sim.process import AllOf, AnyOf
+
+#: How long cleanup waits for in-flight packets to drain before the
+#: source's event rules and the shadowed MID rule are retired.
+DRAIN_GRACE_MS = 30.0
+#: Bound on ``wait(GOT_FIRST_PKT_FROM_SW)`` in the two-phase update.
+FIRST_PACKET_TIMEOUT_MS = 40.0
+#: Interval between rule-counter reads while confirming the controller
+#: saw every packet the MID rule forwarded (footnote 9).
+COUNTER_POLL_MS = 8.0
 
 
 class Guarantee(enum.Enum):
@@ -200,9 +209,6 @@ class MoveOperation(Operation):
         early_release: bool = False,
         compress: bool = False,
         peer_to_peer: bool = False,
-        drain_grace_ms: float = 30.0,
-        first_packet_timeout_ms: float = 40.0,
-        counter_poll_ms: float = 8.0,
         route_actions: Optional[Callable[[str], List[str]]] = None,
         trace_attrs: Optional[Dict[str, str]] = None,
     ) -> None:
@@ -228,9 +234,6 @@ class MoveOperation(Operation):
         self.early_release = early_release
         self.compress = compress
         self.peer_to_peer = peer_to_peer
-        self.drain_grace_ms = drain_grace_ms
-        self.first_packet_timeout_ms = first_packet_timeout_ms
-        self.counter_poll_ms = counter_poll_ms
         self.dst_port = controller.port_of(dst.name)
         self.src_port = controller.port_of(src.name)
         #: This variant's row: its steps, and the facts everything reads.
@@ -581,7 +584,7 @@ class MoveOperation(Operation):
             yield AnyOf(
                 [
                     self._first_packet_event,
-                    self.sim.timeout(self.first_packet_timeout_ms),
+                    self.sim.timeout(FIRST_PACKET_TIMEOUT_MS),
                 ]
             )
         # Phase 2: sw.install(filter, dstInst, HIGH_PRIORITY).
@@ -600,7 +603,7 @@ class MoveOperation(Operation):
             )
             if packets == self._packet_in_count:
                 break
-            yield self.counter_poll_ms
+            yield COUNTER_POLL_MS
         parent.set(packet_ins=self._packet_in_count)
 
     def _step_await_src_last(self, parent):
@@ -638,7 +641,7 @@ class MoveOperation(Operation):
         peer = ControlChannel(
             self.sim,
             name="%s->%s" % (self.src.name, self.dst.name),
-            latency_ms=self.controller.nf_channel_latency_ms,
+            latency_ms=NF_CHANNEL_LATENCY_MS,
             bandwidth_bytes_per_ms=self.controller.nf_channel_bandwidth,
             obs=self.obs,
         )
@@ -829,7 +832,7 @@ class MoveOperation(Operation):
 
     def _cleanup(self):
         with self.trace.phase("cleanup", mark=None):
-            yield self.drain_grace_ms
+            yield DRAIN_GRACE_MS
             if self.plan.retire_mid:
                 # The {src, ctrl} / redirect rule is shadowed by the HIGH
                 # rule; retire it so later operations start from a clean

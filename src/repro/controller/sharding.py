@@ -24,7 +24,7 @@ With one shard the map has one entry and none of this module runs.
   rules and state. Instead the filter is reserved in EVERY shard's
   admission table (so nothing new intersecting starts anywhere), the
   conflicting operations finish, and ownership transfers: one
-  control-channel round trip (``handoff_latency_ms``) plus a drain
+  control-channel round trip (:data:`HANDOFF_LATENCY_MS`) plus a drain
   barrier on the prior owners' inboxes (any in-flight message for the
   flow space is handled before the new owner proceeds). Only then does
   the operation start on its home shard, and the controller records the
@@ -45,6 +45,11 @@ from typing import Any, Callable, List, Tuple
 from repro.flowspace.filter import Filter, packet_match_keys
 from repro.flowspace.ip import parse_prefix
 from repro.controller.operation import DeferredOperation, Operation, when_all
+
+#: One control-channel round trip between shards: the cost of the
+#: ownership-transfer message exchange in a cross-shard handshake (the
+#: drain barrier is extra, and workload-driven).
+HANDOFF_LATENCY_MS = 5.0
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -168,7 +173,7 @@ class CrossShardOperation(DeferredOperation):
                 1, shard=str(self.shard.shard_id)
             )
         self.sim.schedule(
-            controller.handoff_latency_ms,
+            HANDOFF_LATENCY_MS,
             lambda: when_all(
                 [owner.inbox.drained() for owner in self._prior_owners],
                 self._complete_handoff,

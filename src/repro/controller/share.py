@@ -128,8 +128,17 @@ class ShareOperation(Operation):
 
     def _setup(self):
         self.report.started_at = self.sim.now
-        with self.trace.phase("sync", mark="synchronized"):
-            yield from self._setup_body()
+        try:
+            with self.trace.phase("sync", mark="synchronized"):
+                yield from self._setup_body()
+        except (NFCrash, SouthboundError) as crash:
+            # An instance was unreachable before the session went live:
+            # fail ``started`` for whoever waits on it and tear down what
+            # was set up, so ``done`` fires and the reservation releases.
+            self.report.aborted = str(crash)
+            self.started.fail(crash)
+            self.stop()
+            return
         self.started.trigger()
 
     def _setup_body(self):

@@ -13,9 +13,8 @@ flowids (see :meth:`Filter.exact_key`). ``keys_matching`` then resolves
 fully-specified filters in O(1): the canonical bucket plus a linear pass
 over only the *partial* flowids (host aggregates, prefix flowids), which
 cannot be hash-indexed. Results are returned in insertion order — the
-exact order the linear scan produces — so the fast path is
-bit-identical to the oracle, which remains available via
-``indexed=False``.
+exact order a linear scan over the store produces, which is what the
+oracle in ``tests/oracles.py`` pins the fast path against.
 """
 
 from __future__ import annotations
@@ -139,18 +138,16 @@ class FlowKeyedStore:
         self,
         flt: Filter,
         relevant_fields: Optional[Iterable[str]] = None,
-        indexed: bool = True,
     ) -> List[FlowId]:
         """All stored flowids matching ``flt`` under §4.2 semantics.
 
         Equivalent to
         ``[fid for fid in store if flt.matches_flowid(fid, relevant_fields)]``
-        (same members, same order). When ``indexed`` and the filter is
-        fully-specified — it has an exact key and the relevant-fields
-        projection drops none of its constraints — candidate flowids
-        come from the canonical hash bucket instead of a full scan; only
-        partial flowids are still matched linearly. ``indexed=False``
-        forces the linear reference path (the differential-test oracle).
+        (same members, same order). When the filter is fully-specified
+        — it has an exact key and the relevant-fields projection drops
+        none of its constraints — candidate flowids come from the
+        canonical hash bucket instead of a full scan; only partial
+        flowids are still matched linearly.
         """
         relevant = None if relevant_fields is None else set(relevant_fields)
         constraints = [
@@ -160,7 +157,7 @@ class FlowKeyedStore:
             # Vacuous filter for this state kind: everything matches.
             return list(self._data)
         key = flt.exact_key()
-        if not indexed or key is None or len(constraints) != len(flt.fields):
+        if key is None or len(constraints) != len(flt.fields):
             return [
                 fid for fid in self._data
                 if flt.matches_flowid(fid, relevant_fields)

@@ -10,7 +10,7 @@ default latencies and exposes the handful of helpers experiments need.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.flowspace.filter import Filter
 from repro.net.flowtable import LOW_PRIORITY
@@ -24,34 +24,31 @@ from repro.obs import Observability
 from repro.sim.core import Simulator
 
 
+#: Calibrated switch→NF data-path link latency.
+NF_LINK_LATENCY_MS = 0.25
+
+
 class Deployment:
     """A wired-up simulation: switch + controller + NFs."""
 
     def __init__(
         self,
-        sim: Optional[Simulator] = None,
         flowmod_delay_ms: float = 10.0,
         packet_out_rate_pps: float = 4000.0,
-        nf_link_latency_ms: float = 0.25,
         msg_proc_ms: float = 0.15,
-        nf_channel_latency_ms: float = 1.0,
-        sw_channel_latency_ms: float = 0.6,
         nf_channel_bandwidth_bytes_per_ms: float = 125_000.0,
         observe: bool = False,
         audit: bool = False,
-        obs: Optional[Observability] = None,
         faults=None,
-        retry=None,
         batching=None,
         record_ground_truth: bool = True,
         shards: int = 1,
-        handoff_latency_ms: float = 5.0,
         offload: bool = False,
         telemetry: bool = False,
         timeseries=None,
         sampling=None,
     ) -> None:
-        self.sim = sim or Simulator()
+        self.sim = Simulator()
         #: Scale-ready telemetry (windowed time-series + trace sampling).
         #: ``telemetry=True`` turns both on with defaults. The finer
         #: ``timeseries=``/``sampling=`` knobs pass straight through to
@@ -63,13 +60,13 @@ class Deployment:
             if sampling is None:
                 sampling = True
         self.telemetry = bool(timeseries or sampling)
-        #: One shared observability bundle; disabled unless ``observe=True``
-        #: (or a pre-built ``obs`` is passed in), in which case spans land
-        #: in ``self.obs.exporter``. ``audit=True`` additionally streams
+        #: One shared observability bundle; disabled unless
+        #: ``observe=True``, in which case spans land in
+        #: ``self.obs.exporter``. ``audit=True`` additionally streams
         #: the trace through the online guarantee auditors and arms the
         #: flight recorder (implies ``observe``). ``timeseries``/
         #: ``sampling`` likewise imply ``observe``.
-        self.obs = obs or Observability(
+        self.obs = Observability(
             sim=self.sim,
             enabled=observe,
             audit=audit,
@@ -112,36 +109,25 @@ class Deployment:
             record_ground_truth=record_ground_truth,
         )
         #: How many serialized message loops the controller partitions
-        #: flow-space ownership across (the paper's controller has one);
-        #: ``handoff_latency_ms`` is one inter-shard round trip.
+        #: flow-space ownership across (the paper's controller has one).
         self.shards = shards
         self.controller = OpenNFController(
             self.sim,
             switch=self.switch,
             msg_proc_ms=msg_proc_ms,
-            nf_channel_latency_ms=nf_channel_latency_ms,
-            sw_channel_latency_ms=sw_channel_latency_ms,
             nf_channel_bandwidth_bytes_per_ms=nf_channel_bandwidth_bytes_per_ms,
             obs=self.obs,
             faults=self.faults,
-            retry=retry,
             batching=self.batching,
             offload=self.offload,
             shards=shards,
-            handoff_latency_ms=handoff_latency_ms,
         )
-        self.nf_link_latency_ms = nf_link_latency_ms
         self.nfs: Dict[str, NetworkFunction] = {}
 
-    def add_nf(
-        self, nf: NetworkFunction, link_latency_ms: Optional[float] = None
-    ) -> NFClient:
+    def add_nf(self, nf: NetworkFunction) -> NFClient:
         """Attach an NF behind a data-path link and register it southbound."""
-        latency = (
-            self.nf_link_latency_ms if link_latency_ms is None else link_latency_ms
-        )
         link = Link(
-            self.sim, name="sw->%s" % nf.name, latency_ms=latency
+            self.sim, name="sw->%s" % nf.name, latency_ms=NF_LINK_LATENCY_MS
         )
         nf.obs = self.obs
         nf.record_ground_truth = self.record_ground_truth
@@ -231,14 +217,6 @@ class Deployment:
 
     # ------------------------------------------------------------------ metrics
 
-    def processed_events(self) -> List[Tuple[float, int, str]]:
-        """Merged, time-ordered (time, uid, nf_name) processing log."""
-        merged: List[Tuple[float, int, str]] = []
-        for name, nf in self.nfs.items():
-            merged.extend((t, uid, name) for (t, uid) in nf.processing_log)
-        merged.sort(key=lambda item: (item[0], item[1]))
-        return merged
-
     def processed_uid_counts(self) -> Dict[int, int]:
         """How many times each packet uid was processed, across instances."""
         counts: Dict[int, int] = {}
@@ -246,15 +224,6 @@ class Deployment:
             for _time, uid in nf.processing_log:
                 counts[uid] = counts.get(uid, 0) + 1
         return counts
-
-    def processing_time_of(self, uid: int) -> Optional[float]:
-        """When packet ``uid`` finished processing (first occurrence)."""
-        best: Optional[float] = None
-        for nf in self.nfs.values():
-            for time, logged_uid in nf.processing_log:
-                if logged_uid == uid and (best is None or time < best):
-                    best = time
-        return best
 
     def run(self, until: Optional[float] = None) -> float:
         """Convenience passthrough to the simulator."""

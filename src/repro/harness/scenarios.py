@@ -9,14 +9,13 @@ verdicts. Tests, examples, and the benchmark harnesses all call these.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.flowspace.filter import Filter
 from repro.harness.deployment import Deployment
+from repro.harness.measure import LatencyReport, added_latency
 from repro.harness.properties import check_loss_free, check_order_preserving
-from repro.metrics.latency import LatencyReport, added_latency
 from repro.nfs.monitor import AssetMonitor
 from repro.controller.move import Guarantee
 from repro.controller.reports import OperationReport
@@ -24,28 +23,6 @@ from repro.traffic.replay import TraceReplayer
 from repro.traffic.traces import TraceConfig, build_university_cloud_trace
 
 LOCAL_NET_FILTER = Filter({"nw_src": "10.0.0.0/8"}, symmetric=True)
-
-
-def coerce_guarantee(value: Any) -> Guarantee:
-    """Normalize a guarantee argument at the harness/CLI boundary.
-
-    The scenario harness historically accepted bare strings
-    (``"loss-free"``) and handed them to the northbound as-is. The
-    blessed call form passes a :class:`~repro.controller.move.Guarantee`
-    member; plain strings still work through :meth:`Guarantee.parse`
-    but now raise a :class:`DeprecationWarning`, so every caller ends up
-    on the one enum-typed admission path.
-    """
-    if isinstance(value, Guarantee):
-        return value
-    warnings.warn(
-        "passing a plain string guarantee (%r) to the experiment harness "
-        "is deprecated; pass a repro.Guarantee member instead "
-        "(e.g. Guarantee.LOSS_FREE)" % (value,),
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return Guarantee.parse(value)
 
 
 @dataclass
@@ -104,7 +81,6 @@ def run_move_experiment(
     (a :class:`repro.net.channel.BatchConfig` or ``True`` for defaults)
     turns on the batched control-plane transport.
     """
-    guarantee = coerce_guarantee(guarantee)
     kwargs = dict(deployment_kwargs or {})
     kwargs.setdefault("observe", observe)
     if audit:

@@ -14,10 +14,9 @@ direction-normalized :meth:`Filter.exact_key`, so a packet lookup probes
 at most two buckets (its oriented and symmetric keys) plus the small
 sorted list of wildcard/prefix entries — O(1 + wildcards) instead of
 O(rules). Install and remove splice the sorted entry list incrementally;
-there is no full re-sort on flow-mods. Setting ``indexed = False`` flips
-every query onto the original linear scans (the reference oracle the
-differential tests pin the fast path against); both index structures are
-always maintained, so the flag can be toggled at any time.
+there is no full re-sort on flow-mods. Iterating the table yields its
+entries in match order — the linear-scan oracle in ``tests/oracles.py``
+reads that and nothing else.
 """
 
 from __future__ import annotations
@@ -101,9 +100,9 @@ class FlowEntry:
 class FlowTable:
     """An ordered rule set with highest-priority-wins lookup."""
 
-    def __init__(self, indexed: bool = True) -> None:
+    def __init__(self) -> None:
         #: All entries, sorted by (priority desc, entry_id desc) — the
-        #: order the linear scan resolves matches in.
+        #: order matches resolve in (and the iteration order).
         self._entries: List[FlowEntry] = []
         #: exact_key -> bucket of exact-match entries, each bucket sorted
         #: like ``_entries`` so ``bucket[0]`` is its best candidate.
@@ -111,9 +110,6 @@ class FlowTable:
         #: Entries with no exact key (wildcards, prefixes, extra fields),
         #: sorted like ``_entries``; the lookup fallback scans only these.
         self._wildcards: List[FlowEntry] = []
-        #: Query strategy switch: True = hash fast path, False = linear
-        #: reference oracle. Semantics are identical either way.
-        self.indexed = indexed
 
     def install(
         self, flt: Filter, priority: int, actions: Sequence[str], now: float
@@ -133,13 +129,10 @@ class FlowTable:
         self, flt: Filter, priority: Optional[int]
     ) -> List[FlowEntry]:
         """Entries with exactly this filter (and priority), in table order."""
-        if self.indexed:
-            key = flt.exact_key()
-            pool: Sequence[FlowEntry] = (
-                self._wildcards if key is None else self._exact.get(key, ())
-            )
-        else:
-            pool = self._entries
+        key = flt.exact_key()
+        pool: Sequence[FlowEntry] = (
+            self._wildcards if key is None else self._exact.get(key, ())
+        )
         return [
             e
             for e in pool
@@ -169,11 +162,6 @@ class FlowTable:
 
     def lookup(self, packet: Packet) -> Optional[FlowEntry]:
         """Highest-priority entry matching ``packet``, or None."""
-        if not self.indexed:
-            for entry in self._entries:
-                if entry.filter.matches_packet(packet):
-                    return entry
-            return None
         headers = packet.headers()
         best: Optional[FlowEntry] = None
         for key in packet_match_keys(headers):
@@ -206,7 +194,7 @@ class FlowTable:
         5-tuple can collide with — plus the wildcard list — are checked;
         a coarser ``flt`` falls back to the full scan.
         """
-        key = None if not self.indexed else flt.exact_key()
+        key = flt.exact_key()
         if key is None:
             return [e for e in self._entries if e.filter.intersects(flt)]
         # ``intersects`` compares the *stored* field values, ignoring the

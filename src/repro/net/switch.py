@@ -65,7 +65,6 @@ class Switch:
         name: str = "sw",
         flowmod_delay_ms: float = 4.0,
         packet_out_rate_pps: float = 4000.0,
-        control_channel: Optional[ControlChannel] = None,
         table_capacity: Optional[int] = None,
         obs=None,
         record_ground_truth: bool = True,
@@ -79,7 +78,7 @@ class Switch:
         self.installs_rejected = 0
         self.flowmod_delay_ms = flowmod_delay_ms
         self.packet_out_interval_ms = 1000.0 / packet_out_rate_pps
-        self.control_channel = control_channel or ControlChannel(
+        self.control_channel = ControlChannel(
             sim, name="%s-ctrl" % name, obs=self.obs
         )
         self._ports: Dict[str, Port] = {}

@@ -27,25 +27,18 @@ from repro.nf.southbound import NFClient
 from repro.controller.controller import OpenNFController
 from repro.sim.core import Simulator
 
+#: Spine→leaf and leaf→NF link latencies.
+LEAF_LATENCY_MS = 0.2
+NF_LINK_LATENCY_MS = 0.1
+
 
 class TwoTierTopology:
     """A spine switch with per-NF leaf switches below it."""
 
-    def __init__(
-        self,
-        sim: Optional[Simulator] = None,
-        spine_kwargs: Optional[dict] = None,
-        leaf_latency_ms: float = 0.2,
-        nf_link_latency_ms: float = 0.1,
-        controller_kwargs: Optional[dict] = None,
-    ) -> None:
-        self.sim = sim or Simulator()
-        self.spine = Switch(self.sim, name="spine", **(spine_kwargs or {}))
-        self.controller = OpenNFController(
-            self.sim, switch=self.spine, **(controller_kwargs or {})
-        )
-        self.leaf_latency_ms = leaf_latency_ms
-        self.nf_link_latency_ms = nf_link_latency_ms
+    def __init__(self) -> None:
+        self.sim = Simulator()
+        self.spine = Switch(self.sim, name="spine")
+        self.controller = OpenNFController(self.sim, switch=self.spine)
         self.leaves: Dict[str, Switch] = {}
         self.nfs: Dict[str, NetworkFunction] = {}
 
@@ -67,7 +60,7 @@ class TwoTierTopology:
             nf.name,
             nf.receive,
             Link(self.sim, name="%s->%s" % (leaf_name, nf.name),
-                 latency_ms=self.nf_link_latency_ms),
+                 latency_ms=NF_LINK_LATENCY_MS),
         )
         leaf.table.install(Filter.wildcard(), LOW_PRIORITY, [nf.name], 0.0)
         # Spine → leaf.
@@ -75,7 +68,7 @@ class TwoTierTopology:
             leaf_name,
             leaf.inject,
             Link(self.sim, name="spine->%s" % leaf_name,
-                 latency_ms=self.leaf_latency_ms),
+                 latency_ms=LEAF_LATENCY_MS),
         )
         return self.controller.register_nf(nf, port=leaf_name)
 

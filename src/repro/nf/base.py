@@ -50,17 +50,6 @@ class NetworkFunction:
     #: Subclasses narrow this per scope via :meth:`relevant_fields`.
     DEFAULT_RELEVANT_FIELDS = ("nw_src", "nw_dst", "nw_proto", "tp_src", "tp_dst")
 
-    #: Per-packet event-rule resolution strategy: True probes the
-    #: exact-key hash buckets, False runs the original reversed linear
-    #: scan (the differential-test oracle). Both structures are always
-    #: maintained, so this can be flipped at any time.
-    use_indexed_rules = True
-
-    #: Passed through to :meth:`FlowKeyedStore.keys_matching` by NFs that
-    #: keep their state in indexed stores; False forces the linear
-    #: reference scan.
-    use_indexed_state = True
-
     #: When False, the per-packet ground-truth logs (``processing_log``,
     #: ``proc_durations``) are not recorded — scale benchmarks opt out so
     #: long runs do not grow memory without bound.
@@ -396,11 +385,6 @@ class NetworkFunction:
 
     def _match_rule(self, packet: Packet) -> Optional[EventRule]:
         """The most recently enabled rule matching ``packet``, or None."""
-        if not self.use_indexed_rules:
-            for rule in reversed(self._event_rules.values()):
-                if rule.filter.matches_packet(packet):
-                    return rule
-            return None
         headers = packet.headers()
         best: Optional[EventRule] = None
         for key in packet_match_keys(headers):
@@ -556,6 +540,10 @@ class NetworkFunction:
     @property
     def event_rule_count(self) -> int:
         return len(self._event_rules)
+
+    def event_rules(self) -> List[EventRule]:
+        """Active rules, oldest registration first (newest wins a match)."""
+        return list(self._event_rules.values())
 
     def buffered_packet_count(self) -> int:
         """Packets currently held by BUFFER-action rules."""

@@ -58,8 +58,7 @@ class EventRule:
         self.action = action
         self.silent = silent
         #: Registration order within the owning NF: among rules matching a
-        #: packet, the highest ``seq`` (most recently enabled) wins — the
-        #: indexed and linear match paths both resolve ties through it.
+        #: packet, the highest ``seq`` (most recently enabled) wins.
         self.seq = 0
 
     def effective_action(self, packet: Packet) -> EventAction:

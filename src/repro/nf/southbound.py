@@ -27,7 +27,7 @@ call — one controller handling cost per frame instead of per chunk.
 Reliable mode (``reliable=True``, switched on whenever a
 :class:`~repro.faults.FaultPlan` is installed): every RPC carries a
 request id, runs under a per-call timeout with capped exponential
-backoff retries (:class:`RetryPolicy`), and the NF-side dispatcher
+backoff retries (:func:`send_until_done`), and the NF-side dispatcher
 (:meth:`~repro.nf.base.NetworkFunction.rpc_deliver`) deduplicates
 replayed requests so a retried ``put_perflow`` never double-applies
 state. Streamed get responses additionally reconcile the chunk list in
@@ -65,6 +65,8 @@ REQUEST_BYTES = 128
 CHUNK_OVERHEAD_BYTES = 74
 #: Extra request bytes for a request id on calls without a JSON body.
 REQUEST_ID_BYTES = 10
+#: Calibrated controller↔NF (and NF↔NF) control-channel propagation delay.
+NF_CHANNEL_LATENCY_MS = 1.0
 
 
 class SouthboundError(Exception):
@@ -84,29 +86,48 @@ class SouthboundTimeout(SouthboundError):
     """A southbound RPC exhausted its retry budget without a response."""
 
 
-class RetryPolicy:
-    """Per-call timeout with capped exponential backoff retries."""
+#: The southbound retry policy: a per-call timeout with capped
+#: exponential backoff — 25 ms doubling to 400 ms, seven attempts.
+RPC_TIMEOUT_MS = 25.0
+RPC_BACKOFF = 2.0
+RPC_MAX_TIMEOUT_MS = 400.0
+RPC_MAX_ATTEMPTS = 7
 
-    __slots__ = ("timeout_ms", "backoff", "max_timeout_ms", "max_attempts")
 
-    def __init__(
-        self,
-        timeout_ms: float = 25.0,
-        backoff: float = 2.0,
-        max_timeout_ms: float = 400.0,
-        max_attempts: int = 7,
-    ) -> None:
-        if timeout_ms <= 0 or backoff < 1.0 or max_attempts < 1:
-            raise ValueError("invalid retry policy")
-        self.timeout_ms = timeout_ms
-        self.backoff = backoff
-        self.max_timeout_ms = max_timeout_ms
-        self.max_attempts = max_attempts
+def send_until_done(
+    sim: Simulator,
+    done: Event,
+    send: Callable[[], None],
+    on_timeout: Callable[[bool], None],
+    give_up: Callable[[int], SouthboundTimeout],
+) -> None:
+    """The southbound retry loop both the NF and the switch client run.
 
-    def timeout_for(self, attempt: int) -> float:
-        """Timeout for the given 0-based attempt number."""
-        return min(self.timeout_ms * self.backoff ** attempt,
-                   self.max_timeout_ms)
+    ``send()`` ships one attempt and a timer is armed behind it. A timer
+    that expires with ``done`` still pending first reports to the
+    caller's accounting — ``on_timeout(final)``, ``final`` once the
+    budget is spent — then resends, or fails ``done`` with
+    ``give_up(attempts)`` after :data:`RPC_MAX_ATTEMPTS`.
+    """
+
+    def attempt(number: int) -> None:
+        send()
+        sim.schedule(
+            min(RPC_TIMEOUT_MS * RPC_BACKOFF ** number, RPC_MAX_TIMEOUT_MS),
+            expired, number,
+        )
+
+    def expired(number: int) -> None:
+        if done.triggered:
+            return
+        final = number + 1 >= RPC_MAX_ATTEMPTS
+        on_timeout(final)
+        if final:
+            done.fail(give_up(number + 1))
+        else:
+            attempt(number + 1)
+
+    attempt(0)
 
 
 class NFClient:
@@ -120,7 +141,6 @@ class NFClient:
         from_nf: Optional[ControlChannel] = None,
         obs=None,
         reliable: bool = False,
-        retry: Optional[RetryPolicy] = None,
         batch: Optional[BatchConfig] = None,
     ) -> None:
         self.sim = sim
@@ -140,7 +160,6 @@ class NFClient:
                 if channel.batching is None:
                     channel.batching = self.batch
         self.reliable = reliable
-        self.retry = retry or RetryPolicy()
         self._request_ids = itertools.count(1)
         #: Cumulative reliability accounting; operations snapshot this to
         #: fill ``OperationReport.retries`` / ``.timeouts``.
@@ -222,48 +241,41 @@ class NFClient:
         if rid is None:
             self.to_nf.send(request_size, at_nf)
             return
-        state = {"attempt": 0}
+        retries = 0
 
-        def send_attempt() -> None:
-            if done.triggered:
-                return
+        def send() -> None:
             self.stats["attempts"] += 1
             self.to_nf.send(request_size, self.nf.rpc_deliver, rid, at_nf)
-            self.sim.schedule(
-                self.retry.timeout_for(state["attempt"]),
-                check, state["attempt"],
-            )
 
-        def check(attempt: int) -> None:
-            if done.triggered or state["attempt"] != attempt:
-                return
+        def on_timeout(final: bool) -> None:
+            nonlocal retries
             self.stats["timeouts"] += 1
             if self.obs.enabled:
                 self.obs.metrics.counter("sb.timeouts").inc(
                     1, nf=self.nf.name, op=op
                 )
-            if attempt + 1 >= self.retry.max_attempts:
+            if final:
                 self.stats["failures"] += 1
-                self._settle_fail(done, SouthboundTimeout(
-                    "%s to %s gave up after %d attempts"
-                    % (op, self.nf.name, attempt + 1),
-                    self.nf.name,
-                ))
                 return
-            state["attempt"] = attempt + 1
+            retries += 1
             self.stats["retries"] += 1
             if self.obs.enabled:
                 self.obs.metrics.counter("sb.retries_total").inc(
                     1, nf=self.nf.name, op=op
                 )
-            span.event("retry", attempt=state["attempt"])
-            send_attempt()
+            span.event("retry", attempt=retries)
+
+        def give_up(attempts: int) -> SouthboundTimeout:
+            return SouthboundTimeout(
+                "%s to %s gave up after %d attempts"
+                % (op, self.nf.name, attempts),
+                self.nf.name,
+            )
 
         if self.obs.enabled:
             done.add_callback(lambda _evt: self.obs.metrics.histogram(
-                "sb.retries").observe(
-                    state["attempt"], nf=self.nf.name, op=op))
-        send_attempt()
+                "sb.retries").observe(retries, nf=self.nf.name, op=op))
+        send_until_done(self.sim, done, send, on_timeout, give_up)
 
     def _rpc_span(self, op: str, **attrs) -> Any:
         """Open the ``sb.<op>`` span at request-issue time.

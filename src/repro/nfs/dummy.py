@@ -66,9 +66,7 @@ class DummyNF(NetworkFunction):
     def state_keys(self, scope: Scope, flt: Filter) -> List[Any]:
         if scope is not Scope.PERFLOW:
             return []
-        return self.flows.keys_matching(
-            flt, self.relevant_fields(scope), indexed=self.use_indexed_state
-        )
+        return self.flows.keys_matching(flt, self.relevant_fields(scope))
 
     def export_chunk(self, scope: Scope, key: Any) -> Optional[StateChunk]:
         record = self.flows.get(key)

@@ -218,12 +218,11 @@ class IntrusionDetector(NetworkFunction):
         if scope is Scope.ALLFLOWS:
             return ["stats"]
         relevant = self.relevant_fields(scope)
-        indexed = self.use_indexed_state
         if scope is Scope.PERFLOW:
-            return self.conns.keys_matching(flt, relevant, indexed=indexed)
-        keys = self.scans.keys_matching(flt, relevant, indexed=indexed)
+            return self.conns.keys_matching(flt, relevant)
+        keys = self.scans.keys_matching(flt, relevant)
         keys.extend(
-            self.ftp_expectations.keys_matching(flt, relevant, indexed=indexed)
+            self.ftp_expectations.keys_matching(flt, relevant)
         )
         return keys
 

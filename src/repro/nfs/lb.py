@@ -169,9 +169,7 @@ class LoadBalancer(NetworkFunction):
         if scope is Scope.ALLFLOWS:
             return ["rotor"]
         store = self.bindings if scope is Scope.PERFLOW else self.backends
-        return store.keys_matching(
-            flt, self.relevant_fields(scope), indexed=self.use_indexed_state
-        )
+        return store.keys_matching(flt, self.relevant_fields(scope))
 
     def export_chunk(self, scope: Scope, key: Any) -> Optional[StateChunk]:
         if scope is Scope.ALLFLOWS:

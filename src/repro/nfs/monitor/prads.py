@@ -152,9 +152,8 @@ class AssetMonitor(NetworkFunction):
     def state_keys(self, scope: Scope, flt: Filter) -> List[Any]:
         if scope is Scope.ALLFLOWS:
             return ["stats"]
-        return self._store(scope).keys_matching(
-            flt, self.relevant_fields(scope), indexed=self.use_indexed_state
-        )
+        store = self._store(scope)
+        return store.keys_matching(flt, self.relevant_fields(scope))
 
     def export_chunk(self, scope: Scope, key: Any) -> Optional[StateChunk]:
         if scope is Scope.ALLFLOWS:

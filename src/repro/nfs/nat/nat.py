@@ -68,9 +68,7 @@ class NetworkAddressTranslator(NetworkFunction):
     def state_keys(self, scope: Scope, flt: Filter) -> List[Any]:
         if scope is not Scope.PERFLOW:
             return []
-        return self.conntrack.keys_matching(
-            flt, self.relevant_fields(scope), indexed=self.use_indexed_state
-        )
+        return self.conntrack.keys_matching(flt, self.relevant_fields(scope))
 
     def export_chunk(self, scope: Scope, key: Any) -> Optional[StateChunk]:
         if scope is not Scope.PERFLOW:

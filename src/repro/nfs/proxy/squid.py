@@ -175,7 +175,7 @@ class CachingProxy(NetworkFunction):
             return ["stats"]
         if scope is Scope.PERFLOW:
             return self.transactions.keys_matching(
-                flt, self.relevant_fields(scope), indexed=self.use_indexed_state
+                flt, self.relevant_fields(scope)
             )
         # Multi-flow: cache entries, with client-IP referencing.
         keys: List[str] = []

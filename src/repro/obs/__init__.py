@@ -46,7 +46,6 @@ from repro.obs.metrics import (
     BoundedHistogram,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
 )
 from repro.obs.operation import OperationTrace
@@ -104,24 +103,20 @@ class Observability:
         sim=None,
         enabled: bool = False,
         exporter=None,
-        export_path: Optional[str] = None,
         audit: bool = False,
-        recorder: Optional[FlightRecorder] = None,
         timeseries=None,
         sampling=None,
     ) -> None:
         if audit or timeseries or sampling:
             enabled = True
-        if exporter is None and export_path is not None:
-            exporter = JsonLinesExporter(export_path)
         if exporter is None and enabled:
             exporter = InMemoryExporter()
         self.enabled = enabled
         self.exporter = exporter
         self.audit: Optional[AuditPipeline] = AuditPipeline() if audit else None
-        if audit and recorder is None:
-            recorder = FlightRecorder()
-        self.recorder = recorder
+        self.recorder: Optional[FlightRecorder] = (
+            FlightRecorder() if audit else None
+        )
         #: Optional windowed time-series hub (``timeseries=True`` builds
         #: one with defaults; or pass a pre-built :class:`TimeSeriesHub`).
         #: Strictly passive: hot paths fold rates/gauges into it, nothing
@@ -214,7 +209,6 @@ __all__ = [
     "Counter",
     "FlightRecorder",
     "Gauge",
-    "Histogram",
     "InMemoryExporter",
     "JsonLinesExporter",
     "MetricsRegistry",

@@ -21,7 +21,6 @@ audited run keeps the zero-perturbation guarantee.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
@@ -42,20 +41,15 @@ def _component(name: str) -> str:
     return _COMPONENTS.get(name.split(".", 1)[0], "controller")
 
 
+#: Ring sizes: the most recent spans / point records kept per component.
+MAX_SPANS_PER_COMPONENT = 1024
+MAX_RECORDS_PER_COMPONENT = 4096
+
+
 class FlightRecorder:
     """Per-component ring buffers + on-demand post-mortem bundles."""
 
-    def __init__(
-        self,
-        max_spans_per_component: int = 1024,
-        max_records_per_component: int = 4096,
-        path: Optional[str] = None,
-    ) -> None:
-        self.max_spans = max_spans_per_component
-        self.max_records = max_records_per_component
-        #: Optional file to also write each bundle to (JSON, one file,
-        #: overwritten per capture — the post-mortem of record).
-        self.path = path
+    def __init__(self) -> None:
         self._spans: Dict[str, Deque[Dict[str, Any]]] = {}
         self._records: Dict[str, Deque[Dict[str, Any]]] = {}
         #: Captured bundles, in capture order.
@@ -67,7 +61,7 @@ class FlightRecorder:
     def on_span(self, span: Dict[str, Any]) -> None:
         ring = self._spans.get(_component(span.get("name", "")))
         if ring is None:
-            ring = deque(maxlen=self.max_spans)
+            ring = deque(maxlen=MAX_SPANS_PER_COMPONENT)
             self._spans[_component(span.get("name", ""))] = ring
         ring.append(span)
 
@@ -75,7 +69,7 @@ class FlightRecorder:
         component = _component(record.get("name", ""))
         ring = self._records.get(component)
         if ring is None:
-            ring = deque(maxlen=self.max_records)
+            ring = deque(maxlen=MAX_RECORDS_PER_COMPONENT)
             self._records[component] = ring
         ring.append(record)
 
@@ -154,9 +148,6 @@ class FlightRecorder:
             "metrics": obs.metrics.snapshot(),
         }
         self.bundles.append(bundle)
-        if self.path is not None:
-            with open(self.path, "w") as fh:
-                json.dump(bundle, fh, indent=2, sort_keys=True)
         return bundle
 
 

@@ -56,6 +56,9 @@ DEFAULT_WINDOW_MS = 100.0
 #: time at default resolution.
 DEFAULT_MAX_WINDOWS = 600
 
+#: Frames a :class:`ProgressReporter` retains.
+SNAPSHOTS_KEPT = 120
+
 #: Default cap on distinct (name, label-set) series per hub.
 DEFAULT_MAX_SERIES = 512
 
@@ -167,12 +170,10 @@ class TimeSeriesHub:
         self,
         sim=None,
         window_ms: float = DEFAULT_WINDOW_MS,
-        max_windows: int = DEFAULT_MAX_WINDOWS,
         max_series: Optional[int] = DEFAULT_MAX_SERIES,
     ) -> None:
         self.sim = sim
         self.window_ms = window_ms
-        self.max_windows = max_windows
         self.max_series = max_series
         self._series: Dict[Tuple[str, LabelKey], TimeSeries] = {}
         self.series_overflowed = 0
@@ -216,13 +217,11 @@ class TimeSeriesHub:
                 ts = self._series[overflow_key] = TimeSeries(
                     name, dict(OVERFLOW_LABELS), kind=kind,
                     window_ms=window_ms or self.window_ms,
-                    max_windows=self.max_windows,
                 )
             return ts
         ts = self._series[key] = TimeSeries(
             name, {k: str(v) for k, v in labels.items()}, kind=kind,
             window_ms=window_ms or self.window_ms,
-            max_windows=self.max_windows,
         )
         return ts
 
@@ -400,7 +399,7 @@ class ProgressReporter:
     """Periodic sim-time progress snapshots for long runs.
 
     Self-rescheduling: each tick snapshots the deployment, hands the
-    frame to ``sink`` (and keeps the last ``keep`` frames), then
+    frame to ``sink`` (and keeps the last :data:`SNAPSHOTS_KEPT`), then
     re-arms only while the simulator still has work queued — the
     reporter alone can never keep ``sim.run()`` alive. Ticks only
     *read* deployment state, so the workload's event timeline is
@@ -421,14 +420,13 @@ class ProgressReporter:
         deployment,
         interval_ms: float = 1000.0,
         sink: Optional[Callable[[Dict[str, Any]], None]] = None,
-        keep: int = 120,
     ) -> None:
         if interval_ms <= 0:
             raise ValueError("interval_ms must be > 0")
         self.deployment = deployment
         self.interval_ms = interval_ms
         self.sink = sink
-        self.snapshots: deque = deque(maxlen=keep)
+        self.snapshots: deque = deque(maxlen=SNAPSHOTS_KEPT)
         self.ticks = 0
         self._armed = False
         self._last_time_ms = 0.0

@@ -24,13 +24,11 @@ class TraceReplayer:
         inject: Callable[[Packet], None],
         blueprints: Sequence[PacketBlueprint],
         rate_pps: float = 2500.0,
-        start_ms: float = 0.0,
     ) -> None:
         self.sim = sim
         self.inject = inject
         self.blueprints = list(blueprints)
         self.interval_ms = 1000.0 / rate_pps
-        self.start_ms = start_ms
         #: Every packet instantiated, in injection order.
         self.injected: List[Packet] = []
         self._started = False
@@ -48,12 +46,9 @@ class TraceReplayer:
         self._started = True
         for index, blueprint in enumerate(self.blueprints):
             self.sim.schedule(
-                self.start_ms + index * self.interval_ms, self._emit, blueprint
+                index * self.interval_ms, self._emit, blueprint
             )
-        self.sim.schedule(
-            self.start_ms + len(self.blueprints) * self.interval_ms,
-            self.finished.trigger,
-        )
+        self.sim.schedule(self.duration_ms, self.finished.trigger)
         return self
 
     def _emit(self, blueprint: PacketBlueprint) -> None:
@@ -63,4 +58,4 @@ class TraceReplayer:
 
     def time_of_packet(self, index: int) -> float:
         """When the ``index``-th packet is (or will be) injected."""
-        return self.start_ms + index * self.interval_ms
+        return index * self.interval_ms

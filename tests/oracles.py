@@ -1,0 +1,78 @@
+"""Reference oracles the differential tests pin the fast paths against.
+
+Each is the original linear algorithm, written as a pure function over
+a public iteration surface of the production object — ``iter(table)``
+(match order), ``nf.event_rules()`` (registration order), ``iter(store)``
+(insertion order), a plain list of samples — so the production classes
+hold exactly one path and the slow one lives here, where only tests can
+reach it.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterable, List, Optional
+
+from repro.flowspace import Filter, FlowId
+from repro.net import FlowTable, Packet
+from repro.net.flowtable import FlowEntry
+from repro.nf import EventRule, NetworkFunction
+
+
+def linear_lookup(table: FlowTable, packet: Packet) -> Optional[FlowEntry]:
+    """First entry, in match order, whose filter matches ``packet``."""
+    for entry in table:
+        if entry.filter.matches_packet(packet):
+            return entry
+    return None
+
+
+def linear_find(
+    table: FlowTable, flt: Filter, priority: Optional[int] = None
+) -> Optional[FlowEntry]:
+    """First entry with exactly this filter (and priority, if given)."""
+    for entry in table:
+        if entry.filter == flt and priority in (None, entry.priority):
+            return entry
+    return None
+
+
+def linear_overlapping(table: FlowTable, flt: Filter) -> List[FlowEntry]:
+    """Every entry sharing flow space with ``flt``, in match order."""
+    return [entry for entry in table if entry.filter.intersects(flt)]
+
+
+def linear_match_rule(
+    nf: NetworkFunction, packet: Packet
+) -> Optional[EventRule]:
+    """The most recently enabled rule matching ``packet``."""
+    for rule in reversed(nf.event_rules()):
+        if rule.filter.matches_packet(packet):
+            return rule
+    return None
+
+
+def linear_keys_matching(
+    store: Iterable[FlowId],
+    flt: Filter,
+    relevant_fields: Optional[Iterable[str]] = None,
+) -> List[FlowId]:
+    """Stored flowids matching ``flt`` under §4.2, in insertion order."""
+    return [fid for fid in store if flt.matches_flowid(fid, relevant_fields)]
+
+
+def raw_percentile(samples: List[float], q: float) -> Optional[float]:
+    """Exact nearest-rank percentile over the raw samples.
+
+    ``q`` is a percentage in ``[0, 100]``; ``q=0`` is the minimum,
+    ``q=100`` the maximum, empty input gives ``None``.
+    """
+    if not (0.0 <= q <= 100.0):
+        raise ValueError("percentile q=%r outside [0, 100]" % (q,))
+    if not samples:
+        return None
+    ordered = sorted(samples)
+    if q == 0:
+        return ordered[0]
+    rank = max(1, int(math.ceil(q / 100.0 * len(ordered))))
+    return ordered[min(rank, len(ordered)) - 1]

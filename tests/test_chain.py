@@ -9,8 +9,6 @@ deliberately-dirty ones), rollback on abort, scale-out, the sharded
 facade, and the conformance-kit chain cells at shards 1 and 2.
 """
 
-import warnings
-
 import pytest
 
 from repro.conformance import (
@@ -25,7 +23,6 @@ from repro.harness import (
     Deployment,
     LOCAL_NET_FILTER,
     check_chain_loss_free,
-    coerce_guarantee,
     run_move_experiment,
 )
 from repro.controller.move import Guarantee
@@ -250,21 +247,13 @@ class TestBlessedApi:
             assert name in repro.__all__
             assert getattr(repro, name) is not None
 
-    def test_string_guarantee_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="plain string guarantee"):
-            assert coerce_guarantee("loss-free") is Guarantee.LOSS_FREE
-
-    def test_enum_guarantee_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert (coerce_guarantee(Guarantee.LOSS_FREE)
-                    is Guarantee.LOSS_FREE)
-
-    def test_experiment_harness_routes_through_coercion(self):
-        with pytest.warns(DeprecationWarning, match="plain string guarantee"):
-            result = run_move_experiment(guarantee="loss-free", n_flows=4,
+    def test_experiment_harness_takes_any_guarantee_spelling(self):
+        # The harness hands the value to controller.move, which parses.
+        for guarantee in ("loss-free", Guarantee.LOSS_FREE):
+            result = run_move_experiment(guarantee=guarantee, n_flows=4,
                                          data_packets=2)
-        assert result.loss_free, result.loss_free_detail
+            assert result.report.guarantee is Guarantee.LOSS_FREE
+            assert result.loss_free, result.loss_free_detail
 
 
 class TestShardedFacade:

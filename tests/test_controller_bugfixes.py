@@ -290,3 +290,34 @@ class TestChainAbortRacingHopCompletion:
         # original instance and the admission table drained.
         assert [hop.active for hop in chain.hops] == ["a1", "b1"]
         assert dep.controller.replicas[0]._admission == {}
+
+
+class TestShareSetupFailureReleases:
+    """A share whose set-up hits a dead instance used to die inside its
+    process: ``started``/``done`` never fired, its admission reservation
+    was held forever, and a later overlapping move stayed deferred."""
+
+    @pytest.mark.parametrize("faults", [None, "seed=1"],
+                             ids=["classic", "reliable"])
+    def test_failed_setup_fires_done_and_unblocks_queued_move(self, faults):
+        dep, (a, b, c) = build_multi_instance_deployment(
+            3, nf_factory=DummyNF,
+            deployment_kwargs={"faults": faults},
+        )
+        feed(dep, a, count=4)
+        b.fail("dead before the share")
+        share = dep.controller.share(
+            [a.name, b.name], Filter({"nw_src": "10.0.0.0/8"}, symmetric=True)
+        )
+        move = dep.controller.move(
+            a.name, c.name, Filter({"nw_src": "10.0.1.0/24"}, symmetric=True)
+        )
+        assert not move.done.triggered  # deferred behind the share
+        dep.sim.run()
+
+        assert share.started.triggered and not share.started.ok
+        assert share.done.triggered
+        assert b.name in share.report.aborted
+        assert move.done.triggered and move.done.value.aborted is None
+        assert len(c.flows) == 4
+        assert all(not shard._admission for shard in dep.controller.replicas)

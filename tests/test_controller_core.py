@@ -5,13 +5,15 @@ import pytest
 from repro.flowspace import Filter, FiveTuple
 from repro.harness import (
     Deployment,
+    LatencyReport,
+    added_latency,
     build_multi_instance_deployment,
     check_loss_free,
     check_order_preserving,
+    completion_times,
     merged_processing_order,
     switch_forwarding_order,
 )
-from repro.metrics import LatencyReport, added_latency
 from repro.net.flowtable import HIGH_PRIORITY, MID_PRIORITY
 from repro.nf import EventAction
 from repro.nfs.monitor import AssetMonitor
@@ -229,15 +231,13 @@ class TestDeploymentHelpers:
         dep.sim.run()
         counts = dep.processed_uid_counts()
         assert counts == {packet.uid: 1}
-        assert dep.processing_time_of(packet.uid) is not None
-        assert dep.processing_time_of(99999) is None
+        assert list(completion_times([a, b])) == [packet.uid]
 
-    def test_processed_events_sorted(self):
+    def test_completion_times_earliest_across_instances(self):
         dep, (a, b) = build_multi_instance_deployment(2)
-        a.processing_log = [(2.0, 20)]
+        a.processing_log = [(2.0, 20), (5.0, 10)]
         b.processing_log = [(1.0, 10)]
-        events = dep.processed_events()
-        assert [uid for (_t, uid, _n) in events] == [10, 20]
+        assert completion_times([a, b]) == {20: 2.0, 10: 1.0}
 
 
 class TestReportToDict:

@@ -1,11 +1,11 @@
 """Differential tests pinning the indexed fast paths to the linear oracles.
 
-The index structures (FlowTable buckets, BaseNF event-rule index,
-FlowKeyedStore) are always maintained; the ``indexed`` /
-``use_indexed_rules`` / ``use_indexed_state`` flags only switch the
-query strategy. These tests drive randomized workloads — exact,
-symmetric, reversed, prefix, port-only, and wildcard filters, with
-interleaved removals — through both strategies and require bit-identical
+The production classes (FlowTable buckets, the NF event-rule index,
+FlowKeyedStore) hold only the indexed path; the linear scans they
+replaced are pure functions in ``tests/oracles.py`` over the same
+objects' public iteration order. These tests drive randomized workloads
+— exact, symmetric, reversed, prefix, port-only, and wildcard filters,
+with interleaved removals — through both and require bit-identical
 results: same winning entries, same forward logs, same event actions,
 same state-key lists in the same order.
 """
@@ -21,6 +21,13 @@ from repro.net.packet import reset_uid_counter
 from repro.nf.events import EventAction
 from repro.nfs.dummy import DummyNF
 from repro.sim import Simulator
+from tests.oracles import (
+    linear_find,
+    linear_keys_matching,
+    linear_lookup,
+    linear_match_rule,
+    linear_overlapping,
+)
 
 IPS = ["10.0.%d.%d" % (i // 200, 1 + i % 200) for i in range(2000)] + \
     ["203.0.113.%d" % i for i in range(1, 4)]
@@ -103,7 +110,7 @@ class TestFlowTableDifferential:
         exact same entry object as the linear oracle for every packet."""
         rng = random.Random(42)
         pool = [random_five_tuple(rng) for _ in range(2000)]
-        table = FlowTable(indexed=True)
+        table = FlowTable()
         installed = []
         for step in range(4000):
             if installed and rng.random() < 0.2:
@@ -118,16 +125,12 @@ class TestFlowTableDifferential:
         for _ in range(500):
             packet = Packet(rng.choice(pool) if rng.random() < 0.7
                             else random_five_tuple(rng))
-            table.indexed = True
-            fast = table.lookup(packet)
-            table.indexed = False
-            slow = table.lookup(packet)
-            assert fast is slow
+            assert table.lookup(packet) is linear_lookup(table, packet)
 
     def test_randomized_find_and_overlap_equivalence(self):
         rng = random.Random(43)
         pool = [random_five_tuple(rng) for _ in range(150)]
-        table = FlowTable(indexed=True)
+        table = FlowTable()
         filters = [random_filter(rng, pool) for _ in range(400)]
         for i, flt in enumerate(filters):
             table.install(flt, rng.choice([10, 100, 1000]), ["p%d" % i],
@@ -135,39 +138,35 @@ class TestFlowTableDifferential:
         for _ in range(200):
             probe = rng.choice(filters) if rng.random() < 0.7 else \
                 random_filter(rng, pool)
-            table.indexed = True
-            fast_find = table.find(probe)
-            fast_overlap = table.entries_overlapping(probe)
-            table.indexed = False
-            assert fast_find is table.find(probe)
-            slow_overlap = table.entries_overlapping(probe)
-            assert [e.entry_id for e in fast_overlap] == \
-                [e.entry_id for e in slow_overlap]
+            assert table.find(probe) is linear_find(table, probe)
+            assert [e.entry_id for e in table.entries_overlapping(probe)] \
+                == [e.entry_id for e in linear_overlapping(table, probe)]
 
-    def test_switch_forward_log_identical(self):
-        """End to end: the same rules + packets produce byte-identical
-        forward logs whether the table is indexed or linear."""
-
-        def run(indexed):
-            reset_uid_counter()
-            rng = random.Random(99)
-            pool = [random_five_tuple(rng) for _ in range(200)]
-            sim = Simulator()
-            switch = Switch(sim)
-            switch.table.indexed = indexed
-            for port in ("a", "b", "c"):
-                switch.attach(port, lambda p: None, Link(sim))
-            for step in range(300):
-                switch.table.install(
-                    random_filter(rng, pool), rng.choice([10, 100, 1000]),
-                    [rng.choice(["a", "b", "c"])], 0.0,
-                )
-            for _ in range(400):
-                switch.inject(Packet(rng.choice(pool)))
-            sim.run()
-            return switch.forward_log
-
-        assert run(True) == run(False)
+    def test_switch_forward_log_matches_oracle(self):
+        """End to end: every packet the switch forwards took the
+        actions of the entry the linear oracle picks for it."""
+        reset_uid_counter()
+        rng = random.Random(99)
+        pool = [random_five_tuple(rng) for _ in range(200)]
+        sim = Simulator()
+        switch = Switch(sim)
+        for port in ("a", "b", "c"):
+            switch.attach(port, lambda p: None, Link(sim))
+        for step in range(300):
+            switch.table.install(
+                random_filter(rng, pool), rng.choice([10, 100, 1000]),
+                [rng.choice(["a", "b", "c"])], 0.0,
+            )
+        packets = [Packet(rng.choice(pool)) for _ in range(400)]
+        expected = []
+        for packet in packets:
+            entry = linear_lookup(switch.table, packet)
+            if entry is not None:
+                expected.append((packet.uid, entry.actions))
+            switch.inject(packet)
+        sim.run()
+        assert [(uid, actions) for _when, uid, actions
+                in switch.forward_log] == expected
 
 
 class TestEventRuleDifferential:
@@ -192,10 +191,8 @@ class TestEventRuleDifferential:
         for _ in range(500):
             packet = Packet(rng.choice(pool) if rng.random() < 0.7
                             else random_five_tuple(rng))
-            nf.use_indexed_rules = True
             fast = nf._match_rule(packet)
-            nf.use_indexed_rules = False
-            slow = nf._match_rule(packet)
+            slow = linear_match_rule(nf, packet)
             assert fast is slow
             if fast is not None:
                 assert fast.effective_action(packet) is \
@@ -203,16 +200,15 @@ class TestEventRuleDifferential:
 
     def test_update_in_place_keeps_precedence(self):
         """Re-enabling an existing filter must not promote it over rules
-        enabled later — in either matching mode."""
+        enabled later — for the index or for the oracle's view of it."""
         ft = FiveTuple("10.0.0.1", 80, "10.0.0.2", 443)
-        for indexed in (True, False):
-            nf = DummyNF(Simulator(), "dut")
-            nf.use_indexed_rules = indexed
-            nf.sb_enable_events(Filter(ft.headers()), EventAction.BUFFER)
-            nf.sb_enable_events(Filter.wildcard(), EventAction.DROP)
-            nf.sb_enable_events(Filter(ft.headers()), EventAction.PROCESS)
-            rule = nf._match_rule(Packet(ft))
-            assert rule.action is EventAction.DROP
+        nf = DummyNF(Simulator(), "dut")
+        nf.sb_enable_events(Filter(ft.headers()), EventAction.BUFFER)
+        nf.sb_enable_events(Filter.wildcard(), EventAction.DROP)
+        nf.sb_enable_events(Filter(ft.headers()), EventAction.PROCESS)
+        rule = nf._match_rule(Packet(ft))
+        assert rule.action is EventAction.DROP
+        assert linear_match_rule(nf, Packet(ft)) is rule
 
 
 class TestStateStoreDifferential:
@@ -233,9 +229,8 @@ class TestStateStoreDifferential:
         relevant = ("nw_src", "nw_dst", "nw_proto", "tp_src", "tp_dst")
         for _ in range(300):
             flt = random_filter(rng)
-            fast = store.keys_matching(flt, relevant, indexed=True)
-            slow = store.keys_matching(flt, relevant, indexed=False)
-            assert fast == slow
+            assert store.keys_matching(flt, relevant) == \
+                linear_keys_matching(store, flt, relevant)
 
     def test_projection_drops_fast_path_not_matches(self):
         """When relevant_fields discards some constraints, the indexed
@@ -246,7 +241,7 @@ class TestStateStoreDifferential:
         store[host] = {}
         flt = Filter(ft.headers())
         # Projected onto IPs only, the full-tuple filter still selects the
-        # host aggregate; both strategies must agree.
-        fast = store.keys_matching(flt, ("nw_src", "nw_dst"), indexed=True)
-        slow = store.keys_matching(flt, ("nw_src", "nw_dst"), indexed=False)
-        assert fast == slow == [host]
+        # host aggregate; index and oracle must agree.
+        relevant = ("nw_src", "nw_dst")
+        assert store.keys_matching(flt, relevant) == \
+            linear_keys_matching(store, flt, relevant) == [host]

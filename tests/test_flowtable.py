@@ -1,7 +1,7 @@
 """Unit tests for FlowTable semantics and the exact-match index.
 
-Every ordering-sensitive test runs against both the indexed fast path
-and the linear reference oracle (``indexed=False``) — the two must be
+Every lookup the semantics tests make is also checked against the
+linear reference oracle (``tests/oracles.py``) — the two must be
 bit-identical.
 """
 
@@ -19,6 +19,7 @@ from repro.net import (
     TableFullError,
 )
 from repro.sim import Simulator
+from tests.oracles import linear_find, linear_lookup, linear_overlapping
 
 
 FLOW = FiveTuple("10.0.1.2", 1234, "203.0.113.5", 80)
@@ -28,9 +29,28 @@ def exact_filter(ft=FLOW, symmetric=False):
     return Filter(ft.headers(), symmetric=symmetric)
 
 
-@pytest.fixture(params=[True, False], ids=["indexed", "linear"])
-def table(request):
-    return FlowTable(indexed=request.param)
+class _OracleCheckedTable(FlowTable):
+    """A FlowTable whose every query is cross-checked with the oracle."""
+
+    def lookup(self, packet):
+        entry = super().lookup(packet)
+        assert entry is linear_lookup(self, packet)
+        return entry
+
+    def find(self, flt, priority=None):
+        entry = super().find(flt, priority)
+        assert entry is linear_find(self, flt, priority)
+        return entry
+
+    def entries_overlapping(self, flt):
+        entries = super().entries_overlapping(flt)
+        assert entries == linear_overlapping(self, flt)
+        return entries
+
+
+@pytest.fixture
+def table():
+    return _OracleCheckedTable()
 
 
 class TestLookupSemantics:
@@ -145,8 +165,8 @@ class TestEntriesOverlapping:
 
 
 class TestIndexedOracleAgreement:
-    def test_toggle_preserves_lookups(self):
-        table = FlowTable(indexed=True)
+    def test_lookups_agree_with_oracle(self):
+        table = FlowTable()
         filters = [
             Filter.wildcard(),
             Filter({"nw_src": "10.0.0.0/8"}),
@@ -160,11 +180,7 @@ class TestIndexedOracleAgreement:
         packets = [Packet(FLOW), Packet(FLOW.reversed()),
                    Packet(FiveTuple("172.16.0.1", 5, "172.16.0.2", 6))]
         for packet in packets:
-            table.indexed = True
-            fast = table.lookup(packet)
-            table.indexed = False
-            slow = table.lookup(packet)
-            assert fast is slow
+            assert table.lookup(packet) is linear_lookup(table, packet)
 
 
 class TestCapacity:

@@ -1,8 +1,8 @@
-"""Tests for the throughput metrics."""
+"""Tests for the throughput measurements (``repro.harness.measure``)."""
 
 import pytest
 
-from repro.metrics import sustained_throughput, throughput_timeline, time_to_reach
+from repro.harness import sustained_throughput, throughput_timeline, time_to_reach
 
 
 class FakeNF:

@@ -15,7 +15,8 @@ import pytest
 
 from repro.harness import run_move_experiment
 from repro.obs import MetricsRegistry
-from repro.obs.metrics import GAMMA, OVERFLOW_LABELS, percentile_of
+from repro.obs.metrics import GAMMA, OVERFLOW_LABELS
+from tests.oracles import raw_percentile
 
 pytestmark = pytest.mark.obs
 
@@ -62,20 +63,8 @@ class TestGauge:
 
 
 class TestHistogram:
-    def test_aggregates(self):
-        hist = MetricsRegistry(bounded_histograms=False).histogram("rpc_ms")
-        for value in (2.0, 4.0, 9.0):
-            hist.observe(value, op="get")
-        assert hist.count(op="get") == 3
-        assert hist.sum(op="get") == 15.0
-        assert hist.min(op="get") == 2.0
-        assert hist.max(op="get") == 9.0
-        assert hist.mean(op="get") == 5.0
-        assert hist.values(op="get") == [2.0, 4.0, 9.0]
-
-    def test_bounded_aggregates_exact(self):
-        # count/sum/min/max/mean are exact on the bounded implementation;
-        # only percentile is approximate.
+    def test_aggregates_exact(self):
+        # count/sum/min/max/mean are exact; only percentile is approximate.
         hist = MetricsRegistry().histogram("rpc_ms")
         for value in (2.0, 4.0, 9.0):
             hist.observe(value, op="get")
@@ -84,12 +73,6 @@ class TestHistogram:
         assert hist.min(op="get") == 2.0
         assert hist.max(op="get") == 9.0
         assert hist.mean(op="get") == 5.0
-
-    def test_bounded_values_rejected(self):
-        hist = MetricsRegistry().histogram("rpc_ms")
-        hist.observe(1.0)
-        with pytest.raises(TypeError):
-            hist.values()
 
     def test_empty_series(self):
         hist = MetricsRegistry().histogram("rpc_ms")
@@ -108,57 +91,51 @@ class TestHistogram:
             }
         }
 
-    def test_percentiles_nearest_rank(self):
-        hist = MetricsRegistry(bounded_histograms=False).histogram("rpc_ms")
-        for value in range(1, 101):
-            hist.observe(float(value))
-        assert hist.percentile(50) == 50.0
-        assert hist.percentile(90) == 90.0
-        assert hist.percentile(99) == 99.0
-        assert hist.percentile(100) == 100.0
-        assert hist.percentile(50, op="missing") is None
+    def test_oracle_percentiles_nearest_rank(self):
+        samples = [float(value) for value in range(1, 101)]
+        assert raw_percentile(samples, 50) == 50.0
+        assert raw_percentile(samples, 90) == 90.0
+        assert raw_percentile(samples, 99) == 99.0
+        assert raw_percentile(samples, 100) == 100.0
+        assert MetricsRegistry().histogram("rpc_ms").percentile(
+            50, op="missing") is None
 
     def test_percentile_edge_cases(self):
-        for bounded in (False, True):
-            hist = MetricsRegistry(
-                bounded_histograms=bounded
-            ).histogram("rpc_ms")
-            hist.observe(7.5)
-            # A single sample IS every percentile.
-            assert hist.percentile(0) == 7.5
-            assert hist.percentile(50) == 7.5
-            assert hist.percentile(100) == 7.5
-            with pytest.raises(ValueError):
-                hist.percentile(-1)
-            with pytest.raises(ValueError):
-                hist.percentile(101)
-
-    def test_percentile_of_edges(self):
-        assert percentile_of([], 50) is None
-        assert percentile_of([3.0], 0) == 3.0
-        assert percentile_of([3.0], 100) == 3.0
-        assert percentile_of([5.0, 1.0, 3.0], 0) == 1.0
-        assert percentile_of([5.0, 1.0, 3.0], 100) == 5.0
+        hist = MetricsRegistry().histogram("rpc_ms")
+        hist.observe(7.5)
+        # A single sample IS every percentile.
+        assert hist.percentile(0) == 7.5
+        assert hist.percentile(50) == 7.5
+        assert hist.percentile(100) == 7.5
         with pytest.raises(ValueError):
-            percentile_of([1.0], 120)
+            hist.percentile(-1)
+        with pytest.raises(ValueError):
+            hist.percentile(101)
+
+    def test_oracle_percentile_edges(self):
+        assert raw_percentile([], 50) is None
+        assert raw_percentile([3.0], 0) == 3.0
+        assert raw_percentile([3.0], 100) == 3.0
+        assert raw_percentile([5.0, 1.0, 3.0], 0) == 1.0
+        assert raw_percentile([5.0, 1.0, 3.0], 100) == 5.0
+        with pytest.raises(ValueError):
+            raw_percentile([1.0], 120)
 
     def test_bounded_within_one_bucket_of_raw_oracle(self):
         """Differential test: bounded percentiles land within one
         log-bucket width of the exact nearest-rank answer."""
         rng = random.Random(20260808)
         for trial in range(20):
-            exact_reg = MetricsRegistry(bounded_histograms=False)
-            approx_reg = MetricsRegistry()
-            exact_hist = exact_reg.histogram("lat")
-            approx_hist = approx_reg.histogram("lat")
+            samples = []
+            approx_hist = MetricsRegistry().histogram("lat")
             n = rng.randrange(1, 400)
             for _ in range(n):
                 # Mix of magnitudes: sub-ms to tens of seconds.
                 value = rng.uniform(0.01, 10.0) * 10 ** rng.randrange(0, 4)
-                exact_hist.observe(value)
+                samples.append(value)
                 approx_hist.observe(value)
             for q in (0, 1, 25, 50, 90, 99, 100):
-                exact = exact_hist.percentile(q)
+                exact = raw_percentile(samples, q)
                 approx = approx_hist.percentile(q)
                 assert exact <= approx <= exact * GAMMA * (1 + 1e-9), (
                     trial, q, exact, approx
@@ -269,14 +246,6 @@ class TestBoundHandles:
         assert counter.value(nf="a") == 3
         assert gauge.value(q="x") == 3.0
         assert hist.count(op="get") == 1
-
-    def test_bound_raw_histogram(self):
-        registry = MetricsRegistry(bounded_histograms=False)
-        hist = registry.histogram("lat")
-        handle = hist.bind(op="get")
-        handle.observe(1.0)
-        handle.observe(2.0)
-        assert hist.values(op="get") == [1.0, 2.0]
 
 
 class TestRegistry:

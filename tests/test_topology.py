@@ -4,7 +4,11 @@ import pytest
 
 from repro.flowspace import Filter, FiveTuple
 from repro.harness.properties import check_loss_free, check_order_preserving
-from repro.net.topology import TwoTierTopology
+from repro.net.topology import (
+    LEAF_LATENCY_MS,
+    NF_LINK_LATENCY_MS,
+    TwoTierTopology,
+)
 from repro.nfs.monitor import AssetMonitor
 from repro.traffic import TraceConfig, TraceReplayer, build_university_cloud_trace
 from tests.conftest import make_packet
@@ -36,7 +40,7 @@ class TestTwoTier:
         topo.sim.run()
         done_at = src.processing_log[0][0]
         # spine->leaf link + leaf->nf link + processing, at least.
-        assert done_at >= topo.leaf_latency_ms + topo.nf_link_latency_ms
+        assert done_at >= LEAF_LATENCY_MS + NF_LINK_LATENCY_MS
 
     def test_packet_out_reaches_nf_behind_leaf(self, flow):
         topo, src, _dst = build()
