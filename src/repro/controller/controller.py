@@ -256,8 +256,7 @@ class OpenNFController:
         #: paying one inbox slot each, and move/copy pipeline their
         #: get→put hand-off. ``None`` keeps the classic per-message
         #: path byte-identical.
-        self.batching = batching if (batching is None or batching.enabled) \
-            else None
+        self.batching = batching
         self.msg_proc_ms = msg_proc_ms
         self.nf_channel_bandwidth = nf_channel_bandwidth_bytes_per_ms
         #: Optional :class:`repro.faults.FaultPlan`. Installing one turns
@@ -395,8 +394,6 @@ class OpenNFController:
         )
         self._attach_faults(client.to_nf)
         self._attach_faults(client.from_nf)
-        self._attach_batching(client.to_nf)
-        self._attach_batching(client.from_nf)
         nf.connect_controller(client.from_nf, self.handle_nf_event)
         if self.reliable:
             # Events get sequence numbers, controller acks, and NF-side

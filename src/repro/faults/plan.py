@@ -216,7 +216,9 @@ class FaultPlan:
 
     #: Channels covered by the default spec: every NF-facing control
     #: channel (``ctrl->instN``, ``instN->ctrl``) but not the switch
-    #: channel — the reliability layer covers NF RPCs and NF events.
+    #: channel. The reliability layer covers NF RPCs, NF events and —
+    #: once the switch channel is named — switch RPCs, but packet-outs
+    #: are fire-and-forget: one dropped there is a lost packet.
     NF_CHANNEL_PATTERNS = ("ctrl->*", "*->ctrl")
     SWITCH_CHANNELS = ("ctrl->sw", "sw->ctrl")
 
@@ -237,7 +239,10 @@ class FaultPlan:
             crash=inst2@55     kill inst2 at t=55 ms
             crash=inst2#7      kill inst2 on its 7th southbound RPC
 
-        Example: ``drop=0.05,seed=3,channels=ctrl->*;*->ctrl``.
+        Example: ``drop=0.05,seed=3,channels=ctrl->inst*;inst*->ctrl``.
+        (``ctrl->*;*->ctrl`` also faults the switch channel: operations
+        still finish or abort cleanly, but a dropped packet-out is not
+        resent, so loss-freedom is not covered there.)
         """
         seed = 0
         drop = dup = delay_p = 0.0

@@ -23,8 +23,9 @@ which the determinism regression suite pins down.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs import NULL_OBS
 from repro.sim.core import Simulator
@@ -32,20 +33,37 @@ from repro.sim.core import Simulator
 #: 1 Gbps expressed in bytes per millisecond.
 GIGABIT_BYTES_PER_MS = 125_000.0
 
+#: The southbound retry schedule: a per-call timeout with capped
+#: exponential backoff — 25 ms doubling to 400 ms, seven attempts. The
+#: client stubs retry on it; the peers' :class:`AtMostOnce` tables hold
+#: responses for as long as it runs.
+RPC_TIMEOUT_MS = 25.0
+RPC_BACKOFF = 2.0
+RPC_MAX_TIMEOUT_MS = 400.0
+RPC_MAX_ATTEMPTS = 7
+
+
+def rpc_timeout_ms(attempt: int) -> float:
+    """How long attempt number ``attempt`` (from 0) waits for a response."""
+    return min(RPC_TIMEOUT_MS * RPC_BACKOFF ** attempt, RPC_MAX_TIMEOUT_MS)
+
+
+#: First send to give-up; past it no caller is waiting for a response.
+RPC_BUDGET_MS = sum(rpc_timeout_ms(n) for n in range(RPC_MAX_ATTEMPTS))
+
 
 @dataclass
 class BatchConfig:
     """Tuning knobs for the control-plane batching fast path (§8.3).
 
-    ``enabled=False`` (or simply not installing a config) keeps the
-    classic one-message-per-send behavior. ``pipeline_window`` bounds
+    Not installing a config (``batching=None``) keeps the classic
+    one-message-per-send behavior. ``pipeline_window`` bounds
     how many state-chunk frames ``move``/``copy`` keep in flight toward
     the destination while the source is still streaming (the windowed
     get→put pipeline); it rides along here because the same config
     object travels from the deployment down to every operation.
     """
 
-    enabled: bool = True
     #: Flush once this many messages are queued.
     batch_max_msgs: int = 16
     #: Flush once the queued payload reaches this many bytes. Sized so
@@ -75,11 +93,6 @@ class BatchConfig:
             raise ValueError("flush_interval_ms must be >= 0")
         if self.pipeline_window < 1:
             raise ValueError("pipeline_window must be >= 1")
-
-    @classmethod
-    def off(cls) -> "BatchConfig":
-        """An explicit 'batching disabled' config (for sweeps)."""
-        return cls(enabled=False)
 
 
 class ControlChannel:
@@ -199,10 +212,6 @@ class ControlChannel:
 
     # ------------------------------------------------------------- batching
 
-    @property
-    def batching_active(self) -> bool:
-        return self.batching is not None and self.batching.enabled
-
     def queue_send(
         self,
         size_bytes: int,
@@ -212,7 +221,7 @@ class ControlChannel:
     ) -> None:
         """Queue a message for the next batch frame (§8.3 fast path).
 
-        Without an enabled :class:`BatchConfig` this is exactly
+        Without a :class:`BatchConfig` installed this is exactly
         :meth:`send`. With one, the message joins the pending frame and
         is delivered when the frame flushes. ``coalesce`` names a
         group handler: consecutive queued messages sharing the same
@@ -222,7 +231,8 @@ class ControlChannel:
         frames reach the controller with a single per-frame
         :class:`~repro.controller.pump.ChunkPump` handling cost.
         """
-        if not self.batching_active:
+        config = self.batching
+        if config is None:
             self.send(size_bytes, deliver, *args)
             return
         if coalesce is not None and len(args) != 1:
@@ -230,7 +240,6 @@ class ControlChannel:
         first = not self._pending
         self._pending.append((size_bytes, deliver, args, coalesce))
         self._pending_bytes += size_bytes
-        config = self.batching
         if len(self._pending) >= config.batch_max_msgs:
             self.flush(reason="msgs")
         elif self._pending_bytes >= config.batch_max_bytes:
@@ -307,3 +316,55 @@ class ControlChannel:
                 group.append(entries[index][2][0])
                 index += 1
             coalesce(group)
+
+
+class AtMostOnce:
+    """Peer-side table that runs each retried request id at most once.
+
+    The first delivery of an id runs the request; a replay is answered
+    from the response cached by :meth:`complete`, or absorbed while the
+    request is still running. An entry is held for
+    :data:`RPC_BUDGET_MS` — as long as its caller may still resend —
+    then evicted inline on a later delivery (nothing is scheduled). A
+    stub numbers its requests from one counter, so every id at or below
+    the highest evicted one was either delivered already or given up on
+    by its caller: such an id is absorbed, never run, which keeps the
+    guarantee while the table stays bounded by the request rate.
+    """
+
+    def __init__(self, sim: Simulator) -> None:
+        self._sim = sim
+        #: request id -> resend thunk (``None`` until the request completes).
+        self._held: Dict[int, Optional[Callable[[], None]]] = {}
+        #: (first delivery time, request id), oldest first.
+        self._order: Deque[Tuple[float, int]] = deque()
+        self._evicted_through = 0
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    def deliver(self, request_id: int, run: Callable[[], None]) -> Optional[bool]:
+        """Run a first delivery (returns ``None``); a replay returns
+        whether a cached response was re-sent (``False``: absorbed)."""
+        now = self._sim.now
+        order, held = self._order, self._held
+        while order and now - order[0][0] > RPC_BUDGET_MS:
+            evicted = order.popleft()[1]
+            del held[evicted]
+            self._evicted_through = max(self._evicted_through, evicted)
+        if request_id in held:
+            resend = held[request_id]
+            if resend is not None:
+                resend()
+            return resend is not None
+        if request_id <= self._evicted_through:
+            return False
+        held[request_id] = None
+        order.append((now, request_id))
+        run()
+        return None
+
+    def complete(self, request_id: int, resend: Callable[[], None]) -> None:
+        """Cache the response-resend thunk of a finished request."""
+        if request_id in self._held:
+            self._held[request_id] = resend

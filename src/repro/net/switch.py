@@ -24,7 +24,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.flowspace.filter import Filter
-from repro.net.channel import ControlChannel
+from repro.net.channel import AtMostOnce, ControlChannel
 from repro.net.flowtable import FlowEntry, FlowTable
 from repro.net.link import Link
 from repro.net.packet import Packet
@@ -59,6 +59,10 @@ class TableFullError(RuntimeError):
 class Switch:
     """An OpenFlow-like switch under simulated time."""
 
+    #: The model has no switch failure (an open ROADMAP item); the RPC
+    #: lifecycle asks every peer before it answers a retried request.
+    failed = False
+
     def __init__(
         self,
         sim: Simulator,
@@ -90,9 +94,11 @@ class Switch:
         #: Installed XFSM machines (data-plane offload), checked before
         #: table lookup; empty list = classic switch, byte-identical.
         self._xfsm_machines: List[XFSMInstance] = []
-        #: At-most-once dedup for retried XFSM control RPCs:
-        #: request_id -> resend-response thunk (or None).
-        self._xfsm_rpc_seen: Dict[int, Optional[Callable[[], None]]] = {}
+        #: At-most-once dedup for retried control RPCs, behind the same
+        #: dispatcher surface as an NF's so one stub lifecycle serves both.
+        self._rpc_seen = AtMostOnce(sim)
+        self.rpc_deliver = self._rpc_seen.deliver
+        self.rpc_complete = self._rpc_seen.complete
         # Data-path statistics.
         self.received = 0
         self.forwarded = 0
@@ -378,25 +384,3 @@ class Switch:
     def state_machines(self) -> List[XFSMInstance]:
         """The currently installed machines (stats inspection)."""
         return list(self._xfsm_machines)
-
-    def xfsm_rpc_deliver(self, request_id: int) -> bool:
-        """At-most-once guard for retried XFSM control RPCs.
-
-        Returns True exactly once per request id (apply the command);
-        duplicates re-run the resend thunk cached by
-        :meth:`xfsm_rpc_complete`, if any, so a response lost on the
-        return channel is replayed rather than recomputed.
-        """
-        if request_id in self._xfsm_rpc_seen:
-            replay = self._xfsm_rpc_seen[request_id]
-            if replay is not None:
-                replay()
-            return False
-        self._xfsm_rpc_seen[request_id] = None
-        return True
-
-    def xfsm_rpc_complete(
-        self, request_id: int, resend: Callable[[], None]
-    ) -> None:
-        """Cache the response-resend thunk for a finished XFSM RPC."""
-        self._xfsm_rpc_seen[request_id] = resend

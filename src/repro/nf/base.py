@@ -29,6 +29,7 @@ from repro.flowspace.filter import Filter, FlowId, packet_match_keys
 from repro.nf.costs import NFCostModel
 from repro.nf.events import EventAction, EventRule, PacketEvent
 from repro.nf.state import Scope, StateChunk
+from repro.net.channel import AtMostOnce
 from repro.net.packet import Packet
 from repro.obs import NULL_OBS
 from repro.sim.core import Event, Simulator
@@ -94,9 +95,7 @@ class NetworkFunction:
         self.event_sink: Optional[Callable[[PacketEvent], None]] = None
         self.event_channel = None  # ControlChannel towards the controller
         # Reliable-delivery machinery (active only under a fault plan).
-        # Southbound RPC dedup: request id -> "pending" while the call
-        # runs, then a zero-arg resend thunk for the cached response.
-        self._rpc_seen: Dict[int, Any] = {}
+        self._rpc_seen = AtMostOnce(sim)
         self.rpcs_delivered = 0
         self.rpcs_deduplicated = 0
         self._crash_on_rpc: Optional[Tuple[int, str]] = None
@@ -212,30 +211,25 @@ class NetworkFunction:
         that arrive while it is still in flight are absorbed (the
         original run will send the response); replays after completion
         re-send the cached response instead of re-applying state — this
-        is what makes a replayed ``put_perflow`` safe.
+        is what makes a replayed ``put_perflow`` safe. The table
+        (:class:`~repro.net.channel.AtMostOnce`) is the switch's too.
         """
         self.rpcs_delivered += 1
         if self._crash_on_rpc is not None and not self.failed:
             nth, reason = self._crash_on_rpc
             if self.rpcs_delivered >= nth:
                 self.fail(reason)
-        state = self._rpc_seen.get(request_id)
-        if state is None:
-            self._rpc_seen[request_id] = "pending"
-            run()
-        elif state == "pending":
+        served = self._rpc_seen.deliver(request_id, run)
+        if served is not None:
             self.rpcs_deduplicated += 1
-        else:
-            self.rpcs_deduplicated += 1
-            if self.obs.enabled:
+            if served and self.obs.enabled:
                 self.obs.metrics.counter("sb.replays_served").inc(
                     1, nf=self.name
                 )
-            state()
 
     def rpc_complete(self, request_id: int, resend: Callable[[], None]) -> None:
         """Cache the response-resend thunk for a finished request."""
-        self._rpc_seen[request_id] = resend
+        self._rpc_seen.complete(request_id, resend)
 
     # --------------------------------------------------------------- data path
 

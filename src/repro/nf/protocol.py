@@ -71,60 +71,45 @@ def message_size(message: Dict[str, Any]) -> int:
 # --------------------------------------------------------------- constructors
 
 
-def with_request_id(
-    message: Dict[str, Any], request_id: Optional[int]
-) -> Dict[str, Any]:
-    """Stamp a request id onto a message (reliable-delivery mode).
+def with_request_id(message: Dict[str, Any], request_id: int) -> Dict[str, Any]:
+    """Stamp a request id onto a request (reliable-delivery mode).
 
-    Request ids let the NF-side dispatcher recognize a replayed request
+    Request ids let the peer-side dispatcher recognize a replayed request
     (sent again after a southbound timeout) and re-send the cached
-    response instead of applying the operation twice. ``None`` (the
-    default when no fault plan is installed) leaves the message — and
-    therefore its wire size and channel timing — untouched.
+    response instead of applying the operation twice. The classic path
+    never stamps one, so its wire sizes and channel timing are untouched.
     """
-    if request_id is not None:
-        message["rid"] = request_id
+    message["rid"] = request_id
     return message
 
 
-def get_request(
-    call: str, flt: Filter, request_id: Optional[int] = None, **opts: Any
-) -> Dict[str, Any]:
+def get_request(call: str, flt: Filter, **opts: Any) -> Dict[str, Any]:
     """A get{Perflow,Multiflow,Allflows} request."""
     message: Dict[str, Any] = {"op": call, "filter": flt.to_dict()}
     enabled = {key: value for key, value in opts.items() if value}
     if enabled:
         message["opts"] = enabled
-    return with_request_id(message, request_id)
+    return message
 
 
-def put_request(
-    call: str, chunk_count: int, request_id: Optional[int] = None
-) -> Dict[str, Any]:
+def put_request(call: str, chunk_count: int) -> Dict[str, Any]:
     """A put* request header (chunk payloads are accounted separately)."""
-    return with_request_id({"op": call, "chunks": chunk_count}, request_id)
+    return {"op": call, "chunks": chunk_count}
 
 
-def delete_request(
-    call: str, flowids: Iterable[FlowId], request_id: Optional[int] = None
-) -> Dict[str, Any]:
+def delete_request(call: str, flowids: Iterable[FlowId]) -> Dict[str, Any]:
     """A del* request carrying the flowids to remove."""
-    return with_request_id(
-        {"op": call, "flowids": [fid.to_dict() for fid in flowids]}, request_id
-    )
+    return {"op": call, "flowids": [fid.to_dict() for fid in flowids]}
 
 
 def events_request(
-    call: str,
-    flt: Filter,
-    action: Optional[str] = None,
-    request_id: Optional[int] = None,
+    call: str, flt: Filter, action: Optional[str] = None
 ) -> Dict[str, Any]:
     """An enableEvents/disableEvents request."""
     message: Dict[str, Any] = {"op": call, "filter": flt.to_dict()}
     if action is not None:
         message["action"] = action
-    return with_request_id(message, request_id)
+    return message
 
 
 def response(call: str, status: str = "ok", **extra: Any) -> Dict[str, Any]:

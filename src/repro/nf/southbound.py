@@ -24,42 +24,48 @@ frames on the wire (via the channel's :class:`~repro.net.channel.
 BatchConfig`) and the callback receives each frame's chunk list in one
 call — one controller handling cost per frame instead of per chunk.
 
-Reliable mode (``reliable=True``, switched on whenever a
-:class:`~repro.faults.FaultPlan` is installed): every RPC carries a
-request id, runs under a per-call timeout with capped exponential
-backoff retries (:func:`send_until_done`), and the NF-side dispatcher
-(:meth:`~repro.nf.base.NetworkFunction.rpc_deliver`) deduplicates
-replayed requests so a retried ``put_perflow`` never double-applies
-state. Streamed get responses additionally reconcile the chunk list in
-the final response against the chunks that actually arrived and NACK
-the NF to retransmit any the channel lost. A call whose retry budget is
-exhausted fails its event with :class:`SouthboundTimeout`, which the
-northbound operations turn into a clean abort. Without a fault plan the
-classic single-send path is taken and message sizes, channel timing,
-and the event timeline are exactly as before.
-
-When observability is enabled every RPC opens an ``sb.<op>`` span at
-request time and closes it when the response lands, records its
-round-trip into the ``sb.rpc_ms`` histogram, and (reliable mode) its
-retry count into the ``sb.retries`` histogram.
+Every RPC of this stub and of the switch's (:class:`~repro.controller.
+forwarding.SwitchClient`) runs one lifecycle, :meth:`SouthboundStub._call`:
+a completion event, an ``sb.<op>`` / ``sw.<kind>`` span opened at request
+time and closed (with its round-trip and retry metrics) when the response
+lands, and the request shipped one of two ways. Classic: a single send.
+Reliable (``reliable=True``, switched on whenever a
+:class:`~repro.faults.FaultPlan` is installed): the request carries an id
+from the stub's counter, is resent under a per-call timeout with capped
+exponential backoff, and the peer's :class:`~repro.net.channel.AtMostOnce`
+table (behind :meth:`~repro.nf.base.NetworkFunction.rpc_deliver`) runs
+it once and answers replays from the memoized response, so a retried
+``put_perflow`` never double-applies state. Streamed get responses
+additionally reconcile the chunk list in the final response against the
+chunks that actually arrived and NACK the NF to retransmit any the
+channel lost. A call whose retry budget is exhausted fails its event
+with :class:`SouthboundTimeout`, which the northbound operations turn
+into a clean abort. Without a fault plan message sizes, channel timing
+and the event timeline are exactly the classic ones.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterable, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.flowspace.filter import Filter, FlowId
-from repro.net.channel import BatchConfig, ControlChannel
+from repro.net.channel import (
+    RPC_MAX_ATTEMPTS,
+    BatchConfig,
+    ControlChannel,
+    rpc_timeout_ms,
+)
 from repro.nf.base import NetworkFunction
 from repro.nf.events import EventAction
 from repro.nf import protocol
-from repro.nf.state import Scope, StateChunk, chunks_total_bytes, chunks_wire_bytes
+from repro.nf.state import Scope, StateChunk, chunks_wire_bytes
 from repro.obs import NULL_OBS
 from repro.obs.span import NULL_SPAN
 from repro.sim.core import Event, Simulator
 
-#: Fallback size for small fixed messages (acks, list requests).
+#: Size of small fixed messages (acks, list requests, bodiless requests).
 REQUEST_BYTES = 128
 #: Per-chunk framing overhead when chunks travel in a response.
 CHUNK_OVERHEAD_BYTES = 74
@@ -86,52 +92,214 @@ class SouthboundTimeout(SouthboundError):
     """A southbound RPC exhausted its retry budget without a response."""
 
 
-#: The southbound retry policy: a per-call timeout with capped
-#: exponential backoff — 25 ms doubling to 400 ms, seven attempts.
-RPC_TIMEOUT_MS = 25.0
-RPC_BACKOFF = 2.0
-RPC_MAX_TIMEOUT_MS = 400.0
-RPC_MAX_ATTEMPTS = 7
+def _finish_span(span: Any, event: Event) -> None:
+    """Close ``span`` on the event that ends it; a failure marks it."""
+    span.__exit__(None, event.exception, None)
 
 
-def send_until_done(
-    sim: Simulator,
-    done: Event,
-    send: Callable[[], None],
-    on_timeout: Callable[[bool], None],
-    give_up: Callable[[int], SouthboundTimeout],
-) -> None:
-    """The southbound retry loop both the NF and the switch client run.
+class Call:
+    """One RPC in flight: what its peer-side body answers through."""
 
-    ``send()`` ships one attempt and a timer is armed behind it. A timer
-    that expires with ``done`` still pending first reports to the
-    caller's accounting — ``on_timeout(final)``, ``final`` once the
-    budget is spent — then resends, or fails ``done`` with
-    ``give_up(attempts)`` after :data:`RPC_MAX_ATTEMPTS`.
+    __slots__ = ("stub", "done", "rid", "span", "retries")
+
+    def __init__(self, stub: "SouthboundStub", done: Event) -> None:
+        self.stub = stub
+        self.done = done
+        #: Request id and resends so far; ``None`` on a single-send call.
+        self.rid: Optional[int] = None
+        self.retries: Optional[int] = None
+        self.span: Any = NULL_SPAN
+
+    def settle(self, value: Any = None) -> None:
+        """Trigger ``done`` unless a duplicate response beat us to it."""
+        if not self.done.triggered:
+            self.done.trigger(value)
+
+    def settle_fail(self, exc: BaseException) -> None:
+        if not self.done.triggered:
+            self.done.fail(exc)
+
+    def ack(self, _event: Optional[Event] = None) -> None:
+        """The request took effect at the peer; no response message."""
+        self.settle()
+
+    def reply(
+        self,
+        payload: Any = None,
+        size: int = REQUEST_BYTES,
+        deliver: Optional[Callable[[Any], None]] = None,
+    ) -> None:
+        """Peer-side: ship one response; memoize the resend under the id.
+
+        A replayed request finds the memoized thunk in the peer's
+        :class:`~repro.net.channel.AtMostOnce` table and re-sends the
+        response instead of re-running the operation.
+        """
+        stub = self.stub
+        deliver = deliver or self.settle
+        if self.rid is None:
+            stub.from_peer.send(size, deliver, payload)
+        elif not stub.peer.failed:
+            # (Fail-stop: a dead peer sends nothing; the caller's retry
+            # budget expires and the operation aborts on the timeout.)
+            resend = partial(stub.from_peer.send, size, deliver, payload)
+            resend()
+            stub.peer.rpc_complete(self.rid, resend)
+
+    def respond(
+        self,
+        event: Event,
+        size: int = REQUEST_BYTES,
+        deliver: Optional[Callable[[Any], None]] = None,
+    ) -> None:
+        """Reply with the outcome of the peer-side process ``event`` ends."""
+        if event.ok:
+            self.reply(event.value, size, deliver)
+        else:
+            self.reply(event.exception, deliver=self.settle_fail)
+
+
+class SouthboundStub:
+    """The one RPC lifecycle :class:`NFClient` and the switch client share.
+
+    A public RPC method is its peer-side body plus its wire size; the
+    rest — completion event, request id, ``sb.<op>`` / ``sw.<kind>`` span
+    and metrics, classic-or-reliable shipping, response memoization —
+    happens in :meth:`_call` and :class:`Call`. A stub adds only its
+    own names: :attr:`SPAN` / :attr:`PEER_LABEL`, and its metrics in
+    ``_note_done(op, elapsed_ms, retries)`` (a finished spanned call;
+    ``retries`` is ``None`` for a single-send one) and
+    ``_note_timeout(op, final)`` (one expired attempt).
     """
 
-    def attempt(number: int) -> None:
-        send()
-        sim.schedule(
-            min(RPC_TIMEOUT_MS * RPC_BACKOFF ** number, RPC_MAX_TIMEOUT_MS),
-            expired, number,
+    #: Span name pattern and the label key that names the peer.
+    SPAN: str
+    PEER_LABEL: str
+
+    def __init__(
+        self,
+        sim: Simulator,
+        peer: Any,
+        to_peer: ControlChannel,
+        from_peer: ControlChannel,
+        obs: Any,
+        reliable: bool,
+    ) -> None:
+        self.sim = sim
+        self.peer = peer
+        self.to_peer = to_peer
+        self.from_peer = from_peer
+        self.obs = obs
+        #: True whenever a fault plan is installed: calls carry request
+        #: ids, retry on a timeout and are deduplicated at the peer.
+        self.reliable = reliable
+        self._request_ids = itertools.count(1)
+        #: Cumulative reliability accounting; operations snapshot this to
+        #: fill ``OperationReport.retries`` / ``.timeouts``.
+        self.stats: Dict[str, int] = {
+            "attempts": 0, "retries": 0, "timeouts": 0, "failures": 0,
+        }
+
+    def _call(
+        self,
+        op: str,
+        name: str,
+        body: Callable[[Call], None],
+        request: Optional[Dict[str, Any]] = None,
+        payload_bytes: int = 0,
+        on_fault_only: bool = False,
+        spanned: bool = True,
+        **attrs: Any,
+    ) -> Event:
+        """Issue one RPC; the returned event fires with what ``body`` replies.
+
+        ``body(call)`` runs at the peer — at most once however often the
+        request is resent — and answers through ``call``. The request
+        weighs ``payload_bytes`` plus its JSON ``request`` message (a
+        fixed frame without one). The span is minted *before* the
+        request ships so that a causally bound caller's ``trace_id`` is
+        inherited while the proxy's cause window is still open and
+        peer-side closures can cite it as their ``cause_id``; retries
+        are events inside it, not orphan spans.
+        """
+        done = self.sim.event(name)
+        call = Call(self, done)
+        if spanned and self.obs.enabled:
+            span = call.span = self.obs.tracer.span(
+                self.SPAN % op, **{self.PEER_LABEL: self.peer.name}, **attrs
+            )
+            start = self.sim.now
+
+            def close(event: Event) -> None:
+                self._note_done(op, self.sim.now - start, call.retries)
+                _finish_span(span, event)
+
+            done.add_callback(close)
+        # The one mode question. A fault plan makes every call reliable
+        # except ``on_fault_only`` ones (the flow-mods), which stay
+        # single-send until the stub's own channel carries an injector.
+        if not self.reliable or (
+            on_fault_only and self.to_peer.faults is None
+            and self.from_peer.faults is None
+        ):
+            size = (REQUEST_BYTES if request is None
+                    else protocol.message_size(request))
+            self.to_peer.send(payload_bytes + size, body, call)
+            return done
+        call.rid = next(self._request_ids)
+        size = (REQUEST_BYTES + REQUEST_ID_BYTES if request is None else
+                protocol.message_size(protocol.with_request_id(request, call.rid)))
+        self._send_until_done(
+            op, call, payload_bytes + size, partial(body, call)
         )
+        return done
 
-    def expired(number: int) -> None:
-        if done.triggered:
-            return
-        final = number + 1 >= RPC_MAX_ATTEMPTS
-        on_timeout(final)
-        if final:
-            done.fail(give_up(number + 1))
-        else:
-            attempt(number + 1)
+    def _send_until_done(
+        self, op: str, call: Call, size: int, run: Callable[[], None]
+    ) -> None:
+        """The southbound retry loop (schedule: :mod:`repro.net.channel`).
 
-    attempt(0)
+        Each attempt ships the request and arms a timer behind it. A
+        timer that expires with ``done`` still pending resends, or fails
+        ``done`` with :class:`SouthboundTimeout` once the budget is spent;
+        either way the stub's accounting hears of it first.
+        """
+        done = call.done
+        call.retries = 0
+
+        def attempt(number: int) -> None:
+            self.stats["attempts"] += 1
+            self.to_peer.send(size, self.peer.rpc_deliver, call.rid, run)
+            self.sim.schedule(rpc_timeout_ms(number), expired, number)
+
+        def expired(number: int) -> None:
+            if done.triggered:
+                return
+            final = number + 1 >= RPC_MAX_ATTEMPTS
+            self.stats["timeouts"] += 1
+            if self.obs.enabled:
+                self._note_timeout(op, final)
+            if final:
+                self.stats["failures"] += 1
+                done.fail(SouthboundTimeout(
+                    "%s to %s gave up after %d attempts"
+                    % (op, self.peer.name, number + 1),
+                    self.peer.name,
+                ))
+            else:
+                call.retries += 1
+                self.stats["retries"] += 1
+                call.span.event("retry", attempt=call.retries)
+                attempt(number + 1)
+
+        attempt(0)
 
 
-class NFClient:
+class NFClient(SouthboundStub):
     """RPC stub for one NF instance."""
+
+    SPAN = "sb.%s"
+    PEER_LABEL = "nf"
 
     def __init__(
         self,
@@ -143,152 +311,46 @@ class NFClient:
         reliable: bool = False,
         batch: Optional[BatchConfig] = None,
     ) -> None:
-        self.sim = sim
+        obs = obs or NULL_OBS
+        super().__init__(
+            sim, nf,
+            to_nf or ControlChannel(sim, name="ctrl->%s" % nf.name, obs=obs),
+            from_nf or ControlChannel(sim, name="%s->ctrl" % nf.name, obs=obs),
+            obs, reliable,
+        )
         self.nf = nf
-        self.obs = obs or NULL_OBS
-        self.to_nf = to_nf or ControlChannel(
-            sim, name="ctrl->%s" % nf.name, obs=self.obs
-        )
-        self.from_nf = from_nf or ControlChannel(
-            sim, name="%s->ctrl" % nf.name, obs=self.obs
-        )
-        #: Optional batching config; installs on both channels so chunk
-        #: streams and acks coalesce into frames (§8.3 fast path).
-        self.batch = batch if (batch is None or batch.enabled) else None
-        if self.batch is not None:
+        self.to_nf = self.to_peer
+        self.from_nf = self.from_peer
+        if batch is not None:
+            # Both directions, so chunk streams and acks coalesce into
+            # frames (§8.3 fast path).
             for channel in (self.to_nf, self.from_nf):
                 if channel.batching is None:
-                    channel.batching = self.batch
-        self.reliable = reliable
-        self._request_ids = itertools.count(1)
-        #: Cumulative reliability accounting; operations snapshot this to
-        #: fill ``OperationReport.retries`` / ``.timeouts``.
-        self.stats = {
-            "attempts": 0,
-            "retries": 0,
-            "timeouts": 0,
-            "failures": 0,
-            "chunks_recovered": 0,
-        }
+                    channel.batching = batch
+        self.stats["chunks_recovered"] = 0
 
     @property
     def name(self) -> str:
         return self.nf.name
 
-    # --------------------------------------------------- reliability plumbing
-
-    def _next_request_id(self) -> Optional[int]:
-        return next(self._request_ids) if self.reliable else None
-
-    @staticmethod
-    def _settle(done: Event, value: Any = None) -> None:
-        """Trigger ``done`` unless a duplicate response beat us to it."""
-        if not done.triggered:
-            done.trigger(value)
-
-    @staticmethod
-    def _settle_fail(done: Event, exc: BaseException) -> None:
-        if not done.triggered:
-            done.fail(exc)
-
-    def _send_response(
-        self,
-        rid: Optional[int],
-        done: Event,
-        size: int,
-        payload: Any,
-        failed: bool = False,
-        deliver: Optional[Callable[[Any], None]] = None,
+    def _note_done(
+        self, op: str, elapsed_ms: float, retries: Optional[int]
     ) -> None:
-        """NF-side: ship one response; memoize the resend under ``rid``.
-
-        A replayed request finds the memoized thunk via
-        :meth:`~repro.nf.base.NetworkFunction.rpc_deliver` and re-sends
-        the response instead of re-running the operation.
-        """
-        if rid is not None and self.nf.failed:
-            # Fail-stop: a dead NF sends nothing; the caller's retry
-            # budget expires and the operation aborts on the timeout.
-            return
-        if deliver is None:
-            if failed:
-                deliver = lambda exc: self._settle_fail(done, exc)
-            else:
-                deliver = lambda value: self._settle(done, value)
-
-        def ship() -> None:
-            self.from_nf.send(size, deliver, payload)
-
-        ship()
-        if rid is not None:
-            self.nf.rpc_complete(rid, ship)
-
-    def _invoke(
-        self,
-        op: str,
-        done: Event,
-        request_size: int,
-        at_nf: Callable[[], None],
-        rid: Optional[int],
-        span: Any = NULL_SPAN,
-    ) -> None:
-        """Ship one request; reliable mode adds timeout/retry/dedup.
-
-        ``span`` is the already-open ``sb.<op>`` span; retries annotate
-        it with ``retry`` events so a replayed request stays inside the
-        same causal span instead of minting an orphan.
-        """
-        if rid is None:
-            self.to_nf.send(request_size, at_nf)
-            return
-        retries = 0
-
-        def send() -> None:
-            self.stats["attempts"] += 1
-            self.to_nf.send(request_size, self.nf.rpc_deliver, rid, at_nf)
-
-        def on_timeout(final: bool) -> None:
-            nonlocal retries
-            self.stats["timeouts"] += 1
-            if self.obs.enabled:
-                self.obs.metrics.counter("sb.timeouts").inc(
-                    1, nf=self.nf.name, op=op
-                )
-            if final:
-                self.stats["failures"] += 1
-                return
-            retries += 1
-            self.stats["retries"] += 1
-            if self.obs.enabled:
-                self.obs.metrics.counter("sb.retries_total").inc(
-                    1, nf=self.nf.name, op=op
-                )
-            span.event("retry", attempt=retries)
-
-        def give_up(attempts: int) -> SouthboundTimeout:
-            return SouthboundTimeout(
-                "%s to %s gave up after %d attempts"
-                % (op, self.nf.name, attempts),
-                self.nf.name,
+        metrics = self.obs.metrics
+        if retries is not None:
+            metrics.histogram("sb.retries").observe(
+                retries, nf=self.nf.name, op=op
             )
+        metrics.counter("sb.rpcs").inc(1, nf=self.nf.name, op=op)
+        metrics.histogram("sb.rpc_ms").observe(
+            elapsed_ms, nf=self.nf.name, op=op
+        )
 
-        if self.obs.enabled:
-            done.add_callback(lambda _evt: self.obs.metrics.histogram(
-                "sb.retries").observe(retries, nf=self.nf.name, op=op))
-        send_until_done(self.sim, done, send, on_timeout, give_up)
-
-    def _rpc_span(self, op: str, **attrs) -> Any:
-        """Open the ``sb.<op>`` span at request-issue time.
-
-        Minted *before* the request ships so that (a) a causally bound
-        caller's ``trace_id`` is inherited while the proxy's cause
-        window is still open, and (b) NF-side closures can cite it as
-        their ``cause_id`` when the apply/flush happens, long after the
-        synchronous call returned.
-        """
-        if not self.obs.enabled:
-            return NULL_SPAN
-        return self.obs.tracer.span("sb.%s" % op, nf=self.nf.name, **attrs)
+    def _note_timeout(self, op: str, final: bool) -> None:
+        metrics = self.obs.metrics
+        metrics.counter("sb.timeouts").inc(1, nf=self.nf.name, op=op)
+        if not final:
+            metrics.counter("sb.retries_total").inc(1, nf=self.nf.name, op=op)
 
     def _nf_side_span(self, name: str, rpc_span: Any, **attrs) -> Any:
         """NF-side span causally chained to the RPC that requested it.
@@ -297,33 +359,13 @@ class NFClient:
         so the tracer's cause window is long closed — the causal link
         is stamped explicitly from the RPC span instead.
         """
-        if not self.obs.enabled or rpc_span.span_id is None:
+        if rpc_span.span_id is None:
             return NULL_SPAN
         trace_id = rpc_span.attrs.get("trace_id")
         if trace_id is not None:
             attrs["trace_id"] = trace_id
         attrs["cause_id"] = rpc_span.span_id
         return self.obs.tracer.span(name, nf=self.nf.name, **attrs)
-
-    def _finish_rpc(self, op: str, done: Event, span: Any) -> Event:
-        """Close the RPC span when the response lands, plus metrics."""
-        if not self.obs.enabled:
-            return done
-        start = self.sim.now
-        metrics = self.obs.metrics
-
-        def close(event: Event) -> None:
-            metrics.counter("sb.rpcs").inc(1, nf=self.nf.name, op=op)
-            metrics.histogram("sb.rpc_ms").observe(
-                self.sim.now - start, nf=self.nf.name, op=op
-            )
-            if not event.ok:
-                span.set(error=repr(event.exception))
-                span.status = "error"
-            span.finish()
-
-        done.add_callback(close)
-        return done
 
     # ------------------------------------------------------------------- get
 
@@ -345,14 +387,7 @@ class NFClient:
         an active batching config it degrades to one-chunk frames.
         ``stream``/``raw_stream``/``stream_frame`` are mutually
         exclusive."""
-        done = self.sim.event("get-%s@%s" % (scope.value, self.nf.name))
-        rid = self._next_request_id()
         streamed = stream is not None or stream_frame is not None
-        span = self._rpc_span(
-            "get.%s" % scope.value,
-            filter=str(flt),
-            streamed=streamed or raw_stream is not None,
-        )
         #: Streamed chunks that actually landed controller-side; lost or
         #: duplicated chunk messages are reconciled against this.
         received_ids: set = set()
@@ -386,7 +421,7 @@ class NFClient:
             # active, chunks join the channel's pending frame and are
             # handed to frame_recv a whole frame at a time.
             size = chunk.wire_size_bytes + CHUNK_OVERHEAD_BYTES
-            if stream_frame is not None and self.from_nf.batching_active:
+            if stream_frame is not None and self.from_nf.batching is not None:
                 self.from_nf.queue_send(
                     size, stream_recv, chunk, coalesce=frame_recv
                 )
@@ -423,50 +458,48 @@ class NFClient:
 
             self.to_nf.send(REQUEST_BYTES, retransmit)
 
-        def respond(event: Event) -> None:
-            if not event.ok:
-                self._send_response(rid, done, REQUEST_BYTES,
-                                    event.exception, failed=True)
-                return
-            chunks: List[StateChunk] = event.value
-            if streamed and rid is not None:
-                self._send_response(rid, done, REQUEST_BYTES, chunks,
-                                    deliver=close_ok)
-            elif streamed or raw_stream is not None:
-                # Chunks already streamed; just close the call.
-                self._send_response(rid, done, REQUEST_BYTES, chunks)
-            else:
-                size = chunks_wire_bytes(chunks) + REQUEST_BYTES
-                self._send_response(rid, done, size, chunks)
+        def at_nf(call: Call) -> None:
+            def respond(event: Event) -> None:
+                # Streamed chunks already travelled: the response only
+                # names them, and close_ok reconciles before it settles.
+                bulk = event.ok and not streamed and raw_stream is None
+                call.respond(
+                    event,
+                    REQUEST_BYTES + (chunks_wire_bytes(event.value) if bulk else 0),
+                    close_ok if streamed else None,
+                )
 
-        def at_nf() -> None:
             if raw_stream is not None:
                 nf_stream = raw_stream
             elif streamed:
                 nf_stream = stream_back
             else:
                 nf_stream = None
-            proc = self.nf.sb_get(
+            self.nf.sb_get(
                 scope,
                 flt,
                 stream=nf_stream,
                 lock_per_chunk=lock_per_chunk,
                 lock_silent=lock_silent,
                 compress=compress,
-            )
-            proc.done.add_callback(respond)
+            ).done.add_callback(respond)
 
-        request = protocol.get_request(
-            "get%s" % scope.value.capitalize(),
-            flt,
-            request_id=rid,
-            lock_per_chunk=lock_per_chunk,
-            compress=compress,
-            stream=streamed or raw_stream is not None,
+        # (close_ok settles ``done``, so it needs the name.)
+        done = self._call(
+            "get.%s" % scope.value,
+            "get-%s@%s" % (scope.value, self.nf.name),
+            at_nf,
+            protocol.get_request(
+                "get%s" % scope.value.capitalize(),
+                flt,
+                lock_per_chunk=lock_per_chunk,
+                compress=compress,
+                stream=streamed or raw_stream is not None,
+            ),
+            filter=str(flt),
+            streamed=streamed or raw_stream is not None,
         )
-        self._invoke("get.%s" % scope.value, done,
-                     protocol.message_size(request), at_nf, rid, span)
-        return self._finish_rpc("get.%s" % scope.value, done, span)
+        return done
 
     def get_perflow(
         self,
@@ -514,53 +547,35 @@ class NFClient:
         reroute-only baseline (which needs to pin existing flows) and by
         diagnostics. Cost: one request/response of control-message size.
         """
-        done = self.sim.event("list@%s" % self.nf.name)
-        rid = self._next_request_id()
-        span = self._rpc_span("list.%s" % scope.value)
-
-        def at_nf() -> None:
+        def at_nf(call: Call) -> None:
             keys = self.nf.state_keys(scope, flt)
             flowids = [key for key in keys if isinstance(key, FlowId)]
-            self._send_response(
-                rid, done, REQUEST_BYTES + 16 * len(flowids), flowids
-            )
+            call.reply(flowids, REQUEST_BYTES + 16 * len(flowids))
 
-        size = REQUEST_BYTES + (REQUEST_ID_BYTES if rid is not None else 0)
-        self._invoke("list.%s" % scope.value, done, size, at_nf, rid, span)
-        return self._finish_rpc("list.%s" % scope.value, done, span)
+        return self._call(
+            "list.%s" % scope.value, "list@%s" % self.nf.name, at_nf
+        )
 
     # ------------------------------------------------------------------- put
 
-    def _put(self, chunks: Iterable[StateChunk], op: str = "put") -> Event:
+    def _put(self, chunks: Iterable[StateChunk], op: str) -> Event:
         chunk_list = list(chunks)
-        done = self.sim.event("put@%s" % self.nf.name)
-        rid = self._next_request_id()
-        span = self._rpc_span(op, chunks=len(chunk_list))
 
-        def at_nf() -> None:
+        def at_nf(call: Call) -> None:
             apply_span = self._nf_side_span(
-                "nf.apply", span, chunks=len(chunk_list)
+                "nf.apply", call.span, chunks=len(chunk_list)
             )
+            applied = self.nf.sb_put(chunk_list).done
+            if apply_span is not NULL_SPAN:
+                applied.add_callback(partial(_finish_span, apply_span))
+            applied.add_callback(call.respond)
 
-            def respond(event: Event) -> None:
-                if not event.ok:
-                    if apply_span.span_id is not None:
-                        apply_span.set(error=repr(event.exception))
-                        apply_span.status = "error"
-                    apply_span.finish()
-                    self._send_response(rid, done, REQUEST_BYTES,
-                                        event.exception, failed=True)
-                    return
-                apply_span.finish()
-                self._send_response(rid, done, REQUEST_BYTES, event.value)
-
-            proc = self.nf.sb_put(chunk_list)
-            proc.done.add_callback(respond)
-
-        header = protocol.put_request("put", len(chunk_list), request_id=rid)
-        size = chunks_wire_bytes(chunk_list) + protocol.message_size(header)
-        self._invoke(op, done, size, at_nf, rid, span)
-        return self._finish_rpc(op, done, span)
+        return self._call(
+            op, "put@%s" % self.nf.name, at_nf,
+            protocol.put_request("put", len(chunk_list)),
+            chunks_wire_bytes(chunk_list),
+            chunks=len(chunk_list),
+        )
 
     def put_perflow(self, chunks: Iterable[StateChunk]) -> Event:
         """``putPerflow(multimap<flowid,chunk>)``; triggers when merged."""
@@ -578,27 +593,15 @@ class NFClient:
 
     def _delete(self, scope: Scope, flowids: Iterable[FlowId]) -> Event:
         ids = list(flowids)
-        done = self.sim.event("del@%s" % self.nf.name)
-        rid = self._next_request_id()
-        span = self._rpc_span("del.%s" % scope.value, flowids=len(ids))
 
-        def respond(event: Event) -> None:
-            if not event.ok:
-                self._send_response(rid, done, REQUEST_BYTES,
-                                    event.exception, failed=True)
-                return
-            self._send_response(rid, done, REQUEST_BYTES, event.value)
+        def at_nf(call: Call) -> None:
+            self.nf.sb_delete(scope, ids).done.add_callback(call.respond)
 
-        def at_nf() -> None:
-            proc = self.nf.sb_delete(scope, ids)
-            proc.done.add_callback(respond)
-
-        request = protocol.delete_request(
-            "del%s" % scope.value.capitalize(), ids, request_id=rid
+        return self._call(
+            "del.%s" % scope.value, "del@%s" % self.nf.name, at_nf,
+            protocol.delete_request("del%s" % scope.value.capitalize(), ids),
+            flowids=len(ids),
         )
-        self._invoke("del.%s" % scope.value, done,
-                     protocol.message_size(request), at_nf, rid, span)
-        return self._finish_rpc("del.%s" % scope.value, done, span)
 
     def del_perflow(self, flowids: Iterable[FlowId]) -> Event:
         """``delPerflow(list<flowid>)``."""
@@ -614,20 +617,15 @@ class NFClient:
         self, flt: Filter, action: EventAction, silent: bool = False
     ) -> Event:
         """``enableEvents(filter, action)``; triggers when the rule is live."""
-        done = self.sim.event("enableEvents@%s" % self.nf.name)
-        rid = self._next_request_id()
-        span = self._rpc_span("enableEvents", action=action.value)
-
-        def at_nf() -> None:
+        def at_nf(call: Call) -> None:
             self.nf.sb_enable_events(flt, action, silent=silent)
-            self._send_response(rid, done, REQUEST_BYTES, None)
+            call.reply()
 
-        request = protocol.events_request(
-            "enableEvents", flt, action.value, request_id=rid
+        return self._call(
+            "enableEvents", "enableEvents@%s" % self.nf.name, at_nf,
+            protocol.events_request("enableEvents", flt, action.value),
+            action=action.value,
         )
-        self._invoke("enableEvents", done,
-                     protocol.message_size(request), at_nf, rid, span)
-        return self._finish_rpc("enableEvents", done, span)
 
     def drain_barrier(self) -> Event:
         """Fires once the NF's input queue has fully drained.
@@ -640,42 +638,38 @@ class NFClient:
         controller-buffered stragglers ahead of ring packets in the
         destination's processing order.
         """
-        done = self.sim.event("drainBarrier@%s" % self.nf.name)
-        rid = self._next_request_id()
-        span = self._rpc_span("drainBarrier")
+        return self._call(
+            "drainBarrier", "drainBarrier@%s" % self.nf.name,
+            lambda call: self.nf.on_idle(call.reply),
+        )
 
-        def at_nf() -> None:
-            self.nf.on_idle(
-                lambda: self._send_response(rid, done, REQUEST_BYTES, None)
-            )
-
-        size = REQUEST_BYTES + (REQUEST_ID_BYTES if rid is not None else 0)
-        self._invoke("drainBarrier", done, size, at_nf, rid, span)
-        return self._finish_rpc("drainBarrier", done, span)
-
-    def disable_events(self, flt: Filter) -> Event:
-        """``disableEvents(filter)``; triggers when the rule is removed."""
-        done = self.sim.event("disableEvents@%s" % self.nf.name)
-        rid = self._next_request_id()
-        span = self._rpc_span("disableEvents")
-
-        def at_nf() -> None:
-            flush_span = self._nf_side_span("nf.flush", span)
+    def _disable(
+        self,
+        op: str,
+        disable: Callable[[Filter], Any],
+        flt: Filter,
+        request: Optional[Dict[str, Any]] = None,
+    ) -> Event:
+        def at_nf(call: Call) -> None:
+            flush_span = self._nf_side_span("nf.flush", call.span)
             if flush_span.span_id is not None:
                 before = self.nf.buffered_packet_count()
-            self.nf.sb_disable_events(flt)
+            disable(flt)
             if flush_span.span_id is not None:
                 flush_span.set(
                     released=before - self.nf.buffered_packet_count()
                 )
             flush_span.finish()
-            self._send_response(rid, done, REQUEST_BYTES, None)
+            call.reply()
 
-        request = protocol.events_request("disableEvents", flt,
-                                          request_id=rid)
-        self._invoke("disableEvents", done,
-                     protocol.message_size(request), at_nf, rid, span)
-        return self._finish_rpc("disableEvents", done, span)
+        return self._call(op, "%s@%s" % (op, self.nf.name), at_nf, request)
+
+    def disable_events(self, flt: Filter) -> Event:
+        """``disableEvents(filter)``; triggers when the rule is removed."""
+        return self._disable(
+            "disableEvents", self.nf.sb_disable_events, flt,
+            protocol.events_request("disableEvents", flt),
+        )
 
     def disable_events_covered(self, flt: Filter) -> Event:
         """Disable every rule whose filter falls under ``flt``.
@@ -683,22 +677,6 @@ class NFClient:
         One control message that cleans up both a whole-filter rule and
         any per-flow rules late locking created (§5.1.3).
         """
-        done = self.sim.event("disableEventsCovered@%s" % self.nf.name)
-        rid = self._next_request_id()
-        span = self._rpc_span("disableEventsCovered")
-
-        def at_nf() -> None:
-            flush_span = self._nf_side_span("nf.flush", span)
-            if flush_span.span_id is not None:
-                before = self.nf.buffered_packet_count()
-            self.nf.sb_disable_events_covered(flt)
-            if flush_span.span_id is not None:
-                flush_span.set(
-                    released=before - self.nf.buffered_packet_count()
-                )
-            flush_span.finish()
-            self._send_response(rid, done, REQUEST_BYTES, None)
-
-        size = REQUEST_BYTES + (REQUEST_ID_BYTES if rid is not None else 0)
-        self._invoke("disableEventsCovered", done, size, at_nf, rid, span)
-        return self._finish_rpc("disableEventsCovered", done, span)
+        return self._disable(
+            "disableEventsCovered", self.nf.sb_disable_events_covered, flt
+        )

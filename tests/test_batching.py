@@ -31,11 +31,7 @@ def total_control_messages(dep):
 class TestBatchConfig:
     def test_defaults_are_enabled(self):
         config = BatchConfig()
-        assert config.enabled
         assert config.batch_max_msgs >= 1
-
-    def test_off_constructor(self):
-        assert not BatchConfig.off().enabled
 
     @pytest.mark.parametrize("kwargs", [
         {"batch_max_msgs": 0},
@@ -200,13 +196,13 @@ class TestZeroPerturbation:
         reset_uid_counter()
         disabled = snapshot(
             run_move_experiment(guarantee, n_flows=40, seed=5,
-                                batching=BatchConfig.off())
+                                batching=False)
         )
         assert plain == disabled
 
     def test_disabled_config_is_normalized_away(self):
         result = run_move_experiment("lf", n_flows=10, seed=5,
-                                     batching=BatchConfig.off())
+                                     batching=False)
         assert result.deployment.controller.batching is None
 
 

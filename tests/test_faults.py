@@ -27,6 +27,7 @@ from repro.harness import (
     run_move_experiment,
 )
 from repro.net.packet import reset_uid_counter
+from repro.nf import EventAction
 from repro.nfs.monitor import AssetMonitor
 from repro.sim import Simulator
 
@@ -209,6 +210,72 @@ class TestIdempotentReplay:
         asset = b.asset_for("10.0.1.2")
         assert asset is not None
         assert asset.connections == a.asset_for("10.0.1.2").connections
+
+
+    def test_dedup_table_is_bounded(self):
+        """Entries leave once no caller can still ask for them."""
+        dep, (a,) = build_multi_instance_deployment(
+            1, deployment_kwargs={"faults": "seed=4,drop=0.1"}
+        )
+        client = dep.controller.clients["inst1"]
+        sizes = []
+        for _ in range(2000):
+            done = client.enable_events(Filter.wildcard(), EventAction.DROP)
+            dep.sim.run()
+            assert done.ok
+            sizes.append(len(a._rpc_seen))
+        assert client.stats["retries"] > 0
+        # One retry budget's worth of calls, however many came before.
+        assert max(sizes) < 100
+        assert max(sizes[1000:]) <= max(sizes[:1000])
+        # A replay of a long-evicted id is absorbed: not re-run, no error.
+        rules, deduplicated = a.event_rule_count, a.rpcs_deduplicated
+        a.rpc_deliver(1, lambda: pytest.fail("evicted request re-ran"))
+        assert a.event_rule_count == rules
+        assert a.rpcs_deduplicated == deduplicated + 1
+
+
+class TestFaultedSwitchChannel:
+    """Flow-mods retry and dedup once the switch channel itself faults."""
+
+    @pytest.mark.parametrize("guarantee", ["lf", "op"])
+    def test_lossy_switch_channel_never_wedges(self, guarantee):
+        result = run_move_experiment(
+            guarantee=guarantee, n_flows=30,
+            fault_plan="seed=1,drop=0.2,channels=ctrl->sw",
+        )
+        report = result.report  # done fired: the run did not wedge
+        switch_client = result.deployment.controller.switch_client
+        assert result.deployment.faults.messages_dropped > 0
+        assert switch_client.stats["retries"] > 0
+        assert report.aborted is None or "to sw gave up" in report.aborted
+
+    @pytest.mark.parametrize("guarantee", ["lf", "op"])
+    def test_dead_switch_channel_aborts_naming_the_switch(self, guarantee):
+        result = run_move_experiment(
+            guarantee=guarantee, n_flows=30,
+            fault_plan="seed=1,partition=0:100000,channels=ctrl->sw",
+        )
+        assert "to sw gave up after 7 attempts" in result.report.aborted
+        assert result.deployment.controller.switch_client.stats["failures"] == 1
+
+    def test_retried_install_applies_once(self):
+        """First attempt lost, the retry delivered twice: one flow-mod."""
+        dep = Deployment(
+            faults="seed=1,dup=1.0,partition=0:10,channels=ctrl->sw"
+        )
+        applied = []
+        real_install = dep.switch.install
+        dep.switch.install = lambda *args: (
+            applied.append(args), real_install(*args))[1]
+        flt = Filter({"nw_src": "10.0.1.0/24"})
+        done = dep.controller.switch_client.install(flt, ["inst1"], 300)
+        dep.sim.run()
+        assert done.ok
+        assert dep.controller.switch_client.stats["retries"] == 1
+        assert dep.faults.messages_duplicated == 1
+        assert len(applied) == 1
+        assert dep.switch.table.find(flt, 300) is not None
 
 
 class TestLossyMoveAcceptance:

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.controller.forwarding import SwitchClient
 from repro.flowspace import Filter, FiveTuple
+from repro.net.switch import Switch
+from repro.net.xfsm import BufferUntilRelease
 from repro.nf import EventAction, NFClient, Scope
 from repro.nfs.monitor import AssetMonitor
 from repro.sim import Simulator
@@ -150,3 +153,166 @@ class TestEventsRpc:
         nf.receive(make_packet(flow))
         sim.run()
         assert nf.packets_dropped_silent == 1
+
+
+# ----------------------------------------------------------- per-RPC wire pin
+#
+# Every public RPC of both stubs, classic and reliable (clean channels),
+# pinned on what the simulated clock can see of it. The values were
+# generated at the last commit that wrote the call lifecycle out per
+# method (``python tests/test_southbound.py`` prints the table); they
+# move only in a PR that says why the simulated clock moves.
+
+LOCAL = Filter({"nw_src": "10.0.0.0/8"}, symmetric=True)
+
+
+def _nf_stub(sim, reliable):
+    nf = AssetMonitor(sim, "mon")
+    feed_flows(sim, nf, 3)
+    return NFClient(sim, nf, reliable=reliable), nf
+
+
+def _sw_stub(sim, reliable):
+    switch = Switch(sim)
+    switch.table.install(LOCAL, 100, ["mon"], 0.0)
+    return SwitchClient(sim, switch, reliable=reliable), switch
+
+
+def _chunks(nf, scope):
+    return [nf.export_chunk(scope, key)
+            for key in nf.state_keys(scope, Filter.wildcard())]
+
+
+def _flowids(nf, scope):
+    return [c.flowid for c in _chunks(nf, scope)]
+
+
+#: name -> (stub factory, call); every public RPC of both stubs.
+RPCS = {
+    "get_perflow": (_nf_stub, lambda c, nf: c.get_perflow(LOCAL)),
+    "get_perflow[stream]": (
+        _nf_stub, lambda c, nf: c.get_perflow(LOCAL, stream=lambda chunk: None)),
+    "get_multiflow": (_nf_stub, lambda c, nf: c.get_multiflow(LOCAL)),
+    "get_allflows": (_nf_stub, lambda c, nf: c.get_allflows()),
+    "list_flowids": (
+        _nf_stub, lambda c, nf: c.list_flowids(Scope.PERFLOW, LOCAL)),
+    "put_perflow": (
+        _nf_stub, lambda c, nf: c.put_perflow(_chunks(nf, Scope.PERFLOW))),
+    "put_multiflow": (
+        _nf_stub, lambda c, nf: c.put_multiflow(_chunks(nf, Scope.MULTIFLOW))),
+    "put_allflows": (
+        _nf_stub, lambda c, nf: c.put_allflows(_chunks(nf, Scope.ALLFLOWS))),
+    "del_perflow": (
+        _nf_stub, lambda c, nf: c.del_perflow(_flowids(nf, Scope.PERFLOW))),
+    "del_multiflow": (
+        _nf_stub, lambda c, nf: c.del_multiflow(_flowids(nf, Scope.MULTIFLOW))),
+    "enable_events": (
+        _nf_stub, lambda c, nf: c.enable_events(LOCAL, EventAction.DROP)),
+    "disable_events": (_nf_stub, lambda c, nf: c.disable_events(LOCAL)),
+    "disable_events_covered": (
+        _nf_stub, lambda c, nf: c.disable_events_covered(LOCAL)),
+    "drain_barrier": (_nf_stub, lambda c, nf: c.drain_barrier()),
+    "install": (_sw_stub, lambda c, sw: c.install(LOCAL, ["mon"], 200)),
+    "install_batch": (_sw_stub, lambda c, sw: c.install_batch(
+        [(LOCAL, ["mon"], 200), (Filter.wildcard(), ["mon"], 10)])),
+    "remove": (_sw_stub, lambda c, sw: c.remove(LOCAL, 100)),
+    "packet_out_barrier": (_sw_stub, lambda c, sw: c.packet_out_barrier()),
+    "read_entries": (_sw_stub, lambda c, sw: c.read_entries(LOCAL)),
+    "read_counters": (_sw_stub, lambda c, sw: c.read_counters(LOCAL, 100)),
+    "install_state_machine": (
+        _sw_stub,
+        lambda c, sw: c.install_state_machine(LOCAL, BufferUntilRelease())),
+    "remove_state_machine": (
+        _sw_stub, lambda c, sw: c.remove_state_machine(LOCAL)),
+    "release_state_machine": (
+        _sw_stub, lambda c, sw: c.release_state_machine(LOCAL, "mon")),
+}
+
+
+def measure_rpc(name, reliable):
+    """(msgs out, bytes out, msgs back, bytes back, sim events, done at)."""
+    factory, call = RPCS[name]
+    sim = Simulator()
+    stub, peer = factory(sim, reliable)
+    out, back = ((stub.to_nf, stub.from_nf) if factory is _nf_stub
+                 else (stub.to_switch, stub.from_switch))
+    start, events = sim.now, sim.events_processed
+    fired = []
+    call(stub, peer).add_callback(lambda evt: fired.append(sim.now))
+    sim.run()
+    assert len(fired) == 1
+    return (out.messages_sent, out.bytes_sent, back.messages_sent,
+            back.bytes_sent, sim.events_processed - events,
+            round(fired[0] - start, 9))
+
+
+#: (rpc, reliable) -> measure_rpc(rpc, reliable).
+WIRE_PIN = {
+    ('get_perflow', False): (1, 144, 1, 812, 7, 3.537007375),
+    ('get_perflow', True): (1, 152, 1, 812, 8, 3.537071375),
+    ('get_perflow[stream]', False): (1, 167, 4, 1034, 10, 3.534135375),
+    ('get_perflow[stream]', True): (1, 175, 4, 1034, 11, 3.534199375),
+    ('get_multiflow', False): (1, 146, 1, 719, 7, 3.534462969),
+    ('get_multiflow', True): (1, 154, 1, 719, 8, 3.534526969),
+    ('get_allflows', False): (1, 125, 1, 215, 5, 3.176419219),
+    ('get_allflows', True): (1, 133, 1, 215, 6, 3.176483219),
+    ('list_flowids', False): (1, 128, 1, 176, 2, 1.002432),
+    ('list_flowids', True): (1, 138, 1, 176, 3, 1.002512),
+    ('put_perflow', False): (1, 771, 1, 128, 6, 1.319871688),
+    ('put_perflow', True): (1, 779, 1, 128, 7, 1.319935688),
+    ('put_multiflow', False): (1, 868, 1, 128, 7, 1.423594953),
+    ('put_multiflow', True): (1, 876, 1, 128, 8, 1.423658953),
+    ('put_allflows', False): (1, 174, 1, 128, 4, 1.105265609),
+    ('put_allflows', True): (1, 182, 1, 128, 5, 1.105329609),
+    ('del_perflow', False): (1, 431, 1, 128, 7, 3.019472),
+    ('del_perflow', True): (1, 439, 1, 128, 8, 3.019536),
+    ('del_multiflow', False): (1, 300, 1, 128, 8, 3.023424),
+    ('del_multiflow', True): (1, 308, 1, 128, 9, 3.023488),
+    ('enable_events', False): (1, 162, 1, 128, 2, 1.00232),
+    ('enable_events', True): (1, 170, 1, 128, 3, 1.002384),
+    ('disable_events', False): (1, 147, 1, 128, 2, 1.0022),
+    ('disable_events', True): (1, 155, 1, 128, 3, 1.002264),
+    ('disable_events_covered', False): (1, 128, 1, 128, 2, 1.002048),
+    ('disable_events_covered', True): (1, 138, 1, 128, 3, 1.002128),
+    ('drain_barrier', False): (1, 128, 1, 128, 2, 1.002048),
+    ('drain_barrier', True): (1, 138, 1, 128, 3, 1.002128),
+    ('install', False): (1, 128, 0, 0, 2, 4.501024),
+    ('install', True): (1, 128, 0, 0, 2, 4.501024),
+    ('install_batch', False): (1, 176, 0, 0, 3, 4.501408),
+    ('install_batch', True): (1, 176, 0, 0, 3, 4.501408),
+    ('remove', False): (1, 128, 0, 0, 2, 4.501024),
+    ('remove', True): (1, 128, 0, 0, 2, 4.501024),
+    ('packet_out_barrier', False): (1, 128, 0, 0, 1, 0.501024),
+    ('packet_out_barrier', True): (1, 128, 0, 0, 1, 0.501024),
+    ('read_entries', False): (1, 128, 1, 192, 2, 1.00256),
+    ('read_entries', True): (1, 128, 1, 192, 2, 1.00256),
+    ('read_counters', False): (1, 128, 1, 128, 2, 1.002048),
+    ('read_counters', True): (1, 128, 1, 128, 2, 1.002048),
+    ('install_state_machine', False): (1, 128, 0, 0, 2, 4.501024),
+    ('install_state_machine', True): (1, 138, 0, 0, 3, 4.501104),
+    ('remove_state_machine', False): (1, 128, 0, 0, 2, 4.501024),
+    ('remove_state_machine', True): (1, 138, 0, 0, 3, 4.501104),
+    ('release_state_machine', False): (1, 128, 1, 128, 2, 1.002048),
+    ('release_state_machine', True): (1, 138, 1, 128, 3, 1.002128),
+}
+
+
+@pytest.mark.parametrize("rpc,reliable", sorted(WIRE_PIN))
+def test_rpc_wire_pin(rpc, reliable):
+    assert measure_rpc(rpc, reliable) == WIRE_PIN[rpc, reliable]
+
+
+def test_wire_pin_covers_every_public_rpc():
+    """...and each is the stub class's own attribute (the ledger wraps
+    them by name). ``packet_out`` is fire-and-forget, not an RPC."""
+    for stub, factory in ((NFClient, _nf_stub), (SwitchClient, _sw_stub)):
+        public = {name for name, attr in vars(stub).items()
+                  if callable(attr) and not name.startswith("_")}
+        pinned = {rpc.split("[")[0] for rpc in RPCS if RPCS[rpc][0] is factory}
+        assert public - {"packet_out"} == pinned
+
+
+if __name__ == "__main__":
+    for rpc in RPCS:
+        for mode in (False, True):
+            print("    (%r, %r): %r," % (rpc, mode, measure_rpc(rpc, mode)))
