@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-obs test-faults test-conformance conform bench bench-smoke bench-sharded bench-chain bench-offload bench-obs-overhead ledger-smoke ledger-pinned examples validate clean results
+.PHONY: install test test-obs test-faults test-conformance conform bench bench-smoke bench-sharded bench-chain bench-offload bench-obs-overhead ledger-smoke ledger-pinned pairs examples validate clean results
 
 install:
 	$(PYTHON) setup.py develop
@@ -39,6 +39,11 @@ ledger-pinned:
 	if echo "$$out" | grep -E "MOVED|FAILED:|missing \(no longer resolves\)"; \
 	then exit 1; fi; \
 	[ $$(echo "$$out" | grep -c "(PINNED)") -eq 5 ]
+
+# Ten alternating parent/change runs of the ledger contract per workload
+# (README "Tests and benchmarks"): make pairs PARENT=<commit>
+pairs:
+	$(PYTHON) benchmarks/pairs.py --parent $(PARENT)
 
 test-obs:
 	$(PYTHON) -m pytest tests/ -m obs

@@ -498,7 +498,7 @@ class OpenNFController:
         # operation working on that flow space drains its inbox.
         replicas = self.replicas
         shard = replicas[0] if len(replicas) == 1 \
-            else self._route(event.packet.headers())
+            else self._route(event.packet)
         shard.events_received += 1
         if self.obs.enabled:
             shard._inbox_metric("event").inc(1)
@@ -581,7 +581,7 @@ class OpenNFController:
         self.packet_ins_received += 1
         replicas = self.replicas
         shard = replicas[0] if len(replicas) == 1 \
-            else self._route(packet.headers())
+            else self._route(packet)
         if self.obs.enabled:
             shard._inbox_metric("packet-in").inc(1)
         shard.inbox.push(("packet-in", packet, None))
@@ -610,15 +610,17 @@ class OpenNFController:
 
     # ------------------------------------------------------------------ routing
 
-    def _route(self, headers) -> Shard:
-        """The shard whose inbox must serialize a message with ``headers``."""
-        for flt, shard in self._claims:  # oldest claim wins
-            if flt.matches_headers(headers):
-                return shard
-        for flt, shard in reversed(self._ownership):  # newest handoff wins
-            if flt.matches_headers(headers):
-                return shard
-        return self.replicas[self.shard_map.shard_for_headers(headers)]
+    def _route(self, packet: Packet) -> Shard:
+        """The shard whose inbox must serialize a message about ``packet``."""
+        if self._claims or self._ownership:
+            headers = packet.headers()
+            for flt, shard in self._claims:  # oldest claim wins
+                if flt.matches_headers(headers):
+                    return shard
+            for flt, shard in reversed(self._ownership):  # newest handoff wins
+                if flt.matches_headers(headers):
+                    return shard
+        return self.replicas[self.shard_map.shard_for_packet(packet)]
 
     def _owner_shard(self, flt: Filter) -> Shard:
         """Which shard owns (most of) ``flt``'s flow space right now."""

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Tuple
 
-from repro.flowspace.filter import Filter, packet_match_keys
+from repro.flowspace.filter import Filter
 from repro.flowspace.ip import parse_prefix
 from repro.controller.operation import DeferredOperation, Operation, when_all
 
@@ -121,10 +121,10 @@ class ShardMap:
             return (network >> (32 - prefix_len)) % self.n_shards
         return 0
 
-    def shard_for_headers(self, headers) -> int:
-        """Shard for one packet's headers (symmetric key, so both
+    def shard_for_packet(self, packet) -> int:
+        """Shard for one packet (by its symmetric match key, so both
         directions of a connection route identically)."""
-        _oriented, symmetric = packet_match_keys(headers)
+        symmetric = packet.match_keys()[1]
         if symmetric is None:
             return 0
         return self.shard_for_key(symmetric)

@@ -22,6 +22,7 @@ from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple, Uni
 from repro.flowspace.ip import (
     ip_in_prefix,
     ip_to_int,
+    memoize,
     parse_prefix,
     prefix_covers,
     prefixes_overlap,
@@ -92,6 +93,20 @@ def _swap_headers(headers: Mapping[str, Any]) -> Dict[str, Any]:
     return {_SWAP.get(field, field): value for field, value in headers.items()}
 
 
+def _identity_fields(fields: Dict[str, Any]) -> Dict[str, Any]:
+    """``fields`` as filter identity sees them: flags as a frozenset.
+
+    ``"SYN"``, ``["SYN"]`` (what the wire codec decodes) and
+    ``frozenset({"SYN"})`` spell one predicate, so they are one filter;
+    ``fields`` itself keeps the caller's spelling (and ``to_dict`` its
+    bytes).
+    """
+    flags = fields.get("tcp_flags")
+    if flags is None or isinstance(flags, frozenset):
+        return fields
+    return dict(fields, tcp_flags=_flags_as_set(flags))
+
+
 class Filter:
     """An immutable header predicate with wildcard semantics."""
 
@@ -126,22 +141,31 @@ class Filter:
     # -- packet matching ------------------------------------------------------
 
     def matches_headers(self, headers: Mapping[str, Any]) -> bool:
-        """Whether a packet's header dict satisfies every constraint."""
-        if self._matches_oriented(headers):
+        """Whether a packet's header dict satisfies every constraint.
+
+        A symmetric filter also tries the other orientation, by reading
+        each constraint's *swapped* header rather than building a
+        swapped copy of ``headers``.
+        """
+        get = headers.get
+        constraints = self.fields.items()
+        for field, constraint in constraints:
+            if not _field_matches(field, constraint, get(field)):
+                break
+        else:
             return True
-        if self.symmetric:
-            return self._matches_oriented(_swap_headers(headers))
-        return False
+        if not self.symmetric:
+            return False
+        for field, constraint in constraints:
+            if not _field_matches(
+                field, constraint, get(_SWAP.get(field, field))
+            ):
+                return False
+        return True
 
     def matches_packet(self, packet) -> bool:
         """Whether a :class:`~repro.net.packet.Packet` satisfies the filter."""
         return self.matches_headers(packet.headers())
-
-    def _matches_oriented(self, headers: Mapping[str, Any]) -> bool:
-        for field, constraint in self.fields.items():
-            if not _field_matches(field, constraint, headers.get(field)):
-                return False
-        return True
 
     # -- exact-match fast path ------------------------------------------------
 
@@ -298,16 +322,26 @@ class Filter:
 
     # -- dunder plumbing --------------------------------------------------------
 
-    def _key(self) -> Tuple:
-        return (tuple(sorted(self.fields.items(), key=lambda kv: kv[0])),
-                self.symmetric)
-
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Filter) and self._key() == other._key()
+        # Same constraints, same orientation flag. Field names are
+        # unique, so comparing the dicts is comparing the name-sorted
+        # item tuples without sorting anything.
+        if self is other:
+            return True
+        if not isinstance(other, Filter) or self.symmetric != other.symmetric:
+            return False
+        mine, theirs = self.fields, other.fields
+        return mine == theirs or (
+            "tcp_flags" in mine
+            and _identity_fields(mine) == _identity_fields(theirs)
+        )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._key())
+            items = sorted(
+                _identity_fields(self.fields).items(), key=lambda kv: kv[0]
+            )
+            self._hash = hash((tuple(items), self.symmetric))
         return self._hash
 
     def __repr__(self) -> str:
@@ -325,8 +359,14 @@ class Filter:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Filter":
-        """Inverse of :meth:`to_dict`."""
-        return cls(data.get("fields", {}), symmetric=bool(data.get("symmetric")))
+        """Inverse of :meth:`to_dict` (a :class:`FlowId` decodes as one)."""
+        fields = dict(data.get("fields", {}))
+        if isinstance(fields.get("tcp_flags"), list):  # to_dict's sorted set
+            fields["tcp_flags"] = frozenset(fields["tcp_flags"])
+        return cls(fields, symmetric=bool(data.get("symmetric")))
+
+
+_HOST_IDS: Dict[str, "FlowId"] = {}
 
 
 class FlowId(Filter):
@@ -340,17 +380,36 @@ class FlowId(Filter):
 
     @classmethod
     def for_flow(cls, five_tuple, symmetric: bool = True) -> "FlowId":
-        """Flowid for one transport connection (bidirectional by default)."""
-        return cls(five_tuple.headers(), symmetric=symmetric)
+        """Flowid for one transport connection (bidirectional by default).
+
+        The bidirectional flowid is memoized on the five-tuple, so every
+        packet of the flow, every store keyed by it and every chunk
+        exported for it name the flow by the *same* object: a dict
+        probe with it is answered by identity, without ``__eq__``.
+        """
+        if not symmetric:
+            return cls(five_tuple.headers(), symmetric=False)
+        flow_id = five_tuple._flow_id
+        if flow_id is None:
+            flow_id = cls(five_tuple.headers(), symmetric=True)
+            object.__setattr__(five_tuple, "_flow_id", flow_id)
+        return flow_id
 
     @classmethod
     def for_host(cls, ip: str) -> "FlowId":
-        """Flowid for host-granularity state (matches the IP in either role)."""
-        return cls({"nw_src": ip}, symmetric=True)
+        """Flowid for host-granularity state (matches the IP in either role).
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FlowId":
-        return cls(data.get("fields", {}), symmetric=bool(data.get("symmetric")))
+        Interned per distinct address (bounded like the address memos
+        in :mod:`repro.flowspace.ip`; after an eviction a fresh, equal
+        flowid is built), for the same identity shortcut as
+        :meth:`for_flow`.
+        """
+        host_id = _HOST_IDS.get(ip)
+        if host_id is None:
+            host_id = memoize(
+                _HOST_IDS, ip, cls({"nw_src": ip}, symmetric=True)
+            )
+        return host_id
 
     def __repr__(self) -> str:
         tag = "~" if self.symmetric else ""

@@ -30,19 +30,34 @@ class FiveTuple:
 
     def __post_init__(self) -> None:
         # Memo slots (never part of identity — filled in lazily by
-        # canonical()/flow-key/sampling-gate caching). Pre-inserting
-        # them here keeps every instance dict on CPython's shared-key
-        # layout: late insertion of a *new* key un-shares the dict and
-        # slows attribute reads on every FiveTuple in the process.
+        # canonical()/flow-key/sampling-gate/flowid/match-key caching).
+        # Pre-inserting them here keeps every instance dict on CPython's
+        # shared-key layout: late insertion of a *new* key un-shares the
+        # dict and slows attribute reads on every FiveTuple in the
+        # process. Per-flow facts live here, not in process-global
+        # tables, so they die with the tuple.
         object.__setattr__(self, "_canonical", None)
         object.__setattr__(self, "_flow_key", None)
         object.__setattr__(self, "_gate_keep", None)
+        object.__setattr__(self, "_flow_id", None)
+        object.__setattr__(self, "_match_keys", None)
 
-    def reversed(self) -> "FiveTuple":
-        """The same flow seen from the opposite direction."""
+    def _flipped(self) -> "FiveTuple":
         return FiveTuple(
             self.dst_ip, self.dst_port, self.src_ip, self.src_port, self.proto
         )
+
+    def reversed(self) -> "FiveTuple":
+        """The same flow seen from the opposite direction.
+
+        The new tuple inherits this one's canonical form (both
+        directions of a flow have the same one), so whatever is memoized
+        on it — the flow's :class:`~repro.flowspace.filter.FlowId` above
+        all — is one object per flow, not one per direction.
+        """
+        other = self._flipped()
+        object.__setattr__(other, "_canonical", self.canonical())
+        return other
 
     def canonical(self) -> "FiveTuple":
         """Direction-normalized form shared by both directions of the flow.
@@ -59,7 +74,11 @@ class FiveTuple:
 
         left = (ip_to_int(self.src_ip), self.src_port)
         right = (ip_to_int(self.dst_ip), self.dst_port)
-        result = self if left <= right else self.reversed()
+        if left <= right:
+            result = self
+        else:
+            result = self._flipped()
+            object.__setattr__(result, "_canonical", result)
         object.__setattr__(self, "_canonical", result)
         return result
 

@@ -3,14 +3,36 @@
 We keep addresses as plain strings in packets (readable in logs and
 traces) and convert to integers only at match time, with a module-level
 memo cache since the same addresses recur for every packet of a flow.
+
+Every process-global memo keyed by an address (the two below and the
+host-:class:`~repro.flowspace.filter.FlowId` intern table) is filled
+through :func:`memoize`, so all of them share one bound.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Any, Dict, Tuple
+
+#: Entries a process-global memo table may hold. Far above the distinct
+#: addresses of any scenario here, so in practice nothing is evicted;
+#: a run that does exceed it pays one table refill, not unbounded memory.
+MEMO_CAP = 1 << 16
 
 _ADDR_CACHE: Dict[str, int] = {}
 _PREFIX_CACHE: Dict[str, Tuple[int, int]] = {}
+
+
+def memoize(table: Dict[str, Any], key: str, value: Any) -> Any:
+    """Remember ``value`` under ``key``; a full table is dropped whole.
+
+    The tables are pure optimisations — a miss recomputes (or, for an
+    interned flowid, builds an equal object) — so the cheapest bounded
+    policy is enough.
+    """
+    if len(table) >= MEMO_CAP:
+        table.clear()
+    table[key] = value
+    return value
 
 
 def ip_to_int(address: str) -> int:
@@ -27,8 +49,7 @@ def ip_to_int(address: str) -> int:
         if not 0 <= octet <= 255:
             raise ValueError("invalid IPv4 address: %r" % (address,))
         value = (value << 8) | octet
-    _ADDR_CACHE[address] = value
-    return value
+    return memoize(_ADDR_CACHE, address, value)
 
 
 def parse_prefix(prefix: str) -> Tuple[int, int]:
@@ -45,9 +66,7 @@ def parse_prefix(prefix: str) -> Tuple[int, int]:
         base, length = prefix, 32
     mask = 0 if length == 0 else (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
     network = ip_to_int(base) & mask
-    result = (network, mask)
-    _PREFIX_CACHE[prefix] = result
-    return result
+    return memoize(_PREFIX_CACHE, prefix, (network, mask))
 
 
 def ip_in_prefix(address: str, prefix: str) -> bool:

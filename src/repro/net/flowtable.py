@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.flowspace.filter import Filter, packet_match_keys
+from repro.flowspace.filter import Filter
 from repro.net.packet import Packet
 
 LOW_PRIORITY = 10
@@ -162,20 +162,21 @@ class FlowTable:
 
     def lookup(self, packet: Packet) -> Optional[FlowEntry]:
         """Highest-priority entry matching ``packet``, or None."""
-        headers = packet.headers()
         best: Optional[FlowEntry] = None
-        for key in packet_match_keys(headers):
-            if key is None:
-                continue
-            bucket = self._exact.get(key)
-            if bucket:
-                head = bucket[0]
-                if best is None or _order(head) < _order(best):
-                    best = head
+        if self._exact:
+            for key in packet.match_keys():
+                bucket = self._exact.get(key)
+                if bucket:
+                    head = bucket[0]
+                    if best is None or _order(head) < _order(best):
+                        best = head
         limit = None if best is None else _order(best)
+        headers = None  # built only if a wildcard entry has to be tried
         for entry in self._wildcards:
             if limit is not None and _order(entry) > limit:
                 break  # every remaining wildcard loses to the exact hit
+            if headers is None:
+                headers = packet.headers()
             if entry.filter.matches_headers(headers):
                 return entry
         return best

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, FrozenSet, Iterable, Optional, Set
 
+from repro.flowspace.filter import packet_match_keys
 from repro.flowspace.fivetuple import FiveTuple
 
 HEADER_OVERHEAD_BYTES = 54  # Ethernet + IPv4 + TCP headers
@@ -90,6 +91,26 @@ class Packet:
             )
             object.__setattr__(five_tuple, "_flow_key", key)
         return key
+
+    def match_keys(self):
+        """The ``(oriented, symmetric)`` exact-match keys of this packet.
+
+        The one flow key every table lookup on the packet's path uses
+        (flow table, NF event-rule index, XFSM rings, shard map), see
+        :func:`~repro.flowspace.filter.packet_match_keys`. It is a fact
+        of the flow direction, so it is extracted once and memoized on
+        the five-tuple all packets of that direction share. Only a
+        packet with ``extra_headers`` — which may override a 5-tuple
+        field, and which ``nfs/redup`` adds to after creation — pays
+        the extraction from its header dict every time.
+        """
+        five_tuple = self.five_tuple
+        keys = five_tuple._match_keys
+        if keys is None or self.extra_headers:
+            keys = packet_match_keys(self.headers())
+            if not self.extra_headers:
+                object.__setattr__(five_tuple, "_match_keys", keys)
+        return keys
 
     def headers(self) -> Dict[str, Any]:
         """Header-field dict for filter matching."""

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.flowspace.filter import Filter, packet_match_keys
+from repro.flowspace.filter import Filter
 from repro.net.packet import Packet
 
 #: Machine states (strings, so traces and debugging stay readable).
@@ -117,6 +117,11 @@ class XFSMInstance:
     # ------------------------------------------------------------- data path
 
     def matches(self, packet: Packet) -> bool:
+        key = self.filter.exact_key()
+        if key is not None:
+            # A per-flow machine claims exactly the packets whose flow
+            # key is its own — the flow table's bucket probe, no headers.
+            return key in packet.match_keys()
         return self.filter.matches_packet(packet)
 
     def on_packet(self, packet: Packet) -> bool:
@@ -134,7 +139,7 @@ class XFSMInstance:
             # arrival order survives the transition.
             self._emit(packet, self.release_port)
             return True
-        key = packet_match_keys(packet.headers())[1]
+        key = packet.match_keys()[1]
         if key is not None and key in self._released:
             self._emit(packet, self._released[key])
             return True

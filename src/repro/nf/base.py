@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
-from repro.flowspace.filter import Filter, FlowId, packet_match_keys
+from repro.flowspace.filter import Filter, FlowId
 from repro.nf.costs import NFCostModel
 from repro.nf.events import EventAction, EventRule, PacketEvent
 from repro.nf.state import Scope, StateChunk
@@ -379,19 +379,20 @@ class NetworkFunction:
 
     def _match_rule(self, packet: Packet) -> Optional[EventRule]:
         """The most recently enabled rule matching ``packet``, or None."""
-        headers = packet.headers()
         best: Optional[EventRule] = None
-        for key in packet_match_keys(headers):
-            if key is None:
-                continue
-            bucket = self._rules_exact.get(key)
-            if bucket:
-                rule = bucket[-1]  # buckets keep registration order
-                if best is None or rule.seq > best.seq:
-                    best = rule
+        if self._rules_exact:
+            for key in packet.match_keys():
+                bucket = self._rules_exact.get(key)
+                if bucket:
+                    rule = bucket[-1]  # buckets keep registration order
+                    if best is None or rule.seq > best.seq:
+                        best = rule
+        headers = None  # built only if a wildcard rule has to be tried
         for rule in reversed(self._rules_wild):
             if best is not None and rule.seq < best.seq:
                 break  # every remaining wildcard rule is older than best
+            if headers is None:
+                headers = packet.headers()
             if rule.filter.matches_headers(headers):
                 return rule
         return best

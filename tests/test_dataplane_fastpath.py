@@ -8,6 +8,13 @@ objects' public iteration order. These tests drive randomized workloads
 with interleaved removals — through both and require bit-identical
 results: same winning entries, same forward logs, same event actions,
 same state-key lists in the same order.
+
+The flow key those fast paths probe with is extracted once per flow
+direction (``Packet.match_keys``) and flows are named by one interned
+``FlowId`` object; the last three classes pin that the shared key is
+the freshly extracted one, that the ids really are one object from
+packet to moved state, and — by count, not by clock — that the steady
+state builds and sorts nothing per packet.
 """
 
 import random
@@ -15,12 +22,23 @@ import random
 import pytest
 
 from repro.flowspace import Filter, FiveTuple, FlowId
+from repro.flowspace import filter as filter_module
 from repro.flowspace.filter import packet_match_keys
+from repro.harness import Deployment
 from repro.net import FlowTable, Link, Packet, Switch
 from repro.net.packet import reset_uid_counter
+from repro.net.xfsm import BufferUntilRelease, XFSMInstance
 from repro.nf.events import EventAction
 from repro.nfs.dummy import DummyNF
+from repro.nfs.ids import IntrusionDetector
+from repro.nfs.monitor import AssetMonitor
+from repro.nfs.redup import RE_TOKEN_HEADER
 from repro.sim import Simulator
+from repro.traffic import (
+    TraceConfig,
+    TraceReplayer,
+    build_university_cloud_trace,
+)
 from tests.oracles import (
     linear_find,
     linear_keys_matching,
@@ -245,3 +263,266 @@ class TestStateStoreDifferential:
         relevant = ("nw_src", "nw_dst")
         assert store.keys_matching(flt, relevant) == \
             linear_keys_matching(store, flt, relevant) == [host]
+
+
+def random_packet(rng, pool):
+    """A packet over ``pool``, one in three carrying extra headers —
+    a non-matching application field, or an override of a 5-tuple field
+    (which moves the packet to another flow's key)."""
+    ft = rng.choice(pool)
+    if rng.random() < 0.3:
+        ft = ft.reversed()
+    extra = None
+    roll = rng.random()
+    if roll < 0.1:
+        extra = {"http_url": "/x"}
+    elif roll < 0.2:
+        extra = {"tp_dst": rng.choice(PORTS)}
+    elif roll < 0.3:
+        extra = {"nw_src": rng.choice(pool).src_ip}
+    flags = ("SYN",) if rng.random() < 0.2 else ()
+    return Packet(ft, tcp_flags=flags, extra_headers=extra)
+
+
+class TestSharedMatchKey:
+    """One extracted key per packet, equal to a fresh extraction."""
+
+    def test_key_agrees_with_fresh_extraction(self):
+        rng = random.Random(5)
+        pool = [random_five_tuple(rng) for _ in range(60)]
+        for _ in range(600):
+            packet = random_packet(rng, pool)
+            assert packet.match_keys() == packet_match_keys(packet.headers())
+            # asking again (memo hit, or slow path again) changes nothing
+            assert packet.match_keys() == packet_match_keys(packet.headers())
+
+    def test_key_is_memoized_per_flow_direction(self):
+        ft = FiveTuple("10.0.0.1", 80, "10.0.0.2", 443)
+        first, second = Packet(ft), Packet(ft, tcp_flags=("ACK",))
+        assert first.match_keys() is second.match_keys()
+        assert Packet(ft.reversed()).match_keys()[1] == first.match_keys()[1]
+        assert Packet(ft.reversed()).match_keys()[0] != first.match_keys()[0]
+
+    def test_headers_added_after_a_lookup_are_seen(self):
+        """``nfs/redup`` adds its token to a packet already looked up;
+        an override added the same way must move the key with it."""
+        ft = FiveTuple("10.0.0.1", 80, "10.0.0.2", 443)
+        other = FiveTuple("10.0.0.1", 80, "10.0.0.2", 8080)
+        table = FlowTable()
+        table.install(Filter.for_flow(ft), 100, ["a"], 0.0)
+        table.install(Filter.for_flow(other), 100, ["b"], 0.0)
+        table.install(Filter({RE_TOKEN_HEADER: "tok"}), 1000, ["tok"], 0.0)
+        packet = Packet(ft)
+        assert table.lookup(packet).actions == ("a",)
+        packet.extra_headers[RE_TOKEN_HEADER] = "tok"
+        assert packet.match_keys() == packet_match_keys(packet.headers())
+        assert table.lookup(packet).actions == ("tok",)
+        assert table.lookup(packet) is linear_lookup(table, packet)
+        del packet.extra_headers[RE_TOKEN_HEADER]
+        packet.extra_headers["tp_dst"] = 8080
+        assert packet.match_keys() == Packet(other).match_keys()
+        assert table.lookup(packet).actions == ("b",)
+        # the flow's own memo is untouched by its odd packet
+        assert Packet(ft).match_keys() == packet_match_keys(ft.headers())
+        assert table.lookup(Packet(ft)).actions == ("a",)
+
+    def test_lookups_with_extra_headers_match_the_oracles(self):
+        rng = random.Random(6)
+        pool = [random_five_tuple(rng) for _ in range(120)]
+        table = FlowTable()
+        nf = DummyNF(Simulator(), "dut")
+        actions = [EventAction.PROCESS, EventAction.BUFFER, EventAction.DROP]
+        for step in range(500):
+            flt = random_filter(rng, pool)
+            table.install(flt, rng.choice([10, 100, 1000]), ["p%d" % step],
+                          float(step))
+            nf.sb_enable_events(random_filter(rng, pool), rng.choice(actions))
+        packets = [random_packet(rng, pool) for _ in range(600)]
+        for packet in packets:
+            assert table.lookup(packet) is linear_lookup(table, packet)
+            assert nf._match_rule(packet) is linear_match_rule(nf, packet)
+        # a token added after the first lookup, as redup does
+        for packet in packets[:200]:
+            packet.extra_headers[RE_TOKEN_HEADER] = "fp"
+            assert packet.match_keys() == packet_match_keys(packet.headers())
+            assert table.lookup(packet) is linear_lookup(table, packet)
+            assert nf._match_rule(packet) is linear_match_rule(nf, packet)
+
+    def test_xfsm_claims_what_its_filter_matches(self):
+        """A machine over an exact filter claims by key, any other by
+        headers: both are ``filter.matches_packet``."""
+        rng = random.Random(9)
+        pool = [random_five_tuple(rng) for _ in range(30)]
+        switch = Switch(Simulator())
+        machines = [
+            XFSMInstance(switch, random_filter(rng, pool), BufferUntilRelease())
+            for _ in range(60)
+        ]
+        assert any(m.filter.exact_key() is not None for m in machines)
+        assert any(m.filter.exact_key() is None for m in machines)
+        for _ in range(200):
+            packet = random_packet(rng, pool)
+            for machine in machines:
+                assert machine.matches(packet) == \
+                    machine.filter.matches_packet(packet)
+
+    def test_symmetric_match_without_swapped_copy(self):
+        """``matches_headers`` reads swapped fields instead of building
+        a swapped dict; every filter shape agrees with the definition."""
+        rng = random.Random(8)
+        pool = [random_five_tuple(rng) for _ in range(40)]
+        swap = {"nw_src": "nw_dst", "nw_dst": "nw_src",
+                "tp_src": "tp_dst", "tp_dst": "tp_src"}
+        for _ in range(600):
+            flt = random_filter(rng, pool)
+            if rng.random() < 0.3:
+                flt = Filter(dict(flt.fields, tcp_flags="SYN"),
+                             symmetric=rng.random() < 0.5)
+            headers = random_packet(rng, pool).headers()
+            oriented = Filter(flt.fields)
+            swapped = {swap.get(k, k): v for k, v in headers.items()}
+            expected = oriented.matches_headers(headers) or (
+                flt.symmetric and oriented.matches_headers(swapped))
+            assert flt.matches_headers(headers) == expected
+
+
+def _steady_run(packets, rate_pps=5000.0):
+    """``dp_steady`` in small: monitor + IDS behind two routes."""
+    dep = Deployment(record_ground_truth=False)
+    mon = AssetMonitor(dep.sim, "mon")
+    ids = IntrusionDetector(dep.sim, "ids")
+    dep.add_nf(mon)
+    dep.add_nf(ids)
+    dep.set_default_route("mon")
+    dep.set_default_route(
+        "ids", Filter({"nw_src": "10.0.1.0/28"}, symmetric=True))
+    TraceReplayer(dep.sim, dep.inject, packets, rate_pps=rate_pps).start()
+    dep.run()
+    assert mon.packets_processed + ids.packets_processed == len(packets)
+    return mon, ids
+
+
+class TestInternedFlowIds:
+    def test_for_flow_is_one_object_per_flow(self):
+        ft = FiveTuple("10.0.0.1", 80, "10.0.0.2", 443)
+        fid = FlowId.for_flow(ft)
+        assert FlowId.for_flow(ft) is fid
+        fresh = FlowId(ft.headers(), symmetric=True)
+        assert fid == fresh and fresh == fid and hash(fid) == hash(fresh)
+        assert fid is not fresh and type(fid) is FlowId
+        # both directions canonicalize to one tuple, hence one flowid
+        back = ft.reversed()
+        assert back.canonical() is ft.canonical()
+        assert FlowId.for_flow(back.canonical()) is \
+            FlowId.for_flow(ft.canonical())
+        down = FiveTuple("10.0.0.2", 443, "10.0.0.1", 80)  # not canonical
+        assert down.reversed().canonical() is down.canonical()
+        assert down.canonical() == ft and down.canonical() is not ft
+        assert FlowId.for_flow(down.canonical()) == fid
+        # the oriented flowid is a different (un-memoized) thing
+        oriented = FlowId.for_flow(ft, symmetric=False)
+        assert oriented != fid and not oriented.symmetric
+        assert FlowId.for_flow(ft) is fid
+
+    def test_for_host_is_one_object_per_address(self):
+        host = FlowId.for_host("10.0.0.7")
+        assert FlowId.for_host("10.0.0.7") is host
+        fresh = FlowId({"nw_src": "10.0.0.7"}, symmetric=True)
+        assert host == fresh and hash(host) == hash(fresh)
+        assert FlowId.for_host("10.0.0.8") is not host
+
+    def test_store_probe_is_answered_by_identity(self, monkeypatch):
+        """Packets of a flow probe the store with the stored key itself:
+        CPython's dict never has to call ``Filter.__eq__``."""
+        packets = build_university_cloud_trace(
+            TraceConfig(seed=3, n_flows=40, data_packets=3)).packets
+        _steady_run(packets)  # fill the per-flow memos
+        compared = []
+        original = Filter.__eq__
+
+        def counting_eq(self, other):
+            if isinstance(self, FlowId):  # not the route filters' installs
+                compared.append((self, other))
+            return original(self, other)
+
+        monkeypatch.setattr(Filter, "__eq__", counting_eq)
+        mon, ids = _steady_run(packets)
+        assert len(mon.conns) + len(ids.conns) >= 30
+        assert compared == []
+
+    def test_moved_state_keeps_the_source_key_object(self):
+        trace = build_university_cloud_trace(
+            TraceConfig(seed=4, n_flows=40, data_packets=6))
+        dep = Deployment()
+        src = AssetMonitor(dep.sim, "inst1")
+        dst = AssetMonitor(dep.sim, "inst2")
+        dep.add_nf(src)
+        dep.add_nf(dst)
+        dep.set_default_route("inst1")
+        replayer = TraceReplayer(
+            dep.sim, dep.inject, trace.packets, rate_pps=2500.0).start()
+        held = {}
+        ops = []
+
+        def move():
+            held.update((fid, fid) for fid in src.conns)
+            ops.append(dep.controller.move(
+                "inst1", "inst2", Filter({"nw_src": "10.0.0.0/16"},
+                                         symmetric=True),
+                scope="per", guarantee="lf+op"))
+
+        dep.sim.schedule(replayer.duration_ms * 0.5, move)
+        dep.run()
+        assert ops[0].report.aborted is None and len(held) >= 20
+        assert len(src.conns) == 0
+        stored = {fid: fid for fid in dst.conns}
+        assert len([fid for fid in stored if fid in held]) == len(held)
+        for fid in stored:
+            # the chunk carried the source's key object across
+            assert held.get(fid, fid) is fid
+        for packet in replayer.injected:
+            # ... which is the object every packet of the flow probes with
+            fid = FlowId.for_flow(packet.five_tuple.canonical())
+            assert stored.get(fid, fid) is fid
+
+
+class TestSteadyStateAllocations:
+    """Counted, not timed: no per-packet filter building or sorting."""
+
+    def _counted(self, monkeypatch):
+        built, sorts = [], []
+        init = Filter.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Filter, "__init__", counting_init)
+        monkeypatch.setattr(
+            filter_module, "sorted",
+            lambda *a, **kw: sorts.append(1) or sorted(*a, **kw),
+            raising=False)
+        return built, sorts
+
+    def test_monitor_and_ids_build_nothing_per_packet(self, monkeypatch):
+        trace = build_university_cloud_trace(
+            TraceConfig(seed=12, n_flows=334, data_packets=3))
+        packets = trace.packets[:2000]
+        flows = len({bp.five_tuple.canonical() for bp in packets})
+        hosts = len({ip for bp in packets
+                     for ip in (bp.five_tuple.src_ip, bp.five_tuple.dst_ip)})
+        assert len(packets) == 2000 and flows >= 300
+        setup = 8  # two route filters and whatever a deployment builds
+
+        built, sorts = self._counted(monkeypatch)
+        _steady_run(packets)
+        # cold: one flowid per flow and per host that was not interned
+        # yet, each hashed (one sort of its field names) once
+        assert len(built) <= flows + hosts + setup
+        assert len(sorts) <= len(built)
+
+        del built[:], sorts[:]
+        _steady_run(packets)
+        # warm: every id comes from its memo
+        assert len(built) <= setup
+        assert len(sorts) <= setup

@@ -4,6 +4,7 @@ import pytest
 
 from repro.flowspace import Filter, FiveTuple, FlowId, ip_in_prefix, ip_to_int
 from repro.flowspace.fivetuple import TCP, UDP
+from repro.flowspace import filter as filter_module, ip as ip_module
 from repro.flowspace.ip import parse_prefix, prefix_covers, prefixes_overlap
 from repro.net.packet import Packet
 
@@ -207,6 +208,53 @@ class TestFilterAlgebra:
         assert again.symmetric
         assert again.fields["nw_src"] == "10.0.0.0/8"
 
+    @pytest.mark.parametrize("cls", [Filter, FlowId])
+    def test_tcp_flags_survive_the_wire_codec(self, cls):
+        """``to_dict`` ships the flag set as a sorted list; what comes
+        back must be the same filter — equal, hash-equal, hashable."""
+        flt = cls({"nw_src": "10.0.0.0/8",
+                   "tcp_flags": frozenset({"SYN", "ACK"})}, symmetric=True)
+        again = cls.from_dict(flt.to_dict())
+        assert type(again) is cls
+        assert again == flt and flt == again
+        assert hash(again) == hash(flt)
+        assert again.to_dict() == flt.to_dict()
+        assert {flt: 1}[again] == 1
+
+    def test_tcp_flags_spellings_are_one_filter(self):
+        """``"SYN"`` (apps/failover), ``frozenset({"SYN"})`` (Packet) and
+        the decoded list are the same predicate, hence the same filter;
+        the spelling — and so the wire bytes — is kept as given."""
+        spellings = ["SYN", frozenset({"SYN"}), ["SYN"], {"SYN"}, ("SYN",)]
+        filters = [Filter({"tp_dst": 80, "tcp_flags": s}) for s in spellings]
+        for flt in filters:
+            assert flt == filters[0] and filters[0] == flt
+            assert hash(flt) == hash(filters[0])
+        assert len(set(filters)) == 1
+        assert filters[0].to_dict()["fields"]["tcp_flags"] == "SYN"
+        assert filters[1].to_dict()["fields"]["tcp_flags"] == ["SYN"]
+        assert filters[0] != Filter({"tp_dst": 80, "tcp_flags": "ACK"})
+        assert filters[0] != Filter({"tp_dst": 80})
+        assert Filter({"tp_dst": 80}) != filters[0]
+
+    def test_equality_needs_no_sort(self, monkeypatch):
+        """Identity is decided on the field dicts; only the first hash of
+        an object sorts (field names, once)."""
+        calls = []
+        monkeypatch.setattr(
+            filter_module, "sorted",
+            lambda *a, **kw: calls.append(1) or sorted(*a, **kw),
+            raising=False,
+        )
+        a = Filter({"nw_src": "10.0.0.0/8", "tp_dst": 80})
+        b = Filter({"tp_dst": 80, "nw_src": "10.0.0.0/8"})
+        for _ in range(10):
+            assert a == b and a != Filter({"tp_dst": 80})
+        assert calls == []
+        for _ in range(10):
+            hash(a)
+        assert calls == [1]
+
 
 class TestFlowIdMatching:
     def test_flowid_for_flow_is_hashable(self, flow):
@@ -246,3 +294,45 @@ class TestFlowIdMatching:
         fid = FlowId.for_flow(flow)
         again = FlowId.from_dict(fid.to_dict())
         assert again == fid
+
+
+class TestBoundedMemos:
+    """The process-global memo tables share one bounded policy."""
+
+    def test_tables_stay_under_their_cap(self):
+        tables = {
+            "addresses": ip_module._ADDR_CACHE,
+            "prefixes": ip_module._PREFIX_CACHE,
+            "host flowids": filter_module._HOST_IDS,
+        }
+        cap = ip_module.MEMO_CAP
+        assert 200_000 > 2 * cap  # the feed below forces evictions
+        probe = "10.200.0.1"
+        before = FlowId.for_host(probe)
+        assert FlowId.for_host(probe) is before
+        for n in range(200_000):
+            ip = "10.%d.%d.%d" % (n >> 16, (n >> 8) & 0xFF, n & 0xFF)
+            assert ip_to_int(ip) == (10 << 24) | n
+            parse_prefix(ip + "/24")
+            FlowId.for_host(ip)
+            if n % 4096 == 0:
+                for name, table in tables.items():
+                    assert len(table) <= cap, name
+        for name, table in tables.items():
+            assert 0 < len(table) <= cap, name
+        # The probe was evicted on the way: interning is an
+        # optimisation, equality falls back to comparing values.
+        after = FlowId.for_host(probe)
+        fresh = FlowId({"nw_src": probe}, symmetric=True)
+        assert after is not before
+        for host_id in (before, after):
+            assert host_id == fresh and fresh == host_id
+            assert hash(host_id) == hash(fresh)
+        assert FlowId.for_host(probe) is after
+        store = {before: "record"}
+        assert store[after] == "record"
+
+    def test_memoize_drops_a_full_table_whole(self):
+        table = {str(n): n for n in range(ip_module.MEMO_CAP)}
+        assert ip_module.memoize(table, "new", 1) == 1
+        assert table == {"new": 1}

@@ -36,7 +36,7 @@ class TestShardMap:
         fwd = Filter.for_flow(flow, symmetric=False)
         rev = Filter.for_flow(flow.reversed(), symmetric=False)
         sym = Filter.for_flow(flow, symmetric=True)
-        packet_shard = m.shard_for_headers(flow.headers())
+        packet_shard = m.shard_for_packet(Packet(flow))
         assert (m.shard_for_filter(fwd) == m.shard_for_filter(rev)
                 == m.shard_for_filter(sym) == packet_shard)
 
@@ -64,7 +64,7 @@ class TestShardMap:
         for i in range(400):
             flow = FiveTuple("10.%d.%d.%d" % (i % 7, i % 11, 1 + i % 250),
                              20000 + i, "203.0.113.5", 80)
-            counts[m.shard_for_headers(flow.headers())] += 1
+            counts[m.shard_for_packet(Packet(flow))] += 1
         assert min(counts) > 400 // 4 // 2  # no shard starves
 
     def test_rejects_zero_shards(self):
@@ -212,9 +212,8 @@ class TestCrossShard:
         assert plane.handoffs_completed == 1
         # Shard 0 now owns the transferred flow space: traffic that
         # previously routed to shard 1 by hash routes to the new owner.
-        headers = FiveTuple("172.17.0.9", 10000, "198.18.0.1",
-                            80, 6).headers()
-        assert plane._route(headers) is plane.replicas[0]
+        packet = Packet(FiveTuple("172.17.0.9", 10000, "198.18.0.1", 80, 6))
+        assert plane._route(packet) is plane.replicas[0]
         # Operation-lifetime claims are all released.
         assert plane._claims == []
 
@@ -273,18 +272,18 @@ class TestCrossShard:
         assert plane.handoffs_completed == 50
         assert len(plane._ownership) <= 2
 
-        def route_unpruned(headers):
+        def route_unpruned(packet):
             for flt, shard in reversed(unpruned):
-                if flt.matches_headers(headers):
+                if flt.matches_packet(packet):
                     return shard
-            return plane.replicas[plane.shard_map.shard_for_headers(headers)]
+            return plane.replicas[plane.shard_map.shard_for_packet(packet)]
 
         for index in range(64):
-            headers = FiveTuple(
+            packet = Packet(FiveTuple(
                 "172.%d.%d.9" % (15 + index % 4, index), 10000 + index,
                 "198.%d.0.1" % (18 + index % 2), 80, 6,
-            ).headers()
-            assert plane._route(headers) is route_unpruned(headers)
+            ))
+            assert plane._route(packet) is route_unpruned(packet)
 
 
 class TestSharedView:
@@ -312,7 +311,7 @@ class TestSharedView:
         handle = plane.add_event_interest("inst1", None, seen.append)
         for shard, prefix in enumerate(("172.16.0.9", "172.17.0.9")):
             flow = FiveTuple(prefix, 10000, "198.18.0.1", 80, 6)
-            assert plane._route(flow.headers()).shard_id == shard
+            assert plane._route(Packet(flow)).shard_id == shard
             plane.handle_nf_event(PacketEvent(
                 "inst1", Packet(flow), EventAction.PROCESS, dep.sim.now))
         dep.run()
