@@ -42,8 +42,9 @@ ledger-pinned:
 
 # Ten alternating parent/change runs of the ledger contract per workload
 # (README "Tests and benchmarks"): make pairs PARENT=<commit>
+# [LAYERS=<claimed workload>] for the traced layer table as well.
 pairs:
-	$(PYTHON) benchmarks/pairs.py --parent $(PARENT)
+	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) $(if $(LAYERS),--layers $(LAYERS))
 
 test-obs:
 	$(PYTHON) -m pytest tests/ -m obs

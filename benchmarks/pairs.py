@@ -1,7 +1,8 @@
 """The paired protocol in one command: parent vs. this tree, ten times.
 
     python benchmarks/pairs.py --parent <commit> [--workload W ...]
-    python benchmarks/pairs.py --parent <commit> --pr N --title "..."
+    python benchmarks/pairs.py --parent <commit> --pr N --title "..." \
+        --layers <claimed workload>
 
 Exports ``<commit>`` into a temporary directory (``git archive``: a
 plain copy of the committed files, nothing registered in ``.git``),
@@ -14,6 +15,16 @@ pairs the change won; the last line of stdout is the
 ``benchmarks/results/history.jsonl`` record. With ``--pr`` the record
 also carries tier-1's test count and wall seconds, is appended to that
 file, and the previous record's ``commit`` is filled in with the parent.
+
+``--layers W`` names the layer the time was bought in: after the pairs,
+one traced run (``--trace 1 --seed 7``, the ledger's reference seed) of
+workload ``W`` per side, and every ``*_us`` / ``probe.*_ns`` metric whose
+parent -> change ratio leaves [0.9, 1.1] is printed and carried as
+``"layers"`` in the record, together with ``sim.events`` of both sides
+(a speed-only change leaves it equal) and the median ratio over all the
+timings: a change moves a few layers, a host that sped up or slowed
+down between the two runs moves them all, so read each row against that
+median. One run per side: indicative, not a claim.
 
 A gain is *resolved* only under the rule of the choosing-metrics guide:
 the change wins at least nine pairs in ten (ties count for neither) and
@@ -38,6 +49,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HISTORY = os.path.join(ROOT, "benchmarks", "results", "history.jsonl")
 FIRST_SEED = 100
+LAYER_SEED = 7
+LAYER_BAND = (0.9, 1.1)
 
 
 def git(*args: str) -> bytes:
@@ -55,12 +68,12 @@ def export_commit(commit: str) -> str:
 
 
 def contract_run(spec: dict, tree: str, workload: str, seed: int,
-                 seconds: float) -> dict:
+                 seconds: float, trace: int = 0) -> dict:
     """One run under the BENCHMARK.json contract, from inside ``tree``."""
     done = subprocess.run(
         [sys.executable] + spec["command"][1:] + [
             "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0",
+            "--seconds", str(seconds), "--trace", str(trace),
         ],
         cwd=tree, stdout=subprocess.PIPE, check=True, text=True,
     )
@@ -85,6 +98,39 @@ def summarize(entry: dict, parent, change) -> dict:
         "parent_iqr": [round(q1, 3), round(q3, 3)],
         "wins": wins, "verdict": verdict,
     }
+
+
+def layer_table(spec: dict, trees: dict, workload: str,
+                seconds: float) -> dict:
+    """One traced run per side: the per-layer timings that moved."""
+    traced = {
+        side: contract_run(
+            spec, tree, workload, LAYER_SEED, seconds, trace=1)["metrics"]
+        for side, tree in trees.items()
+    }
+    moved, ratios = {}, []
+    print("%s --trace 1 --seed %d, one run per side:" % (workload, LAYER_SEED))
+    for name, cell in traced["parent"].items():
+        timing = name.endswith("_us") or (
+            name.startswith("probe.") and name.endswith("_ns"))
+        parent, change = cell["value"], traced["change"][name]["value"]
+        if name == "sim.events":
+            pass  # always shown: equal on both sides or the clock moved
+        elif not timing or not (parent or change):
+            continue
+        elif parent:
+            ratios.append(change / parent)
+            if LAYER_BAND[0] <= ratios[-1] <= LAYER_BAND[1]:
+                continue
+        moved[name] = [round(parent, 3), round(change, 3)]
+        print("  %-38s %12.6g -> %12.6g %-5s %s" % (
+            name, parent, change, cell["unit"],
+            "%.2fx" % (change / parent) if parent else ""))
+    drift = round(statistics.median(ratios), 3)
+    print("  median ratio of all %d timings: %.2fx (host drift between the "
+          "two runs; read each row against it)" % (len(ratios), drift))
+    return {"workload": workload, "seed": LAYER_SEED, "median_ratio": drift,
+            "metrics": moved}
 
 
 def tier1() -> dict:
@@ -122,6 +168,8 @@ def main() -> int:
     parser.add_argument("--workload", action="append", choices=names)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
+    parser.add_argument("--layers", choices=names, metavar="WORKLOAD",
+                        help="also trace this workload once per side")
     parser.add_argument("--pr", type=int, help="append the record as this PR's")
     parser.add_argument("--title", default="")
     args = parser.parse_args()
@@ -130,6 +178,7 @@ def main() -> int:
     trees = {"parent": export_commit(args.parent), "change": ROOT}
     runs = {name: {"parent": [], "change": []} for name in args.workload or names}
     failed_ops = 0
+    layers = None
     try:
         for name, sides in runs.items():
             for pair in range(args.pairs):
@@ -144,6 +193,8 @@ def main() -> int:
                     name, pair + 1, args.pairs,
                     sides["parent"][-1]["work_per_cpu_s"],
                     sides["change"][-1]["work_per_cpu_s"]), file=sys.stderr)
+        if args.layers:
+            layers = layer_table(spec, trees, args.layers, args.seconds)
     finally:
         shutil.rmtree(trees["parent"], ignore_errors=True)
 
@@ -174,6 +225,8 @@ def main() -> int:
         },
         "medians": medians,
     }
+    if layers is not None:
+        record["layers"] = layers
     if args.pr is not None:
         record["tier1"] = tier1()
         append_history(record)

@@ -612,14 +612,12 @@ class OpenNFController:
 
     def _route(self, packet: Packet) -> Shard:
         """The shard whose inbox must serialize a message about ``packet``."""
-        if self._claims or self._ownership:
-            headers = packet.headers()
-            for flt, shard in self._claims:  # oldest claim wins
-                if flt.matches_headers(headers):
-                    return shard
-            for flt, shard in reversed(self._ownership):  # newest handoff wins
-                if flt.matches_headers(headers):
-                    return shard
+        for flt, shard in self._claims:  # oldest claim wins
+            if flt.matches_packet(packet):
+                return shard
+        for flt, shard in reversed(self._ownership):  # newest handoff wins
+            if flt.matches_packet(packet):
+                return shard
         return self.replicas[self.shard_map.shard_for_packet(packet)]
 
     def _owner_shard(self, flt: Filter) -> Shard:

@@ -31,12 +31,10 @@ from repro.flowspace.ip import (
 _IP_FIELDS = ("nw_src", "nw_dst")
 _SWAP = {"nw_src": "nw_dst", "nw_dst": "nw_src", "tp_src": "tp_dst", "tp_dst": "tp_src"}
 
-#: Exactly these fields must be constrained for a filter to be exact-match.
-_EXACT_FIELDS = frozenset(("nw_src", "nw_dst", "nw_proto", "tp_src", "tp_dst"))
-
 _FULL_MASK = 0xFFFFFFFF
 
-#: Sentinel distinct from None, which is a valid (cached) exact_key result.
+#: Sentinel distinct from None, which is a valid cached result ("this
+#: filter has no exact key" / "these constraints do not compile").
 _UNSET = object()
 
 
@@ -107,10 +105,71 @@ def _identity_fields(fields: Dict[str, Any]) -> Dict[str, Any]:
     return dict(fields, tcp_flags=_flags_as_set(flags))
 
 
+def compile_fields(fields: Mapping[str, Any]) -> Optional[Tuple]:
+    """5-tuple constraints as integers, or ``None`` if they are not that.
+
+    The record is ``(proto, src_net, src_mask, tp_src, dst_net,
+    dst_mask, tp_dst)``: an unconstrained address is mask 0 (every
+    ``ip & 0 == 0``), an unconstrained port or protocol ``None``.
+    ``tcp_flags``, an application field, a non-integer port/protocol or
+    an unparsable prefix has no such form — those constraints stay on
+    the dict-walking definition (:meth:`Filter.matches_headers`,
+    :meth:`Filter.matches_flowid`).
+    """
+    proto = tp_src = tp_dst = None
+    src_net = src_mask = dst_net = dst_mask = 0
+    try:
+        for field, value in fields.items():
+            if field == "nw_src":
+                src_net, src_mask = parse_prefix(value)
+            elif field == "nw_dst":
+                dst_net, dst_mask = parse_prefix(value)
+            elif not isinstance(value, int):
+                return None
+            elif field == "nw_proto":
+                proto = value
+            elif field == "tp_src":
+                tp_src = value
+            elif field == "tp_dst":
+                tp_dst = value
+            else:
+                return None
+    except (AttributeError, TypeError, ValueError):
+        return None
+    return (proto, src_net, src_mask, tp_src, dst_net, dst_mask, tp_dst)
+
+
+def key_matches(compiled: Tuple, key: Tuple, either_way: bool) -> bool:
+    """Whether an exact key satisfies a :func:`compile_fields` record.
+
+    ``key`` is a packet's oriented match key or a flowid's exact key;
+    with ``either_way`` (a symmetric side) the swapped orientation is
+    tried too.
+    """
+    proto, src_net, src_mask, tp_src, dst_net, dst_mask, tp_dst = compiled
+    _tag, key_proto, (src, sport), (dst, dport) = key
+    if proto is not None and proto != key_proto:
+        return False
+    if (
+        src & src_mask == src_net
+        and dst & dst_mask == dst_net
+        and (tp_src is None or tp_src == sport)
+        and (tp_dst is None or tp_dst == dport)
+    ):
+        return True
+    return (
+        either_way
+        and dst & src_mask == src_net
+        and src & dst_mask == dst_net
+        and (tp_src is None or tp_src == dport)
+        and (tp_dst is None or tp_dst == sport)
+    )
+
+
 class Filter:
     """An immutable header predicate with wildcard semantics."""
 
-    __slots__ = ("fields", "symmetric", "_hash", "_exact_key")
+    __slots__ = ("fields", "symmetric", "_hash", "_exact_key", "_compiled")
 
     def __init__(
         self, fields: Optional[Mapping[str, Any]] = None, symmetric: bool = False
@@ -119,6 +178,7 @@ class Filter:
         self.symmetric = symmetric
         self._hash: Optional[int] = None
         self._exact_key: Any = _UNSET
+        self._compiled: Any = _UNSET
 
     # -- construction helpers -------------------------------------------------
 
@@ -164,7 +224,20 @@ class Filter:
         return True
 
     def matches_packet(self, packet) -> bool:
-        """Whether a :class:`~repro.net.packet.Packet` satisfies the filter."""
+        """Whether a :class:`~repro.net.packet.Packet` satisfies the filter.
+
+        ``matches_headers(packet.headers())`` by definition; computed as
+        integer compares of the :func:`compile_fields` record (built
+        once per filter) with the packet's shared oriented match key
+        whenever both exist.
+        """
+        compiled = self._compiled
+        if compiled is _UNSET:
+            compiled = self._compiled = compile_fields(self.fields)
+        if compiled is not None:
+            key = packet.match_keys()[0]
+            if key is not None:
+                return key_matches(compiled, key, self.symmetric)
         return self.matches_headers(packet.headers())
 
     # -- exact-match fast path ------------------------------------------------
@@ -191,28 +264,17 @@ class Filter:
         """
         key = self._exact_key
         if key is _UNSET:
-            key = self._compute_exact_key()
-            self._exact_key = key
+            key = self._exact_key = self._compute_exact_key()
         return key
 
     def _compute_exact_key(self) -> Optional[Tuple]:
-        fields = self.fields
-        if len(fields) != 5 or frozenset(fields) != _EXACT_FIELDS:
+        # A view of the compiled record: five compilable fields are the
+        # five 5-tuple fields. The record is not kept here — a per-flow
+        # id is only ever asked for its key.
+        compiled = compile_fields(self.fields) if len(self.fields) == 5 else None
+        if compiled is None:
             return None
-        proto = fields["nw_proto"]
-        tp_src = fields["tp_src"]
-        tp_dst = fields["tp_dst"]
-        if (
-            not isinstance(proto, int)
-            or not isinstance(tp_src, int)
-            or not isinstance(tp_dst, int)
-        ):
-            return None
-        try:
-            src_net, src_mask = parse_prefix(fields["nw_src"])
-            dst_net, dst_mask = parse_prefix(fields["nw_dst"])
-        except (AttributeError, TypeError, ValueError):
-            return None
+        proto, src_net, src_mask, tp_src, dst_net, dst_mask, tp_dst = compiled
         if src_mask != _FULL_MASK or dst_mask != _FULL_MASK:
             return None
         left = (src_net, tp_src)
@@ -290,8 +352,19 @@ class Filter:
     # -- flow-space algebra ---------------------------------------------------
 
     def covers(self, other: "Filter") -> bool:
-        """Whether every header set matched by ``other`` is matched by self."""
-        for field, constraint in self.fields.items():
+        """Whether every header set matched by ``other`` is matched by self.
+
+        A symmetric ``self`` covers through either orientation of its
+        constraints (a per-flow filter is stored canonically, so the end
+        a prefix names may sit in either role).
+        """
+        return self._covers(self.fields, other) or (
+            self.symmetric and self._covers(_swap_headers(self.fields), other)
+        )
+
+    @staticmethod
+    def _covers(mine: Mapping[str, Any], other: "Filter") -> bool:
+        for field, constraint in mine.items():
             if field not in other.fields:
                 return False
             theirs = other.fields[field]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.flowspace.filter import Filter, FlowId
+from repro.flowspace.filter import Filter, FlowId, compile_fields, key_matches
 
 
 def _canonical_bucket(key: Tuple) -> Tuple:
@@ -147,21 +147,34 @@ class FlowKeyedStore:
         — it has an exact key and the relevant-fields projection drops
         none of its constraints — candidate flowids come from the
         canonical hash bucket instead of a full scan; only partial
-        flowids are still matched linearly.
+        flowids are still matched linearly. Any other filter scans, but
+        its projection is compiled once and each full-5-tuple flowid is
+        an integer compare against its cached exact key (a full flowid
+        engages every constraint; the swapped orientation counts when
+        either side is symmetric).
         """
         relevant = None if relevant_fields is None else set(relevant_fields)
-        constraints = [
-            field for field in flt.fields if relevant is None or field in relevant
-        ]
+        constraints = {
+            field: value for field, value in flt.fields.items()
+            if relevant is None or field in relevant
+        }
         if not constraints:
             # Vacuous filter for this state kind: everything matches.
             return list(self._data)
         key = flt.exact_key()
         if key is None or len(constraints) != len(flt.fields):
-            return [
-                fid for fid in self._data
-                if flt.matches_flowid(fid, relevant_fields)
-            ]
+            compiled = compile_fields(constraints)
+            scanned: List[FlowId] = []
+            for fid in self._data:
+                fid_key = None if compiled is None else fid.exact_key()
+                if fid_key is None:
+                    hit = flt.matches_flowid(fid, relevant_fields)
+                else:
+                    hit = key_matches(
+                        compiled, fid_key, flt.symmetric or fid.symmetric)
+                if hit:
+                    scanned.append(fid)
+            return scanned
         # Fast path. A full-5-tuple flowid matches an exact filter iff
         # their canonical keys agree and, when both are oriented, the
         # orientations agree too (matches_flowid tries the swapped view

@@ -171,13 +171,10 @@ class FlowTable:
                     if best is None or _order(head) < _order(best):
                         best = head
         limit = None if best is None else _order(best)
-        headers = None  # built only if a wildcard entry has to be tried
         for entry in self._wildcards:
             if limit is not None and _order(entry) > limit:
                 break  # every remaining wildcard loses to the exact hit
-            if headers is None:
-                headers = packet.headers()
-            if entry.filter.matches_headers(headers):
+            if entry.filter.matches_packet(packet):
                 return entry
         return best
 

@@ -96,7 +96,8 @@ class Packet:
         """The ``(oriented, symmetric)`` exact-match keys of this packet.
 
         The one flow key every table lookup on the packet's path uses
-        (flow table, NF event-rule index, XFSM rings, shard map), see
+        (flow table, NF event-rule index, XFSM rings, shard map) and
+        every compiled ``Filter.matches_packet`` compares against, see
         :func:`~repro.flowspace.filter.packet_match_keys`. It is a fact
         of the flow direction, so it is extracted once and memoized on
         the five-tuple all packets of that direction share. Only a

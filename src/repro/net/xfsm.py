@@ -207,7 +207,7 @@ class XFSMInstance:
         the flow is pinned to ``port`` while the rest keep buffering.
         Returns the number of packets flushed.
         """
-        if repr(flt) == repr(self.filter) or flt.covers(self.filter):
+        if flt.covers(self.filter):
             return self._release_all(port)
         return self._release_flow(flt, port)
 

@@ -387,13 +387,10 @@ class NetworkFunction:
                     rule = bucket[-1]  # buckets keep registration order
                     if best is None or rule.seq > best.seq:
                         best = rule
-        headers = None  # built only if a wildcard rule has to be tried
         for rule in reversed(self._rules_wild):
             if best is not None and rule.seq < best.seq:
                 break  # every remaining wildcard rule is older than best
-            if headers is None:
-                headers = packet.headers()
-            if rule.filter.matches_headers(headers):
+            if rule.filter.matches_packet(packet):
                 return rule
         return best
 
@@ -529,7 +526,7 @@ class NetworkFunction:
         used to make this quadratic in the number of per-flow rules.
         """
         for rule in list(self._event_rules.values()):
-            if flt.covers(rule.filter) or rule.filter == flt:
+            if flt.covers(rule.filter):  # equal fields cover too
                 self.sb_disable_events(rule.filter)
 
     @property

@@ -5,15 +5,18 @@ a public iteration surface of the production object — ``iter(table)``
 (match order), ``nf.event_rules()`` (registration order), ``iter(store)``
 (insertion order), a plain list of samples — so the production classes
 hold exactly one path and the slow one lives here, where only tests can
-reach it.
+reach it. Packet matching here is the dict-walking *definition*
+(``matches_headers`` over a fresh ``headers()``), never the compiled
+integer compare ``matches_packet`` runs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.flowspace import Filter, FlowId
+from repro.flowspace.ip import parse_prefix
 from repro.net import FlowTable, Packet
 from repro.net.flowtable import FlowEntry
 from repro.nf import EventRule, NetworkFunction
@@ -21,8 +24,9 @@ from repro.nf import EventRule, NetworkFunction
 
 def linear_lookup(table: FlowTable, packet: Packet) -> Optional[FlowEntry]:
     """First entry, in match order, whose filter matches ``packet``."""
+    headers = packet.headers()
     for entry in table:
-        if entry.filter.matches_packet(packet):
+        if entry.filter.matches_headers(headers):
             return entry
     return None
 
@@ -46,8 +50,9 @@ def linear_match_rule(
     nf: NetworkFunction, packet: Packet
 ) -> Optional[EventRule]:
     """The most recently enabled rule matching ``packet``."""
+    headers = packet.headers()
     for rule in reversed(nf.event_rules()):
-        if rule.filter.matches_packet(packet):
+        if rule.filter.matches_headers(headers):
             return rule
     return None
 
@@ -59,6 +64,30 @@ def linear_keys_matching(
 ) -> List[FlowId]:
     """Stored flowids matching ``flt`` under §4.2, in insertion order."""
     return [fid for fid in store if flt.matches_flowid(fid, relevant_fields)]
+
+
+def parsed_exact_key(flt: Filter) -> Optional[Tuple]:
+    """``Filter.exact_key`` as it was computed before filters compiled:
+    straight from the field strings, sharing nothing with the record."""
+    fields = flt.fields
+    if set(fields) != {"nw_src", "nw_dst", "nw_proto", "tp_src", "tp_dst"}:
+        return None
+    proto, tp_src, tp_dst = fields["nw_proto"], fields["tp_src"], fields["tp_dst"]
+    if not all(isinstance(value, int) for value in (proto, tp_src, tp_dst)):
+        return None
+    try:
+        src_net, src_mask = parse_prefix(fields["nw_src"])
+        dst_net, dst_mask = parse_prefix(fields["nw_dst"])
+    except (AttributeError, TypeError, ValueError):
+        return None
+    if src_mask != 0xFFFFFFFF or dst_mask != 0xFFFFFFFF:
+        return None
+    left, right = (src_net, tp_src), (dst_net, tp_dst)
+    if not flt.symmetric:
+        return ("o", proto, left, right)
+    if right < left:
+        left, right = right, left
+    return ("s", proto, left, right)
 
 
 def raw_percentile(samples: List[float], q: float) -> Optional[float]:

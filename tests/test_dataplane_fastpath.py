@@ -11,10 +11,14 @@ same state-key lists in the same order.
 
 The flow key those fast paths probe with is extracted once per flow
 direction (``Packet.match_keys``) and flows are named by one interned
-``FlowId`` object; the last three classes pin that the shared key is
+``FlowId`` object; the next three classes pin that the shared key is
 the freshly extracted one, that the ids really are one object from
 packet to moved state, and — by count, not by clock — that the steady
-state builds and sorts nothing per packet.
+state builds and sorts nothing per packet. ``TestCompiledFilters`` pins
+the integer compare every match now runs (``compile_fields`` against
+that shared key, or against a stored flowid's exact key) to the
+dict-walking definition, and counts that a warm data path builds no
+header dict and parses no prefix.
 """
 
 import random
@@ -23,11 +27,12 @@ import pytest
 
 from repro.flowspace import Filter, FiveTuple, FlowId
 from repro.flowspace import filter as filter_module
-from repro.flowspace.filter import packet_match_keys
+from repro.flowspace import ip as ip_module
+from repro.flowspace.filter import compile_fields, packet_match_keys
 from repro.harness import Deployment
 from repro.net import FlowTable, Link, Packet, Switch
 from repro.net.packet import reset_uid_counter
-from repro.net.xfsm import BufferUntilRelease, XFSMInstance
+from repro.net.xfsm import REDIRECT, BufferUntilRelease, XFSMInstance
 from repro.nf.events import EventAction
 from repro.nfs.dummy import DummyNF
 from repro.nfs.ids import IntrusionDetector
@@ -45,6 +50,7 @@ from tests.oracles import (
     linear_lookup,
     linear_match_rule,
     linear_overlapping,
+    parsed_exact_key,
 )
 
 IPS = ["10.0.%d.%d" % (i // 200, 1 + i % 200) for i in range(2000)] + \
@@ -526,3 +532,223 @@ class TestSteadyStateAllocations:
         # warm: every id comes from its memo
         assert len(built) <= setup
         assert len(sorts) <= setup
+
+
+FIVE_FIELDS = ("nw_src", "nw_dst", "nw_proto", "tp_src", "tp_dst")
+
+
+def small_pool(rng, size=24):
+    """Flows over few addresses and ports (port / protocol 1 included,
+    which is what a ``True`` constraint equals), so prefixes of every
+    length and partial filters really hit."""
+    ips = ["10.0.1.%d" % i for i in range(1, 7)] + \
+        ["203.0.113.5", "192.168.1.9", "10.9.9.9"]
+    ports = [1, 80, 443, 5555]
+    pool = []
+    for _ in range(size):
+        src, dst = rng.sample(ips, 2)
+        pool.append(FiveTuple(src, rng.choice(ports), dst, rng.choice(ports),
+                              rng.choice([6, 6, 17, 1])))
+    return pool
+
+
+def any_filter(rng, pool, parsable=False):
+    """Any subset of the five fields of some pool flow (either way
+    round): addresses bare, ``/32`` or cut to a random prefix length;
+    one in three also carries what must refuse to compile — flags, an
+    application field, a ``str`` port, an unparsable prefix (left out
+    when ``parsable``) — or a ``bool``, which is an ``int`` and
+    compiles."""
+    ft = rng.choice(pool)
+    if rng.random() < 0.5:
+        ft = ft.reversed()
+    fields = {}
+    for name, value in ft.headers().items():
+        if rng.random() < 0.5:
+            continue
+        if name in ("nw_src", "nw_dst"):
+            roll = rng.random()
+            if roll < 0.2:
+                value += "/32"
+            elif roll < 0.7:
+                value = "%s/%d" % (value, rng.randrange(33))
+        fields[name] = value
+    odd = rng.randrange(15)
+    if odd == 0:
+        fields["tcp_flags"] = "SYN"
+    elif odd == 1:
+        fields["http_url"] = "/x"
+    elif odd == 2:
+        fields["tp_dst"] = str(ft.dst_port)
+    elif odd == 3:
+        fields[rng.choice(["nw_proto", "tp_src", "tp_dst"])] = True
+    elif odd == 4 and not parsable:
+        fields["nw_src"] = rng.choice(["10.0.1/24", "10.0.1.0/33", "host-a"])
+    return Filter(fields, symmetric=rng.random() < 0.5)
+
+
+def any_packet(rng, pool):
+    """``random_packet`` plus headers that are no integer 5-tuple."""
+    packet = random_packet(rng, pool)
+    roll = rng.random()
+    if roll < 0.06:
+        packet.extra_headers["tp_src"] = "80"
+    elif roll < 0.12:
+        packet.extra_headers["nw_proto"] = None
+    elif roll < 0.18:
+        ft = packet.five_tuple
+        packet = Packet(FiveTuple(ft.src_ip, str(ft.src_port), ft.dst_ip,
+                                  ft.dst_port))
+    return packet
+
+
+def outcome(call):
+    """What ``call()`` returns or the class it raises (an unparsable
+    prefix raises from whichever constraint walk reaches it)."""
+    try:
+        return call()
+    except (AttributeError, TypeError, ValueError) as exc:
+        return type(exc)
+
+
+class TestCompiledFilters:
+    """compiled == definition, for packets and for stored flowids."""
+
+    def test_what_compiles(self):
+        ft = FiveTuple("10.0.1.2", 1234, "203.0.113.5", 80)
+        assert compile_fields({}) == (None, 0, 0, None, 0, 0, None)
+        assert compile_fields({"nw_src": "10.0.1.77/24", "tp_dst": 80}) == (
+            None, 0x0A000100, 0xFFFFFF00, None, 0, 0, 80)
+        assert compile_fields(ft.headers()) == (
+            6, 0x0A000102, 0xFFFFFFFF, 1234, 0xCB007105, 0xFFFFFFFF, 80)
+        assert compile_fields({"tp_src": True})[3] is True
+        for fields in ({"tcp_flags": "SYN"}, {"http_url": "/x"},
+                       {"tp_dst": "80"}, {"nw_proto": None}, {"tp_src": 80.0},
+                       {"nw_src": "10.0.1/24"}, {"nw_dst": "10.0.1.0/33"},
+                       {"nw_src": 5}, {"nw_src": None}):
+            assert compile_fields(dict(ft.headers(), **fields)) is None
+
+    def test_matches_packet_is_matches_headers(self):
+        rng = random.Random(1905)
+        pool = small_pool(rng)
+        compiled = hits = 0
+        for _ in range(1500):
+            flt = any_filter(rng, pool)
+            compiled += compile_fields(flt.fields) is not None
+            for _ in range(4):
+                packet = any_packet(rng, pool)
+                for step in (None, {RE_TOKEN_HEADER: "fp"}, {"tp_dst": 443}):
+                    # as redup does: headers added after a first match
+                    packet.extra_headers.update(step or {})
+                    expected = outcome(
+                        lambda: flt.matches_headers(packet.headers()))
+                    assert outcome(
+                        lambda: flt.matches_packet(packet)) == expected
+                    hits += expected is True
+        assert compiled > 800 and hits > 2000
+
+    def test_exact_key_is_unchanged(self):
+        rng = random.Random(1906)
+        pool = small_pool(rng)
+        exact = 0
+        for _ in range(3000):
+            flt = any_filter(rng, pool)
+            if rng.random() < 0.3:  # all five fields: the exact candidates
+                spare = rng.choice(pool).headers()
+                flt = Filter(dict(spare, **flt.fields), flt.symmetric)
+            assert flt.exact_key() == parsed_exact_key(flt)
+            exact += flt.exact_key() is not None
+        assert exact > 100
+
+    def test_lookup_and_match_rule_equal_the_oracles(self):
+        rng = random.Random(1907)
+        pool = small_pool(rng)
+        table = FlowTable()
+        nf = DummyNF(Simulator(), "dut")
+        actions = [EventAction.PROCESS, EventAction.BUFFER, EventAction.DROP]
+        for step in range(300):
+            table.install(any_filter(rng, pool, parsable=True),
+                          rng.choice([10, 100, 1000]), ["p%d" % step],
+                          float(step))
+            nf.sb_enable_events(any_filter(rng, pool, parsable=True),
+                                rng.choice(actions))
+        for _ in range(600):
+            packet = any_packet(rng, pool)
+            assert table.lookup(packet) is linear_lookup(table, packet)
+            assert nf._match_rule(packet) is linear_match_rule(nf, packet)
+
+    def test_keys_matching_scan_equals_matches_flowid(self):
+        """Same members, same order, over every kind of stored id."""
+        rng = random.Random(1908)
+        pool = small_pool(rng, size=60)
+        store = DummyNF(Simulator(), "dut").flows
+        for step, ft in enumerate(pool):
+            store[FlowId.for_flow(ft.canonical())] = step
+            store[FlowId.for_flow(ft, symmetric=False)] = step
+            store[FlowId.for_host(ft.src_ip)] = step
+            store[IntrusionDetector._pair_id(ft.src_ip, ft.dst_ip)] = step
+            store[FlowId({"nw_dst": ft.dst_ip, "http_url": "/%d" % step})] = step
+            store[FlowId({"nw_src": "10.0.1.0/29", "tp_dst": ft.dst_port})] = step
+        assert len(store) > 200
+        projections = (None, FIVE_FIELDS, ("nw_src", "nw_dst"),
+                       ("nw_src", "nw_dst", "http_url"), ("http_url",))
+        some = everything = 0
+        for _ in range(400):
+            flt = any_filter(rng, pool, parsable=True)
+            for relevant in projections:
+                got = store.keys_matching(flt, relevant)
+                assert got == linear_keys_matching(store, flt, relevant)
+                some += 0 < len(got) < len(store)
+                everything += len(got) == len(store)
+        assert some > 300 and everything > 300  # incl. emptied projections
+
+    def test_warm_data_path_builds_no_headers_and_parses_no_prefix(
+            self, monkeypatch):
+        """Counted, not timed: one wildcard and two prefix routes, a
+        prefix event rule and a wildcard machine in REDIRECT test every
+        packet, yet nothing walks a header dict or probes the prefix
+        memo (the parent did both at least once per packet)."""
+        packets = build_university_cloud_trace(
+            TraceConfig(seed=12, n_flows=334, data_packets=3)).packets[:2000]
+        side_route = Filter({"nw_src": "10.0.1.0/28"}, symmetric=True)
+        back_route = Filter({"nw_dst": "10.0.1.0/30"})
+        event_rule = Filter({"nw_src": "10.0.1.0/29"}, symmetric=True)
+
+        def run():
+            dep = Deployment(record_ground_truth=False)
+            mon = AssetMonitor(dep.sim, "mon")
+            side = AssetMonitor(dep.sim, "side")
+            dep.add_nf(mon)
+            dep.add_nf(side)
+            dep.set_default_route("mon")
+            dep.set_default_route("side", side_route)
+            dep.set_default_route("mon", back_route)
+            mon.sb_enable_events(event_rule, EventAction.PROCESS)
+            dep.switch.install_state_machine(
+                Filter.wildcard(), BufferUntilRelease())
+            dep.run()
+            dep.switch.release_state_machine(Filter.wildcard(), "mon")
+            assert [m.state for m in dep.switch.state_machines()] == [REDIRECT]
+            TraceReplayer(dep.sim, dep.inject, packets, rate_pps=5000.0).start()
+            dep.run()
+            assert mon.packets_processed + side.packets_processed == 2000
+            assert mon.packets_processed and side.packets_processed
+            assert mon.events_raised
+
+        run()  # warm: one key per flow direction, one record per filter
+        calls = {"headers": 0, "parse_prefix": 0}
+        headers, parse_prefix = Packet.headers, ip_module.parse_prefix
+
+        def counted_headers(self):
+            calls["headers"] += 1
+            return headers(self)
+
+        def counted_parse(prefix):
+            calls["parse_prefix"] += 1
+            return parse_prefix(prefix)
+
+        monkeypatch.setattr(Packet, "headers", counted_headers)
+        monkeypatch.setattr(ip_module, "parse_prefix", counted_parse)
+        monkeypatch.setattr(filter_module, "parse_prefix", counted_parse)
+        run()
+        assert calls == {"headers": 0, "parse_prefix": 0}

@@ -177,6 +177,24 @@ class TestFilterAlgebra:
         assert a.covers(b)
         assert not b.covers(a)
 
+    def test_symmetric_covers_through_either_orientation(self):
+        """A per-flow filter is stored canonically (smaller endpoint
+        first), so the end a symmetric prefix names may sit in either
+        role; an oriented prefix still covers only its own role."""
+        server_first = Filter.for_flow(
+            FiveTuple("192.168.1.7", 40000, "10.9.9.9", 80).canonical())
+        assert server_first.fields["nw_dst"] == "192.168.1.7"
+        clients = {"nw_src": "192.168.1.0/24"}
+        assert Filter(clients, symmetric=True).covers(server_first)
+        assert not Filter(clients).covers(server_first)
+        assert Filter({"nw_dst": "192.168.1.0/24"}).covers(server_first)
+        both = Filter({"nw_src": "192.168.1.0/24", "tp_src": 40000},
+                      symmetric=True)
+        assert both.covers(server_first)
+        assert not both.with_fields(tp_src=80).covers(server_first)
+        assert not Filter({"nw_src": "172.16.0.0/12"},
+                          symmetric=True).covers(server_first)
+
     def test_intersects_overlapping_prefixes(self):
         a = Filter({"nw_src": "10.0.0.0/8"})
         b = Filter({"nw_src": "10.5.0.0/16"})

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.controller.move import Guarantee
-from repro.flowspace import Filter
+from repro.flowspace import Filter, FiveTuple
 from repro.harness import run_move_experiment
 from repro.nf import Scope
+from tests.conftest import make_packet
 
 
 class TestGuaranteeParsing:
@@ -107,6 +108,36 @@ class TestLossFreeMove:
         assert (
             released.latency.average_added_ms < plain.latency.average_added_ms
         )
+
+    @pytest.mark.parametrize("clients, server", [
+        ("10.0.1.%d", "203.0.113.6"),   # clients sort first
+        ("192.168.1.%d", "10.9.9.9"),   # the server does
+    ])
+    def test_late_locked_rules_are_all_disabled(
+            self, two_monitor_deployment, clients, server):
+        """Late locking enables one DROP rule per flow, stored in
+        canonical orientation; the closing ``disableEvents`` of the
+        (symmetric, client-prefix) move filter must cover every one of
+        them whichever endpoint sorts first."""
+        dep, src, dst = two_monitor_deployment
+        flows = [FiveTuple(clients % i, 40000 + i, server, 80)
+                 for i in range(1, 13)]
+        for round_ in range(30):
+            for index, flow in enumerate(flows):
+                at = 0.5 * (round_ * len(flows) + index)
+                packet = make_packet(
+                    flow if round_ % 2 == 0 else flow.reversed(),
+                    flags=("ACK",) if round_ else ("SYN",), created_at=at)
+                dep.sim.schedule(at, dep.inject, packet)
+        ops = []
+        dep.sim.schedule(40.0, lambda: ops.append(dep.controller.move(
+            "prads1", "prads2",
+            Filter({"nw_src": clients % 0 + "/24"}, symmetric=True),
+            scope="per", guarantee="lf", early_release=True)))
+        dep.run()
+        assert ops[0].report.aborted is None
+        assert (src.conn_count(), dst.conn_count()) == (0, 12)
+        assert src.event_rule_count == 0
 
     def test_sequential_loss_free_also_safe(self):
         result = run_move_experiment("lf", parallel=False, n_flows=40)

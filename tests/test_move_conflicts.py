@@ -3,7 +3,16 @@
 import pytest
 
 from repro.flowspace import Filter, FiveTuple
-from repro.harness import build_multi_instance_deployment, check_loss_free
+from repro.harness import (
+    build_multi_instance_deployment,
+    check_loss_free,
+    check_order_preserving,
+)
+from repro.traffic import (
+    TraceConfig,
+    TraceReplayer,
+    build_university_cloud_trace,
+)
 from tests.conftest import make_packet
 
 
@@ -74,3 +83,45 @@ class TestMoveConflicts:
         assert a.conn_count() == 6
         ok, detail = check_loss_free(dep.switch, [a, b, c])
         assert ok, detail
+
+
+class TestSymmetricConflicts:
+    """Two symmetric single-prefix filters share every flow that runs
+    between their prefixes (one reaches it through each orientation)."""
+
+    def _two_moves(self, server_side, max_events=50_000):
+        dep, nfs = build_multi_instance_deployment(3)
+        trace = build_university_cloud_trace(
+            TraceConfig(seed=7, n_flows=200, data_packets=6))
+        replayer = TraceReplayer(
+            dep.sim, dep.inject, trace.packets, rate_pps=5000.0).start()
+        ops = []
+
+        def issue():
+            for dst, fields in (("inst2", {"nw_src": "10.0.1.0/28"}),
+                                ("inst3", server_side)):
+                ops.append(dep.controller.move(
+                    "inst1", dst, Filter(fields, symmetric=True),
+                    guarantee="lf+op"))
+
+        dep.sim.schedule(replayer.duration_ms * 0.3, issue)
+        # Bounded: the conflicting pair, admitted together, never ends.
+        dep.sim.run(max_events=max_events)
+        assert dep.controller.moves_queued_for_conflict == 1
+        assert all(op.done.triggered for op in ops)
+        assert all(op.done.value.aborted is None for op in ops)
+        ok, detail = check_loss_free(dep.switch, nfs)
+        assert ok, detail
+        ok, detail = check_order_preserving(
+            dep.switch, nfs, replayer.injected)
+        assert ok, detail
+
+    def test_client_and_server_prefix_moves_serialize(self):
+        self._two_moves({"nw_dst": "203.0.113.0/24"})
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "Filter.intersects ignores `symmetric`: the same server prefix "
+        "spelled nw_src is not seen to conflict, both moves are admitted "
+        "and neither `done` ever fires (ROADMAP, failure-model item)"))
+    def test_conflict_is_seen_through_the_swapped_orientation(self):
+        self._two_moves({"nw_src": "203.0.113.0/24"})
