@@ -28,12 +28,28 @@ from repro.net.switch import CONTROLLER_PORT
 from repro.nf.events import EventAction
 from repro.nf.state import Scope
 from repro.controller.move import DRAIN_GRACE_MS
-from repro.controller.reports import OperationReport
+from repro.controller.operation import Operation, _plan
 from repro.sim.process import AllOf
 
+#: The baseline has one variant.
+SPLITMERGE_PLANS = {
+    "migrate": _plan("halt", "transfer", "flush", "reroute"),
+}
 
-class SplitMergeMigrate:
-    """One in-flight Split/Merge migration; ``done`` fires with a report."""
+
+class SplitMergeMigrate(Operation):
+    """One in-flight Split/Merge migration; ``done`` fires with a report.
+
+    It shares the operations' driver and the controller's observability
+    bundle, so the baseline's defects are visible to the same auditors
+    as OpenNF moves — its root span carries ``guarantee="none"``, so the
+    auditors still hold it to loss-freedom (drops are real losses here,
+    not a guarantee the baseline opted out of) but not to ordering. It
+    runs outside admission on purpose, and an instance failure only
+    stops it: the baseline has no recovery to reproduce.
+    """
+
+    kind = "splitmerge-migrate"
 
     def __init__(
         self,
@@ -42,79 +58,43 @@ class SplitMergeMigrate:
         dst: Any,
         flt: Filter,
     ) -> None:
-        self.controller = controller
-        self.sim = controller.sim
-        self.src = controller.client(src)
-        self.dst = controller.client(dst)
-        self.flt = flt
+        super().__init__(
+            controller, controller._owner_shard(flt), flt,
+            SPLITMERGE_PLANS["migrate"], {"guarantee": "none"},
+            guarantee="none",
+            src=controller.client(src), dst=controller.client(dst),
+        )
         self.dst_port = controller.port_of(self.dst.name)
-        self.report = OperationReport(
-            kind="splitmerge-migrate",
-            guarantee="none",
-            filter_repr=repr(flt),
-            src=self.src.name,
-            dst=self.dst.name,
-        )
-        self.done = self.sim.event("splitmerge-done")
-        #: Shares the controller's observability bundle so the baseline's
-        #: defects are visible to the same auditors as OpenNF moves — its
-        #: root span carries ``guarantee="none"``, so the auditors still
-        #: hold it to loss-freedom (drops are real losses here, not a
-        #: guarantee the baseline opted out of) but not to ordering.
-        self.obs = controller.obs
-        self.trace = self.obs.operation(
-            self.sim,
-            self.report,
-            "splitmerge-migrate",
-            guarantee="none",
-            filter=repr(flt),
-            src=self.src.name,
-            dst=self.dst.name,
-        )
-        self.src = self.trace.bind(self.src)
-        self.dst = self.trace.bind(self.dst)
-        self.switch = self.trace.bind(controller.switch_client)
         self._halted_packets: List[Packet] = []
         self._halting = True
-        self._drops_at_start = 0
-        self._interest = controller.add_packet_interest(flt, self._on_packet_in)
-        self.process = self.sim.spawn(self._run(), name="splitmerge-op")
+        self._interest_handles.append(
+            controller.add_packet_interest(flt, self._on_packet_in)
+        )
 
     def _on_packet_in(self, packet: Packet) -> None:
         if self._halting:
             # Halted at the orchestrator while state moves.
             if self.obs.enabled:
-                self.obs.tracer.record(
-                    "ctrl.buffer",
-                    trace_id=self.trace.trace_id,
-                    where="halt",
-                    uid=packet.uid,
-                    flow=packet.flow_key(),
-                )
+                self._record_packet("ctrl.buffer", packet, "halt")
             self._halted_packets.append(packet)
         else:
             # Figure 5's race: a late packet is forwarded to dstInst even
             # though the switch may already be sending newer packets there.
             self.switch.packet_out(packet, self.dst_port)
 
-    def _run(self):
-        self.report.started_at = self.sim.now
-        self._drops_at_start = self.src.nf.packets_dropped_silent
-
+    def _step_halt(self, parent):
         # 1+2 concurrently: the Split/Merge library inside srcInst starts
         # dropping matching packets on dequeue the moment migrate() begins,
         # while the orchestrator halts traffic at the switch. Packets
         # in flight (or queued at srcInst) until the halt rule applies are
         # dropped with no record — the loss-freedom violation of §5.1.1.
-        drop_armed = self.src.enable_events(
-            self.flt, EventAction.DROP, silent=True
-        )
-        halted = self.switch.install(
-            self.flt, [CONTROLLER_PORT], MID_PRIORITY
-        )
-        yield AllOf([drop_armed, halted])
+        yield AllOf([
+            self.src.enable_events(self.flt, EventAction.DROP, silent=True),
+            self.switch.install(self.flt, [CONTROLLER_PORT], MID_PRIORITY),
+        ])
         self.report.mark_phase("halted", self.sim.now)
 
+    def _step_transfer(self, parent):
         # 3. Move the state (Split/Merge migrates partitioned, i.e.
         # per-flow, state only).
         chunks = yield self.src.get_perflow(self.flt)
@@ -124,37 +104,27 @@ class SplitMergeMigrate:
         yield self.dst.put_perflow(chunks)
         self.report.mark_phase("state-transferred", self.sim.now)
 
+    def _step_flush(self, parent):
         # 4. Flush the packets buffered at the orchestrator...
         for packet in self._halted_packets:
             if self.obs.enabled:
-                self.obs.tracer.record(
-                    "ctrl.release",
-                    trace_id=self.trace.trace_id,
-                    where="halt",
-                    uid=packet.uid,
-                    flow=packet.flow_key(),
-                )
+                self._record_packet("ctrl.release", packet, "halt")
             self.switch.packet_out(packet, self.dst_port)
         self.report.packets_in_events = len(self._halted_packets)
-        for packet in self._halted_packets:
-            self.report.affected_uids.add(packet.uid)
+        self.report.affected_uids.update(p.uid for p in self._halted_packets)
         self._halted_packets = []
         self._halting = False
+        yield from ()
 
+    def _step_reroute(self, parent):
         # 5. ...and race the forwarding update (no synchronization).
-        yield self.switch.install(
-            self.flt, [self.dst_port], HIGH_PRIORITY
-        )
+        yield self.switch.install(self.flt, [self.dst_port], HIGH_PRIORITY)
         self.report.mark_phase("rerouted", self.sim.now)
-        self.report.finished_at = self.sim.now
 
+    def _cleanup(self):
+        self.report.finished_at = self.sim.now
         yield DRAIN_GRACE_MS
-        self.controller.remove_interest(self._interest)
+        self._drop_interests()
         yield self.src.disable_events_covered(self.flt)
         yield self.switch.remove(self.flt, MID_PRIORITY)
-        self.report.packets_dropped = (
-            self.src.nf.packets_dropped_silent - self._drops_at_start
-        )
-        self.trace.finish(aborted=self.report.aborted)
-        self.done.trigger(self.report)
-        return self.report
+        self._count_src_drops()

@@ -44,10 +44,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.flowspace.filter import Filter
 from repro.net.flowtable import HIGH_PRIORITY, MID_PRIORITY
-from repro.nf.base import NFCrash
 from repro.nf.southbound import SouthboundError
 from repro.controller.move import Guarantee
-from repro.controller.operation import Operation
+from repro.controller.operation import Operation, _plan
 from repro.controller.reports import OperationReport
 
 
@@ -160,21 +159,13 @@ class Chain:
         return actions
 
     def set_active(self, index: int, name: str) -> None:
-        hop = self.hops[index]
-        if name not in hop.instances:
-            hop.instances.append(name)
-        hop.active = name
+        self.add_instance(index, name)
+        self.hops[index].active = name
 
     def add_instance(self, index: int, name: str) -> None:
         hop = self.hops[index]
         if name not in hop.instances:
             hop.instances.append(name)
-
-    def describe_hops(self) -> str:
-        """``hop=i1/i2|hop=i3`` — the trace attribute the auditor parses."""
-        return "|".join(
-            "%s=%s" % (hop.name, "/".join(hop.instances)) for hop in self.hops
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "Chain(%s: %s)" % (
@@ -182,16 +173,31 @@ class Chain:
         )
 
 
-class _HopPlan:
-    """One hop's migration step inside a chain operation."""
+class _Hop:
+    """One hop's migration inside a chain operation: ``src`` → ``dst``."""
 
-    def __init__(self, index: int, hop_name: str, src: str, dst: str,
-                 guarantee: Guarantee) -> None:
+    def __init__(self, index: int, name: str, src: str, dst: str,
+                 guarantee: Guarantee, rollback: bool = False) -> None:
         self.index = index
-        self.hop_name = hop_name
+        self.name = name
         self.src = src
         self.dst = dst
         self.guarantee = guarantee
+        self.rollback = rollback
+
+    def inverse(self) -> "_Hop":
+        """The rollback of this hop: the same migration backwards,
+        loss-free whatever the forward guarantee was."""
+        return _Hop(self.index, self.name, self.dst, self.src,
+                    Guarantee.LOSS_FREE, rollback=True)
+
+
+#: mode → row. Hops migrate tail-to-head; a move then re-synchronizes
+#: linked state, a scale (one hop, a sub-filter) has none to re-sync.
+CHAIN_PLANS = {
+    "move": _plan("migrate-hops", "sync-links"),
+    "scale": _plan("migrate-hops"),
+}
 
 
 class ChainOperation(Operation):
@@ -219,18 +225,8 @@ class ChainOperation(Operation):
         hop_guarantees: Optional[Dict[str, Any]] = None,
         mode: str = "move",
     ) -> None:
-        if mode not in ("move", "scale"):
+        if mode not in CHAIN_PLANS:
             raise ValueError("unknown chain operation mode %r" % mode)
-        self.controller = controller
-        #: Home shard: every hop move of the chain runs on it.
-        self.shard = shard
-        self.sim = controller.sim
-        self.chain = chain
-        self.flt = flt
-        self.guarantee = guarantee
-        self.mode = mode
-        self.obs = controller.obs
-
         hop_overrides = {
             name: Guarantee.parse(g)
             for name, g in (hop_guarantees or {}).items()
@@ -244,7 +240,8 @@ class ChainOperation(Operation):
                 "dst_map names unknown hops %r of chain %r"
                 % (sorted(unknown), chain.name)
             )
-        self.plan: List[_HopPlan] = []
+        #: The hops to migrate, in chain (head-to-tail) order.
+        self.hops: List[_Hop] = []
         for index, hop in enumerate(chain.hops):
             if hop.name not in dst_map:
                 continue
@@ -259,50 +256,30 @@ class ChainOperation(Operation):
                     "destination %r is not a declared instance of hop %r"
                     % (dst, hop.name)
                 )
-            self.plan.append(_HopPlan(
+            self.hops.append(_Hop(
                 index, hop.name, src, dst,
                 hop_overrides.get(hop.name, guarantee),
             ))
-        if not self.plan:
+        if not self.hops:
             raise ValueError("dst_map selects no hop of chain %r" % chain.name)
-
-        self.report = OperationReport(
-            kind="chain",
-            guarantee=guarantee,
-            filter_repr=repr(flt),
-            src="+".join(p.src for p in self.plan),
-            dst="+".join(p.dst for p in self.plan),
-        )
-        self.done = self.sim.event("chain-done")
-        self._abort_requested = None
+        self.chain = chain
+        self.mode = mode
         #: The hop move currently in flight (abort forwards into it).
         self._current: Optional[Operation] = None
-        #: Hop plans whose move completed (commit ran) — rollback set.
-        self._completed: List[_HopPlan] = []
-        self._rolled_back: set = set()
+        #: Hops whose move completed (commit ran) — the rollback set.
+        self._completed: List[_Hop] = []
         #: Per-hop OperationReports, in execution (tail-to-head) order.
         self.hop_reports: List[OperationReport] = []
-
-        involved = sorted(
-            {p.src for p in self.plan} | {p.dst for p in self.plan}
+        sources = [hop.src for hop in self.hops]
+        destinations = [hop.dst for hop in self.hops]
+        super().__init__(
+            controller, shard, flt, CHAIN_PLANS[mode],
+            dict(guarantee=guarantee.value, chain=chain.name, mode=mode,
+                 hops=self._hops_attr(),
+                 instances=",".join(sorted(set(sources + destinations)))),
+            guarantee=guarantee,
+            ends=("+".join(sources), "+".join(destinations)),
         )
-        self.trace = self.obs.operation(
-            self.sim,
-            self.report,
-            "chain",
-            guarantee=guarantee.value,
-            filter=repr(flt),
-            chain=chain.name,
-            mode=mode,
-            hops=self._hops_attr(),
-            instances=",".join(involved),
-            **shard.trace_attrs,
-        )
-        if self.trace.root.span_id is not None:
-            self.trace.root.set(op_id=self.trace.root.span_id)
-        self.switch = self.trace.bind(controller.switch_client)
-
-        self.process = self.sim.spawn(self._run(), name="chain-op")
 
     # ------------------------------------------------------------------ attrs
 
@@ -312,125 +289,109 @@ class ChainOperation(Operation):
         The chain auditor uses this to learn, per hop, which instances'
         ``nf.process`` records count as "the packet crossed this hop".
         """
-        extra: Dict[int, List[str]] = {}
-        for p in self.plan:
-            extra.setdefault(p.index, []).append(p.dst)
+        extra = {hop.index: hop.dst for hop in self.hops}
         parts = []
         for index, hop in enumerate(self.chain.hops):
             instances = list(hop.instances)
-            for dst in extra.get(index, []):
-                if dst not in instances:
-                    instances.append(dst)
+            if index in extra and extra[index] not in instances:
+                instances.append(extra[index])
             parts.append("%s=%s" % (hop.name, "/".join(instances)))
         return "|".join(parts)
 
-    def _chain_trace_attrs(self, plan: _HopPlan) -> Dict[str, str]:
+    def _chain_trace_attrs(self, hop: _Hop) -> Dict[str, str]:
         attrs = {
             "chain": self.chain.name,
-            "hop": plan.hop_name,
-            "hop_index": str(plan.index),
+            "hop": hop.name,
+            "hop_index": str(hop.index),
         }
         if self.trace.trace_id is not None:
             attrs["chain_id"] = str(self.trace.trace_id)
+        if hop.rollback:
+            attrs["rollback"] = "1"
         return attrs
-
-    def _abort_target(self) -> str:
-        return self.plan[0].dst
 
     # ----------------------------------------------------------------- driver
 
-    def _start_hop(self, plan: _HopPlan) -> Operation:
+    def _move_hop(self, hop: _Hop):
+        """Run one hop's move (past admission); returns its report."""
         chain = self.chain
-        return self.controller._move_start(
-            self.shard, plan.src, plan.dst, self.flt,
-            guarantee=plan.guarantee,
-            route_actions=lambda port, index=plan.index: chain.route_for(
-                index, port
-            ),
-            trace_attrs=self._chain_trace_attrs(plan),
+        move = self.controller._move_start(
+            self.shard, hop.src, hop.dst, self.flt,
+            guarantee=hop.guarantee,
+            route_actions=lambda port: chain.route_for(hop.index, port),
+            trace_attrs=self._chain_trace_attrs(hop),
         )
+        if not hop.rollback:
+            self._current = move
+        yield move.done
+        self._current = None
+        return move.report
 
-    def _normalize(self, index: int, port: str):
-        """Collapse a hop's post-move rules back to one MID multicast rule.
+    def _commit(self, hop: _Hop):
+        """Point the chain at ``hop.dst`` and collapse the hop's rules.
 
         An order-preserving hop move leaves a HIGH-priority rule behind;
         letting it linger would shadow the *next* hop's two-phase
         machinery. Install the full-chain action list at MID (replacing
-        any same-priority leftover), then drop the HIGH overlay.
+        any same-priority leftover), then drop the HIGH overlay. Undoing
+        a scale instead drops its sub-filter rules: that re-merges the
+        sub-space into the hop's active instance via the chain's base
+        multicast rule.
         """
+        chain = self.chain
+        if self.mode == "move":
+            chain.set_active(hop.index, hop.dst)
+        elif not hop.rollback:
+            chain.add_instance(hop.index, hop.dst)
+            chain.overrides.append((hop.index, self.flt, hop.dst))
+        else:
+            chain.overrides = [
+                (i, f, inst) for (i, f, inst) in chain.overrides
+                if not (i == hop.index and inst == hop.src)
+            ]
+            yield self.switch.remove(self.flt, MID_PRIORITY)
+            yield self.switch.remove(self.flt, HIGH_PRIORITY)
+            return
         yield self.switch.install(
-            self.flt, self.chain.route_for(index, port), MID_PRIORITY
+            self.flt,
+            chain.route_for(hop.index, self.controller.port_of(hop.dst)),
+            MID_PRIORITY,
         )
         yield self.switch.remove(self.flt, HIGH_PRIORITY)
 
-    def _commit(self, plan: _HopPlan) -> None:
-        if self.mode == "scale":
-            self.chain.add_instance(plan.index, plan.dst)
-            self.chain.overrides.append((plan.index, self.flt, plan.dst))
-        else:
-            self.chain.set_active(plan.index, plan.dst)
-
-    def _run(self):
-        self.report.started_at = self.sim.now
-        try:
+    def _step_migrate_hops(self, parent):
+        # Tail-to-head: the suffix of the chain migrates first, so a
+        # packet admitted at any instant crosses an old prefix and a
+        # fully-migrated suffix — never a half-migrated middle.
+        for hop in reversed(self.hops):
             self._checkpoint()
-            # Tail-to-head: the suffix of the chain migrates first, so a
-            # packet admitted at any instant crosses an old prefix and a
-            # fully-migrated suffix — never a half-migrated middle.
-            for plan in reversed(self.plan):
-                self._checkpoint()
-                with self.trace.phase(
-                    "hop-%s" % plan.hop_name, mark="hop-%s" % plan.hop_name
-                ):
-                    operation = self._start_hop(plan)
-                    self._current = operation
-                    yield operation.done
-                    self._current = None
-                    self.hop_reports.append(operation.report)
-                    if operation.report.aborted:
-                        # The hop move already self-restored its state to
-                        # the source; it is NOT in the rollback set.
-                        raise SouthboundError(
-                            "chain hop %r aborted: %s"
-                            % (plan.hop_name, operation.report.aborted),
-                            plan.dst,
-                        )
-                    self._completed.append(plan)
-                    self._commit(plan)
-                    port = self.controller.port_of(plan.dst)
-                    yield from self._normalize(plan.index, port)
-                self._merge_hop_accounting(operation.report)
-                # An abort that raced this hop's completion lands here:
-                # the hop committed (its release barrier drained), so it
-                # is rolled back exactly once by the except path below.
-                self._checkpoint()
-            yield from self._sync_links()
-            self.report.finished_at = self.sim.now
-        except (NFCrash, SouthboundError) as crash:
-            self.report.aborted = str(crash)
-            if self._current is not None and not self._current.done.triggered:
-                self._current.abort(str(crash))
-                yield self._current.done
-                self._current = None
-            yield from self._rollback()
-            self.report.finished_at = self.sim.now
-        except Exception as exc:  # pragma: no cover - defensive
-            self.trace.finish(aborted=str(exc))
-            self.done.fail(exc)
-            raise
-        self.trace.finish(aborted=self.report.aborted)
-        self.done.trigger(self.report)
+            with self._phase(
+                "hop-%s" % hop.name, "hop-%s" % hop.name, parent
+            ):
+                report = yield from self._move_hop(hop)
+                self.hop_reports.append(report)
+                if report.aborted:
+                    # The hop move already self-restored its state to
+                    # the source; it is NOT in the rollback set.
+                    raise SouthboundError(
+                        "chain hop %r aborted: %s"
+                        % (hop.name, report.aborted),
+                        hop.dst,
+                    )
+                self._completed.append(hop)
+                yield from self._commit(hop)
+            self._merge_hop_accounting(report)
+            # An abort that raced this hop's completion lands here: the
+            # hop committed (its release barrier drained), so it is
+            # rolled back exactly once by the recovery below.
+            self._checkpoint()
 
     def _merge_hop_accounting(self, hop_report: OperationReport) -> None:
         agg = self.report
-        for scope, count in hop_report.chunks_moved.items():
-            agg.chunks_moved[scope] = agg.chunks_moved.get(scope, 0) + count
-        for scope, count in hop_report.bytes_moved.items():
-            agg.bytes_moved[scope] = agg.bytes_moved.get(scope, 0) + count
-        for scope, count in hop_report.wire_bytes_moved.items():
-            agg.wire_bytes_moved[scope] = (
-                agg.wire_bytes_moved.get(scope, 0) + count
-            )
+        for counter in ("chunks_moved", "bytes_moved", "wire_bytes_moved"):
+            totals = getattr(agg, counter)
+            for scope, count in getattr(hop_report, counter).items():
+                totals[scope] = totals.get(scope, 0) + count
         agg.packets_dropped += hop_report.packets_dropped
         agg.packets_in_events += hop_report.packets_in_events
         agg.packets_buffered_at_dst += hop_report.packets_buffered_at_dst
@@ -440,55 +401,30 @@ class ChainOperation(Operation):
 
     # --------------------------------------------------------------- rollback
 
-    def _rollback(self):
-        """Reverse-move completed hops, head-most first.
-
-        ``_completed`` is in migration order (tail first); reversing it
-        un-migrates head-most first, so every intermediate state is
-        again an old-prefix + new-suffix. Each hop is rolled back at
-        most once (``_rolled_back``), loss-free, chain-aware.
-        """
-        for plan in reversed(self._completed):
-            if plan.index in self._rolled_back:
-                continue
-            self._rolled_back.add(plan.index)
-            chain = self.chain
-            reverse = self.controller._move_start(
-                self.shard, plan.dst, plan.src, self.flt,
-                guarantee=Guarantee.LOSS_FREE,
-                route_actions=lambda port, index=plan.index: chain.route_for(
-                    index, port
-                ),
-                trace_attrs=dict(
-                    self._chain_trace_attrs(plan), rollback="1"
-                ),
-            )
-            yield reverse.done
-            if reverse.report.aborted:
+    def _recover(self, crash):
+        if self._current is not None and not self._current.done.triggered:
+            self._current.abort(str(crash))
+            yield self._current.done
+            self._current = None
+        # ``_completed`` is in migration order (tail first); undoing it
+        # head-most first keeps every intermediate state an old-prefix +
+        # new-suffix. Each undo is the hop's own migration, inverted.
+        for hop in reversed(self._completed):
+            undo = hop.inverse()
+            report = yield from self._move_hop(undo)
+            if report.aborted:
                 self.report.notes.append(
                     "rollback of hop %r failed: %s"
-                    % (plan.hop_name, reverse.report.aborted)
+                    % (hop.name, report.aborted)
                 )
                 continue
-            if self.mode == "scale":
-                # The scale sub-filter rule is the only routing artifact;
-                # dropping it re-merges the sub-space into the hop's
-                # active instance via the chain's base multicast rule.
-                self.chain.overrides = [
-                    (i, f, inst) for (i, f, inst) in self.chain.overrides
-                    if not (i == plan.index and inst == plan.dst)
-                ]
-                yield self.switch.remove(self.flt, MID_PRIORITY)
-                yield self.switch.remove(self.flt, HIGH_PRIORITY)
-            else:
-                self.chain.set_active(plan.index, plan.src)
-                port = self.controller.port_of(plan.src)
-                yield from self._normalize(plan.index, port)
-            self.report.notes.append("rolled back hop %r" % plan.hop_name)
+            yield from self._commit(undo)
+            self.report.notes.append("rolled back hop %r" % hop.name)
+        self.report.finished_at = self.sim.now
 
     # ------------------------------------------------------------ linked state
 
-    def _sync_links(self):
+    def _step_sync_links(self, parent):
         """Re-synchronize cross-hop linked state after a chain move.
 
         For every declared hop link whose members include a migrated
@@ -496,9 +432,7 @@ class ChainOperation(Operation):
         active instances: the share's setup performs a pull-everything /
         push-union sync, after which it is torn down again.
         """
-        if self.mode != "move" or not self.chain.spec.links:
-            return
-        moved = {p.hop_name for p in self._completed}
+        moved = {hop.name for hop in self._completed}
         for a, b in self.chain.spec.links:
             if a not in moved and b not in moved:
                 continue
@@ -530,10 +464,7 @@ class ChainOperation(Operation):
         the hop to unwind itself. Same shape as the done-callback guard
         on :meth:`DeferredOperation._launch`.
         """
-        if self.done is not None and not self.done.triggered:
-            if self._abort_requested is None:
-                self._abort_requested = reason
-            current = self._current
-            if current is not None and not current.done.triggered:
-                current.abort(reason)
-        return self.done
+        current = self._current
+        if current is not None and not current.done.triggered:
+            current.abort(reason)
+        return super().abort(reason)

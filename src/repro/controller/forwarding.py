@@ -95,11 +95,12 @@ class SwitchClient(SouthboundStub):
             return self.sim.timeout(0.0, name="install-batch@sw")
 
         def at_switch(call: Call) -> None:
-            when_all(
-                [self.switch.install(flt, list(actions), priority)
-                 for flt, actions, priority in mods],
-                call.ack,
-            )
+            installs = [self.switch.install(flt, list(actions), priority)
+                        for flt, actions, priority in mods]
+            # Acked once all settled; one refused rule fails the batch.
+            when_all(installs, lambda: call.ack(
+                next((evt for evt in installs if not evt.ok), None)
+            ))
 
         if self.obs.enabled:
             self.obs.metrics.counter("sw.flowmod_batches").inc(

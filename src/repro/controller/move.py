@@ -33,15 +33,16 @@ from the source NF to the destination NF over an NF–NF channel instead
 of relaying them through the controller (footnote 10), bypassing the
 controller's serialized inbox entirely.
 
-Every variant is one row of :data:`MOVE_PLANS`: ``_run`` looks up
-``(guarantee, offload)`` and walks the row's named steps; abort,
-cleanup and the event callbacks read the same row.
+Every variant is one row of :data:`MOVE_PLANS`, looked up by
+``(guarantee, offload)``: the shared driver
+(:meth:`~repro.controller.operation.Operation._run`) walks the row's
+named steps; abort, cleanup and the event callbacks read the same row.
 """
 
 from __future__ import annotations
 
 import enum
-from types import SimpleNamespace
+import functools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.flowspace.filter import Filter, FlowId
@@ -54,9 +55,13 @@ from repro.nf.base import NFCrash
 from repro.nf.events import DO_NOT_BUFFER, EventAction, PacketEvent
 from repro.nf.southbound import NF_CHANNEL_LATENCY_MS, SouthboundError
 from repro.nf.state import Scope, StateChunk
-from repro.controller.operation import Operation
+from repro.controller.operation import (
+    RECOVERABLE,
+    Operation,
+    OperationAborted,
+    _plan,
+)
 from repro.controller.pipeline import transfer_scope
-from repro.controller.reports import OperationReport
 from repro.sim.process import AllOf, AnyOf
 
 #: How long cleanup waits for in-flight packets to drain before the
@@ -104,19 +109,9 @@ class Guarantee(enum.Enum):
             raise ValueError("unknown guarantee %r" % (value,))
 
 
-def _plan(*steps, mark=False, retire_mid=False, drain_src=False,
-          late_lock=True, unmarked=()):
-    return SimpleNamespace(
-        steps=steps, mark=mark, retire_mid=retire_mid, drain_src=drain_src,
-        late_lock=late_lock, unmarked=unmarked,
-    )
-
-
-# One row per move variant. ``steps`` is what ``MoveOperation._run``
-# walks: a string names a step (its ``_step_*`` generator, written
-# once); a tuple is a span-only wrapper phase around the entries after
-# its name. The other fields are the facts abort, cleanup and the event
-# callbacks read instead of re-deriving the variant:
+# One row per move variant (:func:`~repro.controller.operation._plan`:
+# the steps ``_run`` walks, and the facts abort, cleanup and the event
+# callbacks read instead of re-deriving the variant):
 #
 # ``mark``        the destination buffers its direct arrivals, so every
 #                 packet the controller forwards carries DO_NOT_BUFFER;
@@ -124,16 +119,17 @@ def _plan(*steps, mark=False, retire_mid=False, drain_src=False,
 #                 which cleanup removes;
 # ``drain_src``   the reroute waits for the source's queue to drain;
 # ``late_lock``   early release replaces the up-front source lock by
-#                 per-flow late locking (else it adds it on top);
-# ``unmarked``    phases this row opens span-only where other rows also
-#                 stamp a report mark (pinned by the golden timelines).
-_NO_GUARANTEE = _plan(
+#                 per-flow late locking (else it adds it on top).
+_move_plan = functools.partial(
+    _plan, mark=False, retire_mid=False, drain_src=False, late_lock=True
+)
+_NO_GUARANTEE = _move_plan(
     "lock-silent", "transfer", "reroute", unmarked=("state-transfer",)
 )
-_LOSS_FREE = _plan("arm-src-events", "transfer", "flush", "reroute")
+_LOSS_FREE = _move_plan("arm-src-events", "transfer", "flush", "reroute")
 # Figure 6 in full: the loss-free steps, then buffering at the
 # destination plus the two-phase forwarding update.
-_ORDER_PRESERVING = _plan(
+_ORDER_PRESERVING = _move_plan(
     "arm-src-events", "transfer", "flush", "arm-dst-buffering",
     ("forwarding-update", "two-phase-update",
      ("await-last-packet",
@@ -167,7 +163,7 @@ _OFFLOADED = (
 # are marked do-not-buffer; the destination buffers its direct arrivals
 # until it has processed the last replayed packet. (The up-front source
 # lock stays even under early release: pinned.)
-_STRONG = _plan(
+_STRONG = _move_plan(
     "redirect", "arm-src-events", "transfer", "arm-dst-buffering", "flush",
     "reroute",
     ("await-last-packet", "await-counters", "await-dst-last"),
@@ -183,9 +179,9 @@ MOVE_PLANS = {
     (Guarantee.NONE, False): _NO_GUARANTEE,
     (Guarantee.NONE, True): _NO_GUARANTEE,
     (Guarantee.LOSS_FREE, False): _LOSS_FREE,
-    (Guarantee.LOSS_FREE, True): _plan(*_OFFLOADED),
+    (Guarantee.LOSS_FREE, True): _move_plan(*_OFFLOADED),
     (Guarantee.ORDER_PRESERVING, False): _ORDER_PRESERVING,
-    (Guarantee.ORDER_PRESERVING, True): _plan(*_OFFLOADED, drain_src=True),
+    (Guarantee.ORDER_PRESERVING, True): _move_plan(*_OFFLOADED, drain_src=True),
     (Guarantee.ORDER_PRESERVING_STRONG, False): _STRONG,
     (Guarantee.ORDER_PRESERVING_STRONG, True): _STRONG,
 }
@@ -221,26 +217,28 @@ class MoveOperation(Operation):
             )
         if peer_to_peer and not parallel:
             raise ValueError("peer-to-peer transfer implies chunk streaming")
-        self.controller = controller
-        #: Home shard: its inbox serializes this move's streamed chunks.
-        self.shard = shard
-        self.sim = controller.sim
-        self.src = src
-        self.dst = dst
-        self.flt = flt
+        # Chain-scoped ``trace_attrs`` (chain_id / hop) ride every hop
+        # move's trace so the chain auditor can stitch the per-hop
+        # causal slices back into one end-to-end story.
+        super().__init__(
+            controller, shard, flt, MOVE_PLANS[guarantee, controller.offload],
+            dict(guarantee=guarantee.value,
+                 scopes=",".join(s.value for s in scopes),
+                 **(trace_attrs or {})),
+            guarantee=guarantee, src=src, dst=dst,
+        )
         self.scopes = scopes
-        self.guarantee = guarantee
         self.parallel = parallel
         self.early_release = early_release
         self.compress = compress
         self.peer_to_peer = peer_to_peer
         self.dst_port = controller.port_of(dst.name)
         self.src_port = controller.port_of(src.name)
-        #: This variant's row: its steps, and the facts everything reads.
-        self.plan = MOVE_PLANS[guarantee, controller.offload]
         #: True while a switch-local machine is installed (abort and
         #: cleanup retire it).
         self._xfsm_installed = False
+        #: True once the destination holds a BUFFER rule (abort lifts it).
+        self._dst_buffering = False
         #: How a forwarding target becomes a rule action list. The
         #: default (identity) keeps classic moves byte-identical; a
         #: chain-aware move supplies the full per-hop action list so
@@ -249,44 +247,6 @@ class MoveOperation(Operation):
             route_actions if route_actions is not None
             else (lambda port: [port])
         )
-
-        self.report = OperationReport(
-            kind="move",
-            guarantee=guarantee,
-            filter_repr=repr(flt),
-            src=src.name,
-            dst=dst.name,
-        )
-        self.done = self.sim.event("move-done")
-        self._abort_requested = None
-        #: Observability bundle shared with the owning controller; phase
-        #: marks in :attr:`report` are derived from phase-span closes.
-        self.obs = controller.obs
-        operation_attrs = dict(shard.trace_attrs)
-        if trace_attrs:
-            # Chain-scoped attributes (chain_id / hop) ride every hop
-            # move's trace so the chain auditor can stitch the per-hop
-            # causal slices back into one end-to-end story.
-            operation_attrs.update(trace_attrs)
-        self.trace = self.obs.operation(
-            self.sim,
-            self.report,
-            "move",
-            guarantee=guarantee.value,
-            filter=repr(flt),
-            src=src.name,
-            dst=dst.name,
-            scopes=",".join(s.value for s in scopes),
-            **operation_attrs,
-        )
-        if self.trace.root.span_id is not None:
-            self.trace.root.set(op_id=self.trace.root.span_id)
-        #: Causally bound stubs: southbound RPCs and switch commands
-        #: issued through these inherit this operation's ``trace_id``
-        #: (plain pass-throughs while tracing is disabled).
-        self.src = self.trace.bind(self.src)
-        self.dst = self.trace.bind(self.dst)
-        self.switch = self.trace.bind(controller.switch_client)
 
         # Event-buffering machinery (loss-free / order-preserving).
         # One globally ordered buffer, as in Figure 6: flushing must not
@@ -307,99 +267,51 @@ class MoveOperation(Operation):
         self._packet_in_count = 0
         # Chunks exported so far, for restore-on-abort.
         self._exported_chunks: List[StateChunk] = []
-        self._interest_handles: List[int] = []
-        self._sb_stats_at_start = self._sb_stats()
-
-        self.process = self.sim.spawn(self._run(), name="move-op")
 
     # ------------------------------------------------------------------ driver
 
-    def _abort_target(self) -> str:
-        # An aborted move unwinds exactly like a destination failure:
-        # exported chunks restore to the source, events are disabled,
-        # and buffered packets flush back to the source port.
-        return self.dst.name
-
-    def _run(self):
-        self.report.started_at = self.sim.now
-        self._src_drops_at_start = self.src.nf.packets_dropped_silent
-        self._dst_buffered_at_start = len(self.dst.nf.buffered_log)
-        try:
-            self._checkpoint()
-            yield from self._walk(self.plan.steps, self.trace.root)
-            self.report.finished_at = self.sim.now
-            yield from self._cleanup()
-        except (NFCrash, SouthboundError) as crash:
-            yield from self._recover(crash)
-        except Exception as exc:
-            # Anything else is an internal error: fail loudly so callers
-            # never hang on a move that died (the done event carries the
-            # exception).
-            self.report.aborted = "internal error: %r" % (exc,)
-            self.report.finished_at = self.sim.now
-            self.done.fail(exc)
-            raise
-        finally:
-            for handle in self._interest_handles:
-                self.controller.remove_interest(handle)
-            self._finalize_reliability()
-            self.trace.finish(aborted=self.report.aborted)
-        self.done.trigger(self.report)
-        return self.report
-
-    def _walk(self, steps, parent):
-        """Run one plan row: steps in order, wrapper phases nested."""
-        for step in steps:
-            if isinstance(step, tuple):
-                with self._phase(step[0], None, parent) as ph:
-                    yield from self._walk(step[1:], ph.span)
-            else:
-                run_step = getattr(self, "_step_" + step.replace("-", "_"))
-                yield from run_step(parent)
-
-    def _phase(self, name: str, mark: Optional[str], parent):
-        """Open a phase; span-only on the rows that leave it unmarked."""
-        if name in self.plan.unmarked:
-            mark = None
-        return self.trace.phase(name, mark=mark, parent=parent)
-
     def _recover(self, crash):
-        # An instance died (or became unreachable past the retry budget)
-        # mid-operation: surface the abort instead of wedging. Buffered
-        # packets — the controller's and the switch machine's rings —
-        # go to whichever instance still works so none are stranded.
-        self.report.aborted = str(crash)
-        self.report.finished_at = self.sim.now
+        # Buffered packets — the controller's and the switch machine's
+        # rings — go to whichever instance still works so none are
+        # stranded. A SouthboundError names the instance it could not
+        # reach (an abort, or a rejected flow-mod: the destination).
         self._buffering = False
-        # A SouthboundError names the instance it could not reach.
         unreachable = getattr(crash, "nf_name", None)
         src_down = self.src.nf.failed or unreachable == self.src.name
         dst_down = self.dst.nf.failed or unreachable == self.dst.name
         try:
             if not dst_down:
-                rings_to = self.dst_port
                 self._flush_queues(mark=self.plan.mark)
             elif not src_down:
                 # Destination died: restore the already-exported (and
                 # deleted) state to the source, stop intercepting there,
                 # and hand the buffered packets back to it.
-                rings_to = self.src_port
                 yield from self._restore_exported()
                 yield self.src.disable_events_covered(self.flt)
+                # Its response trails, on the FIFO NF channel, every
+                # event the source raised while its rules were live; let
+                # the inbox hand those to this move before its interests
+                # go, or they are dispatched to nobody and lost.
+                yield self.shard.inbox.drained()
                 self._flush_queues(mark=False, port=self.src_port)
-            else:
+                if self._dst_buffering and isinstance(crash, OperationAborted):
+                    # Only *treated* as lost (an abort, a rejected
+                    # flow-mod) and still holding its BUFFER rule, which
+                    # would swallow the next operation's packets.
+                    yield self.dst.disable_events(self.flt)
+            elif self._xfsm_installed:
                 # Nobody left to serve the window: the rings empty
                 # towards the dead source, which counts them as lost, so
                 # the machine stops swallowing the flow space.
-                rings_to = self.src_port
-                if self._xfsm_installed:
-                    self.report.notes.append(
-                        "both instances down: switch rings dropped"
-                    )
-            yield from self._retire_xfsm(rings_to)
-            if not src_down:
+                self.report.notes.append(
+                    "both instances down: switch rings dropped"
+                )
+            yield from self._retire_xfsm(
+                self.src_port if dst_down else self.dst_port
+            )
+            if not (src_down or dst_down):
                 yield self.src.disable_events_covered(self.flt)
-        except (NFCrash, SouthboundError) as recovery_exc:
+        except RECOVERABLE as recovery_exc:
             # Best-effort recovery: the surviving side vanished too.
             self.report.notes.append(
                 "abort recovery incomplete: %s" % recovery_exc
@@ -412,7 +324,7 @@ class MoveOperation(Operation):
         for chunk in self._exported_chunks:
             restores.setdefault(chunk.scope, []).append(chunk)
         for scope, chunks in restores.items():
-            yield getattr(self.src, "put_" + scope.value)(chunks)
+            yield self.src.put(scope, chunks)
         self.report.notes.append(
             "restored %d chunks to %s"
             % (len(self._exported_chunks), self.src.name)
@@ -488,19 +400,19 @@ class MoveOperation(Operation):
         with self._phase("state-transfer", "state-transferred", parent) as ph:
             for scope in self.scopes:
                 self._checkpoint()
-                getter, putter, deleter = self._scope_calls(scope)
                 exported_before = len(self._exported_chunks)
                 with self._phase(
                     "transfer.%s" % scope.value, None, ph.span
                 ) as scope_ph:
                     if self.peer_to_peer:
                         yield from self._transfer_scope_peer(
-                            scope, getter, deleter, lock_per_chunk
+                            scope, lock_per_chunk
                         )
                     else:
                         yield from transfer_scope(
-                            self, scope, getter, putter, deleter,
-                            on_applied=on_applied,
+                            self, scope,
+                            functools.partial(self.dst.put, scope),
+                            delete=True, on_applied=on_applied,
                             exported=self._exported_chunks,
                             lock_per_chunk=lock_per_chunk,
                         )
@@ -564,6 +476,7 @@ class MoveOperation(Operation):
                 self.dst.name, self.flt, self._on_dst_event
             )
         )
+        self._dst_buffering = True
         with self._phase("dst-buffering", "dst-buffering", parent):
             yield self.dst.enable_events(self.flt, EventAction.BUFFER)
 
@@ -630,7 +543,7 @@ class MoveOperation(Operation):
 
     # ---------------------------------------------------- peer-to-peer transfer
 
-    def _transfer_scope_peer(self, scope, getter, deleter, lock_per_chunk):
+    def _transfer_scope_peer(self, scope, lock_per_chunk):
         """Footnote-10 mode: chunks flow src→dst directly.
 
         The source's get streams each serialized chunk over a dedicated
@@ -668,14 +581,15 @@ class MoveOperation(Operation):
             self._exported_chunks.append(chunk)
             peer.send(chunk.wire_size_bytes + 74, deliver, chunk)
 
-        chunks = yield getter(
-            self.flt,
+        chunks = yield self.src.get(
+            scope, self.flt,
             raw_stream=ship,
             lock_per_chunk=lock_per_chunk,
             compress=self.compress,
         )
-        if deleter is not None and chunks:
-            yield deleter([c.flowid for c in chunks if c.flowid])
+        flowids = [c.flowid for c in chunks if c.flowid]
+        if flowids:  # (all-flows chunks carry none: nothing to delete)
+            yield self.src.delete(scope, flowids)
         # The peer channel has no RPC layer; chunks it dropped must be
         # re-shipped from the source's authoritative list (the loop only
         # runs when something is actually missing, so fault-free moves
@@ -779,16 +693,6 @@ class MoveOperation(Operation):
                 packet.mark(DO_NOT_BUFFER)
             self.switch.packet_out(packet, port)
 
-    def _record_packet(self, name: str, packet: Packet, where: str) -> None:
-        """Buffered/released packet record, tagged with the trace id."""
-        self.obs.tracer.record(
-            name,
-            trace_id=self.trace.trace_id,
-            where=where,
-            uid=packet.uid,
-            flow=packet.flow_key(),
-        )
-
     def _release_frame(self, frame: List[StateChunk]) -> None:
         """Early release for a whole applied frame (batched transfer)."""
         for chunk in frame:
@@ -831,6 +735,7 @@ class MoveOperation(Operation):
     # ----------------------------------------------------------------- cleanup
 
     def _cleanup(self):
+        self.report.finished_at = self.sim.now
         with self.trace.phase("cleanup", mark=None):
             yield DRAIN_GRACE_MS
             if self.plan.retire_mid:
@@ -844,9 +749,7 @@ class MoveOperation(Operation):
             yield from self._retire_xfsm(None)
             # Remove the source's event rules (global and late-locked per-flow).
             yield self.src.disable_events_covered(self.flt)
-            self.report.packets_dropped = (
-                self.src.nf.packets_dropped_silent - self._src_drops_at_start
-            )
+            self._count_src_drops()
             buffered = self.dst.nf.buffered_log[self._dst_buffered_at_start :]
             self.report.packets_buffered_at_dst = len(buffered)
             for _time, uid in buffered:

@@ -115,23 +115,22 @@ class WindowedPutPipeline:
 def transfer_scope(
     op,
     scope,
-    getter: Callable[..., Event],
     putter: Callable[[List[Any]], Event],
-    deleter: Optional[Callable[[List[Any]], Event]] = None,
+    delete: bool = False,
     on_applied: Optional[Callable[[List[Any]], None]] = None,
     exported: Optional[List[Any]] = None,
     **lock_kwargs: Any,
 ):
-    """Generator: export ``scope`` state via ``getter``, import via ``putter``.
+    """Generator: export ``scope`` state from ``op.src``, import via ``putter``.
 
-    ``op`` is the driving operation (its filter, ``parallel`` /
-    ``compress`` options, home ``shard``, ``_note_chunk`` accounting and
-    abort ``_checkpoint``). ``deleter`` removes the exported state at
-    the source (move; copy passes none). ``on_applied(chunks)`` is
-    called as each streamed put completes (move's early release);
-    ``exported`` collects every chunk as it reaches the controller
-    (move's restore-on-abort log); ``lock_kwargs`` (late locking) reach
-    only the streamed getter.
+    ``op`` is the driving operation (its source client and filter,
+    ``parallel`` / ``compress`` options, home ``shard``, ``_note_chunk``
+    accounting and abort ``_checkpoint``). ``delete`` removes the
+    exported state at the source (move; copy leaves it).
+    ``on_applied(chunks)`` is called as each streamed put completes
+    (move's early release); ``exported`` collects every chunk as it
+    reaches the controller (move's restore-on-abort log); ``lock_kwargs``
+    (late locking) reach only the streamed getter.
 
     Three forms: with batching on, chunks arrive in multi-chunk frames
     (one inbox slot per frame) and forward as windowed frame puts, so
@@ -142,14 +141,20 @@ def transfer_scope(
     """
     shard = op.shard
     batching = op.controller.batching
+
+    def delete_exported(chunks):
+        # (All-flows chunks carry no flowid: nothing to delete.)
+        flowids = [c.flowid for c in chunks if c.flowid] if delete else []
+        if flowids:
+            yield op.src.delete(scope, flowids)
+
     if not op.parallel:
-        chunks = yield getter(op.flt, compress=op.compress)
+        chunks = yield op.src.get(scope, op.flt, compress=op.compress)
         for chunk in chunks:
             op._note_chunk(scope, chunk)
         if exported is not None:
             exported.extend(chunks)
-        if deleter is not None and chunks:
-            yield deleter([c.flowid for c in chunks if c.flowid])
+        yield from delete_exported(chunks)
         yield putter(chunks)
         return
 
@@ -184,11 +189,10 @@ def transfer_scope(
         stream = {"stream": functools.partial(
             shard.enqueue_chunk, handle_chunk
         )}
-    chunks = yield getter(
-        op.flt, compress=op.compress, **stream, **lock_kwargs
+    chunks = yield op.src.get(
+        scope, op.flt, compress=op.compress, **stream, **lock_kwargs
     )
-    if deleter is not None and chunks:
-        yield deleter([c.flowid for c in chunks if c.flowid])
+    yield from delete_exported(chunks)
     yield shard.inbox.drained()
     if pipeline is not None:
         yield pipeline.drained()

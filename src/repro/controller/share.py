@@ -32,13 +32,32 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.flowspace.filter import Filter
 from repro.net.packet import Packet
-from repro.nf.base import NFCrash
+from repro.net.switch import CONTROLLER_PORT
 from repro.nf.events import DO_NOT_DROP, EventAction, PacketEvent
 from repro.nf.southbound import SouthboundError
 from repro.nf.state import Scope
-from repro.controller.operation import Operation
-from repro.controller.reports import OperationReport
+from repro.controller.operation import RECOVERABLE, Operation, _plan
 from repro.sim.process import AllOf, AnyOf
+
+_MARKS = {"sync": "synchronized"}
+#: ``(consistency, half)`` → row. A session walks its set-up row, serves
+#: until :meth:`ShareOperation.stop`, then walks its teardown row (a
+#: failed set-up goes straight there). ``action`` is what every instance
+#: does with a matching packet: strong drops it into an event the
+#: controller re-injects; strict processes what the controller sends and
+#: signals completion — so strict also redirects every relevant
+#: forwarding entry to the controller, and restores them on the way out.
+SHARE_PLANS = {
+    ("strong", "set-up"): _plan(
+        ("sync", "arm-events", "initial-sync"),
+        marks=_MARKS, action=EventAction.DROP),
+    ("strict", "set-up"): _plan(
+        ("sync", "arm-events", "redirect-entries", "initial-sync"),
+        marks=_MARKS, action=EventAction.PROCESS),
+    ("strong", "teardown"): _plan("drain", "disarm-events"),
+    ("strict", "teardown"): _plan(
+        "drain", "disarm-events", "restore-entries"),
+}
 
 
 class ShareOperation(Operation):
@@ -67,20 +86,17 @@ class ShareOperation(Operation):
             raise ValueError("consistency must be 'strong' or 'strict'")
         if group_by not in ("flow", "host", "all"):
             raise ValueError("group_by must be 'flow', 'host', or 'all'")
-        self.controller = controller
-        self.sim = controller.sim
-        self.instances = instances
-        self.flt = flt
+        # The guarantee slot carries the consistency level.
+        super().__init__(
+            controller, shard, flt, SHARE_PLANS[consistency, "set-up"],
+            dict(consistency=consistency, group_by=group_by,
+                 instances=",".join(i.name for i in instances)),
+            guarantee=consistency, instances=instances,
+            ends=("+".join(i.name for i in instances), "*"),
+        )
         self.scopes = scopes
         self.consistency = consistency
         self.group_by = group_by
-        self.report = OperationReport(
-            kind="share",
-            guarantee=consistency,
-            filter_repr=repr(flt),
-            src="+".join(i.name for i in instances),
-            dst="*",
-        )
         #: Added per-packet latency samples (completion - arrival), ms.
         self.latency_samples: List[float] = []
         self.packets_serialized = 0
@@ -90,142 +106,91 @@ class ShareOperation(Operation):
         #: never raises one; without a bound its group wedges forever).
         self.update_timeout_ms = 250.0
         self.started = self.sim.event("share-started")
-        self.stopped = self.sim.event("share-stopped")
-        #: Operation-handle surface: a share is "done" once stopped, and
-        #: its guarantee slot carries the consistency level.
-        self.done = self.stopped
-        self.guarantee = consistency
-        self._abort_requested = None
-        self.obs = controller.obs
-        self.trace = self.obs.operation(
-            self.sim,
-            self.report,
-            "share",
-            consistency=consistency,
-            group_by=group_by,
-            filter=repr(flt),
-            instances=",".join(i.name for i in instances),
-            **shard.trace_attrs,
-        )
-        # Causally bound stubs (pass-throughs while tracing is off):
-        # every RPC and switch command below inherits the session's
-        # trace_id, including ones issued from the per-group workers.
-        self.instances = [self.trace.bind(c) for c in self.instances]
-        self.switch = self.trace.bind(controller.switch_client)
+        #: A share is "done" once stopped.
+        self.stopped = self.done
+        self.done.add_callback(self._settle_started)
+        self._stop_requested = self.sim.event("share-stop")
         self._queues: "OrderedDict[Any, Deque[Tuple[str, Packet, float]]]" = (
             OrderedDict()
         )
         self._group_busy: Dict[Any, bool] = {}
         self._awaiting: Dict[Tuple[str, int], Any] = {}
-        self._interest_handles: List[int] = []
         self._redirected_entries: List[Tuple[Filter, int, Tuple[str, ...]]] = []
-        self._stopping = False
         #: Teardown waits here until every serialization queue drains.
         self._drain_waiters: List[Any] = []
-        self.process = self.sim.spawn(self._setup(), name="share-op")
 
-    # -------------------------------------------------------------------- setup
+    def _settle_started(self, done) -> None:
+        """A set-up that died of an internal error fails ``started`` too,
+        so nobody is left waiting on it."""
+        if not self.started.triggered:
+            self.started.fail(done.exception)
 
-    def _setup(self):
-        self.report.started_at = self.sim.now
-        try:
-            with self.trace.phase("sync", mark="synchronized"):
-                yield from self._setup_body()
-        except (NFCrash, SouthboundError) as crash:
-            # An instance was unreachable before the session went live:
-            # fail ``started`` for whoever waits on it and tear down what
-            # was set up, so ``done`` fires and the reservation releases.
-            self.report.aborted = str(crash)
-            self.started.fail(crash)
-            self.stop()
-            return
-        self.started.trigger()
+    # ------------------------------------------------------------------- set-up
 
-    def _setup_body(self):
+    def _step_arm_events(self, parent):
         for client in self.instances:
             self._interest_handles.append(
                 self.controller.add_event_interest(
                     client.name, self.flt, self._on_event
                 )
             )
-        if self.consistency == "strong":
-            acks = [
-                client.enable_events(self.flt, EventAction.DROP)
-                for client in self.instances
-            ]
-            yield AllOf(acks)
+        yield AllOf([
+            client.enable_events(self.flt, self.plan.action)
+            for client in self.instances
+        ])
+
+    def _step_redirect_entries(self, parent):
+        entries = yield self.switch.read_entries(self.flt)
+        names = {client.name for client in self.instances}
+        for entry in entries:
+            _filter, _priority, actions = entry
+            if names & {self.controller.instance_at_port(a) for a in actions}:
+                self._redirected_entries.append(entry)
+        yield from self._install_entries(lambda actions: [CONTROLLER_PORT])
+        self._interest_handles.append(
+            self.controller.add_packet_interest(self.flt, self._on_packet_in)
+        )
+
+    def _install_entries(self, actions_for):
+        """(Re)install every redirected entry with ``actions_for(its own)``:
+        one batched flow-mod when batching is on (§8.3), else one each."""
+        mods = [
+            (entry_filter, actions_for(actions), priority)
+            for entry_filter, priority, actions in self._redirected_entries
+        ]
+        if not mods:
+            return
+        if self.controller.batching is not None:
+            yield self.switch.install_batch(mods)
         else:
-            # Instances process what we send them and signal completion.
-            acks = [
-                client.enable_events(self.flt, EventAction.PROCESS)
-                for client in self.instances
-            ]
-            yield AllOf(acks)
-            # Redirect every relevant forwarding entry to the controller.
-            entries = yield self.switch.read_entries(self.flt)
-            redirects = []
-            for entry_filter, priority, actions in entries:
-                targets = {
-                    self.controller.instance_at_port(a) for a in actions
-                }
-                if not targets & {c.name for c in self.instances}:
-                    continue
-                self._redirected_entries.append((entry_filter, priority, actions))
-                redirects.append((entry_filter, ["controller"], priority))
-            if redirects:
-                if self.controller.batching is not None:
-                    # One batched flow-mod instead of len(redirects)
-                    # control messages (§8.3).
-                    yield self.switch.install_batch(redirects)
-                else:
-                    yield AllOf([
-                        self.switch.install(flt, acts, prio)
-                        for flt, acts, prio in redirects
-                    ])
-            self._interest_handles.append(
-                self.controller.add_packet_interest(self.flt, self._on_packet_in)
-            )
-        # Initial synchronization: pull from every instance, push the union
-        # everywhere else (NF-side merge combines).
-        all_chunks = []
+            yield AllOf([self.switch.install(*mod) for mod in mods])
+
+    def _step_initial_sync(self, parent):
+        # Pull from every instance, push the union everywhere else
+        # (NF-side merge combines).
+        pulled = []
         for client in self.instances:
             for scope in self.scopes:
-                chunks = yield self._get(client, scope)
+                chunks = yield from self._pull(client, scope, self.flt)
                 for chunk in chunks:
                     self.report.add_chunk(scope.value, chunk.size_bytes)
-                all_chunks.append((client.name, chunks))
-        puts = []
-        for origin_name, chunks in all_chunks:
-            if not chunks:
-                continue
-            for client in self.instances:
-                if client.name != origin_name:
-                    puts.append(self._put(client, chunks))
+                pulled.append((client.name, scope, chunks))
+        puts = [
+            client.put(scope, chunks)
+            for origin_name, scope, chunks in pulled if chunks
+            for client in self.instances if client.name != origin_name
+        ]
         if puts:
             yield AllOf(puts)
 
-    def _get(self, client, scope: Scope, flt: Optional[Filter] = None):
-        flt = flt or self.flt
-        if scope is Scope.PERFLOW:
-            return client.get_perflow(flt)
-        if scope is Scope.MULTIFLOW:
-            return client.get_multiflow(flt)
-        return client.get_allflows()
-
-    def _put(self, client, chunks):
-        if not chunks:
-            return self.sim.timeout(0.0)
+    def _pull(self, client, scope: Scope, flt: Filter):
+        chunks = yield client.get(scope, flt)
         for chunk in chunks:
             # Replicas hold stale copies of this exact state: the push
             # is an authoritative snapshot, not a disjoint observation
             # set, so receivers must replace rather than merge.
             chunk.snapshot = True
-        scope = chunks[0].scope
-        if scope is Scope.PERFLOW:
-            return client.put_perflow(chunks)
-        if scope is Scope.MULTIFLOW:
-            return client.put_multiflow(chunks)
-        return client.put_allflows(chunks)
+        return chunks
 
     # ----------------------------------------------------------------- dispatch
 
@@ -327,13 +292,15 @@ class ShareOperation(Operation):
                     )
                     puts = []
                     for scope in self.scopes:
-                        chunks = yield self._get(origin, scope, sync_filter)
+                        chunks = yield from self._pull(
+                            origin, scope, sync_filter
+                        )
                         if not chunks:
                             continue
                         for client in self.instances:
                             if (client.name != origin_name
                                     and not client.nf.failed):
-                                puts.append(self._put(client, chunks))
+                                puts.append(client.put(scope, chunks))
                     if puts:
                         yield AllOf(puts)
                     self.packets_serialized += 1
@@ -343,7 +310,7 @@ class ShareOperation(Operation):
                         self.obs.metrics.counter(
                             "ctrl.share.updates"
                         ).inc(1, nf=origin_name)
-            except (NFCrash, SouthboundError) as exc:
+            except RECOVERABLE as exc:
                 # The origin (or a peer) died mid-update: skip this
                 # packet's update and keep serializing the rest of the
                 # group instead of wedging the whole session.
@@ -375,10 +342,8 @@ class ShareOperation(Operation):
 
     def stop(self):
         """Tear the session down; the ``stopped`` event fires when done."""
-        if self._stopping:
-            return self.stopped
-        self._stopping = True
-        self.sim.spawn(self._teardown(), name="share-stop")
+        if not self._stop_requested.triggered:
+            self._stop_requested.trigger()
         return self.stopped
 
     def abort(self, reason: str = "aborted by caller"):
@@ -388,18 +353,41 @@ class ShareOperation(Operation):
             self.report.aborted = "aborted: %s" % reason
         return self.stop()
 
+    def _cleanup(self):
+        # Set up: the session is live, its per-group workers serialize.
+        self.started.trigger()
+        yield from self._teardown()
+
+    def _recover(self, crash):
+        if self.started.triggered:
+            return  # the teardown itself failed: nothing left to unwind
+        # An instance was unreachable before the session went live:
+        # fail ``started`` for whoever waits on it and tear down what
+        # was set up, so ``done`` fires and the reservation releases.
+        self.started.fail(crash)
+        self.stop()
+        yield from self._teardown()
+
     def _teardown(self):
-        # Drain first: captured packets sitting in the serialization
-        # queues (or re-sent and awaiting their PROCESS event) still
-        # need the event interests below to complete. Tearing those
-        # down early strands the packets — a real loss the conformance
-        # kit's mid-stream-stop schedules caught.
+        yield self._stop_requested
+        yield from self._walk(
+            SHARE_PLANS[self.consistency, "teardown"].steps, self.trace.root
+        )
+        self.report.finished_at = self.sim.now
+
+    def _step_drain(self, parent):
+        # Captured packets sitting in the serialization queues (or
+        # re-sent and awaiting their PROCESS event) still need the event
+        # interests to complete. Tearing those down early strands the
+        # packets — a real loss the conformance kit's mid-stream-stop
+        # schedules caught.
         while not self._serialization_idle():
             waiter = self.sim.event("share-drain")
             self._drain_waiters.append(waiter)
             yield waiter
-        for handle in self._interest_handles:
-            self.controller.remove_interest(handle)
+
+    def _step_disarm_events(self, parent):
+        self._drop_interests()
         acks = [
             client.disable_events(self.flt)
             for client in self.instances
@@ -408,26 +396,11 @@ class ShareOperation(Operation):
         try:
             if acks:
                 yield AllOf(acks)
-        except (NFCrash, SouthboundError) as exc:
+        except RECOVERABLE as exc:
             self.report.notes.append("teardown incomplete: %s" % exc)
-        if self._redirected_entries:
-            if self.controller.batching is not None:
-                yield self.switch.install_batch([
-                    (entry_filter, list(actions), priority)
-                    for entry_filter, priority, actions
-                    in self._redirected_entries
-                ])
-            else:
-                yield AllOf([
-                    self.switch.install(
-                        entry_filter, list(actions), priority
-                    )
-                    for entry_filter, priority, actions
-                    in self._redirected_entries
-                ])
-        self.report.finished_at = self.sim.now
-        self.trace.finish(aborted=self.report.aborted)
-        self.stopped.trigger(self.report)
+
+    def _step_restore_entries(self, parent):
+        yield from self._install_entries(list)
 
     # ------------------------------------------------------------------ metrics
 

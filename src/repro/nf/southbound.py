@@ -12,7 +12,9 @@ Method names follow the paper's API:
 ``get_allflows`` / ``put_allflows``, and
 ``enable_events`` / ``disable_events``. Every call returns a
 :class:`~repro.sim.core.Event` that triggers with the result once the
-operation (including NF-side processing time) completes.
+operation (including NF-side processing time) completes. Callers that
+hold a :class:`~repro.nf.state.Scope` use the scope-keyed ``get`` /
+``put`` / ``delete``, which dispatch to those methods by name.
 
 ``get_*`` accept a ``stream`` callback: when provided, the NF ships each
 chunk to the controller the moment it is serialized instead of batching
@@ -119,9 +121,16 @@ class Call:
         if not self.done.triggered:
             self.done.fail(exc)
 
-    def ack(self, _event: Optional[Event] = None) -> None:
-        """The request took effect at the peer; no response message."""
-        self.settle()
+    def ack(self, event: Optional[Event] = None) -> None:
+        """The peer-side ``event`` settled the request; no response message.
+
+        A request the peer refused (a flow-mod on a full table) fails the
+        call with the peer's exception instead of reading as installed.
+        """
+        if event is not None and event.exception is not None:
+            self.settle_fail(event.exception)
+        else:
+            self.settle()
 
     def reply(
         self,
@@ -610,6 +619,25 @@ class NFClient(SouthboundStub):
     def del_multiflow(self, flowids: Iterable[FlowId]) -> Event:
         """``delMultiflow(list<flowid>)``."""
         return self._delete(Scope.MULTIFLOW, flowids)
+
+    # --------------------------------------------------------------- by scope
+
+    def get(self, scope: Scope, flt: Filter, **options: Any) -> Event:
+        """The scope's ``get*`` (same keywords). All-flows state has no
+        filter and no per-flow locks: both are ignored here, once."""
+        if scope is Scope.ALLFLOWS:
+            options.pop("lock_per_chunk", None)
+            options.pop("lock_silent", None)
+            return self.get_allflows(**options)
+        return getattr(self, "get_" + scope.value)(flt, **options)
+
+    def put(self, scope: Scope, chunks: Iterable[StateChunk]) -> Event:
+        """The scope's ``put*``."""
+        return getattr(self, "put_" + scope.value)(chunks)
+
+    def delete(self, scope: Scope, flowids: Iterable[FlowId]) -> Event:
+        """The scope's ``del*`` (all-flows state has none)."""
+        return getattr(self, "del_" + scope.value)(flowids)
 
     # ----------------------------------------------------------------- events
 

@@ -119,6 +119,27 @@ class TestAbort:
         # were restored to the source.
         assert any("restored" in note for note in result.report.notes)
 
+    def test_abort_disables_the_source_events_exactly_once(self):
+        """The unwind used to send ``disable_events_covered`` twice; the
+        duplicate's round trip was also, by accident, what kept the
+        move's interest alive for events still queued in the inbox —
+        now an explicit inbox barrier, so nothing captured is lost."""
+        def operation(dep):
+            op = dep.controller.move("inst1", "inst2", BROAD, guarantee="lf")
+            dep.sim.schedule(6.0, op.abort, "operator cancelled")
+            return op
+
+        result = run_move_experiment(n_flows=80, rate_pps=5000.0, seed=3,
+                                     operation=operation, audit=True)
+        dep = result.deployment
+        assert "operator cancelled" in result.report.aborted
+        disables = [span for span in dep.obs.exporter.spans
+                    if span.name == "sb.disableEventsCovered"]
+        assert len(disables) == 1
+        assert dep.nfs["inst1"].event_rule_count == 0
+        assert result.loss_free, result.loss_free_detail
+        assert dep.obs.violations() == []
+
     def test_abort_after_completion_is_a_noop(self):
         dep, (a, b) = build_multi_instance_deployment(2)
         feed(dep, a, 4)

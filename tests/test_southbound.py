@@ -304,12 +304,47 @@ def test_rpc_wire_pin(rpc, reliable):
 
 def test_wire_pin_covers_every_public_rpc():
     """...and each is the stub class's own attribute (the ledger wraps
-    them by name). ``packet_out`` is fire-and-forget, not an RPC."""
+    them by name). ``packet_out`` is fire-and-forget, not an RPC, and
+    the scope-keyed ``get`` / ``put`` / ``delete`` only dispatch to the
+    paper-named RPCs."""
+    not_rpcs = {"packet_out", "get", "put", "delete"}
     for stub, factory in ((NFClient, _nf_stub), (SwitchClient, _sw_stub)):
         public = {name for name, attr in vars(stub).items()
                   if callable(attr) and not name.startswith("_")}
         pinned = {rpc.split("[")[0] for rpc in RPCS if RPCS[rpc][0] is factory}
-        assert public - {"packet_out"} == pinned
+        assert public - not_rpcs == pinned
+
+
+def test_scope_trio_dispatches_to_the_paper_named_rpcs(monkeypatch):
+    """``get`` / ``put`` / ``delete`` resolve the paper-named method on
+    the instance at call time — which is what lets the ledger count and
+    time them by wrapping ``NFClient.__dict__`` — and all-flows state
+    drops the filter and the lock arguments in exactly one place."""
+    calls = []
+    for verb, scopes in (("get", Scope), ("put", Scope),
+                         ("del", (Scope.PERFLOW, Scope.MULTIFLOW))):
+        for scope in scopes:
+            name = "%s_%s" % (verb, scope.value)
+            monkeypatch.setattr(
+                NFClient, name,
+                lambda self, *args, _name=name, **kwargs:
+                    calls.append((_name, args, kwargs)),
+            )
+    client, _nf = _nf_stub(Simulator(), False)
+    flt = Filter({"nw_src": "10.0.0.0/8"})
+    for scope in Scope:
+        client.get(scope, flt, compress=True, lock_per_chunk=True)
+        client.put(scope, ["chunk"])
+    client.delete(Scope.PERFLOW, ["id"])
+    client.delete(Scope.MULTIFLOW, ["id"])
+    locked = {"compress": True, "lock_per_chunk": True}
+    assert calls == [
+        ("get_perflow", (flt,), locked), ("put_perflow", (["chunk"],), {}),
+        ("get_multiflow", (flt,), locked), ("put_multiflow", (["chunk"],), {}),
+        ("get_allflows", (), {"compress": True}),
+        ("put_allflows", (["chunk"],), {}),
+        ("del_perflow", (["id"],), {}), ("del_multiflow", (["id"],), {}),
+    ]
 
 
 if __name__ == "__main__":
