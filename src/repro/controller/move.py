@@ -576,8 +576,10 @@ class MoveOperation(Operation):
                     )
                 put_process.done.add_callback(notify_release)
 
+        scope_name = scope.value
+
         def ship(chunk: StateChunk) -> None:
-            self._note_chunk(scope, chunk)
+            self._note_chunk(scope_name, chunk)
             self._exported_chunks.append(chunk)
             peer.send(chunk.wire_size_bytes + 74, deliver, chunk)
 

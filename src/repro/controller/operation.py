@@ -40,7 +40,7 @@ from repro.flowspace.filter import Filter
 from repro.net.switch import TableFullError
 from repro.nf.base import NFCrash
 from repro.nf.southbound import SouthboundError
-from repro.nf.state import Scope, StateChunk
+from repro.nf.state import StateChunk
 from repro.controller.reports import OperationReport
 
 #: What an operation unwinds from and still fires ``done`` ok with
@@ -312,16 +312,19 @@ class Operation:
             flow=packet.flow_key(),
         )
 
-    def _note_chunk(self, scope: Scope, chunk: StateChunk) -> None:
-        """Account one exported chunk (report + transfer metrics)."""
-        self.report.add_chunk(
-            scope.value, chunk.size_bytes, chunk.wire_size_bytes
-        )
+    def _note_chunk(self, scope_name: str, chunk: StateChunk) -> None:
+        """Account one exported chunk (report + transfer metrics).
+
+        ``scope_name`` is ``scope.value``, read once per transfer by the
+        caller rather than once per chunk here.
+        """
+        wire_bytes = chunk.wire_size_bytes
+        self.report.add_chunk(scope_name, chunk.size_bytes, wire_bytes)
         if self.obs.enabled:
             metrics = self.obs.metrics
-            metrics.counter("ctrl.chunks.transferred").inc(1, scope=scope.value)
+            metrics.counter("ctrl.chunks.transferred").inc(1, scope=scope_name)
             metrics.counter("ctrl.chunks.wire_bytes").inc(
-                chunk.wire_size_bytes, scope=scope.value
+                wire_bytes, scope=scope_name
             )
 
 

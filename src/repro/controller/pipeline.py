@@ -141,6 +141,7 @@ def transfer_scope(
     """
     shard = op.shard
     batching = op.controller.batching
+    scope_name = scope.value
 
     def delete_exported(chunks):
         # (All-flows chunks carry no flowid: nothing to delete.)
@@ -151,7 +152,7 @@ def transfer_scope(
     if not op.parallel:
         chunks = yield op.src.get(scope, op.flt, compress=op.compress)
         for chunk in chunks:
-            op._note_chunk(scope, chunk)
+            op._note_chunk(scope_name, chunk)
         if exported is not None:
             exported.extend(chunks)
         yield from delete_exported(chunks)
@@ -168,7 +169,7 @@ def transfer_scope(
 
         def handle_frame(frame: List[Any]) -> None:
             for chunk in frame:
-                op._note_chunk(scope, chunk)
+                op._note_chunk(scope_name, chunk)
             if exported is not None:
                 exported.extend(frame)
             pipeline.submit(frame)
@@ -178,7 +179,7 @@ def transfer_scope(
         )}
     else:
         def handle_chunk(chunk: Any) -> None:
-            op._note_chunk(scope, chunk)
+            op._note_chunk(scope_name, chunk)
             if exported is not None:
                 exported.append(chunk)
             put_event = putter([chunk])

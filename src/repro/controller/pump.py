@@ -57,9 +57,11 @@ class ChunkPump:
         handling slot but accounts for all its chunks.
         """
         self._queue.append((item, weight))
-        self.max_backlog = max(self.max_backlog, len(self._queue))
+        depth = len(self._queue)
+        if depth > self.max_backlog:
+            self.max_backlog = depth
         if self.on_depth is not None:
-            self.on_depth(len(self._queue))
+            self.on_depth(depth)
         if not self._busy:
             self._busy = True
             self.sim.schedule(self.per_item_ms, self._drain)

@@ -88,14 +88,16 @@ class OperationReport:
     def add_chunk(
         self, scope_name: str, size_bytes: int, wire_bytes: Optional[int] = None
     ) -> None:
-        self.chunks_moved[scope_name] = self.chunks_moved.get(scope_name, 0) + 1
-        self.bytes_moved[scope_name] = (
-            self.bytes_moved.get(scope_name, 0) + size_bytes
-        )
-        self.wire_bytes_moved[scope_name] = (
-            self.wire_bytes_moved.get(scope_name, 0)
-            + (size_bytes if wire_bytes is None else wire_bytes)
-        )
+        if wire_bytes is None:
+            wire_bytes = size_bytes
+        if scope_name in self.chunks_moved:
+            self.chunks_moved[scope_name] += 1
+            self.bytes_moved[scope_name] += size_bytes
+            self.wire_bytes_moved[scope_name] += wire_bytes
+        else:
+            self.chunks_moved[scope_name] = 1
+            self.bytes_moved[scope_name] = size_bytes
+            self.wire_bytes_moved[scope_name] = wire_bytes
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly dump (for bench output files or journals)."""

@@ -169,7 +169,8 @@ def key_matches(compiled: Tuple, key: Tuple, either_way: bool) -> bool:
 class Filter:
     """An immutable header predicate with wildcard semantics."""
 
-    __slots__ = ("fields", "symmetric", "_hash", "_exact_key", "_compiled")
+    __slots__ = ("fields", "symmetric", "_hash", "_exact_key", "_compiled",
+                 "_wire_size")
 
     def __init__(
         self, fields: Optional[Mapping[str, Any]] = None, symmetric: bool = False
@@ -179,6 +180,8 @@ class Filter:
         self._hash: Optional[int] = None
         self._exact_key: Any = _UNSET
         self._compiled: Any = _UNSET
+        #: Encoded length of :meth:`to_dict`, filled in by the wire codec.
+        self._wire_size: Optional[int] = None
 
     # -- construction helpers -------------------------------------------------
 

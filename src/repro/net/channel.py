@@ -177,11 +177,13 @@ class ControlChannel:
             self.flush(reason="ordering")
         self.messages_sent += 1
         self.bytes_sent += size_bytes
-        start = max(self.sim.now, self._busy_until)
-        transmit = size_bytes / self.bandwidth_bytes_per_ms
-        self._busy_until = start + transmit
-        arrival = self._busy_until + self.latency_ms
-        delay = arrival - self.sim.now
+        sim = self.sim
+        now = start = sim.now
+        if self._busy_until > now:
+            start = self._busy_until
+        busy_until = start + size_bytes / self.bandwidth_bytes_per_ms
+        self._busy_until = busy_until
+        delay = busy_until + self.latency_ms - now
         if self.obs.enabled:
             if self._obs_cache_for is not self.obs:
                 self._bind_telemetry()
@@ -191,7 +193,7 @@ class ControlChannel:
         if self.faults is not None:
             # The sender still occupies the transmitter (loss happens in
             # the network, not at the NIC), so busy_until stays advanced.
-            verdict = self.faults.on_send(self.sim.now)
+            verdict = self.faults.on_send(now)
             if not verdict.deliver:
                 self.messages_dropped += 1
                 if self.obs.enabled:
@@ -202,12 +204,12 @@ class ControlChannel:
             delay += verdict.extra_delay_ms
             for copy in range(1, verdict.copies):
                 # Duplicates trail the original by their own spike draw.
-                self.sim.schedule(delay + 0.05 * copy, deliver, *args)
+                sim.schedule(delay + 0.05 * copy, deliver, *args)
             if verdict.copies > 1 and self.obs.enabled:
                 self.obs.metrics.counter("chan.duplicated").inc(
                     verdict.copies - 1, channel=self.name
                 )
-        self.sim.schedule(delay, deliver, *args)
+        sim.schedule(delay, deliver, *args)
         return delay
 
     # ------------------------------------------------------------- batching

@@ -110,6 +110,9 @@ class NetworkFunction:
         # Transfer bookkeeping.
         self._transfers_active = 0
         self._op_tail: Optional[Event] = None
+        # (A put runs per chunk: its two names are formatted once.)
+        self._gate_name = "op-gate@%s" % name
+        self._put_name = "put@%s" % name
         # Statistics and logs.
         self.packets_received = 0
         self.packets_processed = 0
@@ -546,7 +549,7 @@ class NetworkFunction:
     def _chain_operation(self) -> Tuple[Optional[Event], Event]:
         """FIFO-serialize transfer operations on this NF (one CPU)."""
         previous = self._op_tail
-        gate = self.sim.event("op-gate@%s" % self.name)
+        gate = Event(self.sim, self._gate_name)
         self._op_tail = gate
         return previous, gate
 
@@ -623,7 +626,7 @@ class NetworkFunction:
     def sb_put(self, chunks: Iterable[StateChunk]):
         """Run ``put{Perflow,Multiflow,Allflows}`` as a timed process."""
         return self.sim.spawn(
-            self._put_process(list(chunks)), name="put@%s" % self.name
+            self._put_process(list(chunks)), name=self._put_name
         )
 
     def _put_process(self, chunks: List[StateChunk]):

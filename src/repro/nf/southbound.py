@@ -2,9 +2,11 @@
 
 :class:`NFClient` is how the controller talks to one NF instance. Each
 call is an RPC over a pair of control channels (request and response
-directions), with message sizes derived from the JSON encoding of the
-payload — so moving many or bulky chunks costs proportionally more, as
-in the prototype.
+directions). Message sizes are those of the JSON wire form, computed
+from field lengths (:class:`repro.nf.protocol.Request`; a chunk, filter
+or flowid is encoded once and its length kept) and pinned against the
+encoding by ``tests/test_southbound.py`` — so moving many or bulky
+chunks costs proportionally more, as in the prototype.
 
 Method names follow the paper's API:
 ``get_perflow`` / ``put_perflow`` / ``del_perflow``,
@@ -162,7 +164,7 @@ class Call:
         deliver: Optional[Callable[[Any], None]] = None,
     ) -> None:
         """Reply with the outcome of the peer-side process ``event`` ends."""
-        if event.ok:
+        if event.exception is None:
             self.reply(event.value, size, deliver)
         else:
             self.reply(event.exception, deliver=self.settle_fail)
@@ -214,7 +216,7 @@ class SouthboundStub:
         op: str,
         name: str,
         body: Callable[[Call], None],
-        request: Optional[Dict[str, Any]] = None,
+        request: Optional[protocol.Request] = None,
         payload_bytes: int = 0,
         on_fault_only: bool = False,
         spanned: bool = True,
@@ -224,14 +226,14 @@ class SouthboundStub:
 
         ``body(call)`` runs at the peer — at most once however often the
         request is resent — and answers through ``call``. The request
-        weighs ``payload_bytes`` plus its JSON ``request`` message (a
-        fixed frame without one). The span is minted *before* the
-        request ships so that a causally bound caller's ``trace_id`` is
+        weighs ``payload_bytes`` plus the size of its ``request``
+        message (a fixed frame without one). The span is minted *before*
+        the request ships so that a causally bound caller's ``trace_id`` is
         inherited while the proxy's cause window is still open and
         peer-side closures can cite it as their ``cause_id``; retries
         are events inside it, not orphan spans.
         """
-        done = self.sim.event(name)
+        done = Event(self.sim, name)
         call = Call(self, done)
         if spanned and self.obs.enabled:
             span = call.span = self.obs.tracer.span(
@@ -251,13 +253,12 @@ class SouthboundStub:
             on_fault_only and self.to_peer.faults is None
             and self.from_peer.faults is None
         ):
-            size = (REQUEST_BYTES if request is None
-                    else protocol.message_size(request))
+            size = REQUEST_BYTES if request is None else request.size()
             self.to_peer.send(payload_bytes + size, body, call)
             return done
         call.rid = next(self._request_ids)
-        size = (REQUEST_BYTES + REQUEST_ID_BYTES if request is None else
-                protocol.message_size(protocol.with_request_id(request, call.rid)))
+        size = (REQUEST_BYTES + REQUEST_ID_BYTES if request is None
+                else request.size(call.rid))
         self._send_until_done(
             op, call, payload_bytes + size, partial(body, call)
         )
@@ -337,6 +338,8 @@ class NFClient(SouthboundStub):
                 if channel.batching is None:
                     channel.batching = batch
         self.stats["chunks_recovered"] = 0
+        #: Completion-event name of every put (one is made per chunk).
+        self._put_name = "put@%s" % nf.name
 
     @property
     def name(self) -> str:
@@ -412,7 +415,10 @@ class NFClient(SouthboundStub):
             if id(chunk) in received_ids:
                 return  # duplicated or already-recovered chunk
             received_ids.add(id(chunk))
-            deliver_fresh([chunk])
+            if stream_frame is None:
+                stream(chunk)
+            else:
+                stream_frame([chunk])
 
         def frame_recv(chunks: List[StateChunk]) -> None:
             # One coalesced frame of chunks. A replayed frame has
@@ -498,7 +504,7 @@ class NFClient(SouthboundStub):
             "get.%s" % scope.value,
             "get-%s@%s" % (scope.value, self.nf.name),
             at_nf,
-            protocol.get_request(
+            protocol.Request(
                 "get%s" % scope.value.capitalize(),
                 flt,
                 lock_per_chunk=lock_per_chunk,
@@ -571,17 +577,19 @@ class NFClient(SouthboundStub):
         chunk_list = list(chunks)
 
         def at_nf(call: Call) -> None:
-            apply_span = self._nf_side_span(
-                "nf.apply", call.span, chunks=len(chunk_list)
-            )
+            apply_span = NULL_SPAN
+            if call.span is not NULL_SPAN:
+                apply_span = self._nf_side_span(
+                    "nf.apply", call.span, chunks=len(chunk_list)
+                )
             applied = self.nf.sb_put(chunk_list).done
             if apply_span is not NULL_SPAN:
                 applied.add_callback(partial(_finish_span, apply_span))
             applied.add_callback(call.respond)
 
         return self._call(
-            op, "put@%s" % self.nf.name, at_nf,
-            protocol.put_request("put", len(chunk_list)),
+            op, self._put_name, at_nf,
+            protocol.Request("put", chunks=len(chunk_list)),
             chunks_wire_bytes(chunk_list),
             chunks=len(chunk_list),
         )
@@ -608,7 +616,7 @@ class NFClient(SouthboundStub):
 
         return self._call(
             "del.%s" % scope.value, "del@%s" % self.nf.name, at_nf,
-            protocol.delete_request("del%s" % scope.value.capitalize(), ids),
+            protocol.Request("del%s" % scope.value.capitalize(), flowids=ids),
             flowids=len(ids),
         )
 
@@ -651,7 +659,7 @@ class NFClient(SouthboundStub):
 
         return self._call(
             "enableEvents", "enableEvents@%s" % self.nf.name, at_nf,
-            protocol.events_request("enableEvents", flt, action.value),
+            protocol.Request("enableEvents", flt, action=action.value),
             action=action.value,
         )
 
@@ -676,7 +684,7 @@ class NFClient(SouthboundStub):
         op: str,
         disable: Callable[[Filter], Any],
         flt: Filter,
-        request: Optional[Dict[str, Any]] = None,
+        request: Optional[protocol.Request] = None,
     ) -> Event:
         def at_nf(call: Call) -> None:
             flush_span = self._nf_side_span("nf.flush", call.span)
@@ -696,7 +704,7 @@ class NFClient(SouthboundStub):
         """``disableEvents(filter)``; triggers when the rule is removed."""
         return self._disable(
             "disableEvents", self.nf.sb_disable_events, flt,
-            protocol.events_request("disableEvents", flt),
+            protocol.Request("disableEvents", flt),
         )
 
     def disable_events_covered(self, flt: Filter) -> Event:

@@ -23,6 +23,7 @@ import zlib
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.flowspace.filter import FlowId
+from repro.nf.protocol import WIRE_JSON
 
 
 class Scope(enum.Enum):
@@ -125,7 +126,7 @@ class StateChunk:
             "flowid": None if self.flowid is None else self.flowid.to_dict(),
             "data": self.data,
         }
-        return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return WIRE_JSON.encode(body).encode("utf-8")
 
     @classmethod
     def from_json_bytes(cls, raw: bytes) -> "StateChunk":
@@ -149,4 +150,7 @@ def chunks_total_bytes(chunks: List[StateChunk]) -> int:
 
 def chunks_wire_bytes(chunks: List[StateChunk]) -> int:
     """Total as-transferred size (honours per-chunk compression)."""
-    return sum(chunk.wire_size_bytes for chunk in chunks)
+    total = 0
+    for chunk in chunks:  # (mostly one chunk: a generator costs more)
+        total += chunk.wire_size_bytes
+    return total

@@ -1,9 +1,9 @@
 """Core discrete-event simulator: virtual clock, event queue, and events.
 
-The simulator maintains a priority queue of ``(time, sequence, callback)``
-entries. Time is a float in *milliseconds* throughout the reproduction
-(the paper reports operation times in ms). Entries scheduled for the same
-instant run in FIFO order, which keeps runs deterministic.
+The simulator maintains a priority queue of ``(time, sequence, callback,
+args)`` entries. Time is a float in *milliseconds* throughout the
+reproduction (the paper reports operation times in ms). Entries scheduled
+for the same instant run in FIFO order, which keeps runs deterministic.
 
 :class:`Event` is a one-shot, latching synchronization primitive modeled
 after simpy's events: it can be triggered with a value or failed with an
@@ -14,8 +14,8 @@ until it triggers.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 
@@ -34,25 +34,23 @@ class Event:
     express as plain yields).
     """
 
-    __slots__ = ("sim", "name", "_callbacks", "_triggered", "_value", "_exception")
+    __slots__ = ("sim", "name", "_callbacks", "triggered", "_value", "exception")
 
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
         self.name = name
         self._callbacks: List[Callable[["Event"], None]] = []
-        self._triggered = False
+        #: Whether the event has fired (successfully or with an error).
+        #: Like :attr:`exception`, set only by :meth:`trigger` / :meth:`fail`.
+        self.triggered = False
         self._value: Any = None
-        self._exception: Optional[BaseException] = None
-
-    @property
-    def triggered(self) -> bool:
-        """Whether the event has fired (successfully or with an error)."""
-        return self._triggered
+        #: The exception the event failed with, or ``None``.
+        self.exception: Optional[BaseException] = None
 
     @property
     def ok(self) -> bool:
         """Whether the event fired successfully (no exception)."""
-        return self._triggered and self._exception is None
+        return self.triggered and self.exception is None
 
     @property
     def value(self) -> Any:
@@ -61,40 +59,37 @@ class Event:
         Raises the stored exception if the event failed, and
         :class:`SimulationError` if the event is still pending.
         """
-        if not self._triggered:
+        if not self.triggered:
             raise SimulationError("event %r has not been triggered" % (self.name,))
-        if self._exception is not None:
-            raise self._exception
+        if self.exception is not None:
+            raise self.exception
         return self._value
-
-    @property
-    def exception(self) -> Optional[BaseException]:
-        """The exception the event failed with, or ``None``."""
-        return self._exception
 
     def trigger(self, value: Any = None) -> "Event":
         """Fire the event successfully with ``value``; idempotent misuse errors."""
-        if self._triggered:
+        if self.triggered:
             raise SimulationError("event %r already triggered" % (self.name,))
-        self._triggered = True
+        self.triggered = True
         self._value = value
-        self._flush()
+        if self._callbacks:
+            self._flush()
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Fire the event with an exception; waiters will see it raised."""
-        if self._triggered:
+        if self.triggered:
             raise SimulationError("event %r already triggered" % (self.name,))
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
-        self._triggered = True
-        self._exception = exception
-        self._flush()
+        self.triggered = True
+        self.exception = exception
+        if self._callbacks:
+            self._flush()
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Invoke ``callback(event)`` when the event fires (now if already fired)."""
-        if self._triggered:
+        if self.triggered:
             callback(self)
         else:
             self._callbacks.append(callback)
@@ -105,37 +100,24 @@ class Event:
             callback(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "triggered" if self._triggered else "pending"
+        state = "triggered" if self.triggered else "pending"
         return "<Event %s %s>" % (self.name or hex(id(self)), state)
-
-
-class _ScheduledCall:
-    """Handle to a scheduled callback, allowing cancellation."""
-
-    __slots__ = ("callback", "args", "cancelled")
-
-    def __init__(self, callback: Callable[..., None], args: Tuple[Any, ...]) -> None:
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
 
 
 class Simulator:
     """Deterministic discrete-event simulator with a millisecond clock."""
 
     def __init__(self) -> None:
-        self._now = 0.0
-        self._queue: List[Tuple[float, int, _ScheduledCall]] = []
+        #: Current simulated time in milliseconds. Read it freely; only
+        #: :meth:`run` advances it.
+        self.now = 0.0
+        #: Heap of ``(when, sequence, callback, args)``. The sequence
+        #: number is unique, so ordering never reaches the callback.
+        self._queue: List[
+            Tuple[float, int, Callable[..., None], Tuple[Any, ...]]
+        ] = []
         self._sequence = itertools.count()
         self._event_count = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -144,7 +126,7 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Queued (possibly cancelled) entries still awaiting execution.
+        """Queued entries still awaiting execution.
 
         A cheap liveness probe: the progress reporter re-arms its next
         tick only while this is non-zero, so it can never keep the
@@ -154,19 +136,23 @@ class Simulator:
 
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> _ScheduledCall:
-        """Run ``callback(*args)`` after ``delay`` ms of simulated time."""
+    ) -> None:
+        """Run ``callback(*args)`` after ``delay`` ms of simulated time.
+
+        A scheduled callback cannot be cancelled: a timer that may go
+        stale checks an epoch or a flag of its owner when it fires.
+        """
         if delay < 0:
             raise SimulationError("cannot schedule %.3f ms in the past" % delay)
-        entry = _ScheduledCall(callback, args)
-        heapq.heappush(self._queue, (self._now + delay, next(self._sequence), entry))
-        return entry
+        heappush(
+            self._queue, (self.now + delay, next(self._sequence), callback, args)
+        )
 
     def call_at(
         self, when: float, callback: Callable[..., None], *args: Any
-    ) -> _ScheduledCall:
+    ) -> None:
         """Run ``callback(*args)`` at absolute simulated time ``when``."""
-        return self.schedule(when - self._now, callback, *args)
+        self.schedule(when - self.now, callback, *args)
 
     def event(self, name: str = "") -> Event:
         """Create a new pending :class:`Event`."""
@@ -180,9 +166,7 @@ class Simulator:
 
     def spawn(self, generator, name: str = ""):
         """Start a cooperative process; see :class:`repro.sim.process.Process`."""
-        from repro.sim.process import Process
-
-        return Process(self, generator, name=name)
+        return Process(self, generator, name)
 
     def run(
         self,
@@ -195,26 +179,24 @@ class Simulator:
         ``until`` (the clock is then advanced to exactly ``until``), or
         after ``max_events`` callbacks. Returns the final clock value.
         """
+        queue = self._queue
         executed = 0
-        while self._queue:
-            when, _seq, entry = self._queue[0]
-            if until is not None and when > until:
-                self._now = until
-                return self._now
-            heapq.heappop(self._queue)
-            if entry.cancelled:
-                continue
-            if when < self._now:
+        while queue:
+            if until is not None and queue[0][0] > until:
+                self.now = until
+                return until
+            when, _seq, callback, args = heappop(queue)
+            if when < self.now:
                 raise SimulationError("event queue time went backwards")
-            self._now = when
-            entry.callback(*entry.args)
+            self.now = when
+            callback(*args)
             self._event_count += 1
             executed += 1
             if max_events is not None and executed >= max_events:
-                return self._now
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+                return when
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     def run_until_triggered(self, event: Event, limit: float = 1e12) -> Any:
         """Run until ``event`` fires; return its value. Errors if it never does."""
@@ -223,7 +205,12 @@ class Simulator:
                 raise SimulationError(
                     "event %r never triggered (queue drained)" % (event.name,)
                 )
-            if self._now > limit:
+            if self.now > limit:
                 raise SimulationError("simulation exceeded limit while waiting")
             self.run(max_events=1)
         return event.value
+
+
+# Down here because the two modules need each other: ``process`` takes
+# the classes above from this one, and ``spawn`` takes ``Process``.
+from repro.sim.process import Process  # noqa: E402

@@ -58,7 +58,7 @@ class Process:
         self.sim = sim
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
-        self.done = sim.event("done:%s" % self.name)
+        self.done = Event(sim, "done:%s" % self.name)
         self._alive = True
         # Start on the next tick so spawn() returns before the body runs.
         sim.schedule(0.0, self._step, None, None)
@@ -89,7 +89,7 @@ class Process:
                 target = self._generator.send(send_value)
         except StopIteration as stop:
             self._alive = False
-            self.done.trigger(getattr(stop, "value", None))
+            self.done.trigger(stop.value)
             return
         except ProcessKilled as killed:
             self._alive = False
@@ -101,11 +101,9 @@ class Process:
             self._alive = False
             self.done.fail(exc)
             return
-        self._wait_on(target)
-
-    def _wait_on(self, target: Any) -> None:
+        # Arm the wake-up for whatever the generator yielded.
         if isinstance(target, (int, float)):
-            self.sim.schedule(float(target), self._step, None, None)
+            self.sim.schedule(target, self._step, None, None)
         elif isinstance(target, Event):
             target.add_callback(self._resume_from_event)
         elif isinstance(target, Process):

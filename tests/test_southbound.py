@@ -1,12 +1,17 @@
 """Tests for the controller-side southbound RPC client."""
 
+import json
+
 import pytest
 
+from repro import Deployment, DummyNF, Guarantee
+from repro.conformance import NF_FACTORIES
 from repro.controller.forwarding import SwitchClient
-from repro.flowspace import Filter, FiveTuple
+from repro.flowspace import Filter, FiveTuple, FlowId
+from repro.harness import run_move_experiment
 from repro.net.switch import Switch
 from repro.net.xfsm import BufferUntilRelease
-from repro.nf import EventAction, NFClient, Scope
+from repro.nf import EventAction, NFClient, Scope, protocol
 from repro.nfs.monitor import AssetMonitor
 from repro.sim import Simulator
 from tests.conftest import make_packet
@@ -345,6 +350,161 @@ def test_scope_trio_dispatches_to_the_paper_named_rpcs(monkeypatch):
         ("put_allflows", (["chunk"],), {}),
         ("del_perflow", (["id"],), {}), ("del_multiflow", (["id"],), {}),
     ]
+
+
+# ------------------------------------------------- sizes from field lengths
+#
+# The stubs size a request from its fields (``protocol.Request.size``)
+# and never encode it. The ``*_request`` constructors stay the
+# definition of the wire message: every size is pinned to the length of
+# their canonical encoding here, and ``WIRE_PIN`` above pins the bytes
+# each RPC actually puts on a channel.
+
+_FLOW = FiveTuple("10.0.1.7", 43210, "203.0.113.5", 80)
+SIZED_FILTERS = {
+    "wildcard": Filter.wildcard(),
+    "prefix16": Filter({"nw_src": "172.16.0.0/16"}, symmetric=True),
+    "five-field": Filter.for_flow(_FLOW),
+    "tcp-flags": Filter({"tcp_flags": frozenset({"SYN", "ACK"}),
+                         "tp_dst": 80, "nw_proto": 6}),
+}
+SIZED_FLOWIDS = [
+    FlowId.for_flow(FiveTuple("10.0.%d.%d" % (i // 200, 1 + i % 200),
+                              10000 + i, "198.18.0.1", 80))
+    for i in range(124)
+] + [FlowId.for_host("10.0.1.7")]
+RIDS = (None, 1, 9, 10, 123456)
+GET_FLAGS = ("lock_per_chunk", "compress", "stream")
+
+
+def _sized_requests():
+    """(id, Request, the message its constructor builds), every kind."""
+    for name, flt in SIZED_FILTERS.items():
+        for call in ("getPerflow", "getMultiflow", "getAllflows"):
+            for mask in range(1 << len(GET_FLAGS)):
+                opts = {f: bool(mask >> i & 1) for i, f in enumerate(GET_FLAGS)}
+                yield ("%s-%s-%d" % (call, name, mask),
+                       protocol.Request(call, flt, **opts),
+                       protocol.get_request(call, flt, **opts))
+        for action in ("drop", "buffer", "process"):
+            yield ("enableEvents-%s-%s" % (name, action),
+                   protocol.Request("enableEvents", flt, action=action),
+                   protocol.events_request("enableEvents", flt, action))
+        yield ("disableEvents-%s" % name,
+               protocol.Request("disableEvents", flt),
+               protocol.events_request("disableEvents", flt))
+    for count in (1, 9, 10, 16, 99, 100, 12345):
+        yield ("put-%d" % count,
+               protocol.Request("put", chunks=count),
+               protocol.put_request("put", count))
+    for count in (0, 1, 125):
+        for call in ("delPerflow", "delMultiflow"):
+            yield ("%s-%d" % (call, count),
+                   protocol.Request(call, flowids=SIZED_FLOWIDS[:count]),
+                   protocol.delete_request(call, SIZED_FLOWIDS[:count]))
+
+
+@pytest.mark.parametrize(
+    "request_, message",
+    [pytest.param(req, msg, id=name) for name, req, msg in _sized_requests()],
+)
+def test_request_size_is_the_length_of_its_encoding(request_, message):
+    for rid in RIDS:
+        wire = dict(message)
+        if rid is not None:
+            protocol.with_request_id(wire, rid)
+        assert request_.size(rid) == (
+            len(protocol.encode(wire)) + protocol.FRAME_OVERHEAD_BYTES
+        ), rid
+        assert request_.size(rid) == protocol.message_size(wire)
+
+
+def test_an_equal_filter_measures_the_same_as_a_measured_one():
+    first = Filter({"nw_src": "172.16.0.0/16"}, symmetric=True)
+    sized = protocol.Request("getPerflow", first).size()
+    assert protocol.Request("getPerflow", first).size() == sized  # cached
+    again = Filter({"nw_src": "172.16.0.0/16"}, symmetric=True)
+    assert protocol.Request("getPerflow", again).size() == sized
+
+
+@pytest.mark.parametrize("kind", sorted(NF_FACTORIES))
+def test_chunk_wire_encoding_is_the_canonical_json(kind):
+    """``to_json_bytes`` through the shared encoder is byte-for-byte
+    what ``json.dumps(sort_keys, compact separators)`` produced."""
+    sim = Simulator()
+    nf = NF_FACTORIES[kind](sim, kind)
+    feed_flows(sim, nf, 4)
+    chunks = [c for scope in Scope for c in _chunks(nf, scope)]
+    assert chunks
+    for chunk in chunks:
+        body = {
+            "scope": chunk.scope.value,
+            "flowid": None if chunk.flowid is None else chunk.flowid.to_dict(),
+            "data": chunk.data,
+        }
+        assert chunk.to_json_bytes() == json.dumps(
+            body, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+
+
+@pytest.fixture
+def encoded(monkeypatch):
+    """What ``JSONEncoder.encode`` was handed, by what it is the JSON of:
+    a state chunk's body, a filter's / flowid's dict, or anything else —
+    a whole control message, which nothing may encode just to size."""
+    seen = {"chunk": 0, "filter": 0, "message": 0}
+    real = json.JSONEncoder.encode
+
+    def counting(self, obj):
+        if isinstance(obj, dict) and set(obj) == {"scope", "flowid", "data"}:
+            seen["chunk"] += 1
+        elif isinstance(obj, dict) and set(obj) == {"fields", "symmetric"}:
+            seen["filter"] += 1
+        else:
+            seen["message"] += 1
+        return real(self, obj)
+
+    monkeypatch.setattr(json.JSONEncoder, "encode", counting)
+    return seen
+
+
+def _dummy_move(n_flows):
+    dep = Deployment()
+    src, dst = DummyNF(dep.sim, "src"), DummyNF(dep.sim, "dst")
+    dep.add_nf(src)
+    dep.add_nf(dst)
+    src.preload(n_flows)
+    move = dep.controller.move(
+        "src", "dst", Filter({"nw_src": "172.16.0.0/16"}, symmetric=True),
+        scope="per", guarantee=Guarantee.LOSS_FREE,
+    )
+    dep.sim.run()
+    assert move.done.value.total_chunks == n_flows
+    return dep
+
+
+def test_sizing_a_message_never_encodes_it(encoded):
+    """A loss-free move of 50 and of 200 preset-size chunks: one put
+    message per chunk, and not one of them is encoded. What is measured
+    is each filter / flowid *object*, once — the 200-flow move meets
+    150 more flowids in its delete request, and nothing else differs."""
+    _dummy_move(50)
+    small = dict(encoded)
+    _dummy_move(200)
+    large = {kind: encoded[kind] - small[kind] for kind in small}
+    assert small["message"] == large["message"] == 0
+    assert small["chunk"] == large["chunk"] == 0
+    assert small["filter"] - 50 == large["filter"] - 200
+    assert small["filter"] - 50 <= 2  # the move's filter (and wildcard)
+
+
+def test_a_chunk_is_encoded_once_however_often_it_is_sized(encoded):
+    """An ``AssetMonitor`` chunk has no preset size: exporting measures
+    it, and the put, ``_note_chunk`` and the report read the cached size."""
+    result = run_move_experiment(guarantee="lf", n_flows=20)
+    assert result.report.total_chunks > 0
+    assert encoded["chunk"] == result.report.total_chunks
+    assert encoded["message"] == 0
 
 
 if __name__ == "__main__":
