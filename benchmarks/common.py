@@ -10,9 +10,10 @@ real wall-clock runtime of the harness itself.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Iterable, List, Sequence
+
+from repro.obs import entries_from_obs, write_trace
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -39,20 +40,12 @@ def publish_trace(name: str, obs) -> str:
     Returns the path written. No-op (returns "") when the bundle is
     disabled or has no in-memory exporter.
     """
-    exporter = getattr(obs, "exporter", None)
-    if not getattr(obs, "enabled", False) or exporter is None:
-        return ""
-    spans = getattr(exporter, "spans", None)
-    if spans is None:
+    if not obs.enabled or obs.exporter is None:
         return ""
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, name + ".trace.jsonl")
-    with open(path, "w") as handle:
-        for span in spans:
-            handle.write(json.dumps(dict(span.to_dict(), type="span")) + "\n")
-        for record in exporter.records:
-            handle.write(json.dumps(dict(record, type="record")) + "\n")
-    print("trace: wrote %d spans to %s" % (len(spans), path))
+    write_trace(entries_from_obs(obs), path)
+    print("trace: wrote %d spans to %s" % (len(obs.exporter.spans), path))
     return path
 
 

@@ -320,10 +320,8 @@ def _cmd_demo_move(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-
     from repro.nf.state import normalize_scope
-    from repro.obs import render_timeline
+    from repro.obs import entries_from_obs, render_timeline, write_trace
 
     try:
         normalize_scope(args.scope)
@@ -361,13 +359,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                     value,
                 ))
     if args.json:
-        with open(args.json, "w") as handle:
-            for span in exporter.spans:
-                handle.write(json.dumps(
-                    dict(span.to_dict(), type="span")) + "\n")
-            for record in exporter.records:
-                handle.write(json.dumps(
-                    dict(record, type="record")) + "\n")
+        write_trace(entries_from_obs(result.deployment.obs), args.json)
         print("wrote %d spans / %d records to %s"
               % (len(exporter.spans), len(exporter.records), args.json))
     if report.aborted:
@@ -425,35 +417,41 @@ def _print_violations(violations) -> None:
 def _cmd_audit(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs import render_bundle, replay_trace
+    from repro.obs import render_bundle
+    from repro.obs.audit import parse_trace
 
     if args.path is not None:
         # Offline mode: a bundle to render, or a trace to replay.
         try:
             with open(args.path) as handle:
-                first = handle.read(1)
+                text = handle.read()
         except OSError as exc:
             print("repro audit: error: %s" % exc, file=sys.stderr)
             return 2
-        try:
-            payload = json.load(open(args.path))
-        except ValueError:
-            payload = None
-        if isinstance(payload, dict) and "causal_slice" in payload:
-            print(render_bundle(payload))
-            return 0
-        if not first:
+        if not text:
             print("repro audit: error: %s is empty" % args.path,
                   file=sys.stderr)
             return 2
-        pipeline = replay_trace(args.path)
-        _print_violations(pipeline.violations)
-        return 1 if pipeline.violations else 0
+        # A bundle is one JSON document naming its causal slice; a
+        # trace is one document per line and never parsed whole.
+        if '"causal_slice"' in text:
+            try:
+                payload = json.loads(text)
+            except ValueError:
+                payload = None
+            if isinstance(payload, dict) and "causal_slice" in payload:
+                print(render_bundle(payload))
+                return 0
+        from repro.conformance.runner import judge_trace
+
+        entries, _skipped = parse_trace(text.splitlines(), args.path)
+        violations = judge_trace(entries)
+        _print_violations(violations)
+        return 1 if violations else 0
 
     # Live mode: run an audited experiment.
     from repro.harness import LOCAL_NET_FILTER, run_move_experiment
 
-    holder = {}
     operation = None
     if args.baseline == "splitmerge":
         from repro.baselines import SplitMergeMigrate
@@ -469,7 +467,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
                 guarantee=args.guarantee,
             )
             dep.sim.schedule(args.abort_at, op.abort, "aborted via CLI")
-            holder["op"] = op
             return op
 
     result = run_move_experiment(
@@ -568,8 +565,6 @@ def _cmd_conform(args: argparse.Namespace) -> int:
         print(result.summary())
         for violation in result.violations:
             print("  " + violation.render())
-        for prop_failure in result.property_failures:
-            print("  " + prop_failure.render())
         if not result.loss_free:
             print("  [ground-truth] loss-free: %s" % result.loss_free_detail)
         return 0 if result.ok else 1
@@ -601,8 +596,6 @@ def _cmd_conform(args: argparse.Namespace) -> int:
                   % (cell.label(), ",".join(result.check_kinds())))
             for violation in result.violations[:3]:
                 print("    " + violation.render())
-            for prop_failure in result.property_failures[:3]:
-                print("    " + prop_failure.render())
     print("%d cells: %d clean, %d expected-dirty, %d FAILED"
           % (len(cells), len(cells) - expected_dirty - len(failed),
              expected_dirty, len(failed)))

@@ -4,23 +4,22 @@ A property-based battery over the §5.1 guarantees (loss-freedom, order
 preservation, state conservation) and the stronger migration-correctness
 properties of "Correctness of Flow Migration Across Network Function
 Instances" (Patowary et al.): completeness, isolation of concurrent
-migrations, and no phantom state. Where the PR-5 auditors check whatever
-interleavings hand-written scenarios happen to exercise, this kit
-*generates* adversarial schedules — packets racing get/put, overlapping
+migrations, and no phantom state. The kit does not judge; it *generates*
+adversarial schedules — packets racing get/put, overlapping
 move/copy/share over intersecting flow space, mid-operation aborts,
 faults and batching on or off — runs them through the real
-:class:`~repro.harness.Deployment` + ``Operation`` handle with auditing
-enabled, and checks both verdicts against the recorded trace.
+:class:`~repro.harness.Deployment` + ``Operation`` handle with the
+auditors of :mod:`repro.obs.audit` listening, and sets their verdict
+beside the ground-truth oracle's.
 
 Layout:
 
 * :mod:`repro.conformance.schedule` — the replayable ``ScheduleSpec``
   model plus hypothesis strategies for generating adversarial ones;
-* :mod:`repro.conformance.properties` — formal property checkers that
-  consume the same (time, kind, payload) trace entries as
-  :func:`repro.obs.replay_trace`;
 * :mod:`repro.conformance.runner` — executes a schedule against a real
-  deployment and the NF × guarantee matrix driver;
+  deployment, the NF × guarantee matrix driver, and the two checks the
+  auditors cannot make (isolation off the operation registry,
+  completeness off the live NFs);
 * :mod:`repro.conformance.machine` — hypothesis
   ``RuleBasedStateMachine`` drivers with shrinking;
 * :mod:`repro.conformance.corpus` — persists shrunk counterexamples as
@@ -41,20 +40,14 @@ from repro.conformance.corpus import (
 from repro.conformance.machine import (
     make_conformance_machine,
 )
-from repro.conformance.properties import (
-    PropertyFailure,
-    check_isolation,
-    check_no_phantom_state,
-    check_trace_properties,
-    entries_from_obs,
-    parse_filter_repr,
-)
 from repro.conformance.runner import (
     GUARANTEE_LEVELS,
     NF_FACTORIES,
     Cell,
     ConformanceResult,
+    check_trace_properties,
     matrix_cells,
+    parse_filter_repr,
     run_cell,
     run_schedule,
     spec_for_cell,
@@ -77,12 +70,8 @@ __all__ = [
     "GUARANTEE_LEVELS",
     "NF_FACTORIES",
     "OpSpec",
-    "PropertyFailure",
     "ScheduleSpec",
-    "check_isolation",
-    "check_no_phantom_state",
     "check_trace_properties",
-    "entries_from_obs",
     "hunt_counterexample",
     "load_corpus",
     "make_conformance_machine",

@@ -7,12 +7,12 @@ A corpus entry is a pair of files under ``tests/corpus/``:
   (``clean`` or ``dirty``), which check kinds a dirty run must cite,
   and a human description of why the entry exists;
 * ``<name>.trace.jsonl`` — the run's full span/record trace, replayable
-  offline through :func:`repro.obs.replay_trace` (and ``repro audit``).
+  offline through :func:`repro.obs.audit_entries` (and ``repro audit``).
 
 Replaying an entry re-executes the schedule *live* through
 :func:`~repro.conformance.runner.run_schedule` and independently
-re-audits the *persisted* trace, so a regression shows up whether the
-behaviour changed or the auditors did.
+re-judges the *persisted* trace, so a regression shows up whether the
+behaviour changed or the judges did.
 
 :func:`hunt_counterexample` uses ``hypothesis.find`` to search the
 schedule strategy space for a minimal (shrunk) schedule demonstrating a
@@ -27,8 +27,12 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.conformance.properties import write_trace_file
-from repro.conformance.runner import ConformanceResult, run_schedule
+from repro.obs import load_trace_entries, write_trace
+from repro.conformance.runner import (
+    ConformanceResult,
+    judge_trace,
+    run_schedule,
+)
 from repro.conformance.schedule import ScheduleSpec, schedule_specs
 
 #: Metadata schema version for ``.schedule.json`` files.
@@ -88,14 +92,8 @@ def save_entry(
     with open(entry.schedule_path, "w") as handle:
         json.dump(entry.to_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
-    _write_entries(entry.trace_path, result.entries)
+    write_trace(result.entries, entry.trace_path)
     return entry
-
-
-def _write_entries(path: str, entries) -> None:
-    with open(path, "w") as handle:
-        for _time, kind, payload in entries:
-            handle.write(json.dumps(dict(payload, type=kind)) + "\n")
 
 
 def load_corpus(directory: str) -> List[CorpusEntry]:
@@ -137,7 +135,11 @@ class ReplayOutcome:
 
 
 def replay_entry(entry: CorpusEntry) -> ReplayOutcome:
-    """Re-run a corpus entry live and re-audit its persisted trace."""
+    """Re-run a corpus entry live and re-judge its persisted trace.
+
+    Every check a trace supports — the auditors' and isolation — must
+    come out the same from the persisted trace as from the live run.
+    """
     result = run_schedule(entry.spec)
     problems: List[str] = []
     verdict = "clean" if result.clean else "dirty"
@@ -154,17 +156,14 @@ def replay_entry(entry: CorpusEntry) -> ReplayOutcome:
                 % ",".join(missing)
             )
     if entry.trace_path is not None:
-        from repro.obs import replay_trace
-
-        pipeline = replay_trace(entry.trace_path)
-        replayed = sorted({v.check for v in pipeline.violations})
-        auditor_checks = sorted(
-            {v.check for v in result.violations}
-        )
-        if replayed != auditor_checks:
+        entries, _skipped = load_trace_entries(entry.trace_path)
+        replayed = sorted({v.check for v in judge_trace(entries)})
+        # (Completeness is read off the live NFs; no trace shows it.)
+        live = sorted({v.check for v in result.violations} - {"completeness"})
+        if replayed != live:
             problems.append(
                 "persisted trace audits to %s but live run audits to %s"
-                % (replayed or ["clean"], auditor_checks or ["clean"])
+                % (replayed or ["clean"], live or ["clean"])
             )
     return ReplayOutcome(entry=entry, result=result, problems=problems)
 

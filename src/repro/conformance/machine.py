@@ -23,8 +23,11 @@ from repro.flowspace.filter import Filter
 from repro.harness.deployment import Deployment
 from repro.harness.properties import check_loss_free
 from repro.net.packet import reset_uid_counter
-from repro.conformance.properties import check_trace_properties, entries_from_obs
-from repro.conformance.runner import NF_FACTORIES, stop_share_handle
+from repro.conformance.runner import (
+    NF_FACTORIES,
+    check_isolation,
+    stop_share_handle,
+)
 from repro.conformance.schedule import (
     BURST_CLIENTS,
     PREFIX_POOL,
@@ -49,8 +52,8 @@ def make_conformance_machine(
 
     ``guarantee`` is the move guarantee every generated move/copy uses
     (shares always run strong). Pass a clean guarantee ("lf", "lf+op",
-    "op-strong") — the machine's teardown asserts *no* violation, no
-    property failure, and loss-freedom, so hypothesis searches for any
+    "op-strong") — the machine's teardown asserts *no* violation and
+    ground-truth loss-freedom, so hypothesis searches for any
     interleaving that breaks the promise. On failure with ``corpus_dir``
     set, the (shrunk, since hypothesis replays the minimal example last)
     schedule is persisted as a corpus entry before the assertion fires.
@@ -211,12 +214,13 @@ def make_conformance_machine(
                     break
 
         def _verdicts(self) -> List[str]:
-            failures: List[str] = []
-            for violation in self.dep.obs.violations():
-                failures.append(violation.render())
-            entries = entries_from_obs(self.dep.obs)
-            for prop_failure in check_trace_properties(entries):
-                failures.append(prop_failure.render())
+            obs = self.dep.obs
+            failures = [
+                violation.render()
+                for violation in (
+                    obs.violations() + check_isolation(obs.audit.registry)
+                )
+            ]
             ok, detail = check_loss_free(self.dep.switch, self.instances)
             if not ok:
                 failures.append("loss-free ground truth: %s" % detail)

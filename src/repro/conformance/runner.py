@@ -6,19 +6,25 @@ machines, the NF × guarantee matrix, the corpus replayer, and the
 reproduces in every harness. It wires a :class:`~repro.harness.Deployment`
 with auditing enabled, places the schedule's traffic and operations on
 the timeline via the deployment's ``call_at``/``inject_at`` seams, runs
-to quiescence, and then evaluates *three* independent verdict sources:
+to quiescence, and then asks two independent judges:
 
-1. the streaming §5.1 auditors (``obs.violations()``),
-2. the ground-truth harness checks (:func:`check_loss_free`, plus a
-   completeness probe over the live NFs' residual state),
-3. the formal trace properties (isolation, no phantom state) of
-   :mod:`repro.conformance.properties`.
+1. the trace — the streaming auditors of :mod:`repro.obs.audit` (the
+   §5.1 guarantees, state conservation, no phantom state:
+   ``obs.violations()``) plus isolation, the one property about pairs of
+   operation windows, read post hoc off the auditors' own operation
+   registry (:func:`check_trace_properties` does so for a bare trace);
+2. the live objects — the ground-truth oracle
+   :func:`~repro.harness.properties.check_loss_free` over the switch's
+   and the NFs' own logs, and a completeness probe of the NFs' residual
+   state, which no trace can show.
 
-A cell is *clean* only when all three agree.
+Every failed check is one :class:`~repro.obs.audit.Violation`; a cell is
+*clean* only when both judges come back empty-handed.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -37,9 +43,10 @@ from repro.baselines.splitmerge import SplitMergeMigrate
 from repro.traffic.generator import tcp_flow
 from repro.traffic.replay import TraceReplayer
 from repro.traffic.traces import TraceConfig, build_university_cloud_trace
-from repro.conformance.properties import (
-    PropertyFailure,
-    check_trace_properties,
+from repro.obs.audit import (
+    OpRegistry,
+    Violation,
+    audit_entries,
     entries_from_obs,
 )
 from repro.conformance.schedule import (
@@ -164,8 +171,8 @@ class ConformanceResult:
     """Everything one schedule run produced, plus the verdict."""
 
     spec: ScheduleSpec
-    violations: List[Any] = field(default_factory=list)
-    property_failures: List[PropertyFailure] = field(default_factory=list)
+    #: Every failed check of either judge but the oracle's (below).
+    violations: List[Violation] = field(default_factory=list)
     loss_free: bool = True
     loss_free_detail: str = ""
     entries: List[Tuple[float, str, dict]] = field(default_factory=list)
@@ -174,12 +181,8 @@ class ConformanceResult:
 
     @property
     def clean(self) -> bool:
-        """Did every verdict source come back green?"""
-        return (
-            not self.violations
-            and not self.property_failures
-            and self.loss_free
-        )
+        """Did both judges come back green?"""
+        return not self.violations and self.loss_free
 
     @property
     def expected_dirty(self) -> bool:
@@ -193,7 +196,6 @@ class ConformanceResult:
     def check_kinds(self) -> List[str]:
         """Sorted distinct failure kinds (for corpus citations)."""
         kinds = {v.check for v in self.violations}
-        kinds.update(f.prop for f in self.property_failures)
         if not self.loss_free:
             kinds.add("loss-free")
         return sorted(kinds)
@@ -393,11 +395,12 @@ def run_schedule(
         entry["handle"].report for entry in handles
         if entry["handle"].report is not None
     ]
-    result.violations = dep.obs.violations()
+    streamed = dep.obs.violations()
     result.entries = entries_from_obs(dep.obs)
-    result.property_failures = check_trace_properties(result.entries)
-    result.property_failures.extend(
-        _check_completeness(dep, handles)
+    result.violations = (
+        streamed
+        + check_isolation(dep.obs.audit.registry)
+        + _check_completeness(dep, handles)
     )
     if spec.chains:
         # Per-hop ground truth: the chain's multicast rule delivers each
@@ -415,7 +418,9 @@ def run_schedule(
     return result
 
 
-def _check_completeness(dep: Deployment, handles: List[dict]):
+def _check_completeness(
+    dep: Deployment, handles: List[dict]
+) -> List[Violation]:
     """Ground truth: a completed move leaves no matching state behind.
 
     Patowary et al.'s *completeness* — every state chunk in the move's
@@ -424,7 +429,7 @@ def _check_completeness(dep: Deployment, handles: List[dict]):
     operation's filter intersects (state may legitimately have come
     back), and for aborted moves (their contract is restoration).
     """
-    failures: List[PropertyFailure] = []
+    failures: List[Violation] = []
     for entry in handles:
         op_spec, handle = entry["spec"], entry["handle"]
         if op_spec.kind != "move":
@@ -446,10 +451,12 @@ def _check_completeness(dep: Deployment, handles: List[dict]):
             continue
         leftover = src.state_keys(Scope.PERFLOW, flt)
         if leftover:
-            failures.append(PropertyFailure(
-                prop="completeness",
-                trace_id=getattr(report, "trace_id", None),
-                op_kind="move",
+            failures.append(Violation(
+                "completeness",
+                report.finished_at,
+                getattr(report, "trace_id", None),
+                "move",
+                nf=op_spec.src,
                 detail=(
                     "%d per-flow key(s) still at %s after a completed "
                     "move of %r: %s"
@@ -458,6 +465,112 @@ def _check_completeness(dep: Deployment, handles: List[dict]):
                 ),
             ))
     return failures
+
+
+# ---------------------------------------------------------------- isolation
+
+_FILTER_RE = re.compile(r"^Filter(~?)\{(.*)\}$")
+
+
+def parse_filter_repr(text: Optional[str]) -> Optional[Filter]:
+    """Reconstruct a :class:`Filter` from its ``repr`` in an op.start.
+
+    Returns ``None`` for anything unparsable — the isolation check can
+    then only skip the pairwise comparison, never crash on a foreign
+    trace.
+    """
+    match = _FILTER_RE.match(text or "")
+    if match is None:
+        return None
+    symmetric = match.group(1) == "~"
+    body = match.group(2)
+    if body == "*":
+        return Filter({}, symmetric=symmetric)
+    fields: Dict[str, Any] = {}
+    for part in body.split(", "):
+        if "=" not in part:
+            return None
+        key, value = part.split("=", 1)
+        fields[key] = int(value) if value.isdigit() else value
+    return Filter(fields, symmetric=symmetric)
+
+
+def _same_chain(first, second) -> bool:
+    """Is one op the other's chain parent, or both hops of one chain?
+
+    A chain operation holds a single admission reservation that its
+    constituent per-hop moves run under, so the parent's window
+    legitimately spans its children's — isolation applies only across
+    distinct reservations.
+    """
+    if first.chain_id is not None and first.chain_id == second.chain_id:
+        return True
+    return any(
+        parent.kind == "chain" and child.chain_id == str(parent.trace_id)
+        for parent, child in ((first, second), (second, first))
+    )
+
+
+def check_isolation(registry: OpRegistry) -> List[Violation]:
+    """Isolation, post hoc: the one trace property the auditors leave.
+
+    Two operations over intersecting flow space are never both in
+    flight: their [``op.start``, ``op.end``] windows must not overlap
+    (the admission table's contract, checked from the trace rather than
+    trusted; an operation that never ended stays in flight for ever).
+    It is about *pairs of windows*, not a packet or a chunk, and needs
+    :class:`Filter` — so it reads the operations off the auditors'
+    :class:`~repro.obs.audit.OpRegistry` here instead of streaming in
+    ``obs/``. It inherits :meth:`Filter.intersects`, blind spots
+    included.
+    """
+    windows = [
+        (op, parse_filter_repr(op.filter))
+        for op in sorted(registry.ops.values(), key=lambda op: op.started_ms)
+    ]
+    # (An operation whose filter does not parse is compared with nothing.)
+    windows = [(op, flt) for op, flt in windows if flt is not None]
+    violations: List[Violation] = []
+    for index, (first, first_filter) in enumerate(windows):
+        first_end = float("inf") if first.open else first.closed_ms
+        for second, second_filter in windows[index + 1:]:
+            if (
+                second.started_ms >= first_end
+                or not (second.open or first.started_ms < second.closed_ms)
+                or _same_chain(first, second)
+                or not first_filter.intersects(second_filter)
+            ):
+                continue
+            violations.append(Violation(
+                "isolation",
+                second.started_ms,
+                second.trace_id,
+                second.kind,
+                detail="%s(#%s) [%.3f, %s] overlaps %s(#%s) [%.3f, %s] on "
+                       "intersecting flow space %r ∩ %r" % (
+                           second.kind, second.trace_id, second.started_ms,
+                           second.closed_ms, first.kind, first.trace_id,
+                           first.started_ms, first.closed_ms,
+                           second_filter, first_filter,
+                       ),
+            ))
+    return violations
+
+
+def check_trace_properties(entries) -> List[Violation]:
+    """Isolation alone, from a trace's entries (no auditor runs)."""
+    registry = OpRegistry()
+    for _time, kind, entry in entries:
+        if kind == "record":
+            registry.observe_record(entry)
+    return check_isolation(registry)
+
+
+def judge_trace(entries) -> List[Violation]:
+    """All a trace alone supports: the auditors replayed over it, and
+    isolation off the registry they built."""
+    pipeline = audit_entries(entries)
+    return pipeline.violations + check_isolation(pipeline.registry)
 
 
 def run_cell(cell: Cell, keep_deployment: bool = False,

@@ -566,7 +566,7 @@ class MoveOperation(Operation):
             if id(chunk) in delivered_ids:
                 return  # duplicated on the wire; already imported
             delivered_ids.add(id(chunk))
-            put_process = self.dst.nf.sb_put([chunk])
+            put_process = self.dst.nf.sb_put([chunk], self.trace.trace_id)
             put_events.append(put_process.done)
             if self.early_release:
                 def notify_release(_evt, c=chunk):

@@ -301,14 +301,17 @@ class NetworkFunction:
                     self._m_dropped_evented.inc(1)
                 # A zero-duration span (not a record) so loss-freedom
                 # violations can cite the dropped packet by span id.
-                # Never sampled at the source: drops are rare and are
-                # exactly the packets the auditors need to see.
+                # Never gated at the source: drops are rare and exactly
+                # the packets the auditors need. (The trace sampler keeps
+                # it with the operation whose rule caused it: the stamp.)
                 obs.tracer.span(
                     "nf.drop",
                     nf=self.name,
                     uid=packet.uid,
                     flow=packet.flow_key(),
                     silent=rule.silent,
+                    trace_id=rule.trace_id,
+                    cause_id=rule.cause_id,
                 ).finish()
             if rule.silent:
                 self.packets_dropped_silent += 1
@@ -330,7 +333,8 @@ class NetworkFunction:
                 flow = self._gated_flow(obs, packet)
                 if flow is not None:
                     obs.tracer.record("nf.buffer", nf=self.name,
-                                      uid=packet.uid, flow=flow)
+                                      uid=packet.uid, flow=flow,
+                                      trace_id=rule.trace_id)
             self._rule_buffers.setdefault(id(rule), []).append(packet)
             self.sim.schedule(self.costs.disposition_ms, self._drain)
 
@@ -478,18 +482,30 @@ class NetworkFunction:
         self._unacked_events.pop(seq, None)
 
     def sb_enable_events(
-        self, flt: Filter, action: EventAction, silent: bool = False
+        self,
+        flt: Filter,
+        action: EventAction,
+        silent: bool = False,
+        trace_id: Optional[int] = None,
+        cause_id: Optional[int] = None,
     ) -> None:
-        """``enableEvents(filter, action)``: add or update an event rule."""
+        """``enableEvents(filter, action)``: add or update an event rule.
+
+        ``trace_id`` / ``cause_id`` name the operation, and its RPC span,
+        the request was issued for.
+        """
         for rule in self._rule_candidates(flt):
             if rule.filter == flt:
                 # Updated in place: the rule keeps its registration order,
                 # exactly as the list-based implementation did.
                 rule.action = action
                 rule.silent = silent
+                rule.trace_id = trace_id
+                rule.cause_id = cause_id
                 return
         self._rule_seq += 1
-        rule = EventRule(flt, action, silent=silent)
+        rule = EventRule(flt, action, silent=silent, trace_id=trace_id,
+                         cause_id=cause_id)
         rule.seq = self._rule_seq
         self._event_rules[rule.seq] = rule
         key = flt.exact_key()
@@ -562,6 +578,8 @@ class NetworkFunction:
         lock_action: EventAction = EventAction.DROP,
         lock_silent: bool = False,
         compress: bool = False,
+        trace_id: Optional[int] = None,
+        cause_id: Optional[int] = None,
     ):
         """Run ``get{Perflow,Multiflow,Allflows}`` as a timed process.
 
@@ -570,18 +588,21 @@ class NetworkFunction:
         (the parallelizing optimization of §5.1.3). ``lock_per_chunk``
         implements late locking: an event rule for the chunk's flow is
         installed immediately before that chunk is serialized.
+        ``trace_id`` / ``cause_id`` name the operation, and its RPC
+        span, the request was issued for; the chunk records and the
+        late-lock rules carry them.
         """
         return self.sim.spawn(
             self._get_process(
                 scope, flt, stream, lock_per_chunk, lock_action, lock_silent,
-                compress,
+                compress, trace_id, cause_id,
             ),
             name="get-%s@%s" % (scope.value, self.name),
         )
 
     def _get_process(
         self, scope, flt, stream, lock_per_chunk, lock_action, lock_silent,
-        compress=False,
+        compress, trace_id, cause_id,
     ):
         previous, gate = self._chain_operation()
         if previous is not None and not previous.triggered:
@@ -602,6 +623,8 @@ class NetworkFunction:
                         Filter(chunk.flowid.fields, symmetric=True),
                         lock_action,
                         silent=lock_silent,
+                        trace_id=trace_id,
+                        cause_id=cause_id,
                     )
                 yield self.costs.serialize_ms(chunk.size_bytes)
                 if compress:
@@ -615,6 +638,7 @@ class NetworkFunction:
                         scope=chunk.scope.value,
                         key=repr(chunk.flowid),
                         bytes=chunk.size_bytes,
+                        trace_id=trace_id,
                     )
                 if stream is not None:
                     stream(chunk)
@@ -623,13 +647,15 @@ class NetworkFunction:
             self._transfers_active -= 1
             gate.trigger()
 
-    def sb_put(self, chunks: Iterable[StateChunk]):
+    def sb_put(
+        self, chunks: Iterable[StateChunk], trace_id: Optional[int] = None
+    ):
         """Run ``put{Perflow,Multiflow,Allflows}`` as a timed process."""
         return self.sim.spawn(
-            self._put_process(list(chunks)), name=self._put_name
+            self._put_process(list(chunks), trace_id), name=self._put_name
         )
 
-    def _put_process(self, chunks: List[StateChunk]):
+    def _put_process(self, chunks: List[StateChunk], trace_id):
         previous, gate = self._chain_operation()
         if previous is not None and not previous.triggered:
             yield previous
@@ -650,6 +676,7 @@ class NetworkFunction:
                         scope=chunk.scope.value,
                         key=repr(chunk.flowid),
                         bytes=chunk.size_bytes,
+                        trace_id=trace_id,
                     )
             return len(chunks)
         finally:

@@ -51,12 +51,23 @@ class EventRule:
     the no-guarantee move and the baselines.
     """
 
-    __slots__ = ("filter", "action", "silent", "seq")
+    __slots__ = ("filter", "action", "silent", "trace_id", "cause_id", "seq")
 
-    def __init__(self, flt: Filter, action: EventAction, silent: bool = False) -> None:
+    def __init__(
+        self,
+        flt: Filter,
+        action: EventAction,
+        silent: bool = False,
+        trace_id: Optional[int] = None,
+        cause_id: Optional[int] = None,
+    ) -> None:
         self.filter = flt
         self.action = action
         self.silent = silent
+        #: The operation, and its RPC span, that installed the rule (None
+        #: untraced): the ``nf.drop`` / ``nf.buffer`` it causes say so.
+        self.trace_id = trace_id
+        self.cause_id = cause_id
         #: Registration order within the owning NF: among rules matching a
         #: packet, the highest ``seq`` (most recently enabled) wins.
         self.seq = 0

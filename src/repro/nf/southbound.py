@@ -114,6 +114,13 @@ class Call:
         self.retries: Optional[int] = None
         self.span: Any = NULL_SPAN
 
+    @property
+    def trace_id(self) -> Optional[int]:
+        """The operation this call was issued for (None when untraced):
+        what the peer stamps on the records and rules the call causes."""
+        span = self.span
+        return None if span is NULL_SPAN else span.attrs.get("trace_id")
+
     def settle(self, value: Any = None) -> None:
         """Trigger ``done`` unless a duplicate response beat us to it."""
         if not self.done.triggered:
@@ -497,6 +504,8 @@ class NFClient(SouthboundStub):
                 lock_per_chunk=lock_per_chunk,
                 lock_silent=lock_silent,
                 compress=compress,
+                trace_id=call.trace_id,
+                cause_id=call.span.span_id,
             ).done.add_callback(respond)
 
         # (close_ok settles ``done``, so it needs the name.)
@@ -582,7 +591,7 @@ class NFClient(SouthboundStub):
                 apply_span = self._nf_side_span(
                     "nf.apply", call.span, chunks=len(chunk_list)
                 )
-            applied = self.nf.sb_put(chunk_list).done
+            applied = self.nf.sb_put(chunk_list, call.trace_id).done
             if apply_span is not NULL_SPAN:
                 applied.add_callback(partial(_finish_span, apply_span))
             applied.add_callback(call.respond)
@@ -654,7 +663,10 @@ class NFClient(SouthboundStub):
     ) -> Event:
         """``enableEvents(filter, action)``; triggers when the rule is live."""
         def at_nf(call: Call) -> None:
-            self.nf.sb_enable_events(flt, action, silent=silent)
+            self.nf.sb_enable_events(
+                flt, action, silent=silent,
+                trace_id=call.trace_id, cause_id=call.span.span_id,
+            )
             call.reply()
 
         return self._call(

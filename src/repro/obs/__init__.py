@@ -9,8 +9,8 @@ measurable from inside a run instead of post-hoc. It provides:
 * :class:`~repro.obs.metrics.MetricsRegistry` — labelled counters /
   gauges / histograms (packets buffered, events flushed, chunks
   transferred, wire bytes, drops);
-* exporters — in-memory for tests and the CLI, JSON-lines for
-  benchmarks;
+* the in-memory exporter tests and the CLI read, and
+  :func:`~repro.obs.audit.write_trace` for a replayable ``.trace.jsonl``;
 * :class:`~repro.obs.operation.OperationTrace` — the bridge that
   derives :class:`~repro.controller.reports.OperationReport` phase
   times from span lifecycle.
@@ -34,14 +34,12 @@ from typing import List, Optional
 from repro.obs.audit import (
     AuditPipeline,
     Violation,
+    audit_entries,
+    entries_from_obs,
     load_trace_entries,
-    replay_trace,
+    write_trace,
 )
-from repro.obs.export import (
-    InMemoryExporter,
-    JsonLinesExporter,
-    render_timeline,
-)
+from repro.obs.export import InMemoryExporter, render_timeline
 from repro.obs.metrics import (
     BoundedHistogram,
     Counter,
@@ -210,7 +208,6 @@ __all__ = [
     "FlightRecorder",
     "Gauge",
     "InMemoryExporter",
-    "JsonLinesExporter",
     "MetricsRegistry",
     "NULL_OBS",
     "NULL_SPAN",
@@ -223,10 +220,12 @@ __all__ = [
     "TraceSampler",
     "Tracer",
     "Violation",
+    "audit_entries",
+    "entries_from_obs",
     "format_top",
     "load_trace_entries",
     "render_bundle",
     "render_timeline",
-    "replay_trace",
     "snapshot_top",
+    "write_trace",
 ]

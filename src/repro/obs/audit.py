@@ -1,19 +1,22 @@
-"""Streaming guarantee auditors (online verification of §5's properties).
+"""The one trace judge: streaming guarantee auditors.
 
 The paper's guarantees — loss-freedom, order preservation, state
-conservation across move/copy, strong-share serialization — are only as
-good as their enforcement. The offline property checks in
-:mod:`repro.harness.properties` verify them post-hoc from ground-truth
-logs; the auditors here verify them *while the run executes*, from the
-same span/record stream the exporters see, so a live deployment (or a
-replayed ``.trace.jsonl``) surfaces a violated guarantee the moment it
-happens.
+conservation across move/copy, strong-share serialization — and the
+no-phantom-state property of Patowary et al. are only as good as their
+enforcement. :mod:`repro.harness.properties` is the ground-truth oracle
+over the live objects' logs; what the *trace* can tell is told here,
+*while the run executes*, from the same span/record stream the
+exporters see, so a live deployment and a replayed ``.trace.jsonl``
+surface a violated guarantee the same way. (Isolation, about pairs of
+operation windows, is read post hoc off the same :class:`OpRegistry` by
+:func:`repro.conformance.runner.check_isolation`.)
 
 Design:
 
 * Every auditor is an incremental state machine fed one span payload or
-  point record at a time (plain dicts — the exact JSON the exporters
-  write, so offline replay exercises the identical code path).
+  point record at a time (plain dicts — the exact JSON
+  :func:`write_trace` writes, so offline replay exercises the identical
+  code path).
 * Memory is O(1) per in-flight packet/flow: a packet enters an
   auditor's pending table when it is captured (dropped-with-event,
   buffered NF-side, or buffered at the controller) and leaves it on its
@@ -25,12 +28,11 @@ Design:
   the timestamps already in the stream. An audited run's timeline is
   bit-identical to an observed-only run.
 
-Operations are discovered from the stream itself: ``op.start`` records
-(emitted when an :class:`~repro.obs.operation.OperationTrace` opens)
-open an entry in the :class:`OpRegistry`; the operation's root span —
-recognizable because its ``trace_id`` attribute equals its own
-``span_id`` — closes it. Packet-level facts between those two points
-are attributed to the innermost open operation involving that NF.
+Operations are discovered from the stream itself, once, by the
+:class:`OpRegistry`: an ``op.start`` record opens an entry, the matching
+``op.end`` closes it, and a packet- or chunk-level fact belongs to the
+operation whose ``trace_id`` it was stamped with where it happened
+(:meth:`OpRegistry.attribute`).
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 #: Operation kinds whose window intercepts live packets (and must
 #: therefore be loss-free, modulo the baseline's deliberate defect).
 PACKET_OPS = ("move", "splitmerge-migrate", "share", "chain")
-#: Operation kinds that relocate state chunks.
-STATE_OPS = ("move", "copy", "splitmerge-migrate")
+#: Operation kinds that transfer state chunks (a share by replication,
+#: the others counted src -> dst).
+CHUNK_OPS = ("move", "copy", "splitmerge-migrate", "share")
 
 
 class Violation:
@@ -106,8 +109,8 @@ class _Op:
     """Registry entry for one operation seen on the stream."""
 
     __slots__ = (
-        "trace_id", "kind", "guarantee", "nfs", "src", "dst",
-        "open", "aborted", "started_ms", "closed_ms",
+        "trace_id", "kind", "guarantee", "nfs", "src", "dst", "filter",
+        "chain_id", "open", "aborted", "started_ms", "closed_ms",
     )
 
     def __init__(self, record: Dict[str, Any]) -> None:
@@ -118,15 +121,16 @@ class _Op:
         )
         self.src = record.get("src")
         self.dst = record.get("dst")
-        names: Set[str] = set()
-        for field in ("src", "dst"):
-            value = record.get(field)
-            if value:
-                names.add(value)
-        instances = record.get("instances")
-        if instances:
-            names.update(n for n in str(instances).split(",") if n)
-        self.nfs = names
+        #: ``repr`` of the operation's filter, as the record carries it.
+        self.filter = record.get("filter")
+        #: Trace id (as a string) of the chain operation this hop runs under.
+        chain_id = record.get("chain_id")
+        self.chain_id = None if chain_id is None else str(chain_id)
+        #: Every instance the operation involves.
+        self.nfs: Set[str] = {n for n in (self.src, self.dst) if n}
+        self.nfs.update(
+            n for n in str(record.get("instances") or "").split(",") if n
+        )
         self.open = True
         self.aborted: Optional[str] = None
         self.started_ms = record.get("time_ms", 0.0)
@@ -136,13 +140,19 @@ class _Op:
     def order_preserving(self) -> bool:
         return "order-preserving" in (self.guarantee or "")
 
+    def involves(self, nf: Optional[str]) -> bool:
+        """Whether ``nf`` is one of the operation's instances (permissive
+        when either side is unknown)."""
+        return nf is None or not self.nfs or nf in self.nfs
+
 
 class OpRegistry:
-    """Tracks operations discovered from the stream.
+    """The operations of a trace, rebuilt from its records — once.
 
-    ``op.start`` records open entries; the root span (its ``trace_id``
-    attribute equals its own ``span_id``) closes them. Auditors query
-    by trace id or by involved NF.
+    An ``op.start`` record opens an entry and the ``op.end`` record of
+    the same ``trace_id`` closes it (firing the close hooks). Auditors
+    look operations up by trace id, or ask :meth:`attribute` which one a
+    packet- or chunk-level fact belongs to.
     """
 
     def __init__(self) -> None:
@@ -153,38 +163,54 @@ class OpRegistry:
         self._close_hooks.append(hook)
 
     def observe_record(self, record: Dict[str, Any]) -> None:
-        if record.get("name") == "op.start":
+        name = record.get("name")
+        if name == "op.start":
             op = _Op(record)
             if op.trace_id is not None:
                 self.ops[op.trace_id] = op
+        elif name == "op.end":
+            op = self.ops.get(record.get("trace_id"))
+            if op is not None and op.open:
+                op.open = False
+                op.aborted = record.get("aborted")
+                op.closed_ms = record.get("time_ms")
+                for hook in self._close_hooks:
+                    hook(op)
 
-    def observe_span(self, span: Dict[str, Any]) -> Optional[_Op]:
-        """Close the matching op if ``span`` is an operation root."""
-        attrs = span.get("attrs") or {}
-        if attrs.get("trace_id") != span.get("span_id"):
-            return None
-        op = self.ops.get(span.get("span_id"))
-        if op is None or not op.open:
-            return None
-        op.open = False
-        op.aborted = attrs.get("aborted")
-        op.closed_ms = span.get("end_ms")
-        for hook in self._close_hooks:
-            hook(op)
-        return op
+    def attribute(
+        self,
+        fact: Dict[str, Any],
+        kinds: Tuple[str, ...],
+        end: Optional[str] = None,
+    ) -> Optional[_Op]:
+        """The operation of ``kinds`` that ``fact`` is part of.
 
-    def get(self, trace_id: Any) -> Optional[_Op]:
-        return self.ops.get(trace_id)
-
-    def open_op_for_nf(self, nf: Optional[str], kinds=None) -> Optional[_Op]:
-        """Innermost (most recently started) open op involving ``nf``."""
+        ``fact`` — a record, or a span's attributes — is stamped where
+        it happens with the ``trace_id`` of the RPC that caused it, and
+        that is the whole answer: concurrent operations out of (or into)
+        one instance are told apart exactly. Only a trace persisted
+        before the stamp existed has no such key, and only then is the
+        operation guessed: the most recently started open one whose
+        ``end`` (``"src"`` / ``"dst"``) is ``nf`` — or, lacking such an
+        end, that involves it. Either way only an *open* operation is
+        answered: a fact that trails its operation's ``op.end`` (a late
+        duplicate put, a stale rule) is outside every window.
+        """
+        if "trace_id" in fact:
+            op = self.ops.get(fact["trace_id"])
+            if op is None or not op.open or op.kind not in kinds:
+                return None
+            return op
+        nf = fact.get("nf")
         best: Optional[_Op] = None
         for op in self.ops.values():
-            if not op.open:
+            if not op.open or op.kind not in kinds:
                 continue
-            if kinds is not None and op.kind not in kinds:
-                continue
-            if nf is not None and op.nfs and nf not in op.nfs:
+            anchor = getattr(op, end) if end is not None else None
+            if anchor is not None:
+                if anchor != nf:
+                    continue
+            elif not op.involves(nf):
                 continue
             best = op
         return best
@@ -197,9 +223,6 @@ class _Auditor:
         pass
 
     def on_record(self, record: Dict[str, Any]) -> None:
-        pass
-
-    def on_op_close(self, op: _Op) -> None:
         pass
 
     def finalize(self) -> None:
@@ -245,9 +268,9 @@ class LossFreeAuditor(_Auditor):
             return
         attrs = span.get("attrs") or {}
         nf = attrs.get("nf")
-        op = self.registry.open_op_for_nf(nf, PACKET_OPS)
+        op = self.registry.attribute(attrs, PACKET_OPS)
         if op is None:
-            return  # a drop outside any operation window is not ours
+            return  # a drop no operation's rule caused is not ours
         if attrs.get("silent"):
             self.emit(Violation(
                 "loss-free",
@@ -267,27 +290,23 @@ class LossFreeAuditor(_Auditor):
     def on_record(self, record: Dict[str, Any]) -> None:
         name = record.get("name")
         if name == "nf.buffer":
-            op = self.registry.open_op_for_nf(record.get("nf"), PACKET_OPS)
+            op = self.registry.attribute(record, PACKET_OPS)
             if op is not None:
                 self._capture(record.get("uid"), op, record.get("flow"))
-        elif name == "ctrl.buffer":
-            op = self.registry.get(record.get("trace_id"))
-            self._capture(record.get("uid"), op, record.get("flow"))
-        elif name == "sw.buffer":
-            # Data-plane offload: the packet parked in a switch-local
-            # XFSM ring instead of travelling to the controller. Same
-            # obligation — it is owed exactly one processing at the
-            # operation's destination.
-            op = self.registry.get(record.get("trace_id"))
+        elif name in ("ctrl.buffer", "sw.buffer"):
+            # Parked at the controller or (data-plane offload) in a
+            # switch-local XFSM ring: either way it is owed exactly one
+            # processing at the operation's destination.
+            op = self.registry.ops.get(record.get("trace_id"))
             self._capture(record.get("uid"), op, record.get("flow"))
         elif name == "sw.drop":
             # An XFSM ring overflowed: the packet is gone and nothing
             # will ever repay it. Immediate loss violation.
-            op = self.registry.get(record.get("trace_id"))
+            op = self.registry.ops.get(record.get("trace_id"))
             self.emit(Violation(
                 "loss-free",
                 record.get("time_ms", 0.0),
-                op.trace_id if op else record.get("trace_id"),
+                record.get("trace_id"),
                 op.kind if op else None,
                 nf=record.get("sw"),
                 flow=record.get("flow"),
@@ -304,14 +323,14 @@ class LossFreeAuditor(_Auditor):
                 # same uid is (by design) processed once per hop, and a
                 # sibling hop's processing is neither the release nor a
                 # duplicate.
-                if not self._involves(entry[0], nf):
+                if entry[0] is not None and not entry[0].involves(nf):
                     return
                 self.pending.pop(uid, None)
                 self.done[uid] = entry[0]
                 return
             if uid in self.done:
                 op = self.done.get(uid)
-                if not self._involves(op, nf):
+                if op is not None and not op.involves(nf):
                     return
                 self.emit(Violation(
                     "loss-free",
@@ -322,13 +341,6 @@ class LossFreeAuditor(_Auditor):
                     flow=record.get("flow"),
                     detail="packet uid=%s processed more than once" % uid,
                 ))
-
-    @staticmethod
-    def _involves(op: Optional[_Op], nf: Optional[str]) -> bool:
-        """Whether ``nf`` belongs to ``op`` (permissive when unknown)."""
-        if op is None or not op.nfs or nf is None:
-            return True
-        return nf in op.nfs
 
     def finalize(self) -> None:
         for uid, (op, flow, span_ids) in sorted(self.pending.items()):
@@ -367,7 +379,7 @@ class OrderAuditor(_Auditor):
     def on_record(self, record: Dict[str, Any]) -> None:
         name = record.get("name")
         if name == "op.start":
-            op = self.registry.get(record.get("trace_id"))
+            op = self.registry.ops.get(record.get("trace_id"))
             if op is not None and op.order_preserving and op.dst:
                 self.watched[op.dst] = op
             return
@@ -434,7 +446,6 @@ class ChainAuditor(_Auditor):
     def __init__(self, registry: OpRegistry, emit) -> None:
         self.registry = registry
         self.emit = emit
-        registry.on_close(self.on_op_close)
         #: Chain contexts, open and closed (closed ones keep counting
         #: in-flight packets until finalize).
         self.chains: List[Dict[str, Any]] = []
@@ -472,23 +483,19 @@ class ChainAuditor(_Auditor):
             members = {i for i in instances.split("/") if i}
             if members:
                 hops.append((hop_name, members))
-        if not hops:
+        op = self.registry.ops.get(record.get("trace_id"))
+        if not hops or op is None:
             return
         self.chains.append({
-            "trace_id": record.get("trace_id"),
+            #: The registry's entry: window, abort cause, guarantee.
+            "op": op,
             "chain": record.get("chain"),
             "uid_floor": self._max_uid_processed,
-            "started_ms": record.get("time_ms", 0.0),
-            "closed_ms": None,
-            "open": True,
-            "aborted": None,
-            "order_preserving": "order-preserving"
-                                in (record.get("guarantee") or ""),
             "hop_order": [hop for hop, _ in hops],
             "nf_hop": {
                 inst: hop for hop, members in hops for inst in members
             },
-            #: uid -> {hop: count}; None marks an excluded straddler.
+            #: uid -> {hop: count} for packets first seen in the window.
             "seen": {},
             #: (hop, flow) -> last uid processed (order check).
             "last_uid": {},
@@ -499,28 +506,27 @@ class ChainAuditor(_Auditor):
     ) -> None:
         seen = ctx["seen"]
         time_ms = record.get("time_ms", 0.0)
+        op = ctx["op"]
         if uid not in seen:
-            if not ctx["open"]:
+            if not op.open:
                 return  # first appeared after the window: not ours
             if uid <= ctx["uid_floor"]:
                 return  # injected before the window: not ours
             seen[uid] = {}
         counts = seen[uid]
-        if counts is None:
-            return
         counts[hop] = counts.get(hop, 0) + 1
         if counts[hop] > 1:
             self.emit(Violation(
                 "chain-loss-free",
                 time_ms,
-                ctx["trace_id"],
+                op.trace_id,
                 "chain",
                 nf=record.get("nf"),
                 flow=record.get("flow"),
                 detail="packet uid=%s processed more than once at hop %r"
                        % (uid, hop),
             ))
-        if ctx["order_preserving"]:
+        if op.order_preserving:
             flow = record.get("flow")
             if flow is not None:
                 key = (hop, flow)
@@ -529,7 +535,7 @@ class ChainAuditor(_Auditor):
                     self.emit(Violation(
                         "chain-order",
                         time_ms,
-                        ctx["trace_id"],
+                        op.trace_id,
                         "chain",
                         nf=record.get("nf"),
                         flow=flow,
@@ -538,24 +544,14 @@ class ChainAuditor(_Auditor):
                     ))
                 ctx["last_uid"][key] = uid
 
-    def on_op_close(self, op: _Op) -> None:
-        if op.kind != "chain":
-            return
-        for ctx in self.chains:
-            if ctx["trace_id"] == op.trace_id and ctx["open"]:
-                ctx["open"] = False
-                ctx["closed_ms"] = op.closed_ms
-                ctx["aborted"] = op.aborted
-
     def finalize(self) -> None:
         for ctx in self.chains:
-            if ctx["aborted"] is not None:
+            op = ctx["op"]
+            if op.aborted is not None:
                 # An aborted chain's contract is restoration; the
                 # rollback window legitimately re-captures packets.
                 continue
             for uid, counts in sorted(ctx["seen"].items()):
-                if counts is None:
-                    continue
                 missing = [
                     hop for hop in ctx["hop_order"]
                     if counts.get(hop, 0) == 0
@@ -563,8 +559,8 @@ class ChainAuditor(_Auditor):
                 for hop in missing:
                     self.emit(Violation(
                         "chain-loss-free",
-                        ctx["closed_ms"] or ctx["started_ms"],
-                        ctx["trace_id"],
+                        op.closed_ms or op.started_ms,
+                        op.trace_id,
                         "chain",
                         nf=hop,
                         detail="packet uid=%s never crossed hop %r of "
@@ -574,59 +570,94 @@ class ChainAuditor(_Auditor):
 
 
 class StateConservationAuditor(_Auditor):
-    """Chunks exported from the source all land at the destination.
+    """What an operation exports is what lands — all of it, and nothing else.
 
-    For each open move/copy-style operation, ``nf.chunk.export``
-    records at its source and ``nf.chunk.import`` records at its
-    destination accumulate as (scope, key) multisets; at the
-    operation's root-span close the two must balance. Aborted
-    operations are exempt — their contract is restoration, not
-    delivery, and the restore puts re-import at the *source*.
+    One ``(scope, key)`` ledger per operation, fed by the
+    ``nf.chunk.export`` / ``nf.chunk.import`` records it caused, holding
+    exports minus imports. Its two signs are two guarantees, settled
+    when the operation closes, so each fact is cited once:
+
+    * **state-conservation** (§5.1) — a chunk still positive was
+      exported and never imported;
+    * **no-phantom-state** (Patowary et al.) — a chunk that went
+      negative was imported before, or more often than, it was exported:
+      state out of thin air. A share is held to the set-membership form
+      only (one origin export legitimately fans out to N replica
+      imports, and an origin keeps what it exported).
+
+    Aborted operations are exempt — their contract is restoration, not
+    delivery, and the restore puts re-import at the *source*. One still
+    open at :meth:`finalize` cannot be short of an import yet and is
+    held to no-phantom-state alone.
     """
 
     def __init__(self, registry: OpRegistry, emit) -> None:
         self.registry = registry
         self.emit = emit
-        registry.on_close(self.on_op_close)
-        #: trace_id -> {(scope, key): export_count - import_count}
+        registry.on_close(self._settle)
+        #: trace_id -> {(scope, key): export_count - import_count}; a
+        #: share's entry is 1 once exported, -1 while only imported.
         self.balance: Dict[int, Dict[Tuple[str, str], int]] = {}
+        #: trace_id -> chunks whose import ran ahead of their export.
+        self.ahead: Dict[int, Set[Tuple[str, str]]] = {}
 
     def on_record(self, record: Dict[str, Any]) -> None:
         name = record.get("name")
-        if name not in ("nf.chunk.export", "nf.chunk.import"):
+        if name == "nf.chunk.export":
+            exporting = True
+        elif name == "nf.chunk.import":
+            exporting = False
+        else:
             return
-        nf = record.get("nf")
-        exporting = name == "nf.chunk.export"
-        op = None
-        for candidate in self.registry.ops.values():
-            if not candidate.open or candidate.kind not in STATE_OPS:
-                continue
-            anchor = candidate.src if exporting else candidate.dst
-            if anchor == nf:
-                op = candidate
-        if op is None or op.trace_id is None:
+        op = self.registry.attribute(
+            record, CHUNK_OPS, "src" if exporting else "dst"
+        )
+        if op is None:
             return
         chunk_key = (record.get("scope"), record.get("key"))
         table = self.balance.setdefault(op.trace_id, {})
-        table[chunk_key] = table.get(chunk_key, 0) + (1 if exporting else -1)
-        if table[chunk_key] == 0:
+        if op.kind == "share":
+            if exporting:
+                table[chunk_key] = 1
+            else:
+                table.setdefault(chunk_key, -1)
+            return
+        count = table.get(chunk_key, 0)
+        if not exporting and count <= 0:
+            self.ahead.setdefault(op.trace_id, set()).add(chunk_key)
+        count += 1 if exporting else -1
+        if count:
+            table[chunk_key] = count
+        else:
             del table[chunk_key]
 
-    def on_op_close(self, op: _Op) -> None:
-        if op.trace_id is None or op.kind not in STATE_OPS:
+    def finalize(self) -> None:
+        for trace_id in sorted(self.balance):  # (every ``ahead`` key is one)
+            self._settle(self.registry.ops[trace_id])
+
+    def _settle(self, op: _Op) -> None:
+        table = self.balance.pop(op.trace_id, {})
+        ahead = self.ahead.pop(op.trace_id, ())
+        if op.aborted is not None:
             return
-        table = self.balance.pop(op.trace_id, None)
-        if not table or op.aborted is not None:
-            return
-        for (scope, key), delta in sorted(table.items()):
-            side = "exported but never imported" if delta > 0 else \
-                   "imported %d extra time(s)" % (-delta)
+        share = op.kind == "share"
+        for chunk_key in sorted(set(table) | set(ahead)):
+            count = table.get(chunk_key, 0)
+            if count > 0:
+                if op.open or share:
+                    continue
+                check, what = "state-conservation", "exported but never imported"
+            else:
+                check = "no-phantom-state"
+                what = ("import ran ahead of its export" if count == 0 else
+                        "replicated, but no instance exported it" if share else
+                        "imported %d more time(s) than exported" % -count)
             self.emit(Violation(
-                "state-conservation",
-                op.closed_ms or 0.0,
+                check,
+                op.closed_ms or op.started_ms,
                 op.trace_id,
                 op.kind,
-                detail="chunk %s/%s %s" % (scope, key, side),
+                detail="chunk %s/%s %s" % (chunk_key + (what,)),
             ))
 
 
@@ -656,7 +687,7 @@ class ShareSerializationAuditor(_Auditor):
         end = span.get("end_ms", start)
         prev = self.last.get(key)
         if prev is not None and start < prev[0]:
-            op = self.registry.get(attrs.get("trace_id"))
+            op = self.registry.ops.get(attrs.get("trace_id"))
             self.emit(Violation(
                 "share-serialization",
                 end,
@@ -675,7 +706,7 @@ class ShareSerializationAuditor(_Auditor):
 class AuditPipeline:
     """Fans the span/record stream out to every auditor.
 
-    Fed by the exporter tee (live runs) or by :func:`replay_trace`
+    Fed by the exporter tee (live runs) or by :func:`audit_entries`
     (offline). Violations accumulate in :attr:`violations`; an optional
     ``on_violation`` hook fires per violation (the flight recorder uses
     it to capture a post-mortem bundle).
@@ -685,10 +716,6 @@ class AuditPipeline:
         self.registry = OpRegistry()
         self.violations: List[Violation] = []
         self.on_violation: Optional[Callable[[Violation], None]] = None
-        #: Filled by :func:`replay_trace`: one message per trace entry
-        #: that could not be fed to the auditors (malformed JSON line,
-        #: unknown entry type). Live runs never populate it.
-        self.skipped_entries: List[str] = []
         self._finalized = False
         emit = self._emit
         self.auditors: List[_Auditor] = [
@@ -709,9 +736,6 @@ class AuditPipeline:
     def on_span(self, span: Dict[str, Any]) -> None:
         for auditor in self.auditors:
             auditor.on_span(span)
-        # Root-close detection runs *after* the auditors have seen the
-        # span, so close hooks observe a fully-updated state.
-        self.registry.observe_span(span)
 
     def on_record(self, record: Dict[str, Any]) -> None:
         self.registry.observe_record(record)
@@ -726,54 +750,83 @@ class AuditPipeline:
                 auditor.finalize()
         return self.violations
 
-    def violations_for(self, trace_id) -> List[Violation]:
-        return [v for v in self.violations if v.trace_id == trace_id]
+
+#: One trace entry: (delivery time, "span" | "record", payload).
+Entry = Tuple[float, str, dict]
 
 
-def load_trace_entries(path: str) -> Tuple[List[Tuple[float, str, dict]], List[str]]:
-    """Parse a ``.trace.jsonl`` into time-sorted (time, kind, payload) entries.
+def entries_from_obs(obs) -> List[Entry]:
+    """A live run's stored spans and records as a time-sorted entry stream.
+
+    Identical payloads to what :func:`load_trace_entries` yields from a
+    ``.trace.jsonl``, so nothing that reads entries can tell a live run
+    from a replayed one.
+    """
+    entries: List[Entry] = []
+    exporter = obs.exporter
+    for span in exporter.spans:
+        payload = span.to_dict()
+        entries.append((payload.get("end_ms") or 0.0, "span", payload))
+    for record in exporter.records:
+        entries.append((record.get("time_ms") or 0.0, "record", record))
+    entries.sort(key=lambda item: item[0])
+    return entries
+
+
+def write_trace(entries: List[Entry], path: str) -> int:
+    """Write ``entries`` as a ``.trace.jsonl`` — the one writer of the format."""
+    with open(path, "w") as handle:
+        for _time, kind, payload in entries:
+            handle.write(json.dumps(dict(payload, type=kind)) + "\n")
+    return len(entries)
+
+
+def parse_trace(lines, origin: str) -> Tuple[List[Entry], List[str]]:
+    """Parse the lines of a ``.trace.jsonl`` into time-sorted entries.
 
     Robust against real-world trace files: a truncated/partial JSONL
     line (a run killed mid-write) or an entry of an unknown kind is
     *skipped with a warning*, never a crash — the remaining entries are
     still auditable. Returns ``(entries, skipped)`` where ``skipped``
-    holds one human-readable message per unusable line. An empty file
-    yields ``([], [])``.
+    holds one human-readable message per unusable line, prefixed with
+    ``origin``. No lines yield ``([], [])``.
+
+    The live tee delivers spans at finish time and records at emission
+    time, so the merged stream is monotone in that timestamp; entries
+    are stable-sorted by it (a no-op for what :func:`write_trace`
+    wrote) so that any dump replays through the streaming code path.
     """
-    entries: List[Tuple[float, str, dict]] = []
+    entries: List[Entry] = []
     skipped: List[str] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                skipped.append(
-                    "%s:%d: malformed JSONL line (truncated write?)"
-                    % (path, lineno)
-                )
-                continue
-            if not isinstance(entry, dict):
-                skipped.append(
-                    "%s:%d: entry is not an object" % (path, lineno)
-                )
-                continue
-            kind = entry.pop("type", None)
-            if kind == "span":
-                entries.append((entry.get("end_ms") or 0.0, "span", entry))
-            elif kind == "record":
-                entries.append((entry.get("time_ms") or 0.0, "record", entry))
-            else:
-                skipped.append(
-                    "%s:%d: unknown entry kind %r (expected span/record)"
-                    % (path, lineno, kind)
-                )
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            skipped.append(
+                "%s:%d: malformed JSONL line (truncated write?)"
+                % (origin, lineno)
+            )
+            continue
+        if not isinstance(entry, dict):
+            skipped.append("%s:%d: entry is not an object" % (origin, lineno))
+            continue
+        kind = entry.pop("type", None)
+        if kind == "span":
+            entries.append((entry.get("end_ms") or 0.0, "span", entry))
+        elif kind == "record":
+            entries.append((entry.get("time_ms") or 0.0, "record", entry))
+        else:
+            skipped.append(
+                "%s:%d: unknown entry kind %r (expected span/record)"
+                % (origin, lineno, kind)
+            )
     if skipped:
         warnings.warn(
             "trace %s: skipped %d unusable entr%s (first: %s)"
-            % (path, len(skipped), "y" if len(skipped) == 1 else "ies",
+            % (origin, len(skipped), "y" if len(skipped) == 1 else "ies",
                skipped[0]),
             stacklevel=2,
         )
@@ -781,21 +834,15 @@ def load_trace_entries(path: str) -> Tuple[List[Tuple[float, str, dict]], List[s
     return entries, skipped
 
 
-def replay_trace(path: str) -> AuditPipeline:
-    """Run the auditors over a ``.trace.jsonl`` file post-hoc.
+def load_trace_entries(path: str) -> Tuple[List[Entry], List[str]]:
+    """:func:`parse_trace` over the file at ``path``."""
+    with open(path) as handle:
+        return parse_trace(handle, path)
 
-    The live tee delivers spans at finish time and records at emission
-    time, so the merged stream is monotone in that timestamp. Dumps are
-    not always interleaved that way (``repro trace --json`` writes all
-    spans, then all records), so replay stable-sorts entries by their
-    delivery time first — a no-op for an already-interleaved stream —
-    and then reuses the streaming code path unchanged. Unusable lines
-    (truncated JSONL, unknown entry kinds) are skipped with a warning
-    and listed on the returned pipeline's ``skipped_entries``.
-    """
-    entries, skipped = load_trace_entries(path)
+
+def audit_entries(entries: List[Entry]) -> AuditPipeline:
+    """Run the auditors over an entry stream post hoc; returns them finalized."""
     pipeline = AuditPipeline()
-    pipeline.skipped_entries = skipped
     for _time, kind, entry in entries:
         if kind == "span":
             pipeline.on_span(entry)

@@ -1,13 +1,12 @@
-"""Span/record exporters and the timeline renderer.
+"""The in-memory span/record exporter and the timeline renderer.
 
-Two exporters cover the two consumers: tests and the CLI introspect
-finished spans in memory; benchmarks stream JSON lines next to their
-result tables so a trace can be diffed or post-processed offline.
+Tests, the CLI and the conformance kit introspect finished spans in
+memory; :func:`repro.obs.audit.write_trace` dumps them as a
+``.trace.jsonl`` that can be diffed, replayed or post-processed offline.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Any, Dict, List, Optional
 
@@ -70,27 +69,6 @@ class InMemoryExporter:
             (s for s in self.spans if s.parent_id == span.span_id),
             key=lambda s: (s.start, s.span_id),
         )
-
-
-class JsonLinesExporter:
-    """Writes one JSON object per finished span / record to a file."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._handle = open(path, "w")
-
-    def export_span(self, span: Span) -> None:
-        payload = span.to_dict()
-        payload["type"] = "span"
-        self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
-
-    def export_record(self, record: Dict[str, Any]) -> None:
-        payload = dict(record)
-        payload["type"] = "record"
-        self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
-
-    def close(self) -> None:
-        self._handle.close()
 
 
 def render_timeline(

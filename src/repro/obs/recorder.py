@@ -75,25 +75,19 @@ class FlightRecorder:
 
     # ---------------------------------------------------------------- capture
 
-    def causal_slice(
-        self, trace_id: Any, span_ids: Optional[List[Any]] = None
-    ) -> Dict[str, List[Dict[str, Any]]]:
+    def causal_slice(self, trace_id: Any) -> Dict[str, List[Dict[str, Any]]]:
         """Everything in the rings belonging to one operation.
 
         A span belongs if its ``trace_id`` attribute matches — which
-        includes the operation root itself (stamped at creation) and
-        every phase span, RPC span, and NF-side apply/flush span the
-        operation caused; a record belongs via its ``trace_id`` field.
-        ``span_ids`` pulls in extra spans by id (e.g. the dropped-packet
-        spans a violation cites, which carry no trace id of their own).
+        includes the operation root itself (stamped at creation), every
+        phase span, RPC span and NF-side apply/flush span the operation
+        caused, and the ``nf.drop`` spans of the packets its rules
+        dropped; a record belongs via its ``trace_id`` field.
         """
-        wanted = set(span_ids or ())
         spans: List[Dict[str, Any]] = []
         for ring in self._spans.values():
             for span in ring:
-                attrs = span.get("attrs") or {}
-                if (attrs.get("trace_id") == trace_id
-                        or span.get("span_id") in wanted):
+                if (span.get("attrs") or {}).get("trace_id") == trace_id:
                     spans.append(span)
         records: List[Dict[str, Any]] = []
         for ring in self._records.values():
@@ -132,10 +126,7 @@ class FlightRecorder:
             "kind": kind,
             "detail": detail,
             "violation": violation.to_dict() if violation is not None else None,
-            "causal_slice": self.causal_slice(
-                trace_id,
-                span_ids=violation.span_ids if violation is not None else None,
-            ),
+            "causal_slice": self.causal_slice(trace_id),
             "buffers": {
                 component: {
                     "spans": len(self._spans.get(component, ())),

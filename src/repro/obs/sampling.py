@@ -95,11 +95,12 @@ class SamplingPolicy:
 class TraceSampler:
     """Exporter wrapper applying head+tail sampling to the stored trace.
 
-    ``base`` is the real exporter (in-memory or JSONL). Spans and
-    records carrying a ``trace_id`` buffer per operation until that
-    operation's ``op.end`` decides keep-or-discard atomically; entries
-    without a trace id pass straight through, except per-packet records
-    carrying a ``flow`` attribute, which are head-sampled per flow.
+    ``base`` is the real (in-memory) exporter. Spans and records
+    carrying a ``trace_id`` (``nf.drop`` / ``nf.buffer`` / ``nf.chunk.*``
+    included) buffer per operation until that operation's ``op.end``
+    decides keep-or-discard atomically; entries without a trace id pass
+    straight through, except per-packet records carrying a ``flow``
+    attribute, which are head-sampled per flow.
     """
 
     def __init__(self, base, policy: Optional[SamplingPolicy] = None) -> None:

@@ -17,13 +17,26 @@ import pytest
 
 from repro.baselines import SplitMergeMigrate
 from repro.cli import main as cli_main
-from repro.harness import LOCAL_NET_FILTER, run_move_experiment
+from repro.flowspace import Filter
+from repro.harness import (
+    LOCAL_NET_FILTER,
+    Deployment,
+    check_loss_free,
+    run_move_experiment,
+)
+from repro.net.packet import reset_uid_counter
+from repro.nfs.monitor import AssetMonitor
 from repro.obs import (
     AuditPipeline,
     InMemoryExporter,
+    audit_entries,
+    entries_from_obs,
+    load_trace_entries,
     render_bundle,
-    replay_trace,
+    write_trace,
 )
+from repro.traffic.replay import TraceReplayer
+from repro.traffic.traces import TraceConfig, build_university_cloud_trace
 
 pytestmark = pytest.mark.obs
 
@@ -94,6 +107,96 @@ class TestLossFreeMovesAuditClean:
         assert normalized_timeline(plain) == normalized_timeline(audited)
 
 
+class TestConcurrentMovesAreToldApart:
+    """The paper's scale-out / scale-in shapes: two correct, concurrent
+    loss-free moves with disjoint filters that share an instance. Every
+    packet and chunk belongs to the operation whose RPC caused it, not
+    to "the last open operation at this NF"."""
+
+    LOW = Filter({"nw_src": "10.0.1.0/28"}, symmetric=True)
+    HIGH = Filter({"nw_src": "10.0.1.16/28"}, symmetric=True)
+
+    def _run(self, moves, route_high_to=None):
+        reset_uid_counter()
+        dep = Deployment(audit=True)
+        nfs = [AssetMonitor(dep.sim, "inst%d" % i) for i in (1, 2, 3)]
+        for nf in nfs:
+            dep.add_nf(nf)
+        dep.set_default_route("inst1")
+        if route_high_to is not None:
+            dep.switch.table.install(self.HIGH, 11, [route_high_to], 0.0)
+        trace = build_university_cloud_trace(TraceConfig(seed=3, n_flows=40))
+        replayer = TraceReplayer(dep.sim, dep.inject, trace.packets,
+                                 rate_pps=2500.0)
+        replayer.start()
+        handles = []
+
+        def start_both():
+            for src, dst, flt in moves:
+                handles.append(dep.controller.move(
+                    src, dst, flt, scope="per", guarantee="lf"
+                ))
+
+        dep.call_at(replayer.duration_ms / 2.0, start_both)
+        dep.run()
+        assert [h.report.aborted for h in handles] == [None, None]
+        assert check_loss_free(dep.switch, nfs) == (True, "")
+        return dep, handles
+
+    def _assert_chunks_follow_their_move(self, dep, handles):
+        ids = {(h.report.src, h.report.dst): h.trace.trace_id
+               for h in handles}
+        chunks = [r for r in dep.obs.exporter.records
+                  if r["name"].startswith("nf.chunk.")]
+        assert chunks
+        by_move = {}
+        for record in chunks:
+            by_move.setdefault(record["trace_id"], []).append(record)
+        assert set(by_move) == set(ids.values())
+        for (src, dst), trace_id in ids.items():
+            ends = {"nf.chunk.export": src, "nf.chunk.import": dst}
+            assert all(r["nf"] == ends[r["name"]] for r in by_move[trace_id])
+            exported = sorted(r["key"] for r in by_move[trace_id]
+                              if r["name"] == "nf.chunk.export")
+            imported = sorted(r["key"] for r in by_move[trace_id]
+                              if r["name"] == "nf.chunk.import")
+            assert exported == imported and exported
+
+    def test_scale_out_two_moves_from_one_source(self):
+        dep, handles = self._run([("inst1", "inst2", self.LOW),
+                                  ("inst1", "inst3", self.HIGH)])
+        assert dep.obs.violations() == []
+        self._assert_chunks_follow_their_move(dep, handles)
+
+    def test_scale_in_two_moves_into_one_destination(self):
+        dep, handles = self._run([("inst1", "inst3", self.LOW),
+                                  ("inst2", "inst3", self.HIGH)],
+                                 route_high_to="inst2")
+        assert dep.obs.violations() == []
+        self._assert_chunks_follow_their_move(dep, handles)
+
+    def test_captured_packets_name_the_rule_that_caught_them(self):
+        dep, handles = self._run([("inst1", "inst2", self.LOW),
+                                  ("inst1", "inst3", self.HIGH)])
+        by_dst = {h.report.dst: h.trace.trace_id for h in handles}
+        captured = dep.obs.exporter.find("nf.drop") + [
+            r for r in dep.obs.exporter.records if r["name"] == "nf.buffer"
+        ]
+        assert captured
+        for fact in captured:
+            attrs = getattr(fact, "attrs", fact)
+            dst = "inst2" if _client_in_low_block(attrs["flow"]) else "inst3"
+            assert attrs["trace_id"] == by_dst[dst]
+
+
+def _client_in_low_block(flow_key):
+    """Is either end of a ``Packet.flow_key()`` inside ``10.0.1.0/28``?"""
+    hosts = [end.rsplit(":", 1)[0]
+             for end in flow_key.split("/")[0].split("-")]
+    return any(host.startswith("10.0.1.") and int(host.split(".")[3]) < 16
+               for host in hosts)
+
+
 class TestBaselinesViolate:
     def test_splitmerge_reports_loss_with_flow_and_spans(self):
         result = run_move_experiment(
@@ -153,12 +256,9 @@ class TestSyntheticStreams:
 
     @staticmethod
     def _close(pipeline, trace_id=1, t=100.0, aborted=None):
-        attrs = {"trace_id": trace_id}
-        if aborted:
-            attrs["aborted"] = aborted
-        pipeline.on_span({
-            "name": "move", "span_id": trace_id, "parent_id": None,
-            "start_ms": 0.0, "end_ms": t, "status": "ok", "attrs": attrs,
+        pipeline.on_record({
+            "name": "op.end", "time_ms": t, "trace_id": trace_id,
+            "kind": "move", "aborted": aborted,
         })
 
     def test_evented_drop_resolved_by_processing(self):
@@ -214,10 +314,97 @@ class TestSyntheticStreams:
         self._start(pipeline)
         pipeline.on_record({"name": "nf.chunk.export", "time_ms": 5.0,
                             "nf": "inst1", "scope": "perflow",
-                            "key": "k1", "bytes": 100})
+                            "key": "k1", "bytes": 100, "trace_id": 1})
+        self._close(pipeline)
+        (violation,) = pipeline.finalize()
+        assert violation.check == "state-conservation"
+
+    def test_op_end_not_the_root_span_closes_an_operation(self):
+        """One close signal, the trace sampler's too: ``op.end``."""
+        pipeline = AuditPipeline()
+        self._start(pipeline)
+        pipeline.on_span({
+            "name": "move", "span_id": 1, "parent_id": None,
+            "start_ms": 0.0, "end_ms": 100.0, "status": "ok",
+            "attrs": {"trace_id": 1},
+        })
+        assert pipeline.registry.ops[1].open
+        self._close(pipeline, t=100.0)
+        op = pipeline.registry.ops[1]
+        assert not op.open and op.closed_ms == 100.0
+
+    def test_unstamped_trace_audits_through_the_fallback(self):
+        """A trace persisted before ``nf.chunk.*`` / ``nf.buffer`` /
+        ``nf.drop`` carried a ``trace_id`` has no such key; the operation
+        is then guessed from the NF, as every trace used to be."""
+        pipeline = AuditPipeline()
+        self._start(pipeline)
+        pipeline.on_record({"name": "nf.chunk.export", "time_ms": 5.0,
+                            "nf": "inst1", "scope": "perflow", "key": "k1"})
+        pipeline.on_record({"name": "nf.chunk.export", "time_ms": 5.5,
+                            "nf": "inst1", "scope": "perflow", "key": "k2"})
+        pipeline.on_record({"name": "nf.chunk.import", "time_ms": 6.0,
+                            "nf": "inst2", "scope": "perflow", "key": "k1"})
+        pipeline.on_record({"name": "nf.buffer", "time_ms": 7.0,
+                            "nf": "inst2", "uid": 42, "flow": "f"})
+        # At an NF no open operation involves: nobody's.
+        pipeline.on_record({"name": "nf.buffer", "time_ms": 7.0,
+                            "nf": "inst9", "uid": 43, "flow": "g"})
         self._close(pipeline)
         violations = pipeline.finalize()
-        assert any(v.check == "state-conservation" for v in violations)
+        assert sorted((v.check, v.trace_id) for v in violations) == [
+            ("loss-free", 1), ("state-conservation", 1),
+        ]
+        assert "k2" in violations[0].detail
+
+    def test_stamped_facts_ignore_which_nf_they_happened_at(self):
+        """Two open moves out of inst1: the stamp, not the NF, decides."""
+        pipeline = AuditPipeline()
+        self._start(pipeline, trace_id=1, dst="inst2")
+        self._start(pipeline, trace_id=2, dst="inst3")
+        for trace_id, dst in ((1, "inst2"), (2, "inst3")):
+            pipeline.on_record({"name": "nf.chunk.export", "time_ms": 5.0,
+                                "nf": "inst1", "scope": "perflow",
+                                "key": "k%d" % trace_id,
+                                "trace_id": trace_id})
+            pipeline.on_record({"name": "nf.chunk.import", "time_ms": 6.0,
+                                "nf": dst, "scope": "perflow",
+                                "key": "k%d" % trace_id,
+                                "trace_id": trace_id})
+        pipeline.on_span({
+            "name": "nf.drop", "span_id": 7, "start_ms": 6.5, "end_ms": 6.5,
+            "attrs": {"nf": "inst1", "uid": 42, "flow": "f",
+                      "silent": False, "trace_id": 1},
+        })
+        self._close(pipeline, trace_id=1)
+        self._close(pipeline, trace_id=2)
+        (violation,) = pipeline.finalize()
+        assert (violation.check, violation.trace_id) == ("loss-free", 1)
+
+    def test_stamped_fact_after_op_end_is_outside_every_window(self):
+        """A late duplicate put or a stale rule's drop trails its
+        operation's ``op.end``: nobody's, stamped or not (as before the
+        stamp), never a finalize-time phantom or loss."""
+        pipeline = AuditPipeline()
+        self._start(pipeline)
+        pipeline.on_record({"name": "nf.chunk.export", "time_ms": 5.0,
+                            "nf": "inst1", "scope": "perflow",
+                            "key": "k1", "trace_id": 1})
+        late = {"name": "nf.chunk.import", "time_ms": 6.0, "nf": "inst2",
+                "scope": "perflow", "key": "k1", "trace_id": 1}
+        pipeline.on_record(late)
+        self._close(pipeline)
+        pipeline.on_record(dict(late, time_ms=101.0))
+        pipeline.on_span({
+            "name": "nf.drop", "span_id": 9, "start_ms": 102.0,
+            "end_ms": 102.0,
+            "attrs": {"nf": "inst1", "uid": 77, "flow": "f",
+                      "silent": False, "trace_id": 1},
+        })
+        pipeline.on_record({"name": "nf.buffer", "time_ms": 103.0,
+                            "nf": "inst2", "uid": 78, "flow": "f",
+                            "trace_id": 1})
+        assert pipeline.finalize() == []
 
     def test_share_overlap_detected(self):
         pipeline = AuditPipeline()
@@ -306,14 +493,9 @@ class TestReplay:
         obs = result.deployment.obs
         live = obs.violations()
         assert live
-        with open(path, "w") as handle:
-            for span in obs.exporter.spans:
-                handle.write(json.dumps(
-                    dict(span.to_dict(), type="span")) + "\n")
-            for record in obs.exporter.records:
-                handle.write(json.dumps(
-                    dict(record, type="record")) + "\n")
-        replayed = replay_trace(path)
+        write_trace(entries_from_obs(obs), path)
+        entries, _skipped = load_trace_entries(path)
+        replayed = audit_entries(entries)
         assert ([v.to_dict() for v in replayed.violations]
                 == [v.to_dict() for v in live])
 
@@ -322,15 +504,52 @@ class TestReplay:
         result = run_move_experiment(guarantee="ng", n_flows=20, seed=3,
                                      audit=True)
         obs = result.deployment.obs
-        with open(path, "w") as handle:
-            for span in obs.exporter.spans:
-                handle.write(json.dumps(
-                    dict(span.to_dict(), type="span")) + "\n")
-            for record in obs.exporter.records:
-                handle.write(json.dumps(
-                    dict(record, type="record")) + "\n")
+        write_trace(entries_from_obs(obs), path)
         assert cli_main(["audit", path]) == 1
         assert "LOSS-FREE" in capsys.readouterr().out
+
+
+    def test_cli_replay_prints_isolation_too(self, tmp_path, capsys):
+        path = str(tmp_path / "overlap.trace.jsonl")
+        entries = []
+        for trace_id, at in ((1, 1.0), (2, 2.0)):
+            entries.append((at, "record", {
+                "name": "op.start", "time_ms": at, "trace_id": trace_id,
+                "kind": "move", "src": "inst1", "dst": "inst2",
+                "filter": "Filter~{nw_src=10.0.0.0/8}",
+            }))
+            entries.append((at + 5.0, "record", {
+                "name": "op.end", "time_ms": at + 5.0,
+                "trace_id": trace_id, "kind": "move", "aborted": None,
+            }))
+        write_trace(entries, path)
+        assert cli_main(["audit", path]) == 1
+        out = capsys.readouterr().out
+        assert "violations: 1" in out and "ISOLATION" in out
+
+    def test_cli_reads_its_argument_once_and_closes_it(self, tmp_path,
+                                                       monkeypatch, capsys):
+        import builtins
+        import warnings
+
+        path = str(tmp_path / "run.trace.jsonl")
+        result = run_move_experiment(guarantee="lf", n_flows=10, seed=3,
+                                     audit=True)
+        write_trace(entries_from_obs(result.deployment.obs), path)
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if file == path:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            assert cli_main(["audit", path]) == 0
+        assert len(opened) == 1
+        assert "violations: none" in capsys.readouterr().out
 
 
 class TestReplayEdgeCases:
@@ -350,9 +569,9 @@ class TestReplayEdgeCases:
     def test_empty_trace_file(self, tmp_path, capsys):
         path = str(tmp_path / "empty.trace.jsonl")
         open(path, "w").close()
-        pipeline = replay_trace(path)
-        assert pipeline.violations == []
-        assert pipeline.skipped_entries == []
+        entries, skipped = load_trace_entries(path)
+        assert audit_entries(entries).violations == []
+        assert skipped == []
         # The CLI refuses an empty file loudly rather than reporting a
         # (vacuously) clean audit.
         assert cli_main(["audit", path]) == 2
@@ -367,11 +586,11 @@ class TestReplayEdgeCases:
         with open(path, "w") as handle:
             handle.write("\n".join(lines) + "\n")
         with pytest.warns(UserWarning, match="skipped 1"):
-            pipeline = replay_trace(path)
-        assert len(pipeline.skipped_entries) == 1
-        assert "truncated" in pipeline.skipped_entries[0]
+            entries, skipped = load_trace_entries(path)
+        assert len(skipped) == 1
+        assert "truncated" in skipped[0]
         # The surviving lines still audit: the NG move's losses show.
-        assert pipeline.violations
+        assert audit_entries(entries).violations
 
     def test_unknown_entry_kinds_skipped_not_crashed(self, tmp_path):
         lines = self._dirty_trace_lines()
@@ -384,11 +603,11 @@ class TestReplayEdgeCases:
         with open(path, "w") as handle:
             handle.write("\n".join(lines[:3] + extra + lines[3:]) + "\n")
         with pytest.warns(UserWarning, match="skipped 3"):
-            pipeline = replay_trace(path)
-        assert len(pipeline.skipped_entries) == 3
-        assert any("unknown entry kind" in s
-                   for s in pipeline.skipped_entries)
-        assert pipeline.violations  # valid entries were still audited
+            entries, skipped = load_trace_entries(path)
+        assert len(skipped) == 3
+        assert any("unknown entry kind" in s for s in skipped)
+        # Valid entries were still audited.
+        assert audit_entries(entries).violations
 
 
 class TestExporterRing:

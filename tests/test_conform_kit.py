@@ -4,13 +4,14 @@ Covers the full NF × guarantee × faults × batching matrix (every cell
 must be clean or *explicitly* expected-dirty — no silent skips), the
 Split/Merge baseline's non-conformance with its persisted
 counterexample, the hypothesis interleaving machines, the formal
-property checkers (including proof that they *can* fail), corpus
-replay, the isolation property over concurrent operations, and the
-``repro conform`` CLI.
+properties on synthetic streams (proof that the one trace judge *can*
+fail, and cites each fact once), corpus replay, the isolation property
+over concurrent operations, and the ``repro conform`` CLI.
 """
 
 import json
 import os
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,7 @@ from repro.conformance import (
     Cell,
     OpSpec,
     ScheduleSpec,
-    check_isolation,
-    check_no_phantom_state,
+    check_trace_properties,
     hunt_counterexample,
     load_corpus,
     make_conformance_machine,
@@ -34,6 +34,7 @@ from repro.conformance import (
     run_schedule,
 )
 from repro.flowspace import Filter
+from repro.obs import audit_entries, load_trace_entries, write_trace
 
 pytestmark = pytest.mark.conformance
 
@@ -131,24 +132,30 @@ TestNatStrongInterleavings.settings = settings(
 def _op_start(trace_id, at, prefix="10.0.0.0/8", kind="move",
               src="inst1", dst="inst2"):
     return (at, "record", {
-        "name": "op.start", "trace_id": trace_id, "kind": kind,
-        "src": src, "dst": dst,
+        "name": "op.start", "time_ms": at, "trace_id": trace_id,
+        "kind": kind, "src": src, "dst": dst,
         "filter": "Filter~{nw_src=%s}" % prefix,
     })
 
 
 def _op_end(trace_id, at, aborted=None):
-    return (at, "record",
-            {"name": "op.end", "trace_id": trace_id, "aborted": aborted})
+    return (at, "record", {"name": "op.end", "time_ms": at,
+                           "trace_id": trace_id, "aborted": aborted})
 
 
-def _chunk(name, nf, key, at):
-    return (at, "record",
-            {"name": name, "nf": nf, "scope": "per", "key": key})
+def _chunk(name, nf, key, at, trace_id=1):
+    return (at, "record", {"name": name, "time_ms": at, "nf": nf,
+                           "scope": "per", "key": key,
+                           "trace_id": trace_id})
+
+
+def _audit(entries):
+    """What the auditors make of a synthetic stream: (check, detail) pairs."""
+    return [(v.check, v.detail) for v in audit_entries(entries).violations]
 
 
 class TestPropertyCheckers:
-    """The checkers must be able to *fail* — on synthetic bad traces."""
+    """The one judge must be able to *fail* — on synthetic bad traces."""
 
     def test_isolation_flags_overlapping_intersecting_ops(self):
         entries = [
@@ -158,10 +165,11 @@ class TestPropertyCheckers:
             _op_end(1, 5.0),
             _op_end(2, 6.0),
         ]
-        failures = check_isolation(entries)
-        assert len(failures) == 1
-        assert failures[0].prop == "isolation"
-        assert "intersecting flow space" in failures[0].detail
+        (violation,) = check_trace_properties(entries)
+        assert violation.check == "isolation"
+        assert violation.trace_id == 2
+        assert "intersecting flow space" in violation.detail
+        assert _audit(entries) == []  # the auditors leave it to the registry
 
     def test_isolation_accepts_disjoint_or_serialized_ops(self):
         disjoint = [
@@ -173,8 +181,8 @@ class TestPropertyCheckers:
             _op_start(1, 1.0), _op_end(1, 2.0),
             _op_start(2, 3.0), _op_end(2, 4.0),
         ]
-        assert check_isolation(disjoint) == []
-        assert check_isolation(serialized) == []
+        assert check_trace_properties(disjoint) == []
+        assert check_trace_properties(serialized) == []
 
     def test_unended_op_window_extends_forever(self):
         entries = [
@@ -182,7 +190,16 @@ class TestPropertyCheckers:
             _op_start(2, 50.0),
             _op_end(2, 51.0),
         ]
-        assert len(check_isolation(entries)) == 1
+        assert len(check_trace_properties(entries)) == 1
+
+    def test_chain_hops_run_under_their_parents_reservation(self):
+        parent = _op_start(1, 1.0, kind="chain")
+        hops = [_op_start(2, 2.0), _op_start(3, 2.5)]
+        for hop in hops:
+            hop[2]["chain_id"] = "1"
+        entries = [parent] + hops + [_op_end(2, 3.0), _op_end(3, 4.0),
+                                     _op_end(1, 5.0)]
+        assert check_trace_properties(entries) == []
 
     def test_phantom_state_flags_unexported_import(self):
         entries = [
@@ -192,10 +209,9 @@ class TestPropertyCheckers:
             _chunk("nf.chunk.import", "inst2", "k2", 3.5),  # phantom
             _op_end(1, 4.0),
         ]
-        failures = check_no_phantom_state(entries)
-        assert failures
-        assert all(f.prop == "no-phantom-state" for f in failures)
-        assert any("k2" in f.detail for f in failures)
+        ((check, detail),) = _audit(entries)
+        assert check == "no-phantom-state"
+        assert "k2" in detail
 
     def test_phantom_state_flags_import_before_export(self):
         entries = [
@@ -204,8 +220,52 @@ class TestPropertyCheckers:
             _chunk("nf.chunk.export", "inst1", "k1", 3.0),
             _op_end(1, 4.0),
         ]
-        failures = check_no_phantom_state(entries)
-        assert any("ran ahead" in f.detail for f in failures)
+        ((check, detail),) = _audit(entries)
+        assert check == "no-phantom-state"
+        assert "ran ahead" in detail
+
+    def test_each_fact_is_cited_once(self):
+        """One ledger, two signs: an over-import is a phantom and only
+        that; an export nobody imported is a conservation loss and only
+        that (both used to be reported twice, under two names)."""
+        over_import = [
+            _op_start(1, 1.0),
+            _chunk("nf.chunk.export", "inst1", "k1", 2.0),
+            _chunk("nf.chunk.import", "inst2", "k1", 3.0),
+            _chunk("nf.chunk.import", "inst2", "k1", 3.5),
+            _op_end(1, 4.0),
+        ]
+        ((check, detail),) = _audit(over_import)
+        assert check == "no-phantom-state"
+        assert "1 more time(s)" in detail
+        never_imported = [
+            _op_start(1, 1.0),
+            _chunk("nf.chunk.export", "inst1", "k1", 2.0),
+            _op_end(1, 4.0),
+        ]
+        ((check, detail),) = _audit(never_imported)
+        assert check == "state-conservation"
+        assert "k1" in detail
+
+    def test_share_is_held_to_set_membership(self):
+        entries = [
+            _op_start(1, 1.0, kind="share", src=None, dst=None),
+            _chunk("nf.chunk.export", "inst1", "k1", 2.0),
+            _chunk("nf.chunk.import", "inst2", "k1", 3.0),
+            _chunk("nf.chunk.import", "inst3", "k1", 3.0),  # fan-out: fine
+            _chunk("nf.chunk.import", "inst2", "k2", 3.5),  # phantom
+        ]
+        # Still open at the end of the trace: phantoms are cited anyway.
+        ((check, detail),) = _audit(entries)
+        assert check == "no-phantom-state"
+        assert "k2" in detail
+
+    def test_open_operation_is_not_short_of_an_import_yet(self):
+        entries = [
+            _op_start(1, 1.0),
+            _chunk("nf.chunk.export", "inst1", "k1", 2.0),
+        ]
+        assert _audit(entries) == []
 
     def test_aborted_op_exempt_from_phantom_check(self):
         entries = [
@@ -213,7 +273,7 @@ class TestPropertyCheckers:
             _chunk("nf.chunk.import", "inst1", "k1", 2.0),  # restore put
             _op_end(1, 3.0, aborted="fault"),
         ]
-        assert check_no_phantom_state(entries) == []
+        assert _audit(entries) == []
 
     def test_parse_filter_repr_roundtrip(self):
         flt = Filter({"nw_src": "10.0.0.0/8", "tp_dst": 80},
@@ -263,8 +323,8 @@ class TestConcurrentOperationIsolation:
                  op(second, prefixes[1], 5.0 + gap_ms)],
         )
         result = run_schedule(spec, keep_deployment=True)
-        isolation = [f for f in result.property_failures
-                     if f.prop == "isolation"]
+        isolation = [f for f in result.violations
+                     if f.check == "isolation"]
         assert not isolation, "\n".join(f.render() for f in isolation)
         # No silent drop by admission: each op either launched (emitting
         # op.start) or was explicitly aborted as never-launched (a share
@@ -310,6 +370,44 @@ class TestCorpusReplay:
     def test_replay_entry(self, entry):
         outcome = replay_entry(entry)
         assert outcome.ok, "%s: %s" % (entry.name, outcome.problems)
+
+    def test_replay_compares_isolation_too(self, tmp_path):
+        """Every trace-derived check is held against the live run's —
+        the auditors' *and* isolation — so a persisted trace that shows
+        two overlapping operations where the live run has one is news."""
+        entry = next(e for e in load_corpus(CORPUS_DIR)
+                     if e.name == "abort-racing-put")
+        shutil.copy(entry.schedule_path, str(tmp_path))
+        entries, _skipped = load_trace_entries(entry.trace_path)
+        op_start = next(
+            payload for _time, kind, payload in entries
+            if kind == "record" and payload["name"] == "op.start"
+        )
+        rogue = dict(op_start, trace_id=10 ** 6, kind="copy",
+                     src="elsewhere1", dst="elsewhere2")
+        entries.append((rogue["time_ms"], "record", rogue))
+        write_trace(entries, str(tmp_path / "abort-racing-put.trace.jsonl"))
+        (doctored,) = load_corpus(str(tmp_path))
+        outcome = replay_entry(doctored)
+        assert outcome.result.clean
+        assert len(outcome.problems) == 1
+        assert "['isolation']" in outcome.problems[0]
+
+    def test_corpus_traces_predate_the_trace_id_stamp(self):
+        """The committed traces stay unregenerated: they are the
+        old-format inputs that keep the attribution fallback honest."""
+        stampable = []
+        for entry in load_corpus(CORPUS_DIR):
+            entries, _skipped = load_trace_entries(entry.trace_path)
+            assert any(payload.get("name") == "op.end"
+                       for _time, _kind, payload in entries), entry.name
+            for _time, kind, payload in entries:
+                if kind == "span" and payload["name"] == "nf.drop":
+                    stampable.append(payload["attrs"])
+                elif payload["name"].startswith(("nf.chunk.", "nf.buffer")):
+                    stampable.append(payload)
+        assert len(stampable) > 20
+        assert not any("trace_id" in fact for fact in stampable)
 
     def test_abort_racing_put_interleaving(self):
         """The acceptance interleaving: a burst racing an aborted move."""

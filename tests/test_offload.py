@@ -2,7 +2,7 @@
 
 The offloaded move fast path must tell the same loss-free /
 order-preserving story as the controller-buffered classic path — to the
-live auditors, to a ``replay_trace`` of the written ``.trace.jsonl``,
+live auditors, to a replay of the written ``.trace.jsonl``,
 and through a crash-mid-offload abort. And with offload off, the
 machinery must be completely inert: the classic timeline is
 byte-identical to the seed's.
@@ -15,10 +15,14 @@ import json
 import pytest
 
 from repro import Guarantee
-from repro.conformance.properties import write_trace_file
 from repro.harness import LOCAL_NET_FILTER, run_move_experiment
 from repro.net.packet import reset_uid_counter
-from repro.obs.audit import replay_trace
+from repro.obs import (
+    audit_entries,
+    entries_from_obs,
+    load_trace_entries,
+    write_trace,
+)
 
 
 def run_offloaded(guarantee=Guarantee.LOSS_FREE, **kwargs):
@@ -63,7 +67,8 @@ class TestOffloadedTraceReplay:
         path = str(tmp_path / "offload.trace.jsonl")
         result = run_offloaded(Guarantee.ORDER_PRESERVING)
         assert result.deployment.obs.violations() == []
-        assert write_trace_file(result.deployment.obs, path) > 0
+        obs = result.deployment.obs
+        assert write_trace(entries_from_obs(obs), path) > 0
 
         names = set()
         with open(path) as handle:
@@ -76,9 +81,9 @@ class TestOffloadedTraceReplay:
         assert "sw.release" in names
         assert "sw.drop" not in names
 
-        pipeline = replay_trace(path)
-        assert pipeline.violations == []
-        assert pipeline.skipped_entries == []
+        entries, skipped = load_trace_entries(path)
+        assert audit_entries(entries).violations == []
+        assert skipped == []
 
 
 class TestCrashMidOffload:

@@ -224,3 +224,41 @@ def test_allowlist_is_not_stale():
         if not any(param == p and owner in ("*", o) for o, p in unused)
     ]
     assert not stale, "drop from ALLOWED: %r" % (stale,)
+
+
+# ------------------------------------------------- the ledger's tracing tables
+
+
+def _ledger_adapter():
+    """``benchmarks/ledger/adapter.py``, executed from source: read-only
+    (no import machinery, so not even a ``__pycache__`` entry appears)."""
+    import types
+
+    path = ROOT / "benchmarks" / "ledger" / "adapter.py"
+    module = types.ModuleType("ledger_adapter")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_every_ledger_tracing_target_resolves():
+    """The ledger wraps functions of ``src/`` by dotted name and only
+    *reports* a name that no longer resolves — in ``make ledger-pinned``,
+    a five-workload run. A refactor that drops or renames a traced
+    function fails here instead, in well under a second."""
+    adapter = _ledger_adapter()
+    targets = [target for target, _metric in adapter.TARGETS]
+    for target, _metric in adapter.NF_CLASSES:
+        targets.append(target)
+        targets.extend(
+            "%s.%s" % (target, handler)
+            for handler in ("process_packet",) + adapter.NF_STATE_HANDLERS
+        )
+    targets.extend(target for target, _kw, _pos in adapter.CALLBACK_ARGS)
+    targets += [adapter.SCHEDULE, adapter._PROCESS_STEP]
+    missing = [t for t in targets if adapter.resolve(t) is None]
+    assert not missing, (
+        "benchmarks/ledger/adapter.py names functions that no longer "
+        "resolve (keep them until a benchmark PR drops the rows):\n  "
+        + "\n  ".join(missing)
+    )

@@ -281,6 +281,35 @@ class TestObservabilityIntegration:
         recorded = sum(len(ring) for ring in obs.recorder._records.values())
         assert recorded > 0
 
+    def test_stamped_packet_and_chunk_facts_share_their_operations_fate(self):
+        """``nf.drop`` / ``nf.buffer`` / ``nf.chunk.*`` carry the causing
+        operation's ``trace_id``, so the store keeps or discards them
+        with it — the taps above the sampler still see every one."""
+        stamped = ("nf.drop", "nf.buffer", "nf.chunk.export",
+                   "nf.chunk.import")
+
+        def stored(obs):
+            names = [span.name for span in obs.exporter.spans]
+            names += [record["name"] for record in obs.exporter.records]
+            return [name for name in names if name in stamped]
+
+        policy = SamplingPolicy(head_rate=0.0, seed=1)
+        clean = self._move(audit=True, sampling=policy).deployment.obs
+        assert clean.violations() == []
+        assert clean.audit.registry.ops  # the auditors saw the move
+        assert stored(clean) == []  # unsampled and clean: gone with it
+
+        reset_uid_counter()
+        dirty = run_move_experiment(
+            "ng", n_flows=20, seed=5,
+            deployment_kwargs={"audit": True, "sampling": policy},
+        ).deployment.obs
+        assert dirty.violations()
+        # Flagged by the auditors: the whole operation is retained, the
+        # dropped packets' spans and its chunk records included.
+        kept = stored(dirty)
+        assert "nf.drop" in kept and "nf.chunk.export" in kept
+
     def test_clean_move_trace_respects_head_rate(self):
         result = self._move(sampling=SamplingPolicy(head_rate=0.0, seed=1))
         obs = result.deployment.obs
