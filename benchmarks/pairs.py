@@ -13,7 +13,8 @@ directory with its own copy of the benchmark. Prints, per workload and
 end-to-end metric, both medians, the parent's quartiles and how many
 pairs the change won; the last line of stdout is the
 ``benchmarks/results/history.jsonl`` record. With ``--pr`` the record
-also carries tier-1's test count and wall seconds, is appended to that
+also carries tier-1's test count, wall seconds and five slowest test
+files (summed ``call`` time of ``pytest --durations=0``), is appended to that
 file, and the previous record's ``commit`` is filled in with the parent.
 
 ``--layers W`` names the layer the time was bought in: after the pairs,
@@ -133,19 +134,31 @@ def layer_table(spec: dict, trees: dict, workload: str,
             "metrics": moved}
 
 
+def slowest_files(report: str, top: int = 5) -> dict:
+    """Test files by summed ``call`` seconds, from ``--durations`` lines."""
+    seconds: dict = {}
+    for spent, path in re.findall(r"^([\d.]+)s call +([^:\s]+)::", report, re.M):
+        seconds[path] = seconds.get(path, 0.0) + float(spent)
+    ranked = sorted(seconds.items(), key=lambda item: -item[1])[:top]
+    return {path: round(spent, 2) for path, spent in ranked}
+
+
 def tier1() -> dict:
-    """Tier-1 (ROADMAP.md) on this tree: test count and wall seconds."""
+    """Tier-1 (ROADMAP.md) on this tree: count, wall seconds, slowest files."""
     path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     t0 = time.time()
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x"], cwd=ROOT, env=env,
-        stdout=subprocess.PIPE, text=True,
+        [sys.executable, "-m", "pytest", "-x",
+         "--durations=0", "--durations-min=0"],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True,
     )
+    wall_s = round(time.time() - t0, 1)
     passed = re.search(r"(\d+) passed", done.stdout)
     if done.returncode or not passed:
         sys.exit("tier-1 is not green; nothing recorded\n" + done.stdout[-2000:])
-    return {"tests": int(passed.group(1)), "wall_s": round(time.time() - t0, 1)}
+    return {"tests": int(passed.group(1)), "wall_s": wall_s,
+            "slowest_files": slowest_files(done.stdout)}
 
 
 def append_history(record: dict) -> None:

@@ -61,10 +61,11 @@ from repro.obs.timeseries import (
 class _TeeExporter:
     """Fans finished spans/records out to the base exporter plus taps.
 
-    The span payload dict is built exactly once per span and shared by
-    every tap (auditors, flight recorder); the base exporter keeps
-    receiving the :class:`Span` object itself, so test/CLI queries on
-    ``obs.exporter`` are unchanged.
+    The span payload dict is built exactly once per span, shared by
+    every tap (auditors, flight recorder) and left on the span for
+    ``entries_from_obs``; the base exporter keeps receiving the
+    :class:`Span` object itself, so test/CLI queries on ``obs.exporter``
+    are unchanged.
     """
 
     __slots__ = ("base", "taps")
@@ -75,7 +76,7 @@ class _TeeExporter:
 
     def export_span(self, span: Span) -> None:
         self.base.export_span(span)
-        payload = span.to_dict()
+        payload = span.payload = span.to_dict()
         for tap in self.taps:
             tap.on_span(payload)
 

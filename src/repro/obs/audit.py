@@ -765,7 +765,8 @@ def entries_from_obs(obs) -> List[Entry]:
     entries: List[Entry] = []
     exporter = obs.exporter
     for span in exporter.spans:
-        payload = span.to_dict()
+        # An audited run's tee already serialised every finished span.
+        payload = span.payload or span.to_dict()
         entries.append((payload.get("end_ms") or 0.0, "span", payload))
     for record in exporter.records:
         entries.append((record.get("time_ms") or 0.0, "record", record))

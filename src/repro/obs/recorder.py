@@ -59,10 +59,11 @@ class FlightRecorder:
     # ------------------------------------------------------------- stream taps
 
     def on_span(self, span: Dict[str, Any]) -> None:
-        ring = self._spans.get(_component(span.get("name", "")))
+        component = _component(span.get("name", ""))
+        ring = self._spans.get(component)
         if ring is None:
             ring = deque(maxlen=MAX_SPANS_PER_COMPONENT)
-            self._spans[_component(span.get("name", ""))] = ring
+            self._spans[component] = ring
         ring.append(span)
 
     def on_record(self, record: Dict[str, Any]) -> None:

@@ -44,7 +44,7 @@ class Span:
 
     __slots__ = (
         "tracer", "name", "span_id", "parent_id", "start", "end",
-        "status", "attrs", "events",
+        "status", "attrs", "events", "payload",
     )
 
     def __init__(
@@ -64,6 +64,9 @@ class Span:
         self.status = "ok"
         self.attrs = dict(attrs)
         self.events: List[Tuple[float, str, Dict[str, Any]]] = []
+        #: :meth:`to_dict` of the finished span, kept by whoever already
+        #: built it (the audit tee) for :func:`~repro.obs.audit.entries_from_obs`.
+        self.payload: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------ record
 

@@ -117,6 +117,10 @@ class Simulator:
             Tuple[float, int, Callable[..., None], Tuple[Any, ...]]
         ] = []
         self._sequence = itertools.count()
+        #: The entry :meth:`run` is executing (what :meth:`rearm` re-queues).
+        self._running: Optional[
+            Tuple[float, int, Callable[..., None], Tuple[Any, ...]]
+        ] = None
         self._event_count = 0
 
     @property
@@ -147,6 +151,41 @@ class Simulator:
         heappush(
             self._queue, (self.now + delay, next(self._sequence), callback, args)
         )
+
+    def reserve(self, n: int) -> int:
+        """Set aside the next ``n`` tie-break numbers; returns the first.
+
+        For a source that owns a time-sorted stream (a trace replay).
+        These are the numbers ``n`` consecutive :meth:`schedule` calls
+        made now would draw, and nothing else ever draws them: a stream
+        that keeps one entry queued and gives it the next of them with
+        :meth:`rearm` runs in exactly the order the ``n`` eager calls
+        would have.
+        """
+        if n < 0:
+            raise SimulationError("cannot reserve %d sequence numbers" % n)
+        first = next(self._sequence)
+        self._sequence = itertools.count(first + n)
+        return first
+
+    def rearm(self, when: float, seq: int) -> None:
+        """Queue the running callback again, at absolute time ``when``.
+
+        Only from inside a callback :meth:`run` is executing; ``seq`` is
+        a number from the caller's own :meth:`reserve` block. What is
+        queued is the entry :meth:`schedule` built, callback and
+        arguments as they are, so a wrapper around ``schedule`` (the
+        ledger's tracer labels callbacks there) covers every run of the
+        stream, not just the first.
+        """
+        if when < self.now:
+            raise SimulationError(
+                "cannot schedule %.3f ms in the past" % (when - self.now)
+            )
+        running = self._running
+        if running is None:
+            raise SimulationError("rearm() outside a running callback")
+        heappush(self._queue, (when, seq, running[2], running[3]))
 
     def call_at(
         self, when: float, callback: Callable[..., None], *args: Any
@@ -181,19 +220,22 @@ class Simulator:
         """
         queue = self._queue
         executed = 0
-        while queue:
-            if until is not None and queue[0][0] > until:
-                self.now = until
-                return until
-            when, _seq, callback, args = heappop(queue)
-            if when < self.now:
-                raise SimulationError("event queue time went backwards")
-            self.now = when
-            callback(*args)
-            self._event_count += 1
-            executed += 1
-            if max_events is not None and executed >= max_events:
-                return when
+        try:
+            while queue:
+                if until is not None and queue[0][0] > until:
+                    self.now = until
+                    return until
+                when, _seq, callback, args = self._running = heappop(queue)
+                if when < self.now:
+                    raise SimulationError("event queue time went backwards")
+                self.now = when
+                callback(*args)
+                self._event_count += 1
+                executed += 1
+                if max_events is not None and executed >= max_events:
+                    return when
+        finally:
+            self._running = None
         if until is not None and until > self.now:
             self.now = until
         return self.now

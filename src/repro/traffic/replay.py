@@ -25,6 +25,8 @@ class TraceReplayer:
         blueprints: Sequence[PacketBlueprint],
         rate_pps: float = 2500.0,
     ) -> None:
+        if not rate_pps > 0:
+            raise ValueError("rate_pps must be positive, got %r" % (rate_pps,))
         self.sim = sim
         self.inject = inject
         self.blueprints = list(blueprints)
@@ -32,6 +34,9 @@ class TraceReplayer:
         #: Every packet instantiated, in injection order.
         self.injected: List[Packet] = []
         self._started = False
+        #: Stream entry to run next: a packet index, or ``len(blueprints)``
+        #: for the ``finished`` trigger that closes the stream.
+        self._next = 0
         self.finished = sim.event("replay-finished")
 
     @property
@@ -40,19 +45,42 @@ class TraceReplayer:
         return len(self.blueprints) * self.interval_ms
 
     def start(self) -> "TraceReplayer":
-        """Schedule the whole replay (call once)."""
+        """Arm the replay (call once).
+
+        The replay is a stream: one entry on the simulator's queue, which
+        each emission re-arms for the next. Emission ``k`` runs at
+        ``start + k * interval_ms`` under the ``k``-th of a block of
+        reserved tie-break numbers, and ``finished`` fires as entry
+        ``len(blueprints)`` of the same stream: the keys a ``schedule``
+        call per packet would have drawn, hence the same run.
+        """
         if self._started:
             raise RuntimeError("replay already started")
         self._started = True
-        for index, blueprint in enumerate(self.blueprints):
-            self.sim.schedule(
-                index * self.interval_ms, self._emit, blueprint
-            )
-        self.sim.schedule(self.duration_ms, self.finished.trigger)
+        sim = self.sim
+        self._start_ms = sim.now
+        sim.schedule(0.0, self._emit)
+        #: Entry ``k`` runs under tie-break number ``_seq0 + k``: entry 0
+        #: drew its own just now, the block behind it is for the rest.
+        self._seq0 = sim.reserve(len(self.blueprints)) - 1
         return self
 
-    def _emit(self, blueprint: PacketBlueprint) -> None:
-        packet = blueprint.build(created_at=self.sim.now)
+    def _emit(self) -> None:
+        index = self._next
+        if index == len(self.blueprints):
+            self.finished.trigger()
+            return
+        sim = self.sim
+        self._next = following = index + 1
+        # The next entry first, so the queue is never empty while packets
+        # remain. Its time is always this product, never a running sum:
+        # the float ``schedule(following * interval_ms)`` computed at
+        # ``start``.
+        sim.rearm(
+            self._start_ms + following * self.interval_ms,
+            self._seq0 + following,
+        )
+        packet = self.blueprints[index].build(created_at=sim.now)
         self.injected.append(packet)
         self.inject(packet)
 

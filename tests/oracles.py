@@ -3,23 +3,24 @@
 Each is the original linear algorithm, written as a pure function over
 a public iteration surface of the production object — ``iter(table)``
 (match order), ``nf.event_rules()`` (registration order), ``iter(store)``
-(insertion order), a plain list of samples — so the production classes
-hold exactly one path and the slow one lives here, where only tests can
-reach it. Packet matching here is the dict-walking *definition*
-(``matches_headers`` over a fresh ``headers()``), never the compiled
-integer compare ``matches_packet`` runs.
+(insertion order), a plain list of samples, ``sim.schedule`` — so the
+production classes hold exactly one path and the slow one lives here,
+where only tests can reach it. Packet matching here is the dict-walking
+*definition* (``matches_headers`` over a fresh ``headers()``), never the
+compiled integer compare ``matches_packet`` runs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.flowspace import Filter, FlowId
 from repro.flowspace.ip import parse_prefix
 from repro.net import FlowTable, Packet
 from repro.net.flowtable import FlowEntry
 from repro.nf import EventRule, NetworkFunction
+from repro.sim import Simulator
 
 
 def linear_lookup(table: FlowTable, packet: Packet) -> Optional[FlowEntry]:
@@ -88,6 +89,19 @@ def parsed_exact_key(flt: Filter) -> Optional[Tuple]:
     if right < left:
         left, right = right, left
     return ("s", proto, left, right)
+
+
+def eager_schedule_each(
+    sim: Simulator, delays: Sequence[float], callback: Callable[[int], None]
+) -> None:
+    """A time-sorted stream, every element queued up front.
+
+    The loop ``TraceReplayer.start`` ran before a replay became one
+    re-armed entry: ``callback(index)`` after ``delays[index]`` ms, the
+    elements drawing consecutive tie-break numbers.
+    """
+    for index, delay in enumerate(delays):
+        sim.schedule(delay, callback, index)
 
 
 def raw_percentile(samples: List[float], q: float) -> Optional[float]:

@@ -499,6 +499,39 @@ class TestReplay:
         assert ([v.to_dict() for v in replayed.violations]
                 == [v.to_dict() for v in live])
 
+    @pytest.mark.parametrize(
+        "guarantee", ["ng", "lf", "lf+op", "strong-share"]
+    )
+    def test_entries_reuse_the_payload_the_tee_built(self, guarantee,
+                                                     monkeypatch):
+        """One ``to_dict`` per span of an audited run, and the right one."""
+        from repro.conformance import Cell, run_schedule, spec_for_cell
+        from repro.obs.span import Span
+
+        built = []
+        to_dict = Span.to_dict
+        monkeypatch.setattr(
+            Span, "to_dict", lambda span: built.append(span) or to_dict(span)
+        )
+        cell = Cell(nf="monitor", guarantee=guarantee, faults=True,
+                    batching=True)
+        result = run_schedule(spec_for_cell(cell), keep_deployment=True)
+        spans = result.deployment.obs.exporter.spans
+        assert spans and len(built) == len(spans)
+        for span in spans:
+            assert span.payload == to_dict(span)
+        assert [id(p) for _t, kind, p in result.entries if kind == "span"] \
+            == [id(s.payload) for s in sorted(spans, key=lambda s: s.end)]
+
+    def test_unaudited_spans_are_serialised_on_demand(self):
+        result = run_move_experiment(guarantee="lf", n_flows=5, seed=3,
+                                     deployment_kwargs={"observe": True})
+        obs = result.deployment.obs
+        assert all(span.payload is None for span in obs.exporter.spans)
+        assert [p for _t, kind, p in entries_from_obs(obs) if kind == "span"] \
+            == [s.to_dict() for s in
+                sorted(obs.exporter.spans, key=lambda s: s.end)]
+
     def test_cli_replay_flags_violations(self, tmp_path, capsys):
         path = str(tmp_path / "run.trace.jsonl")
         result = run_move_experiment(guarantee="ng", n_flows=20, seed=3,

@@ -1,8 +1,11 @@
 """Tests for the discrete-event simulator kernel."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sim import Event, SimulationError, Simulator
+from tests.oracles import eager_schedule_each
 
 
 class TestScheduling:
@@ -115,6 +118,19 @@ class TestScheduling:
         assert sim.now == float(k - 1)
         assert sim.pending == 150 - k
 
+    def test_a_stream_keeps_pending_nonzero_while_work_remains(self, sim):
+        # ``ProgressReporter`` re-arms and the ledger's ``run_sliced``
+        # loops on ``sim.pending``: a stream is one entry, never zero
+        # before its last element has run.
+        seen = []
+        stream_each(sim, [float(i) for i in range(250)], seen.append)
+        assert sim.pending == 1
+        while sim.pending:
+            assert sim.pending == 1
+            sim.run(max_events=100)
+        assert seen == list(range(250))
+        assert sim.events_processed == 250
+
     def test_call_at_absolute_time(self, sim):
         sim.schedule(5.0, lambda: None)
         sim.run()
@@ -141,6 +157,131 @@ class TestScheduling:
 
         result = run_move_experiment(guarantee=guarantee, n_flows=20)
         assert result.deployment.sim.events_processed == events
+
+
+def stream_each(sim, delays, callback):
+    """``eager_schedule_each`` as a stream: one entry, re-armed per element.
+
+    Element 0 is scheduled like any event; the rest run under the
+    tie-break numbers reserved right behind it, at the float
+    ``schedule(delays[i])`` would have computed now.
+    """
+    if not delays:
+        return
+    whens = [sim.now + delay for delay in delays]
+    cursor = [0]
+
+    def fire():
+        index = cursor[0]
+        cursor[0] = index + 1
+        if index + 1 < len(whens):
+            sim.rearm(whens[index + 1], first_seq + index)
+        callback(index)
+
+    sim.schedule(delays[0], fire)
+    first_seq = sim.reserve(len(delays) - 1)
+
+
+#: Quarter steps add exactly; the tenths do not (0.1 + 0.2 != 0.3), so
+#: both exact ties and near misses between sources come up.
+_DELAYS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 2.5, 0.1, 0.2, 0.3])
+_PLAIN = st.lists(_DELAYS, max_size=6)
+_STREAM = st.lists(_DELAYS, max_size=12).map(sorted)
+_SEGMENT = st.one_of(
+    st.tuples(st.just("until"), st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0])),
+    st.tuples(st.just("max_events"), st.integers(1, 7)),
+)
+
+
+def _play(register, start, before, streams, after, spawning, segments):
+    """One program on a fresh simulator; the execution log per segment."""
+    sim = Simulator()
+    log = []
+
+    def plain(tag):
+        log.append((sim.now, tag))
+
+    def element(which):
+        def run(index):
+            log.append((sim.now, "%s[%d]" % (which, index)))
+            if index in spawning:
+                sim.schedule(0.0, plain, "%s[%d].child" % (which, index))
+        return run
+
+    sim.run(until=start)
+    for k, delay in enumerate(before):
+        sim.schedule(delay, plain, "before%d" % k)
+    for which, delays in zip("ab", streams):
+        register(sim, delays, element(which))
+        sim.schedule(0.25, plain, "between-" + which)
+    for k, delay in enumerate(after):
+        sim.schedule(delay, plain, "after%d" % k)
+    marks = []
+    for kind, value in list(segments) + [("until", None)]:
+        sim.run(**{kind: value})
+        marks.append((len(log), sim.now, sim.events_processed))
+    assert not sim.pending
+    return log, marks
+
+
+class TestStreams:
+    """``reserve`` + ``rearm`` against the eager loop they replaced."""
+
+    @given(
+        start=st.sampled_from([0.0, 0.1, 7.3]),
+        before=_PLAIN, streams=st.lists(_STREAM, min_size=1, max_size=2),
+        after=_PLAIN, spawning=st.sets(st.integers(0, 11)),
+        segments=st.lists(_SEGMENT, max_size=5),
+    )
+    def test_a_stream_runs_exactly_as_the_eager_loop(
+        self, start, before, streams, after, spawning, segments
+    ):
+        program = (start, before, streams, after, spawning, segments)
+        assert _play(stream_each, *program) == \
+            _play(eager_schedule_each, *program)
+
+    def test_reserved_numbers_are_never_drawn_again(self, sim):
+        sim.schedule(1.0, lambda: None)
+        first = sim.reserve(3)
+        sim.schedule(1.0, lambda: None)
+        second = sim.reserve(0)
+        third = sim.reserve(2)
+        sim.schedule(1.0, lambda: None)
+        drawn = sorted(seq for _when, seq, _cb, _args in sim._queue)
+        assert drawn == [first - 1, first + 3, third + 2]
+        assert second == third == first + 4
+
+    def test_reserved_numbers_order_a_tie(self, sim):
+        seen = []
+        stream_each(sim, [1.0, 1.0, 1.0], lambda i: seen.append("s%d" % i))
+        sim.schedule(1.0, seen.append, "later")
+        sim.run()
+        assert seen == ["s0", "s1", "s2", "later"]
+
+    def test_rearm_into_the_past_rejected(self, sim):
+        def fire():
+            with pytest.raises(SimulationError, match="in the past"):
+                sim.rearm(4.0, seq)
+            fired.append(sim.now)
+
+        fired = []
+        sim.schedule(5.0, fire)
+        seq = sim.reserve(1)
+        sim.run()
+        assert fired == [5.0] and not sim.pending
+
+    def test_rearm_outside_a_running_callback_rejected(self, sim):
+        seq = sim.reserve(1)
+        with pytest.raises(SimulationError, match="outside"):
+            sim.rearm(1.0, seq)
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError, match="outside"):
+            sim.rearm(2.0, seq)
+
+    def test_negative_reservation_rejected(self, sim):
+        with pytest.raises(SimulationError):
+            sim.reserve(-1)
 
 
 class TestEvent:

@@ -1,8 +1,12 @@
 """Tests for traffic generation and replay."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.flowspace.fivetuple import FiveTuple
+from repro.harness import Deployment
+from repro.nfs.monitor import AssetMonitor
 from repro.sim import Simulator
 from repro.traffic import (
     MALWARE_BODY,
@@ -16,6 +20,7 @@ from repro.traffic import (
     port_scan,
     tcp_flow,
 )
+from tests.oracles import eager_schedule_each
 
 
 class TestFlowBuilders:
@@ -157,6 +162,94 @@ class TestReplayer:
         replayer = TraceReplayer(sim, lambda p: None, trace.packets,
                                  rate_pps=2000.0)
         assert replayer.duration_ms == pytest.approx(len(trace.packets) * 0.5)
+        assert replayer.time_of_packet(3) == 1.5
+
+    @pytest.mark.parametrize("rate_pps", [0, 0.0, -5.0, float("nan")])
+    def test_non_positive_rate_rejected_up_front(self, sim, rate_pps):
+        trace = build_university_cloud_trace(TraceConfig(seed=1, n_flows=2))
+        with pytest.raises(ValueError, match="rate_pps"):
+            TraceReplayer(sim, lambda p: None, trace.packets,
+                          rate_pps=rate_pps)
+        assert not sim.pending
+
+    def test_empty_trace_finishes_at_now(self, sim):
+        sim.run(until=3.0)
+        replayer = TraceReplayer(sim, lambda p: None, [], rate_pps=100.0)
+        replayer.start()
+        assert sim.pending == 1
+        sim.run()
+        assert replayer.finished.triggered and sim.now == 3.0
+        assert replayer.duration_ms == 0.0 and replayer.injected == []
+
+    def test_the_queue_holds_what_is_in_flight_not_the_trace(self):
+        trace = build_university_cloud_trace(
+            TraceConfig(seed=3, n_flows=400, data_packets=3))
+        packets = trace.packets[:2000]
+        assert len(packets) == 2000
+        dep = Deployment(record_ground_truth=False)
+        monitor = AssetMonitor(dep.sim, "mon")
+        dep.add_nf(monitor)
+        dep.set_default_route("mon")
+        sim = dep.sim
+        sim.run()
+        assert not sim.pending
+        replayer = TraceReplayer(sim, dep.inject, packets, rate_pps=5000.0)
+        replayer.start()
+        assert sim.pending == 1  # armed and idle: one entry, not 2 001
+        deepest = 0
+        while sim.pending:
+            sim.run(max_events=100)
+            deepest = max(deepest, sim.pending)
+        assert deepest <= 64
+        assert replayer.finished.triggered and not sim.pending
+        assert monitor.packets_processed == 2000
+
+    @given(
+        n=st.integers(0, 40),
+        rate_pps=st.sampled_from([1000.0, 2500.0, 3000.0, 7000.0]),
+        start=st.sampled_from([0.0, 0.1, 12.7]),
+        slice_events=st.integers(1, 9),
+    )
+    def test_replay_runs_exactly_as_the_eager_loop(
+        self, n, rate_pps, start, slice_events
+    ):
+        """Same clock, same order against competing events on exact ties."""
+        blueprints = build_university_cloud_trace(
+            TraceConfig(seed=1, n_flows=8)).packets[:n]
+        interval_ms = 1000.0 / rate_pps
+
+        def play(eager):
+            sim = Simulator()
+            log = []
+
+            def note(tag):
+                log.append((sim.now, tag))
+
+            def inject(packet):
+                note(("pkt", packet.created_at, packet.five_tuple))
+                sim.schedule(0.0, note, "delivered")
+
+            sim.run(until=start)
+            for k in range(n + 2):
+                sim.schedule(k * interval_ms, note, "tick-before")
+            if eager:
+                eager_schedule_each(
+                    sim, [k * interval_ms for k in range(n)],
+                    lambda k: inject(blueprints[k].build(sim.now)),
+                )
+                sim.schedule(n * interval_ms, note, "finished")
+            else:
+                replayer = TraceReplayer(sim, inject, blueprints, rate_pps)
+                replayer.finished.add_callback(lambda _e: note("finished"))
+                replayer.start()
+            for k in range(n + 2):
+                sim.schedule(k * interval_ms, note, "tick-after")
+            while sim.pending:
+                sim.run(max_events=slice_events)
+                note(sim.events_processed)
+            return log
+
+        assert play(eager=False) == play(eager=True)
 
 
 class TestTraceSerialization:
