@@ -2,16 +2,13 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-obs test-faults test-conformance conform bench bench-smoke bench-sharded bench-chain bench-offload bench-obs-overhead ledger-smoke ledger-pinned pairs examples validate clean results
+.PHONY: install test test-obs test-faults test-conformance conform bench bench-sharded bench-chain bench-offload bench-obs-overhead ledger-smoke ledger-pinned pairs examples validate clean results
 
 install:
 	$(PYTHON) setup.py develop
 
-test: bench-smoke
+test:
 	$(PYTHON) -m pytest tests/
-
-bench-smoke:
-	$(PYTHON) benchmarks/bench_smoke.py
 
 bench-sharded:
 	$(PYTHON) benchmarks/bench_sharded.py

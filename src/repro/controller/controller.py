@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import defaultdict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.flowspace.filter import Filter
@@ -103,71 +104,58 @@ class Shard:
         self.inbox = ChunkPump(
             self.sim, controller.msg_proc_ms, controller._handle_inbox_item
         )
+        # Inbox arrivals by message kind (``ctrl.inbox``).
         self.events_received = 0
+        self.packet_ins_received = 0
+        self.chunks_received = 0
+        self.chunk_frames_received = 0
         #: Admission table of in-flight operation filters (moves, copies,
         #: AND shares): two simultaneous operations over overlapping flow
         #: space would race on rules and state; the later one is deferred
         #: until the earlier finishes. (handle -> (filter, done event))
         self._admission: Dict[int, Tuple[Filter, Any]] = {}
         self._operation_handle_counter = 0
-        # Pre-bound inbound-path telemetry, rebuilt lazily per
-        # observability bundle. kind -> bound ctrl.inbox counter handle.
-        self._obs_cache_for = None
-        self._m_inbox: Dict[str, Any] = {}
-        self._ts_events = None
-        self._ts_ops = None
+        # Shard-labelled time-series; ``None`` without a hub.
+        obs = controller.obs
+        hub = obs.timeseries
+        self._ts_events = self._ts_ops = None
+        if hub is not None:
+            label = self.trace_attrs
+            self._ts_events = hub.series("ctrl.events", **label)
+            self._ts_ops = hub.series(
+                "ctrl.ops_in_flight", kind="gauge", **label
+            )
+            depth_series = hub.series(
+                "ctrl.inbox.depth", kind="gauge", **label
+            )
+            sim = self.sim
+            self.inbox.on_depth = lambda depth: depth_series.record(
+                sim.now, float(depth)
+            )
+        obs.add_collector(self._publish)
 
-    def _inbox_metric(self, kind: str):
-        """Bound ``ctrl.inbox`` counter handle for one message kind.
-
-        First use per bundle also wires the shard-labelled time-series:
-        the inbox-depth gauge onto the pump's depth probe, the events/s
-        rate series, and the ops-in-flight gauge series.
-        """
-        obs = self.controller.obs
-        if self._obs_cache_for is not obs:
-            self._m_inbox = {}
-            self._obs_cache_for = obs
-            hub = getattr(obs, "timeseries", None)
-            self._ts_events = None
-            self._ts_ops = None
-            self.inbox.on_depth = None
-            if hub is not None:
-                label = self.trace_attrs
-                self._ts_events = hub.series("ctrl.events", **label)
-                self._ts_ops = hub.series(
-                    "ctrl.ops_in_flight", kind="gauge", **label
-                )
-                depth_series = hub.series(
-                    "ctrl.inbox.depth", kind="gauge", **label
-                )
-                sim = self.sim
-
-                def probe(depth, _series=depth_series, _sim=sim):
-                    _series.record(_sim.now, float(depth))
-
-                self.inbox.on_depth = probe
-        handle = self._m_inbox.get(kind)
-        if handle is None:
-            handle = self._m_inbox[kind] = obs.metrics.counter(
-                "ctrl.inbox"
-            ).bind(kind=kind, **self.trace_attrs)
-        return handle
+    def _publish(self, reg) -> None:
+        """Pull collector: this shard's inbox arrivals."""
+        reg.counter("ctrl.inbox")  # listed by every snapshot, empty or not
+        for kind, count in (
+            ("event", self.events_received),
+            ("packet-in", self.packet_ins_received),
+            ("chunk", self.chunks_received),
+            ("chunk-frame", self.chunk_frames_received),
+        ):
+            reg.publish("ctrl.inbox", count, kind=kind, **self.trace_attrs)
 
     def _record_ops_in_flight(self) -> None:
         """Fold the admission-table size into the ops-in-flight gauge."""
-        if self.controller.obs.enabled:
-            self._inbox_metric("event")  # ensure series are wired
-            ts = self._ts_ops
-            if ts is not None:
-                ts.record(self.sim.now, float(len(self._admission)))
+        ts = self._ts_ops
+        if ts is not None:
+            ts.record(self.sim.now, float(len(self._admission)))
 
     # -------------------------------------------------------------------- inbox
 
     def enqueue_chunk(self, handler: Callable[[Any], None], chunk: Any) -> None:
         """Route a streamed state chunk through the serialized inbox."""
-        if self.controller.obs.enabled:
-            self._inbox_metric("chunk").inc(1)
+        self.chunks_received += 1
         self.inbox.push(("chunk", chunk, handler))
 
     def enqueue_chunks(
@@ -182,8 +170,7 @@ class Shard:
         chunks = list(chunks)
         if not chunks:
             return
-        if self.controller.obs.enabled:
-            self._inbox_metric("chunk-frame").inc(1)
+        self.chunk_frames_received += 1
         self.inbox.push(("chunk", chunks, handler), weight=len(chunks))
 
     # ---------------------------------------------------------------- admission
@@ -273,8 +260,9 @@ class OpenNFController:
         #: event is presumed abandoned by the NF and skipped (keeps one
         #: permanently lost event from wedging the inbox forever).
         self.event_gap_timeout_ms = 200.0
-        self.events_duplicate_dropped = 0
-        self.events_gap_skipped = 0
+        #: nf_name -> sequenced events dropped as duplicates / gaps skipped.
+        self.event_duplicates: Dict[str, int] = defaultdict(int)
+        self.event_gaps_skipped: Dict[str, int] = defaultdict(int)
         self.clients: Dict[str, NFClient] = {}
         self.nf_ports: Dict[str, str] = {}
         #: Incrementally maintained inverse of :attr:`nf_ports`, so
@@ -296,22 +284,55 @@ class OpenNFController:
         #: newest wins. Bounded: recording an override drops the older
         #: ones it covers.
         self._ownership: List[Tuple[Filter, Shard]] = []
-        self.cross_shard_operations = 0
         self.handoffs_completed = 0
-        self.packet_ins_received = 0
-        #: Total operations (any kind) deferred by admission control.
-        self.operations_queued_for_conflict = 0
-        #: Moves specifically (kept for the pre-unification callers).
-        self.moves_queued_for_conflict = 0
+        #: Operations deferred by admission control, by (home shard,
+        #: kind, whether another shard held the flow space).
+        self.deferrals: Dict[Tuple[Shard, str, bool], int] = defaultdict(int)
         self.switch: Optional[Switch] = None
         self.switch_client: Optional[SwitchClient] = None
         if switch is not None:
             self.attach_switch(switch)
+        self.obs.add_collector(self._publish)
 
     @property
     def events_received(self) -> int:
         """NF events accepted into any shard's inbox."""
         return sum(shard.events_received for shard in self.replicas)
+
+    @property
+    def packet_ins_received(self) -> int:
+        return sum(shard.packet_ins_received for shard in self.replicas)
+
+    @property
+    def events_duplicate_dropped(self) -> int:
+        return sum(self.event_duplicates.values())
+
+    @property
+    def operations_queued_for_conflict(self) -> int:
+        """Total operations (any kind) deferred by admission control."""
+        return sum(self.deferrals.values())
+
+    @property
+    def moves_queued_for_conflict(self) -> int:
+        return sum(count for (_home, kind, _crossed), count
+                   in self.deferrals.items() if kind == "move")
+
+    @property
+    def cross_shard_operations(self) -> int:
+        return sum(count for (_home, _kind, crossed), count
+                   in self.deferrals.items() if crossed)
+
+    def _publish(self, reg) -> None:
+        """Pull collector: the plane-wide counts above."""
+        for nf, count in self.event_duplicates.items():
+            reg.publish("ctrl.events.duplicates", count, nf=nf)
+        for nf, count in self.event_gaps_skipped.items():
+            reg.publish("ctrl.events.gap_skipped", count, nf=nf)
+        for (home, kind, crossed), count in self.deferrals.items():
+            labels = dict(home.trace_attrs, kind=kind)
+            if crossed:
+                labels["cross_shard"] = "true"
+            reg.publish("ctrl.admission.deferred", count, **labels)
 
     # -------------------------------------------------------------------- wiring
 
@@ -500,11 +521,9 @@ class OpenNFController:
         shard = replicas[0] if len(replicas) == 1 \
             else self._route(event.packet)
         shard.events_received += 1
-        if self.obs.enabled:
-            shard._inbox_metric("event").inc(1)
-            ts = shard._ts_events
-            if ts is not None:
-                ts.record(self.sim.now, 1.0)
+        ts = shard._ts_events
+        if ts is not None:
+            ts.record(self.sim.now, 1.0)
         shard.inbox.push(("event", event, None))
 
     def _handle_sequenced_event(self, event: PacketEvent) -> None:
@@ -527,11 +546,7 @@ class OpenNFController:
             event.nf_name, {"next": 1, "pending": {}}
         )
         if event.seq < state["next"] or event.seq in state["pending"]:
-            self.events_duplicate_dropped += 1
-            if self.obs.enabled:
-                self.obs.metrics.counter("ctrl.events.duplicates").inc(
-                    1, nf=event.nf_name
-                )
+            self.event_duplicates[event.nf_name] += 1
             return
         state["pending"][event.seq] = event
         self._release_in_order(state)
@@ -555,11 +570,7 @@ class OpenNFController:
             return  # the gap filled (or emptied) while we waited
         # The missing event outlived the NF's retransmit budget: skip to
         # the oldest buffered successor rather than wedging the inbox.
-        self.events_gap_skipped += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("ctrl.events.gap_skipped").inc(
-                1, nf=nf_name
-            )
+        self.event_gaps_skipped[nf_name] += 1
         state["next"] = min(state["pending"])
         self._release_in_order(state)
         if state["pending"]:
@@ -578,12 +589,10 @@ class OpenNFController:
 
     def handle_packet_in(self, packet: Packet) -> None:
         """Entry point for packet-ins from the switch."""
-        self.packet_ins_received += 1
         replicas = self.replicas
         shard = replicas[0] if len(replicas) == 1 \
             else self._route(packet)
-        if self.obs.enabled:
-            shard._inbox_metric("packet-in").inc(1)
+        shard.packet_ins_received += 1
         shard.inbox.push(("packet-in", packet, None))
 
     def inbox_drained(self):
@@ -681,19 +690,9 @@ class OpenNFController:
             operation = start(home)
             home._reserve(flt, operation.done)
         else:
-            self.operations_queued_for_conflict += 1
-            if kind == "move":
-                self.moves_queued_for_conflict += 1
-            if self.obs.enabled:
-                labels = dict(home.trace_attrs, kind=kind)
-                if prior_owners:
-                    labels["cross_shard"] = "true"
-                self.obs.metrics.counter("ctrl.admission.deferred").inc(
-                    1, **labels
-                )
+            self.deferrals[home, kind, bool(prior_owners)] += 1
             begin = functools.partial(start, home)
             if prior_owners:
-                self.cross_shard_operations += 1
                 operation = CrossShardOperation(
                     home, kind, flt, foreign_conflicts + conflicts, begin,
                     guarantee=guarantee, prior_owners=prior_owners,

@@ -9,7 +9,8 @@ exactly where Split/Merge reorders packets).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from collections import defaultdict
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.controller.operation import when_all
 from repro.flowspace.filter import Filter
@@ -55,6 +56,8 @@ class SwitchClient(SouthboundStub):
         self.switch = switch
         self.to_switch = self.to_peer
         self.from_switch = self.from_peer
+        #: port -> packet-outs issued towards it.
+        self.packet_outs_by_port: Dict[str, int] = defaultdict(int)
 
     def _note_done(
         self, op: str, elapsed_ms: float, retries: Optional[int]
@@ -63,11 +66,12 @@ class SwitchClient(SouthboundStub):
             elapsed_ms, sw=self.switch.name, kind=op
         )
 
-    def _note_timeout(self, op: str, final: bool) -> None:
-        if not final:
-            self.obs.metrics.counter("sw.rpc_retries").inc(
-                1, sw=self.switch.name, rpc=op
-            )
+    def _publish(self, reg) -> None:
+        sw = self.peer.name
+        for op, count in self.retries_by_op.items():
+            reg.publish("sw.rpc_retries", count, sw=sw, rpc=op)
+        for port, count in self.packet_outs_by_port.items():
+            reg.publish("ctrl.packet_outs", count, sw=sw, port=port)
 
     def install(
         self, flt: Filter, actions: Sequence[str], priority: int
@@ -130,10 +134,7 @@ class SwitchClient(SouthboundStub):
         switch's sustained packet-out rate limit. Fire-and-forget: on a
         faulted switch channel a dropped packet-out is not resent.
         """
-        if self.obs.enabled:
-            self.obs.metrics.counter("ctrl.packet_outs").inc(
-                1, sw=self.switch.name, port=port
-            )
+        self.packet_outs_by_port[port] += 1
         # queue_send coalesces bursts of packet-outs (event flushes) into
         # one frame when batching is on; every RPC ships with a plain
         # send, which flushes the queue first, so packet_out_barrier()

@@ -129,7 +129,7 @@ class Deployment:
         link = Link(
             self.sim, name="sw->%s" % nf.name, latency_ms=NF_LINK_LATENCY_MS
         )
-        nf.obs = self.obs
+        nf.attach_obs(self.obs)
         nf.record_ground_truth = self.record_ground_truth
         self.switch.attach(nf.name, nf.receive, link)
         self.nfs[nf.name] = nf

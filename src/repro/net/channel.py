@@ -23,7 +23,7 @@ which the determinism regression suite pins down.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -114,6 +114,8 @@ class ControlChannel:
         self.messages_sent = 0
         self.bytes_sent = 0
         self.messages_dropped = 0
+        #: Extra copies a fault injector put on the wire.
+        self.messages_duplicated = 0
         self._busy_until = 0.0
         #: Optional :class:`repro.faults.ChannelInjector`; None means the
         #: channel is perfectly reliable (the pre-faults fast path).
@@ -130,29 +132,31 @@ class ControlChannel:
         #: injector): a duplicated frame must dedup *as a unit*, so
         #: at-most-once extends from requests to whole frames.
         self._frames_delivered: set = set()
-        self.frames_sent = 0
+        #: flush reason -> frames shipped for it.
+        self.frames_by_reason: Dict[str, int] = defaultdict(int)
         self.frames_deduplicated = 0
         #: Logical messages that traveled inside frames.
         self.messages_coalesced = 0
-        # Pre-bound per-channel telemetry handles (lazily rebuilt when
-        # the bundle is swapped): sends are the single hottest metrics
-        # site in a full transfer, so label resolution happens once.
-        self._obs_cache_for = None
-        self._m_messages = None
-        self._m_bytes = None
-        self._h_transfer = None
+        #: Bound once: sends are a transfer's hottest push site.
+        self._h_transfer = self.obs.metrics.histogram(
+            "chan.transfer_ms"
+        ).bind(channel=name) if self.obs.enabled else None
+        self.obs.add_collector(self._publish)
 
-    def _bind_telemetry(self) -> None:
-        """(Re)build the pre-bound send-path handles for ``self.obs``."""
-        metrics = self.obs.metrics
-        self._m_messages = metrics.counter("chan.messages").bind(
-            channel=self.name
-        )
-        self._m_bytes = metrics.counter("chan.bytes").bind(channel=self.name)
-        self._h_transfer = metrics.histogram("chan.transfer_ms").bind(
-            channel=self.name
-        )
-        self._obs_cache_for = self.obs
+    @property
+    def frames_sent(self) -> int:
+        return sum(self.frames_by_reason.values())
+
+    def _publish(self, reg) -> None:
+        """Pull collector: the counts above, under their metric names."""
+        name = self.name
+        reg.publish("chan.messages", self.messages_sent, channel=name)
+        reg.publish("chan.bytes", self.bytes_sent, channel=name)
+        reg.publish("chan.dropped", self.messages_dropped, channel=name)
+        reg.publish("chan.duplicated", self.messages_duplicated, channel=name)
+        reg.publish("chan.frame_dedup", self.frames_deduplicated, channel=name)
+        for reason, count in self.frames_by_reason.items():
+            reg.publish("chan.flush", count, channel=name, reason=reason)
 
     def transfer_time(self, size_bytes: int) -> float:
         """Latency + transmission time for a message of ``size_bytes``
@@ -185,10 +189,6 @@ class ControlChannel:
         self._busy_until = busy_until
         delay = busy_until + self.latency_ms - now
         if self.obs.enabled:
-            if self._obs_cache_for is not self.obs:
-                self._bind_telemetry()
-            self._m_messages.inc(1)
-            self._m_bytes.inc(size_bytes)
             self._h_transfer.observe(delay)
         if self.faults is not None:
             # The sender still occupies the transmitter (loss happens in
@@ -196,19 +196,12 @@ class ControlChannel:
             verdict = self.faults.on_send(now)
             if not verdict.deliver:
                 self.messages_dropped += 1
-                if self.obs.enabled:
-                    self.obs.metrics.counter("chan.dropped").inc(
-                        1, channel=self.name
-                    )
                 return delay
             delay += verdict.extra_delay_ms
             for copy in range(1, verdict.copies):
                 # Duplicates trail the original by their own spike draw.
                 sim.schedule(delay + 0.05 * copy, deliver, *args)
-            if verdict.copies > 1 and self.obs.enabled:
-                self.obs.metrics.counter("chan.duplicated").inc(
-                    verdict.copies - 1, channel=self.name
-                )
+            self.messages_duplicated += verdict.copies - 1
         sim.schedule(delay, deliver, *args)
         return delay
 
@@ -269,7 +262,7 @@ class ControlChannel:
         frame_size = batch_frame_size([entry[0] for entry in entries])
         self._next_frame_id += 1
         frame_id = self._next_frame_id
-        self.frames_sent += 1
+        self.frames_by_reason[reason] += 1
         self.messages_coalesced += len(entries)
         if self.obs.enabled:
             metrics = self.obs.metrics
@@ -278,9 +271,6 @@ class ControlChannel:
             )
             metrics.histogram("chan.batch_bytes").observe(
                 frame_size, channel=self.name
-            )
-            metrics.counter("chan.flush").inc(
-                1, channel=self.name, reason=reason
             )
         self.send(frame_size, self._deliver_frame, frame_id, entries)
 
@@ -298,10 +288,6 @@ class ControlChannel:
         if self.faults is not None:
             if frame_id in self._frames_delivered:
                 self.frames_deduplicated += 1
-                if self.obs.enabled:
-                    self.obs.metrics.counter("chan.frame_dedup").inc(
-                        1, channel=self.name
-                    )
                 return
             self._frames_delivered.add(frame_id)
         index = 0

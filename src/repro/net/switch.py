@@ -20,7 +20,7 @@ live.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.flowspace.filter import Filter
@@ -103,9 +103,17 @@ class Switch:
         self.received = 0
         self.forwarded = 0
         self.table_misses = 0
-        self.packet_outs = 0
+        #: port -> packets emitted through the rate-capped packet-out path.
+        self.packet_outs_by_port: Dict[str, int] = defaultdict(int)
         #: Packet-ins silently lost because no handler was installed.
         self.packet_ins_dropped = 0
+        #: Applied flow-mods, by kind.
+        self.flowmods = {"install": 0, "remove": 0}
+        # XFSM totals: machines come and go with their operations.
+        self.xfsm_installs = 0
+        self.xfsm_buffered = 0
+        self.xfsm_dropped = 0
+        self.xfsm_released = 0
         #: When False, ``forward_log`` stays empty — long-running scale
         #: benchmarks opt out so memory stays bounded; the properties the
         #: log backs are simply unavailable then.
@@ -113,21 +121,30 @@ class Switch:
         #: Ordered log of (time, packet_uid, actions) — the ground truth the
         #: order-preservation property is checked against.
         self.forward_log: List[Tuple[float, int, Tuple[str, ...]]] = []
-        # Per-port forwarded counts, kept as a plain dict on the data
-        # path and published into the ``sw.forwarded`` counter by a pull
-        # collector — the per-packet telemetry cost is one dict update,
-        # no method calls (lazily rebound when the bundle is swapped).
-        self._obs_cache_for = None
+        #: action -> table-matched outputs, controller port included:
+        #: no always-on count has this split, so the guard writes it.
         self._fwd_counts: Dict[str, int] = {}
+        self.obs.add_collector(self._publish)
 
-    def _bind_telemetry(self) -> None:
-        """(Re)register the pull collector with ``self.obs``'s registry."""
-        def _collect(reg, _sw=self):
-            counter = reg.counter("sw.forwarded")
-            for action, count in _sw._fwd_counts.items():
-                counter.load(count, sw=_sw.name, port=action)
-        self.obs.metrics.add_collector(("sw.forwarded", self.name), _collect)
-        self._obs_cache_for = self.obs
+    @property
+    def packet_outs(self) -> int:
+        return sum(self.packet_outs_by_port.values())
+
+    def _publish(self, reg) -> None:
+        """Pull collector: the counts above, under their metric names."""
+        sw = self.name
+        reg.publish("sw.table_misses", self.table_misses, sw=sw)
+        reg.publish("sw.packet_ins_dropped", self.packet_ins_dropped, sw=sw)
+        for port, count in self._fwd_counts.items():
+            reg.publish("sw.forwarded", count, sw=sw, port=port)
+        for port, count in self.packet_outs_by_port.items():
+            reg.publish("sw.packet_outs", count, sw=sw, port=port)
+        for kind, count in self.flowmods.items():
+            reg.publish("sw.flowmods", count, sw=sw, kind=kind)
+        reg.publish("sw.xfsm_installs", self.xfsm_installs, sw=sw)
+        reg.publish("sw.xfsm.buffered", self.xfsm_buffered, sw=sw)
+        reg.publish("sw.xfsm.dropped", self.xfsm_dropped, sw=sw)
+        reg.publish("sw.xfsm.released", self.xfsm_released, sw=sw)
 
     # -- wiring ----------------------------------------------------------------
 
@@ -158,15 +175,11 @@ class Switch:
         entry = self.table.lookup(packet)
         if entry is None:
             self.table_misses += 1
-            if self.obs.enabled:
-                self.obs.metrics.counter("sw.table_misses").inc(1, sw=self.name)
             return
         entry.count(packet)
         if self.record_ground_truth:
             self.forward_log.append((self.sim.now, packet.uid, entry.actions))
         if self.obs.enabled:
-            if self._obs_cache_for is not self.obs:
-                self._bind_telemetry()
             counts = self._fwd_counts
             for action in entry.actions:
                 counts[action] = counts.get(action, 0) + 1
@@ -188,10 +201,6 @@ class Switch:
             # No controller attached: the packet is gone. Count it so
             # the loss is visible instead of silent.
             self.packet_ins_dropped += 1
-            if self.obs.enabled:
-                self.obs.metrics.counter("sw.packet_ins_dropped").inc(
-                    1, sw=self.name
-                )
             return
         self.control_channel.send(
             packet.size_bytes, self._packet_in_handler, packet
@@ -229,10 +238,7 @@ class Switch:
             ))
             return
         self.table.install(flt, priority, actions, self.sim.now)
-        if self.obs.enabled:
-            self.obs.metrics.counter("sw.flowmods").inc(
-                1, sw=self.name, kind="install"
-            )
+        self.flowmods["install"] += 1
         done.trigger()
 
     def remove(self, flt: Filter, priority: Optional[int] = None) -> Event:
@@ -244,10 +250,7 @@ class Switch:
 
     def _apply_remove(self, flt: Filter, priority: Optional[int], done: Event) -> None:
         self.table.remove(flt, priority)
-        if self.obs.enabled:
-            self.obs.metrics.counter("sw.flowmods").inc(
-                1, sw=self.name, kind="remove"
-            )
+        self.flowmods["remove"] += 1
         done.trigger()
 
     def packet_out(
@@ -292,11 +295,7 @@ class Switch:
             self._packet_out_busy = False
             return
         packet, port_name, on_emit = self._packet_out_queue.popleft()
-        self.packet_outs += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("sw.packet_outs").inc(
-                1, sw=self.name, port=port_name
-            )
+        self.packet_outs_by_port[port_name] += 1
         if self.record_ground_truth:
             self.forward_log.append((self.sim.now, packet.uid, (port_name,)))
         self._output(packet, port_name)
@@ -332,8 +331,7 @@ class Switch:
         self, flt: Filter, spec: BufferUntilRelease, done: Event
     ) -> None:
         self._xfsm_machines.append(XFSMInstance(self, flt, spec))
-        if self.obs.enabled:
-            self.obs.metrics.counter("sw.xfsm_installs").inc(1, sw=self.name)
+        self.xfsm_installs += 1
         if not done.triggered:
             done.trigger()
 

@@ -102,17 +102,15 @@ class XFSMInstance:
         #: requested mid-flush defers retirement until the last queued
         #: packet is out, so fall-through arrivals cannot overtake it).
         self._retire_callbacks: List = []
-        # Stats (read back by benchmarks / the CLI).
-        self.packets_buffered = 0
-        self.packets_flushed = 0
-        self.packets_dropped = 0
         #: Packets currently parked across all rings — kept incremental
         #: so the per-packet capacity check and the live dashboard stay
         #: O(1) regardless of ring count.
         self._buffered_count = 0
-        # Pre-bound occupancy gauge series (lazily rebuilt per bundle).
-        self._obs_cache_for = None
-        self._ts_occ = None
+        #: Occupancy gauge series (``None`` without a time-series hub).
+        hub = switch.obs.timeseries
+        self._ts_occ = None if hub is None else hub.series(
+            "sw.xfsm.occupancy", kind="gauge", sw=switch.name
+        )
 
     # ------------------------------------------------------------- data path
 
@@ -145,14 +143,11 @@ class XFSMInstance:
             return True
         if (
             self.spec.ring_capacity is not None
-            and self._buffered_now() >= self.spec.ring_capacity
+            and self._buffered_count >= self.spec.ring_capacity
         ):
-            self.packets_dropped += 1
+            self.switch.xfsm_dropped += 1
             obs = self.switch.obs
             if obs.enabled:
-                obs.metrics.counter("sw.xfsm.dropped").inc(
-                    1, sw=self.switch.name
-                )
                 obs.tracer.record(
                     "sw.drop",
                     trace_id=self.spec.trace_id,
@@ -163,12 +158,11 @@ class XFSMInstance:
             return True
         self._seq += 1
         self._rings.setdefault(key, []).append((self._seq, packet))
-        self.packets_buffered += 1
+        self.switch.xfsm_buffered += 1
         self._buffered_count += 1
         obs = self.switch.obs
         if obs.enabled:
-            obs.metrics.counter("sw.xfsm.buffered").inc(1, sw=self.switch.name)
-            self._record_occupancy(obs)
+            self._record_occupancy()
             obs.tracer.record(
                 "sw.buffer",
                 trace_id=self.spec.trace_id,
@@ -179,18 +173,7 @@ class XFSMInstance:
             )
         return True
 
-    def _buffered_now(self) -> int:
-        return self._buffered_count
-
-    def _record_occupancy(self, obs) -> None:
-        if self._obs_cache_for is not obs:
-            self._obs_cache_for = obs
-            hub = getattr(obs, "timeseries", None)
-            self._ts_occ = None
-            if hub is not None:
-                self._ts_occ = hub.series(
-                    "sw.xfsm.occupancy", kind="gauge", sw=self.switch.name
-                )
+    def _record_occupancy(self) -> None:
         ts = self._ts_occ
         if ts is not None:
             ts.record(self.sim.now, float(self._buffered_count))
@@ -222,9 +205,8 @@ class XFSMInstance:
         for _seq, packet in merged:
             self._record_release(packet, "flush")
             self._emit(packet, port)
-        obs = self.switch.obs
-        if obs.enabled:
-            self._record_occupancy(obs)
+        self.switch.xfsm_released += len(merged)
+        self._record_occupancy()
         self.state = FLUSH_IN_ORDER if self._in_queue else REDIRECT
         return len(merged)
 
@@ -239,14 +221,12 @@ class XFSMInstance:
             self._record_release(packet, "early")
             self._emit(packet, port)
         if ring:
-            obs = self.switch.obs
-            if obs.enabled:
-                self._record_occupancy(obs)
+            self.switch.xfsm_released += len(ring)
+            self._record_occupancy()
         return len(ring)
 
     def _emit(self, packet: Packet, port: str) -> None:
         self._in_queue += 1
-        self.packets_flushed += 1
         self.switch.packet_out(packet, port, on_emit=self._emitted)
 
     def _emitted(self) -> None:
@@ -279,9 +259,6 @@ class XFSMInstance:
     def _record_release(self, packet: Packet, where: str) -> None:
         obs = self.switch.obs
         if obs.enabled:
-            obs.metrics.counter("sw.xfsm.released").inc(
-                1, sw=self.switch.name
-            )
             obs.tracer.record(
                 "sw.release",
                 trace_id=self.spec.trace_id,

@@ -60,17 +60,9 @@ class NetworkFunction:
         self.sim = sim
         self.name = name
         self.costs = costs
-        #: Observability bundle; the deployment swaps in its own when
-        #: the NF is attached (disabled singleton until then).
+        #: Observability bundle: the disabled singleton until a
+        #: deployment hands over its own (:meth:`attach_obs`).
         self.obs = NULL_OBS
-        # Per-packet telemetry handles, lazily (re)bound to whichever
-        # bundle is installed: label resolution happens once, not per
-        # packet (the pre-bound handles are what keeps full telemetry
-        # inside the soak overhead budget).
-        self._obs_cache_for = None
-        self._m_buffered = None
-        self._m_dropped_silent = None
-        self._m_dropped_evented = None
         self.failed = False
         self.failure_reason: Optional[str] = None
         #: Callbacks invoked (once) when this instance fail-stops; the
@@ -98,6 +90,8 @@ class NetworkFunction:
         self._rpc_seen = AtMostOnce(sim)
         self.rpcs_delivered = 0
         self.rpcs_deduplicated = 0
+        #: Of those, the replays answered from the cached response.
+        self.rpcs_replayed = 0
         self._crash_on_rpc: Optional[Tuple[int, str]] = None
         # Reliable event channel: sequence numbers + ack + retransmit.
         self.reliable_events = False
@@ -119,6 +113,8 @@ class NetworkFunction:
         self.packets_dropped_by_event = 0
         self.packets_dropped_silent = 0
         self.packets_buffered_by_event = 0
+        #: Buffered packets put back on the queue by ``disableEvents``.
+        self.packets_released = 0
         self.packets_lost_to_failure = 0
         self.events_raised = 0
         #: (completion_time, packet_uid) for every packet actually processed.
@@ -135,52 +131,31 @@ class NetworkFunction:
         self.event_channel = channel
         self.event_sink = event_sink
 
-    def _bind_telemetry(self, obs) -> None:
-        """(Re)build the pre-bound per-NF metric handles for ``obs``."""
-        metrics = obs.metrics
-        name = self.name
-        # ``nf.packets.processed`` fires once per packet: published as a
-        # pull collector over the always-maintained plain attribute, so
-        # the per-packet cost of the counter is zero.
-        metrics.add_collector(
-            ("nf.packets.processed", name),
-            lambda reg, _nf=self: reg.counter("nf.packets.processed").load(
-                _nf.packets_processed, nf=_nf.name
-            ),
-        )
-        self._m_buffered = metrics.counter("nf.packets.buffered").bind(
-            nf=name
-        )
-        dropped = metrics.counter("nf.packets.dropped")
-        self._m_dropped_silent = dropped.bind(nf=name, mode="silent")
-        self._m_dropped_evented = dropped.bind(nf=name, mode="evented")
-        self._obs_cache_for = obs
+    def attach_obs(self, obs) -> None:
+        """Join a deployment's observability bundle (once, on attach)."""
+        self.obs = obs
+        obs.add_collector(self._publish)
 
-    def _gated_flow(self, obs, packet: Packet) -> Optional[str]:
-        """The packet's flow key if its trace records should be built.
-
-        ``None`` means the sampler's per-flow gate dropped the flow (and
-        no tap needs the record). The verdict and the flow-key string
-        are memoized together *on the five-tuple object* (shared by all
-        packets of one flow direction), tagged with the gate that
-        produced it so a different deployment's sampler never sees a
-        stale verdict — the steady-state cost is one dict probe with no
-        five-tuple hashing.
-        """
-        gate = obs.packet_gate
-        if gate is None:
-            return packet.flow_key()
-        verdict = packet.five_tuple._gate_keep
-        if verdict is None or verdict[0] is not gate:
-            verdict = self._gate_miss(gate, packet)
-        return verdict[1]
-
-    def _gate_miss(self, gate, packet: Packet) -> Tuple[Any, Optional[str]]:
-        """Resolve and memoize the gate verdict for an unseen flow."""
-        flow = packet.flow_key()
-        verdict = (gate, flow if gate(flow) else None)
-        object.__setattr__(packet.five_tuple, "_gate_keep", verdict)
-        return verdict
+    def _publish(self, reg) -> None:
+        """Pull collector: the statistics above, under their metric names."""
+        nf = self.name
+        # Listed by every snapshot that has an NF, packets held or not.
+        reg.counter("nf.packets.buffered")
+        reg.counter("nf.packets.dropped")
+        reg.publish("nf.packets.processed", self.packets_processed, nf=nf)
+        reg.publish("nf.packets.buffered", self.packets_buffered_by_event, nf=nf)
+        reg.publish("nf.packets.released", self.packets_released, nf=nf)
+        silent = self.packets_dropped_silent
+        evented = self.packets_dropped_by_event - silent
+        reg.publish("nf.packets.dropped", silent, nf=nf, mode="silent")
+        reg.publish("nf.packets.dropped", evented, nf=nf, mode="evented")
+        # One event per evented drop; the rest report a processed packet.
+        reg.publish("nf.events.raised", evented, nf=nf, action="drop")
+        reg.publish("nf.events.raised", self.events_raised - evented,
+                    nf=nf, action="process")
+        reg.publish("nf.events.retransmitted", self.events_retransmitted, nf=nf)
+        reg.publish("nf.events.abandoned", self.events_abandoned, nf=nf)
+        reg.publish("sb.replays_served", self.rpcs_replayed, nf=nf)
 
     def add_failure_listener(
         self, callback: Callable[["NetworkFunction"], None]
@@ -225,10 +200,8 @@ class NetworkFunction:
         served = self._rpc_seen.deliver(request_id, run)
         if served is not None:
             self.rpcs_deduplicated += 1
-            if served and self.obs.enabled:
-                self.obs.metrics.counter("sb.replays_served").inc(
-                    1, nf=self.name
-                )
+            if served:
+                self.rpcs_replayed += 1
 
     def rpc_complete(self, request_id: int, resend: Callable[[], None]) -> None:
         """Cache the response-resend thunk for a finished request."""
@@ -291,28 +264,6 @@ class NetworkFunction:
             self._begin_processing(packet, None if rule.silent else rule)
         elif action is EventAction.DROP:
             self.packets_dropped_by_event += 1
-            obs = self.obs
-            if obs.enabled:
-                if self._obs_cache_for is not obs:
-                    self._bind_telemetry(obs)
-                if rule.silent:
-                    self._m_dropped_silent.inc(1)
-                else:
-                    self._m_dropped_evented.inc(1)
-                # A zero-duration span (not a record) so loss-freedom
-                # violations can cite the dropped packet by span id.
-                # Never gated at the source: drops are rare and exactly
-                # the packets the auditors need. (The trace sampler keeps
-                # it with the operation whose rule caused it: the stamp.)
-                obs.tracer.span(
-                    "nf.drop",
-                    nf=self.name,
-                    uid=packet.uid,
-                    flow=packet.flow_key(),
-                    silent=rule.silent,
-                    trace_id=rule.trace_id,
-                    cause_id=rule.cause_id,
-                ).finish()
             if rule.silent:
                 self.packets_dropped_silent += 1
                 self.sim.schedule(self.costs.disposition_ms, self._drain)
@@ -322,15 +273,30 @@ class NetworkFunction:
                     self.costs.disposition_ms + self.costs.event_raise_ms,
                     self._drain,
                 )
+            obs = self.obs
+            if obs.enabled:
+                # A zero-duration span (not a record) so loss-freedom
+                # violations can cite the dropped packet by span id.
+                # Never gated at the source: drops are rare and exactly
+                # the packets the auditors need. (The trace sampler keeps
+                # it with the operation whose rule caused it: the stamp.)
+                # Last: a snapshot taken from inside it (a violation's
+                # bundle) must see all three counters above moved.
+                obs.tracer.span(
+                    "nf.drop",
+                    nf=self.name,
+                    uid=packet.uid,
+                    flow=packet.flow_key(),
+                    silent=rule.silent,
+                    trace_id=rule.trace_id,
+                    cause_id=rule.cause_id,
+                ).finish()
         else:  # BUFFER
             self.packets_buffered_by_event += 1
             self.buffered_log.append((self.sim.now, packet.uid))
             obs = self.obs
             if obs.enabled:
-                if self._obs_cache_for is not obs:
-                    self._bind_telemetry(obs)
-                self._m_buffered.inc(1)
-                flow = self._gated_flow(obs, packet)
+                flow = obs.gated_flow(packet)
                 if flow is not None:
                     obs.tracer.record("nf.buffer", nf=self.name,
                                       uid=packet.uid, flow=flow,
@@ -348,13 +314,11 @@ class NetworkFunction:
         try:
             self.process_packet(packet)
         except NFCrash as crash:
-            self.failed = True
-            self.failure_reason = str(crash)
-            self._queue.clear()
+            # The packet that killed it is lost with the rest of the queue.
+            self._queue.appendleft(packet)
             self._busy = False
+            self.fail(str(crash))
             self._notify_idle()
-            for callback in self._failure_listeners:
-                callback(self)
             return
         self.packets_processed += 1
         if self.record_ground_truth:
@@ -362,22 +326,10 @@ class NetworkFunction:
             self.proc_durations.append((self.sim.now, duration))
         obs = self.obs
         if obs.enabled:
-            if self._obs_cache_for is not obs:
-                self._bind_telemetry(obs)
-            # Inlined _gated_flow: this is the single hottest telemetry
-            # site — the steady state must stay at one dict probe.
-            gate = obs.packet_gate
-            if gate is None:
+            flow = obs.gated_flow(packet)
+            if flow is not None:
                 obs.tracer.record("nf.process", nf=self.name,
-                                  uid=packet.uid, flow=packet.flow_key())
-            else:
-                verdict = packet.five_tuple._gate_keep
-                if verdict is None or verdict[0] is not gate:
-                    verdict = self._gate_miss(gate, packet)
-                flow = verdict[1]
-                if flow is not None:
-                    obs.tracer.record("nf.process", nf=self.name,
-                                      uid=packet.uid, flow=flow)
+                                  uid=packet.uid, flow=flow)
         if rule is not None:
             self._raise_event(packet, EventAction.PROCESS)
         self._drain()
@@ -421,10 +373,6 @@ class NetworkFunction:
 
     def _raise_event(self, packet: Packet, action: EventAction) -> None:
         self.events_raised += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("nf.events.raised").inc(
-                1, nf=self.name, action=action.value
-            )
         if self.event_sink is None:
             return
         event = PacketEvent(self.name, packet, action, self.sim.now)
@@ -465,16 +413,8 @@ class NetworkFunction:
         if attempt >= self.event_max_attempts:
             del self._unacked_events[seq]
             self.events_abandoned += 1
-            if self.obs.enabled:
-                self.obs.metrics.counter("nf.events.abandoned").inc(
-                    1, nf=self.name
-                )
             return
         self.events_retransmitted += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("nf.events.retransmitted").inc(
-                1, nf=self.name
-            )
         self._send_event_attempt(event, attempt + 1)
 
     def event_ack(self, seq: int) -> None:
@@ -527,10 +467,7 @@ class NetworkFunction:
             released.extend(self._rule_buffers.pop(id(rule), []))
             del self._event_rules[rule.seq]
             self._unindex_rule(rule)
-        if released and self.obs.enabled:
-            self.obs.metrics.counter("nf.packets.released").inc(
-                len(released), nf=self.name
-            )
+        self.packets_released += len(released)
         for packet in reversed(released):
             self._queue.appendleft(packet)
         if released:

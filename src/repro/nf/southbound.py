@@ -51,6 +51,7 @@ and the event timeline are exactly the classic ones.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
@@ -184,10 +185,10 @@ class SouthboundStub:
     rest — completion event, request id, ``sb.<op>`` / ``sw.<kind>`` span
     and metrics, classic-or-reliable shipping, response memoization —
     happens in :meth:`_call` and :class:`Call`. A stub adds only its
-    own names: :attr:`SPAN` / :attr:`PEER_LABEL`, and its metrics in
+    own names: :attr:`SPAN` / :attr:`PEER_LABEL`, its histograms in
     ``_note_done(op, elapsed_ms, retries)`` (a finished spanned call;
-    ``retries`` is ``None`` for a single-send one) and
-    ``_note_timeout(op, final)`` (one expired attempt).
+    ``retries`` is ``None`` for a single-send one) and the metric names
+    of its reliability counts in ``_publish`` (its pull collector).
     """
 
     #: Span name pattern and the label key that names the peer.
@@ -212,10 +213,21 @@ class SouthboundStub:
         #: ids, retry on a timeout and are deduplicated at the peer.
         self.reliable = reliable
         self._request_ids = itertools.count(1)
-        #: Cumulative reliability accounting; operations snapshot this to
-        #: fill ``OperationReport.retries`` / ``.timeouts``.
-        self.stats: Dict[str, int] = {
-            "attempts": 0, "retries": 0, "timeouts": 0, "failures": 0,
+        # Cumulative reliability accounting, per RPC name as published.
+        self.attempts = 0
+        self.failures = 0
+        self.timeouts_by_op: Dict[str, int] = defaultdict(int)
+        self.retries_by_op: Dict[str, int] = defaultdict(int)
+        obs.add_collector(self._publish)
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        """The totals (operations diff them into their reports)."""
+        return {
+            "attempts": self.attempts,
+            "retries": sum(self.retries_by_op.values()),
+            "timeouts": sum(self.timeouts_by_op.values()),
+            "failures": self.failures,
         }
 
     def _call(
@@ -285,7 +297,7 @@ class SouthboundStub:
         call.retries = 0
 
         def attempt(number: int) -> None:
-            self.stats["attempts"] += 1
+            self.attempts += 1
             self.to_peer.send(size, self.peer.rpc_deliver, call.rid, run)
             self.sim.schedule(rpc_timeout_ms(number), expired, number)
 
@@ -293,11 +305,9 @@ class SouthboundStub:
             if done.triggered:
                 return
             final = number + 1 >= RPC_MAX_ATTEMPTS
-            self.stats["timeouts"] += 1
-            if self.obs.enabled:
-                self._note_timeout(op, final)
+            self.timeouts_by_op[op] += 1
             if final:
-                self.stats["failures"] += 1
+                self.failures += 1
                 done.fail(SouthboundTimeout(
                     "%s to %s gave up after %d attempts"
                     % (op, self.peer.name, number + 1),
@@ -305,7 +315,7 @@ class SouthboundStub:
                 ))
             else:
                 call.retries += 1
-                self.stats["retries"] += 1
+                self.retries_by_op[op] += 1
                 call.span.event("retry", attempt=call.retries)
                 attempt(number + 1)
 
@@ -344,7 +354,8 @@ class NFClient(SouthboundStub):
             for channel in (self.to_nf, self.from_nf):
                 if channel.batching is None:
                     channel.batching = batch
-        self.stats["chunks_recovered"] = 0
+        #: Streamed chunks NACKed and retransmitted.
+        self.chunks_recovered = 0
         #: Completion-event name of every put (one is made per chunk).
         self._put_name = "put@%s" % nf.name
 
@@ -365,11 +376,13 @@ class NFClient(SouthboundStub):
             elapsed_ms, nf=self.nf.name, op=op
         )
 
-    def _note_timeout(self, op: str, final: bool) -> None:
-        metrics = self.obs.metrics
-        metrics.counter("sb.timeouts").inc(1, nf=self.nf.name, op=op)
-        if not final:
-            metrics.counter("sb.retries_total").inc(1, nf=self.nf.name, op=op)
+    def _publish(self, reg) -> None:
+        nf = self.peer.name
+        for op, count in self.timeouts_by_op.items():
+            reg.publish("sb.timeouts", count, nf=nf, op=op)
+        for op, count in self.retries_by_op.items():
+            reg.publish("sb.retries_total", count, nf=nf, op=op)
+        reg.publish("sb.chunks_recovered", self.chunks_recovered, nf=nf)
 
     def _nf_side_span(self, name: str, rpc_span: Any, **attrs) -> Any:
         """NF-side span causally chained to the RPC that requested it.
@@ -464,11 +477,7 @@ class NFClient(SouthboundStub):
             if not missing:
                 done.trigger(chunks)
                 return
-            self.stats["chunks_recovered"] += len(missing)
-            if self.obs.enabled:
-                self.obs.metrics.counter("sb.chunks_recovered").inc(
-                    len(missing), nf=self.nf.name
-                )
+            self.chunks_recovered += len(missing)
 
             def retransmit() -> None:
                 for chunk in missing:

@@ -17,10 +17,11 @@ measurable from inside a run instead of post-hoc. It provides:
 
 One :class:`Observability` bundle is shared by a deployment (switch,
 controller, channels, NF clients, NFs). It is **disabled by default**
-and then allocates no span objects and skips every metrics update —
-instrumentation sites guard on ``obs.enabled``, so the seed behaviour
-and benchmark trajectories are unchanged unless a caller opts in with
-``Deployment(observe=True)`` or ``run_move_experiment(observe=True)``.
+and then allocates no span objects and registers no collector —
+components count in plain attributes either way, and the sites that
+build a span, a record or a histogram sample guard on ``obs.enabled`` —
+so the seed behaviour and benchmark trajectories are unchanged unless a
+caller opts in (``Deployment(observe=True)``).
 
 Because tracing only records (it never schedules simulator callbacks),
 an observed run has the *identical* event timeline as an unobserved
@@ -159,6 +160,30 @@ class Observability:
         if self.audit is not None:
             self.audit.on_violation = self._capture_violation
 
+    def add_collector(self, fn) -> None:
+        """Pull a component's counts on every read (if enabled at all)."""
+        if self.enabled:
+            self.metrics.add_collector(fn)
+
+    def gated_flow(self, packet) -> Optional[str]:
+        """The packet's flow key, or ``None`` if :attr:`packet_gate`
+        dropped the flow and its trace records need not be built.
+
+        Verdict and flow key are memoized together on the five-tuple
+        (shared by all packets of one flow direction), tagged with the
+        gate that produced them so another deployment's sampler never
+        sees a stale verdict: the steady state is one attribute read.
+        """
+        gate = self.packet_gate
+        if gate is None:
+            return packet.flow_key()
+        verdict = packet.five_tuple._gate_keep
+        if verdict is None or verdict[0] is not gate:
+            flow = packet.flow_key()
+            verdict = (gate, flow if gate(flow) else None)
+            object.__setattr__(packet.five_tuple, "_gate_keep", verdict)
+        return verdict[1]
+
     def _capture_violation(self, violation: Violation) -> None:
         if self.sampling is not None:
             self.sampling.flag(violation.trace_id)
@@ -198,8 +223,8 @@ class Observability:
 
 
 #: Shared disabled instance used as the default everywhere an ``obs``
-#: parameter is omitted; its metrics are never incremented because all
-#: instrumentation sites guard on ``enabled``.
+#: parameter is omitted; its registry stays empty (no collector is
+#: registered with it and every push site guards on ``enabled``).
 NULL_OBS = Observability()
 
 __all__ = [

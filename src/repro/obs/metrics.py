@@ -23,9 +23,11 @@ Scale-readiness (two mechanisms the soak harness depends on):
   ``{"overflow": "other"}`` series, so an accidental per-flow label
   cannot grow memory without bound.
 
-Hot paths pre-resolve their label sets once via ``bind(**labels)``,
-which returns a tiny handle doing one dict update per call — no label
-sorting, no keyword packing.
+Who writes a counter (``docs/observability.md``, "Who counts"): a
+long-lived component counts in a plain attribute and its one pull
+collector publishes it on every read; only histograms and the counters
+of a per-operation object are pushed, behind an ``obs.enabled`` guard.
+A histogram hot path resolves its label set once via ``bind(**labels)``.
 
 Semantics the test suite pins down:
 
@@ -43,7 +45,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -82,6 +84,9 @@ class _Instrument:
     """Base: one named instrument holding per-label-set series."""
 
     kind = "instrument"
+    #: Runs the owning registry's pull collectors (the registry sets it):
+    #: every public read calls it first, so no published series is stale.
+    _collect: Callable[[], None] = staticmethod(lambda: None)
 
     def __init__(
         self, name: str, max_label_sets: Optional[int] = DEFAULT_MAX_LABEL_SETS
@@ -123,6 +128,7 @@ class _Instrument:
 
     def label_sets(self) -> List[Dict[str, str]]:
         """Every label combination this instrument has seen."""
+        self._collect()
         return [dict(key) for key in sorted(self._series)]
 
     def reset(self) -> None:
@@ -134,48 +140,14 @@ class _Instrument:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-friendly dump: label-set repr -> value."""
+        self._collect()
+        return self._dump()
+
+    def _dump(self) -> Dict[str, Any]:
         return {
             ",".join("%s=%s" % kv for kv in key) or "_": self._snapshot_value(v)
             for key, v in sorted(self._series.items())
         }
-
-
-class _BoundCounter:
-    """Pre-resolved (series, key) handle: one dict update per inc."""
-
-    __slots__ = ("_series", "_key", "_name")
-
-    def __init__(self, series: Dict[LabelKey, Any], key: LabelKey, name: str) -> None:
-        self._series = series
-        self._key = key
-        self._name = name
-
-    def inc(self, amount: float = 1) -> None:
-        if amount < 0:
-            raise ValueError(
-                "counter %r cannot decrease (inc by %r)" % (self._name, amount)
-            )
-        series = self._series
-        key = self._key
-        series[key] = series.get(key, 0) + amount
-
-
-class _BoundGauge:
-    """Pre-resolved gauge handle."""
-
-    __slots__ = ("_series", "_key")
-
-    def __init__(self, series: Dict[LabelKey, Any], key: LabelKey) -> None:
-        self._series = series
-        self._key = key
-
-    def set(self, value: float) -> None:
-        self._series[self._key] = value
-
-    def add(self, delta: float) -> None:
-        series = self._series
-        key = self._key
-        series[key] = series.get(key, 0) + delta
 
 
 class _BoundBucketHistogram:
@@ -207,25 +179,13 @@ class Counter(_Instrument):
         key = self._key(labels)
         self._series[key] = self._series.get(key, 0) + amount
 
-    def bind(self, **labels: Any) -> _BoundCounter:
-        """A fast handle pre-resolved to one label set (hot paths)."""
-        return _BoundCounter(self._series, self._key(labels), self.name)
-
-    def load(self, value: float, **labels: Any) -> None:
-        """Overwrite one series with an externally-accumulated total.
-
-        The escape hatch for pull collectors (see
-        :meth:`MetricsRegistry.add_collector`): the data path keeps a
-        plain attribute and the registry folds it in at read time, so
-        the hot path never pays a method call per increment.
-        """
-        self._series[self._key(labels)] = value
-
     def value(self, **labels: Any) -> float:
+        self._collect()
         return self._series.get(_label_key(labels), 0)
 
     def total(self) -> float:
         """Sum across every label set."""
+        self._collect()
         return sum(self._series.values())
 
 
@@ -241,11 +201,8 @@ class Gauge(_Instrument):
         key = self._key(labels)
         self._series[key] = self._series.get(key, 0) + delta
 
-    def bind(self, **labels: Any) -> _BoundGauge:
-        """A fast handle pre-resolved to one label set (hot paths)."""
-        return _BoundGauge(self._series, self._key(labels))
-
     def value(self, **labels: Any) -> float:
+        self._collect()
         return self._series.get(_label_key(labels), 0)
 
 
@@ -394,18 +351,18 @@ class MetricsRegistry:
     ) -> None:
         self._instruments: Dict[str, _Instrument] = {}
         self.max_label_sets = max_label_sets
-        #: Pull collectors, keyed for idempotent re-registration: each
-        #: is called with the registry right before any registry-wide
-        #: read (snapshot / prometheus / iteration) and typically calls
-        #: :meth:`Counter.load` with a total the data path accumulated
-        #: in a plain attribute. This is what keeps packet-frequency
-        #: counters off the hot path.
-        self._collectors: Dict[Any, Any] = {}
+        #: Pull collectors, one per long-lived component: each runs
+        #: before every read and hands :meth:`publish` the counts its
+        #: component keeps in plain attributes.
+        self._collectors: List[Callable[["MetricsRegistry"], None]] = []
+        #: Names of the counters collectors publish into.
+        self._published: Set[str] = set()
 
     def _get(self, name: str, cls) -> Any:
         instrument = self._instruments.get(name)
         if instrument is None:
             instrument = cls(name, max_label_sets=self.max_label_sets)
+            instrument._collect = self.collect
             self._instruments[name] = instrument
         elif instrument.kind != cls.kind:
             raise TypeError(
@@ -423,19 +380,27 @@ class MetricsRegistry:
     def histogram(self, name: str) -> BoundedHistogram:
         return self._get(name, BoundedHistogram)
 
-    def add_collector(self, key: Any, fn) -> None:
-        """Register (idempotently, by ``key``) a pull collector.
+    def add_collector(self, fn: Callable[["MetricsRegistry"], None]) -> None:
+        """Register a pull collector: ``fn(registry)`` runs before every
+        read and calls :meth:`publish` for each count it owns."""
+        self._collectors.append(fn)
 
-        ``fn(registry)`` runs before every registry-wide read.
-        Re-registering the same key replaces the collector, so hot
-        components can re-bind on an observability swap without
-        stacking duplicates.
+    def publish(self, name: str, value: float, **labels: Any) -> None:
+        """Collector-side: add ``value`` to one series of counter ``name``.
+
+        Collectors sharing a label set sum; a zero count publishes
+        nothing, not even the instrument. Nothing else may ``inc`` a
+        published counter: each pass rebuilds its series from scratch.
         """
-        self._collectors[key] = fn
+        if value:
+            self._published.add(name)
+            self.counter(name).inc(value, **labels)
 
     def collect(self) -> None:
-        """Fold every pull collector's totals into the instruments."""
-        for fn in self._collectors.values():
+        """Rebuild every published counter from its collectors' counts."""
+        for name in self._published:
+            self._instruments[name]._series.clear()
+        for fn in self._collectors:
             fn(self)
 
     def names(self) -> List[str]:
@@ -454,7 +419,7 @@ class MetricsRegistry:
         """JSON-friendly dump of every instrument."""
         self.collect()
         return {
-            name: {"kind": inst.kind, "series": inst.snapshot()}
+            name: {"kind": inst.kind, "series": inst._dump()}
             for name, inst in sorted(self._instruments.items())
         }
 

@@ -110,7 +110,7 @@ class OperationTrace:
         self.obs.metrics.histogram("op.latency_ms").observe(
             duration, kind=self.kind
         )
-        hub = getattr(self.obs, "timeseries", None)
+        hub = self.obs.timeseries
         if hub is not None:
             # Label is `op=` (not `kind=`): the hub's series() reserves
             # the `kind` keyword for the series type (rate vs gauge).
@@ -126,7 +126,7 @@ class OperationTrace:
             kind=self.kind,
             aborted=aborted,
         )
-        recorder = getattr(self.obs, "recorder", None)
+        recorder = self.obs.recorder
         if aborted is not None and recorder is not None:
             recorder.capture(
                 self.obs,

@@ -327,10 +327,10 @@ def snapshot_top(deployment) -> Dict[str, Any]:
             "queued": len(nf._queue),
         }
 
-    machines = getattr(deployment.switch, "_xfsm_machines", [])
+    machines = deployment.switch._xfsm_machines
     xfsm = {
         "machines": len(machines),
-        "buffered_now": sum(m._buffered_now() for m in machines),
+        "buffered_now": sum(m._buffered_count for m in machines),
     }
 
     violations = None
@@ -346,7 +346,7 @@ def snapshot_top(deployment) -> Dict[str, Any]:
         "xfsm": xfsm,
         "violations": violations,
     }
-    sampler = getattr(obs, "sampling", None)
+    sampler = obs.sampling
     if sampler is not None:
         snap["sampling"] = sampler.stats()
     return snap
@@ -445,7 +445,7 @@ class ProgressReporter:
         now = snap["time_ms"]
         elapsed_s = (now - self._last_time_ms) / 1000.0
         if elapsed_s > 0:
-            hub = getattr(self.deployment.obs, "timeseries", None)
+            hub = self.deployment.obs.timeseries
             for name, info in snap["nfs"].items():
                 delta = info["processed"] - self._last_processed.get(name, 0)
                 rate = delta / elapsed_s

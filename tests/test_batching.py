@@ -9,9 +9,12 @@ message reduction, and frame-as-a-unit behavior under injected faults.
 import pytest
 
 from repro.faults.plan import Verdict
+from repro.flowspace import Filter, FiveTuple
 from repro.harness import run_move_experiment
 from repro.net.channel import BatchConfig, ControlChannel
-from repro.net.packet import reset_uid_counter
+from repro.net.packet import Packet, reset_uid_counter
+from repro.nf import NFClient
+from repro.nfs.monitor import AssetMonitor
 from repro.nf.protocol import FRAME_OVERHEAD_BYTES, batch_frame_size
 from repro.sim import Simulator
 
@@ -243,6 +246,40 @@ class TestBatchedMove:
             channels.extend([client.to_nf, client.from_nf])
         assert sum(ch.frames_sent for ch in channels) > 0
         assert sum(ch.messages_coalesced for ch in channels) > 0
+
+
+class TestBatchedGet:
+    """A streamed get over a bare stub, one chunk per message against
+    frames: the half of the deleted ``bench_smoke`` no golden cell pins
+    on its own (a batched move's golden total only sums it in)."""
+
+    def _get(self, batch):
+        sim = Simulator()
+        src = AssetMonitor(sim, "src")
+        for index in range(120):
+            flow = FiveTuple("10.0.%d.%d" % (1 + index // 250,
+                                             1 + index % 250),
+                             20000 + index, "203.0.113.5", 80)
+            src.receive(Packet(flow, tcp_flags=("SYN",)))
+            src.receive(Packet(flow, tcp_flags=("ACK",), payload="pp"))
+        sim.run()
+        client = NFClient(sim, src, batch=batch)
+        received, start = [], sim.now
+        if batch is None:
+            done = client.get_perflow(Filter.wildcard(),
+                                      stream=received.append)
+        else:
+            done = client.get_perflow(Filter.wildcard(),
+                                      stream_frame=received.extend)
+        finished = []
+        done.add_callback(lambda _evt: finished.append(sim.now))
+        sim.run()
+        assert len(received) == 120
+        return round(finished[0] - start, 3), client.from_nf.messages_sent
+
+    def test_streamed_get_ships_frames_not_chunks(self):
+        assert self._get(None) == (24.26, 121)
+        assert self._get(BatchConfig()) == (24.276, 9)
 
 
 class TestBatchedUnderFaults:

@@ -6,6 +6,7 @@ from repro.flowspace import Filter, FlowId
 from repro.nf import (
     EventAction,
     NFCostModel,
+    NFCrash,
     Scope,
     StateChunk,
     chunks_total_bytes,
@@ -261,6 +262,30 @@ class TestProcessingLoop:
         sim.run()
         assert nf.packets_processed == 0
         assert nf.packets_lost_to_failure == 1
+
+
+    @pytest.mark.parametrize("how", ["crash", "fail"])
+    def test_a_dying_nf_counts_the_queue_it_loses(self, sim, flow, how):
+        # Dying of an NFCrash in the packet handler (Table 1's Squid row)
+        # is fail(): same count, same listeners, idle waiters released.
+        nf = monitor(sim)
+        if how == "crash":
+            def process_packet(packet):
+                raise NFCrash("required state is missing")
+            nf.process_packet = process_packet
+        died, idle = [], []
+        nf.add_failure_listener(died.append)
+        for _ in range(4):
+            nf.receive(make_packet(flow))
+        if how == "fail":
+            nf.fail("required state is missing")
+        nf.on_idle(lambda: idle.append(sim.now))
+        sim.run()
+        assert nf.failed and nf.failure_reason == "required state is missing"
+        assert nf.packets_received == 4
+        assert nf.packets_processed == 0
+        assert nf.packets_lost_to_failure == 4
+        assert died == [nf] and len(idle) == 1
 
 
 class TestStateTransferTiming:

@@ -218,34 +218,18 @@ class TestCardinalityGuard:
 
 
 class TestBoundHandles:
-    def test_bound_counter_matches_keyword_path(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("pkts")
-        handle = counter.bind(nf="a")
-        handle.inc(2)
-        handle.inc()
-        counter.inc(5, nf="a")
-        assert counter.value(nf="a") == 8
-        with pytest.raises(ValueError):
-            handle.inc(-1)
+    """Only a histogram hot path binds (counters are pulled, not pushed)."""
 
     def test_bound_handles_survive_reset(self):
         registry = MetricsRegistry()
-        counter = registry.counter("pkts")
-        gauge = registry.gauge("depth")
         hist = registry.histogram("lat")
-        bound_counter = counter.bind(nf="a")
-        bound_gauge = gauge.bind(q="x")
         bound_hist = hist.bind(op="get")
-        bound_counter.inc(1)
+        bound_hist.observe(1.0)
         registry.reset()
-        bound_counter.inc(3)
-        bound_gauge.set(2.0)
-        bound_gauge.add(1.0)
         bound_hist.observe(4.0)
-        assert counter.value(nf="a") == 3
-        assert gauge.value(q="x") == 3.0
-        assert hist.count(op="get") == 1
+        hist.observe(2.0, op="get")
+        assert hist.count(op="get") == 2
+        assert hist.sum(op="get") == 6.0
 
 
 class TestRegistry:
@@ -271,40 +255,61 @@ class TestRegistry:
 
 
 class TestPullCollectors:
-    """Hot paths accumulate plain ints; readers pull them on demand."""
+    """Components count in plain ints; the registry pulls them on read."""
 
     def test_collector_folds_latest_total_on_every_read(self):
         registry = MetricsRegistry()
         state = {"n": 0}
         registry.add_collector(
-            "ext", lambda reg: reg.counter("ext.pkts").load(
-                state["n"], src="a")
+            lambda reg: reg.publish("ext.pkts", state["n"], src="a")
         )
+        # A zero count publishes nothing, not even the instrument.
+        assert registry.snapshot() == {}
         state["n"] = 5
         assert registry.snapshot()["ext.pkts"]["series"] == {"src=a": 5}
-        # load() overwrites — a later read reflects the new total, it
-        # does not accumulate on top of the old one.
+        # Each read rebuilds the series from the current count — it
+        # does not accumulate on top of the previous read.
         state["n"] = 9
         assert 'ext_pkts{src="a"} 9' in registry.render_prometheus()
         assert registry.snapshot()["ext.pkts"]["series"] == {"src=a": 9}
 
-    def test_collector_reregistration_replaces(self):
+    def test_collectors_sharing_a_label_set_sum(self):
+        # Two components of one name (a move's peer channel is built
+        # per transfer) publish one series between them.
         registry = MetricsRegistry()
-        registry.add_collector(
-            "k", lambda reg: reg.counter("c").load(1)
-        )
-        registry.add_collector(
-            "k", lambda reg: reg.counter("c").load(2)
-        )
-        assert registry.snapshot()["c"]["series"] == {"_": 2}
+        registry.add_collector(lambda reg: reg.publish("c", 1, channel="x"))
+        registry.add_collector(lambda reg: reg.publish("c", 2, channel="x"))
+        assert registry.snapshot()["c"]["series"] == {"channel=x": 3}
+        assert registry.counter("c").value(channel="x") == 3
 
     def test_iteration_triggers_collection(self):
         registry = MetricsRegistry()
-        registry.add_collector(
-            "k", lambda reg: reg.counter("c").load(7)
-        )
+        registry.add_collector(lambda reg: reg.publish("c", 7))
         instruments = {inst.name: inst for inst in registry}
         assert instruments["c"].value() == 7
+
+    def test_instrument_reads_are_current_without_a_registry_read(self):
+        # value() / total() / label_sets() / snapshot() on the instrument
+        # itself must not wait for a registry-wide read to run the
+        # collectors first.
+        result = run_move_experiment(n_flows=20, observe=True)
+        metrics = result.deployment.obs.metrics
+        processed = metrics.counter("nf.packets.processed")
+        assert processed.value(nf="inst1") == 152
+        assert metrics.counter("sw.forwarded").total() == 300
+        assert {"nf": "inst2"} in processed.label_sets()
+        assert processed.snapshot() == (
+            metrics.snapshot()["nf.packets.processed"]["series"]
+        )
+        state = {"n": 1}
+        registry = MetricsRegistry()
+        registry.add_collector(lambda reg: reg.publish("g", state["n"]))
+        counter = registry.counter("g")
+        assert counter.value() == 1
+        state["n"] = 4
+        assert counter.value() == counter.total() == 4
+        registry.reset()
+        assert counter.value() == 4  # the component's count, not a copy
 
 
 class TestBufferConservation:

@@ -262,3 +262,33 @@ def test_every_ledger_tracing_target_resolves():
         "resolve (keep them until a benchmark PR drops the rows):\n  "
         + "\n  ".join(missing)
     )
+
+
+# ------------------------------------------------------ the obs-guard ratchet
+
+#: ``obs.enabled`` mentions under ``src/repro`` (ROADMAP item 1's grep
+#: gate counts them). An upper bound: lower it when a guard goes; a new
+#: guard needs a histogram, a span / record, or a per-operation counter
+#: behind it (``docs/observability.md``, "Who counts").
+OBS_ENABLED_GUARDS = 24
+
+
+def test_obs_guards_only_go_down():
+    """A long-lived component counts in a plain attribute and the
+    registry pulls it: the lazy re-bind machinery stays gone and the
+    ``obs.enabled`` forks cannot creep back."""
+    guards, rebinds = 0, []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        text = path.read_text()
+        guards += text.count("obs.enabled")
+        rebinds += [
+            "%s: %s" % (path.relative_to(ROOT), name)
+            for name in ("_obs_cache_for", "_bind_telemetry")
+            if name in text
+        ]
+    assert not rebinds, "re-bind machinery is back:\n  " + "\n  ".join(rebinds)
+    assert guards <= OBS_ENABLED_GUARDS, (
+        "%d obs.enabled guards under src/repro (bound %d): count in a "
+        "plain attribute and publish it from the component's collector"
+        % (guards, OBS_ENABLED_GUARDS)
+    )
