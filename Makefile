@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-obs test-faults test-conformance conform bench bench-sharded bench-chain bench-offload bench-obs-overhead ledger-smoke ledger-pinned pairs examples validate clean results
+.PHONY: install test test-obs test-faults test-conformance conform bench bench-chain bench-obs-overhead ledger-smoke ledger-pinned pairs examples validate clean results
 
 install:
 	$(PYTHON) setup.py develop
@@ -10,14 +10,8 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-bench-sharded:
-	$(PYTHON) benchmarks/bench_sharded.py
-
 bench-chain:
 	$(PYTHON) benchmarks/bench_chain.py
-
-bench-offload:
-	$(PYTHON) benchmarks/bench_offload.py
 
 bench-obs-overhead:
 	$(PYTHON) benchmarks/bench_obs_overhead.py
@@ -52,9 +46,13 @@ test-faults:
 test-conformance:
 	$(PYTHON) -m pytest tests/ -m conformance
 
+# The conformance matrix in every mode combination CI runs, then the
+# counterexample corpus (CI's conformance job calls this target).
 conform:
 	$(PYTHON) -m repro.cli conform
 	$(PYTHON) -m repro.cli conform --shards 2
+	$(PYTHON) -m repro.cli conform --offload
+	$(PYTHON) -m repro.cli conform --offload --shards 2
 	$(PYTHON) -m repro.cli conform --replay tests/corpus
 
 bench:

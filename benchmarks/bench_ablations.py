@@ -71,20 +71,20 @@ def run_ablations():
         guarantee="lf",
         nf_factory=IntrusionDetector,
         trace_config=ids_config,
-        deployment_kwargs=SLOW_CONTROL,
+        **SLOW_CONTROL,
     )
     compressed = experiment(
         guarantee="lf",
         nf_factory=IntrusionDetector,
         trace_config=ids_config,
-        deployment_kwargs=SLOW_CONTROL,
+        **SLOW_CONTROL,
     )
     # run compressed variant through the controller option
     compressed = run_move_experiment(
         guarantee="lf",
         nf_factory=IntrusionDetector,
         trace_config=ids_config,
-        deployment_kwargs=SLOW_CONTROL,
+        **SLOW_CONTROL,
         n_flows=300, rate_pps=2500.0, data_packets=40, seed=7,
         operation=lambda dep: dep.controller.move(
             "inst1", "inst2", LOCAL_NET_FILTER, scope="per",

@@ -131,16 +131,6 @@ BATCH_CONFIGS = [
 ]
 
 
-def total_control_messages(dep):
-    total = 0
-    for client in dep.controller.clients.values():
-        total += client.to_nf.messages_sent + client.from_nf.messages_sent
-    switch_client = dep.controller.switch_client
-    total += switch_client.to_switch.messages_sent
-    total += switch_client.from_switch.messages_sent
-    return total
-
-
 def run_batching_sweep():
     results = {}
     for label, config in BATCH_CONFIGS:
@@ -166,7 +156,7 @@ def test_fig10_batching_sweep(benchmark):
         rows.append([
             label,
             "%.0f" % r.duration_ms,
-            total_control_messages(r.deployment),
+            r.deployment.control_messages_sent,
             "yes" if r.loss_free else "NO",
         ])
     publish(
@@ -183,7 +173,7 @@ def test_fig10_batching_sweep(benchmark):
     on = results["on (defaults)"]
     assert off.loss_free and on.loss_free
     # Acceptance: >=2x fewer control-plane messages and a faster move.
-    assert total_control_messages(on.deployment) * 2 <= (
-        total_control_messages(off.deployment)
+    assert on.deployment.control_messages_sent * 2 <= (
+        off.deployment.control_messages_sent
     )
     assert on.duration_ms < off.duration_ms

@@ -71,17 +71,6 @@ Q_ABORTED = {7, 23, 41}
 Q_HEAD_RATE = 0.05
 
 
-def count_control_messages(dep) -> int:
-    """Total control-plane messages: every NF channel + the switch's."""
-    ctrl = dep.controller
-    total = sum(
-        client.to_nf.messages_sent + client.from_nf.messages_sent
-        for client in ctrl.clients.values()
-    )
-    sw = ctrl.switch_client
-    return total + sw.to_switch.messages_sent + sw.from_switch.messages_sent
-
-
 def run_one(telemetry: bool) -> dict:
     def operation(dep):
         return dep.controller.move(
@@ -97,8 +86,9 @@ def run_one(telemetry: bool) -> dict:
         data_packets=DATA_PACKETS,
         seed=SEED,
         operation=operation,
-        telemetry=telemetry,
-        deployment_kwargs={"record_ground_truth": False},
+        timeseries=telemetry,
+        sampling=telemetry,
+        record_ground_truth=False,
     )
     cpu_s = time.process_time() - cpu_start
     wall_s = time.perf_counter() - start
@@ -108,7 +98,7 @@ def run_one(telemetry: bool) -> dict:
         "cpu_s": cpu_s,
         "wall_s": wall_s,
         "move_ms": report.duration_ms,
-        "control_messages": count_control_messages(result.deployment),
+        "control_messages": result.deployment.control_messages_sent,
         "events": result.deployment.sim.events_processed,
     }
 

@@ -28,12 +28,6 @@ def trace_enabled() -> bool:
     return os.environ.get("OPENNF_TRACE", "") not in ("", "0", "false")
 
 
-def fault_spec() -> str:
-    """Extra fault-plan spec merged into fault benchmarks
-    (``OPENNF_FAULTS``, e.g. ``"seed=3,dup=0.02"``). Empty by default."""
-    return os.environ.get("OPENNF_FAULTS", "")
-
-
 def publish_trace(name: str, obs) -> str:
     """Write an Observability bundle's spans/records as JSON lines.
 

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.cli demo-move --guarantee op --flows 200 --rate 2500
     python -m repro.cli trace --guarantee op --flows 100
-    python -m repro.cli faults --spec "seed=3,drop=0.05" --guarantee op
+    python -m repro.cli demo-move --faults "seed=3,drop=0.05" --guarantee op
     python -m repro.cli audit --baseline splitmerge --flows 60 --rate 6000
     python -m repro.cli audit run.trace.jsonl
     python -m repro.cli audit bundle.json
@@ -34,6 +34,7 @@ demonstrably violates them).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -96,7 +97,11 @@ def _mode_kwargs(args: argparse.Namespace) -> dict:
         name: getattr(args, name) for name in _MODE_FLAGS if name in args
     }
     if "faults" in modes:
-        modes["faults"] = _fault_plan_from(modes["faults"])
+        # A spec string: ``Deployment`` parses it.
+        spec = modes["faults"]
+        if spec is None:
+            spec = os.environ.get("OPENNF_FAULTS")
+        modes["faults"] = spec or None
     return modes
 
 
@@ -123,17 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--peer-to-peer", action="store_true",
                       help="stream chunks NF-to-NF (footnote 10)")
     _add_mode_flags(demo, "faults", "batching")
-
-    faults = command(
-        "faults", _cmd_faults,
-        "run one move under an injected-fault plan and report "
-        "retries, drops, and the exactly-once verdict",
-    )
-    faults.add_argument("--spec", metavar="SPEC", default=None,
-                        help="fault-plan spec, e.g. "
-                             "'seed=3,drop=0.05,delay=0.02,crash=inst2#40' "
-                             "(default: $OPENNF_FAULTS)")
-    _add_run_flags(faults, "op", flows=100)
 
     trace = command(
         "trace", _cmd_trace,
@@ -266,18 +260,6 @@ def sorted_hunt_targets() -> List[str]:
     return sorted(HUNT_TARGETS)
 
 
-def _fault_plan_from(spec: Optional[str]):
-    """Resolve a fault plan from a CLI spec or $OPENNF_FAULTS."""
-    import os
-
-    from repro.faults import FaultPlan
-
-    spec = spec if spec is not None else os.environ.get("OPENNF_FAULTS")
-    if not spec:
-        return None
-    return FaultPlan.from_spec(spec)
-
-
 def _cmd_demo_move(args: argparse.Namespace) -> int:
     from repro.harness import LOCAL_NET_FILTER
 
@@ -301,7 +283,7 @@ def _cmd_demo_move(args: argparse.Namespace) -> int:
         rate_pps=args.rate,
         seed=args.seed,
         operation=operation,
-        deployment_kwargs=_mode_kwargs(args),
+        **_mode_kwargs(args),
     )
     report = result.report
     print(report.summary())
@@ -310,6 +292,17 @@ def _cmd_demo_move(args: argparse.Namespace) -> int:
     print("added latency: avg %.1f ms, max %.1f ms over %d affected packets"
           % (result.latency.average_added_ms, result.latency.max_added_ms,
              result.latency.affected_count))
+    plan = result.deployment.faults
+    if plan is not None:
+        print(plan.summary())  # what the channels dropped / duped / delayed
+        print("retries: %d   timeouts: %d" % (report.retries, report.timeouts))
+        counts = result.deployment.processed_uid_counts()
+        missing = sum(
+            1 for p in result.replayer.injected if p.uid not in counts
+        )
+        print("packets: %d processed exactly once, %d duplicated, %d missing"
+              % (sum(1 for n in counts.values() if n == 1),
+                 sum(1 for n in counts.values() if n > 1), missing))
     print("loss-free: %s   order-preserving: %s"
           % ("yes" if result.loss_free else "NO",
              "yes" if result.order_preserving else "NO"))
@@ -368,43 +361,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    plan = _fault_plan_from(args.spec)
-    if plan is None:
-        print("repro faults: error: no fault spec (use --spec or set "
-              "$OPENNF_FAULTS)", file=sys.stderr)
-        return 2
-
-    result = run_move_experiment(
-        guarantee=args.guarantee,
-        n_flows=args.flows,
-        rate_pps=args.rate,
-        seed=args.seed,
-        fault_plan=plan,
-    )
-    report = result.report
-    print("plan: %s" % plan.summary())
-    print(report.summary())
-    print("retries: %d   timeouts: %d" % (report.retries, report.timeouts))
-    print("channel faults: %d dropped, %d duplicated, %d delayed"
-          % (plan.messages_dropped, plan.messages_duplicated,
-             plan.messages_delayed))
-    counts = result.deployment.processed_uid_counts()
-    duplicates = sum(1 for n in counts.values() if n > 1)
-    missing = sum(
-        1 for p in result.replayer.injected if p.uid not in counts
-    )
-    print("packets: %d processed exactly once, %d duplicated, %d missing"
-          % (sum(1 for n in counts.values() if n == 1), duplicates, missing))
-    print("loss-free: %s   order-preserving: %s"
-          % ("yes" if result.loss_free else "NO",
-             "yes" if result.order_preserving else "NO"))
-    if report.aborted:
-        print("ABORTED: %s" % report.aborted)
-        return 1
-    return 0
-
-
 def _print_violations(violations) -> None:
     if not violations:
         print("violations: none")
@@ -452,6 +408,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     # Live mode: run an audited experiment.
     from repro.harness import LOCAL_NET_FILTER, run_move_experiment
 
+    if args.baseline is not None and args.abort_at is not None:
+        print("repro audit: error: --abort-at cannot be combined with "
+              "--baseline %s (the baseline does not act on an abort)"
+              % args.baseline, file=sys.stderr)
+        return 2
     operation = None
     if args.baseline == "splitmerge":
         from repro.baselines import SplitMergeMigrate
@@ -476,7 +437,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         seed=args.seed,
         operation=operation,
         audit=True,
-        deployment_kwargs=_mode_kwargs(args),
+        **_mode_kwargs(args),
     )
     obs = result.deployment.obs
     print(result.report.summary())
@@ -682,17 +643,6 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     return 1 if (dep.obs.violations() or not ok) else 0
 
 
-def _count_control_messages(dep) -> int:
-    """Total control-channel frames: every NF client plus the switch."""
-    ctrl = dep.controller
-    total = sum(
-        client.to_nf.messages_sent + client.from_nf.messages_sent
-        for client in ctrl.clients.values()
-    )
-    sw = ctrl.switch_client
-    return total + sw.to_switch.messages_sent + sw.from_switch.messages_sent
-
-
 def _cmd_offload(args: argparse.Namespace) -> int:
     rows = []
     for label, offload in (("classic", False), ("offload", True)):
@@ -701,9 +651,10 @@ def _cmd_offload(args: argparse.Namespace) -> int:
             n_flows=args.flows,
             rate_pps=args.rate,
             seed=args.seed,
-            deployment_kwargs=dict(_mode_kwargs(args), offload=offload),
+            offload=offload,
+            **_mode_kwargs(args),
         )
-        messages = _count_control_messages(result.deployment)
+        messages = result.deployment.control_messages_sent
         rows.append((result, messages))
         print("%-8s %s" % (label, result.report.summary()))
         print("         control messages: %-6d move latency: %.1f ms   "
@@ -759,9 +710,10 @@ def _cmd_top(args: argparse.Namespace) -> int:
         n_flows=args.flows,
         rate_pps=args.rate,
         seed=args.seed,
-        telemetry=True,
-        deployment_kwargs=_mode_kwargs(args),
+        timeseries=True,
+        sampling=True,
         on_deployment=on_deployment,
+        **_mode_kwargs(args),
     )
     dep = result.deployment
     print(format_top(snapshot_top(dep)))

@@ -305,7 +305,7 @@ def run_schedule(
     dep = Deployment(
         audit=True,
         faults=spec.faults,
-        batching=True if spec.batching else None,
+        batching=spec.batching,
         shards=spec.shards,
         offload=spec.offload,
     )

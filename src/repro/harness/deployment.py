@@ -44,28 +44,18 @@ class Deployment:
         record_ground_truth: bool = True,
         shards: int = 1,
         offload: bool = False,
-        telemetry: bool = False,
         timeseries=None,
         sampling=None,
     ) -> None:
         self.sim = Simulator()
-        #: Scale-ready telemetry (windowed time-series + trace sampling).
-        #: ``telemetry=True`` turns both on with defaults. The finer
-        #: ``timeseries=``/``sampling=`` knobs pass straight through to
-        #: :class:`~repro.obs.Observability` (a hub, a policy, or a
-        #: sampler instance) and individually override ``telemetry``.
-        if telemetry:
-            if timeseries is None:
-                timeseries = True
-            if sampling is None:
-                sampling = True
-        self.telemetry = bool(timeseries or sampling)
         #: One shared observability bundle; disabled unless
         #: ``observe=True``, in which case spans land in
         #: ``self.obs.exporter``. ``audit=True`` additionally streams
         #: the trace through the online guarantee auditors and arms the
-        #: flight recorder (implies ``observe``). ``timeseries``/
-        #: ``sampling`` likewise imply ``observe``.
+        #: flight recorder (implies ``observe``). ``timeseries`` /
+        #: ``sampling`` (``True`` for defaults, or a hub / policy /
+        #: sampler instance) turn on the scale-ready telemetry layer and
+        #: likewise imply ``observe``.
         self.obs = Observability(
             sim=self.sim,
             enabled=observe,
@@ -216,6 +206,17 @@ class Deployment:
         self.call_at(at_ms, deliver)
 
     # ------------------------------------------------------------------ metrics
+
+    @property
+    def control_messages_sent(self) -> int:
+        """Messages on the controller's channels: every NF's both ways
+        plus the switch's both ways."""
+        ctrl = self.controller
+        sw = ctrl.switch_client
+        total = sw.to_switch.messages_sent + sw.from_switch.messages_sent
+        for client in ctrl.clients.values():
+            total += client.to_nf.messages_sent + client.from_nf.messages_sent
+        return total
 
     def processed_uid_counts(self) -> Dict[int, int]:
         """How many times each packet uid was processed, across instances."""

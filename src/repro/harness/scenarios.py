@@ -54,45 +54,24 @@ def run_move_experiment(
     nf_factory: Callable[..., Any] = AssetMonitor,
     data_packets: int = 20,
     trace_config: Optional[TraceConfig] = None,
-    deployment_kwargs: Optional[Dict[str, Any]] = None,
     operation: Optional[Callable[[Deployment], Any]] = None,
     scope: str = "per",
-    observe: bool = False,
-    audit: bool = False,
-    fault_plan: Any = None,
-    batching: Any = None,
-    shards: int = 1,
-    offload: bool = False,
-    telemetry: bool = False,
     on_deployment: Optional[Callable[[Deployment], None]] = None,
+    **deployment: Any,
 ) -> MoveExperimentResult:
     """Replay a trace to instance 1, move flows to instance 2 mid-trace.
 
     ``operation`` may override the default move (e.g. to run a
     Split/Merge migrate instead); it receives the deployment and must
     return an object with a ``done`` event carrying an OperationReport.
-    ``observe=True`` enables tracing/metrics; the collected spans are at
-    ``result.deployment.obs.exporter.spans``. ``audit=True`` (implies
-    ``observe``) additionally runs the online guarantee auditors —
-    violations are at ``result.deployment.obs.violations()``, post-mortem
-    bundles at ``result.deployment.obs.recorder.bundles``. ``fault_plan`` (a
-    :class:`repro.faults.FaultPlan` or spec string) injects control-plane
-    faults and switches the deployment into reliable mode. ``batching``
-    (a :class:`repro.net.channel.BatchConfig` or ``True`` for defaults)
-    turns on the batched control-plane transport.
+    Every other keyword (``observe``, ``audit``, ``faults``,
+    ``batching``, ``shards``, ``offload``, ...) is a :class:`Deployment`
+    keyword and is passed to it unchanged; with ``observe=True`` the
+    spans are at ``result.deployment.obs.exporter.spans``, with
+    ``audit=True`` the violations at
+    ``result.deployment.obs.violations()``.
     """
-    kwargs = dict(deployment_kwargs or {})
-    kwargs.setdefault("observe", observe)
-    if audit:
-        kwargs.setdefault("audit", audit)
-    if fault_plan is not None:
-        kwargs.setdefault("faults", fault_plan)
-    if batching is not None:
-        kwargs.setdefault("batching", batching)
-    kwargs.setdefault("shards", shards)
-    kwargs.setdefault("offload", offload)
-    kwargs.setdefault("telemetry", telemetry)
-    dep = Deployment(**kwargs)
+    dep = Deployment(**deployment)
     src = nf_factory(dep.sim, "inst1")
     dst = nf_factory(dep.sim, "inst2")
     dep.add_nf(src)
@@ -156,10 +135,11 @@ def build_multi_instance_deployment(
     n_instances: int,
     nf_factory: Callable[..., Any] = AssetMonitor,
     name_prefix: str = "inst",
-    deployment_kwargs: Optional[Dict[str, Any]] = None,
+    **deployment: Any,
 ) -> Tuple[Deployment, List[Any]]:
-    """A deployment with N instances, traffic defaulting to the first."""
-    dep = Deployment(**(deployment_kwargs or {}))
+    """A deployment with N instances, traffic defaulting to the first;
+    the keywords are :class:`Deployment`'s."""
+    dep = Deployment(**deployment)
     instances = []
     for index in range(n_instances):
         nf = nf_factory(dep.sim, "%s%d" % (name_prefix, index + 1))

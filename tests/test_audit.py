@@ -81,7 +81,7 @@ class TestLossFreeMovesAuditClean:
     def test_clean_under_faults_with_retries(self):
         result = run_move_experiment(
             guarantee="op", n_flows=40, seed=5, audit=True,
-            fault_plan="seed=3,drop=0.05",
+            faults="seed=3,drop=0.05",
         )
         assert result.report.aborted is None
         assert result.report.retries > 0
@@ -98,10 +98,10 @@ class TestLossFreeMovesAuditClean:
     def test_loss_sweep_zero_violations_and_identical_timeline(self, drop):
         plan = "seed=11,drop=%s" % drop if drop else None
         plain = run_move_experiment(
-            guarantee="op", n_flows=30, seed=9, fault_plan=plan
+            guarantee="op", n_flows=30, seed=9, faults=plan
         )
         audited = run_move_experiment(
-            guarantee="op", n_flows=30, seed=9, fault_plan=plan, audit=True
+            guarantee="op", n_flows=30, seed=9, faults=plan, audit=True
         )
         assert audited.deployment.obs.violations() == []
         assert normalized_timeline(plain) == normalized_timeline(audited)
@@ -487,8 +487,7 @@ class TestReplay:
     def test_replay_agrees_with_live(self, tmp_path):
         path = str(tmp_path / "run.trace.jsonl")
         result = run_move_experiment(
-            guarantee="ng", n_flows=30, seed=7, audit=True,
-            deployment_kwargs={"observe": True},
+            guarantee="ng", n_flows=30, seed=7, audit=True, observe=True,
         )
         obs = result.deployment.obs
         live = obs.violations()
@@ -525,7 +524,7 @@ class TestReplay:
 
     def test_unaudited_spans_are_serialised_on_demand(self):
         result = run_move_experiment(guarantee="lf", n_flows=5, seed=3,
-                                     deployment_kwargs={"observe": True})
+                                     observe=True)
         obs = result.deployment.obs
         assert all(span.payload is None for span in obs.exporter.spans)
         assert [p for _t, kind, p in entries_from_obs(obs) if kind == "span"] \

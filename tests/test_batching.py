@@ -21,16 +21,6 @@ from repro.sim import Simulator
 from tests.test_determinism import snapshot
 
 
-def total_control_messages(dep):
-    total = 0
-    for client in dep.controller.clients.values():
-        total += client.to_nf.messages_sent + client.from_nf.messages_sent
-    switch_client = dep.controller.switch_client
-    total += switch_client.to_switch.messages_sent
-    total += switch_client.from_switch.messages_sent
-    return total
-
-
 class TestBatchConfig:
     def test_defaults_are_enabled(self):
         config = BatchConfig()
@@ -223,8 +213,8 @@ class TestBatchedMove:
         off, on = self._pair("lf")
         assert on.loss_free, on.loss_free_detail
         assert on.report.aborted is None
-        off_msgs = total_control_messages(off.deployment)
-        on_msgs = total_control_messages(on.deployment)
+        off_msgs = off.deployment.control_messages_sent
+        on_msgs = on.deployment.control_messages_sent
         assert on_msgs * 2 <= off_msgs, (
             "expected >=2x fewer control messages, got %d vs %d"
             % (on_msgs, off_msgs)
@@ -292,7 +282,7 @@ class TestBatchedUnderFaults:
     ])
     def test_exactly_once_processing(self, spec):
         result = run_move_experiment("op", n_flows=60, rate_pps=5000.0,
-                                     seed=3, batching=True, fault_plan=spec)
+                                     seed=3, batching=True, faults=spec)
         assert result.report.aborted is None
         assert result.loss_free, result.loss_free_detail
         assert result.order_preserving, result.order_detail
@@ -305,7 +295,7 @@ class TestBatchedUnderFaults:
     def test_dropped_frames_recovered_by_retry(self):
         result = run_move_experiment("lf", n_flows=60, rate_pps=5000.0,
                                      seed=3, batching=True,
-                                     fault_plan="seed=3,drop=0.08")
+                                     faults="seed=3,drop=0.08")
         assert result.report.aborted is None
         assert result.loss_free, result.loss_free_detail
         # Losses actually happened and the retry machinery covered them.

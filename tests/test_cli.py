@@ -34,6 +34,30 @@ class TestCli:
         assert code == 0  # the demo ran; the guarantee simply isn't held
         assert "loss-free: NO" in out
 
+    def test_demo_move_under_faults_reports_recovery(self, capsys):
+        code = main(["demo-move", "--guarantee", "op", "--flows", "100",
+                     "--faults", "seed=3,drop=0.05"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert ("faults[seed=3]: 165 dropped, 0 duplicated, 0 delayed "
+                "across 4 channels") in out
+        assert "retries: 21   timeouts: 21" in out
+        assert "processed exactly once, 0 duplicated, 0 missing" in out
+        assert "loss-free: yes   order-preserving: yes" in out
+
+    def test_demo_move_without_faults_prints_no_plan(self, capsys):
+        assert main(["demo-move", "--flows", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "faults[" not in out and "retries:" not in out
+
+    def test_audit_baseline_refuses_abort_at(self, capsys):
+        # Split/Merge does not act on an abort: the flag would be ignored.
+        code = main(["audit", "--baseline", "splitmerge", "--abort-at", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--abort-at cannot be combined with --baseline" in captured.err
+        assert captured.out == ""
+
     def test_validate_passes(self, capsys):
         code = main(["validate", "--seeds", "1", "--flows", "30"])
         out = capsys.readouterr().out

@@ -301,8 +301,7 @@ class TestShareSetupFailureReleases:
                              ids=["classic", "reliable"])
     def test_failed_setup_fires_done_and_unblocks_queued_move(self, faults):
         dep, (a, b, c) = build_multi_instance_deployment(
-            3, nf_factory=DummyNF,
-            deployment_kwargs={"faults": faults},
+            3, nf_factory=DummyNF, faults=faults,
         )
         feed(dep, a, count=4)
         b.fail("dead before the share")

@@ -261,9 +261,7 @@ class TestShareUpdateSpans:
     """share(strong) serialization, asserted on the spans themselves."""
 
     def test_strong_share_updates_do_not_overlap(self):
-        dep, (a, b) = build_multi_instance_deployment(
-            2, deployment_kwargs={"observe": True}
-        )
+        dep, (a, b) = build_multi_instance_deployment(2, observe=True)
         dep.switch.table.remove(Filter.wildcard())
         dep.set_default_route("inst1")
         dep.switch.table.install(

@@ -101,8 +101,8 @@ class TestTelemetryDeterminism:
         )
         reset_uid_counter()
         telemetered = snapshot(
-            run_move_experiment("lf", n_flows=40, seed=5, telemetry=True,
-                                **extra)
+            run_move_experiment("lf", n_flows=40, seed=5, timeseries=True,
+                                sampling=True, **extra)
         )
         assert plain == telemetered
 
@@ -110,7 +110,7 @@ class TestTelemetryDeterminism:
         def capture():
             reset_uid_counter()
             result = run_move_experiment("lf", n_flows=40, seed=5,
-                                         telemetry=True)
+                                         timeseries=True, sampling=True)
             obs = result.deployment.obs
             stats = obs.flush_sampling()
             return {

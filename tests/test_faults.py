@@ -160,7 +160,7 @@ class TestNoPlanIsInert:
 
     def test_plan_switches_reliable_mode_on(self):
         dep, _ = build_multi_instance_deployment(
-            2, deployment_kwargs={"faults": "seed=1"}
+            2, faults="seed=1"
         )
         assert dep.controller.reliable is True
         assert dep.faults is not None
@@ -187,7 +187,7 @@ class TestIdempotentReplay:
     def test_duplicated_put_applies_once(self):
         """Satellite: a replayed put_perflow must never double-apply."""
         dep, (a, b) = build_multi_instance_deployment(
-            2, deployment_kwargs={"faults": "seed=2,dup=0.7"}
+            2, faults="seed=2,dup=0.7"
         )
         feed(dep, a, 4)
         op = dep.controller.copy("inst1", "inst2", Filter.wildcard(), "per")
@@ -201,7 +201,7 @@ class TestIdempotentReplay:
 
     def test_duplicated_multiflow_copy_does_not_inflate(self):
         dep, (a, b) = build_multi_instance_deployment(
-            2, deployment_kwargs={"faults": "seed=2,dup=0.7"}
+            2, faults="seed=2,dup=0.7"
         )
         feed(dep, a, 3)
         op = dep.controller.copy("inst1", "inst2", Filter.wildcard(), "multi")
@@ -215,7 +215,7 @@ class TestIdempotentReplay:
     def test_dedup_table_is_bounded(self):
         """Entries leave once no caller can still ask for them."""
         dep, (a,) = build_multi_instance_deployment(
-            1, deployment_kwargs={"faults": "seed=4,drop=0.1"}
+            1, faults="seed=4,drop=0.1"
         )
         client = dep.controller.clients["inst1"]
         sizes = []
@@ -242,7 +242,7 @@ class TestFaultedSwitchChannel:
     def test_lossy_switch_channel_never_wedges(self, guarantee):
         result = run_move_experiment(
             guarantee=guarantee, n_flows=30,
-            fault_plan="seed=1,drop=0.2,channels=ctrl->sw",
+            faults="seed=1,drop=0.2,channels=ctrl->sw",
         )
         report = result.report  # done fired: the run did not wedge
         switch_client = result.deployment.controller.switch_client
@@ -254,7 +254,7 @@ class TestFaultedSwitchChannel:
     def test_dead_switch_channel_aborts_naming_the_switch(self, guarantee):
         result = run_move_experiment(
             guarantee=guarantee, n_flows=30,
-            fault_plan="seed=1,partition=0:100000,channels=ctrl->sw",
+            faults="seed=1,partition=0:100000,channels=ctrl->sw",
         )
         assert "to sw gave up after 7 attempts" in result.report.aborted
         assert result.deployment.controller.switch_client.stats["failures"] == 1
@@ -279,20 +279,32 @@ class TestFaultedSwitchChannel:
 
 
 class TestLossyMoveAcceptance:
-    """The headline criterion: LF+OP under 5% control-channel loss."""
+    """The headline criterion: LF+OP under 1-10% control-channel loss.
+    Completion stretches as calls are retried; the guarantees do not."""
 
-    def test_exactly_once_under_loss(self):
+    @pytest.mark.parametrize("drop,move_ms,retries", [
+        (0.0, 68, 0),
+        (0.01, 102, 2),
+        (0.03, 359, 10),
+        (0.05, 367, 21),
+        (0.10, 407, 31),
+    ], ids=["no-plan", "drop1", "drop3", "drop5", "drop10"])
+    def test_exactly_once_under_loss(self, drop, move_ms, retries):
         result = run_move_experiment(
             guarantee="op",
             n_flows=100,
             rate_pps=2500.0,
             data_packets=20,
             seed=7,
-            fault_plan="seed=3,drop=0.05",
+            faults="seed=3,drop=%g" % drop if drop else None,
         )
         report = result.report
         assert report.aborted is None, report.aborted
-        assert report.retries > 0
+        if drop >= 0.03:
+            assert report.retries > 0
+        # Every retry was a timed-out attempt; both are pinned.
+        assert (round(report.duration_ms), report.retries,
+                report.timeouts) == (move_ms, retries, retries)
         counts = result.deployment.processed_uid_counts()
         missing = [p.uid for p in result.replayer.injected
                    if p.uid not in counts]
@@ -301,7 +313,8 @@ class TestLossyMoveAcceptance:
         assert duplicated == {}
         assert result.loss_free, result.loss_free_detail
         assert result.order_preserving, result.order_detail
-        assert result.deployment.faults.messages_dropped > 0
+        if drop:
+            assert result.deployment.faults.messages_dropped > 0
 
     def test_loss_with_duplication_and_delay(self):
         result = run_move_experiment(
@@ -309,7 +322,7 @@ class TestLossyMoveAcceptance:
             n_flows=50,
             rate_pps=2000.0,
             seed=7,
-            fault_plan="seed=5,drop=0.03,dup=0.05,delay=0.1,delay_ms=5",
+            faults="seed=5,drop=0.03,dup=0.05,delay=0.1,delay_ms=5",
         )
         assert result.report.aborted is None, result.report.aborted
         counts = result.deployment.processed_uid_counts()
@@ -320,7 +333,7 @@ class TestLossyMoveAcceptance:
 class TestCrashSemantics:
     def test_crash_spec_kills_nf_at_time(self):
         dep, (a, b) = build_multi_instance_deployment(
-            2, deployment_kwargs={"faults": "crash=inst2@5"}
+            2, faults="crash=inst2@5"
         )
         dep.sim.run(until=10.0)
         assert b.failed
@@ -328,7 +341,7 @@ class TestCrashSemantics:
 
     def test_move_to_crashed_dst_aborts_with_restore(self):
         dep, (a, b) = build_multi_instance_deployment(
-            2, deployment_kwargs={"faults": "crash=inst2#2"}
+            2, faults="crash=inst2#2"
         )
         feed(dep, a, 4)
         op = dep.controller.move("inst1", "inst2", Filter.wildcard(),
@@ -342,7 +355,7 @@ class TestCrashSemantics:
     def test_aborted_copy_reports_partial_chunks(self):
         """Satellite: the report says how many chunks already landed."""
         dep, (a, b) = build_multi_instance_deployment(
-            2, deployment_kwargs={"faults": "crash=inst2#3"}
+            2, faults="crash=inst2#3"
         )
         feed(dep, a, 6)
         op = dep.controller.copy("inst1", "inst2", Filter.wildcard(), "per")
@@ -357,7 +370,7 @@ class TestCrashSemantics:
         an update or none of them do — a mid-session crash must not
         leave the survivors divergent."""
         dep, (a, b, c) = build_multi_instance_deployment(
-            3, deployment_kwargs={"faults": "crash=inst2@18"}
+            3, faults="crash=inst2@18"
         )
         share = dep.controller.share(
             ["inst1", "inst2", "inst3"],

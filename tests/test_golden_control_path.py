@@ -62,16 +62,11 @@ def _report_dict(report):
 
 
 def _record(dep, reports):
-    ctrl = dep.controller
-    sw = ctrl.switch_client
-    messages = sw.to_switch.messages_sent + sw.from_switch.messages_sent
-    for client in ctrl.clients.values():
-        messages += client.to_nf.messages_sent + client.from_nf.messages_sent
     return {
         "reports": [_report_dict(r) for r in reports],
         "clock": [dep.sim.now, dep.sim.events_processed],
-        "control_messages_sent": messages,
-        "handoffs_completed": ctrl.handoffs_completed,
+        "control_messages_sent": dep.control_messages_sent,
+        "handoffs_completed": dep.controller.handoffs_completed,
     }
 
 
@@ -79,7 +74,7 @@ def _single_move(shards, mode, guarantee):
     reset_uid_counter()
     result = run_move_experiment(
         guarantee=GUARANTEES[guarantee], n_flows=60, seed=7,
-        deployment_kwargs=dict(MODES[mode], shards=shards),
+        shards=shards, **MODES[mode],
     )
     return _record(result.deployment, [result.report])
 

@@ -110,19 +110,11 @@ def _report_dict(report):
     return data
 
 
-def _messages_sent(dep):
-    sw = dep.controller.switch_client
-    messages = sw.to_switch.messages_sent + sw.from_switch.messages_sent
-    for client in dep.controller.clients.values():
-        messages += client.to_nf.messages_sent + client.from_nf.messages_sent
-    return messages
-
-
 def _record(dep, reports):
     return {
         "reports": [_report_dict(r) for r in reports],
         "clock": [dep.sim.now, dep.sim.events_processed],
-        "control_messages_sent": _messages_sent(dep),
+        "control_messages_sent": dep.control_messages_sent,
         "machines_left": len(dep.switch.state_machines()),
         "nf_packets": {
             name: [client.nf.packets_received, client.nf.packets_processed]

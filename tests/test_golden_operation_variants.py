@@ -177,7 +177,7 @@ def _run_share(cell, observe):
     consistency, group_by, fault, deployment = SHARE_CELLS[cell]
     reset_uid_counter()
     dep, (a, b) = build_multi_instance_deployment(
-        2, deployment_kwargs=dict(deployment, observe=observe)
+        2, observe=observe, **deployment
     )
     dep.switch.table.install(
         Filter({"nw_src": "10.0.2.0/24"}, symmetric=True), 500, ["inst2"], 0.0

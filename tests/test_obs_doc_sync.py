@@ -25,7 +25,7 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 MODES = {
     "classic": {},
-    "faults": {"fault_plan": "seed=3,drop=0.05,dup=0.1"},
+    "faults": {"faults": "seed=3,drop=0.05,dup=0.1"},
     "batching": {"batching": True},
     "offload": {"offload": True},
     "shards4": {"shards": 4},

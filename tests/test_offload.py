@@ -62,6 +62,34 @@ class TestOffloadedMoveGuarantees:
         assert result.deployment.switch.state_machines() == []
 
 
+class TestOffloadWin:
+    """The offload's claim on a packet-heavy 500-flow LF move, batched
+    transport both times: switch-local rings instead of eventing every
+    in-window packet through the controller cut control messages >= 10x
+    and move latency >= 2x."""
+
+    def _move(self, offload):
+        reset_uid_counter()
+        result = run_move_experiment(
+            Guarantee.LOSS_FREE, n_flows=500, rate_pps=5000.0,
+            data_packets=40, seed=7, batching=True, offload=offload,
+        )
+        report = result.report
+        assert report.aborted is None
+        assert result.loss_free, result.loss_free_detail
+        return (result.deployment.control_messages_sent,
+                round(report.duration_ms, 3), report.packets_in_events,
+                report.packets_buffered_at_switch)
+
+    def test_ten_times_fewer_messages_twice_as_fast(self):
+        classic, offloaded = self._move(False), self._move(True)
+        assert classic[0] / offloaded[0] >= 10.0  # 10.21x
+        assert classic[1] / offloaded[1] >= 2.0  # 2.28x
+        assert (classic, offloaded) == (
+            (1113, 282.778, 1410, 0), (109, 123.858, 0, 563)
+        )
+
+
 class TestOffloadedTraceReplay:
     def test_replay_sees_switch_records_and_stays_clean(self, tmp_path):
         path = str(tmp_path / "offload.trace.jsonl")
@@ -92,7 +120,7 @@ class TestCrashMidOffload:
         # restore the source, release the switch rings toward the
         # surviving port, and leave a loss-free timeline behind.
         result = run_offloaded(
-            Guarantee.LOSS_FREE, fault_plan="seed=5,crash=inst2#20"
+            Guarantee.LOSS_FREE, faults="seed=5,crash=inst2#20"
         )
         assert result.report.aborted is not None
         assert result.loss_free, result.loss_free_detail

@@ -205,12 +205,9 @@ class TestTraceSampler:
 
 
 class TestObservabilityIntegration:
-    def _move(self, **deployment_kwargs):
+    def _move(self, **deployment):
         reset_uid_counter()
-        return run_move_experiment(
-            "lf", n_flows=20, seed=5,
-            deployment_kwargs=deployment_kwargs,
-        )
+        return run_move_experiment("lf", n_flows=20, seed=5, **deployment)
 
     def test_packet_gate_only_without_taps(self):
         gated = self._move(sampling=SamplingPolicy(head_rate=0.1, seed=1))
@@ -302,7 +299,7 @@ class TestObservabilityIntegration:
         reset_uid_counter()
         dirty = run_move_experiment(
             "ng", n_flows=20, seed=5,
-            deployment_kwargs={"audit": True, "sampling": policy},
+            audit=True, sampling=policy,
         ).deployment.obs
         assert dirty.violations()
         # Flagged by the auditors: the whole operation is retained, the
@@ -332,9 +329,7 @@ class TestObservabilityIntegration:
         reset_uid_counter()
         result = run_move_experiment(
             "lf", n_flows=20, seed=5, operation=operation,
-            deployment_kwargs={
-                "sampling": SamplingPolicy(head_rate=0.0, seed=1),
-            },
+            sampling=SamplingPolicy(head_rate=0.0, seed=1),
         )
         obs = result.deployment.obs
         obs.flush_sampling()

@@ -141,6 +141,86 @@ class TestParallelism:
         assert max(classic) > solo * 1.5
 
 
+SCALING_PAIRS = 8
+SCALING_FLOWS = 400
+DRAIN_EVENTS = 4000
+
+
+def _concurrent_moves(shards):
+    """(makespan, mean move ms) of 8 simultaneous disjoint 400-flow LF
+    moves; pair ``p`` owns ``172.(16+p).0.0/16`` and adjacent /16s cycle
+    shards, so 4 shards carry two moves each."""
+    dep = Deployment(shards=shards)
+    planned = []
+    for pair in range(SCALING_PAIRS):
+        src = DummyNF(dep.sim, "src%d" % pair)
+        dep.add_nf(src)
+        dep.add_nf(DummyNF(dep.sim, "dst%d" % pair))
+        flt = Filter({"nw_src": "172.%d.0.0/16" % (16 + pair)},
+                     symmetric=True)
+        dep.set_default_route(src.name, flt)
+        src.preload(SCALING_FLOWS, base_ip="172.%d.0.0" % (16 + pair))
+        planned.append((src.name, "dst%d" % pair, flt))
+    moves = []
+    dep.call_at(10.0, lambda: moves.extend(
+        dep.controller.move(src, dst, flt, scope="per", guarantee="lf")
+        for src, dst, flt in planned
+    ))
+    dep.run()
+    reports = [move.done.value for move in moves]
+    assert sum(r.total_chunks for r in reports) == \
+        SCALING_PAIRS * SCALING_FLOWS
+    return (round(max(r.finished_at for r in reports) - 10.0, 3),
+            round(sum(r.duration_ms for r in reports) / SCALING_PAIRS, 3))
+
+
+def _event_drain_ms(shards):
+    """When a 4000-event burst spread over flow space has drained; each
+    event is one serialized ``msg_proc_ms`` slot on its owning shard."""
+    dep = Deployment(shards=shards)
+    dep.add_nf(DummyNF(dep.sim, "gen"))
+    dep.controller.default_event_handler = lambda event: None
+    for index in range(DRAIN_EVENTS):
+        flow = FiveTuple(
+            "172.%d.%d.%d" % (16 + index % 8, 1 + index // 250,
+                              1 + index % 250),
+            20000 + index, "198.18.0.1", 80,
+        )
+        packet = Packet(flow, tcp_flags=("ACK",), created_at=dep.sim.now)
+        dep.controller.handle_nf_event(
+            PacketEvent("gen", packet, EventAction.PROCESS, dep.sim.now))
+    drained = []
+    dep.controller.inbox_drained().add_callback(
+        lambda _evt: drained.append(dep.sim.now))
+    dep.run()
+    return round(drained[0], 3)
+
+
+class TestScaling:
+    """Fig. 13's serialization wall, removed: at 8 concurrent moves, 4
+    shards buy >= 3x aggregate operation throughput and >= 3x event
+    throughput over one (both are work / makespan, so the speed-up is
+    the makespan ratio)."""
+
+    @pytest.fixture(scope="class")
+    def measured(self):
+        return {shards: (_concurrent_moves(shards), _event_drain_ms(shards))
+                for shards in (1, 2, 4)}
+
+    def test_four_shards_triple_move_and_event_throughput(self, measured):
+        (moves_1, _), drain_1 = measured[1]
+        (moves_4, _), drain_4 = measured[4]
+        assert moves_1 / moves_4 >= 3.0  # 3.62x
+        assert drain_1 / drain_4 >= 3.0  # 4.0x
+
+    def test_simulated_clock_is_pinned(self, measured):
+        assert measured == {
+            1: ((497.291, 496.766), 600.0),
+            2: ((257.292, 257.067), 300.0),
+            4: ((137.294, 137.218), 150.0),
+        }
+
+
 def _cross_shard_spec(second_op):
     # 10.0.1.0/24 homes on shard 1; 10.0.0.0/8 homes on shard 0 and
     # intersects it -> the second operation needs the handshake.

@@ -121,7 +121,7 @@ class TestSnapshotTopAndReporter:
             assert reporter.start() is reporter  # idempotent re-arm
 
         result = run_move_experiment(
-            "lf", n_flows=20, seed=5, telemetry=True,
+            "lf", n_flows=20, seed=5, timeseries=True, sampling=True,
             on_deployment=on_deployment, **kwargs
         )
         return result, frames, reporters[0]

@@ -71,7 +71,7 @@ class TestCausalTree:
         assert any(s.name == "sb.put.perflow" for s in members)
 
     def test_retried_rpcs_stay_in_the_tree(self):
-        result = run(fault_plan="seed=3,drop=0.08")
+        result = run(faults="seed=3,drop=0.08")
         assert result.report.retries > 0
         members = self._assert_connected(result)
         retry_events = [
