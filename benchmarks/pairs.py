@@ -15,7 +15,8 @@ pairs the change won; the last line of stdout is the
 ``benchmarks/results/history.jsonl`` record. With ``--pr`` the record
 also carries tier-1's test count, wall seconds and five slowest test
 files (summed ``call`` time of ``pytest --durations=0``), is appended to that
-file, and the previous record's ``commit`` is filled in with the parent.
+file, and the previous record's ``commit`` is filled in: the first-parent
+child of *that* record's parent on the way to this one's.
 
 ``--layers W`` names the layer the time was bought in: after the pairs,
 one traced run (``--trace 1 --seed 7``, the ledger's reference seed) of
@@ -161,11 +162,23 @@ def tier1() -> dict:
             "slowest_files": slowest_files(done.stdout)}
 
 
+def child_on_path(ancestor: str, descendant: str):
+    """The first-parent child of ``ancestor`` on the way to
+    ``descendant``, abbreviated, or None when there is no such path."""
+    path = git("rev-list", "--first-parent", "--ancestry-path", "--reverse",
+               "--abbrev-commit", "%s..%s" % (ancestor, descendant)).split()
+    return path[0].decode() if path else None
+
+
 def append_history(record: dict) -> None:
     with open(HISTORY) as handle:
         lines = [json.loads(line) for line in handle if line.strip()]
-    if lines and lines[-1]["commit"] is None and lines[-1]["pr"] != record["pr"]:
-        lines[-1]["commit"] = record["parent"]
+    last = lines[-1] if lines else None
+    if last and last["commit"] is None and last["pr"] != record["pr"]:
+        # The previous record was taken against its own parent: its
+        # commit is that parent's child, not necessarily this record's
+        # parent (a PR that wrote no record may sit in between).
+        last["commit"] = child_on_path(last["parent"], record["parent"])
     lines.append(record)
     with open(HISTORY, "w") as handle:
         for line in lines:

@@ -21,6 +21,9 @@ from repro.flowspace.fivetuple import FiveTuple
 
 HEADER_OVERHEAD_BYTES = 54  # Ethernet + IPv4 + TCP headers
 
+#: The flags that end a connection (``is_fin_or_rst``).
+_TERMINATING_FLAGS = frozenset(("FIN", "RST"))
+
 _uid_counter = itertools.count(1)
 
 
@@ -30,10 +33,14 @@ def reset_uid_counter() -> None:
     _uid_counter = itertools.count(1)
 
 
-
-
 class Packet:
-    """A single packet traversing the simulated network."""
+    """A single packet traversing the simulated network.
+
+    ``size_bytes`` (headers plus payload length, the approximate wire
+    size) is a fact of the payload, so it is computed once here; the
+    payload is only ever rewritten through :meth:`rewrite_payload`,
+    which keeps the two in step.
+    """
 
     __slots__ = (
         "uid",
@@ -41,6 +48,7 @@ class Packet:
         "tcp_flags",
         "seq",
         "payload",
+        "size_bytes",
         "marks",
         "created_at",
         "extra_headers",
@@ -60,14 +68,16 @@ class Packet:
         self.tcp_flags: FrozenSet[str] = frozenset(tcp_flags)
         self.seq = seq
         self.payload = payload
+        self.size_bytes = HEADER_OVERHEAD_BYTES + len(payload)
         self.marks: Set[str] = set()
         self.created_at = created_at
         self.extra_headers = extra_headers or {}
 
-    @property
-    def size_bytes(self) -> int:
-        """Approximate wire size: headers plus payload length."""
-        return HEADER_OVERHEAD_BYTES + len(self.payload)
+    def rewrite_payload(self, payload: str) -> None:
+        """Replace the payload in place (e.g. an RE encoder's stripping),
+        keeping ``size_bytes`` its length plus the header overhead."""
+        self.payload = payload
+        self.size_bytes = HEADER_OVERHEAD_BYTES + len(payload)
 
     def flow_key(self) -> str:
         """Canonical (direction-insensitive) flow name for this packet.
@@ -136,7 +146,7 @@ class Packet:
 
     def is_fin_or_rst(self) -> bool:
         """Whether this packet terminates its connection."""
-        return bool(self.tcp_flags & {"FIN", "RST"})
+        return not self.tcp_flags.isdisjoint(_TERMINATING_FLAGS)
 
     def __repr__(self) -> str:
         flags = "+".join(sorted(self.tcp_flags)) or "-"

@@ -305,7 +305,11 @@ class NetworkFunction:
             self.sim.schedule(self.costs.disposition_ms, self._drain)
 
     def _begin_processing(self, packet: Packet, rule: Optional[EventRule]) -> None:
-        duration = self.costs.effective_proc_ms(self._transfers_active > 0)
+        costs = self.costs
+        if self._transfers_active:
+            duration = costs.effective_proc_ms(True)
+        else:
+            duration = costs.proc_ms
         self.sim.schedule(duration, self._finish_processing, packet, rule, duration)
 
     def _finish_processing(

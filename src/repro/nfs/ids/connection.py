@@ -57,6 +57,9 @@ class Connection:
         #: for a flow whose processing continued elsewhere (§7, Bro).
         self.moved = False
         self.weirds: List[str] = []
+        #: ``on_weird(name, packet)``: the detector's alert hook, wired by
+        #: the NF once per (new or imported) connection; not state.
+        self.on_weird: Optional[Callable[[str, Packet], None]] = None
         if five_tuple.dst_port == 80:
             self.service = "http"
         elif five_tuple.dst_port == FTP_CONTROL_PORT:
@@ -79,17 +82,18 @@ class Connection:
 
     # ------------------------------------------------------------- processing
 
-    def on_packet(
-        self,
-        packet: Packet,
-        now: float,
-        on_weird: Optional[Callable[[str], None]] = None,
-    ) -> None:
+    def on_packet(self, packet: Packet, now: float) -> None:
         """Fold one packet into the connection."""
         self.last_time = now
-        from_orig = packet.five_tuple == self.orig_tuple or (
-            packet.five_tuple.src_ip == self.orig_tuple.src_ip
-            and packet.five_tuple.src_port == self.orig_tuple.src_port
+        five_tuple = packet.five_tuple
+        orig_tuple = self.orig_tuple
+        from_orig = (
+            five_tuple is orig_tuple
+            or five_tuple == orig_tuple
+            or (
+                five_tuple.src_ip == orig_tuple.src_ip
+                and five_tuple.src_port == orig_tuple.src_port
+            )
         )
         if from_orig:
             self.orig_packets += 1
@@ -99,10 +103,13 @@ class Connection:
             self.resp_bytes += packet.size_bytes
 
         flags = packet.tcp_flags
-        handshake_seen = any(letter in self.history for letter in "SshH")
+        history = self.history
+        handshake_seen = (
+            "S" in history or "s" in history or "h" in history or "H" in history
+        )
         if "SYN" in flags and "ACK" not in flags:
             if self.data_seen:
-                self._weird("SYN_inside_connection", on_weird)
+                self._weird("SYN_inside_connection", packet)
             else:
                 self.state = S0
                 self._history("S" if from_orig else "s")
@@ -112,13 +119,13 @@ class Connection:
             self._history("h" if from_orig else "H")
         if "RST" in flags:
             if packet.payload:
-                self._weird("RST_with_data", on_weird)
+                self._weird("RST_with_data", packet)
             self.state = RST
             self.closed = True
             self._history("R" if from_orig else "r")
         elif "FIN" in flags:
             if not handshake_seen and not self.data_seen:
-                self._weird("spontaneous_FIN", on_weird)
+                self._weird("spontaneous_FIN", packet)
             self._history("F" if from_orig else "f")
             if ("F" in self.history) and ("f" in self.history):
                 self.state = SF
@@ -126,7 +133,7 @@ class Connection:
 
         if packet.payload and "RST" not in flags:
             if not handshake_seen and not self.data_seen:
-                self._weird("data_before_established", on_weird)
+                self._weird("data_before_established", packet)
             self.data_seen = True
             if self.state in (S0, S1):
                 self.state = EST
@@ -134,10 +141,10 @@ class Connection:
             reasm = self.orig_reasm if from_orig else self.resp_reasm
             reasm.segment(packet.seq, packet.payload)
 
-    def _weird(self, name: str, on_weird: Optional[Callable[[str], None]]) -> None:
+    def _weird(self, name: str, packet: Packet) -> None:
         self.weirds.append(name)
-        if on_weird is not None:
-            on_weird(name)
+        if self.on_weird is not None:
+            self.on_weird(name, packet)
 
     def _history(self, letter: str) -> None:
         if not self.history.endswith(letter):

@@ -101,23 +101,15 @@ class IntrusionDetector(NetworkFunction):
             self._wire_analyzers(conn)
             self.conns[conn_id] = conn
             self.stats["flows"] += 1
-        self._scan_attempt(packet, now)
-        self._ftp_data_check(packet, conn)
-        conn.on_packet(
-            packet,
-            now,
-            on_weird=lambda weird_name: self._alert(
-                "weird:%s" % weird_name,
-                str(packet.five_tuple),
-                flow=packet.five_tuple,
-            ),
-        )
+        if packet.is_syn():
+            self._scan_attempt(packet, now)
+            self._ftp_data_check(packet, conn)
+        conn.on_packet(packet, now)
         if conn.closed:
             self._finalize_conn(conn_id, conn)
 
     def _scan_attempt(self, packet: Packet, now: float) -> None:
-        if not packet.is_syn():
-            return
+        """Count a SYN towards its source's scan record."""
         source = packet.five_tuple.src_ip
         record_id = FlowId.for_host(source)
         record = self.scans.get(record_id)
@@ -136,8 +128,6 @@ class IntrusionDetector(NetworkFunction):
 
     def _ftp_data_check(self, packet: Packet, conn: Connection) -> None:
         """A data-connection SYN must follow its RETR (§5.1.2's example)."""
-        if not packet.is_syn():
-            return
         ft = packet.five_tuple
         if FTP_DATA_PORT not in (ft.src_port, ft.dst_port):
             return
@@ -161,6 +151,7 @@ class IntrusionDetector(NetworkFunction):
 
     def _wire_analyzers(self, conn: Connection) -> None:
         """Attach detection callbacks to a (new or imported) connection."""
+        conn.on_weird = self._weird_alert
         if conn.ftp is not None:
             conn.ftp.on_retr = lambda filename: self._on_retr(conn, filename)
         if conn.http is None:
@@ -192,6 +183,11 @@ class IntrusionDetector(NetworkFunction):
                 )
 
         return check
+
+    def _weird_alert(self, name: str, packet: Packet) -> None:
+        # Named after the packet's direction, not the connection's.
+        five_tuple = packet.five_tuple
+        self._alert("weird:%s" % name, str(five_tuple), flow=five_tuple)
 
     def _alert(self, kind: str, subject: str, detail: str = "", flow=None) -> None:
         self.alerts.append(Alert(self.sim.now, kind, subject, detail, flow=flow))

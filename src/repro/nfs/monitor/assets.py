@@ -22,10 +22,15 @@ _SERVICE_SIGNATURES = (
     ("220 ", "smtp"),
     ("EHLO", "smtp-client"),
 )
+#: Every signature prefix, so a payload none of them starts (nearly all
+#: data packets) is rejected by one ``str.startswith`` call.
+_SIGNATURE_PREFIXES = tuple(prefix for prefix, _ in _SERVICE_SIGNATURES)
 
 
 def sniff_service(payload: str) -> str:
     """Guess a service from the start of a payload ('' if unknown)."""
+    if not payload or not payload.startswith(_SIGNATURE_PREFIXES):
+        return ""
     for prefix, service in _SERVICE_SIGNATURES:
         if payload.startswith(prefix):
             return service
@@ -48,7 +53,8 @@ class AssetRecord:
 
     def observe(self, now: float, service: str = "", new_connection: bool = False):
         """Fold one packet observation into the record."""
-        self.last_seen = max(self.last_seen, now)
+        if now > self.last_seen:
+            self.last_seen = now
         if service and service not in self.services:
             self.services.append(service)
             self.services.sort()

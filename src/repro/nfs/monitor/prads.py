@@ -102,32 +102,31 @@ class AssetMonitor(NetworkFunction):
 
     def process_packet(self, packet: Packet) -> None:
         now = self.sim.now
-        conn_id = FlowId.for_flow(packet.five_tuple.canonical())
+        five_tuple = packet.five_tuple
+        stats = self.stats
+        conn_id = FlowId.for_flow(five_tuple.canonical())
         conn = self.conns.get(conn_id)
         new_connection = conn is None
         if new_connection:
             conn = ConnRecord(now)
             self.conns[conn_id] = conn
-            self.stats["flows"] += 1
+            stats["flows"] += 1
         conn.observe(packet, now)
 
         service = sniff_service(packet.payload)
-        for ip in (packet.five_tuple.src_ip, packet.five_tuple.dst_ip):
+        src_ip = five_tuple.src_ip
+        assets = self.assets
+        for ip in (src_ip, five_tuple.dst_ip):
             asset_id = FlowId.for_host(ip)
-            asset = self.assets.get(asset_id)
+            asset = assets.get(asset_id)
             if asset is None:
                 asset = AssetRecord(ip, now)
-                self.assets[asset_id] = asset
+                assets[asset_id] = asset
             # A payload signature describes the host that sent it.
-            is_source = ip == packet.five_tuple.src_ip
-            asset.observe(
-                now,
-                service=service if is_source else "",
-                new_connection=new_connection,
-            )
+            asset.observe(now, service if ip == src_ip else "", new_connection)
 
-        self.stats["packets"] += 1
-        self.stats["bytes"] += packet.size_bytes
+        stats["packets"] += 1
+        stats["bytes"] += packet.size_bytes
 
         if packet.is_fin_or_rst():
             # The connection ended: prune its record (PRADS expires ended

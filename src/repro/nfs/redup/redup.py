@@ -76,7 +76,7 @@ class REEncoder(NetworkFunction):
             self.encoded_packets += 1
             self.bytes_saved += len(packet.payload) - len(fp)
             packet.extra_headers[RE_TOKEN_HEADER] = fp
-            packet.payload = ""
+            packet.rewrite_payload("")
         else:
             self.store.remember(packet.payload)
             self.raw_packets += 1

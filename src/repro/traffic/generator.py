@@ -31,11 +31,7 @@ class PacketBlueprint:
 
     def build(self, created_at: float) -> Packet:
         return Packet(
-            self.five_tuple,
-            tcp_flags=self.tcp_flags,
-            seq=self.seq,
-            payload=self.payload,
-            created_at=created_at,
+            self.five_tuple, self.tcp_flags, self.seq, self.payload, created_at
         )
 
 

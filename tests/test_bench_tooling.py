@@ -3,7 +3,8 @@
 ``benchmarks/check_regression.py`` compares fresh ``BENCH_*.json``
 results with the committed ones; ``benchmarks/results/table2_loc.txt``
 is a static analysis of this repository that goes stale with every NF
-edit; ``make conform`` is the conformance job's only matrix entry point.
+edit; ``make conform`` is the conformance job's only matrix entry point;
+``benchmarks/pairs.py`` stamps each ``history.jsonl`` record's commit.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import importlib
 import json
 import pathlib
 import re
+import subprocess
 
 import pytest
 
@@ -78,6 +80,49 @@ def test_committed_results_pass_against_themselves(bench, tmp_path, capsys):
     )
     assert main([str(RESULTS), str(tmp_path)]) == 1
     assert "BENCH_obs_overhead.json: missing from" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------- history.jsonl
+
+
+def test_history_stamps_the_previous_record_with_its_own_child(
+    bench, monkeypatch, tmp_path
+):
+    # main <- a <- b <- c: a record was taken for b against a, none for
+    # c, and the next is taken against c. b's row gets b, not c.
+    pairs = bench("pairs")
+
+    def git(*args):
+        return subprocess.run(
+            ("git", "-c", "user.name=t", "-c", "user.email=t@t") + args,
+            cwd=tmp_path, stdout=subprocess.PIPE, check=True,
+        ).stdout.decode().strip()
+
+    git("init", "-q")
+    commits = []
+    for name in ("main", "a", "b", "c"):
+        git("commit", "-q", "--allow-empty", "-m", name)
+        commits.append(git("rev-parse", "--short", "HEAD"))
+    _, a, b, c = commits
+    history = tmp_path / "history.jsonl"
+    history.write_text(json.dumps({"pr": 1, "commit": None, "parent": a}) + "\n")
+    monkeypatch.setattr(pairs, "ROOT", str(tmp_path))
+    monkeypatch.setattr(pairs, "HISTORY", str(history))
+
+    pairs.append_history({"pr": 3, "commit": None, "parent": c})
+    rows = [json.loads(line) for line in history.read_text().splitlines()]
+    assert [(row["pr"], row["commit"]) for row in rows] == [(1, b), (3, None)]
+    # A re-run of the same PR replaces nothing and stamps nothing.
+    pairs.append_history({"pr": 3, "commit": None, "parent": c})
+    assert json.loads(history.read_text().splitlines()[1])["commit"] is None
+
+
+def test_every_committed_record_but_the_last_names_its_commit():
+    rows = [
+        json.loads(line)
+        for line in (RESULTS / "history.jsonl").read_text().splitlines()
+    ]
+    assert [row["pr"] for row in rows[:-1] if row["commit"] is None] == []
 
 
 # -------------------------------------------------------------------- Table 2

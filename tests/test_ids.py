@@ -175,7 +175,8 @@ class TestConnectionStateMachine:
         weirds = []
         conn = Connection(flow, 0.0)
         conn.on_packet(make_packet(flow, payload="data"), 0.0)
-        conn.on_packet(make_packet(flow, flags=("SYN",)), 1.0, weirds.append)
+        conn.on_weird = lambda name, packet: weirds.append(name)
+        conn.on_packet(make_packet(flow, flags=("SYN",)), 1.0)
         assert weirds == ["SYN_inside_connection"]
 
     def test_log_entry_abnormal_when_unclosed_with_data(self, flow):
@@ -226,6 +227,41 @@ def drive_flow(sim, ids, flow_blueprint):
     for blueprint in flow_blueprint.packets:
         ids.receive(blueprint.build(sim.now))
     sim.run()
+
+
+class TestAlertOrder:
+    """One packet raising a weird and a content alert: the weird comes
+    first and names the packet's direction, the content alert names
+    the connection's originator."""
+
+    def alerts(self, ids):
+        return [(alert.kind, alert.subject, alert.flow) for alert in ids.alerts]
+
+    def test_request_direction(self, sim, flow):
+        ids = IntrusionDetector(sim, "bro")
+        request = "GET / HTTP/1.1\r\nHost: x\r\nUser-Agent: %s\r\n\r\n" % (
+            OUTDATED_AGENT
+        )
+        ids.receive(make_packet(flow, flags=("ACK", "PSH"), payload=request))
+        sim.run()
+        assert self.alerts(ids) == [
+            ("weird:data_before_established", str(flow), flow),
+            ("outdated_browser", flow.src_ip, flow),
+        ]
+
+    def test_reply_direction(self, sim, flow):
+        ids = IntrusionDetector(sim, "bro", SignatureDB(malware_signatures()))
+        server = flow.reversed()
+        reply = "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (
+            len(MALWARE_BODY), MALWARE_BODY
+        )
+        ids.receive(make_packet(flow, flags=("ACK",)))  # opens it, no data
+        ids.receive(make_packet(server, flags=("ACK",), payload=reply))
+        sim.run()
+        assert self.alerts(ids) == [
+            ("weird:data_before_established", str(server), server),
+            ("malware", str(flow), flow),
+        ]
 
 
 class TestIntrusionDetector:

@@ -14,49 +14,49 @@ class TestWeirdCatalog:
     def test_data_before_established(self, flow):
         weirds = []
         conn = Connection(flow, 0.0)
-        conn.on_packet(make_packet(flow, payload="mid-stream"), 0.0,
-                       weirds.append)
+        conn.on_weird = lambda name, packet: weirds.append(name)
+        conn.on_packet(make_packet(flow, payload="mid-stream"), 0.0)
         assert weirds == ["data_before_established"]
 
     def test_data_after_handshake_is_clean(self, flow):
         weirds = []
         conn = Connection(flow, 0.0)
-        conn.on_packet(make_packet(flow, flags=("SYN",)), 0.0, weirds.append)
-        conn.on_packet(make_packet(flow.reversed(), flags=("SYN", "ACK")),
-                       1.0, weirds.append)
-        conn.on_packet(make_packet(flow, payload="fine"), 2.0, weirds.append)
+        conn.on_weird = lambda name, packet: weirds.append(name)
+        conn.on_packet(make_packet(flow, flags=("SYN",)), 0.0)
+        conn.on_packet(make_packet(flow.reversed(), flags=("SYN", "ACK")), 1.0)
+        conn.on_packet(make_packet(flow, payload="fine"), 2.0)
         assert weirds == []
 
     def test_data_before_established_fires_once(self, flow):
         weirds = []
         conn = Connection(flow, 0.0)
-        conn.on_packet(make_packet(flow, payload="a"), 0.0, weirds.append)
-        conn.on_packet(make_packet(flow, payload="b", seq=1), 1.0,
-                       weirds.append)
+        conn.on_weird = lambda name, packet: weirds.append(name)
+        conn.on_packet(make_packet(flow, payload="a"), 0.0)
+        conn.on_packet(make_packet(flow, payload="b", seq=1), 1.0)
         assert weirds.count("data_before_established") == 1
 
     def test_rst_with_data(self, flow):
         weirds = []
         conn = Connection(flow, 0.0)
-        conn.on_packet(make_packet(flow, flags=("SYN",)), 0.0, weirds.append)
-        conn.on_packet(make_packet(flow, flags=("RST",), payload="oops"),
-                       1.0, weirds.append)
+        conn.on_weird = lambda name, packet: weirds.append(name)
+        conn.on_packet(make_packet(flow, flags=("SYN",)), 0.0)
+        conn.on_packet(make_packet(flow, flags=("RST",), payload="oops"), 1.0)
         assert "RST_with_data" in weirds
 
     def test_spontaneous_fin(self, flow):
         weirds = []
         conn = Connection(flow, 0.0)
-        conn.on_packet(make_packet(flow, flags=("FIN", "ACK")), 0.0,
-                       weirds.append)
+        conn.on_weird = lambda name, packet: weirds.append(name)
+        conn.on_packet(make_packet(flow, flags=("FIN", "ACK")), 0.0)
         assert weirds == ["spontaneous_FIN"]
 
     def test_fin_after_data_is_clean(self, flow):
         weirds = []
         conn = Connection(flow, 0.0)
-        conn.on_packet(make_packet(flow, flags=("SYN",)), 0.0, weirds.append)
-        conn.on_packet(make_packet(flow, payload="data"), 1.0, weirds.append)
-        conn.on_packet(make_packet(flow, flags=("FIN", "ACK")), 2.0,
-                       weirds.append)
+        conn.on_weird = lambda name, packet: weirds.append(name)
+        conn.on_packet(make_packet(flow, flags=("SYN",)), 0.0)
+        conn.on_packet(make_packet(flow, payload="data"), 1.0)
+        conn.on_packet(make_packet(flow, flags=("FIN", "ACK")), 2.0)
         assert weirds == []
 
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.flowspace import Filter, FiveTuple, FlowId
+from repro.harness import Deployment
+from repro.net.packet import HEADER_OVERHEAD_BYTES
 from repro.nf import NFCrash, Scope
 from repro.nfs.dummy import DUMMY_CHUNK_BYTES, DummyNF
 from repro.nfs.nat import ESTABLISHED, NetworkAddressTranslator
@@ -206,6 +208,28 @@ class TestRedundancyElimination:
         assert second.extra_headers[RE_TOKEN_HEADER] == fingerprint("hello world, this is a repeated payload")
         assert second.payload == ""
         assert encoder.bytes_saved > 0
+
+    def test_stripped_packet_is_header_sized_on_the_wire(self, flow):
+        # The encoder rewrites a payload in place after the packet was
+        # built: its size, and the bytes the forwarding entry counts for
+        # it downstream, must follow the rewrite.
+        dep = Deployment()
+        dep.add_nf(REDecoder(dep.sim, "dec"))
+        dep.set_default_route("dec")
+        encoder = REEncoder(dep.sim, "enc")
+        body = "a payload long enough to be worth a token"
+        raw = make_packet(flow, payload=body)
+        repeat = make_packet(flow, payload=body, seq=len(body))
+        for packet in (raw, repeat):
+            encoder.encode(packet)
+            dep.inject(packet)
+        dep.run()
+        assert repeat.payload == ""
+        assert repeat.size_bytes == HEADER_OVERHEAD_BYTES
+        entry = dep.switch.table.lookup(repeat)
+        assert entry.actions == ("dec",)
+        assert entry.packets == 2
+        assert entry.bytes == 2 * HEADER_OVERHEAD_BYTES + len(body)
 
     def test_decoder_expands_known_token(self, sim, flow):
         decoder = REDecoder(sim, "dec")
