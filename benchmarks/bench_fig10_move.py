@@ -20,13 +20,7 @@ import pytest
 from repro.harness import run_move_experiment
 from repro.net.channel import BatchConfig
 
-from common import (
-    format_table,
-    publish,
-    publish_trace,
-    run_once,
-    trace_enabled,
-)
+from common import format_table, publish, run_once
 
 N_FLOWS = 500
 RATE_PPS = 2500.0
@@ -45,7 +39,6 @@ CONFIGS = [
 
 
 def run_figure10():
-    observe = trace_enabled()
     results = {}
     for label, kwargs in CONFIGS:
         results[label] = run_move_experiment(
@@ -53,7 +46,6 @@ def run_figure10():
             rate_pps=RATE_PPS,
             data_packets=DATA_PACKETS,
             seed=7,
-            observe=observe,
             **kwargs,
         )
     return results
@@ -61,12 +53,6 @@ def run_figure10():
 
 def test_fig10_move_guarantees(benchmark):
     results = run_once(benchmark, run_figure10)
-    if trace_enabled():
-        for label, _ in CONFIGS:
-            slug = label.lower().replace("+", "_").replace(" ", "_")
-            publish_trace(
-                "fig10_move_%s" % slug, results[label].deployment.obs
-            )
 
     rows = []
     for label, _ in CONFIGS:

@@ -23,7 +23,8 @@ import repro.nfs.proxy as proxy_pkg
 from common import format_table, publish, run_once
 
 #: Method/function names that exist only to support OpenNF's southbound
-#: API (the prototype's per-NF additions).
+#: API (the prototype's per-NF additions). Besides these, every
+#: class-level ``STATE`` declaration counts, with each method it names.
 SOUTHBOUND_HOOKS = {
     "state_keys",
     "export_chunk",
@@ -35,8 +36,6 @@ SOUTHBOUND_HOOKS = {
     "merge_from",
     "flowid",
     "chunk_size_bytes",
-    "state_size_bytes",
-    "clients_being_served",
 }
 
 PACKAGES = [
@@ -54,6 +53,27 @@ def _package_files(package):
             yield os.path.join(directory, name)
 
 
+def _southbound_nodes(tree):
+    """The hook functions, ``STATE`` declarations and the methods those
+    declarations name, anywhere in one module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in SOUTHBOUND_HOOKS:
+            yield node
+        if not isinstance(node, ast.ClassDef):
+            continue
+        named = set()
+        for stmt in node.body:
+            if isinstance(stmt, ast.Assign) and any(
+                getattr(target, "id", None) == "STATE" for target in stmt.targets
+            ):
+                yield stmt
+                named.update(n.id for n in ast.walk(stmt.value)
+                             if isinstance(n, ast.Name))
+        for stmt in node.body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name in named:
+                yield stmt
+
+
 def count_loc(package):
     """(southbound_loc, total_loc) for one NF package."""
     southbound = 0
@@ -61,13 +81,11 @@ def count_loc(package):
     for path in _package_files(package):
         with open(path) as handle:
             source = handle.read()
-        lines = source.splitlines()
-        total += sum(1 for line in lines if line.strip())
-        tree = ast.parse(source)
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name in SOUTHBOUND_HOOKS:
-                    southbound += node.end_lineno - node.lineno + 1
+        total += sum(1 for line in source.splitlines() if line.strip())
+        counted = set()  # line numbers: a node named twice counts once
+        for node in _southbound_nodes(ast.parse(source)):
+            counted.update(range(node.lineno, node.end_lineno + 1))
+        southbound += len(counted)
     return southbound, total
 
 

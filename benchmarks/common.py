@@ -13,34 +13,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, List, Sequence
 
-from repro.obs import entries_from_obs, write_trace
-
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-
-def trace_enabled() -> bool:
-    """Opt-in switch for benchmark tracing (``OPENNF_TRACE=1``).
-
-    Off by default so benchmark timings match the untraced seed; when
-    set, harnesses run their experiments with ``observe=True`` and dump
-    the span trees next to their result tables.
-    """
-    return os.environ.get("OPENNF_TRACE", "") not in ("", "0", "false")
-
-
-def publish_trace(name: str, obs) -> str:
-    """Write an Observability bundle's spans/records as JSON lines.
-
-    Returns the path written. No-op (returns "") when the bundle is
-    disabled or has no in-memory exporter.
-    """
-    if not obs.enabled or obs.exporter is None:
-        return ""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, name + ".trace.jsonl")
-    write_trace(entries_from_obs(obs), path)
-    print("trace: wrote %d spans to %s" % (len(obs.exporter.spans), path))
-    return path
 
 
 def format_table(

@@ -2,9 +2,12 @@
 """Tutorial: adding your own NF to the OpenNF control plane.
 
 The paper's southbound API was designed so a new NF needs only a small,
-mechanical set of handlers (§4.2, Table 2). This example builds a toy
-"flow meter" NF from scratch — per-flow byte counters, a per-host
-multi-flow rollup, and a global total — then:
+mechanical addition (§4.2, Table 2). Here that addition is one table:
+the NF says, per scope, which store holds the state, how a record
+serializes and how an incoming one lands, and the base class derives
+get / put / del from it. This example builds a toy "flow meter" NF from
+scratch — per-flow byte counters, a per-host multi-flow rollup, and a
+global total — then:
 
 1. validates it against the southbound contract with the bundled
    conformance checker, and
@@ -14,12 +17,30 @@ multi-flow rollup, and a global total — then:
 Run:  python examples/custom_nf.py
 """
 
-from typing import Any, Dict, List, Optional, Tuple
-
-from repro import Deployment, Filter, FlowId, NetworkFunction, Scope, StateChunk
+from repro import Deployment, Filter, FlowId, NetworkFunction, Scope
+from repro.flowspace import FlowKeyedStore
 from repro.nf.conformance import check_nf_conformance
 from repro.nf.costs import NFCostModel
+from repro.nf.state import ADD, HOST_FIELDS, MERGE, StateSpec
 from repro.traffic import TraceConfig, TraceReplayer, build_university_cloud_trace
+
+
+class HostBytes:
+    """Multi-flow record: the bytes one host has sent."""
+
+    def __init__(self, sent: int = 0) -> None:
+        self.bytes = sent
+
+    def to_dict(self):
+        return {"bytes": self.bytes}
+
+    @classmethod
+    def from_dict(cls, data) -> "HostBytes":
+        return cls(data["bytes"])
+
+    def merge_from(self, data) -> None:
+        # Max, not sum: idempotent, so re-copying converges (§5.2.1).
+        self.bytes = max(self.bytes, data["bytes"])
 
 
 class FlowMeter(NetworkFunction):
@@ -27,59 +48,31 @@ class FlowMeter(NetworkFunction):
 
     def __init__(self, sim, name):
         super().__init__(sim, name, NFCostModel(proc_ms=0.02))
-        self.flows: Dict[FlowId, Dict[str, Any]] = {}     # per-flow
-        self.hosts: Dict[FlowId, Dict[str, Any]] = {}     # multi-flow
-        self.total_bytes = 0                              # all-flows
+        self.flows = FlowKeyedStore()      # per-flow: plain dicts
+        self.hosts = FlowKeyedStore()      # multi-flow: HostBytes per sender
+        self.stats = {"bytes": 0}          # all-flows
 
     # -- packet processing -------------------------------------------------
     def process_packet(self, packet) -> None:
         flow_id = FlowId.for_flow(packet.five_tuple.canonical())
-        record = self.flows.setdefault(flow_id, {"bytes": 0, "packets": 0})
+        record = self.flows.get(flow_id)
+        if record is None:
+            record = self.flows[flow_id] = {"bytes": 0, "packets": 0}
         record["bytes"] += packet.size_bytes
         record["packets"] += 1
         host_id = FlowId.for_host(packet.five_tuple.src_ip)
-        host = self.hosts.setdefault(host_id, {"bytes": 0})
-        host["bytes"] += packet.size_bytes
-        self.total_bytes += packet.size_bytes
+        host = self.hosts.get(host_id)
+        if host is None:
+            host = self.hosts[host_id] = HostBytes()
+        host.bytes += packet.size_bytes
+        self.stats["bytes"] += packet.size_bytes
 
-    # -- the five southbound handlers ---------------------------------------
-    def relevant_fields(self, scope: Scope) -> Tuple[str, ...]:
-        if scope is Scope.MULTIFLOW:
-            return ("nw_src", "nw_dst")
-        return self.DEFAULT_RELEVANT_FIELDS
-
-    def state_keys(self, scope: Scope, flt: Filter) -> List[Any]:
-        if scope is Scope.ALLFLOWS:
-            return ["total"]
-        store = self.flows if scope is Scope.PERFLOW else self.hosts
-        relevant = self.relevant_fields(scope)
-        return [fid for fid in store if flt.matches_flowid(fid, relevant)]
-
-    def export_chunk(self, scope: Scope, key: Any) -> Optional[StateChunk]:
-        if scope is Scope.ALLFLOWS:
-            return StateChunk(scope, None, {"total_bytes": self.total_bytes})
-        store = self.flows if scope is Scope.PERFLOW else self.hosts
-        record = store.get(key)
-        if record is None:
-            return None
-        return StateChunk(scope, key, dict(record))
-
-    def import_chunk(self, chunk: StateChunk) -> None:
-        if chunk.scope is Scope.ALLFLOWS:
-            self.total_bytes += chunk.data["total_bytes"]
-        elif chunk.scope is Scope.PERFLOW:
-            self.flows[chunk.flowid] = dict(chunk.data)      # replace
-        else:
-            existing = self.hosts.get(chunk.flowid)
-            if existing is None:
-                self.hosts[chunk.flowid] = dict(chunk.data)
-            else:  # merge: max is idempotent under re-copying
-                existing["bytes"] = max(existing["bytes"],
-                                        chunk.data["bytes"])
-
-    def delete_by_flowid(self, scope: Scope, flowid: FlowId) -> int:
-        store = self.flows if scope is Scope.PERFLOW else self.hosts
-        return 1 if store.pop(flowid, None) is not None else 0
+    # -- the state declaration: get / put / del are derived from it ---------
+    STATE = {
+        Scope.PERFLOW: StateSpec("flows"),              # replaced on import
+        Scope.MULTIFLOW: StateSpec("hosts", HostBytes, MERGE, HOST_FIELDS),
+        Scope.ALLFLOWS: StateSpec("stats", on_import=ADD),
+    }
 
 
 def main() -> None:
@@ -109,7 +102,7 @@ def main() -> None:
     dep.sim.run()
 
     total_injected = sum(p.size_bytes for p in replayer.injected)
-    total_metered = src.total_bytes + dst.total_bytes
+    total_metered = src.stats["bytes"] + dst.stats["bytes"]
     print("Bytes injected:  %d" % total_injected)
     print("Bytes metered:   %d (across both instances, loss-free)"
           % total_metered)

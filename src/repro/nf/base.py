@@ -14,10 +14,10 @@ state:
   processing (which is inflated while a transfer is active, §8.2.1);
 * the late-locking hook used by the early-release optimization (§5.1.3).
 
-Subclasses implement five handlers — :meth:`process_packet`,
-:meth:`state_keys`, :meth:`export_chunk`, :meth:`import_chunk`,
-:meth:`delete_by_flowid` — mirroring how the prototype added NF-specific
-handlers to Bro, PRADS, Squid, and iptables (§7).
+Subclasses implement ``process_packet(packet)`` and declare ``STATE``,
+one :class:`~repro.nf.state.StateSpec` per scope, from which get / put /
+del are derived: the "bounded, mechanical set of handlers" the prototype
+added to Bro, PRADS, Squid and iptables (§4.2, §7).
 """
 
 from __future__ import annotations
@@ -28,11 +28,13 @@ from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 from repro.flowspace.filter import Filter, FlowId
 from repro.nf.costs import NFCostModel
 from repro.nf.events import EventAction, EventRule, PacketEvent
-from repro.nf.state import Scope, StateChunk
+from repro.nf.state import FLOW_FIELDS, Scope, StateChunk, StateSpec
 from repro.net.channel import AtMostOnce
 from repro.net.packet import Packet
 from repro.obs import NULL_OBS
 from repro.sim.core import Event, Simulator
+
+ALLFLOWS = Scope.ALLFLOWS  # read per chunk: a global, not an Enum lookup
 
 
 class NFCrash(Exception):
@@ -46,15 +48,29 @@ class NFCrash(Exception):
 class NetworkFunction:
     """Base class for all simulated NFs."""
 
-    #: Flowid fields this NF considers when matching *state* against a
-    #: filter (§4.2: "only fields relevant to the state are matched").
-    #: Subclasses narrow this per scope via :meth:`relevant_fields`.
-    DEFAULT_RELEVANT_FIELDS = ("nw_src", "nw_dst", "nw_proto", "tp_src", "tp_dst")
+    #: ``{Scope: StateSpec}``, or a tuple of specs for a scope held in
+    #: several stores. The state handlers below derive from it; a scope
+    #: left out holds nothing.
+    STATE: Dict[Scope, Any] = {}
+    _specs: Dict[Scope, Tuple[StateSpec, ...]] = {}
 
     #: When False, the per-packet ground-truth logs (``processing_log``,
     #: ``proc_durations``) are not recorded — scale benchmarks opt out so
     #: long runs do not grow memory without bound.
     record_ground_truth = True
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._specs = {
+            scope: (specs,) if isinstance(specs, StateSpec) else tuple(specs)
+            for scope, specs in cls.STATE.items()
+        }
+        # Every NF class holds the derived handlers in its own namespace:
+        # the ledger's profiler wraps them per class, looked up there
+        # (``NF_STATE_HANDLERS`` in benchmarks/ledger/adapter.py).
+        for name in ("state_keys", "export_chunk", "import_chunk"):
+            if name not in vars(cls):
+                setattr(cls, name, getattr(cls, name))
 
     def __init__(self, sim: Simulator, name: str, costs: NFCostModel) -> None:
         self.sim = sim
@@ -644,36 +660,66 @@ class NetworkFunction:
         finally:
             gate.trigger()
 
-    # ----------------------------------------------------- NF-specific handlers
+    # ------------------------------------- state handlers, derived from STATE
 
-    def process_packet(self, packet: Packet) -> None:
-        """Apply this NF's packet-processing logic (state updates happen here)."""
-        raise NotImplementedError
+    def relevant_fields(self, scope: Scope) -> Tuple[str, ...]:
+        """Filter fields matched against state of ``scope`` (§4.2)."""
+        specs = self._specs.get(scope)
+        return specs[0].fields if specs else FLOW_FIELDS
 
     def state_keys(self, scope: Scope, flt: Filter) -> List[Any]:
-        """Keys of all state chunks of ``scope`` matching ``flt``.
+        """Keys of the chunks of ``scope`` matching ``flt``, store by store.
 
-        Keys are opaque to the framework; they only need to be accepted by
-        :meth:`export_chunk`. Implementations should apply §4.2's
-        relevant-fields rule when matching.
+        Keys are opaque: :meth:`export_chunk` takes them back. All-flows
+        state is one chunk, keyed by its store's name.
         """
-        raise NotImplementedError
+        keys: List[Any] = []
+        for spec in self._specs.get(scope, ()):
+            if spec.keys is not None:
+                keys.extend(spec.keys(self, flt))
+            elif scope is ALLFLOWS:
+                keys.append(spec.store)
+            else:
+                store = getattr(self, spec.store)
+                keys.extend(store.keys_matching(flt, spec.fields))
+        return keys
 
     def export_chunk(self, scope: Scope, key: Any) -> Optional[StateChunk]:
         """Serialize one chunk; None if the key vanished since enumeration."""
-        raise NotImplementedError
+        for spec in self._specs.get(scope, ()):
+            if scope is ALLFLOWS:
+                key, record = None, getattr(self, spec.store)
+            else:
+                record = getattr(self, spec.store).get(key)
+                if record is None:
+                    continue  # the scope's next store may hold it
+            if spec.export is not None:
+                return spec.export(self, scope, key, record)
+            if spec.codec is not None:
+                return StateChunk(scope, key, record.to_dict())
+            if scope is ALLFLOWS:
+                return StateChunk(scope, None, {spec.store: dict(record)})
+            return StateChunk(scope, key, record)
+        return None
 
     def import_chunk(self, chunk: StateChunk) -> None:
-        """Install or merge one incoming chunk (merging is NF-specific)."""
-        raise NotImplementedError
+        """Install or merge one chunk by its scope's import rule."""
+        for spec in self._specs.get(chunk.scope, ()):
+            if spec.on_import(self, spec, chunk) is not None:
+                return
 
     def delete_by_flowid(self, scope: Scope, flowid: FlowId) -> int:
-        """Remove state identified by ``flowid``; returns chunks removed."""
-        raise NotImplementedError
+        """Remove the records keyed by ``flowid``; returns how many.
 
-    def relevant_fields(self, scope: Scope) -> Tuple[str, ...]:
-        """Filter fields meaningful for state of ``scope`` at this NF."""
-        return self.DEFAULT_RELEVANT_FIELDS
+        All-flows state "is always relevant" (§4.2): nothing deletes it.
+        """
+        if scope is ALLFLOWS:
+            return 0
+        removed = 0
+        for spec in self._specs.get(scope, ()):
+            if spec.on_delete(self, spec, flowid) is not None:
+                removed += 1
+        return removed
 
     # ------------------------------------------------------------------ helpers
 

@@ -24,6 +24,8 @@ trusted inside move/copy/share:
     not re-apply state: per-flow import is merge-based (counters would
     double), so the fault-tolerant control plane depends on the NF
     honouring request-id dedup.
+7.  **Undeclared scopes are inert** — checks 1-6 run over the scopes in
+    the NF's ``STATE``; any other enumerates, exports and deletes nothing.
 
 Use :func:`check_nf_conformance` in a test::
 
@@ -37,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.flowspace.filter import Filter
+from repro.flowspace.filter import Filter, FlowId
 from repro.nf.state import Scope
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
@@ -84,7 +86,6 @@ def _default_traffic() -> List[Packet]:
 def check_nf_conformance(
     factory: Callable[[Simulator, str], Any],
     traffic: Optional[Sequence[Packet]] = None,
-    scopes: Sequence[Scope] = (Scope.PERFLOW, Scope.MULTIFLOW, Scope.ALLFLOWS),
 ) -> ConformanceReport:
     """Run the southbound conformance battery against an NF factory."""
     report = ConformanceReport()
@@ -95,6 +96,19 @@ def check_nf_conformance(
     sim.run()
 
     wildcard = Filter.wildcard()
+    scopes = [scope for scope in Scope if scope in nf.STATE]
+    held = [key for scope in scopes for key in nf.state_keys(scope, wildcard)
+            if isinstance(key, FlowId)]
+    for scope in Scope:
+        if scope not in nf.STATE:
+            report._check(
+                nf.state_keys(scope, wildcard) == [] and not any(
+                    nf.export_chunk(scope, flowid) is not None
+                    or nf.delete_by_flowid(scope, flowid) for flowid in held
+                ),
+                "%s: an undeclared scope holds state" % scope.value,
+            )
+
     for scope in scopes:
         keys = nf.state_keys(scope, wildcard)
         report.chunks_seen[scope.value] = len(keys)
@@ -133,11 +147,7 @@ def check_nf_conformance(
             "%s: imported %d distinct chunks but fresh instance "
             "enumerates %d" % (scope.value, len(distinct), len(fresh_keys)),
         )
-        fresh_data = {}
-        for key in fresh_keys:
-            chunk = fresh.export_chunk(scope, key)
-            if chunk is not None:
-                fresh_data[_chunk_identity(chunk)] = chunk.data
+        fresh_data = _held(fresh, scope)
         for chunk in exported:
             identity = _chunk_identity(chunk)
             report._check(
@@ -156,14 +166,10 @@ def check_nf_conformance(
         if scope is Scope.MULTIFLOW and exported:
             for chunk in exported:
                 fresh.import_chunk(chunk)  # second import
-            for key in fresh.state_keys(scope, wildcard):
-                twice = fresh.export_chunk(scope, key)
-                if twice is None:
-                    continue
-                identity = _chunk_identity(twice)
+            for identity, data in _held(fresh, scope).items():
                 if identity in fresh_data:
                     report._check(
-                        twice.data == fresh_data[identity],
+                        data == fresh_data[identity],
                         "multiflow: double import of %r is not idempotent"
                         % (identity,),
                     )
@@ -182,11 +188,7 @@ def check_nf_conformance(
                 target.rpc_complete(rid, lambda: None)
 
             replay_target.rpc_deliver(request_id, apply_put)
-            once = {}
-            for key in replay_target.state_keys(scope, wildcard):
-                chunk = replay_target.export_chunk(scope, key)
-                if chunk is not None:
-                    once[_chunk_identity(chunk)] = chunk.data
+            once = _held(replay_target, scope)
             deduped_before = replay_target.rpcs_deduplicated
             replay_target.rpc_deliver(request_id, apply_put)  # the retry
             report._check(
@@ -194,13 +196,8 @@ def check_nf_conformance(
                 "%s: replayed request id was not counted as deduplicated"
                 % scope.value,
             )
-            twice = {}
-            for key in replay_target.state_keys(scope, wildcard):
-                chunk = replay_target.export_chunk(scope, key)
-                if chunk is not None:
-                    twice[_chunk_identity(chunk)] = chunk.data
             report._check(
-                twice == once,
+                _held(replay_target, scope) == once,
                 "%s: a deduplicated put replay still mutated state"
                 % scope.value,
             )
@@ -223,3 +220,13 @@ def _chunk_identity(chunk) -> str:
     if chunk.flowid is None:
         return "<allflows>"
     return repr(chunk.flowid)
+
+
+def _held(nf, scope: Scope) -> dict:
+    """``{chunk identity: data}`` for everything ``nf`` holds in ``scope``."""
+    held = {}
+    for key in nf.state_keys(scope, Filter.wildcard()):
+        chunk = nf.export_chunk(scope, key)
+        if chunk is not None:
+            held[_chunk_identity(chunk)] = chunk.data
+    return held

@@ -2,24 +2,20 @@
 
 "Common methods of combining state include adding or averaging values
 (for counters), selecting the greatest or least value (for timestamps),
-and calculating the union or intersection of sets." NFs implement their
-own merging in their ``import_chunk`` handlers; these helpers cover the
-recurring cases so each NF's merge code stays declarative.
+and calculating the union or intersection of sets." NFs merge in their
+record codecs' ``merge_from`` (the import rule in their ``STATE`` table
+picks when); these helpers cover the recurring cases so each codec's
+merge stays declarative.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Mapping
+from typing import Any, Iterable, List
 
 
 def add_counters(existing: float, incoming: float) -> float:
     """Counter merge: addition."""
     return existing + incoming
-
-
-def average(existing: float, incoming: float) -> float:
-    """Gauge merge: arithmetic mean of the two observations."""
-    return (existing + incoming) / 2.0
 
 
 def latest(existing: float, incoming: float) -> float:
@@ -36,31 +32,3 @@ def union(existing: Iterable[Any], incoming: Iterable[Any]) -> List[Any]:
     """Set merge: union, returned as a sorted list (JSON-friendly)."""
     merged = set(existing) | set(incoming)
     return sorted(merged)
-
-
-def intersection(existing: Iterable[Any], incoming: Iterable[Any]) -> List[Any]:
-    """Set merge: intersection, returned as a sorted list."""
-    merged = set(existing) & set(incoming)
-    return sorted(merged)
-
-
-def merge_dicts(
-    existing: Mapping[str, Any],
-    incoming: Mapping[str, Any],
-    rules: Mapping[str, Callable[[Any, Any], Any]],
-    default: Callable[[Any, Any], Any] = lambda old, new: new,
-) -> Dict[str, Any]:
-    """Field-wise merge of two state dicts.
-
-    ``rules`` maps field name to a combiner; fields present in only one
-    dict pass through; fields present in both but without a rule use
-    ``default`` (replace-with-incoming).
-    """
-    merged: Dict[str, Any] = dict(existing)
-    for field, new_value in incoming.items():
-        if field not in merged:
-            merged[field] = new_value
-        else:
-            combiner = rules.get(field, default)
-            merged[field] = combiner(merged[field], new_value)
-    return merged

@@ -13,6 +13,11 @@ more related internal structures for the same flow (or flow aggregate),
 serialized to a JSON-friendly dict, tagged with the
 :class:`~repro.flowspace.filter.FlowId` it pertains to. The chunk's JSON
 size drives transfer and (de)serialization costs.
+
+A :class:`StateSpec` writes that taxonomy down as data: an NF declares,
+per scope, which store holds the state, the record codec and the import
+rule, and :class:`~repro.nf.base.NetworkFunction` derives get / put /
+del from the declaration.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import enum
 import json
 import zlib
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.flowspace.filter import FlowId
 from repro.nf.protocol import WIRE_JSON
@@ -154,3 +159,90 @@ def chunks_wire_bytes(chunks: List[StateChunk]) -> int:
     for chunk in chunks:  # (mostly one chunk: a generator costs more)
         total += chunk.wire_size_bytes
     return total
+
+
+# ------------------------------------------------------------ the state table
+
+#: Filter fields a per-flow record is matched on (§4.2).
+FLOW_FIELDS = ("nw_src", "nw_dst", "nw_proto", "tp_src", "tp_dst")
+#: Host records: "only the IP fields in a filter will be considered when
+#: determining which end-host connection counters to return" (§4.2).
+HOST_FIELDS = ("nw_src", "nw_dst")
+
+
+def merge_into(store, key, codec, data: Dict[str, Any]):
+    """Merge ``data`` into the record at ``store[key]``, or create it."""
+    record = store.get(key)
+    if record is None:
+        record = store[key] = codec.from_dict(data)
+    else:
+        record.merge_from(data)
+    return record
+
+
+def REPLACE(nf, spec: "StateSpec", chunk: StateChunk):
+    """The chunk's record replaces whatever is held for its flowid."""
+    data = chunk.data
+    record = dict(data) if spec.codec is None else spec.codec.from_dict(data)
+    getattr(nf, spec.store)[chunk.flowid] = record
+    return record
+
+
+def MERGE(nf, spec: "StateSpec", chunk: StateChunk):
+    """Merge into the held record or create it (all-flows state is the
+    store itself, so it always exists)."""
+    store = getattr(nf, spec.store)
+    if chunk.scope is Scope.ALLFLOWS:
+        store.merge_from(chunk.data)
+        return store
+    return merge_into(store, chunk.flowid, spec.codec, chunk.data)
+
+
+def MERGE_UNLESS_SNAPSHOT(nf, spec: "StateSpec", chunk: StateChunk):
+    """Merge, except that a share's authoritative snapshot replaces."""
+    if chunk.snapshot:
+        return REPLACE(nf, spec, chunk)
+    return MERGE(nf, spec, chunk)
+
+
+def ADD(nf, spec: "StateSpec", chunk: StateChunk):
+    """All-flows counters: the incoming dict adds field by field."""
+    counters = getattr(nf, spec.store)
+    for field, value in chunk.data[spec.store].items():
+        counters[field] = counters.get(field, 0) + value
+    return counters
+
+
+def POP(nf, spec: "StateSpec", flowid: FlowId):
+    """Delete the record keyed by ``flowid``: the record, or None."""
+    return getattr(nf, spec.store).pop(flowid, None)
+
+
+class StateSpec(NamedTuple):
+    """Where one scope's state lives at an NF, and how it travels.
+
+    ``store`` names the NF attribute that holds it: a
+    :class:`~repro.flowspace.index.FlowKeyedStore` for per- and
+    multi-flow state; for all-flows state, the one record (a plain dict
+    travels as ``{store: dict}``). ``codec`` is the record class
+    (``to_dict`` / ``from_dict`` / ``merge_from``), None for plain dict
+    records. ``fields`` are the filter fields the state is matched on.
+    ``on_import`` is the import rule: one of the functions above, called
+    ``(nf, spec, chunk)``, returning the record the chunk landed in; an
+    NF method of that signature may stand in for one (usually wrapping
+    it), and returns None to pass the chunk to the scope's next spec.
+
+    Each hook replaces one default and is a function of the NF's class
+    body: ``keys(nf, flt)`` enumerates instead of ``keys_matching``;
+    ``export(nf, scope, key, record)`` builds the chunk instead of
+    ``StateChunk(scope, key, <record as a dict>)``; ``on_delete(nf, spec,
+    flowid)`` removes instead of :func:`POP`.
+    """
+
+    store: str
+    codec: Optional[type] = None
+    on_import: Callable = REPLACE
+    fields: Tuple[str, ...] = FLOW_FIELDS
+    keys: Optional[Callable] = None
+    export: Optional[Callable] = None
+    on_delete: Callable = POP

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.flowspace.filter import Filter, FlowId
+from repro.flowspace.filter import FlowId
 from repro.flowspace.fivetuple import FiveTuple
 from repro.flowspace.index import FlowKeyedStore
 from repro.nf.base import NetworkFunction
 from repro.nf.costs import DUMMY_COSTS, NFCostModel
-from repro.nf.state import Scope, StateChunk
+from repro.nf.state import Scope, StateChunk, StateSpec
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
 
@@ -63,20 +63,7 @@ class DummyNF(NetworkFunction):
             self.flows[flow_id] = record
         record["counter"] += 1
 
-    def state_keys(self, scope: Scope, flt: Filter) -> List[Any]:
-        if scope is not Scope.PERFLOW:
-            return []
-        return self.flows.keys_matching(flt, self.relevant_fields(scope))
-
-    def export_chunk(self, scope: Scope, key: Any) -> Optional[StateChunk]:
-        record = self.flows.get(key)
-        if record is None:
-            return None
+    def _export_sized(self, scope, key, record):
         return StateChunk(scope, key, record, size_bytes=DUMMY_CHUNK_BYTES)
 
-    def import_chunk(self, chunk: StateChunk) -> None:
-        if chunk.scope is Scope.PERFLOW:
-            self.flows[chunk.flowid] = dict(chunk.data)
-
-    def delete_by_flowid(self, scope: Scope, flowid: FlowId) -> int:
-        return 1 if self.flows.pop(flowid, None) is not None else 0
+    STATE = {Scope.PERFLOW: StateSpec("flows", export=_export_sized)}

@@ -27,13 +27,15 @@ that §8.4 counts against VM replication.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.flowspace.filter import Filter, FlowId
+from repro.flowspace.filter import FlowId
 from repro.flowspace.index import FlowKeyedStore
 from repro.nf.base import NetworkFunction
 from repro.nf.costs import BRO_COSTS, NFCostModel
-from repro.nf.state import Scope, StateChunk
+from repro.nf.state import (
+    ADD, HOST_FIELDS, MERGE, POP, REPLACE, Scope, StateChunk, StateSpec,
+)
 from repro.net.packet import Packet
 from repro.nfs.ids.connection import Connection
 from repro.nfs.ids.ftp import FTP_DATA_PORT, FtpExpectation
@@ -203,80 +205,38 @@ class IntrusionDetector(NetworkFunction):
 
     # ------------------------------------------------------------ state export
 
-    def relevant_fields(self, scope: Scope) -> Tuple[str, ...]:
-        if scope is Scope.MULTIFLOW:
-            # "only the IP fields in a filter will be considered when
-            # determining which end-host connection counters to return"
-            return ("nw_src", "nw_dst")
-        return self.DEFAULT_RELEVANT_FIELDS
+    def _import_conn(self, spec, chunk):
+        conn = REPLACE(self, spec, chunk)
+        self._wire_analyzers(conn)
+        return conn
 
-    def state_keys(self, scope: Scope, flt: Filter) -> List[Any]:
-        if scope is Scope.ALLFLOWS:
-            return ["stats"]
-        relevant = self.relevant_fields(scope)
-        if scope is Scope.PERFLOW:
-            return self.conns.keys_matching(flt, relevant)
-        keys = self.scans.keys_matching(flt, relevant)
-        keys.extend(
-            self.ftp_expectations.keys_matching(flt, relevant)
-        )
-        return keys
+    def _delete_conn(self, spec, flowid):
+        conn = POP(self, spec, flowid)
+        if conn is not None:
+            conn.moved = True  # suppress the abnormal-termination entry
+        return conn
 
-    def export_chunk(self, scope: Scope, key: Any) -> Optional[StateChunk]:
-        if scope is Scope.ALLFLOWS:
-            return StateChunk(scope, None, {"stats": dict(self.stats)})
-        if scope is Scope.PERFLOW:
-            conn = self.conns.get(key)
-            if conn is None:
-                return None
-            return StateChunk(scope, key, conn.to_dict())
-        scan = self.scans.get(key)
-        if scan is not None:
-            data = scan.to_dict()
-            data["kind"] = "scan"
-            return StateChunk(scope, key, data)
-        expectation = self.ftp_expectations.get(key)
-        if expectation is None:
-            return None
-        return StateChunk(scope, key, expectation.to_dict())
+    def _export_scan(self, scope, key, scan):
+        data = scan.to_dict()
+        data["kind"] = "scan"
+        return StateChunk(scope, key, data)
 
-    def import_chunk(self, chunk: StateChunk) -> None:
-        if chunk.scope is Scope.PERFLOW:
-            conn = Connection.from_dict(chunk.data)
-            self._wire_analyzers(conn)
-            self.conns[chunk.flowid] = conn
-        elif chunk.scope is Scope.MULTIFLOW:
-            if chunk.data.get("kind") == "ftp":
-                existing = self.ftp_expectations.get(chunk.flowid)
-                if existing is None:
-                    self.ftp_expectations[chunk.flowid] =                         FtpExpectation.from_dict(chunk.data)
-                else:
-                    existing.merge_from(chunk.data)
-            else:
-                existing = self.scans.get(chunk.flowid)
-                if existing is None:
-                    self.scans[chunk.flowid] = ScanRecord.from_dict(chunk.data)
-                else:
-                    existing.merge_from(chunk.data)
-        else:
-            incoming = chunk.data["stats"]
-            for field in ("packets", "bytes", "flows"):
-                self.stats[field] += incoming.get(field, 0)
+    def _merge_scan(self, spec, chunk):
+        # FTP expectations share the scope; their records carry "ftp".
+        if chunk.data.get("kind") != "ftp":
+            return MERGE(self, spec, chunk)
+        return None
 
-    def delete_by_flowid(self, scope: Scope, flowid: FlowId) -> int:
-        if scope is Scope.PERFLOW:
-            conn = self.conns.get(flowid)
-            if conn is not None:
-                conn.moved = True  # suppress the abnormal-termination entry
-            return 1 if self.conns.pop(flowid, None) is not None else 0
-        if scope is Scope.MULTIFLOW:
-            removed = 0
-            if self.scans.pop(flowid, None) is not None:
-                removed += 1
-            if self.ftp_expectations.pop(flowid, None) is not None:
-                removed += 1
-            return removed
-        return 0
+    STATE = {
+        Scope.PERFLOW: StateSpec("conns", Connection, _import_conn,
+                                 on_delete=_delete_conn),
+        Scope.MULTIFLOW: (
+            StateSpec("scans", ScanRecord, _merge_scan, HOST_FIELDS,
+                      export=_export_scan),
+            StateSpec("ftp_expectations", FtpExpectation, MERGE, HOST_FIELDS),
+        ),
+        Scope.ALLFLOWS: StateSpec("stats", on_import=ADD),
+    }
 
     # --------------------------------------------------------------- inspection
 
@@ -289,13 +249,3 @@ class IntrusionDetector(NetworkFunction):
     def incorrect_log_entries(self) -> List[Dict[str, Any]]:
         """conn.log records Bro would have logged erroneously (§8.4)."""
         return [entry for entry in self.conn_log if entry["abnormal"]]
-
-    def state_size_bytes(self) -> int:
-        """Total serialized size of all state (VM-snapshot comparisons)."""
-        total = 0
-        for scope in (Scope.PERFLOW, Scope.MULTIFLOW, Scope.ALLFLOWS):
-            for key in self.state_keys(scope, Filter.wildcard()):
-                chunk = self.export_chunk(scope, key)
-                if chunk is not None:
-                    total += chunk.size_bytes
-        return total

@@ -19,14 +19,13 @@ backend, and with high probability the session breaks
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.flowspace.filter import Filter, FlowId
+from repro.flowspace.filter import FlowId
 from repro.flowspace.index import FlowKeyedStore
-from repro.nf import merge
 from repro.nf.base import NetworkFunction
 from repro.nf.costs import NFCostModel
-from repro.nf.state import Scope, StateChunk
+from repro.nf.state import ADD, HOST_FIELDS, MERGE, Scope, StateChunk, StateSpec
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
 
@@ -105,7 +104,7 @@ class LoadBalancer(NetworkFunction):
             self.backends[FlowId.for_host(backend)] = BackendStats(backend)
         self.bindings: FlowKeyedStore = FlowKeyedStore()
         self._rotor = 0
-        self.global_stats = {"packets": 0, "flows": 0}
+        self.stats = {"packets": 0, "flows": 0}
         #: Mid-flow packets that arrived with no binding: the session had
         #: to be re-pinned, most likely breaking it.
         self.broken_affinity = 0
@@ -127,7 +126,7 @@ class LoadBalancer(NetworkFunction):
         return choice.backend
 
     def process_packet(self, packet: Packet) -> None:
-        self.global_stats["packets"] += 1
+        self.stats["packets"] += 1
         flow_id = FlowId.for_flow(packet.five_tuple.canonical())
         binding = self.bindings.get(flow_id)
         if binding is None:
@@ -140,7 +139,7 @@ class LoadBalancer(NetworkFunction):
                 "packets": 0,
             }
             self.bindings[flow_id] = binding
-            self.global_stats["flows"] += 1
+            self.stats["flows"] += 1
             stats = self._stats_for(backend)
             stats.active_flows += 1
             stats.total_flows += 1
@@ -160,52 +159,16 @@ class LoadBalancer(NetworkFunction):
 
     # ------------------------------------------------------------ state export
 
-    def relevant_fields(self, scope: Scope) -> Tuple[str, ...]:
-        if scope is Scope.MULTIFLOW:
-            return ("nw_src", "nw_dst")
-        return self.DEFAULT_RELEVANT_FIELDS
+    def _export_rotor(self, scope, key, stats):
+        return StateChunk(scope, None, {"rotor": self._rotor, "stats": dict(stats)})
 
-    def state_keys(self, scope: Scope, flt: Filter) -> List[Any]:
-        if scope is Scope.ALLFLOWS:
-            return ["rotor"]
-        store = self.bindings if scope is Scope.PERFLOW else self.backends
-        return store.keys_matching(flt, self.relevant_fields(scope))
+    def _import_rotor(self, spec, chunk):
+        self._rotor = max(self._rotor, chunk.data["rotor"])
+        return ADD(self, spec, chunk)
 
-    def export_chunk(self, scope: Scope, key: Any) -> Optional[StateChunk]:
-        if scope is Scope.ALLFLOWS:
-            return StateChunk(
-                scope, None,
-                {"rotor": self._rotor, "stats": dict(self.global_stats)},
-            )
-        if scope is Scope.PERFLOW:
-            binding = self.bindings.get(key)
-            if binding is None:
-                return None
-            return StateChunk(scope, key, dict(binding))
-        stats = self.backends.get(key)
-        if stats is None:
-            return None
-        return StateChunk(scope, key, stats.to_dict())
-
-    def import_chunk(self, chunk: StateChunk) -> None:
-        if chunk.scope is Scope.PERFLOW:
-            self.bindings[chunk.flowid] = dict(chunk.data)
-        elif chunk.scope is Scope.MULTIFLOW:
-            existing = self.backends.get(chunk.flowid)
-            if existing is None:
-                self.backends[chunk.flowid] = BackendStats.from_dict(chunk.data)
-            else:
-                existing.merge_from(chunk.data)
-        else:
-            self._rotor = max(self._rotor, chunk.data["rotor"])
-            for field, value in chunk.data["stats"].items():
-                self.global_stats[field] = merge.add_counters(
-                    self.global_stats.get(field, 0), value
-                )
-
-    def delete_by_flowid(self, scope: Scope, flowid: FlowId) -> int:
-        if scope is Scope.PERFLOW:
-            return 1 if self.bindings.pop(flowid, None) is not None else 0
-        if scope is Scope.MULTIFLOW:
-            return 1 if self.backends.pop(flowid, None) is not None else 0
-        return 0
+    STATE = {
+        Scope.PERFLOW: StateSpec("bindings"),
+        Scope.MULTIFLOW: StateSpec("backends", BackendStats, MERGE, HOST_FIELDS),
+        Scope.ALLFLOWS: StateSpec("stats", on_import=_import_rotor,
+                                  export=_export_rotor),
+    }

@@ -17,14 +17,16 @@ equals the number of packets of that flow the switch ever forwarded.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.flowspace.filter import Filter, FlowId
+from repro.flowspace.filter import FlowId
 from repro.flowspace.index import FlowKeyedStore
 from repro.nf import merge
 from repro.nf.base import NetworkFunction
 from repro.nf.costs import PRADS_COSTS, NFCostModel
-from repro.nf.state import Scope, StateChunk
+from repro.nf.state import (
+    ADD, HOST_FIELDS, MERGE, MERGE_UNLESS_SNAPSHOT, Scope, StateSpec,
+)
 from repro.net.packet import Packet
 from repro.nfs.monitor.assets import AssetRecord, sniff_service
 from repro.sim.core import Simulator
@@ -136,61 +138,15 @@ class AssetMonitor(NetworkFunction):
 
     # ------------------------------------------------------------ state export
 
-    def relevant_fields(self, scope: Scope) -> Tuple[str, ...]:
-        if scope is Scope.MULTIFLOW:
-            return ("nw_src", "nw_dst")
-        return self.DEFAULT_RELEVANT_FIELDS
-
-    def _store(self, scope: Scope):
-        if scope is Scope.PERFLOW:
-            return self.conns
-        if scope is Scope.MULTIFLOW:
-            return self.assets
-        return None
-
-    def state_keys(self, scope: Scope, flt: Filter) -> List[Any]:
-        if scope is Scope.ALLFLOWS:
-            return ["stats"]
-        store = self._store(scope)
-        return store.keys_matching(flt, self.relevant_fields(scope))
-
-    def export_chunk(self, scope: Scope, key: Any) -> Optional[StateChunk]:
-        if scope is Scope.ALLFLOWS:
-            return StateChunk(scope, None, {"stats": dict(self.stats)})
-        record = self._store(scope).get(key)
-        if record is None:
-            return None
-        return StateChunk(scope, key, record.to_dict())
-
-    def import_chunk(self, chunk: StateChunk) -> None:
-        if chunk.scope is Scope.PERFLOW:
-            existing = self.conns.get(chunk.flowid)
-            if existing is None or chunk.snapshot:
-                self.conns[chunk.flowid] = ConnRecord.from_dict(chunk.data)
-            else:
-                # The destination may have improvised a record while it
-                # briefly owned the flow (overlapping moves retarget
-                # forwarding before the state catches up); fold the
-                # counts together instead of losing either side's.
-                existing.merge_from(chunk.data)
-        elif chunk.scope is Scope.MULTIFLOW:
-            existing = self.assets.get(chunk.flowid)
-            if existing is None:
-                self.assets[chunk.flowid] = AssetRecord.from_dict(chunk.data)
-            else:
-                existing.merge_from(chunk.data)
-        else:
-            incoming = chunk.data["stats"]
-            for field in _STATS_FIELDS:
-                self.stats[field] = merge.add_counters(
-                    self.stats[field], incoming.get(field, 0)
-                )
-
-    def delete_by_flowid(self, scope: Scope, flowid: FlowId) -> int:
-        store = self._store(scope)
-        if store is None:
-            return 0
-        return 1 if store.pop(flowid, None) is not None else 0
+    #: Per-flow imports merge: a destination may have improvised a record
+    #: while it briefly owned the flow. The asymmetry is intended: a share
+    #: snapshot, already counting what the replica holds, replaces the
+    #: additive per-flow record but merges into the idempotent host one.
+    STATE = {
+        Scope.PERFLOW: StateSpec("conns", ConnRecord, MERGE_UNLESS_SNAPSHOT),
+        Scope.MULTIFLOW: StateSpec("assets", AssetRecord, MERGE, HOST_FIELDS),
+        Scope.ALLFLOWS: StateSpec("stats", on_import=ADD),
+    }
 
     # --------------------------------------------------------------- inspection
 

@@ -11,13 +11,13 @@ the cheap end of the guarantee spectrum.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Optional
 
-from repro.flowspace.filter import Filter, FlowId
+from repro.flowspace.filter import FlowId
 from repro.flowspace.index import FlowKeyedStore
 from repro.nf.base import NetworkFunction
 from repro.nf.costs import IPTABLES_COSTS, NFCostModel
-from repro.nf.state import Scope, StateChunk
+from repro.nf.state import REPLACE, Scope, StateSpec
 from repro.net.packet import Packet
 from repro.nfs.nat.conntrack import CLOSED, ESTABLISHED, NEW, ConntrackEntry
 from repro.sim.core import Simulator
@@ -65,32 +65,14 @@ class NetworkAddressTranslator(NetworkFunction):
 
     # ------------------------------------------------------------ state export
 
-    def state_keys(self, scope: Scope, flt: Filter) -> List[Any]:
-        if scope is not Scope.PERFLOW:
-            return []
-        return self.conntrack.keys_matching(flt, self.relevant_fields(scope))
-
-    def export_chunk(self, scope: Scope, key: Any) -> Optional[StateChunk]:
-        if scope is not Scope.PERFLOW:
-            return None
-        entry = self.conntrack.get(key)
-        if entry is None:
-            return None
-        return StateChunk(scope, key, entry.to_dict())
-
-    def import_chunk(self, chunk: StateChunk) -> None:
-        if chunk.scope is not Scope.PERFLOW:
-            return
-        entry = ConntrackEntry.from_dict(chunk.data)
-        self.conntrack[chunk.flowid] = entry
+    def _import_entry(self, spec, chunk):
+        entry = REPLACE(self, spec, chunk)
         # Keep the allocator clear of imported translations.
         if entry.external_port >= self._next_port:
             self._next_port = entry.external_port + 1
+        return entry
 
-    def delete_by_flowid(self, scope: Scope, flowid: FlowId) -> int:
-        if scope is not Scope.PERFLOW:
-            return 0
-        return 1 if self.conntrack.pop(flowid, None) is not None else 0
+    STATE = {Scope.PERFLOW: StateSpec("conntrack", ConntrackEntry, _import_entry)}
 
     # --------------------------------------------------------------- inspection
 

@@ -17,21 +17,21 @@ The Table 1 failure mode: continuing an in-progress transaction whose
 cache entry is absent raises :class:`~repro.nf.base.NFCrash` — that is
 what happens when multi-flow state is ignored during a rebalance.
 
-Client-IP referencing of cache entries (§4.1) is implemented in
-:meth:`state_keys`: a ``{nw_src: <client>}`` filter selects exactly the
+Client-IP referencing of cache entries (§4.1) is the multi-flow keys
+hook, ``_cached_keys``: a ``{nw_src: <client>}`` filter selects exactly the
 entries an active transaction is serving to matching clients.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.flowspace.filter import Filter, FlowId
 from repro.flowspace.index import FlowKeyedStore
 from repro.flowspace.ip import ip_in_prefix
 from repro.nf.base import NetworkFunction, NFCrash
 from repro.nf.costs import SQUID_COSTS, NFCostModel
-from repro.nf.state import Scope, StateChunk
+from repro.nf.state import ADD, Scope, StateChunk, StateSpec, merge_into
 from repro.net.packet import Packet
 from repro.nfs.proxy.cache import CacheEntry
 from repro.sim.core import Simulator
@@ -157,86 +157,43 @@ class CachingProxy(NetworkFunction):
 
     # ------------------------------------------------------------ state export
 
-    def relevant_fields(self, scope: Scope) -> Tuple[str, ...]:
-        if scope is Scope.MULTIFLOW:
-            return ("nw_src", "nw_dst", "http_url")
-        return self.DEFAULT_RELEVANT_FIELDS
-
-    def clients_being_served(self, url: str) -> Set[str]:
-        """Client IPs with an in-progress transaction for ``url``."""
-        return {
-            txn.client_ip
-            for txn in self.transactions.values()
-            if txn.url == url and not txn.complete
-        }
-
-    def state_keys(self, scope: Scope, flt: Filter) -> List[Any]:
-        if scope is Scope.ALLFLOWS:
-            return ["stats"]
-        if scope is Scope.PERFLOW:
-            return self.transactions.keys_matching(
-                flt, self.relevant_fields(scope)
-            )
-        # Multi-flow: cache entries, with client-IP referencing.
+    def _cached_keys(self, flt: Filter) -> List[str]:
+        # Cache entries (keyed by URL), with client-IP referencing: an
+        # entry matches a client filter while it serves a matching client.
+        client = flt.fields.get("nw_src")
+        server = flt.fields.get("nw_dst")
+        wanted = flt.fields.get("http_url")
         keys: List[str] = []
-        client_prefix = flt.fields.get("nw_src")
         for url, entry in self.cache.items():
-            if client_prefix is not None:
-                serving = self.clients_being_served(url)
-                if any(ip_in_prefix(ip, client_prefix) for ip in serving):
-                    keys.append(url)
-                continue
-            url_constraint = flt.fields.get("http_url")
-            if url_constraint is not None and url_constraint != url:
-                continue
-            server_constraint = flt.fields.get("nw_dst")
-            if server_constraint is not None and not ip_in_prefix(
-                entry.server_ip, server_constraint
-            ):
-                continue
-            keys.append(url)
+            if client is not None:
+                hit = any(ip_in_prefix(txn.client_ip, client)
+                          for txn in self.transactions.values()
+                          if txn.url == url and not txn.complete)
+            else:
+                hit = wanted in (None, url) and (
+                    server is None or ip_in_prefix(entry.server_ip, server))
+            if hit:
+                keys.append(url)
         return keys
 
-    def export_chunk(self, scope: Scope, key: Any) -> Optional[StateChunk]:
-        if scope is Scope.ALLFLOWS:
-            return StateChunk(scope, None, {"stats": dict(self.stats)})
-        if scope is Scope.PERFLOW:
-            txn = self.transactions.get(key)
-            if txn is None:
-                return None
-            return StateChunk(scope, key, txn.to_dict())
-        entry = self.cache.get(key)
-        if entry is None:
-            return None
-        return StateChunk(
-            scope, entry.flowid(), entry.to_dict(),
-            size_bytes=entry.chunk_size_bytes,
-        )
+    def _export_cached(self, scope, url, entry):
+        return StateChunk(scope, entry.flowid(), entry.to_dict(),
+                          size_bytes=entry.chunk_size_bytes)
 
-    def import_chunk(self, chunk: StateChunk) -> None:
-        if chunk.scope is Scope.PERFLOW:
-            self.transactions[chunk.flowid] = Transaction.from_dict(chunk.data)
-        elif chunk.scope is Scope.MULTIFLOW:
-            url = chunk.data["url"]
-            existing = self.cache.get(url)
-            if existing is None:
-                self.cache[url] = CacheEntry.from_dict(chunk.data)
-            else:
-                existing.merge_from(chunk.data)
-        else:
-            incoming = chunk.data["stats"]
-            for field in self.stats:
-                self.stats[field] += incoming.get(field, 0)
+    def _merge_cached(self, spec, chunk):
+        return merge_into(self.cache, chunk.data["url"], CacheEntry, chunk.data)
 
-    def delete_by_flowid(self, scope: Scope, flowid: FlowId) -> int:
-        if scope is Scope.PERFLOW:
-            return 1 if self.transactions.pop(flowid, None) is not None else 0
-        if scope is Scope.MULTIFLOW:
-            url = flowid.fields.get("http_url")
-            if url is not None and url in self.cache:
-                del self.cache[url]
-                return 1
-        return 0
+    def _delete_cached(self, spec, flowid):
+        return self.cache.pop(flowid.fields.get("http_url"), None)
+
+    STATE = {
+        Scope.PERFLOW: StateSpec("transactions", Transaction),
+        Scope.MULTIFLOW: StateSpec(
+            "cache", CacheEntry, _merge_cached, ("nw_src", "nw_dst", "http_url"),
+            keys=_cached_keys, export=_export_cached, on_delete=_delete_cached,
+        ),
+        Scope.ALLFLOWS: StateSpec("stats", on_import=ADD),
+    }
 
     # --------------------------------------------------------------- inspection
 

@@ -16,12 +16,11 @@ order-preserving move eliminates.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from repro.flowspace.filter import Filter, FlowId
 from repro.nf.base import NetworkFunction
 from repro.nf.costs import REDUP_COSTS, NFCostModel
-from repro.nf.state import Scope, StateChunk
+from repro.nf.state import MERGE, Scope, StateSpec
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
 
@@ -85,21 +84,7 @@ class REEncoder(NetworkFunction):
     def process_packet(self, packet: Packet) -> None:
         self.encode(packet)
 
-    # state: all-flows fingerprint table
-    def state_keys(self, scope: Scope, flt: Filter) -> List[Any]:
-        return ["store"] if scope is Scope.ALLFLOWS else []
-
-    def export_chunk(self, scope: Scope, key: Any) -> Optional[StateChunk]:
-        if scope is not Scope.ALLFLOWS:
-            return None
-        return StateChunk(scope, None, self.store.to_dict())
-
-    def import_chunk(self, chunk: StateChunk) -> None:
-        if chunk.scope is Scope.ALLFLOWS:
-            self.store.merge_from(chunk.data)
-
-    def delete_by_flowid(self, scope: Scope, flowid: FlowId) -> int:
-        return 0
+    STATE = {Scope.ALLFLOWS: StateSpec("store", _FingerprintStore, MERGE)}
 
 
 class REDecoder(NetworkFunction):
@@ -128,17 +113,4 @@ class REDecoder(NetworkFunction):
             self.store.remember(packet.payload)
             self.raw_packets += 1
 
-    def state_keys(self, scope: Scope, flt: Filter) -> List[Any]:
-        return ["store"] if scope is Scope.ALLFLOWS else []
-
-    def export_chunk(self, scope: Scope, key: Any) -> Optional[StateChunk]:
-        if scope is not Scope.ALLFLOWS:
-            return None
-        return StateChunk(scope, None, self.store.to_dict())
-
-    def import_chunk(self, chunk: StateChunk) -> None:
-        if chunk.scope is Scope.ALLFLOWS:
-            self.store.merge_from(chunk.data)
-
-    def delete_by_flowid(self, scope: Scope, flowid: FlowId) -> int:
-        return 0
+    STATE = {Scope.ALLFLOWS: StateSpec("store", _FingerprintStore, MERGE)}

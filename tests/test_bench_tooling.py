@@ -14,6 +14,7 @@ import json
 import pathlib
 import re
 import subprocess
+import types
 
 import pytest
 
@@ -133,6 +134,32 @@ def test_committed_table2_is_current(bench):
     assert (RESULTS / "table2_loc.txt").read_text() == (
         table2.render_table2(table2.run_table2()) + "\n"
     )
+
+
+def test_table2_counts_the_state_table_and_the_hooks_it_names(
+    bench, tmp_path
+):
+    (tmp_path / "__init__.py").write_text("")
+    (tmp_path / "toy.py").write_text(
+        "class Record:\n"
+        "    def to_dict(self):\n"
+        "        return {}\n"
+        "\n"
+        "\n"
+        "class Toy:\n"
+        "    def process_packet(self, packet):\n"
+        "        pass\n"
+        "\n"
+        "    def _import_record(self, spec, chunk):\n"
+        "        return None\n"
+        "\n"
+        "    STATE = {\n"
+        "        'perflow': ('records', _import_record),\n"
+        "    }\n"
+    )
+    package = types.SimpleNamespace(__file__=str(tmp_path / "__init__.py"))
+    # to_dict (2) + STATE (3) + _import_record (2); not process_packet.
+    assert bench("bench_table2_loc").count_loc(package) == (7, 11)
 
 
 # -------------------------------------------------------------- make conform

@@ -1,11 +1,16 @@
 """Every bundled NF must pass the southbound conformance battery."""
 
+import functools
+import importlib.util
+import pathlib
+
 import pytest
 
-from repro.flowspace import FiveTuple
+from repro.flowspace import Filter, FiveTuple, FlowId
 from repro.net.packet import Packet
-from repro.nf import Scope
-from repro.nf.conformance import check_nf_conformance
+from repro.nf import Scope, StateChunk
+from repro.nf.conformance import _default_traffic, check_nf_conformance
+from repro.sim import Simulator
 from repro.nfs.dummy import DummyNF
 from repro.nfs.ids import IntrusionDetector
 from repro.nfs.lb import LoadBalancer
@@ -62,14 +67,30 @@ CASES = [
 ]
 
 
-def _preloaded_dummy(sim, name):
-    dummy = DummyNF(sim, name)
+def _preloaded_dummy(sim, name, cls=DummyNF):
+    dummy = cls(sim, name)
     dummy.preload(5)
     return dummy
 
 
+@functools.lru_cache(maxsize=None)
+def _custom_nf_example():
+    path = pathlib.Path(__file__).resolve().parent.parent / "examples" / "custom_nf.py"
+    spec = importlib.util.spec_from_file_location("custom_nf", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: The bundled NFs plus the tutorial's ``FlowMeter``.
+ALL_NFS = CASES + [
+    ("FlowMeter",
+     lambda sim, name: _custom_nf_example().FlowMeter(sim, name), None),
+]
+
+
 @pytest.mark.parametrize(
-    "label,factory,traffic", CASES, ids=[c[0] for c in CASES]
+    "label,factory,traffic", ALL_NFS, ids=[c[0] for c in ALL_NFS]
 )
 def test_nf_conformance(label, factory, traffic):
     report = check_nf_conformance(
@@ -84,6 +105,46 @@ def test_nf_conformance(label, factory, traffic):
     # The at-most-once replay check ran wherever state was exported.
     assert report.replay_scopes, (
         "%s never exercised the rpc replay path" % label
+    )
+
+
+@pytest.mark.parametrize(
+    "label,factory,traffic", ALL_NFS, ids=[c[0] for c in ALL_NFS]
+)
+def test_a_scope_without_state_is_inert(label, factory, traffic):
+    """Asked for any flowid it holds, a scope the NF keeps no state in
+    exports nothing and deletes nothing."""
+    sim = Simulator()
+    nf = factory(sim, "nf")
+    for packet in (traffic() if traffic is not None else _default_traffic()):
+        nf.receive(packet)
+    sim.run()
+    wildcard = Filter.wildcard()
+    held = {scope: nf.state_keys(scope, wildcard) for scope in Scope}
+    probes = [key for keys in held.values() for key in keys
+              if isinstance(key, FlowId)]
+    for scope in Scope:
+        if held[scope]:
+            continue
+        for flowid in probes:
+            assert nf.export_chunk(scope, flowid) is None, (scope, flowid)
+            assert nf.delete_by_flowid(scope, flowid) == 0, (scope, flowid)
+    assert {scope: nf.state_keys(scope, wildcard) for scope in Scope} == held
+
+
+def test_undeclared_scope_check_catches_a_leak():
+    """An export that ignores its scope fails the battery's check 7."""
+
+    class LeakyDummy(DummyNF):
+        def export_chunk(self, scope, key):
+            record = self.flows.get(key)
+            return None if record is None else StateChunk(scope, key, record)
+
+    report = check_nf_conformance(
+        lambda sim, name: _preloaded_dummy(sim, name, LeakyDummy)
+    )
+    assert any("undeclared scope holds state" in f for f in report.failures), (
+        report.failures
     )
 
 

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from repro.baselines import full_state_size
 from repro.flowspace import Filter, FiveTuple, FlowId
 from repro.nf import Scope
 from repro.nfs.ids import (
@@ -392,11 +393,11 @@ class TestIntrusionDetector:
 
     def test_state_size_grows_with_traffic(self, sim):
         ids = IntrusionDetector(sim, "bro")
-        empty_size = ids.state_size_bytes()
+        empty_size = full_state_size(ids)
         flow = http_exchange("10.0.1.2", 1234, "203.0.113.5",
                              reply_body="y" * 5000)
         drive_flow(sim, ids, flow)
-        assert ids.state_size_bytes() > empty_size
+        assert full_state_size(ids) > empty_size
 
     def test_is_outdated_browser(self):
         assert is_outdated_browser("Mozilla/4.0 (compatible; MSIE 6.0)")

@@ -64,26 +64,12 @@ class TestMergeHelpers:
     def test_counters_add(self):
         assert merge.add_counters(3, 4) == 7
 
-    def test_average(self):
-        assert merge.average(2.0, 4.0) == 3.0
-
     def test_latest_earliest(self):
         assert merge.latest(5.0, 3.0) == 5.0
         assert merge.earliest(5.0, 3.0) == 3.0
 
     def test_union_sorted(self):
         assert merge.union([3, 1], [2, 1]) == [1, 2, 3]
-
-    def test_intersection_sorted(self):
-        assert merge.intersection([3, 1, 2], [2, 3, 5]) == [2, 3]
-
-    def test_merge_dicts_rules_and_default(self):
-        merged = merge.merge_dicts(
-            {"count": 1, "ts": 10.0, "name": "a"},
-            {"count": 2, "ts": 5.0, "extra": True},
-            rules={"count": merge.add_counters, "ts": merge.latest},
-        )
-        assert merged == {"count": 3, "ts": 10.0, "name": "a", "extra": True}
 
 
 class TestEventRule:

@@ -147,10 +147,6 @@ class TestMergeProperties:
         once = merge.union(a, a)
         assert merge.union(once, a) == once
 
-    @given(sets, sets)
-    def test_intersection_subset_of_union(self, a, b):
-        assert set(merge.intersection(a, b)) <= set(merge.union(a, b))
-
 
 class TestScanRecordProperties:
     targets = st.lists(
