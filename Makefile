@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-obs test-faults test-conformance conform bench bench-chain bench-obs-overhead ledger-smoke ledger-pinned pairs examples validate clean results
+.PHONY: install test test-obs test-faults test-conformance conform bench bench-chain bench-obs-overhead ledger-smoke ledger-pinned pairs examples validate clean results results-check
 
 install:
 	$(PYTHON) setup.py develop
@@ -71,6 +71,15 @@ results:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
+# The paper-shape assertions of every bench that runs in seconds (all
+# but Figs. 10, 11, 13 and the telemetry-overhead gate), then proof that
+# the committed results they regenerate did not move. No --benchmark-only:
+# it would skip bench_chain, which takes no benchmark fixture.
+results-check:
+	$(PYTHON) -m pytest benchmarks/ -q -k "not fig10 and not fig11 and not fig13 and not obs_overhead"
+	git diff --exit-code -- benchmarks/results/
+
+# Generated files only: benchmarks/results/ holds committed paper results.
 clean:
-	rm -rf .pytest_cache benchmarks/results/*.txt
+	rm -rf .pytest_cache .hypothesis .benchmarks test_output.txt bench_output.txt
 	find . -name __pycache__ -type d -exec rm -rf {} +

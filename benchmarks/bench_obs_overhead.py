@@ -4,11 +4,12 @@ Scale-ready telemetry is only scale-ready if leaving it on is free
 enough to never think about. This benchmark runs the same 10k-flow
 scenario (steady traffic to one monitor, one loss-free move of a /29
 subnet mid-trace) twice per round — telemetry fully off, then fully on
-(tracing + windowed time-series + sampled trace retention + bounded
-histograms) — interleaved, and gates on the best pair's CPU-time
-ratio. The run is single-threaded, so CPU time *is* the wall-clock
-cost of telemetry — minus the scheduler noise of a shared CI box;
-wall-clock times are reported alongside as informational.
+as ``repro top`` runs it (tracing + sampled trace retention + bounded
+histograms + a progress reporter taking one frame per 1000 simulated
+ms) — interleaved, and gates on the best pair's CPU-time ratio. The
+run is single-threaded, so CPU time *is* the wall-clock cost of
+telemetry — minus the scheduler noise of a shared CI box; wall-clock
+times are reported alongside as informational.
 
 Ground-truth logging is off in both runs so the measurement isolates
 the telemetry layer itself. The on-run must also be *behaviorally*
@@ -43,6 +44,7 @@ from repro.flowspace.filter import Filter
 from repro.harness.deployment import Deployment
 from repro.harness.scenarios import run_move_experiment
 from repro.nfs.monitor import AssetMonitor
+from repro.obs import ProgressReporter
 from repro.obs.sampling import SamplingPolicy
 from repro.traffic.replay import TraceReplayer
 from repro.traffic.traces import TraceConfig, build_university_cloud_trace
@@ -77,6 +79,9 @@ def run_one(telemetry: bool) -> dict:
             "inst1", "inst2", MOVE_FILTER, guarantee=Guarantee.LOSS_FREE
         )
 
+    def on_deployment(dep):
+        ProgressReporter(dep).start()  # repro top's default interval
+
     start = time.perf_counter()
     cpu_start = time.process_time()
     result = run_move_experiment(
@@ -86,8 +91,8 @@ def run_one(telemetry: bool) -> dict:
         data_packets=DATA_PACKETS,
         seed=SEED,
         operation=operation,
-        timeseries=telemetry,
         sampling=telemetry,
+        on_deployment=on_deployment if telemetry else None,
         record_ground_truth=False,
     )
     cpu_s = time.process_time() - cpu_start
@@ -144,7 +149,6 @@ def run_sampling_quality() -> dict:
     """Sequential moves under 5% head sampling; aborted ops must survive."""
     dep = Deployment(
         audit=True,
-        timeseries=True,
         sampling=SamplingPolicy(head_rate=Q_HEAD_RATE, seed=1),
     )
     src = AssetMonitor(dep.sim, "inst1")

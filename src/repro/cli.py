@@ -34,6 +34,7 @@ demonstrably violates them).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import List, Optional
@@ -235,8 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     top = command(
         "top", _cmd_top,
-        "run one fully-telemetered move and print periodic "
-        "'top'-style snapshots: events/s and inbox depth per shard, "
+        "run one observed move and print a 'top'-style frame every "
+        "--interval: events received and inbox depth per shard, "
         "ops in flight, per-NF processing rates, XFSM occupancy",
     )
     _add_run_flags(top, "loss-free", flows=200)
@@ -244,11 +245,11 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--interval", type=float, default=1000.0,
                      help="snapshot interval in simulated ms")
     top.add_argument("--jsonl", metavar="PATH", default=None,
-                     help="append the final time-series windows as "
-                          "JSON lines to PATH")
+                     help="append every frame as one JSON line "
+                          "(\"type\": \"frame\") to PATH")
     top.add_argument("--prometheus", action="store_true",
-                     help="also print the time-series Prometheus "
-                          "rendering at the end")
+                     help="also print the metrics registry in "
+                          "Prometheus format at the end (as 'metrics')")
 
     command("version", _cmd_version, "print the package version")
     return parser
@@ -371,8 +372,6 @@ def _print_violations(violations) -> None:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs import render_bundle
     from repro.obs.audit import parse_trace
 
@@ -455,8 +454,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_conform(args: argparse.Namespace) -> int:
-    import json
-
     from repro.conformance import (
         hunt_counterexample,
         load_corpus,
@@ -685,9 +682,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     )
     text = result.deployment.obs.metrics.render_prometheus()
     if args.name_filter:
+        from repro.obs.metrics import _NAME_SANITIZE
+
+        # Names are spelled dotted (ctrl.inbox) but rendered sanitized
+        # (ctrl_inbox): match the prefix the way the renderer wrote it.
+        prefix = _NAME_SANITIZE.sub("_", args.name_filter)
         blocks = []
         for block in text.split("# TYPE "):
-            if block and block.startswith(args.name_filter):
+            if block and block.startswith(prefix):
                 blocks.append("# TYPE " + block)
         text = "".join(blocks)
     sys.stdout.write(text)
@@ -697,20 +699,20 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_top(args: argparse.Namespace) -> int:
     from repro.obs import ProgressReporter, format_top, snapshot_top
 
+    frames = []
+
+    def show(snap):
+        frames.append(snap)
+        print(format_top(snap))
+
     def on_deployment(dep):
-        reporter = ProgressReporter(
-            dep,
-            interval_ms=args.interval,
-            sink=lambda snap: print(format_top(snap)),
-        )
-        reporter.start()
+        ProgressReporter(dep, interval_ms=args.interval, sink=show).start()
 
     result = run_move_experiment(
         guarantee=args.guarantee,
         n_flows=args.flows,
         rate_pps=args.rate,
         seed=args.seed,
-        timeseries=True,
         sampling=True,
         on_deployment=on_deployment,
         **_mode_kwargs(args),
@@ -727,10 +729,15 @@ def _cmd_top(args: argparse.Namespace) -> int:
                  stats["ops_kept_tail"], stats["ops_kept_open"],
                  stats["records_sampled_out"]))
     if args.jsonl:
-        lines = dep.obs.timeseries.write_jsonl(args.jsonl)
-        print("wrote %d time-series windows to %s" % (lines, args.jsonl))
+        with open(args.jsonl, "a") as handle:
+            for snap in frames:
+                handle.write(
+                    json.dumps(dict(snap, type="frame"), sort_keys=True)
+                    + "\n"
+                )
+        print("wrote %d frames to %s" % (len(frames), args.jsonl))
     if args.prometheus:
-        sys.stdout.write(dep.obs.timeseries.render_prometheus())
+        sys.stdout.write(dep.obs.metrics.render_prometheus())
     return 1 if result.report.aborted else 0
 
 

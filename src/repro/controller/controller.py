@@ -115,24 +115,7 @@ class Shard:
         #: until the earlier finishes. (handle -> (filter, done event))
         self._admission: Dict[int, Tuple[Filter, Any]] = {}
         self._operation_handle_counter = 0
-        # Shard-labelled time-series; ``None`` without a hub.
-        obs = controller.obs
-        hub = obs.timeseries
-        self._ts_events = self._ts_ops = None
-        if hub is not None:
-            label = self.trace_attrs
-            self._ts_events = hub.series("ctrl.events", **label)
-            self._ts_ops = hub.series(
-                "ctrl.ops_in_flight", kind="gauge", **label
-            )
-            depth_series = hub.series(
-                "ctrl.inbox.depth", kind="gauge", **label
-            )
-            sim = self.sim
-            self.inbox.on_depth = lambda depth: depth_series.record(
-                sim.now, float(depth)
-            )
-        obs.add_collector(self._publish)
+        controller.obs.add_collector(self._publish)
 
     def _publish(self, reg) -> None:
         """Pull collector: this shard's inbox arrivals."""
@@ -144,12 +127,6 @@ class Shard:
             ("chunk-frame", self.chunk_frames_received),
         ):
             reg.publish("ctrl.inbox", count, kind=kind, **self.trace_attrs)
-
-    def _record_ops_in_flight(self) -> None:
-        """Fold the admission-table size into the ops-in-flight gauge."""
-        ts = self._ts_ops
-        if ts is not None:
-            ts.record(self.sim.now, float(len(self._admission)))
 
     # -------------------------------------------------------------------- inbox
 
@@ -203,11 +180,9 @@ class Shard:
         self._operation_handle_counter += 1
         handle = self._operation_handle_counter
         self._admission[handle] = (flt, done)
-        self._record_ops_in_flight()
 
         def _release(_evt, _handle=handle):
             self._admission.pop(_handle, None)
-            self._record_ops_in_flight()
 
         done.add_callback(_release)
         return handle
@@ -521,9 +496,6 @@ class OpenNFController:
         shard = replicas[0] if len(replicas) == 1 \
             else self._route(event.packet)
         shard.events_received += 1
-        ts = shard._ts_events
-        if ts is not None:
-            ts.record(self.sim.now, 1.0)
         shard.inbox.push(("event", event, None))
 
     def _handle_sequenced_event(self, event: PacketEvent) -> None:

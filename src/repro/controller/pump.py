@@ -43,11 +43,6 @@ class ChunkPump:
         #: Logical messages handled (a weight-N frame counts N).
         self.messages_handled = 0
         self.max_backlog = 0
-        #: Optional telemetry probe called with the queue depth after
-        #: every push and every handled item. Must only *record* (the
-        #: controller wires it to a time-series gauge) — it runs inline
-        #: with the pump and may never schedule or mutate.
-        self.on_depth: "Callable[[int], None] | None" = None
 
     def push(self, item: Any, weight: int = 1) -> None:
         """Enqueue one item for handling.
@@ -60,8 +55,6 @@ class ChunkPump:
         depth = len(self._queue)
         if depth > self.max_backlog:
             self.max_backlog = depth
-        if self.on_depth is not None:
-            self.on_depth(depth)
         if not self._busy:
             self._busy = True
             self.sim.schedule(self.per_item_ms, self._drain)
@@ -73,8 +66,6 @@ class ChunkPump:
         item, weight = self._queue.popleft()
         self.items_handled += 1
         self.messages_handled += weight
-        if self.on_depth is not None:
-            self.on_depth(len(self._queue))
         self.handle(item)
         for marker in self._markers:
             marker[0] -= 1

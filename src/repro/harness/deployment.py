@@ -44,7 +44,6 @@ class Deployment:
         record_ground_truth: bool = True,
         shards: int = 1,
         offload: bool = False,
-        timeseries=None,
         sampling=None,
     ) -> None:
         self.sim = Simulator()
@@ -52,15 +51,13 @@ class Deployment:
         #: ``observe=True``, in which case spans land in
         #: ``self.obs.exporter``. ``audit=True`` additionally streams
         #: the trace through the online guarantee auditors and arms the
-        #: flight recorder (implies ``observe``). ``timeseries`` /
-        #: ``sampling`` (``True`` for defaults, or a hub / policy /
-        #: sampler instance) turn on the scale-ready telemetry layer and
-        #: likewise imply ``observe``.
+        #: flight recorder (implies ``observe``). ``sampling`` (``True``
+        #: for defaults, or a policy / sampler instance) turns on trace
+        #: sampling and likewise implies ``observe``.
         self.obs = Observability(
             sim=self.sim,
             enabled=observe,
             audit=audit,
-            timeseries=timeseries,
             sampling=sampling,
         )
         #: Optional :class:`repro.faults.FaultPlan` (or a spec string for

@@ -106,11 +106,6 @@ class XFSMInstance:
         #: so the per-packet capacity check and the live dashboard stay
         #: O(1) regardless of ring count.
         self._buffered_count = 0
-        #: Occupancy gauge series (``None`` without a time-series hub).
-        hub = switch.obs.timeseries
-        self._ts_occ = None if hub is None else hub.series(
-            "sw.xfsm.occupancy", kind="gauge", sw=switch.name
-        )
 
     # ------------------------------------------------------------- data path
 
@@ -162,7 +157,6 @@ class XFSMInstance:
         self._buffered_count += 1
         obs = self.switch.obs
         if obs.enabled:
-            self._record_occupancy()
             obs.tracer.record(
                 "sw.buffer",
                 trace_id=self.spec.trace_id,
@@ -172,11 +166,6 @@ class XFSMInstance:
                 flow=packet.flow_key(),
             )
         return True
-
-    def _record_occupancy(self) -> None:
-        ts = self._ts_occ
-        if ts is not None:
-            ts.record(self.sim.now, float(self._buffered_count))
 
     # -------------------------------------------------------------- release
 
@@ -206,7 +195,6 @@ class XFSMInstance:
             self._record_release(packet, "flush")
             self._emit(packet, port)
         self.switch.xfsm_released += len(merged)
-        self._record_occupancy()
         self.state = FLUSH_IN_ORDER if self._in_queue else REDIRECT
         return len(merged)
 
@@ -222,7 +210,6 @@ class XFSMInstance:
             self._emit(packet, port)
         if ring:
             self.switch.xfsm_released += len(ring)
-            self._record_occupancy()
         return len(ring)
 
     def _emit(self, packet: Packet, port: str) -> None:

@@ -51,12 +51,7 @@ from repro.obs.operation import OperationTrace
 from repro.obs.recorder import FlightRecorder, render_bundle
 from repro.obs.sampling import SamplingPolicy, TraceSampler
 from repro.obs.span import NULL_SPAN, Span, Tracer
-from repro.obs.timeseries import (
-    ProgressReporter,
-    TimeSeriesHub,
-    format_top,
-    snapshot_top,
-)
+from repro.obs.top import ProgressReporter, format_top, snapshot_top
 
 
 class _TeeExporter:
@@ -104,10 +99,9 @@ class Observability:
         enabled: bool = False,
         exporter=None,
         audit: bool = False,
-        timeseries=None,
         sampling=None,
     ) -> None:
-        if audit or timeseries or sampling:
+        if audit or sampling:
             enabled = True
         if exporter is None and enabled:
             exporter = InMemoryExporter()
@@ -117,13 +111,6 @@ class Observability:
         self.recorder: Optional[FlightRecorder] = (
             FlightRecorder() if audit else None
         )
-        #: Optional windowed time-series hub (``timeseries=True`` builds
-        #: one with defaults; or pass a pre-built :class:`TimeSeriesHub`).
-        #: Strictly passive: hot paths fold rates/gauges into it, nothing
-        #: is scheduled, the timeline is byte-identical either way.
-        if timeseries is True:
-            timeseries = TimeSeriesHub(sim=sim)
-        self.timeseries: Optional[TimeSeriesHub] = timeseries or None
         #: Optional trace sampler (``sampling=True`` → default policy;
         #: or pass a :class:`SamplingPolicy` / pre-built sampler). It
         #: wraps the *stored* exporter only — the auditor/recorder taps
@@ -242,7 +229,6 @@ __all__ = [
     "ProgressReporter",
     "SamplingPolicy",
     "Span",
-    "TimeSeriesHub",
     "TraceSampler",
     "Tracer",
     "Violation",

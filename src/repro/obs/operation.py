@@ -110,12 +110,6 @@ class OperationTrace:
         self.obs.metrics.histogram("op.latency_ms").observe(
             duration, kind=self.kind
         )
-        hub = self.obs.timeseries
-        if hub is not None:
-            # Label is `op=` (not `kind=`): the hub's series() reserves
-            # the `kind` keyword for the series type (rate vs gauge).
-            hub.gauge("op.latency_ms", duration, op=self.kind)
-            hub.inc("ops.completed", 1.0, op=self.kind)
         # The op.end record is what lets streaming consumers (auditors,
         # the trace sampler) close the operation; the root span was
         # exported just above, so the sampler already knows the

@@ -135,9 +135,20 @@ class TestTraceCommand:
 
 
 @pytest.mark.obs
+class TestMetricsCommand:
+    def test_filter_takes_the_dotted_name(self, capsys):
+        code = main(["metrics", "--flows", "20", "--filter", "ctrl.inbox"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("# TYPE ctrl_inbox counter\n")
+        assert 'ctrl_inbox{kind="event"}' in out
+        assert "sb_rpcs" not in out
+
+
+@pytest.mark.obs
 class TestTopCommand:
     def test_top_streams_snapshots_and_exports(self, tmp_path, capsys):
-        path = tmp_path / "windows.jsonl"
+        path = tmp_path / "frames.jsonl"
         code = main([
             "top", "--flows", "20", "--interval", "50",
             "--jsonl", str(path), "--prometheus",
@@ -152,12 +163,46 @@ class TestTopCommand:
         assert "pkt/s" in out
         assert "sampling:" in out
         assert "move[loss-free]" in out
-        # Exports: JSONL windows on disk, Prometheus text on stdout.
+        # Exports: one JSON line per reporter frame on disk, the
+        # metrics registry's Prometheus text on stdout.
         import json
 
         lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert lines and all(e["type"] == "timeseries" for e in lines)
-        assert "_rate_per_s" in out or "_last" in out
+        assert len(lines) == out.count("ops-in-flight") - 1
+        assert all(e["type"] == "frame" for e in lines)
+        assert lines[0]["time_ms"] == 50.0
+        assert "# TYPE op_latency_ms summary" in out
+        assert "# TYPE ctrl_inbox counter" in out
+        # Appends: a second run adds its frames after the first's.
+        main(["top", "--flows", "20", "--interval", "50",
+              "--jsonl", str(path)])
+        capsys.readouterr()
+        assert len(path.read_text().splitlines()) == 2 * len(lines)
+
+    #: sha256 of ``repro top --flows 20 --interval 50`` stdout up to
+    #: the ``move[`` summary (every frame), per mode cell. The frames
+    #: are pure reads of the deployment, so these move only when the
+    #: simulated clock or the frame layout does.
+    FRAME_DIGESTS = {
+        "plain": "0bfd2617185c7e978f07aeced3a7088e917730a6e127206d464cbe87d5908284",
+        "shards2": "bab2b305d418964a6a3616ba7415bf28f03b2536c52948ceb2587022afb3151f",
+        "offload": "ebea39f96126e28275d38a46b566143e49045368e5fc08af46a7a7677c661780",
+    }
+
+    @pytest.mark.parametrize("cell,extra", [
+        ("plain", []),
+        ("shards2", ["--shards", "2"]),
+        ("offload", ["--offload"]),
+    ])
+    def test_top_frames_are_pinned(self, cell, extra, capsys):
+        import hashlib
+
+        code = main(["top", "--flows", "20", "--interval", "50"] + extra)
+        out = capsys.readouterr().out
+        assert code == 0
+        frames = out[:out.index("\nmove[") + 1]
+        digest = hashlib.sha256(frames.encode()).hexdigest()
+        assert digest == self.FRAME_DIGESTS[cell], frames
 
     def test_top_sharded_offloaded(self, capsys):
         code = main(["top", "--flows", "20", "--shards", "2",

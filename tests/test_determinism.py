@@ -9,6 +9,7 @@ import pytest
 
 from repro.harness import run_move_experiment
 from repro.net.packet import reset_uid_counter
+from repro.obs import ProgressReporter
 
 
 def snapshot(result):
@@ -80,14 +81,26 @@ class TestObservedDeterminism:
 
 @pytest.mark.obs
 class TestTelemetryDeterminism:
-    """Full telemetry (time-series + sampling) must be purely passive.
+    """Full telemetry (``repro top``'s frames + sampling) is passive.
 
-    The scale-ready claim rests on this: leaving the windowed
-    time-series, the trace sampler, and the bounded histograms on must
-    leave the operation timeline byte-identical to a bare run — on a
-    single controller, on a sharded control plane, and with the
+    The scale-ready claim rests on this: a progress reporter ticking
+    every 25 ms, the trace sampler and the bounded histograms left on
+    must leave the operation timeline byte-identical to a bare run — on
+    a single controller, on a sharded control plane, and with the
     data-plane offload engaged.
     """
+
+    @staticmethod
+    def _telemetered(**extra):
+        frames = []
+
+        def on_deployment(dep):
+            ProgressReporter(dep, interval_ms=25.0, sink=frames.append).start()
+
+        reset_uid_counter()
+        result = run_move_experiment("lf", n_flows=40, seed=5, sampling=True,
+                                     on_deployment=on_deployment, **extra)
+        return result, frames
 
     @pytest.mark.parametrize("extra", [
         {},
@@ -99,23 +112,18 @@ class TestTelemetryDeterminism:
         plain = snapshot(
             run_move_experiment("lf", n_flows=40, seed=5, **extra)
         )
-        reset_uid_counter()
-        telemetered = snapshot(
-            run_move_experiment("lf", n_flows=40, seed=5, timeseries=True,
-                                sampling=True, **extra)
-        )
-        assert plain == telemetered
+        result, frames = self._telemetered(**extra)
+        assert len(frames) == 11
+        assert plain == snapshot(result)
 
     def test_same_seed_same_telemetry(self):
         def capture():
-            reset_uid_counter()
-            result = run_move_experiment("lf", n_flows=40, seed=5,
-                                         timeseries=True, sampling=True)
+            result, frames = self._telemetered()
             obs = result.deployment.obs
             stats = obs.flush_sampling()
             return {
-                "windows": obs.timeseries.snapshot(),
-                "prometheus": obs.timeseries.render_prometheus(),
+                "frames": frames,
+                "prometheus": obs.metrics.render_prometheus(),
                 "sampling": stats,
                 "records": list(obs.exporter.records),
             }
