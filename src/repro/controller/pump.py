@@ -19,7 +19,7 @@ backlog statistics stay comparable across batched and unbatched runs.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque
+from typing import Any, Callable, Deque, Tuple
 
 from repro.sim.core import Event, Simulator
 
@@ -38,7 +38,8 @@ class ChunkPump:
         self.handle = handle
         self._queue: Deque[Any] = deque()
         self._busy = False
-        self._markers: list = []  # [remaining_count, Event] pairs
+        #: ``(items_handled target, Event)`` pairs, targets ascending.
+        self._markers: Deque[Tuple[int, Event]] = deque()
         self.items_handled = 0
         #: Logical messages handled (a weight-N frame counts N).
         self.messages_handled = 0
@@ -64,13 +65,14 @@ class ChunkPump:
             self._busy = False
             return
         item, weight = self._queue.popleft()
-        self.items_handled += 1
-        self.messages_handled += weight
         self.handle(item)
-        for marker in self._markers:
-            marker[0] -= 1
-        while self._markers and self._markers[0][0] <= 0:
-            self._markers.pop(0)[1].trigger()
+        # (Counted after the handler: a marker set while it runs counts
+        # the item in hand among those it waits for.)
+        handled = self.items_handled = self.items_handled + 1
+        self.messages_handled += weight
+        markers = self._markers
+        while markers and markers[0][0] <= handled:
+            markers.popleft()[1].trigger()
         if self._queue:
             self.sim.schedule(self.per_item_ms, self._drain)
         else:
@@ -86,5 +88,5 @@ class ChunkPump:
         if not self._queue:
             evt.trigger()
             return evt
-        self._markers.append([len(self._queue), evt])
+        self._markers.append((self.items_handled + len(self._queue), evt))
         return evt

@@ -24,6 +24,10 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.flowspace.filter import Filter, FlowId, compile_fields, key_matches
 
 
+#: What :meth:`FlowKeyedStore.pop` finds for a flowid it does not hold.
+_ABSENT = object()
+
+
 def _canonical_bucket(key: Tuple) -> Tuple:
     """Direction-normalized bucket for an exact key of either orientation."""
     _tag, proto, left, right = key
@@ -40,25 +44,31 @@ class FlowKeyedStore:
     replacement for the per-``state_keys`` linear filter scan. Iteration
     and ``keys_matching`` results follow insertion order, exactly like
     the plain dict this replaces.
+
+    A write or a removal probes the dict once (one ``FlowId`` hash): the
+    index entries carry their insertion number themselves, so nothing
+    else is keyed by the flowid.
     """
 
-    __slots__ = ("_data", "_seq", "_next_seq", "_exact", "_partial")
+    __slots__ = ("_data", "_next_seq", "_exact", "_partial")
 
     def __init__(self) -> None:
         self._data: Dict[FlowId, Any] = {}
-        self._seq: Dict[FlowId, int] = {}
         self._next_seq = 0
-        #: canonical (proto, endpoint, endpoint) -> flowids in that bucket
-        self._exact: Dict[Tuple, List[FlowId]] = {}
-        #: flowids with no exact key (host/prefix/partial); linear fallback
-        self._partial: List[FlowId] = []
+        #: canonical (proto, endpoint, endpoint) -> the ``(insertion
+        #: number, flowid)`` entries in that bucket, oldest first
+        self._exact: Dict[Tuple, List[Tuple[int, FlowId]]] = {}
+        #: entries with no exact key (host/prefix/partial); linear fallback
+        self._partial: List[Tuple[int, FlowId]] = []
 
     # -- mapping protocol -----------------------------------------------------
 
     def __setitem__(self, flowid: FlowId, value: Any) -> None:
-        if flowid not in self._data:
+        data = self._data
+        size = len(data)
+        data[flowid] = value
+        if len(data) != size:  # a new key (an overwrite keeps its place)
             self._index(flowid)
-        self._data[flowid] = value
 
     def __getitem__(self, flowid: FlowId) -> Any:
         return self._data[flowid]
@@ -83,8 +93,8 @@ class FlowKeyedStore:
         return self._data.get(flowid, default)
 
     def pop(self, flowid: FlowId, *default: Any) -> Any:
-        if flowid in self._data:
-            value = self._data.pop(flowid)
+        value = self._data.pop(flowid, _ABSENT)
+        if value is not _ABSENT:
             self._unindex(flowid)
             return value
         if default:
@@ -102,7 +112,6 @@ class FlowKeyedStore:
 
     def clear(self) -> None:
         self._data.clear()
-        self._seq.clear()
         self._exact.clear()
         del self._partial[:]
 
@@ -113,24 +122,27 @@ class FlowKeyedStore:
 
     def _index(self, flowid: FlowId) -> None:
         self._next_seq += 1
-        self._seq[flowid] = self._next_seq
+        entry = (self._next_seq, flowid)
         key = flowid.exact_key()
         if key is None:
-            self._partial.append(flowid)
+            self._partial.append(entry)
         else:
-            self._exact.setdefault(_canonical_bucket(key), []).append(flowid)
+            self._exact.setdefault(_canonical_bucket(key), []).append(entry)
 
     def _unindex(self, flowid: FlowId) -> None:
-        del self._seq[flowid]
         key = flowid.exact_key()
         if key is None:
-            self._partial.remove(flowid)
-            return
-        bucket_key = _canonical_bucket(key)
-        bucket = self._exact[bucket_key]
-        bucket.remove(flowid)
-        if not bucket:
-            del self._exact[bucket_key]
+            entries = self._partial
+        else:
+            bucket_key = _canonical_bucket(key)
+            entries = self._exact[bucket_key]
+            if len(entries) == 1:  # the flowid's own entry, alone
+                del self._exact[bucket_key]
+                return
+        for position, (_seq, held) in enumerate(entries):
+            if held is flowid or held == flowid:
+                del entries[position]
+                return
 
     # -- filter queries -------------------------------------------------------
 
@@ -179,14 +191,15 @@ class FlowKeyedStore:
         # their canonical keys agree and, when both are oriented, the
         # orientations agree too (matches_flowid tries the swapped view
         # whenever either side is symmetric).
-        matched: List[FlowId] = []
+        matched: List[Tuple[int, FlowId]] = []
         symmetric_probe = key[0] == "s"
-        for fid in self._exact.get(_canonical_bucket(key), ()):
+        for entry in self._exact.get(_canonical_bucket(key), ()):
+            fid = entry[1]
             if symmetric_probe or fid.symmetric or fid.exact_key() == key:
-                matched.append(fid)
-        for fid in self._partial:
-            if flt.matches_flowid(fid, relevant_fields):
-                matched.append(fid)
+                matched.append(entry)
+        for entry in self._partial:
+            if flt.matches_flowid(entry[1], relevant_fields):
+                matched.append(entry)
         if len(matched) > 1:
-            matched.sort(key=self._seq.__getitem__)
-        return matched
+            matched.sort()  # by insertion number: each is unique
+        return [fid for _seq, fid in matched]

@@ -52,7 +52,9 @@ class NetworkFunction:
     #: several stores. The state handlers below derive from it; a scope
     #: left out holds nothing.
     STATE: Dict[Scope, Any] = {}
-    _specs: Dict[Scope, Tuple[StateSpec, ...]] = {}
+    #: ``STATE`` as ``{scope.tag: (StateSpec, ...)}``: read per chunk,
+    #: so keyed by a string rather than by the enum member.
+    _specs: Dict[str, Tuple[StateSpec, ...]] = {}
 
     #: When False, the per-packet ground-truth logs (``processing_log``,
     #: ``proc_durations``) are not recorded — scale benchmarks opt out so
@@ -62,7 +64,7 @@ class NetworkFunction:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._specs = {
-            scope: (specs,) if isinstance(specs, StateSpec) else tuple(specs)
+            scope.tag: (specs,) if isinstance(specs, StateSpec) else tuple(specs)
             for scope, specs in cls.STATE.items()
         }
         # Every NF class holds the derived handlers in its own namespace:
@@ -119,7 +121,10 @@ class NetworkFunction:
         self.events_abandoned = 0
         # Transfer bookkeeping.
         self._transfers_active = 0
-        self._op_tail: Optional[Event] = None
+        #: Whether a state operation holds the NF's one CPU, and the
+        #: turns of those queued behind it, oldest first.
+        self._op_busy = False
+        self._op_turns: Deque[Event] = deque()
         # (A put runs per chunk: its two names are formatted once.)
         self._gate_name = "op-gate@%s" % name
         self._put_name = "put@%s" % name
@@ -519,12 +524,24 @@ class NetworkFunction:
 
     # -------------------------------------------------- southbound state transfer
 
-    def _chain_operation(self) -> Tuple[Optional[Event], Event]:
-        """FIFO-serialize transfer operations on this NF (one CPU)."""
-        previous = self._op_tail
-        gate = Event(self.sim, self._gate_name)
-        self._op_tail = gate
-        return previous, gate
+    def _op_turn(self) -> Event:
+        """Wait in line for the NF's one CPU: fires when the transfer
+        operations queued before the caller are done.
+
+        Each operation process starts ``if self._op_busy: yield
+        self._op_turn()``, sets ``_op_busy`` and ends in
+        :meth:`_op_done`, so one that finds the NF idle builds no event.
+        """
+        turn = Event(self.sim, self._gate_name)
+        self._op_turns.append(turn)
+        return turn
+
+    def _op_done(self) -> None:
+        """Hand the CPU to the oldest queued operation, if any."""
+        if self._op_turns:
+            self._op_turns.popleft().trigger()
+        else:
+            self._op_busy = False
 
     def sb_get(
         self,
@@ -561,9 +578,9 @@ class NetworkFunction:
         self, scope, flt, stream, lock_per_chunk, lock_action, lock_silent,
         compress, trace_id, cause_id,
     ):
-        previous, gate = self._chain_operation()
-        if previous is not None and not previous.triggered:
-            yield previous
+        if self._op_busy:
+            yield self._op_turn()
+        self._op_busy = True
         self._transfers_active += 1
         try:
             if self.failed:
@@ -583,18 +600,19 @@ class NetworkFunction:
                         trace_id=trace_id,
                         cause_id=cause_id,
                     )
-                yield self.costs.serialize_ms(chunk.size_bytes)
+                size = chunk.size_bytes
+                yield self.costs.serialize_ms(size)
                 if compress:
-                    yield self.costs.compress_ms(chunk.size_bytes)
+                    yield self.costs.compress_ms(size)
                     chunk.compressed = True
                 chunks.append(chunk)
                 if self.obs.enabled:
                     self.obs.tracer.record(
                         "nf.chunk.export",
                         nf=self.name,
-                        scope=chunk.scope.value,
+                        scope=chunk.scope.tag,
                         key=repr(chunk.flowid),
-                        bytes=chunk.size_bytes,
+                        bytes=size,
                         trace_id=trace_id,
                     )
                 if stream is not None:
@@ -602,43 +620,48 @@ class NetworkFunction:
             return chunks
         finally:
             self._transfers_active -= 1
-            gate.trigger()
+            self._op_done()
 
     def sb_put(
-        self, chunks: Iterable[StateChunk], trace_id: Optional[int] = None
+        self, chunks: List[StateChunk], trace_id: Optional[int] = None
     ):
-        """Run ``put{Perflow,Multiflow,Allflows}`` as a timed process."""
+        """Run ``put{Perflow,Multiflow,Allflows}`` as a timed process.
+
+        The process reads ``chunks`` as it applies them: hand it a list
+        nothing changes afterwards.
+        """
         return self.sim.spawn(
-            self._put_process(list(chunks), trace_id), name=self._put_name
+            self._put_process(chunks, trace_id), name=self._put_name
         )
 
     def _put_process(self, chunks: List[StateChunk], trace_id):
-        previous, gate = self._chain_operation()
-        if previous is not None and not previous.triggered:
-            yield previous
+        if self._op_busy:
+            yield self._op_turn()
+        self._op_busy = True
         self._transfers_active += 1
         try:
             if self.failed:
                 raise NFCrash("%s is down: %s" % (self.name,
                                                   self.failure_reason))
             for chunk in chunks:
+                size = chunk.size_bytes
                 if chunk.compressed:
-                    yield self.costs.decompress_ms(chunk.size_bytes)
-                yield self.costs.deserialize_ms(chunk.size_bytes)
+                    yield self.costs.decompress_ms(size)
+                yield self.costs.deserialize_ms(size)
                 self.import_chunk(chunk)
                 if self.obs.enabled:
                     self.obs.tracer.record(
                         "nf.chunk.import",
                         nf=self.name,
-                        scope=chunk.scope.value,
+                        scope=chunk.scope.tag,
                         key=repr(chunk.flowid),
-                        bytes=chunk.size_bytes,
+                        bytes=size,
                         trace_id=trace_id,
                     )
             return len(chunks)
         finally:
             self._transfers_active -= 1
-            gate.trigger()
+            self._op_done()
 
     def sb_delete(self, scope: Scope, flowids: Iterable[FlowId]):
         """Run ``del{Perflow,Multiflow}`` as a timed process."""
@@ -647,9 +670,9 @@ class NetworkFunction:
         )
 
     def _delete_process(self, scope: Scope, flowids: List[FlowId]):
-        previous, gate = self._chain_operation()
-        if previous is not None and not previous.triggered:
-            yield previous
+        if self._op_busy:
+            yield self._op_turn()
+        self._op_busy = True
         try:
             yield self.costs.call_overhead_ms
             removed = 0
@@ -658,13 +681,13 @@ class NetworkFunction:
                 removed += self.delete_by_flowid(scope, flowid)
             return removed
         finally:
-            gate.trigger()
+            self._op_done()
 
     # ------------------------------------- state handlers, derived from STATE
 
     def relevant_fields(self, scope: Scope) -> Tuple[str, ...]:
         """Filter fields matched against state of ``scope`` (§4.2)."""
-        specs = self._specs.get(scope)
+        specs = self._specs.get(scope.tag)
         return specs[0].fields if specs else FLOW_FIELDS
 
     def state_keys(self, scope: Scope, flt: Filter) -> List[Any]:
@@ -674,7 +697,7 @@ class NetworkFunction:
         state is one chunk, keyed by its store's name.
         """
         keys: List[Any] = []
-        for spec in self._specs.get(scope, ()):
+        for spec in self._specs.get(scope.tag, ()):
             if spec.keys is not None:
                 keys.extend(spec.keys(self, flt))
             elif scope is ALLFLOWS:
@@ -686,7 +709,7 @@ class NetworkFunction:
 
     def export_chunk(self, scope: Scope, key: Any) -> Optional[StateChunk]:
         """Serialize one chunk; None if the key vanished since enumeration."""
-        for spec in self._specs.get(scope, ()):
+        for spec in self._specs.get(scope.tag, ()):
             if scope is ALLFLOWS:
                 key, record = None, getattr(self, spec.store)
             else:
@@ -704,7 +727,7 @@ class NetworkFunction:
 
     def import_chunk(self, chunk: StateChunk) -> None:
         """Install or merge one chunk by its scope's import rule."""
-        for spec in self._specs.get(chunk.scope, ()):
+        for spec in self._specs.get(chunk.scope.tag, ()):
             if spec.on_import(self, spec, chunk) is not None:
                 return
 
@@ -716,7 +739,7 @@ class NetworkFunction:
         if scope is ALLFLOWS:
             return 0
         removed = 0
-        for spec in self._specs.get(scope, ()):
+        for spec in self._specs.get(scope.tag, ()):
             if spec.on_delete(self, spec, flowid) is not None:
                 removed += 1
         return removed

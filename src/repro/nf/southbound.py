@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.flowspace.filter import Filter, FlowId
@@ -97,6 +97,12 @@ class SouthboundTimeout(SouthboundError):
     """A southbound RPC exhausted its retry budget without a response."""
 
 
+@lru_cache(maxsize=None)
+def _put_request(count: int) -> protocol.Request:
+    """The header of a put of ``count`` chunks (immutable: built once)."""
+    return protocol.Request("put", chunks=count)
+
+
 def _finish_span(span: Any, event: Event) -> None:
     """Close ``span`` on the event that ends it; a failure marks it."""
     span.__exit__(None, event.exception, None)
@@ -105,7 +111,7 @@ def _finish_span(span: Any, event: Event) -> None:
 class Call:
     """One RPC in flight: what its peer-side body answers through."""
 
-    __slots__ = ("stub", "done", "rid", "span", "retries")
+    __slots__ = ("stub", "done", "rid", "span", "trace_id", "retries")
 
     def __init__(self, stub: "SouthboundStub", done: Event) -> None:
         self.stub = stub
@@ -114,13 +120,9 @@ class Call:
         self.rid: Optional[int] = None
         self.retries: Optional[int] = None
         self.span: Any = NULL_SPAN
-
-    @property
-    def trace_id(self) -> Optional[int]:
-        """The operation this call was issued for (None when untraced):
-        what the peer stamps on the records and rules the call causes."""
-        span = self.span
-        return None if span is NULL_SPAN else span.attrs.get("trace_id")
+        #: The operation this call was issued for (None when untraced):
+        #: what the peer stamps on the records and rules the call causes.
+        self.trace_id: Optional[int] = None
 
     def settle(self, value: Any = None) -> None:
         """Trigger ``done`` unless a duplicate response beat us to it."""
@@ -173,7 +175,7 @@ class Call:
     ) -> None:
         """Reply with the outcome of the peer-side process ``event`` ends."""
         if event.exception is None:
-            self.reply(event.value, size, deliver)
+            self.reply(event._value, size, deliver)
         else:
             self.reply(event.exception, deliver=self.settle_fail)
 
@@ -258,6 +260,7 @@ class SouthboundStub:
             span = call.span = self.obs.tracer.span(
                 self.SPAN % op, **{self.PEER_LABEL: self.peer.name}, **attrs
             )
+            call.trace_id = span.attrs.get("trace_id")
             start = self.sim.now
 
             def close(event: Event) -> None:
@@ -421,8 +424,9 @@ class NFClient(SouthboundStub):
         exclusive."""
         streamed = stream is not None or stream_frame is not None
         #: Streamed chunks that actually landed controller-side; lost or
-        #: duplicated chunk messages are reconciled against this.
-        received_ids: set = set()
+        #: duplicated chunk messages are reconciled against this. (A
+        #: chunk hashes and compares by identity.)
+        received: set = set()
 
         def deliver_fresh(chunks: List[StateChunk]) -> None:
             if stream_frame is not None:
@@ -432,9 +436,9 @@ class NFClient(SouthboundStub):
                     stream(chunk)
 
         def stream_recv(chunk: StateChunk) -> None:
-            if id(chunk) in received_ids:
+            if chunk in received:
                 return  # duplicated or already-recovered chunk
-            received_ids.add(id(chunk))
+            received.add(chunk)
             if stream_frame is None:
                 stream(chunk)
             else:
@@ -445,9 +449,8 @@ class NFClient(SouthboundStub):
             # already been deduplicated whole at the channel layer; this
             # per-chunk filter additionally drops chunks recovered via a
             # NACK round that raced a late original.
-            fresh = [c for c in chunks if id(c) not in received_ids]
-            for chunk in fresh:
-                received_ids.add(id(chunk))
+            fresh = [c for c in chunks if c not in received]
+            received.update(fresh)
             if fresh:
                 deliver_fresh(fresh)
 
@@ -473,7 +476,7 @@ class NFClient(SouthboundStub):
             # granularity as the original stream.
             if done.triggered:
                 return
-            missing = [c for c in chunks if id(c) not in received_ids]
+            missing = [c for c in chunks if c not in received]
             if not missing:
                 done.trigger(chunks)
                 return
@@ -591,36 +594,36 @@ class NFClient(SouthboundStub):
 
     # ------------------------------------------------------------------- put
 
-    def _put(self, chunks: Iterable[StateChunk], op: str) -> Event:
-        chunk_list = list(chunks)
+    def _put(self, chunks: List[StateChunk], op: str) -> Event:
+        """The request carries ``chunks`` as handed over (no copy): the
+        NF applies them later, so the caller must not change the list."""
+        count = len(chunks)
 
         def at_nf(call: Call) -> None:
             apply_span = NULL_SPAN
             if call.span is not NULL_SPAN:
                 apply_span = self._nf_side_span(
-                    "nf.apply", call.span, chunks=len(chunk_list)
+                    "nf.apply", call.span, chunks=count
                 )
-            applied = self.nf.sb_put(chunk_list, call.trace_id).done
+            applied = self.nf.sb_put(chunks, call.trace_id).done
             if apply_span is not NULL_SPAN:
                 applied.add_callback(partial(_finish_span, apply_span))
             applied.add_callback(call.respond)
 
         return self._call(
-            op, self._put_name, at_nf,
-            protocol.Request("put", chunks=len(chunk_list)),
-            chunks_wire_bytes(chunk_list),
-            chunks=len(chunk_list),
+            op, self._put_name, at_nf, _put_request(count),
+            chunks_wire_bytes(chunks), chunks=count,
         )
 
-    def put_perflow(self, chunks: Iterable[StateChunk]) -> Event:
+    def put_perflow(self, chunks: List[StateChunk]) -> Event:
         """``putPerflow(multimap<flowid,chunk>)``; triggers when merged."""
         return self._put(chunks, "put.perflow")
 
-    def put_multiflow(self, chunks: Iterable[StateChunk]) -> Event:
+    def put_multiflow(self, chunks: List[StateChunk]) -> Event:
         """``putMultiflow(...)``; triggers when merged."""
         return self._put(chunks, "put.multiflow")
 
-    def put_allflows(self, chunks: Iterable[StateChunk]) -> Event:
+    def put_allflows(self, chunks: List[StateChunk]) -> Event:
         """``putAllflows(list<chunk>)``; triggers when merged."""
         return self._put(chunks, "put.allflows")
 
@@ -655,15 +658,15 @@ class NFClient(SouthboundStub):
             options.pop("lock_per_chunk", None)
             options.pop("lock_silent", None)
             return self.get_allflows(**options)
-        return getattr(self, "get_" + scope.value)(flt, **options)
+        return getattr(self, "get_" + scope.tag)(flt, **options)
 
-    def put(self, scope: Scope, chunks: Iterable[StateChunk]) -> Event:
+    def put(self, scope: Scope, chunks: List[StateChunk]) -> Event:
         """The scope's ``put*``."""
-        return getattr(self, "put_" + scope.value)(chunks)
+        return getattr(self, "put_" + scope.tag)(chunks)
 
     def delete(self, scope: Scope, flowids: Iterable[FlowId]) -> Event:
         """The scope's ``del*`` (all-flows state has none)."""
-        return getattr(self, "del_" + scope.value)(flowids)
+        return getattr(self, "del_" + scope.tag)(flowids)
 
     # ----------------------------------------------------------------- events
 

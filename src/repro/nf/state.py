@@ -32,11 +32,19 @@ from repro.nf.protocol import WIRE_JSON
 
 
 class Scope(enum.Enum):
-    """How many flows a piece of NF state applies to."""
+    """How many flows a piece of NF state applies to.
+
+    ``tag`` is the value as a plain attribute. The state-transfer path
+    names a scope by it once per chunk: ``value`` is a Python-level
+    property, and hashing a member runs a Python method.
+    """
 
     PERFLOW = "perflow"
     MULTIFLOW = "multiflow"
     ALLFLOWS = "allflows"
+
+    def __init__(self, tag: str) -> None:
+        self.tag = tag
 
 
 #: Scope combinations accepted by the northbound ``scope`` argument.
@@ -122,7 +130,10 @@ class StateChunk:
     @property
     def wire_size_bytes(self) -> int:
         """Size as transferred: compressed when the flag is set."""
-        return self.compressed_size_bytes if self.compressed else self.size_bytes
+        if self.compressed:
+            return self.compressed_size_bytes
+        size = self._size  # (known by now on the transfer path)
+        return self.size_bytes if size is None else size
 
     def to_json_bytes(self) -> bytes:
         """The wire encoding of this chunk (JSON, as in the prototype)."""

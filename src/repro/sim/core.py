@@ -14,9 +14,12 @@ until it triggers.
 
 from __future__ import annotations
 
-import itertools
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
+
+
+#: The limit of an unbounded :meth:`Simulator.run`.
+_FOREVER = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -116,7 +119,8 @@ class Simulator:
         self._queue: List[
             Tuple[float, int, Callable[..., None], Tuple[Any, ...]]
         ] = []
-        self._sequence = itertools.count()
+        #: The next tie-break number :meth:`schedule` draws.
+        self._sequence = 0
         #: The entry :meth:`run` is executing (what :meth:`rearm` re-queues).
         self._running: Optional[
             Tuple[float, int, Callable[..., None], Tuple[Any, ...]]
@@ -146,11 +150,11 @@ class Simulator:
         A scheduled callback cannot be cancelled: a timer that may go
         stale checks an epoch or a flag of its owner when it fires.
         """
-        if delay < 0:
+        if not delay >= 0:  # (so a NaN is refused too)
             raise SimulationError("cannot schedule %.3f ms in the past" % delay)
-        heappush(
-            self._queue, (self.now + delay, next(self._sequence), callback, args)
-        )
+        seq = self._sequence
+        self._sequence = seq + 1
+        heappush(self._queue, (self.now + delay, seq, callback, args))
 
     def reserve(self, n: int) -> int:
         """Set aside the next ``n`` tie-break numbers; returns the first.
@@ -164,8 +168,8 @@ class Simulator:
         """
         if n < 0:
             raise SimulationError("cannot reserve %d sequence numbers" % n)
-        first = next(self._sequence)
-        self._sequence = itertools.count(first + n)
+        first = self._sequence
+        self._sequence = first + n
         return first
 
     def rearm(self, when: float, seq: int) -> None:
@@ -178,7 +182,7 @@ class Simulator:
         ledger's tracer labels callbacks there) covers every run of the
         stream, not just the first.
         """
-        if when < self.now:
+        if not when >= self.now:
             raise SimulationError(
                 "cannot schedule %.3f ms in the past" % (when - self.now)
             )
@@ -219,10 +223,13 @@ class Simulator:
         after ``max_events`` callbacks. Returns the final clock value.
         """
         queue = self._queue
-        executed = 0
+        # Both limits as numbers, so the loop tests each with one compare.
+        horizon = _FOREVER if until is None else until
+        last = (_FOREVER if max_events is None
+                else self._event_count + max_events)
         try:
             while queue:
-                if until is not None and queue[0][0] > until:
+                if queue[0][0] > horizon:
                     self.now = until
                     return until
                 when, _seq, callback, args = self._running = heappop(queue)
@@ -230,9 +237,8 @@ class Simulator:
                     raise SimulationError("event queue time went backwards")
                 self.now = when
                 callback(*args)
-                self._event_count += 1
-                executed += 1
-                if max_events is not None and executed >= max_events:
+                count = self._event_count = self._event_count + 1
+                if count >= last:
                     return when
         finally:
             self._running = None

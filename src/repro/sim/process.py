@@ -17,6 +17,8 @@ processes, which keeps them a close transcription of the paper.
 
 from __future__ import annotations
 
+from functools import partial
+from types import GeneratorType
 from typing import Any, Iterable, List, Optional
 
 from repro.sim.core import Event, SimulationError, Simulator
@@ -50,7 +52,9 @@ class Process:
     """A cooperative process driven by the simulator's event loop."""
 
     def __init__(self, sim: Simulator, generator, name: str = "") -> None:
-        if not hasattr(generator, "send"):
+        if type(generator) is not GeneratorType and not hasattr(
+            generator, "send"
+        ):
             raise TypeError(
                 "Process requires a generator (did you forget to call the "
                 "generator function?)"
@@ -58,7 +62,8 @@ class Process:
         self.sim = sim
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
-        self.done = Event(sim, "done:%s" % self.name)
+        #: Fires with the generator's return value (named as the process).
+        self.done = Event(sim, self.name)
         self._alive = True
         # Start on the next tick so spawn() returns before the body runs.
         sim.schedule(0.0, self._step, None, None)
@@ -101,8 +106,14 @@ class Process:
             self._alive = False
             self.done.fail(exc)
             return
-        # Arm the wake-up for whatever the generator yielded.
-        if isinstance(target, (int, float)):
+        # Arm the wake-up for whatever the generator yielded: the exact
+        # types every hot loop yields first, then their subclasses.
+        kind = type(target)
+        if kind is float or kind is int:
+            self.sim.schedule(target, self._step, None, None)
+        elif kind is Event:
+            target.add_callback(self._resume_from_event)
+        elif isinstance(target, (int, float)):
             self.sim.schedule(target, self._step, None, None)
         elif isinstance(target, Event):
             target.add_callback(self._resume_from_event)
@@ -126,6 +137,8 @@ class Process:
 
     @staticmethod
     def _as_event(waitable: Any) -> Event:
+        if type(waitable) is Event:
+            return waitable
         if isinstance(waitable, Process):
             return waitable.done
         if isinstance(waitable, Event):
@@ -152,7 +165,7 @@ class Process:
                 self.sim.schedule(0.0, self._step, results, None)
 
         for i, evt in enumerate(events):
-            evt.add_callback(lambda e, i=i: on_fire(i, e))
+            evt.add_callback(partial(on_fire, i))
 
     def _wait_any(self, group: AnyOf) -> None:
         events = [self._as_event(w) for w in group.waitables]
@@ -170,7 +183,7 @@ class Process:
                 self.sim.schedule(0.0, self._step, (index, event._value), None)
 
         for i, evt in enumerate(events):
-            evt.add_callback(lambda e, i=i: on_fire(i, e))
+            evt.add_callback(partial(on_fire, i))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self._alive else "done"

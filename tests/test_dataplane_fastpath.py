@@ -256,6 +256,60 @@ class TestStateStoreDifferential:
             assert store.keys_matching(flt, relevant) == \
                 linear_keys_matching(store, flt, relevant)
 
+    def test_write_path_keeps_insertion_order(self):
+        """Every write and removal, against a plain dict doing the same:
+        ``pop(fid)`` (and its ``KeyError``), ``pop(fid, default)``, an
+        overwrite (the key keeps its place) and a re-insert after a pop
+        (the key moves to the end). Few flows over few hosts, so exact
+        buckets hold both orientations and host ids sit among them."""
+        rng = random.Random(29)
+        pool = small_pool(rng, size=10)
+        hosts = sorted({ft.src_ip for ft in pool})
+        store = DummyNF(Simulator(), "dut").flows
+        mirror = {}
+        done = {"pop": 0, "pop-default": 0, "pop-missing": 0,
+                "overwrite": 0, "reinsert": 0}
+        popped = set()
+
+        def some_flowid():
+            ft = rng.choice(pool)
+            roll = rng.random()
+            if roll < 0.4:
+                return FlowId.for_flow(ft)
+            if roll < 0.7:  # a fresh, equal object: probed by ``__eq__``
+                return FlowId(ft.headers(), symmetric=rng.random() < 0.5)
+            return FlowId.for_host(rng.choice(hosts))
+
+        for step in range(1500):
+            fid = some_flowid()
+            roll = rng.random()
+            if roll < 0.2:
+                if fid in mirror:
+                    assert store.pop(fid) == mirror.pop(fid)
+                    popped.add(fid)
+                    done["pop"] += 1
+                else:
+                    with pytest.raises(KeyError):
+                        store.pop(fid)
+                    done["pop-missing"] += 1
+            elif roll < 0.35:
+                assert store.pop(fid, "none") == mirror.pop(fid, "none")
+                done["pop-default"] += 1
+            else:
+                if fid in mirror:
+                    done["overwrite"] += 1
+                elif fid in popped:
+                    done["reinsert"] += 1
+                store[fid] = mirror[fid] = {"step": step}
+            if step % 10 == 0:
+                assert list(store) == list(mirror)
+                assert list(store.items()) == list(mirror.items())
+                for _ in range(10):
+                    flt = any_filter(rng, pool, parsable=True)
+                    assert store.keys_matching(flt, FIVE_FIELDS) == \
+                        linear_keys_matching(mirror, flt, FIVE_FIELDS)
+        assert min(done.values()) > 50, done
+
     def test_projection_drops_fast_path_not_matches(self):
         """When relevant_fields discards some constraints, the indexed
         store must fall back to full §4.2 semantics."""

@@ -311,7 +311,7 @@ RULE_ROWS = sorted(RULES, key=lambda row: (row[0], row[1].value))
 def test_import_rule(label, scope):
     [factory] = [f for name, f, _traffic in CASES if name == label]
     nf = factory(Simulator(), "rule")
-    assert nf._specs[scope][0].on_import.__name__ == RULES[(label, scope)]
+    assert nf._specs[scope.tag][0].on_import.__name__ == RULES[(label, scope)]
 
 
 def test_every_declared_scope_names_its_rule():

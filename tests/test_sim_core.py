@@ -37,6 +37,22 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(-1.0, lambda: None)
 
+    def test_nan_delay_rejected(self, sim):
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.timeout(float("nan"))
+        assert not sim.pending
+
+    def test_a_refused_nan_leaves_the_clock_and_the_order_alone(self, sim):
+        seen = []
+        sim.schedule(2.0, seen.append, "b")
+        with pytest.raises(SimulationError):
+            sim.call_at(float("nan"), seen.append, "nan")
+        sim.schedule(1.0, seen.append, "a")
+        assert sim.run() == 2.0
+        assert seen == ["a", "b"] and sim.now == 2.0
+
     def test_zero_delay_runs_at_current_time(self, sim):
         seen = []
         sim.schedule(0.0, lambda: seen.append(sim.now))
@@ -268,6 +284,18 @@ class TestStreams:
         sim.schedule(5.0, fire)
         seq = sim.reserve(1)
         sim.run()
+        assert fired == [5.0] and not sim.pending
+
+    def test_rearm_at_nan_rejected(self, sim):
+        def fire():
+            with pytest.raises(SimulationError):
+                sim.rearm(float("nan"), seq)
+            fired.append(sim.now)
+
+        fired = []
+        sim.schedule(5.0, fire)
+        seq = sim.reserve(1)
+        assert sim.run() == 5.0
         assert fired == [5.0] and not sim.pending
 
     def test_rearm_outside_a_running_callback_rejected(self, sim):

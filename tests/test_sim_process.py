@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Process, ProcessKilled, SimulationError, Simulator
+from repro.sim import (
+    AllOf, AnyOf, Event, Process, ProcessKilled, SimulationError, Simulator,
+)
 
 
 class TestBasicProcess:
@@ -49,6 +51,64 @@ class TestBasicProcess:
 
         with pytest.raises(TypeError):
             sim.spawn(not_a_generator())
+
+    def test_spawn_rejects_a_generator_function_and_a_list(self, sim):
+        def proc():
+            yield 1.0
+
+        for not_a_generator in (proc, [1.0, 2.0]):
+            with pytest.raises(TypeError):
+                sim.spawn(not_a_generator)
+        assert not sim.pending
+
+    def test_yield_true_sleeps_one_ms(self, sim):
+        # A bool is an int: ``yield True`` is ``yield 1``.
+        log = []
+
+        def proc():
+            yield True
+            log.append(sim.now)
+            yield False
+            log.append(sim.now)
+
+        sim.spawn(proc())
+        sim.run()
+        assert log == [1.0, 1.0]
+
+    def test_int_and_float_subclasses_sleep(self, sim):
+        class Millis(float):
+            pass
+
+        class Ticks(int):
+            pass
+
+        log = []
+
+        def proc():
+            yield Millis(2.5)
+            log.append(sim.now)
+            yield Ticks(3)
+            log.append(sim.now)
+
+        sim.spawn(proc())
+        sim.run()
+        assert log == [2.5, 5.5]
+
+    def test_event_subclass_is_waited_on(self, sim):
+        class Signal(Event):
+            __slots__ = ()
+
+        signal = Signal(sim, "signal")
+        sim.schedule(4.0, signal.trigger, "fired")
+        got = []
+
+        def proc():
+            value = yield signal
+            got.append((sim.now, value))
+
+        process = sim.spawn(proc())
+        sim.run()
+        assert got == [(4.0, "fired")] and process.done.ok
 
     def test_yield_event_receives_value(self, sim):
         evt = sim.timeout(4.0, "payload")

@@ -1,5 +1,6 @@
 """Tests for the controller-side southbound RPC client."""
 
+import collections
 import json
 
 import pytest
@@ -13,7 +14,7 @@ from repro.net.switch import Switch
 from repro.net.xfsm import BufferUntilRelease
 from repro.nf import EventAction, NFClient, Scope, protocol
 from repro.nfs.monitor import AssetMonitor
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 from tests.conftest import make_packet
 
 
@@ -505,6 +506,84 @@ def test_a_chunk_is_encoded_once_however_often_it_is_sized(encoded):
     assert result.report.total_chunks > 0
     assert encoded["chunk"] == result.report.total_chunks
     assert encoded["message"] == 0
+
+
+# ------------------------------------------- one streamed chunk, counted
+
+
+@pytest.fixture
+def chunk_path_counts(monkeypatch):
+    """Calls of what the per-chunk path must not repeat, by name."""
+    counts = collections.Counter()
+
+    def count(cls, name, key):
+        real = getattr(cls, name)
+
+        def counting(self, *args, **kwargs):
+            counts[key] += 1
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counting)
+
+    count(Filter, "__hash__", "filter_hash")
+    count(Scope, "__hash__", "scope_hash")
+    count(Event, "__init__", "event")
+    count(protocol.Request, "__init__", "request")
+    # (``value`` is the enum's own property, not reachable on the class.)
+    monkeypatch.setattr(Scope, "value", property(
+        lambda self: counts.update(["scope_value"]) or self._value_),
+        raising=False)
+    return counts
+
+
+class TestChunkPathCounts:
+    """Counted, not timed: what one more streamed chunk costs the host.
+
+    A loss-free move of preloaded DummyNF state, then a copy of it on to
+    a third instance, at two sizes. The difference between the sizes is
+    what the extra chunks cost, so what an operation pays once drops out.
+    """
+
+    #: ``events_processed`` of each size, as counted at 75ef6ae: the
+    #: trims on this path move no simulator event.
+    EVENTS = {25: 408, 50: 783}
+
+    def _move_and_copy(self, counts, n_flows):
+        dep = Deployment()
+        for name in ("src", "dst", "copy"):
+            dep.add_nf(DummyNF(dep.sim, name))
+        dep.nfs["src"].preload(n_flows)
+        flt = Filter({"nw_src": "172.16.0.0/16"}, symmetric=True)
+        counts.clear()
+        move = dep.controller.move(
+            "src", "dst", flt, scope="per", guarantee=Guarantee.LOSS_FREE)
+        dep.sim.run()
+        copy = dep.controller.copy("dst", "copy", flt, scope="per")
+        dep.sim.run()
+        chunks = move.done.value.total_chunks + copy.done.value.total_chunks
+        assert chunks == 2 * n_flows
+        assert dep.sim.events_processed == self.EVENTS[n_flows]
+        return dict(counts), chunks
+
+    def test_one_more_chunk_costs_a_fixed_count(self, chunk_path_counts):
+        small, small_chunks = self._move_and_copy(chunk_path_counts, 25)
+        large, large_chunks = self._move_and_copy(chunk_path_counts, 50)
+        extra = large_chunks - small_chunks
+
+        def per_chunk(key):
+            return (large.get(key, 0) - small.get(key, 0)) / extra
+
+        # A store read at the source, and one dict probe per write or
+        # pop: the move's delete and both imports.
+        assert per_chunk("filter_hash") <= 3
+        # The state table and the put dispatch name a scope by its tag.
+        assert per_chunk("scope_hash") == 0
+        assert per_chunk("scope_value") == 0
+        # The put's completion event, its process's ``done`` and at most
+        # a turn on a busy NF.
+        assert per_chunk("event") <= 3
+        # A put header is sized once per chunk count, not once per put.
+        assert per_chunk("request") <= 0
 
 
 if __name__ == "__main__":
