@@ -175,9 +175,20 @@ class ConformanceResult:
     violations: List[Violation] = field(default_factory=list)
     loss_free: bool = True
     loss_free_detail: str = ""
-    entries: List[Tuple[float, str, dict]] = field(default_factory=list)
     reports: List[Any] = field(default_factory=list)
     deployment: Optional[Deployment] = None
+    #: The run's observability bundle, which :attr:`entries` reads.
+    _obs: Any = field(default=None, init=False, repr=False)
+    _entries: Optional[List[Tuple[float, str, dict]]] = field(
+        default=None, init=False, repr=False
+    )
+
+    @property
+    def entries(self) -> List[Tuple[float, str, dict]]:
+        """The run's trace as an entry stream, built on first access."""
+        if self._entries is None:
+            self._entries = entries_from_obs(self._obs)
+        return self._entries
 
     @property
     def clean(self) -> bool:
@@ -396,7 +407,7 @@ def run_schedule(
         if entry["handle"].report is not None
     ]
     streamed = dep.obs.violations()
-    result.entries = entries_from_obs(dep.obs)
+    result._obs = dep.obs
     result.violations = (
         streamed
         + check_isolation(dep.obs.audit.registry)

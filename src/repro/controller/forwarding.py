@@ -10,7 +10,7 @@ exactly where Split/Merge reorders packets).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.controller.operation import when_all
 from repro.flowspace.filter import Filter
@@ -58,13 +58,18 @@ class SwitchClient(SouthboundStub):
         self.from_switch = self.from_peer
         #: port -> packet-outs issued towards it.
         self.packet_outs_by_port: Dict[str, int] = defaultdict(int)
+        #: RPC kind -> its bound ``sw.flowmod_ms`` series.
+        self._flowmod_ms: Dict[str, Any] = {}
 
     def _note_done(
         self, op: str, elapsed_ms: float, retries: Optional[int]
     ) -> None:
-        self.obs.metrics.histogram("sw.flowmod_ms").observe(
-            elapsed_ms, sw=self.switch.name, kind=op
-        )
+        bound = self._flowmod_ms.get(op)
+        if bound is None:
+            bound = self._flowmod_ms[op] = self.obs.metrics.histogram(
+                "sw.flowmod_ms"
+            ).bind(sw=self.switch.name, kind=op)
+        bound.observe(elapsed_ms)
 
     def _publish(self, reg) -> None:
         sw = self.peer.name

@@ -152,6 +152,8 @@ class Operation:
         #: Observability bundle shared with the owning controller; phase
         #: marks in :attr:`report` are derived from phase-span closes.
         self.obs = controller.obs
+        #: scope name -> its bound ``ctrl.chunks.*`` series.
+        self._chunk_counters: Dict[str, Tuple[Any, Any]] = {}
         self.trace = self.obs.operation(
             self.sim, self.report, self.kind,
             filter=repr(flt), **endpoints, **trace_attrs, **shard.trace_attrs
@@ -285,9 +287,9 @@ class Operation:
         Client stats are shared: concurrent operations on the same
         clients may attribute each other's retries.
         """
-        ends = [c for c in (self.src, self.dst) if c is not None]
+        stats = [c.stats for c in (self.src, self.dst) if c is not None]
         return {
-            key: sum(client.stats[key] for client in ends)
+            key: sum(counts[key] for counts in stats)
             for key in ("retries", "timeouts")
         }
 
@@ -321,11 +323,19 @@ class Operation:
         wire_bytes = chunk.wire_size_bytes
         self.report.add_chunk(scope_name, chunk.size_bytes, wire_bytes)
         if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.counter("ctrl.chunks.transferred").inc(1, scope=scope_name)
-            metrics.counter("ctrl.chunks.wire_bytes").inc(
-                wire_bytes, scope=scope_name
-            )
+            bound = self._chunk_counters.get(scope_name)
+            if bound is None:
+                metrics = self.obs.metrics
+                bound = self._chunk_counters[scope_name] = (
+                    metrics.counter("ctrl.chunks.transferred").bind(
+                        scope=scope_name
+                    ),
+                    metrics.counter("ctrl.chunks.wire_bytes").bind(
+                        scope=scope_name
+                    ),
+                )
+            bound[0].inc()
+            bound[1].inc(wire_bytes)
 
 
 class DeferredOperation(Operation):

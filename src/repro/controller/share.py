@@ -118,6 +118,8 @@ class ShareOperation(Operation):
         self._redirected_entries: List[Tuple[Filter, int, Tuple[str, ...]]] = []
         #: Teardown waits here until every serialization queue drains.
         self._drain_waiters: List[Any] = []
+        #: origin name -> its bound ``ctrl.share.updates`` series.
+        self._update_counters: Dict[str, Any] = {}
 
     def _settle_started(self, done) -> None:
         """A set-up that died of an internal error fails ``started`` too,
@@ -307,9 +309,13 @@ class ShareOperation(Operation):
                     self.latency_samples.append(self.sim.now - enqueued_at)
                     self.report.affected_uids.add(packet.uid)
                     if self.obs.enabled:
-                        self.obs.metrics.counter(
-                            "ctrl.share.updates"
-                        ).inc(1, nf=origin_name)
+                        updates = self._update_counters.get(origin_name)
+                        if updates is None:
+                            updates = self.obs.metrics.counter(
+                                "ctrl.share.updates"
+                            ).bind(nf=origin_name)
+                            self._update_counters[origin_name] = updates
+                        updates.inc()
             except RECOVERABLE as exc:
                 # The origin (or a peer) died mid-update: skip this
                 # packet's update and keep serializing the rest of the

@@ -170,7 +170,10 @@ class Filter:
     """An immutable header predicate with wildcard semantics."""
 
     __slots__ = ("fields", "symmetric", "_hash", "_exact_key", "_compiled",
-                 "_wire_size")
+                 "_wire_size", "_repr")
+
+    #: The leading word of :meth:`__repr__`.
+    _KIND = "Filter"
 
     def __init__(
         self, fields: Optional[Mapping[str, Any]] = None, symmetric: bool = False
@@ -182,6 +185,7 @@ class Filter:
         self._compiled: Any = _UNSET
         #: Encoded length of :meth:`to_dict`, filled in by the wire codec.
         self._wire_size: Optional[int] = None
+        self._repr: Optional[str] = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -421,9 +425,16 @@ class Filter:
         return self._hash
 
     def __repr__(self) -> str:
-        tag = "~" if self.symmetric else ""
-        body = ", ".join("%s=%s" % kv for kv in sorted(self.fields.items()))
-        return "Filter%s{%s}" % (tag, body or "*")
+        # Spelled once per filter, like its hash: trace records and
+        # operation reports name a filter or a chunk's flowid by it.
+        text = self._repr
+        if text is None:
+            tag = "~" if self.symmetric else ""
+            body = ", ".join(
+                "%s=%s" % kv for kv in sorted(self.fields.items())
+            )
+            text = self._repr = "%s%s{%s}" % (self._KIND, tag, body or "*")
+        return text
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly representation (used by the wire codec)."""
@@ -453,6 +464,8 @@ class FlowId(Filter):
     host-granularity counter carries just an IP, a Squid cache entry may
     carry a URL. Hashable, so usable as a multimap key.
     """
+
+    _KIND = "FlowId"
 
     @classmethod
     def for_flow(cls, five_tuple, symmetric: bool = True) -> "FlowId":
@@ -486,8 +499,3 @@ class FlowId(Filter):
                 _HOST_IDS, ip, cls({"nw_src": ip}, symmetric=True)
             )
         return host_id
-
-    def __repr__(self) -> str:
-        tag = "~" if self.symmetric else ""
-        body = ", ".join("%s=%s" % kv for kv in sorted(self.fields.items()))
-        return "FlowId%s{%s}" % (tag, body or "*")

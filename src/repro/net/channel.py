@@ -141,6 +141,9 @@ class ControlChannel:
         self._h_transfer = self.obs.metrics.histogram(
             "chan.transfer_ms"
         ).bind(channel=name) if self.obs.enabled else None
+        #: ``chan.batch_msgs`` / ``chan.batch_bytes``, bound at the first
+        #: flush (a channel that never batches registers neither).
+        self._h_batch: Optional[Tuple[Any, Any]] = None
         self.obs.add_collector(self._publish)
 
     @property
@@ -265,13 +268,18 @@ class ControlChannel:
         self.frames_by_reason[reason] += 1
         self.messages_coalesced += len(entries)
         if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.histogram("chan.batch_msgs").observe(
-                len(entries), channel=self.name
-            )
-            metrics.histogram("chan.batch_bytes").observe(
-                frame_size, channel=self.name
-            )
+            if self._h_batch is None:
+                metrics = self.obs.metrics
+                self._h_batch = (
+                    metrics.histogram("chan.batch_msgs").bind(
+                        channel=self.name
+                    ),
+                    metrics.histogram("chan.batch_bytes").bind(
+                        channel=self.name
+                    ),
+                )
+            self._h_batch[0].observe(len(entries))
+            self._h_batch[1].observe(frame_size)
         self.send(frame_size, self._deliver_frame, frame_id, entries)
 
     def _deliver_frame(

@@ -53,7 +53,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from functools import lru_cache, partial
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.flowspace.filter import Filter, FlowId
 from repro.net.channel import (
@@ -111,7 +111,8 @@ def _finish_span(span: Any, event: Event) -> None:
 class Call:
     """One RPC in flight: what its peer-side body answers through."""
 
-    __slots__ = ("stub", "done", "rid", "span", "trace_id", "retries")
+    __slots__ = ("stub", "done", "rid", "span", "trace_id", "retries",
+                 "op", "issued_at")
 
     def __init__(self, stub: "SouthboundStub", done: Event) -> None:
         self.stub = stub
@@ -123,6 +124,15 @@ class Call:
         #: The operation this call was issued for (None when untraced):
         #: what the peer stamps on the records and rules the call causes.
         self.trace_id: Optional[int] = None
+        #: RPC name and issue time, kept for :meth:`close` (traced only).
+        self.op = ""
+        self.issued_at = 0.0
+
+    def close(self, done: Event) -> None:
+        """A traced call's end: its RPC metrics, then its span."""
+        stub = self.stub
+        stub._note_done(self.op, stub.sim.now - self.issued_at, self.retries)
+        _finish_span(self.span, done)
 
     def settle(self, value: Any = None) -> None:
         """Trigger ``done`` unless a duplicate response beat us to it."""
@@ -261,13 +271,9 @@ class SouthboundStub:
                 self.SPAN % op, **{self.PEER_LABEL: self.peer.name}, **attrs
             )
             call.trace_id = span.attrs.get("trace_id")
-            start = self.sim.now
-
-            def close(event: Event) -> None:
-                self._note_done(op, self.sim.now - start, call.retries)
-                _finish_span(span, event)
-
-            done.add_callback(close)
+            call.op = op
+            call.issued_at = self.sim.now
+            done.add_callback(call.close)
         # The one mode question. A fault plan makes every call reliable
         # except ``on_fault_only`` ones (the flow-mods), which stay
         # single-send until the stub's own channel carries an injector.
@@ -361,6 +367,8 @@ class NFClient(SouthboundStub):
         self.chunks_recovered = 0
         #: Completion-event name of every put (one is made per chunk).
         self._put_name = "put@%s" % nf.name
+        #: (RPC name, retried) -> its bound ``sb.*`` series.
+        self._rpc_metrics: Dict[Tuple[str, bool], Tuple[Any, ...]] = {}
 
     @property
     def name(self) -> str:
@@ -369,14 +377,26 @@ class NFClient(SouthboundStub):
     def _note_done(
         self, op: str, elapsed_ms: float, retries: Optional[int]
     ) -> None:
+        key = (op, retries is not None)
+        bound = self._rpc_metrics.get(key)
+        if bound is None:
+            bound = self._rpc_metrics[key] = self._bind_rpc_metrics(*key)
+        retried, rpcs, rpc_ms = bound
+        if retried is not None:
+            retried.observe(retries)
+        rpcs.inc()
+        rpc_ms.observe(elapsed_ms)
+
+    def _bind_rpc_metrics(self, op: str, retried: bool) -> Tuple[Any, ...]:
+        """The ``sb.*`` series of one RPC name, resolved on its first
+        completion (``sb.retries`` only once a call can retry)."""
         metrics = self.obs.metrics
-        if retries is not None:
-            metrics.histogram("sb.retries").observe(
-                retries, nf=self.nf.name, op=op
-            )
-        metrics.counter("sb.rpcs").inc(1, nf=self.nf.name, op=op)
-        metrics.histogram("sb.rpc_ms").observe(
-            elapsed_ms, nf=self.nf.name, op=op
+        labels = {"nf": self.nf.name, "op": op}
+        return (
+            metrics.histogram("sb.retries").bind(**labels) if retried
+            else None,
+            metrics.counter("sb.rpcs").bind(**labels),
+            metrics.histogram("sb.rpc_ms").bind(**labels),
         )
 
     def _publish(self, reg) -> None:

@@ -30,6 +30,7 @@ one, and the trace itself is deterministic per seed.
 
 from __future__ import annotations
 
+from operator import methodcaller
 from typing import List, Optional
 
 from repro.obs.audit import (
@@ -52,34 +53,6 @@ from repro.obs.recorder import FlightRecorder, render_bundle
 from repro.obs.sampling import SamplingPolicy, TraceSampler
 from repro.obs.span import NULL_SPAN, Span, Tracer
 from repro.obs.top import ProgressReporter, format_top, snapshot_top
-
-
-class _TeeExporter:
-    """Fans finished spans/records out to the base exporter plus taps.
-
-    The span payload dict is built exactly once per span, shared by
-    every tap (auditors, flight recorder) and left on the span for
-    ``entries_from_obs``; the base exporter keeps receiving the
-    :class:`Span` object itself, so test/CLI queries on ``obs.exporter``
-    are unchanged.
-    """
-
-    __slots__ = ("base", "taps")
-
-    def __init__(self, base, taps) -> None:
-        self.base = base
-        self.taps = taps
-
-    def export_span(self, span: Span) -> None:
-        self.base.export_span(span)
-        payload = span.payload = span.to_dict()
-        for tap in self.taps:
-            tap.on_span(payload)
-
-    def export_record(self, record) -> None:
-        self.base.export_record(record)
-        for tap in self.taps:
-            tap.on_record(record)
 
 
 class Observability:
@@ -125,15 +98,18 @@ class Observability:
             else:  # sampling is True
                 sampler = TraceSampler(exporter)
         self.sampling = sampler
+        self.tracer = Tracer(
+            sim=sim,
+            exporter=exporter if sampler is None else sampler,
+            enabled=enabled,
+        )
         # The recorder taps *before* the auditors so that a violation
         # fired while a span is being exported can already see that span
         # in the rings when it freezes its bundle.
-        taps = [t for t in (self.recorder, self.audit) if t is not None]
-        tracer_exporter = exporter if sampler is None else sampler
-        if taps and tracer_exporter is not None:
-            tracer_exporter = _TeeExporter(tracer_exporter, taps)
-        self.tracer = Tracer(sim=sim, exporter=tracer_exporter,
-                             enabled=enabled)
+        if self.recorder is not None:
+            self.tracer.subscribe(self.recorder.route, False)
+        if self.audit is not None:
+            self.tracer.subscribe(self.audit.route, True)
         self.metrics = MetricsRegistry()
         #: Per-flow gate for per-packet trace records (``nf.process`` /
         #: ``nf.buffer``): when sampling is active and *no* tap needs
@@ -142,8 +118,12 @@ class Observability:
         #: attached the gate stays None (they require every record) and
         #: the sampler filters at the storage layer instead.
         self.packet_gate = None
-        if sampler is not None and not taps:
+        if sampler is not None and self.audit is None:
             self.packet_gate = sampler.keep_flow
+        else:
+            # Ungated, every flow is kept: :meth:`gated_flow` is the
+            # packet's own ``flow_key()``, called with no frame between.
+            self.gated_flow = methodcaller("flow_key")
         if self.audit is not None:
             self.audit.on_violation = self._capture_violation
 
@@ -156,14 +136,13 @@ class Observability:
         """The packet's flow key, or ``None`` if :attr:`packet_gate`
         dropped the flow and its trace records need not be built.
 
-        Verdict and flow key are memoized together on the five-tuple
+        This body runs only under a gate (see the constructor). Verdict
+        and flow key are memoized together on the five-tuple
         (shared by all packets of one flow direction), tagged with the
         gate that produced them so another deployment's sampler never
         sees a stale verdict: the steady state is one attribute read.
         """
         gate = self.packet_gate
-        if gate is None:
-            return packet.flow_key()
         verdict = packet.five_tuple._gate_keep
         if verdict is None or verdict[0] is not gate:
             flow = packet.flow_key()

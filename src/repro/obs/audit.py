@@ -16,7 +16,9 @@ Design:
 * Every auditor is an incremental state machine fed one span payload or
   point record at a time (plain dicts — the exact JSON
   :func:`write_trace` writes, so offline replay exercises the identical
-  code path).
+  code path). It declares the entry names it reads (``ON_SPAN`` /
+  ``ON_RECORD``), and :meth:`AuditPipeline.route` sends it those and
+  no others.
 * Memory is O(1) per in-flight packet/flow: a packet enters an
   auditor's pending table when it is captured (dropped-with-event,
   buffered NF-side, or buffered at the controller) and leaves it on its
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 #: Operation kinds whose window intercepts live packets (and must
@@ -155,6 +158,11 @@ class OpRegistry:
     packet- or chunk-level fact belongs to.
     """
 
+    #: Record name -> handler: the registry's subscriptions (it reads no
+    #: span).
+    ON_RECORD = {"op.start": "open", "op.end": "close"}
+    ON_SPAN: Dict[str, str] = {}
+
     def __init__(self) -> None:
         self.ops: Dict[int, _Op] = {}
         self._close_hooks: List[Callable[[_Op], None]] = []
@@ -163,19 +171,24 @@ class OpRegistry:
         self._close_hooks.append(hook)
 
     def observe_record(self, record: Dict[str, Any]) -> None:
-        name = record.get("name")
-        if name == "op.start":
-            op = _Op(record)
-            if op.trace_id is not None:
-                self.ops[op.trace_id] = op
-        elif name == "op.end":
-            op = self.ops.get(record.get("trace_id"))
-            if op is not None and op.open:
-                op.open = False
-                op.aborted = record.get("aborted")
-                op.closed_ms = record.get("time_ms")
-                for hook in self._close_hooks:
-                    hook(op)
+        """Feed one record of any name (the registry takes two)."""
+        handler = self.ON_RECORD.get(record.get("name"))
+        if handler is not None:
+            getattr(self, handler)(record)
+
+    def open(self, record: Dict[str, Any]) -> None:
+        op = _Op(record)
+        if op.trace_id is not None:
+            self.ops[op.trace_id] = op
+
+    def close(self, record: Dict[str, Any]) -> None:
+        op = self.ops.get(record.get("trace_id"))
+        if op is not None and op.open:
+            op.open = False
+            op.aborted = record.get("aborted")
+            op.closed_ms = record.get("time_ms")
+            for hook in self._close_hooks:
+                hook(op)
 
     def attribute(
         self,
@@ -217,13 +230,16 @@ class OpRegistry:
 
 
 class _Auditor:
-    """Base class: every hook is optional."""
+    """Base class: an auditor declares the entry names it reads.
 
-    def on_span(self, span: Dict[str, Any]) -> None:
-        pass
+    ``ON_SPAN`` / ``ON_RECORD`` map a span / record name to the name of
+    the method that takes it; the pipeline routes each entry to exactly
+    those handlers, so no handler re-tests the name. They are class
+    attributes, so no route is declared per deployment.
+    """
 
-    def on_record(self, record: Dict[str, Any]) -> None:
-        pass
+    ON_SPAN: Dict[str, str] = {}
+    ON_RECORD: Dict[str, str] = {}
 
     def finalize(self) -> None:
         pass
@@ -246,6 +262,15 @@ class LossFreeAuditor(_Auditor):
     * still pending at :meth:`finalize` → loss violation.
     """
 
+    ON_SPAN = {"nf.drop": "on_drop"}
+    ON_RECORD = {
+        "nf.buffer": "on_nf_buffer",
+        "ctrl.buffer": "on_parked",
+        "sw.buffer": "on_parked",
+        "sw.drop": "on_switch_drop",
+        "nf.process": "on_process",
+    }
+
     def __init__(self, registry: OpRegistry, emit) -> None:
         self.registry = registry
         self.emit = emit
@@ -263,9 +288,7 @@ class LossFreeAuditor(_Auditor):
         elif span_id is not None:
             entry[2].append(span_id)
 
-    def on_span(self, span: Dict[str, Any]) -> None:
-        if span.get("name") != "nf.drop":
-            return
+    def on_drop(self, span: Dict[str, Any]) -> None:
         attrs = span.get("attrs") or {}
         nf = attrs.get("nf")
         op = self.registry.attribute(attrs, PACKET_OPS)
@@ -287,60 +310,61 @@ class LossFreeAuditor(_Auditor):
             self._capture(attrs.get("uid"), op, attrs.get("flow"),
                           span.get("span_id"))
 
-    def on_record(self, record: Dict[str, Any]) -> None:
-        name = record.get("name")
-        if name == "nf.buffer":
-            op = self.registry.attribute(record, PACKET_OPS)
-            if op is not None:
-                self._capture(record.get("uid"), op, record.get("flow"))
-        elif name in ("ctrl.buffer", "sw.buffer"):
-            # Parked at the controller or (data-plane offload) in a
-            # switch-local XFSM ring: either way it is owed exactly one
-            # processing at the operation's destination.
-            op = self.registry.ops.get(record.get("trace_id"))
+    def on_nf_buffer(self, record: Dict[str, Any]) -> None:
+        op = self.registry.attribute(record, PACKET_OPS)
+        if op is not None:
             self._capture(record.get("uid"), op, record.get("flow"))
-        elif name == "sw.drop":
-            # An XFSM ring overflowed: the packet is gone and nothing
-            # will ever repay it. Immediate loss violation.
-            op = self.registry.ops.get(record.get("trace_id"))
+
+    def on_parked(self, record: Dict[str, Any]) -> None:
+        # Parked at the controller or (data-plane offload) in a
+        # switch-local XFSM ring: either way it is owed exactly one
+        # processing at the operation's destination.
+        op = self.registry.ops.get(record.get("trace_id"))
+        self._capture(record.get("uid"), op, record.get("flow"))
+
+    def on_switch_drop(self, record: Dict[str, Any]) -> None:
+        # An XFSM ring overflowed: the packet is gone and nothing
+        # will ever repay it. Immediate loss violation.
+        op = self.registry.ops.get(record.get("trace_id"))
+        self.emit(Violation(
+            "loss-free",
+            record.get("time_ms", 0.0),
+            record.get("trace_id"),
+            op.kind if op else None,
+            nf=record.get("sw"),
+            flow=record.get("flow"),
+            detail="packet uid=%s dropped by switch state machine "
+                   "(ring overflow)" % record.get("uid"),
+        ))
+
+    def on_process(self, record: Dict[str, Any]) -> None:
+        uid = record.get("uid")
+        nf = record.get("nf")
+        entry = self.pending.get(uid)
+        if entry is not None:
+            # Only the capturing operation's own instances can repay
+            # the owed processing: on a multicast chain data path the
+            # same uid is (by design) processed once per hop, and a
+            # sibling hop's processing is neither the release nor a
+            # duplicate.
+            if entry[0] is not None and not entry[0].involves(nf):
+                return
+            self.pending.pop(uid, None)
+            self.done[uid] = entry[0]
+            return
+        if uid in self.done:
+            op = self.done.get(uid)
+            if op is not None and not op.involves(nf):
+                return
             self.emit(Violation(
                 "loss-free",
                 record.get("time_ms", 0.0),
-                record.get("trace_id"),
+                op.trace_id if op else None,
                 op.kind if op else None,
-                nf=record.get("sw"),
+                nf=nf,
                 flow=record.get("flow"),
-                detail="packet uid=%s dropped by switch state machine "
-                       "(ring overflow)" % record.get("uid"),
+                detail="packet uid=%s processed more than once" % uid,
             ))
-        elif name == "nf.process":
-            uid = record.get("uid")
-            nf = record.get("nf")
-            entry = self.pending.get(uid)
-            if entry is not None:
-                # Only the capturing operation's own instances can repay
-                # the owed processing: on a multicast chain data path the
-                # same uid is (by design) processed once per hop, and a
-                # sibling hop's processing is neither the release nor a
-                # duplicate.
-                if entry[0] is not None and not entry[0].involves(nf):
-                    return
-                self.pending.pop(uid, None)
-                self.done[uid] = entry[0]
-                return
-            if uid in self.done:
-                op = self.done.get(uid)
-                if op is not None and not op.involves(nf):
-                    return
-                self.emit(Violation(
-                    "loss-free",
-                    record.get("time_ms", 0.0),
-                    op.trace_id if op else None,
-                    op.kind if op else None,
-                    nf=nf,
-                    flow=record.get("flow"),
-                    detail="packet uid=%s processed more than once" % uid,
-                ))
 
     def finalize(self) -> None:
         for uid, (op, flow, span_ids) in sorted(self.pending.items()):
@@ -367,6 +391,8 @@ class OrderAuditor(_Auditor):
     order, so per-flow uid order is arrival order.
     """
 
+    ON_RECORD = {"op.start": "on_op_start", "nf.process": "on_process"}
+
     def __init__(self, registry: OpRegistry, emit) -> None:
         self.registry = registry
         self.emit = emit
@@ -376,15 +402,12 @@ class OrderAuditor(_Auditor):
         #: (nf, flow) -> last processed uid.
         self.last_uid: Dict[Tuple[str, str], int] = {}
 
-    def on_record(self, record: Dict[str, Any]) -> None:
-        name = record.get("name")
-        if name == "op.start":
-            op = self.registry.ops.get(record.get("trace_id"))
-            if op is not None and op.order_preserving and op.dst:
-                self.watched[op.dst] = op
-            return
-        if name != "nf.process":
-            return
+    def on_op_start(self, record: Dict[str, Any]) -> None:
+        op = self.registry.ops.get(record.get("trace_id"))
+        if op is not None and op.order_preserving and op.dst:
+            self.watched[op.dst] = op
+
+    def on_process(self, record: Dict[str, Any]) -> None:
         nf = record.get("nf")
         op = self.watched.get(nf)
         if op is None:
@@ -443,6 +466,8 @@ class ChainAuditor(_Auditor):
     the simulation to quiescence first.
     """
 
+    ON_RECORD = {"op.start": "on_op_start", "nf.process": "on_process"}
+
     def __init__(self, registry: OpRegistry, emit) -> None:
         self.registry = registry
         self.emit = emit
@@ -453,13 +478,7 @@ class ChainAuditor(_Auditor):
         #: pre-window/in-window dividing line at chain-op start.
         self._max_uid_processed = -1
 
-    def on_record(self, record: Dict[str, Any]) -> None:
-        name = record.get("name")
-        if name == "op.start":
-            self._maybe_open(record)
-            return
-        if name != "nf.process":
-            return
+    def on_process(self, record: Dict[str, Any]) -> None:
         nf = record.get("nf")
         uid = record.get("uid")
         if nf is None or uid is None:
@@ -472,7 +491,7 @@ class ChainAuditor(_Auditor):
                 continue
             self._observe_processing(ctx, record, hop, uid)
 
-    def _maybe_open(self, record: Dict[str, Any]) -> None:
+    def on_op_start(self, record: Dict[str, Any]) -> None:
         if record.get("kind") != "chain":
             return
         hops: List[Tuple[str, Set[str]]] = []
@@ -591,6 +610,11 @@ class StateConservationAuditor(_Auditor):
     held to no-phantom-state alone.
     """
 
+    ON_RECORD = {
+        "nf.chunk.export": "on_export",
+        "nf.chunk.import": "on_import",
+    }
+
     def __init__(self, registry: OpRegistry, emit) -> None:
         self.registry = registry
         self.emit = emit
@@ -601,14 +625,13 @@ class StateConservationAuditor(_Auditor):
         #: trace_id -> chunks whose import ran ahead of their export.
         self.ahead: Dict[int, Set[Tuple[str, str]]] = {}
 
-    def on_record(self, record: Dict[str, Any]) -> None:
-        name = record.get("name")
-        if name == "nf.chunk.export":
-            exporting = True
-        elif name == "nf.chunk.import":
-            exporting = False
-        else:
-            return
+    def on_export(self, record: Dict[str, Any]) -> None:
+        self._count(record, True)
+
+    def on_import(self, record: Dict[str, Any]) -> None:
+        self._count(record, False)
+
+    def _count(self, record: Dict[str, Any], exporting: bool) -> None:
         op = self.registry.attribute(
             record, CHUNK_OPS, "src" if exporting else "dst"
         )
@@ -669,15 +692,15 @@ class ShareSerializationAuditor(_Auditor):
     each new span's start is not earlier than the previous span's end.
     """
 
+    ON_SPAN = {"share.update": "on_update"}
+
     def __init__(self, registry: OpRegistry, emit) -> None:
         self.registry = registry
         self.emit = emit
         #: (trace_id, group) -> (last_end_ms, last_span_id)
         self.last: Dict[Tuple[Any, str], Tuple[float, Any]] = {}
 
-    def on_span(self, span: Dict[str, Any]) -> None:
-        if span.get("name") != "share.update":
-            return
+    def on_update(self, span: Dict[str, Any]) -> None:
         attrs = span.get("attrs") or {}
         group = attrs.get("group")
         if group is None:
@@ -703,13 +726,43 @@ class ShareSerializationAuditor(_Auditor):
             self.last[key] = (end, span.get("span_id"))
 
 
-class AuditPipeline:
-    """Fans the span/record stream out to every auditor.
+#: The auditors, in routing order (after the :class:`OpRegistry`).
+AUDITORS = (
+    LossFreeAuditor,
+    OrderAuditor,
+    ChainAuditor,
+    StateConservationAuditor,
+    ShareSerializationAuditor,
+)
 
-    Fed by the exporter tee (live runs) or by :func:`audit_entries`
-    (offline). Violations accumulate in :attr:`violations`; an optional
-    ``on_violation`` hook fires per violation (the flight recorder uses
-    it to capture a post-mortem bundle).
+
+def _subscriptions(table: str) -> Dict[str, Tuple[Tuple[int, str], ...]]:
+    """Entry name -> ``(reader index, method)`` of every reader whose
+    ``table`` (``ON_SPAN`` / ``ON_RECORD``) takes it, in routing order."""
+    found: Dict[str, List[Tuple[int, str]]] = {}
+    for index, reader in enumerate((OpRegistry,) + AUDITORS):
+        for name, method in getattr(reader, table).items():
+            found.setdefault(name, []).append((index, method))
+    return {name: tuple(readers) for name, readers in found.items()}
+
+
+#: kind -> entry name -> readers: every subscription, declared once.
+SUBSCRIPTIONS = {
+    "span": _subscriptions("ON_SPAN"),
+    "record": _subscriptions("ON_RECORD"),
+}
+
+
+class AuditPipeline:
+    """Routes the span/record stream to the auditors that read it.
+
+    :meth:`route` answers, per entry kind and name, the bound handlers
+    of :data:`SUBSCRIPTIONS` — the operation registry's first, then the
+    auditors' in :data:`AUDITORS` order: a live run's tracer asks once
+    per name, and :func:`audit_entries` replays a trace through the
+    same answers. Violations accumulate in :attr:`violations`; an
+    optional ``on_violation`` hook fires per violation (the flight
+    recorder uses it to capture a post-mortem bundle).
     """
 
     def __init__(self) -> None:
@@ -719,12 +772,9 @@ class AuditPipeline:
         self._finalized = False
         emit = self._emit
         self.auditors: List[_Auditor] = [
-            LossFreeAuditor(self.registry, emit),
-            OrderAuditor(self.registry, emit),
-            ChainAuditor(self.registry, emit),
-            StateConservationAuditor(self.registry, emit),
-            ShareSerializationAuditor(self.registry, emit),
+            auditor(self.registry, emit) for auditor in AUDITORS
         ]
+        self._readers = [self.registry] + self.auditors
 
     def _emit(self, violation: Violation) -> None:
         self.violations.append(violation)
@@ -733,14 +783,26 @@ class AuditPipeline:
 
     # ------------------------------------------------------------- stream taps
 
+    def route(self, kind: str, name: str) -> Tuple[Callable, ...]:
+        """The handlers an entry of ``kind`` (``"span"`` / ``"record"``)
+        named ``name`` goes to — empty for a name nobody reads."""
+        subscribed = SUBSCRIPTIONS[kind].get(name)
+        if subscribed is None:
+            return ()
+        readers = self._readers
+        return tuple([
+            getattr(readers[index], method) for index, method in subscribed
+        ])
+
     def on_span(self, span: Dict[str, Any]) -> None:
-        for auditor in self.auditors:
-            auditor.on_span(span)
+        """Feed one span payload down its route."""
+        for handler in self.route("span", span.get("name")):
+            handler(span)
 
     def on_record(self, record: Dict[str, Any]) -> None:
-        self.registry.observe_record(record)
-        for auditor in self.auditors:
-            auditor.on_record(record)
+        """Feed one record down its route."""
+        for handler in self.route("record", record.get("name")):
+            handler(record)
 
     def finalize(self) -> List[Violation]:
         """Flag packets still owed a processing; idempotent."""
@@ -760,17 +822,18 @@ def entries_from_obs(obs) -> List[Entry]:
 
     Identical payloads to what :func:`load_trace_entries` yields from a
     ``.trace.jsonl``, so nothing that reads entries can tell a live run
-    from a replayed one.
+    from a replayed one. A span's payload is its :meth:`Span.read`: the
+    dict an auditor or a bundle already built, when one did.
     """
-    entries: List[Entry] = []
     exporter = obs.exporter
-    for span in exporter.spans:
-        # An audited run's tee already serialised every finished span.
-        payload = span.payload or span.to_dict()
-        entries.append((payload.get("end_ms") or 0.0, "span", payload))
-    for record in exporter.records:
-        entries.append((record.get("time_ms") or 0.0, "record", record))
-    entries.sort(key=lambda item: item[0])
+    entries: List[Entry] = [
+        (span.end or 0.0, "span", span.read()) for span in exporter.spans
+    ]
+    entries.extend(
+        (record.get("time_ms") or 0.0, "record", record)
+        for record in exporter.records
+    )
+    entries.sort(key=itemgetter(0))
     return entries
 
 
@@ -792,7 +855,7 @@ def parse_trace(lines, origin: str) -> Tuple[List[Entry], List[str]]:
     holds one human-readable message per unusable line, prefixed with
     ``origin``. No lines yield ``([], [])``.
 
-    The live tee delivers spans at finish time and records at emission
+    A live tracer delivers spans at finish time and records at emission
     time, so the merged stream is monotone in that timestamp; entries
     are stable-sorted by it (a no-op for what :func:`write_trace`
     wrote) so that any dump replays through the streaming code path.
@@ -831,7 +894,7 @@ def parse_trace(lines, origin: str) -> Tuple[List[Entry], List[str]]:
                skipped[0]),
             stacklevel=2,
         )
-    entries.sort(key=lambda item: item[0])
+    entries.sort(key=itemgetter(0))
     return entries, skipped
 
 
@@ -842,12 +905,19 @@ def load_trace_entries(path: str) -> Tuple[List[Entry], List[str]]:
 
 
 def audit_entries(entries: List[Entry]) -> AuditPipeline:
-    """Run the auditors over an entry stream post hoc; returns them finalized."""
+    """Run the auditors over an entry stream post hoc; returns them finalized.
+
+    Each entry takes the route a live run's tracer would have sent it
+    down (:meth:`AuditPipeline.route`).
+    """
     pipeline = AuditPipeline()
+    routes: Dict[Tuple[str, Any], Tuple[Callable, ...]] = {}
     for _time, kind, entry in entries:
-        if kind == "span":
-            pipeline.on_span(entry)
-        else:
-            pipeline.on_record(entry)
+        name = entry.get("name")
+        handlers = routes.get((kind, name))
+        if handlers is None:
+            handlers = routes[kind, name] = pipeline.route(kind, name)
+        for handler in handlers:
+            handler(entry)
     pipeline.finalize()
     return pipeline

@@ -8,7 +8,7 @@ memory; :func:`repro.obs.audit.write_trace` dumps them as a
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.span import Span
 
@@ -36,12 +36,12 @@ class InMemoryExporter:
         self.records = (
             deque(maxlen=max_records) if max_records is not None else []
         )
-
-    def export_span(self, span: Span) -> None:
-        self.spans.append(span)
-
-    def export_record(self, record: Dict[str, Any]) -> None:
-        self.records.append(record)
+        #: The exporter protocol (``export_span(span)`` /
+        #: ``export_record(record)``), bound straight to the stores'
+        #: ``append``: storing an entry runs no Python frame.
+        self.export_span: Callable[[Span], None] = self.spans.append
+        self.export_record: Callable[[Dict[str, Any]], None] = \
+            self.records.append
 
     def clear(self) -> None:
         self.spans.clear()

@@ -27,11 +27,13 @@ Who writes a counter (``docs/observability.md``, "Who counts"): a
 long-lived component counts in a plain attribute and its one pull
 collector publishes it on every read; only histograms and the counters
 of a per-operation object are pushed, behind an ``obs.enabled`` guard.
-A histogram hot path resolves its label set once via ``bind(**labels)``.
+A hot path resolves its label set once via ``bind(**labels)`` (on a
+histogram or a counter).
 
 Semantics the test suite pins down:
 
 * counters are monotone — a negative increment raises ``ValueError``;
+* a histogram sample must be finite — NaN or ±inf raises ``ValueError``;
 * label sets are order-insensitive and fully separating;
 * ``registry.reset()`` clears every series but keeps the instruments,
   so one registry can span several scenarios;
@@ -57,6 +59,10 @@ PERCENTILES = (50, 90, 99)
 #: the raw-sample nearest-rank answer by at most a factor of GAMMA.
 GAMMA = 2.0 ** 0.25
 _INV_LOG_GAMMA = 1.0 / math.log(GAMMA)
+#: What a histogram sample reads, as plain globals (it runs per sample).
+_INF = math.inf
+_ceil = math.ceil
+_log = math.log
 
 #: Label set that absorbs writes past the cardinality cap.
 OVERFLOW_LABELS = {"overflow": "other"}
@@ -71,13 +77,7 @@ _NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 
 
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
-
-
-def bucket_index(value: float) -> int:
-    """Index of the log bucket ``(GAMMA**(i-1), GAMMA**i]`` holding
-    ``value`` (which must be > 0)."""
-    return int(math.ceil(math.log(value) * _INV_LOG_GAMMA - 1e-9))
+    return tuple(sorted(zip(labels, map(str, labels.values()))))
 
 
 class _Instrument:
@@ -107,7 +107,7 @@ class _Instrument:
         a single warning), so runaway label cardinality degrades to one
         aggregate bucket instead of unbounded memory.
         """
-        key = _label_key(labels)
+        key = _label_key(labels) if labels else ()
         series = self._series
         if key in series or key == OVERFLOW_KEY:
             return key
@@ -150,20 +150,25 @@ class _Instrument:
         }
 
 
-class _BoundBucketHistogram:
-    """Pre-resolved bounded-histogram handle."""
+class _BoundCounter:
+    """Pre-resolved counter handle: one series, no label work per write."""
 
-    __slots__ = ("_series", "_key")
+    __slots__ = ("_name", "_series", "_key")
 
-    def __init__(self, series: Dict[LabelKey, Any], key: LabelKey) -> None:
+    def __init__(
+        self, name: str, series: Dict[LabelKey, Any], key: LabelKey
+    ) -> None:
+        self._name = name
         self._series = series
         self._key = key
 
-    def observe(self, value: float) -> None:
-        state = self._series.get(self._key)
-        if state is None:
-            state = self._series[self._key] = _Buckets()
-        state.observe(value)
+    def inc(self, amount: float = 1) -> None:
+        if amount < 0:
+            raise ValueError(
+                "counter %r cannot decrease (inc by %r)" % (self._name, amount)
+            )
+        series = self._series
+        series[self._key] = series.get(self._key, 0) + amount
 
 
 class Counter(_Instrument):
@@ -178,6 +183,11 @@ class Counter(_Instrument):
             )
         key = self._key(labels)
         self._series[key] = self._series.get(key, 0) + amount
+
+    def bind(self, **labels: Any) -> _BoundCounter:
+        """A fast handle pre-resolved to one label set (hot paths); its
+        series appears on the first write, as with :meth:`inc`."""
+        return _BoundCounter(self.name, self._series, self._key(labels))
 
     def value(self, **labels: Any) -> float:
         self._collect()
@@ -213,11 +223,23 @@ class _Buckets:
     lives in log-spaced bucket counts (positive and negative magnitudes
     bucketed separately, zeros counted apart) whose size is the number
     of *occupied* buckets — independent of the observation count.
+
+    It is also the series' bound handle (:meth:`BoundedHistogram.bind`):
+    it joins its histogram's series with its first sample, and again
+    with the first one after a reset, so an unsampled series never shows.
     """
 
-    __slots__ = ("count", "total", "vmin", "vmax", "zero", "pos", "neg")
+    __slots__ = (
+        "count", "total", "vmin", "vmax", "zero", "pos", "neg",
+        "_series", "_key",
+    )
 
-    def __init__(self) -> None:
+    def __init__(self, series: Dict[LabelKey, Any], key: LabelKey) -> None:
+        self._series = series
+        self._key = key
+        self.clear()
+
+    def clear(self) -> None:
         self.count = 0
         self.total = 0.0
         self.vmin = math.inf
@@ -227,20 +249,31 @@ class _Buckets:
         self.neg: Dict[int, int] = {}
 
     def observe(self, value: float) -> None:
+        """Count one sample; a NaN or infinite one raises ``ValueError``
+        and leaves the series as it was."""
+        if value > 0.0:
+            if value == _INF:
+                raise ValueError("histogram sample %r is not finite" % value)
+            # The log bucket (GAMMA**(idx-1), GAMMA**idx] of the magnitude.
+            idx = _ceil(_log(value) * _INV_LOG_GAMMA - 1e-9)
+            self.pos[idx] = self.pos.get(idx, 0) + 1
+        elif value < 0.0:
+            if value == -_INF:
+                raise ValueError("histogram sample %r is not finite" % value)
+            idx = _ceil(_log(-value) * _INV_LOG_GAMMA - 1e-9)
+            self.neg[idx] = self.neg.get(idx, 0) + 1
+        elif value == 0.0:
+            self.zero += 1
+        else:
+            raise ValueError("histogram sample %r is not finite" % value)
+        if not self.count:
+            self._series[self._key] = self
         self.count += 1
         self.total += value
         if value < self.vmin:
             self.vmin = value
         if value > self.vmax:
             self.vmax = value
-        if value > 0.0:
-            idx = bucket_index(value)
-            self.pos[idx] = self.pos.get(idx, 0) + 1
-        elif value < 0.0:
-            idx = bucket_index(-value)
-            self.neg[idx] = self.neg.get(idx, 0) + 1
-        else:
-            self.zero += 1
 
     def percentile(self, q: float) -> Optional[float]:
         """Nearest-rank percentile over the buckets.
@@ -289,16 +322,27 @@ class BoundedHistogram(_Instrument):
 
     kind = "histogram"
 
-    def observe(self, value: float, **labels: Any) -> None:
-        key = self._key(labels)
-        state = self._series.get(key)
-        if state is None:
-            state = self._series[key] = _Buckets()
-        state.observe(value)
+    def __init__(self, name: str, max_label_sets: Optional[int]) -> None:
+        super().__init__(name, max_label_sets)
+        #: Every series' state, bound ones without a sample included.
+        self._states: Dict[LabelKey, _Buckets] = {}
 
-    def bind(self, **labels: Any) -> _BoundBucketHistogram:
-        """A fast handle pre-resolved to one label set (hot paths)."""
-        return _BoundBucketHistogram(self._series, self._key(labels))
+    def observe(self, value: float, **labels: Any) -> None:
+        self.bind(**labels).observe(value)
+
+    def bind(self, **labels: Any) -> _Buckets:
+        """A fast handle pre-resolved to one label set (hot paths): the
+        series' own state, whose ``observe(value)`` is the whole write."""
+        key = self._key(labels)
+        state = self._states.get(key)
+        if state is None:
+            state = self._states[key] = _Buckets(self._series, key)
+        return state
+
+    def reset(self) -> None:
+        for state in self._states.values():
+            state.clear()  # bound handles stay valid and rejoin on a sample
+        super().reset()
 
     def count(self, **labels: Any) -> int:
         state = self._series.get(_label_key(labels))

@@ -98,13 +98,14 @@ class OperationTrace:
         causal slice — the recorder only reads its ring buffers, so the
         simulation timeline is untouched.
         """
-        already_finished = self.root.finished
+        if self.root.finished:
+            return  # exported spans are frozen: no late abort tag
         if aborted is not None:
             self.root.set(aborted=aborted)
             if self.root.span_id is not None:
                 self.root.status = "error"
         self.root.finish()
-        if self.trace_id is None or already_finished:
+        if self.trace_id is None:
             return
         duration = self.root.duration_ms
         self.obs.metrics.histogram("op.latency_ms").observe(
@@ -139,7 +140,7 @@ class _Phase:
     def __init__(self, trace, span_name, mark, parent, attrs) -> None:
         self.trace = trace
         self.mark = mark
-        self.span = parent.child(span_name, **attrs)
+        self.span = trace.obs.tracer.span(span_name, parent=parent, **attrs)
 
     def __enter__(self) -> "_Phase":
         return self

@@ -2,8 +2,8 @@
 
 Long runs cannot keep every span in memory, but the spans that matter
 most are the ones *just before* something went wrong. The
-:class:`FlightRecorder` keeps a bounded ring buffer of recent span
-payloads and point records per component (southbound client, switch,
+:class:`FlightRecorder` keeps a bounded ring buffer of recent spans
+and point records per component (southbound client, switch,
 NFs, channels, controller operations), costing O(ring size) memory no
 matter how long the run is.
 
@@ -47,32 +47,39 @@ MAX_RECORDS_PER_COMPONENT = 4096
 
 
 class FlightRecorder:
-    """Per-component ring buffers + on-demand post-mortem bundles."""
+    """Per-component ring buffers + on-demand post-mortem bundles.
+
+    The rings hold what the tracer emitted — :class:`~repro.obs.span.Span`
+    objects and record dicts — and a span is serialised only when a
+    bundle's causal slice takes it.
+    """
 
     def __init__(self) -> None:
-        self._spans: Dict[str, Deque[Dict[str, Any]]] = {}
+        self._spans: Dict[str, Deque[Any]] = {}
         self._records: Dict[str, Deque[Dict[str, Any]]] = {}
+        #: (kind, component) -> its ring's ``append``, as :meth:`route`
+        #: hands it out.
+        self._appends: Dict[Tuple[str, str], Tuple[Any, ...]] = {}
         #: Captured bundles, in capture order.
         self.bundles: List[Dict[str, Any]] = []
         self._captured: Set[Tuple[Any, Any]] = set()
 
     # ------------------------------------------------------------- stream taps
 
-    def on_span(self, span: Dict[str, Any]) -> None:
-        component = _component(span.get("name", ""))
-        ring = self._spans.get(component)
-        if ring is None:
-            ring = deque(maxlen=MAX_SPANS_PER_COMPONENT)
-            self._spans[component] = ring
-        ring.append(span)
-
-    def on_record(self, record: Dict[str, Any]) -> None:
-        component = _component(record.get("name", ""))
-        ring = self._records.get(component)
-        if ring is None:
-            ring = deque(maxlen=MAX_RECORDS_PER_COMPONENT)
-            self._records[component] = ring
-        ring.append(record)
+    def route(self, kind: str, name: str) -> Tuple[Any, ...]:
+        """The tracer's handler for entries named ``name``: the bound
+        ``append`` of its component's ring, made on the component's
+        first entry and shared by every name it holds."""
+        component = _component(name)
+        handlers = self._appends.get((kind, component))
+        if handlers is None:
+            if kind == "span":
+                rings, size = self._spans, MAX_SPANS_PER_COMPONENT
+            else:
+                rings, size = self._records, MAX_RECORDS_PER_COMPONENT
+            ring = rings[component] = deque(maxlen=size)
+            handlers = self._appends[kind, component] = (ring.append,)
+        return handlers
 
     # ---------------------------------------------------------------- capture
 
@@ -85,20 +92,18 @@ class FlightRecorder:
         caused, and the ``nf.drop`` spans of the packets its rules
         dropped; a record belongs via its ``trace_id`` field.
         """
-        spans: List[Dict[str, Any]] = []
-        for ring in self._spans.values():
-            for span in ring:
-                if (span.get("attrs") or {}).get("trace_id") == trace_id:
-                    spans.append(span)
+        spans = sorted(
+            (span for ring in self._spans.values() for span in ring
+             if span.attrs.get("trace_id") == trace_id),
+            key=lambda span: (span.start, span.span_id),
+        )
         records: List[Dict[str, Any]] = []
         for ring in self._records.values():
             for record in ring:
                 if record.get("trace_id") == trace_id:
                     records.append(record)
-        spans.sort(key=lambda s: (s.get("start_ms", 0.0),
-                                  s.get("span_id", 0)))
         records.sort(key=lambda r: r.get("time_ms", 0.0))
-        return {"spans": spans, "records": records}
+        return {"spans": [span.read() for span in spans], "records": records}
 
     def capture(
         self,

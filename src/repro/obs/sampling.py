@@ -20,10 +20,11 @@ head+tail policy, made deterministic for the reproduction:
   whole set when the ``op.end`` record arrives — the root span is
   exported *before* ``op.end``, so the duration is known in time.
 
-The sampler is an exporter *wrapper* sitting **below** the tee that
-feeds the auditors and the flight recorder: taps always see the full
-stream (auditing and post-mortem bundles stay exact); only what
-reaches the *stored* exporter is sampled. A violation found during the
+The sampler is an exporter *wrapper*: it takes the stored exporter's
+place in the tracer's routes, beside the auditors and the flight
+recorder, which always see the full stream (auditing and post-mortem
+bundles stay exact); only what reaches the *stored* exporter is
+sampled. A violation found during the
 stream flags the operation while it is still buffered; for violations
 that only surface at finalize (e.g. never-processed loss), a bounded
 ring of recently *discarded* operations allows late resurrection —

@@ -32,15 +32,27 @@ rules out an implicit parent stack.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 
-class Span:
+#: Spans ever constructed in this process, read as ``Span.allocated``.
+_ALLOCATED = [0]
+
+
+class _SpanType(type):
+    """``Span.allocated`` is read off the class but counted outside it:
+    writing a class attribute per span would invalidate the type's
+    attribute caches, slowing every later attribute read on a span."""
+
+    @property
+    def allocated(cls) -> int:
+        """Total spans ever constructed in this process; the zero-overhead
+        guard test asserts this does not grow while tracing is disabled."""
+        return _ALLOCATED[0]
+
+
+class Span(metaclass=_SpanType):
     """One timed, attributed region on the simulated clock."""
-
-    #: Total spans ever constructed in this process; the zero-overhead
-    #: guard test asserts this does not grow while tracing is disabled.
-    allocated = 0
 
     __slots__ = (
         "tracer", "name", "span_id", "parent_id", "start", "end",
@@ -54,18 +66,22 @@ class Span:
         parent_id: Optional[int],
         attrs: Dict[str, Any],
     ) -> None:
-        Span.allocated += 1
+        _ALLOCATED[0] += 1
         self.tracer = tracer
         self.name = name
-        self.span_id = tracer.next_span_id()
+        self.span_id = next(tracer._span_ids)
         self.parent_id = parent_id
-        self.start = tracer.now
+        self.start = tracer.sim.now
         self.end: Optional[float] = None
         self.status = "ok"
-        self.attrs = dict(attrs)
-        self.events: List[Tuple[float, str, Dict[str, Any]]] = []
-        #: :meth:`to_dict` of the finished span, kept by whoever already
-        #: built it (the audit tee) for :func:`~repro.obs.audit.entries_from_obs`.
+        #: Owned, not copied: :meth:`Tracer.span` hands over the fresh
+        #: ``**attrs`` dict of its own call.
+        self.attrs = attrs
+        #: ``(time, name, attrs)`` annotations; the shared empty tuple
+        #: until the first :meth:`event`.
+        self.events: Sequence[Tuple[float, str, Dict[str, Any]]] = ()
+        #: :meth:`to_dict` of the finished span, built by the first
+        #: :meth:`read` and shared by every reader after it.
         self.payload: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------ record
@@ -77,7 +93,11 @@ class Span:
 
     def event(self, name: str, **attrs: Any) -> None:
         """Record a point-in-time annotation inside this span."""
-        self.events.append((self.tracer.now, name, attrs))
+        event = (self.tracer.sim.now, name, attrs)
+        if self.events:
+            self.events.append(event)
+        else:
+            self.events = [event]
 
     def child(self, name: str, **attrs: Any) -> "Span":
         """Open a child span (same tracer, this span as parent)."""
@@ -86,8 +106,21 @@ class Span:
     def finish(self) -> "Span":
         """Close the span at the current simulated time (idempotent)."""
         if self.end is None:
-            self.end = self.tracer.now
-            self.tracer._export(self)
+            tracer = self.tracer
+            self.end = tracer.sim.now
+            # Down the name's route (see :class:`Tracer`).
+            route = tracer._span_routes.get(self.name)
+            if route is None:
+                route = tracer._span_routes[self.name] = tracer._route(
+                    "span", self.name
+                )
+            hold, read = route
+            for handler in hold:
+                handler(self)
+            if read:
+                payload = self.read()
+                for handler in read:
+                    handler(payload)
         return self
 
     # ---------------------------------------------------------------- measure
@@ -98,7 +131,24 @@ class Span:
 
     @property
     def duration_ms(self) -> float:
-        return (self.tracer.now if self.end is None else self.end) - self.start
+        end = self.tracer.sim.now if self.end is None else self.end
+        return end - self.start
+
+    def read(self) -> Dict[str, Any]:
+        """The finished span's payload: :meth:`to_dict`, built on the
+        first read and shared by every later one.
+
+        A finished span no longer changes, so one dict serves every
+        reader (the auditors of its name, a flight-recorder bundle,
+        :func:`~repro.obs.audit.entries_from_obs`); a span nothing reads
+        is never serialised. An open span is dumped afresh each time.
+        """
+        payload = self.payload
+        if payload is None:
+            if self.end is None:
+                return self.to_dict()
+            payload = self.payload = self.to_dict()
+        return payload
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly dump (exporters and the CLI renderer use this)."""
@@ -114,7 +164,7 @@ class Span:
             "events": [
                 {"time_ms": t, "name": n, "attrs": dict(a)}
                 for (t, n, a) in self.events
-            ],
+            ] if self.events else [],
         }
 
     # ------------------------------------------------------------ ctx manager
@@ -183,17 +233,34 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class Tracer:
-    """Mints spans stamped with the simulated clock.
+class _Unclocked:
+    """The clock of a tracer built without a simulator: time stays 0.0."""
 
-    ``sim`` is anything with a ``now`` property (the discrete-event
+    __slots__ = ()
+    now = 0.0
+
+
+class Tracer:
+    """Mints spans stamped with the simulated clock, and routes them.
+
+    ``sim`` is anything with a ``now`` attribute (the discrete-event
     :class:`~repro.sim.core.Simulator`); span ids are a per-tracer
     counter, so identical runs produce identical ids — the trace itself
     is part of the deterministic output of an experiment.
+
+    Every finished span and every point record goes down its *name's
+    route*: the handlers that take entries of that name, built once, on
+    the name's first use, from the tracer's subscribers — the stored
+    ``exporter`` (every entry), then each tap added by
+    :meth:`subscribe`, in order. An entry costs one dict lookup plus the
+    handlers that actually take it. A span reaches *holders* (the
+    exporter, the flight recorder's rings) as the :class:`Span` itself
+    and *readers* (the auditors) as its :meth:`Span.read` payload, so a
+    span whose name no reader takes is never serialised on the way.
     """
 
     def __init__(self, sim=None, exporter=None, enabled: bool = True) -> None:
-        self.sim = sim
+        self.sim = _Unclocked() if sim is None else sim
         self.exporter = exporter
         self.enabled = enabled
         self._span_ids = itertools.count(1)
@@ -201,14 +268,46 @@ class Tracer:
         #: (set by :class:`CausalProxy` around each proxied call); spans
         #: minted while it is set inherit ``trace_id``/``cause_id``.
         self.current_cause: Optional[Span] = None
+        #: Each tap's ``route(kind, name) -> handlers``; holders take a
+        #: span as the object, readers as its payload.
+        self._holders: List[Callable[[str, str], Tuple[Callable, ...]]] = []
+        self._readers: List[Callable[[str, str], Tuple[Callable, ...]]] = []
+        #: name -> (handlers taking the Span, handlers taking its payload).
+        self._span_routes: Dict[str, Tuple[Tuple[Callable, ...], ...]] = {}
+        #: name -> handlers taking the record.
+        self._record_routes: Dict[str, Tuple[Callable, ...]] = {}
 
     @property
     def now(self) -> float:
         """Current simulated time (0.0 when no clock is attached)."""
-        return 0.0 if self.sim is None else self.sim.now
+        return self.sim.now
 
-    def next_span_id(self) -> int:
-        return next(self._span_ids)
+    def subscribe(self, route: Callable[[str, str], Tuple[Callable, ...]],
+                  reads_payload: bool) -> None:
+        """Add a tap behind the exporter and every holder before it.
+
+        ``route(kind, name)`` answers, once per name, the tap's handlers
+        for entries of ``kind`` (``"span"`` / ``"record"``) called
+        ``name`` — an empty tuple for names it does not take. Holders
+        run before readers, so a reader that looks back (a violation
+        freezing a bundle) finds the entry already held.
+        """
+        (self._readers if reads_payload else self._holders).append(route)
+        self._span_routes.clear()
+        self._record_routes.clear()
+
+    def _route(self, kind: str, name: str):
+        exporter = self.exporter
+        hold: List[Callable] = []
+        if exporter is not None:
+            hold.append(exporter.export_span if kind == "span"
+                        else exporter.export_record)
+        for route in self._holders:
+            hold.extend(route(kind, name))
+        read: List[Callable] = []
+        for route in self._readers:
+            read.extend(route(kind, name))
+        return tuple(hold), tuple(read)
 
     def span(self, name: str, parent: Any = None, **attrs: Any):
         """Open a span; returns :data:`NULL_SPAN` when disabled.
@@ -220,14 +319,13 @@ class Tracer:
         """
         if not self.enabled:
             return NULL_SPAN
-        parent_id = parent.span_id if isinstance(parent, Span) else None
-        span = Span(self, name, parent_id, attrs)
+        span = Span(
+            self, name, None if parent is None else parent.span_id, attrs
+        )
         cause = self.current_cause
-        if cause is not None and "trace_id" not in span.attrs:
-            span.attrs["trace_id"] = cause.attrs.get(
-                "trace_id", cause.span_id
-            )
-            span.attrs["cause_id"] = cause.span_id
+        if cause is not None and "trace_id" not in attrs:
+            attrs["trace_id"] = cause.attrs.get("trace_id", cause.span_id)
+            attrs["cause_id"] = cause.span_id
         return span
 
     def bind(self, target: Any, cause: Any) -> Any:
@@ -242,16 +340,20 @@ class Tracer:
         return CausalProxy(target, self, cause)
 
     def record(self, name: str, **attrs: Any) -> None:
-        """Emit a standalone point record (no span) to the exporter."""
-        if not self.enabled or self.exporter is None:
-            return
-        record = {"time_ms": self.now, "name": name}
-        record.update(attrs)
-        self.exporter.export_record(record)
+        """Emit a standalone point record (no span) down its route.
 
-    def _export(self, span: Span) -> None:
-        if self.exporter is not None:
-            self.exporter.export_span(span)
+        Nothing is built for a name no subscriber takes.
+        """
+        if not self.enabled:
+            return
+        route = self._record_routes.get(name)
+        if route is None:
+            hold, read = self._route("record", name)
+            route = self._record_routes[name] = hold + read
+        if route:
+            record = {"time_ms": self.sim.now, "name": name, **attrs}
+            for handler in route:
+                handler(record)
 
 
 class CausalProxy:
@@ -267,10 +369,13 @@ class CausalProxy:
     across a yield.
 
     Attribute reads pass through untouched, so ``client.nf``,
-    ``client.stats``, ``client.name`` etc. behave exactly as before.
+    ``client.stats``, ``client.name`` etc. behave exactly as before. A
+    method's scoped wrapper is built on its first use through the proxy
+    and kept in the proxy's ``__dict__``, where every later lookup finds
+    it without reaching :meth:`__getattr__`.
     """
 
-    __slots__ = ("_target", "_tracer", "_cause")
+    __slots__ = ("_target", "_tracer", "_cause", "__dict__")
 
     def __init__(self, target: Any, tracer: Tracer, cause: Span) -> None:
         self._target = target
@@ -292,6 +397,7 @@ class CausalProxy:
             finally:
                 tracer.current_cause = previous
 
+        self.__dict__[name] = scoped
         return scoped
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -119,3 +119,50 @@ def raw_percentile(samples: List[float], q: float) -> Optional[float]:
         return ordered[0]
     rank = max(1, int(math.ceil(q / 100.0 * len(ordered))))
     return ordered[min(rank, len(ordered)) - 1]
+
+
+def broadcast_audit(entries) -> "AuditPipeline":
+    """The fan-out the routed audit pipeline replaced, over an entry stream.
+
+    Every entry visits the operation registry and then every auditor, in
+    pipeline order, and each of them tests the entry's kind and name
+    itself — the dispatch, spelled out by hand, that ``ON_SPAN`` /
+    ``ON_RECORD`` now declare. Returns the finalized pipeline.
+    """
+    from repro.obs.audit import AuditPipeline
+
+    pipeline = AuditPipeline()
+    registry = pipeline.registry
+    loss_free, order, chain, state, share = pipeline.auditors
+    for _time, kind, entry in entries:
+        name = entry.get("name")
+        if kind == "span":
+            if name == "nf.drop":
+                loss_free.on_drop(entry)
+            if name == "share.update":
+                share.on_update(entry)
+            continue
+        if name == "op.start":
+            registry.open(entry)
+        elif name == "op.end":
+            registry.close(entry)
+        if name == "nf.buffer":
+            loss_free.on_nf_buffer(entry)
+        elif name in ("ctrl.buffer", "sw.buffer"):
+            loss_free.on_parked(entry)
+        elif name == "sw.drop":
+            loss_free.on_switch_drop(entry)
+        elif name == "nf.process":
+            loss_free.on_process(entry)
+        if name == "op.start":
+            order.on_op_start(entry)
+            chain.on_op_start(entry)
+        elif name == "nf.process":
+            order.on_process(entry)
+            chain.on_process(entry)
+        if name == "nf.chunk.export":
+            state.on_export(entry)
+        elif name == "nf.chunk.import":
+            state.on_import(entry)
+    pipeline.finalize()
+    return pipeline

@@ -9,6 +9,7 @@ opens — measured by the instrumentation itself, not by the mechanism
 under test.
 """
 
+import math
 import random
 
 import pytest
@@ -153,6 +154,30 @@ class TestHistogram:
         p50 = hist.percentile(50)
         assert -1.0 * GAMMA * (1 + 1e-9) <= p50 <= -1.0 / GAMMA * (1 - 1e-9)
 
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    def test_non_finite_sample_rejected(self, value):
+        """A NaN used to count as a zero and poison sum / min / max / p50,
+        and an infinity died in ``math.ceil``: both are refused, and the
+        series stays what the finite samples made it."""
+        hist = MetricsRegistry().histogram("lat")
+        hist.observe(2.0, op="get")
+        bound = hist.bind(op="get")
+        with pytest.raises(ValueError, match="not finite"):
+            hist.observe(value, op="get")
+        with pytest.raises(ValueError, match="not finite"):
+            bound.observe(value)
+        assert hist.count(op="get") == 1
+        assert (hist.sum(op="get"), hist.min(op="get"), hist.max(op="get"),
+                hist.percentile(50, op="get")) == (2.0, 2.0, 2.0, 2.0)
+
+    def test_non_finite_first_sample_leaves_no_series(self):
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError):
+            registry.histogram("lat").bind(op="get").observe(math.nan)
+        assert registry.snapshot()["lat"]["series"] == {}
+
     def test_render_prometheus(self):
         registry = MetricsRegistry()
         registry.counter("pkts.total").inc(3, nf="a")
@@ -218,7 +243,23 @@ class TestCardinalityGuard:
 
 
 class TestBoundHandles:
-    """Only a histogram hot path binds (counters are pulled, not pushed)."""
+    """A push site on a hot path resolves its label set once."""
+
+    def test_bound_counter_writes_its_series(self):
+        registry = MetricsRegistry()
+        rpcs = registry.counter("rpcs")
+        bound = rpcs.bind(nf="a", op="get")
+        assert rpcs.label_sets() == []  # the series appears on a write
+        bound.inc()
+        bound.inc(2)
+        rpcs.inc(1, op="get", nf="a")
+        assert rpcs.value(nf="a", op="get") == 4
+        assert registry.snapshot()["rpcs"]["series"] == {"nf=a,op=get": 4}
+        with pytest.raises(ValueError):
+            bound.inc(-1)
+        registry.reset()
+        bound.inc()
+        assert rpcs.value(nf="a", op="get") == 1
 
     def test_bound_handles_survive_reset(self):
         registry = MetricsRegistry()

@@ -67,6 +67,28 @@ class TestTracerBasics:
         assert span is NULL_SPAN
         assert span.child("kid") is NULL_SPAN
 
+    def test_late_abort_leaves_a_finished_root_alone(self, sim):
+        """An exported span is frozen (its payload is built lazily, on
+        the first read): a second ``finish`` tags nothing after the fact."""
+        from repro.controller.reports import OperationReport
+
+        obs = Observability(sim=sim, enabled=True)
+        trace = obs.operation(sim, OperationReport(kind="move"), "move")
+        trace.finish()
+        frozen = trace.root.to_dict()
+        trace.finish(aborted="too late")
+        assert trace.root.to_dict() == frozen
+        assert [r["name"] for r in obs.exporter.records] \
+            == ["op.start", "op.end"]
+
+    def test_a_tracer_without_a_clock_stamps_zero(self):
+        exporter = InMemoryExporter()
+        tracer = Tracer(exporter=exporter)
+        tracer.span("unclocked").finish()
+        tracer.record("point", x=1)
+        assert (exporter.spans[0].start, exporter.spans[0].end) == (0.0, 0.0)
+        assert exporter.records == [{"time_ms": 0.0, "name": "point", "x": 1}]
+
 
 class TestMoveSpanTree:
     """LF+OP move over the IDS scenario: the acceptance span tree."""
