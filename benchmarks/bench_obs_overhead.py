@@ -3,11 +3,11 @@
 Scale-ready telemetry is only scale-ready if leaving it on is free
 enough to never think about. This benchmark runs the same 10k-flow
 scenario (steady traffic to one monitor, one loss-free move of a /29
-subnet mid-trace) twice per round — telemetry fully off, then fully on
-as ``repro top`` runs it (tracing + sampled trace retention + bounded
-histograms + a progress reporter taking one frame per 1000 simulated
-ms) — as ``PAIRS`` interleaved off/on pairs, and gates on the median
-pair's CPU-time ratio. The run is single-threaded, so CPU time *is*
+subnet mid-trace) twice per round — telemetry fully off, and fully on
+as ``repro top`` runs it (the full stored trace + bounded histograms +
+a progress reporter taking one frame per 1000 simulated ms) — as
+``PAIRS`` interleaved pairs whose first run alternates between off and
+on, and gates on the median pair's CPU-time ratio. The run is single-threaded, so CPU time *is*
 the wall-clock cost of telemetry — minus the scheduler noise of a
 shared CI box; wall-clock times are reported alongside as
 informational.
@@ -18,11 +18,11 @@ invisible: identical control-message counts and an identical simulated
 move duration, pinned here and (byte-for-byte) by the determinism
 suite.
 
-A second, smaller scenario gates the sampling quality bar: with 5%
-head-sampling and a run of sequential moves, some of them aborted,
-tail retention must keep the complete causal trace for 100% of the
-aborted operations while head-sampling keeps at most 10% of the clean
-ones.
+A second, smaller scenario gates the retention quality bar of the
+flight recorder, the one bounded trace store: over an audited run of
+sequential moves, some of them aborted, every aborted operation must
+have exactly one abort bundle whose causal slice is its complete stored
+trace, while at most 10% of the clean operations are bundled.
 
 Writes ``benchmarks/results/BENCH_obs_overhead.json`` (gated by
 ``check_regression.py``: ``overhead_pct`` must stay <= 5.0 absolute,
@@ -46,7 +46,6 @@ from repro.harness.deployment import Deployment
 from repro.harness.scenarios import run_move_experiment
 from repro.nfs.monitor import AssetMonitor
 from repro.obs import ProgressReporter
-from repro.obs.sampling import SamplingPolicy
 from repro.traffic.replay import TraceReplayer
 from repro.traffic.traces import TraceConfig, build_university_cloud_trace
 
@@ -56,7 +55,8 @@ N_FLOWS = 10_000
 DATA_PACKETS = 3
 RATE_PPS = 50_000.0
 SEED = 7
-#: Interleaved off/on pairs; odd, so the median is one pair's ratio.
+#: Interleaved off/on pairs, alternating which side runs first; odd,
+#: so the median is one pair's ratio.
 PAIRS = 5
 
 #: Every local host in the university-cloud trace lives in 10.0.1.x,
@@ -68,11 +68,10 @@ MOVE_FILTER = Filter({"nw_src": "10.0.1.0/29"}, symmetric=True)
 MAX_OVERHEAD_PCT = 5.0
 MAX_CLEAN_KEEP_FRACTION = 0.10
 
-# Sampling-quality scenario.
+# Retention-quality scenario.
 Q_FLOWS = 40
 Q_MOVES = 60
 Q_ABORTED = {7, 23, 41}
-Q_HEAD_RATE = 0.05
 
 
 def run_one(telemetry: bool) -> dict:
@@ -93,7 +92,7 @@ def run_one(telemetry: bool) -> dict:
         data_packets=DATA_PACKETS,
         seed=SEED,
         operation=operation,
-        sampling=telemetry,
+        observe=telemetry,
         on_deployment=on_deployment if telemetry else None,
         record_ground_truth=False,
     )
@@ -114,15 +113,22 @@ def run_overhead() -> dict:
     """Interleaved off/on pairs; gate on the median pair's CPU ratio.
 
     The two runs of a pair are back to back, so they share the host's
-    conditions, and noise only ever inflates a run. The median pair
+    conditions, and noise only ever inflates a run. Even pairs run off
+    first and odd pairs on first, so a drift that favours the second
+    run of a pair (a warmed cache, a quieting host) cancels rather
+    than landing on one side. The median pair
     is what telemetry costs on a typical pair — a stricter gate than
     the luckiest (minimum) pair, and as robust to one disturbed pair.
     Negative readings are clamped to zero.
     """
     pairs = []
-    for _ in range(PAIRS):
-        off = run_one(telemetry=False)
-        on = run_one(telemetry=True)
+    for index in range(PAIRS):
+        if index % 2:
+            on = run_one(telemetry=True)
+            off = run_one(telemetry=False)
+        else:
+            off = run_one(telemetry=False)
+            on = run_one(telemetry=True)
         # Telemetry must be behaviorally invisible before it is cheap:
         # same control-message count, same simulated move duration.
         assert on["control_messages"] == off["control_messages"], (off, on)
@@ -150,12 +156,9 @@ def run_overhead() -> dict:
     }
 
 
-def run_sampling_quality() -> dict:
-    """Sequential moves under 5% head sampling; aborted ops must survive."""
-    dep = Deployment(
-        audit=True,
-        sampling=SamplingPolicy(head_rate=Q_HEAD_RATE, seed=1),
-    )
+def run_retention_quality() -> dict:
+    """Sequential audited moves; each aborted op is bundled in full."""
+    dep = Deployment(audit=True)
     src = AssetMonitor(dep.sim, "inst1")
     dst = AssetMonitor(dep.sim, "inst2")
     dep.add_nf(src)
@@ -185,52 +188,61 @@ def run_sampling_quality() -> dict:
 
     dep.sim.schedule(replayer.duration_ms + 5.0, launch, 0)
     dep.sim.run()
-    dep.obs.violations()  # finalize auditors, then flush the sampler
-    stats = dep.obs.sampling.stats()
-    assert stats["ops_seen"] >= Q_MOVES, stats
+    dep.obs.violations()  # finalize the auditors: late bundles included
+    assert len(trace_ids) == Q_MOVES, trace_ids
+    bundles = dep.obs.recorder.bundles
+    exporter = dep.obs.exporter
 
-    # 100% tail retention: every aborted op's causal trace survived in
-    # full — its op.end record AND its spans are in the stored trace.
-    kept_record_tids = {
-        record.get("trace_id")
-        for record in dep.obs.exporter.records
-        if record.get("name") == "op.end"
-    }
-    kept_span_tids = {
-        span.attrs.get("trace_id", span.span_id)
-        for span in dep.obs.exporter.spans
-    }
+    # Every aborted op has exactly one abort bundle, and its causal
+    # slice is the op's whole stored trace: the same spans, and the
+    # same records (op.end among them).
     aborted_tids = {trace_ids[index] for index in Q_ABORTED}
-    missing = aborted_tids - (kept_record_tids & kept_span_tids)
-    assert not missing, (missing, stats)
-    assert stats["ops_kept_tail"] >= len(Q_ABORTED), stats
+    complete = set()
+    for trace_id in aborted_tids:
+        [bundle] = [b for b in bundles
+                    if b["trace_id"] == trace_id and b["reason"] == "abort"]
+        causal = bundle["causal_slice"]
+        stored_spans = sorted(
+            span.span_id for span in exporter.spans
+            if span.attrs.get("trace_id") == trace_id
+        )
+        stored_records = sorted(
+            id(record) for record in exporter.records
+            if record.get("trace_id") == trace_id
+        )
+        if (sorted(span["span_id"] for span in causal["spans"])
+                == stored_spans
+                and sorted(map(id, causal["records"])) == stored_records
+                and any(r["name"] == "op.end" and r["aborted"]
+                        for r in causal["records"])):
+            complete.add(trace_id)
+    assert complete == aborted_tids, (aborted_tids - complete)
 
-    clean_total = stats["ops_seen"] - stats["ops_kept_tail"]
-    clean_kept = stats["ops_kept_head"] + stats["ops_kept_open"]
-    clean_keep_fraction = clean_kept / float(clean_total)
-    assert clean_keep_fraction <= MAX_CLEAN_KEEP_FRACTION, stats
+    clean_tids = set(trace_ids.values()) - aborted_tids
+    clean_bundled = {b["trace_id"] for b in bundles} & clean_tids
+    clean_bundled_fraction = len(clean_bundled) / float(len(clean_tids))
+    assert clean_bundled_fraction <= MAX_CLEAN_KEEP_FRACTION, clean_bundled
     return {
-        "ops_seen": stats["ops_seen"],
-        "ops_kept_head": stats["ops_kept_head"],
-        "ops_kept_tail": stats["ops_kept_tail"],
-        "ops_discarded": stats["ops_discarded"],
-        "aborted_ops": len(Q_ABORTED),
-        "aborted_kept": len(aborted_tids & kept_record_tids & kept_span_tids),
-        "clean_keep_fraction": round(clean_keep_fraction, 4),
-        "records_sampled_out": stats["records_sampled_out"],
+        "ops": len(trace_ids),
+        "bundles": len(bundles),
+        "aborted_ops": len(aborted_tids),
+        "aborted_bundled_complete": len(complete),
+        "clean_ops": len(clean_tids),
+        "clean_bundled": len(clean_bundled),
+        "clean_bundled_fraction": round(clean_bundled_fraction, 4),
     }
 
 
 def run_bench() -> dict:
     overhead = run_overhead()
-    sampling = run_sampling_quality()
+    retention = run_retention_quality()
     results = {
         "n_flows": N_FLOWS,
         "data_packets": DATA_PACKETS,
         "rate_pps": RATE_PPS,
         "pairs": PAIRS,
         "overhead": overhead,
-        "sampling": sampling,
+        "retention": retention,
     }
     # The tentpole's acceptance gate: full telemetry costs <= 5%.
     assert overhead["overhead_pct"] <= MAX_OVERHEAD_PCT, overhead
@@ -244,7 +256,7 @@ def write_results(results: dict) -> str:
         json.dump(results, handle, indent=2, sort_keys=True)
         handle.write("\n")
     overhead = results["overhead"]
-    sampling = results["sampling"]
+    retention = results["retention"]
     rows = [
         ["off", "%.3f" % overhead["telemetry_off_cpu_s"],
          "%.3f" % overhead["telemetry_off_wall_s"],
@@ -262,13 +274,13 @@ def write_results(results: dict) -> str:
             ["telemetry", "cpu s", "wall s", "ctrl msgs", "overhead"],
             rows,
         )
-        + "\nsampling: %d/%d clean ops kept (%.1f%%), %d/%d aborted kept"
+        + "\nretention: %d/%d aborted ops bundled complete, %d/%d clean "
+        "ops bundled"
         % (
-            sampling["ops_kept_head"],
-            sampling["ops_seen"] - sampling["ops_kept_tail"],
-            100.0 * sampling["clean_keep_fraction"],
-            sampling["aborted_kept"],
-            sampling["aborted_ops"],
+            retention["aborted_bundled_complete"],
+            retention["aborted_ops"],
+            retention["clean_bundled"],
+            retention["clean_ops"],
         ),
     )
     return path

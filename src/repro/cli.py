@@ -713,21 +713,13 @@ def _cmd_top(args: argparse.Namespace) -> int:
         n_flows=args.flows,
         rate_pps=args.rate,
         seed=args.seed,
-        sampling=True,
+        observe=True,
         on_deployment=on_deployment,
         **_mode_kwargs(args),
     )
     dep = result.deployment
     print(format_top(snapshot_top(dep)))
     print(result.report.summary())
-    sampler = dep.obs.sampling
-    if sampler is not None:
-        stats = dep.obs.flush_sampling()
-        print("sampling: %d/%d ops kept (%d head, %d tail, %d open), "
-              "%d records gated at source"
-              % (stats["ops_kept"], stats["ops_seen"], stats["ops_kept_head"],
-                 stats["ops_kept_tail"], stats["ops_kept_open"],
-                 stats["records_sampled_out"]))
     if args.jsonl:
         with open(args.jsonl, "a") as handle:
             for snap in frames:

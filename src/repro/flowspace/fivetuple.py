@@ -30,7 +30,7 @@ class FiveTuple:
 
     def __post_init__(self) -> None:
         # Memo slots (never part of identity — filled in lazily by
-        # canonical()/flow-key/sampling-gate/flowid/match-key caching).
+        # canonical()/flow-key/flowid/match-key caching).
         # Pre-inserting them here keeps every instance dict on CPython's
         # shared-key layout: late insertion of a *new* key un-shares the
         # dict and slows attribute reads on every FiveTuple in the
@@ -38,7 +38,6 @@ class FiveTuple:
         # tables, so they die with the tuple.
         object.__setattr__(self, "_canonical", None)
         object.__setattr__(self, "_flow_key", None)
-        object.__setattr__(self, "_gate_keep", None)
         object.__setattr__(self, "_flow_id", None)
         object.__setattr__(self, "_match_keys", None)
 

@@ -44,22 +44,15 @@ class Deployment:
         record_ground_truth: bool = True,
         shards: int = 1,
         offload: bool = False,
-        sampling=None,
     ) -> None:
         self.sim = Simulator()
         #: One shared observability bundle; disabled unless
         #: ``observe=True``, in which case spans land in
         #: ``self.obs.exporter``. ``audit=True`` additionally streams
         #: the trace through the online guarantee auditors and arms the
-        #: flight recorder (implies ``observe``). ``sampling`` (``True``
-        #: for defaults, or a policy / sampler instance) turns on trace
-        #: sampling and likewise implies ``observe``.
-        self.obs = Observability(
-            sim=self.sim,
-            enabled=observe,
-            audit=audit,
-            sampling=sampling,
-        )
+        #: flight recorder (implies ``observe``), whose rings are the
+        #: one bounded trace store.
+        self.obs = Observability(sim=self.sim, enabled=observe, audit=audit)
         #: Optional :class:`repro.faults.FaultPlan` (or a spec string for
         #: :meth:`FaultPlan.from_spec`). Installing one switches the
         #: whole control plane into reliable mode; ``None`` keeps the

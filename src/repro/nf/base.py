@@ -298,11 +298,11 @@ class NetworkFunction:
             if obs.enabled:
                 # A zero-duration span (not a record) so loss-freedom
                 # violations can cite the dropped packet by span id.
-                # Never gated at the source: drops are rare and exactly
-                # the packets the auditors need. (The trace sampler keeps
-                # it with the operation whose rule caused it: the stamp.)
-                # Last: a snapshot taken from inside it (a violation's
-                # bundle) must see all three counters above moved.
+                # The stamp puts it in the causing operation's causal
+                # slice, so the flight recorder's bundle for that
+                # operation holds it. Last: a snapshot taken from inside
+                # it (a violation's bundle) must see all three counters
+                # above moved.
                 obs.tracer.span(
                     "nf.drop",
                     nf=self.name,
@@ -317,11 +317,9 @@ class NetworkFunction:
             self.buffered_log.append((self.sim.now, packet.uid))
             obs = self.obs
             if obs.enabled:
-                flow = obs.gated_flow(packet)
-                if flow is not None:
-                    obs.tracer.record("nf.buffer", nf=self.name,
-                                      uid=packet.uid, flow=flow,
-                                      trace_id=rule.trace_id)
+                obs.tracer.record("nf.buffer", nf=self.name,
+                                  uid=packet.uid, flow=packet.flow_key(),
+                                  trace_id=rule.trace_id)
             self._rule_buffers.setdefault(id(rule), []).append(packet)
             self.sim.schedule(self.costs.disposition_ms, self._drain)
 
@@ -351,10 +349,8 @@ class NetworkFunction:
             self.proc_durations.append((self.sim.now, duration))
         obs = self.obs
         if obs.enabled:
-            flow = obs.gated_flow(packet)
-            if flow is not None:
-                obs.tracer.record("nf.process", nf=self.name,
-                                  uid=packet.uid, flow=flow)
+            obs.tracer.record("nf.process", nf=self.name,
+                              uid=packet.uid, flow=packet.flow_key())
         if rule is not None:
             self._raise_event(packet, EventAction.PROCESS)
         self._drain()

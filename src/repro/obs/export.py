@@ -7,45 +7,27 @@ memory; :func:`repro.obs.audit.write_trace` dumps them as a
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.span import Span
 
 
 class InMemoryExporter:
-    """Keeps finished spans and point records, in completion order.
+    """Keeps every finished span and point record, in completion order.
 
-    By default both lists grow without bound (the right behaviour for
-    tests and short CLI runs). ``max_spans`` / ``max_records`` switch
-    the corresponding store to a ring that retains only the most recent
-    entries, so a long observed run has bounded memory; the query
-    helpers work identically on either representation.
+    Both lists grow without bound; a run that needs bounded retention
+    arms the :class:`~repro.obs.recorder.FlightRecorder` (``audit=True``).
     """
 
-    def __init__(
-        self,
-        max_spans: Optional[int] = None,
-        max_records: Optional[int] = None,
-    ) -> None:
-        self.max_spans = max_spans
-        self.max_records = max_records
-        self.spans = (
-            deque(maxlen=max_spans) if max_spans is not None else []
-        )
-        self.records = (
-            deque(maxlen=max_records) if max_records is not None else []
-        )
+    def __init__(self) -> None:
+        self.spans: List[Span] = []
+        self.records: List[Dict[str, Any]] = []
         #: The exporter protocol (``export_span(span)`` /
         #: ``export_record(record)``), bound straight to the stores'
         #: ``append``: storing an entry runs no Python frame.
         self.export_span: Callable[[Span], None] = self.spans.append
         self.export_record: Callable[[Dict[str, Any]], None] = \
             self.records.append
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self.records.clear()
 
     # ------------------------------------------------------------------ query
 

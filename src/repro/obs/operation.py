@@ -95,8 +95,9 @@ class OperationTrace:
 
         On abort, the observability bundle's flight recorder (when one
         is installed) dumps a post-mortem bundle for this operation's
-        causal slice — the recorder only reads its ring buffers, so the
-        simulation timeline is untouched.
+        causal slice, and either way completes the bundles its
+        violations froze earlier — the recorder only reads its ring
+        buffers, so the simulation timeline is untouched.
         """
         if self.root.finished:
             return  # exported spans are frozen: no late abort tag
@@ -111,10 +112,10 @@ class OperationTrace:
         self.obs.metrics.histogram("op.latency_ms").observe(
             duration, kind=self.kind
         )
-        # The op.end record is what lets streaming consumers (auditors,
-        # the trace sampler) close the operation; the root span was
-        # exported just above, so the sampler already knows the
-        # duration when this record triggers its keep/discard decision.
+        # The op.end record is what lets streaming consumers (the
+        # auditors' operation registry) close the operation; the root
+        # span was exported just above, so an abort bundle frozen below
+        # holds both.
         self.obs.tracer.record(
             "op.end",
             trace_id=self.trace_id,
@@ -122,14 +123,16 @@ class OperationTrace:
             aborted=aborted,
         )
         recorder = self.obs.recorder
-        if aborted is not None and recorder is not None:
-            recorder.capture(
-                self.obs,
-                reason="abort",
-                trace_id=self.trace_id,
-                kind=self.kind,
-                detail=aborted,
-            )
+        if recorder is not None:
+            if aborted is not None:
+                recorder.capture(
+                    self.obs,
+                    reason="abort",
+                    trace_id=self.trace_id,
+                    kind=self.kind,
+                    detail=aborted,
+                )
+            recorder.complete(self.trace_id)
 
 
 class _Phase:

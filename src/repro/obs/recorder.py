@@ -11,8 +11,10 @@ When a guarantee auditor emits a violation, or an operation aborts, the
 recorder freezes a **bundle**: the violated operation's *causal slice*
 (every buffered span/record carrying its ``trace_id``, plus the root
 span itself), the triggering violation, a snapshot of the ring
-occupancy, and a full metrics snapshot. Bundles are JSON-serializable;
-``repro audit <bundle.json>`` renders them.
+occupancy, and a full metrics snapshot. A violation bundle frozen while
+its operation runs takes the whole slice when the operation ends
+(:meth:`complete`). Bundles are JSON-serializable; ``repro audit
+<bundle.json>`` renders them.
 
 Like the tracer and the auditors, the recorder never schedules
 simulator callbacks — capturing a bundle only reads memory, so an
@@ -51,7 +53,7 @@ class FlightRecorder:
 
     The rings hold what the tracer emitted — :class:`~repro.obs.span.Span`
     objects and record dicts — and a span is serialised only when a
-    bundle's causal slice takes it.
+    bundle holding it is read.
     """
 
     def __init__(self) -> None:
@@ -60,9 +62,23 @@ class FlightRecorder:
         #: (kind, component) -> its ring's ``append``, as :meth:`route`
         #: hands it out.
         self._appends: Dict[Tuple[str, str], Tuple[Any, ...]] = {}
-        #: Captured bundles, in capture order.
-        self.bundles: List[Dict[str, Any]] = []
+        self._bundles: List[Dict[str, Any]] = []
         self._captured: Set[Tuple[Any, Any]] = set()
+        #: trace_id -> (bundle, spans, records) of each violation bundle
+        #: frozen while that operation ran, for :meth:`complete`.
+        self._running: Dict[Any, List[Tuple[Any, Any, Any]]] = {}
+        #: Slices whose spans are still Span objects.
+        self._unread: List[Dict[str, List[Any]]] = []
+
+    @property
+    def bundles(self) -> List[Dict[str, Any]]:
+        """Captured bundles, in capture order. A slice's spans are
+        serialised on the first read after its capture, so a bundle
+        nobody reads costs no span payload."""
+        for causal in self._unread:
+            causal["spans"] = [span.read() for span in causal["spans"]]
+        self._unread.clear()
+        return self._bundles
 
     # ------------------------------------------------------------- stream taps
 
@@ -83,8 +99,11 @@ class FlightRecorder:
 
     # ---------------------------------------------------------------- capture
 
-    def causal_slice(self, trace_id: Any) -> Dict[str, List[Dict[str, Any]]]:
-        """Everything in the rings belonging to one operation.
+    def causal_slice(
+        self, trace_id: Any, spans=(), records=()
+    ) -> Tuple[List[Any], List[Dict[str, Any]]]:
+        """Everything in the rings belonging to one operation, plus the
+        earlier ``spans`` / ``records`` the rings have evicted since.
 
         A span belongs if its ``trace_id`` attribute matches — which
         includes the operation root itself (stamped at creation), every
@@ -92,18 +111,25 @@ class FlightRecorder:
         caused, and the ``nf.drop`` spans of the packets its rules
         dropped; a record belongs via its ``trace_id`` field.
         """
-        spans = sorted(
-            (span for ring in self._spans.values() for span in ring
-             if span.attrs.get("trace_id") == trace_id),
-            key=lambda span: (span.start, span.span_id),
+        spans = {id(span): span for span in spans}
+        spans.update(
+            (id(span), span) for ring in self._spans.values() for span in ring
+            if span.attrs.get("trace_id") == trace_id
         )
-        records: List[Dict[str, Any]] = []
-        for ring in self._records.values():
-            for record in ring:
-                if record.get("trace_id") == trace_id:
-                    records.append(record)
-        records.sort(key=lambda r: r.get("time_ms", 0.0))
-        return {"spans": [span.read() for span in spans], "records": records}
+        records = {id(record): record for record in records}
+        records.update(
+            (id(record), record)
+            for ring in self._records.values() for record in ring
+            if record.get("trace_id") == trace_id
+        )
+        return (
+            sorted(spans.values(), key=lambda s: (s.start, s.span_id)),
+            sorted(records.values(), key=lambda r: r.get("time_ms", 0.0)),
+        )
+
+    def _hold(self, bundle: Dict[str, Any], spans, records) -> None:
+        causal = bundle["causal_slice"] = {"spans": spans, "records": records}
+        self._unread.append(causal)
 
     def capture(
         self,
@@ -113,17 +139,16 @@ class FlightRecorder:
         kind: Optional[str] = None,
         detail: str = "",
         violation=None,
-    ) -> Optional[Dict[str, Any]]:
+    ) -> None:
         """Freeze a post-mortem bundle for one operation.
 
         Deduplicates per (cause, operation): a lossy baseline dropping
-        50 packets yields one bundle, not 50. Returns the bundle, or
-        ``None`` when this (cause, operation) was already captured.
+        50 packets yields one bundle, not 50.
         """
         cause = violation.check if violation is not None else reason
         key = (cause, trace_id)
         if key in self._captured:
-            return None
+            return
         self._captured.add(key)
         bundle = {
             "reason": reason,
@@ -132,7 +157,6 @@ class FlightRecorder:
             "kind": kind,
             "detail": detail,
             "violation": violation.to_dict() if violation is not None else None,
-            "causal_slice": self.causal_slice(trace_id),
             "buffers": {
                 component: {
                     "spans": len(self._spans.get(component, ())),
@@ -144,8 +168,19 @@ class FlightRecorder:
             },
             "metrics": obs.metrics.snapshot(),
         }
-        self.bundles.append(bundle)
-        return bundle
+        spans, records = self.causal_slice(trace_id)
+        self._hold(bundle, spans, records)
+        self._bundles.append(bundle)
+        if violation is not None:
+            self._running.setdefault(trace_id, []).append(
+                (bundle, spans, records)
+            )
+
+    def complete(self, trace_id: Any) -> None:
+        """The operation ``trace_id`` ended: each violation bundle frozen
+        while it ran takes the operation's whole slice."""
+        for bundle, spans, records in self._running.pop(trace_id, ()):
+            self._hold(bundle, *self.causal_slice(trace_id, spans, records))
 
 
 def render_bundle(bundle: Dict[str, Any], width: int = 48) -> str:

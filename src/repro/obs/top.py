@@ -63,7 +63,7 @@ def snapshot_top(deployment) -> Dict[str, Any]:
     if obs.audit is not None:
         violations = len(obs.audit.violations)
 
-    snap = {
+    return {
         "time_ms": sim.now,
         "events_processed": sim.events_processed,
         "ops_in_flight": ops_in_flight,
@@ -72,10 +72,6 @@ def snapshot_top(deployment) -> Dict[str, Any]:
         "xfsm": xfsm,
         "violations": violations,
     }
-    sampler = obs.sampling
-    if sampler is not None:
-        snap["sampling"] = sampler.stats()
-    return snap
 
 
 def format_top(snap: Dict[str, Any]) -> str:
@@ -109,14 +105,6 @@ def format_top(snap: Dict[str, Any]) -> str:
         lines.append(
             "  xfsm: machines=%d buffered=%d"
             % (snap["xfsm"]["machines"], snap["xfsm"]["buffered_now"])
-        )
-    if "sampling" in snap:
-        stats = snap["sampling"]
-        lines.append(
-            "  sampling: ops seen=%d kept=%d (head=%d tail=%d) "
-            "records dropped=%d"
-            % (stats["ops_seen"], stats["ops_kept"], stats["ops_kept_head"],
-               stats["ops_kept_tail"], stats["records_sampled_out"])
         )
     return "\n".join(lines)
 

@@ -1,7 +1,7 @@
 """Seeded random-number helpers.
 
 Every stochastic component in the reproduction (link jitter, trace
-generation, flow-size sampling) draws from an explicitly seeded
+generation, flow sizes) draws from an explicitly seeded
 :class:`random.Random` so that experiments are reproducible. This module
 provides a tiny factory that derives independent streams from a root seed,
 so e.g. the traffic generator and the link jitter model never share a

@@ -44,7 +44,7 @@ class FlowBlueprint:
     kind: str = "generic"
     #: Reverse-direction tuple, built once and shared by every reply
     #: packet of the flow. Sharing matters beyond allocation: per-flow
-    #: caches (flow keys, sampling verdicts) memoize on the tuple
+    #: caches (flow keys, flow ids) memoize on the tuple
     #: object, so one instance per direction keeps them O(flows).
     _reversed: Optional[FiveTuple] = field(
         default=None, repr=False, compare=False

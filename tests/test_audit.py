@@ -453,6 +453,26 @@ class TestFlightRecorder:
         assert any(r["name"] == "ctrl.buffer" for r in records)
         assert bundle["metrics"]  # a full metrics snapshot rides along
 
+    def test_aborted_move_keeps_its_whole_trace(self):
+        """The abort bundle's slice is the operation's whole stored
+        trace: every span carrying its trace_id, and the op.end record
+        naming the abort."""
+        result = self._aborted_run()
+        recorder = result.deployment.obs.recorder
+        [bundle] = [b for b in recorder.bundles if b["reason"] == "abort"]
+        spans = bundle["causal_slice"]["spans"]
+        records = bundle["causal_slice"]["records"]
+        trace_id = bundle["trace_id"]
+        exporter = result.deployment.obs.exporter
+        assert sorted(s["span_id"] for s in spans) == sorted(
+            s.span_id for s in exporter.spans
+            if s.attrs.get("trace_id") == trace_id
+        )
+        assert [r["aborted"] for r in records if r["name"] == "op.end"] \
+            == [result.report.aborted]
+        # No other operation of the run froze a bundle.
+        assert {b["trace_id"] for b in recorder.bundles} == {trace_id}
+
     def test_violation_bundle_cites_drop_span(self):
         result = run_move_experiment(
             operation=splitmerge_operation, n_flows=40, rate_pps=6000.0,
@@ -468,6 +488,29 @@ class TestFlightRecorder:
             s["span_id"] for s in bundle["causal_slice"]["spans"]
         ]
         assert set(cited) <= set(slice_ids)
+
+    def test_violation_bundle_holds_the_whole_operation(self):
+        """The drops and chunk records an operation stamps with its
+        ``trace_id`` land in its violation bundle, also those emitted
+        after the violation froze it."""
+        reset_uid_counter()
+        result = run_move_experiment("ng", n_flows=20, seed=5, audit=True)
+        obs = result.deployment.obs
+        assert obs.violations()
+        [bundle] = obs.recorder.bundles
+        assert bundle["reason"] == "violation"
+        causal = bundle["causal_slice"]
+        trace_id = bundle["trace_id"]
+        drops = [s for s in causal["spans"] if s["name"] == "nf.drop"]
+        exports = [r for r in causal["records"]
+                   if r["name"] == "nf.chunk.export"]
+        assert drops and exports
+        assert all(s["attrs"]["trace_id"] == trace_id for s in drops)
+        assert exports == [r for r in obs.exporter.records
+                           if r["name"] == "nf.chunk.export"
+                           and r.get("trace_id") == trace_id]
+        # The exports came after the first drop froze the bundle.
+        assert exports[0]["time_ms"] > bundle["time_ms"]
 
     def test_render_and_cli(self, tmp_path, capsys):
         result = self._aborted_run()
@@ -652,22 +695,3 @@ class TestExporterRing:
         exporter = InMemoryExporter()
         assert isinstance(exporter.spans, list)
 
-    def test_ring_keeps_most_recent(self):
-        exporter = InMemoryExporter(max_spans=3, max_records=2)
-        for index in range(5):
-            exporter.export_record({"name": "r", "i": index})
-        assert [r["i"] for r in exporter.records] == [3, 4]
-        exporter.clear()
-        assert len(exporter.records) == 0
-
-    def test_ring_querying_still_works(self):
-        from repro.obs import Observability
-
-        obs = Observability(enabled=True,
-                            exporter=InMemoryExporter(max_spans=10))
-        for index in range(15):
-            obs.tracer.span("x", i=index).finish()
-        assert len(obs.exporter.spans) == 10
-        found = obs.exporter.find("x")
-        assert len(found) == 10
-        assert found[0].attrs["i"] == 5

@@ -155,13 +155,12 @@ class TestTopCommand:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        # Periodic frames plus the final one: events, shard inboxes,
-        # per-NF rates, and the sampler's keep counters.
+        # Periodic frames plus the final one: events, shard inboxes and
+        # per-NF rates.
         assert out.count("ops-in-flight") >= 2
         assert "shard 0:" in out
         assert "nf inst1:" in out
         assert "pkt/s" in out
-        assert "sampling:" in out
         assert "move[loss-free]" in out
         # Exports: one JSON line per reporter frame on disk, the
         # metrics registry's Prometheus text on stdout.
@@ -184,9 +183,9 @@ class TestTopCommand:
     #: are pure reads of the deployment, so these move only when the
     #: simulated clock or the frame layout does.
     FRAME_DIGESTS = {
-        "plain": "0bfd2617185c7e978f07aeced3a7088e917730a6e127206d464cbe87d5908284",
-        "shards2": "bab2b305d418964a6a3616ba7415bf28f03b2536c52948ceb2587022afb3151f",
-        "offload": "ebea39f96126e28275d38a46b566143e49045368e5fc08af46a7a7677c661780",
+        "plain": "f22355df0227c10c964cc17b05c458d1ee35c32d77d1f2bfe545fa50587d8403",
+        "shards2": "10e6534bf573042c456eb8b3dbf39ecf350bfb1f5c970ff54154f35d84abdbd8",
+        "offload": "e59686b2501001c6d2c6c65135417bcb66f1600efe532b787a0ebe1d16f19013",
     }
 
     @pytest.mark.parametrize("cell,extra", [

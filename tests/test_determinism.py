@@ -81,10 +81,10 @@ class TestObservedDeterminism:
 
 @pytest.mark.obs
 class TestTelemetryDeterminism:
-    """Full telemetry (``repro top``'s frames + sampling) is passive.
+    """Full telemetry (``repro top``'s frames + the stored trace) is passive.
 
     The scale-ready claim rests on this: a progress reporter ticking
-    every 25 ms, the trace sampler and the bounded histograms left on
+    every 25 ms, the full trace and the bounded histograms left on
     must leave the operation timeline byte-identical to a bare run — on
     a single controller, on a sharded control plane, and with the
     data-plane offload engaged.
@@ -98,7 +98,7 @@ class TestTelemetryDeterminism:
             ProgressReporter(dep, interval_ms=25.0, sink=frames.append).start()
 
         reset_uid_counter()
-        result = run_move_experiment("lf", n_flows=40, seed=5, sampling=True,
+        result = run_move_experiment("lf", n_flows=40, seed=5, observe=True,
                                      on_deployment=on_deployment, **extra)
         return result, frames
 
@@ -120,11 +120,9 @@ class TestTelemetryDeterminism:
         def capture():
             result, frames = self._telemetered()
             obs = result.deployment.obs
-            stats = obs.flush_sampling()
             return {
                 "frames": frames,
                 "prometheus": obs.metrics.render_prometheus(),
-                "sampling": stats,
                 "records": list(obs.exporter.records),
             }
 

@@ -26,7 +26,7 @@ class TestSnapshotTopAndReporter:
             assert reporter.start() is reporter  # idempotent re-arm
 
         result = run_move_experiment(
-            "lf", n_flows=20, seed=5, sampling=True,
+            "lf", n_flows=20, seed=5, observe=True,
             on_deployment=on_deployment, **kwargs
         )
         return result, frames, reporters[0]
@@ -40,7 +40,6 @@ class TestSnapshotTopAndReporter:
         assert first["time_ms"] == dep.sim.now
         assert set(first["nfs"]) == {"inst1", "inst2"}
         assert 0 in first["shards"]
-        assert "sampling" in first
 
     def test_reporter_ticks_derive_rates_and_disarm(self):
         result, frames, reporter = self._run()
@@ -63,7 +62,6 @@ class TestSnapshotTopAndReporter:
         assert "shard 0:" in text
         assert "nf inst1:" in text
         assert "pkt/s" in text
-        assert "sampling:" in text
 
     def test_reporter_rejects_nonpositive_interval(self):
         with pytest.raises(ValueError):
