@@ -3,9 +3,12 @@
 The paper counts the lines added to each NF (serialization handlers,
 get/put/del hooks, event calls) and finds at most a 9.8 % increase.
 The reproduction's analogue: for each NF package, count the lines
-implementing the southbound contract (state key enumeration, chunk
-export/import/merge, serialization ``to_dict``/``from_dict`` pairs)
-versus the NF's total size, by static analysis of this repository.
+implementing the southbound contract (the declared ``STATE`` table and
+its hooks, each record's declared fields and merge rules with the
+converters they name, any hand-written codec) versus the NF's total
+size, by static analysis of this repository. The shared machinery that
+derives handlers and codecs from the declarations (``repro.nf``) is not
+counted, as the prototype's shared library was not.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ import repro.nfs.proxy as proxy_pkg
 from common import format_table, publish, run_once
 
 #: Method/function names that exist only to support OpenNF's southbound
-#: API (the prototype's per-NF additions). Besides these, every
-#: class-level ``STATE`` declaration counts, with each method it names.
+#: API (the prototype's per-NF additions); ``_rebuild`` restores a
+#: decoded record's off-the-wire state. Besides these, every class-level
+#: declaration in ``DECLARATIONS`` counts, with each method or attribute
+#: of its class and each module-level definition it names.
 SOUTHBOUND_HOOKS = {
     "state_keys",
     "export_chunk",
@@ -34,9 +39,13 @@ SOUTHBOUND_HOOKS = {
     "to_dict",
     "from_dict",
     "merge_from",
+    "_rebuild",
     "flowid",
     "chunk_size_bytes",
 }
+
+#: The NF's state table and each record's field and merge tables.
+DECLARATIONS = {"STATE", "FIELDS", "MERGE"}
 
 PACKAGES = [
     ("Bro IDS", ids_pkg),
@@ -53,25 +62,51 @@ def _package_files(package):
             yield os.path.join(directory, name)
 
 
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
 def _southbound_nodes(tree):
-    """The hook functions, ``STATE`` declarations and the methods those
-    declarations name, anywhere in one module."""
+    """The hook functions, the declarations, the methods those name and
+    the module-level definitions (converters, ...) they name, anywhere in
+    one module."""
+    named = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name in SOUTHBOUND_HOOKS:
             yield node
         if not isinstance(node, ast.ClassDef):
             continue
-        named = set()
+        in_class = set()
         for stmt in node.body:
             if isinstance(stmt, ast.Assign) and any(
-                getattr(target, "id", None) == "STATE" for target in stmt.targets
+                getattr(target, "id", None) in DECLARATIONS
+                for target in stmt.targets
             ):
                 yield stmt
-                named.update(n.id for n in ast.walk(stmt.value)
-                             if isinstance(n, ast.Name))
+                in_class.update(_names(stmt.value))
         for stmt in node.body:
-            if isinstance(stmt, ast.FunctionDef) and stmt.name in named:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name in in_class:
                 yield stmt
+            if isinstance(stmt, ast.Assign) and any(
+                getattr(target, "id", None) in in_class for target in stmt.targets
+            ):
+                yield stmt  # e.g. ``__slots__`` a field table extends
+        named |= in_class
+    # A named module-level definition counts, with what it names in turn.
+    definitions = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            definitions[stmt.name] = stmt
+        elif isinstance(stmt, ast.Assign):
+            definitions.update((target.id, stmt) for target in stmt.targets
+                               if isinstance(target, ast.Name))
+    pending = named & set(definitions)
+    seen = set()
+    while pending:
+        name = pending.pop()
+        seen.add(name)
+        yield definitions[name]
+        pending |= (_names(definitions[name]) & set(definitions)) - seen
 
 
 def count_loc(package):

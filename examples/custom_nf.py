@@ -2,11 +2,12 @@
 """Tutorial: adding your own NF to the OpenNF control plane.
 
 The paper's southbound API was designed so a new NF needs only a small,
-mechanical addition (§4.2, Table 2). Here that addition is one table:
-the NF says, per scope, which store holds the state, how a record
-serializes and how an incoming one lands, and the base class derives
-get / put / del from it. This example builds a toy "flow meter" NF from
-scratch — per-flow byte counters, a per-host multi-flow rollup, and a
+mechanical addition (§4.2, Table 2). Here that addition is declared,
+not written: a record lists its fields and how each merges, and its
+serializer is derived; the NF says, per scope, which store holds the
+state, its record class and how an incoming one lands, and the base
+class derives get / put / del. This example builds a toy "flow meter" NF
+from scratch — per-flow byte counters, a per-host multi-flow rollup, and a
 global total — then:
 
 1. validates it against the southbound contract with the bundled
@@ -21,26 +22,20 @@ from repro import Deployment, Filter, FlowId, NetworkFunction, Scope
 from repro.flowspace import FlowKeyedStore
 from repro.nf.conformance import check_nf_conformance
 from repro.nf.costs import NFCostModel
+from repro.nf.record import Record
 from repro.nf.state import ADD, HOST_FIELDS, MERGE, StateSpec
 from repro.traffic import TraceConfig, TraceReplayer, build_university_cloud_trace
 
 
-class HostBytes:
+class HostBytes(Record):
     """Multi-flow record: the bytes one host has sent."""
+
+    FIELDS = ("bytes",)                    # travels as {"bytes": n}
+    # Max, not sum: idempotent, so re-copying converges (§5.2.1).
+    MERGE = {"bytes": max}
 
     def __init__(self, sent: int = 0) -> None:
         self.bytes = sent
-
-    def to_dict(self):
-        return {"bytes": self.bytes}
-
-    @classmethod
-    def from_dict(cls, data) -> "HostBytes":
-        return cls(data["bytes"])
-
-    def merge_from(self, data) -> None:
-        # Max, not sum: idempotent, so re-copying converges (§5.2.1).
-        self.bytes = max(self.bytes, data["bytes"])
 
 
 class FlowMeter(NetworkFunction):

@@ -235,8 +235,9 @@ class StateSpec(NamedTuple):
     ``store`` names the NF attribute that holds it: a
     :class:`~repro.flowspace.index.FlowKeyedStore` for per- and
     multi-flow state; for all-flows state, the one record (a plain dict
-    travels as ``{store: dict}``). ``codec`` is the record class
-    (``to_dict`` / ``from_dict`` / ``merge_from``), None for plain dict
+    travels as ``{store: dict}``). ``codec`` is the record class (a
+    :class:`~repro.nf.record.Record`, whose declared fields derive
+    ``to_dict`` / ``from_dict`` / ``merge_from``), None for plain dict
     records. ``fields`` are the filter fields the state is matched on.
     ``on_import`` is the import rule: one of the functions above, called
     ``(nf, spec, chunk)``, returning the record the chunk landed in; an

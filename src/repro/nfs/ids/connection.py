@@ -20,12 +20,14 @@ Also implements "weird activity" checks after Bro's policy scripts:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.flowspace.fivetuple import FiveTuple, TCP
+from repro.flowspace.fivetuple import FiveTuple
 from repro.net.packet import Packet
+from repro.nf.record import Convert, Field, Record, nested
 from repro.nfs.ids.ftp import FTP_CONTROL_PORT, FtpControlAnalyzer
-from repro.nfs.ids.http import HttpAnalyzer, HttpRequest
+from repro.nfs.ids.http import HttpAnalyzer
 from repro.nfs.ids.tcp import TcpReassembler
 
 #: Connection states, loosely after Bro's conn.log vocabulary.
@@ -36,9 +38,22 @@ SF = "SF"  # normal close
 RST = "RST"  # reset
 OTH = "OTH"  # mid-stream pickup, no handshake observed
 
+#: The originator's five-tuple travels as a dict of its fields.
+_FIVE_TUPLE = Convert(dataclasses.asdict, lambda data: FiveTuple(**data))
 
-class Connection:
+
+class Connection(Record):
     """Per-flow IDS state: status, counters, history, and analyzers."""
+
+    FIELDS = (
+        Field("orig_tuple", _FIVE_TUPLE, "orig"), "start_time", "last_time",
+        "state", "history", "orig_packets", "orig_bytes", "resp_packets",
+        "resp_bytes", "data_seen", "closed", "weirds", "service",
+        Field("orig_reasm", nested(TcpReassembler)),
+        Field("resp_reasm", nested(TcpReassembler)),
+        Field("http", nested(HttpAnalyzer)),
+        Field("ftp", nested(FtpControlAnalyzer)),
+    )
 
     def __init__(self, five_tuple: FiveTuple, now: float) -> None:
         #: Orientation: the originator is the side of the first packet seen.
@@ -53,13 +68,7 @@ class Connection:
         self.resp_bytes = 0
         self.data_seen = False
         self.closed = False
-        #: Set by delPerflow so the NF does not log an error-style entry
-        #: for a flow whose processing continued elsewhere (§7, Bro).
-        self.moved = False
         self.weirds: List[str] = []
-        #: ``on_weird(name, packet)``: the detector's alert hook, wired by
-        #: the NF once per (new or imported) connection; not state.
-        self.on_weird: Optional[Callable[[str, Packet], None]] = None
         if five_tuple.dst_port == 80:
             self.service = "http"
         elif five_tuple.dst_port == FTP_CONTROL_PORT:
@@ -74,6 +83,16 @@ class Connection:
         self.ftp: Optional[FtpControlAnalyzer] = (
             FtpControlAnalyzer() if self.service == "ftp" else None
         )
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        """The state off the wire: flags, hooks and the analyzers' feeds."""
+        #: Set by delPerflow so the NF does not log an error-style entry
+        #: for a flow whose processing continued elsewhere (§7, Bro).
+        self.moved = False
+        #: ``on_weird(name, packet)``: the detector's alert hook, wired by
+        #: the NF once per (new or imported) connection; not state.
+        self.on_weird: Optional[Callable[[str, Packet], None]] = None
         if self.http is not None:
             self.orig_reasm.set_sink(self.http.request_data)
             self.resp_reasm.set_sink(self.http.reply_data)
@@ -152,10 +171,6 @@ class Connection:
 
     # ------------------------------------------------------------- inspection
 
-    @property
-    def total_packets(self) -> int:
-        return self.orig_packets + self.resp_packets
-
     def has_content_gap(self) -> bool:
         """Whether either direction skipped or is stuck behind a hole."""
         return (
@@ -186,66 +201,3 @@ class Connection:
             "moved": self.moved,
             "abnormal": (not self.closed) and (not self.moved) and self.data_seen,
         }
-
-    # ----------------------------------------------------------- serialization
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "orig": {
-                "src_ip": self.orig_tuple.src_ip,
-                "src_port": self.orig_tuple.src_port,
-                "dst_ip": self.orig_tuple.dst_ip,
-                "dst_port": self.orig_tuple.dst_port,
-                "proto": self.orig_tuple.proto,
-            },
-            "start_time": self.start_time,
-            "last_time": self.last_time,
-            "state": self.state,
-            "history": self.history,
-            "orig_packets": self.orig_packets,
-            "orig_bytes": self.orig_bytes,
-            "resp_packets": self.resp_packets,
-            "resp_bytes": self.resp_bytes,
-            "data_seen": self.data_seen,
-            "closed": self.closed,
-            "weirds": list(self.weirds),
-            "service": self.service,
-            "orig_reasm": self.orig_reasm.to_dict(),
-            "resp_reasm": self.resp_reasm.to_dict(),
-            "http": None if self.http is None else self.http.to_dict(),
-            "ftp": None if self.ftp is None else self.ftp.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Connection":
-        orig = data["orig"]
-        five_tuple = FiveTuple(
-            orig["src_ip"], orig["src_port"], orig["dst_ip"], orig["dst_port"],
-            orig["proto"],
-        )
-        conn = cls(five_tuple, data["start_time"])
-        conn.last_time = data["last_time"]
-        conn.state = data["state"]
-        conn.history = data["history"]
-        conn.orig_packets = data["orig_packets"]
-        conn.orig_bytes = data["orig_bytes"]
-        conn.resp_packets = data["resp_packets"]
-        conn.resp_bytes = data["resp_bytes"]
-        conn.data_seen = data["data_seen"]
-        conn.closed = data["closed"]
-        conn.weirds = list(data["weirds"])
-        conn.service = data["service"]
-        conn.orig_reasm = TcpReassembler.from_dict(data["orig_reasm"])
-        conn.resp_reasm = TcpReassembler.from_dict(data["resp_reasm"])
-        if data["http"] is not None:
-            conn.http = HttpAnalyzer.from_dict(data["http"])
-            conn.orig_reasm.set_sink(conn.http.request_data)
-            conn.resp_reasm.set_sink(conn.http.reply_data)
-        else:
-            conn.http = None
-        if data.get("ftp") is not None:
-            conn.ftp = FtpControlAnalyzer.from_dict(data["ftp"])
-            conn.orig_reasm.set_sink(conn.ftp.feed)
-        else:
-            conn.ftp = None
-        return conn

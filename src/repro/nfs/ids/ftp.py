@@ -13,14 +13,18 @@ move (with the multi-flow expectations moved alongside) does not.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, List, Optional
+
+from repro.nf.record import Record, Tag, earliest, keep, ordered_union
 
 FTP_CONTROL_PORT = 21
 FTP_DATA_PORT = 20
 
 
-class FtpControlAnalyzer:
+class FtpControlAnalyzer(Record):
     """Incremental parser for one FTP control connection (client side)."""
+
+    FIELDS = ("_buffer", "commands", "retrievals")
 
     def __init__(
         self, on_retr: Optional[Callable[[str], None]] = None
@@ -45,28 +49,18 @@ class FtpControlAnalyzer:
                 if self.on_retr is not None:
                     self.on_retr(argument)
 
-    # ------------------------------------------------------------ serialization
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "buffer": self._buffer,
-            "commands": list(self.commands),
-            "retrievals": list(self.retrievals),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FtpControlAnalyzer":
-        analyzer = cls()
-        analyzer._buffer = data["buffer"]
-        analyzer.commands = list(data["commands"])
-        analyzer.retrievals = list(data["retrievals"])
-        return analyzer
+    def _rebuild(self) -> None:
+        self.on_retr = None
 
 
-class FtpExpectation:
+class FtpExpectation(Record):
     """Multi-flow state: pending data connections for one host pair."""
 
     __slots__ = ("client_ip", "server_ip", "pending", "consumed", "created_at")
+    FIELDS = (Tag("kind", "ftp"),) + __slots__
+    #: Pending files take the union (idempotent), the counter the max.
+    MERGE = dict(client_ip=keep, server_ip=keep, pending=ordered_union,
+                 consumed=max, created_at=earliest)
 
     def __init__(self, client_ip: str, server_ip: str, now: float) -> None:
         self.client_ip = client_ip
@@ -85,28 +79,3 @@ class FtpExpectation:
             return None
         self.consumed += 1
         return self.pending.pop(0)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": "ftp",
-            "client_ip": self.client_ip,
-            "server_ip": self.server_ip,
-            "pending": list(self.pending),
-            "consumed": self.consumed,
-            "created_at": self.created_at,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FtpExpectation":
-        record = cls(data["client_ip"], data["server_ip"], data["created_at"])
-        record.pending = list(data["pending"])
-        record.consumed = data["consumed"]
-        return record
-
-    def merge_from(self, data: Dict[str, Any]) -> None:
-        """Union of pending files (idempotent), max of the counter."""
-        for filename in data["pending"]:
-            if filename not in self.pending:
-                self.pending.append(filename)
-        self.consumed = max(self.consumed, data["consumed"])
-        self.created_at = min(self.created_at, data["created_at"])

@@ -11,15 +11,17 @@ the paper) — and is hashed when complete for malware matching.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional
+
+from repro.nf.record import Field, Record, nested_list
 
 _HEADER_END = "\r\n\r\n"
 
 
-class HttpRequest:
+class HttpRequest(Record):
     """One parsed client request."""
 
-    __slots__ = ("method", "url", "host", "user_agent")
+    __slots__ = FIELDS = ("method", "url", "host", "user_agent")
 
     def __init__(self, method: str, url: str, host: str, user_agent: str) -> None:
         self.method = method
@@ -27,25 +29,17 @@ class HttpRequest:
         self.host = host
         self.user_agent = user_agent
 
-    def to_dict(self) -> Dict[str, str]:
-        return {
-            "method": self.method,
-            "url": self.url,
-            "host": self.host,
-            "user_agent": self.user_agent,
-        }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, str]) -> "HttpRequest":
-        return cls(data["method"], data["url"], data["host"], data["user_agent"])
-
-
-class HttpAnalyzer:
+class HttpAnalyzer(Record):
     """Incremental request/reply parser for one connection.
 
     ``on_request(request)`` fires when a request's headers complete;
     ``on_body(md5_hex, size)`` fires when a reply body completes.
     """
+
+    FIELDS = ("_req_buffer", Field("requests", nested_list(HttpRequest)),
+              "_resp_buffer", "_awaiting_body", "_content_length", "_body",
+              "replies_completed", "status_codes")
 
     def __init__(
         self,
@@ -147,29 +141,5 @@ class HttpAnalyzer:
         if body_callback is not None:
             body_callback(digest, size)
 
-    # ------------------------------------------------------------ serialization
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "req_buffer": self._req_buffer,
-            "requests": [request.to_dict() for request in self.requests],
-            "resp_buffer": self._resp_buffer,
-            "awaiting_body": self._awaiting_body,
-            "content_length": self._content_length,
-            "body": self._body,
-            "replies_completed": self.replies_completed,
-            "status_codes": list(self.status_codes),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "HttpAnalyzer":
-        analyzer = cls()
-        analyzer._req_buffer = data["req_buffer"]
-        analyzer.requests = [HttpRequest.from_dict(r) for r in data["requests"]]
-        analyzer._resp_buffer = data["resp_buffer"]
-        analyzer._awaiting_body = data["awaiting_body"]
-        analyzer._content_length = data["content_length"]
-        analyzer._body = data["body"]
-        analyzer.replies_completed = data["replies_completed"]
-        analyzer.status_codes = list(data["status_codes"])
-        return analyzer
+    def _rebuild(self) -> None:
+        self.on_request = self.on_body = None

@@ -33,9 +33,7 @@ from repro.flowspace.filter import FlowId
 from repro.flowspace.index import FlowKeyedStore
 from repro.nf.base import NetworkFunction
 from repro.nf.costs import BRO_COSTS, NFCostModel
-from repro.nf.state import (
-    ADD, HOST_FIELDS, MERGE, POP, REPLACE, Scope, StateChunk, StateSpec,
-)
+from repro.nf.state import ADD, HOST_FIELDS, MERGE, POP, REPLACE, Scope, StateSpec
 from repro.net.packet import Packet
 from repro.nfs.ids.connection import Connection
 from repro.nfs.ids.ftp import FTP_DATA_PORT, FtpExpectation
@@ -216,14 +214,9 @@ class IntrusionDetector(NetworkFunction):
             conn.moved = True  # suppress the abnormal-termination entry
         return conn
 
-    def _export_scan(self, scope, key, scan):
-        data = scan.to_dict()
-        data["kind"] = "scan"
-        return StateChunk(scope, key, data)
-
     def _merge_scan(self, spec, chunk):
-        # FTP expectations share the scope; their records carry "ftp".
-        if chunk.data.get("kind") != "ftp":
+        # FTP expectations share the scope; each record carries its kind.
+        if chunk.data["kind"] == ScanRecord.kind:
             return MERGE(self, spec, chunk)
         return None
 
@@ -231,8 +224,7 @@ class IntrusionDetector(NetworkFunction):
         Scope.PERFLOW: StateSpec("conns", Connection, _import_conn,
                                  on_delete=_delete_conn),
         Scope.MULTIFLOW: (
-            StateSpec("scans", ScanRecord, _merge_scan, HOST_FIELDS,
-                      export=_export_scan),
+            StateSpec("scans", ScanRecord, _merge_scan, HOST_FIELDS),
             StateSpec("ftp_expectations", FtpExpectation, MERGE, HOST_FIELDS),
         ),
         Scope.ALLFLOWS: StateSpec("stats", on_import=ADD),

@@ -11,16 +11,31 @@ and idempotent (safe under the repeated re-copying of Fig. 8).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Set, Tuple
+from operator import or_
+from typing import Set, Tuple
+
+from repro.nf.record import Convert, Field, Record, Tag, earliest, keep, latest
 
 #: Distinct targets before a host is flagged as scanning.
 DEFAULT_SCAN_THRESHOLD = 20
 
+#: The target set travels as sorted ``"ip:port"`` strings.
+_TARGETS = Convert(
+    lambda targets: sorted(["%s:%d" % target for target in targets]),
+    lambda items: {(ip, int(port)) for ip, port in
+                   (item.rsplit(":", 1) for item in items)},
+)
 
-class ScanRecord:
+
+class ScanRecord(Record):
     """Per-source-host connection-attempt tracking."""
 
     __slots__ = ("host", "targets", "alerted", "first_seen", "last_seen")
+    FIELDS = ("host", Field("targets", _TARGETS), "alerted", "first_seen",
+              "last_seen", Tag("kind", "scan"))
+    #: The union of the incoming record.
+    MERGE = dict(host=keep, targets=or_, alerted=or_, first_seen=earliest,
+                 last_seen=latest)
 
     def __init__(self, host: str, now: float) -> None:
         self.host = host
@@ -39,31 +54,3 @@ class ScanRecord:
 
     def should_alert(self, threshold: int = DEFAULT_SCAN_THRESHOLD) -> bool:
         return not self.alerted and self.attempt_count >= threshold
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "host": self.host,
-            "targets": sorted(["%s:%d" % t for t in self.targets]),
-            "alerted": self.alerted,
-            "first_seen": self.first_seen,
-            "last_seen": self.last_seen,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ScanRecord":
-        record = cls(data["host"], data["first_seen"])
-        record.last_seen = data["last_seen"]
-        record.alerted = data["alerted"]
-        record.targets = {
-            (t.rsplit(":", 1)[0], int(t.rsplit(":", 1)[1]))
-            for t in data["targets"]
-        }
-        return record
-
-    def merge_from(self, data: Dict[str, Any]) -> None:
-        """Union the incoming record into this one."""
-        incoming = ScanRecord.from_dict(data)
-        self.targets |= incoming.targets
-        self.alerted = self.alerted or incoming.alerted
-        self.first_seen = min(self.first_seen, incoming.first_seen)
-        self.last_seen = max(self.last_seen, incoming.last_seen)

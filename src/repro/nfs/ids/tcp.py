@@ -11,13 +11,20 @@ gap (§5.1.1 and footnote 2 of the paper).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
+
+from repro.nf.record import Convert, Field, Record
+
+#: Buffered segments travel keyed by their offset as a string (JSON keys).
+_OFFSET_KEYS = Convert(lambda pending: {str(seq): d for seq, d in pending.items()},
+                       lambda pending: {int(seq): d for seq, d in pending.items()})
 
 
-class TcpReassembler:
+class TcpReassembler(Record):
     """In-order delivery of one direction of a TCP byte stream."""
 
     __slots__ = ("next_seq", "pending", "delivered_bytes", "gaps", "_sink")
+    FIELDS = ("next_seq", Field("pending", _OFFSET_KEYS), "delivered_bytes", "gaps")
 
     def __init__(self, sink: Optional[Callable[[str], None]] = None) -> None:
         #: Next expected stream offset.
@@ -81,21 +88,5 @@ class TcpReassembler:
         for seq in [s for s in self.pending if s + len(self.pending[s]) <= self.next_seq]:
             del self.pending[seq]
 
-    # ------------------------------------------------------------ serialization
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "next_seq": self.next_seq,
-            "pending": {str(seq): data for seq, data in self.pending.items()},
-            "delivered_bytes": self.delivered_bytes,
-            "gaps": self.gaps,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TcpReassembler":
-        reasm = cls()
-        reasm.next_seq = data["next_seq"]
-        reasm.pending = {int(seq): seg for seq, seg in data["pending"].items()}
-        reasm.delivered_bytes = data["delivered_bytes"]
-        reasm.gaps = data["gaps"]
-        return reasm
+    def _rebuild(self) -> None:
+        self._sink = None

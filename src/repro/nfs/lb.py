@@ -19,12 +19,14 @@ backend, and with high probability the session breaks
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from operator import and_
+from typing import List, Optional, Sequence
 
 from repro.flowspace.filter import FlowId
 from repro.flowspace.index import FlowKeyedStore
 from repro.nf.base import NetworkFunction
 from repro.nf.costs import NFCostModel
+from repro.nf.record import Record, keep
 from repro.nf.state import ADD, HOST_FIELDS, MERGE, Scope, StateChunk, StateSpec
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
@@ -40,52 +42,24 @@ LB_COSTS = NFCostModel(
 )
 
 
-class BackendStats:
+class BackendStats(Record):
     """Multi-flow state: accounting for one backend server."""
 
-    __slots__ = ("backend", "weight", "active_flows", "total_flows",
-                 "packets", "healthy")
+    __slots__ = FIELDS = ("backend", "weight", "active_flows", "total_flows",
+                          "packets", "healthy")
+    #: Idempotent max: re-copying (§5.2.1) must converge, and addition
+    #: double-counts every round (summing *disjoint* observations at
+    #: scale-in would need delta tracking, which this NF does not need).
+    MERGE = dict(backend=keep, weight=keep, active_flows=max, total_flows=max,
+                 packets=max, healthy=and_)
 
-    def __init__(self, backend: str, weight: int = 1) -> None:
+    def __init__(self, backend: str) -> None:
         self.backend = backend
-        self.weight = weight
+        self.weight = 1  # round-robin share; reweight by assignment
         self.active_flows = 0
         self.total_flows = 0
         self.packets = 0
         self.healthy = True
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "backend": self.backend,
-            "weight": self.weight,
-            "active_flows": self.active_flows,
-            "total_flows": self.total_flows,
-            "packets": self.packets,
-            "healthy": self.healthy,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "BackendStats":
-        stats = cls(data["backend"], data["weight"])
-        stats.active_flows = data["active_flows"]
-        stats.total_flows = data["total_flows"]
-        stats.packets = data["packets"]
-        stats.healthy = data["healthy"]
-        return stats
-
-    def merge_from(self, data: Dict[str, Any]) -> None:
-        """Idempotent merge: take the maximum of each counter.
-
-        Repeated re-copying (the §5.2.1 eventual-consistency pattern)
-        must converge, so addition is wrong here — it double-counts
-        every round. Max is safe under re-copy; exact summation of
-        *disjoint* observations at scale-in would require delta
-        tracking, which this NF does not need.
-        """
-        self.active_flows = max(self.active_flows, data["active_flows"])
-        self.total_flows = max(self.total_flows, data["total_flows"])
-        self.packets = max(self.packets, data["packets"])
-        self.healthy = self.healthy and data["healthy"]
 
 
 class LoadBalancer(NetworkFunction):

@@ -9,9 +9,9 @@ exactly the situation §2.1 and §5.2 of the paper discuss.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import List
 
-from repro.nf import merge
+from repro.nf.record import Record, earliest, first_non_empty, keep, latest, union
 
 #: Payload prefixes used for rudimentary passive service fingerprinting.
 _SERVICE_SIGNATURES = (
@@ -37,11 +37,15 @@ def sniff_service(payload: str) -> str:
     return ""
 
 
-class AssetRecord:
+class AssetRecord(Record):
     """Everything the monitor has learned about one host."""
 
-    __slots__ = ("ip", "first_seen", "last_seen", "services", "connections",
-                 "os_guess")
+    __slots__ = FIELDS = ("ip", "first_seen", "last_seen", "services",
+                          "connections", "os_guess")
+    #: Idempotent under the repeated re-copying of eventual consistency
+    #: (Fig. 8): the connection count takes the max, not the sum.
+    MERGE = dict(ip=keep, first_seen=earliest, last_seen=latest,
+                 services=union, connections=max, os_guess=first_non_empty)
 
     def __init__(self, ip: str, now: float) -> None:
         self.ip = ip
@@ -60,36 +64,3 @@ class AssetRecord:
             self.services.sort()
         if new_connection:
             self.connections += 1
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "ip": self.ip,
-            "first_seen": self.first_seen,
-            "last_seen": self.last_seen,
-            "services": list(self.services),
-            "connections": self.connections,
-            "os_guess": self.os_guess,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AssetRecord":
-        record = cls(data["ip"], data["first_seen"])
-        record.last_seen = data["last_seen"]
-        record.services = sorted(data.get("services", []))
-        record.connections = data.get("connections", 0)
-        record.os_guess = data.get("os_guess", "")
-        return record
-
-    def merge_from(self, data: Dict[str, Any]) -> None:
-        """Combine an incoming serialized record into this one (§4.2 merge).
-
-        Timestamps take earliest/latest, services take the union, and the
-        connection count takes the max — idempotent under the repeated
-        re-copying the eventual-consistency pattern performs (Fig. 8).
-        """
-        self.first_seen = merge.earliest(self.first_seen, data["first_seen"])
-        self.last_seen = merge.latest(self.last_seen, data["last_seen"])
-        self.services = merge.union(self.services, data.get("services", []))
-        self.connections = max(self.connections, data.get("connections", 0))
-        if not self.os_guess:
-            self.os_guess = data.get("os_guess", "")

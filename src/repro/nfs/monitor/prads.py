@@ -17,13 +17,13 @@ equals the number of packets of that flow the switch ever forwarded.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.flowspace.filter import FlowId
 from repro.flowspace.index import FlowKeyedStore
-from repro.nf import merge
 from repro.nf.base import NetworkFunction
 from repro.nf.costs import PRADS_COSTS, NFCostModel
+from repro.nf.record import Record, add_counters, earliest, latest, union
 from repro.nf.state import (
     ADD, HOST_FIELDS, MERGE, MERGE_UNLESS_SNAPSHOT, Scope, StateSpec,
 )
@@ -34,10 +34,15 @@ from repro.sim.core import Simulator
 _STATS_FIELDS = ("packets", "bytes", "flows")
 
 
-class ConnRecord:
+class ConnRecord(Record):
     """Per-flow metadata PRADS keeps for one transport connection."""
 
-    __slots__ = ("first_seen", "last_seen", "packets", "bytes", "flags_seen")
+    __slots__ = FIELDS = ("first_seen", "last_seen", "packets", "bytes",
+                          "flags_seen")
+    #: Counters add, so the packet total across all instances is
+    #: conserved through arbitrary move chains.
+    MERGE = dict(first_seen=earliest, last_seen=latest, packets=add_counters,
+                 bytes=add_counters, flags_seen=union)
 
     def __init__(self, now: float) -> None:
         self.first_seen = now
@@ -54,39 +59,6 @@ class ConnRecord:
             if flag not in self.flags_seen:
                 self.flags_seen.append(flag)
                 self.flags_seen.sort()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "first_seen": self.first_seen,
-            "last_seen": self.last_seen,
-            "packets": self.packets,
-            "bytes": self.bytes,
-            "flags_seen": list(self.flags_seen),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ConnRecord":
-        record = cls(data["first_seen"])
-        record.last_seen = data["last_seen"]
-        record.packets = data["packets"]
-        record.bytes = data["bytes"]
-        record.flags_seen = sorted(data.get("flags_seen", []))
-        return record
-
-    def merge_from(self, data: Dict[str, Any]) -> None:
-        """Combine an incoming serialized record into this one (§4.2 merge).
-
-        Packet and byte counters add, timestamps take earliest/latest,
-        flags take the union — so the packet total across all instances
-        is conserved through arbitrary move chains.
-        """
-        self.first_seen = merge.earliest(self.first_seen, data["first_seen"])
-        self.last_seen = merge.latest(self.last_seen, data["last_seen"])
-        self.packets = merge.add_counters(self.packets, data["packets"])
-        self.bytes = merge.add_counters(self.bytes, data["bytes"])
-        self.flags_seen = merge.union(
-            self.flags_seen, data.get("flags_seen", [])
-        )
 
 
 class AssetMonitor(NetworkFunction):

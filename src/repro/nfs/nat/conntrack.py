@@ -8,25 +8,18 @@ Figure 12's export/import comparison.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from repro.nf.record import Record
 
 NEW = "NEW"
 ESTABLISHED = "ESTABLISHED"
 CLOSED = "CLOSED"
 
 
-class ConntrackEntry:
+class ConntrackEntry(Record):
     """One tracked (and translated) connection."""
 
-    __slots__ = (
-        "state",
-        "external_port",
-        "packets",
-        "bytes",
-        "created_at",
-        "last_seen",
-        "mark",
-    )
+    __slots__ = FIELDS = ("state", "external_port", "packets", "bytes",
+                          "created_at", "last_seen", "mark")
 
     def __init__(self, external_port: int, now: float) -> None:
         self.state = NEW
@@ -41,24 +34,3 @@ class ConntrackEntry:
         self.packets += 1
         self.bytes += size_bytes
         self.last_seen = now
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "state": self.state,
-            "external_port": self.external_port,
-            "packets": self.packets,
-            "bytes": self.bytes,
-            "created_at": self.created_at,
-            "last_seen": self.last_seen,
-            "mark": self.mark,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ConntrackEntry":
-        entry = cls(data["external_port"], data["created_at"])
-        entry.state = data["state"]
-        entry.packets = data["packets"]
-        entry.bytes = data["bytes"]
-        entry.last_seen = data["last_seen"]
-        entry.mark = data["mark"]
-        return entry

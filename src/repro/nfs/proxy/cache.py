@@ -11,18 +11,20 @@ chunk advertises the true object size so transfer costs scale with it
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
 from repro.flowspace.filter import FlowId
+from repro.nf.record import Record, keep, latest
 
 #: Serialization overhead per entry beyond the object body itself.
 ENTRY_METADATA_BYTES = 220
 
 
-class CacheEntry:
+class CacheEntry(Record):
     """One cached web object."""
 
-    __slots__ = ("url", "server_ip", "size_bytes", "stored_at", "hits")
+    __slots__ = FIELDS = ("url", "server_ip", "size_bytes", "stored_at", "hits")
+    #: An incoming copy of the same object: keep freshest, max hit count.
+    MERGE = dict(url=keep, server_ip=keep, size_bytes=keep, stored_at=latest,
+                 hits=max)
 
     def __init__(self, url: str, server_ip: str, size_bytes: int, now: float):
         self.url = url
@@ -38,25 +40,3 @@ class CacheEntry:
     def chunk_size_bytes(self) -> int:
         """Wire size of this entry's state chunk (body + metadata)."""
         return self.size_bytes + ENTRY_METADATA_BYTES
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "url": self.url,
-            "server_ip": self.server_ip,
-            "size_bytes": self.size_bytes,
-            "stored_at": self.stored_at,
-            "hits": self.hits,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CacheEntry":
-        entry = cls(
-            data["url"], data["server_ip"], data["size_bytes"], data["stored_at"]
-        )
-        entry.hits = data["hits"]
-        return entry
-
-    def merge_from(self, data: Dict[str, Any]) -> None:
-        """Incoming copy of the same object: keep freshest, max hit count."""
-        self.stored_at = max(self.stored_at, data["stored_at"])
-        self.hits = max(self.hits, data["hits"])

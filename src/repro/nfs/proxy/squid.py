@@ -24,13 +24,14 @@ entries an active transaction is serving to matching clients.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.flowspace.filter import Filter, FlowId
 from repro.flowspace.index import FlowKeyedStore
 from repro.flowspace.ip import ip_in_prefix
 from repro.nf.base import NetworkFunction, NFCrash
 from repro.nf.costs import SQUID_COSTS, NFCostModel
+from repro.nf.record import Record
 from repro.nf.state import ADD, Scope, StateChunk, StateSpec, merge_into
 from repro.net.packet import Packet
 from repro.nfs.proxy.cache import CacheEntry
@@ -40,10 +41,11 @@ from repro.sim.core import Simulator
 CHUNK_BYTES = 65536
 
 
-class Transaction:
+class Transaction(Record):
     """Per-flow state: one client connection's in-progress request."""
 
-    __slots__ = ("client_ip", "url", "total_bytes", "sent_bytes", "opened_at")
+    __slots__ = FIELDS = ("client_ip", "url", "total_bytes", "sent_bytes",
+                          "opened_at")
 
     def __init__(self, client_ip: str, url: str, total_bytes: int, now: float):
         self.client_ip = client_ip
@@ -55,23 +57,6 @@ class Transaction:
     @property
     def complete(self) -> bool:
         return self.sent_bytes >= self.total_bytes
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "client_ip": self.client_ip,
-            "url": self.url,
-            "total_bytes": self.total_bytes,
-            "sent_bytes": self.sent_bytes,
-            "opened_at": self.opened_at,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Transaction":
-        txn = cls(
-            data["client_ip"], data["url"], data["total_bytes"], data["opened_at"]
-        )
-        txn.sent_bytes = data["sent_bytes"]
-        return txn
 
 
 def request_payload(url: str, size_bytes: int) -> str:
@@ -196,9 +181,6 @@ class CachingProxy(NetworkFunction):
     }
 
     # --------------------------------------------------------------- inspection
-
-    def cache_bytes(self) -> int:
-        return sum(entry.size_bytes for entry in self.cache.values())
 
     def hit_ratio(self) -> float:
         total = self.stats["hits"] + self.stats["misses"]

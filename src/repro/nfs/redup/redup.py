@@ -16,10 +16,11 @@ order-preserving move eliminates.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 from repro.nf.base import NetworkFunction
 from repro.nf.costs import REDUP_COSTS, NFCostModel
+from repro.nf.record import Record, overlay
 from repro.nf.state import MERGE, Scope, StateSpec
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
@@ -33,8 +34,11 @@ def fingerprint(payload: str) -> str:
     return hashlib.md5(payload.encode("utf-8")).hexdigest()[:16]
 
 
-class _FingerprintStore:
+class _FingerprintStore(Record):
     """The shared all-flows fingerprint table."""
+
+    FIELDS = ("table",)
+    MERGE = dict(table=overlay)
 
     def __init__(self) -> None:
         self.table: Dict[str, int] = {}  # fingerprint -> payload length
@@ -46,12 +50,6 @@ class _FingerprintStore:
 
     def lookup(self, fp: str) -> Optional[int]:
         return self.table.get(fp)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"table": dict(self.table)}
-
-    def merge_from(self, data: Dict[str, Any]) -> None:
-        self.table.update(data["table"])
 
 
 class REEncoder(NetworkFunction):

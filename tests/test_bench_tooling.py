@@ -141,7 +141,17 @@ def test_table2_counts_the_state_table_and_the_hooks_it_names(
 ):
     (tmp_path / "__init__.py").write_text("")
     (tmp_path / "toy.py").write_text(
+        "_PORTS = Convert(sorted, set)\n"
+        "\n"
+        "\n"
         "class Record:\n"
+        "    __slots__ = ('host', 'ports')\n"
+        "    FIELDS = ('host', Field('ports', _PORTS))\n"
+        "    MERGE = dict(host=keep, ports=union)\n"
+        "\n"
+        "    def _rebuild(self):\n"
+        "        self.sink = None\n"
+        "\n"
         "    def to_dict(self):\n"
         "        return {}\n"
         "\n"
@@ -158,8 +168,10 @@ def test_table2_counts_the_state_table_and_the_hooks_it_names(
         "    }\n"
     )
     package = types.SimpleNamespace(__file__=str(tmp_path / "__init__.py"))
-    # to_dict (2) + STATE (3) + _import_record (2); not process_packet.
-    assert bench("bench_table2_loc").count_loc(package) == (7, 11)
+    # _PORTS (1, named by FIELDS) + FIELDS (1) + MERGE (1) + _rebuild (2)
+    # + to_dict (2) + STATE (3) + _import_record (2); not __slots__, the
+    # class lines or process_packet.
+    assert bench("bench_table2_loc").count_loc(package) == (12, 17)
 
 
 # -------------------------------------------------------------- make conform

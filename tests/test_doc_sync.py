@@ -131,6 +131,27 @@ def test_every_repo_path_named_exists():
     assert not stale, "\n".join(stale)
 
 
+def test_experiments_quotes_every_table2_row():
+    """EXPERIMENTS.md's Table 2 section quotes each NF's ``added/total``
+    and increase from ``benchmarks/results/table2_loc.txt``, and the
+    southbound total."""
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    section = text.split("## Table 2", 1)[1].split("\n## ", 1)[0]
+    section = " ".join(section.split())  # a quote may wrap
+    table = (ROOT / "benchmarks" / "results" / "table2_loc.txt").read_text()
+    rows = [re.split(r"\s{2,}", line.strip())
+            for line in table.split("-\n", 1)[1].splitlines() if line.strip()]
+    assert len(rows) == 4
+    missing = [
+        quote for name, added, total, increase in rows
+        for quote in ("%s/%s" % (added, total), increase.replace("%", " %"))
+        if quote not in section
+    ]
+    total = "%d in total" % sum(int(row[1]) for row in rows)
+    missing += [total] if total not in section else []
+    assert not missing, missing
+
+
 @pytest.mark.parametrize("text,found", [
     ("python -m repro.cli demo-move --faults S", [("demo-move", " --faults S")]),
     ("repro conform --shards 2", [("conform", " --shards 2")]),

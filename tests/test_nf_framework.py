@@ -1,5 +1,7 @@
 """Tests for the NF framework: state chunks, merging, events, base class."""
 
+from operator import or_
+
 import pytest
 
 from repro.flowspace import Filter, FlowId
@@ -12,8 +14,9 @@ from repro.nf import (
     chunks_total_bytes,
     normalize_scope,
 )
-from repro.nf import merge
+from repro.nf import record as merge
 from repro.nf.events import DO_NOT_BUFFER, DO_NOT_DROP, EventRule, PacketEvent
+from repro.nf.record import Convert, Field, Tag
 from repro.nf.state import EVERYTHING, MULTI, PER, PER_AND_MULTI
 from repro.nfs.monitor import AssetMonitor
 from repro.sim import Simulator
@@ -70,6 +73,43 @@ class TestMergeHelpers:
 
     def test_union_sorted(self):
         assert merge.union([3, 1], [2, 1]) == [1, 2, 3]
+
+
+class Tally(merge.Record):
+    """A declared record: a converted field, a tag, a merge table."""
+
+    __slots__ = ("host", "_seen", "hits")
+    FIELDS = (Tag("kind", "tally"), "host",
+              Field("_seen", Convert(sorted, set)), "hits")
+    MERGE = dict(host=merge.keep, _seen=or_, hits=max)
+
+    def __init__(self, host, seen, hits):
+        self.host, self._seen, self.hits = host, seen, hits
+
+
+class TestDeclaredRecords:
+    def test_codec_follows_the_field_table(self):
+        tally = Tally("h", {3, 1}, 2)
+        data = tally.to_dict()
+        assert list(data.items()) == [
+            ("kind", "tally"), ("host", "h"), ("seen", [1, 3]), ("hits", 2)
+        ]
+        clone = Tally.from_dict(data)
+        assert (clone.kind, clone.host, clone._seen, clone.hits) == (
+            "tally", "h", {1, 3}, 2
+        )
+        clone.merge_from(Tally("other", {2}, 1).to_dict())
+        assert (clone.host, clone._seen, clone.hits) == ("h", {1, 2, 3}, 2)
+
+    def test_every_declared_key_is_required(self):
+        with pytest.raises(KeyError):
+            Tally.from_dict({"kind": "tally", "host": "h", "seen": []})
+
+    def test_a_merge_table_leaving_a_field_out_fails_at_class_creation(self):
+        with pytest.raises(TypeError, match=r"differs on \['hits'\]"):
+            class Partial(merge.Record):
+                FIELDS = ("host", "hits")
+                MERGE = dict(host=merge.keep)
 
 
 class TestEventRule:

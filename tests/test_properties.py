@@ -17,7 +17,7 @@ from repro.flowspace import Filter, FiveTuple, FlowId
 from repro.flowspace.ip import ip_in_prefix, prefix_covers, prefixes_overlap
 from repro.harness import run_move_experiment
 from repro.nf import Scope, StateChunk
-from repro.nf import merge
+from repro.nf import record as merge
 from repro.nfs.ids import ScanRecord, TcpReassembler
 from repro.net.packet import Packet, reset_uid_counter
 
