@@ -466,9 +466,11 @@ def _cmd_conform(args: argparse.Namespace) -> int:
     from repro.conformance.schedule import ScheduleSpec
 
     if args.hunt is not None:
+        from hypothesis.errors import NoSuchExample
+
         try:
             spec, result = hunt_counterexample(args.hunt)
-        except Exception as exc:  # NoSuchExample: the defect went away
+        except NoSuchExample as exc:  # the defect went away
             print("repro conform: hunt for %r found no counterexample: %s"
                   % (args.hunt, exc), file=sys.stderr)
             return 1
@@ -488,7 +490,11 @@ def _cmd_conform(args: argparse.Namespace) -> int:
         return 0
 
     if args.replay is not None:
-        entries = load_corpus(args.replay)
+        try:
+            entries = load_corpus(args.replay)
+        except (OSError, ValueError) as exc:
+            print("repro conform: error: %s" % exc, file=sys.stderr)
+            return 2
         if not entries:
             print("repro conform: no corpus entries under %s" % args.replay,
                   file=sys.stderr)
@@ -512,10 +518,10 @@ def _cmd_conform(args: argparse.Namespace) -> int:
         try:
             with open(args.schedule) as handle:
                 data = json.load(handle)
+            spec = ScheduleSpec.from_dict(data.get("schedule", data))
         except (OSError, ValueError) as exc:
             print("repro conform: error: %s" % exc, file=sys.stderr)
             return 2
-        spec = ScheduleSpec.from_dict(data.get("schedule", data))
         # The flags only ever add to what the schedule file asks for.
         spec.shards = max(spec.shards, args.shards)
         spec.offload = spec.offload or args.offload

@@ -15,13 +15,13 @@ beside the ground-truth oracle's.
 Layout:
 
 * :mod:`repro.conformance.schedule` — the replayable ``ScheduleSpec``
-  model plus hypothesis strategies for generating adversarial ones;
-* :mod:`repro.conformance.runner` — executes a schedule against a real
-  deployment, the NF × guarantee matrix driver, and the two checks the
-  auditors cannot make (isolation off the operation registry,
-  completeness off the live NFs);
-* :mod:`repro.conformance.machine` — hypothesis
-  ``RuleBasedStateMachine`` drivers with shrinking;
+  model, which rejects malformed outside input, plus the hypothesis
+  strategies (``op_specs`` / ``burst_specs`` / ``schedule_specs``) that
+  are the kit's one interleaving search;
+* :mod:`repro.conformance.runner` — the one execution path
+  (``run_schedule``), the NF × guarantee matrix driver, and the two
+  checks the auditors cannot make (isolation off the operation
+  registry, completeness off the live NFs);
 * :mod:`repro.conformance.corpus` — persists shrunk counterexamples as
   ``.schedule.json`` + ``.trace.jsonl`` corpus files and replays them.
 
@@ -37,12 +37,8 @@ from repro.conformance.corpus import (
     replay_entry,
     save_entry,
 )
-from repro.conformance.machine import (
-    make_conformance_machine,
-)
 from repro.conformance.runner import (
     GUARANTEE_LEVELS,
-    NF_FACTORIES,
     Cell,
     ConformanceResult,
     check_trace_properties,
@@ -54,6 +50,7 @@ from repro.conformance.runner import (
     spec_for_chain_cell,
 )
 from repro.conformance.schedule import (
+    NF_FACTORIES,
     BurstSpec,
     ChainOpSpec,
     OpSpec,
@@ -74,7 +71,6 @@ __all__ = [
     "check_trace_properties",
     "hunt_counterexample",
     "load_corpus",
-    "make_conformance_machine",
     "matrix_cells",
     "parse_filter_repr",
     "replay_entry",

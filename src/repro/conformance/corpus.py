@@ -158,8 +158,10 @@ def replay_entry(entry: CorpusEntry) -> ReplayOutcome:
     if entry.trace_path is not None:
         entries, _skipped = load_trace_entries(entry.trace_path)
         replayed = sorted({v.check for v in judge_trace(entries)})
-        # (Completeness is read off the live NFs; no trace shows it.)
-        live = sorted({v.check for v in result.violations} - {"completeness"})
+        # (Completeness is read off the live NFs and liveness off the
+        # live simulator; no trace shows either.)
+        live = sorted({v.check for v in result.violations}
+                      - {"completeness", "liveness"})
         if replayed != live:
             problems.append(
                 "persisted trace audits to %s but live run audits to %s"

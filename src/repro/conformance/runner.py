@@ -1,12 +1,15 @@
 """Execute conformance schedules against a real deployment.
 
-:func:`run_schedule` is the kit's single execution path: the hypothesis
-machines, the NF × guarantee matrix, the corpus replayer, and the
-``repro conform`` CLI all funnel through it, so a shrunk counterexample
-reproduces in every harness. It wires a :class:`~repro.harness.Deployment`
-with auditing enabled, places the schedule's traffic and operations on
-the timeline via the deployment's ``call_at``/``inject_at`` seams, runs
-to quiescence, and then asks two independent judges:
+:func:`run_schedule` is the kit's single execution path: the
+interleaving search (hypothesis strategies over ``ScheduleSpec``), the
+NF × guarantee matrix, the corpus replayer, the counterexample hunt and
+the ``repro conform`` CLI all funnel through it, so a shrunk
+counterexample reproduces in every harness. It wires a
+:class:`~repro.harness.Deployment` with auditing enabled, places the
+schedule's traffic and operations on the timeline via the deployment's
+``call_at``/``inject_at`` seams, runs to quiescence (a run that never
+gets there is cut at its event budget and cited as ``liveness``), and
+then asks two independent judges:
 
 1. the trace — the streaming auditors of :mod:`repro.obs.audit` (the
    §5.1 guarantees, state conservation, no phantom state:
@@ -26,19 +29,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.flowspace.filter import Filter
 from repro.harness.deployment import Deployment
 from repro.harness.properties import check_chain_loss_free, check_loss_free
 from repro.net.packet import reset_uid_counter
 from repro.nf.state import Scope
-from repro.nfs.ids import IntrusionDetector
-from repro.nfs.lb import LoadBalancer
-from repro.nfs.monitor import AssetMonitor
-from repro.nfs.nat import NetworkAddressTranslator
-from repro.nfs.proxy import CachingProxy
-from repro.nfs.redup import REDecoder, REEncoder
 from repro.baselines.splitmerge import SplitMergeMigrate
 from repro.traffic.generator import tcp_flow
 from repro.traffic.replay import TraceReplayer
@@ -50,28 +47,24 @@ from repro.obs.audit import (
     entries_from_obs,
 )
 from repro.conformance.schedule import (
+    NF_FACTORIES,
     BurstSpec,
     ChainOpSpec,
     OpSpec,
     ScheduleSpec,
 )
 
-#: Every bundled NF the matrix drives (§7's modified NFs plus extras).
-NF_FACTORIES: Dict[str, Callable[..., Any]] = {
-    "monitor": AssetMonitor,
-    "ids": IntrusionDetector,
-    "nat": NetworkAddressTranslator,
-    "proxy": CachingProxy,
-    "lb": LoadBalancer,
-    "re-encoder": REEncoder,
-    "re-decoder": REDecoder,
-}
-
 #: Matrix guarantee levels: three move guarantees plus strong share.
 GUARANTEE_LEVELS = ("ng", "lf", "lf+op", "strong-share")
 
 #: Fault-plan spec used by faulted matrix cells (drops + dup + delay).
 MATRIX_FAULTS = "seed=3,drop=0.03,dup=0.02,delay=0.2,delay_ms=2.0"
+
+#: Simulator events a run may take per injected packet and per operation
+#: (the busiest matrix cell takes 27 per packet all told, a strong share
+#: over 4 888 trace packets 42): a run still busy past its budget never
+#: quiesces (a livelock), which is a ``liveness`` verdict, not a hang.
+EVENTS_PER_PACKET, EVENTS_PER_OP = 200, 2000
 
 
 @dataclass(frozen=True)
@@ -357,6 +350,8 @@ def run_schedule(
 
     duration_ms = 0.0
     replayer = None
+    budget = EVENTS_PER_OP * (1 + len(spec.ops) + len(spec.chains))
+    budget += EVENTS_PER_PACKET * sum(b.packets for b in spec.bursts)
     if spec.n_flows > 0:
         trace = build_university_cloud_trace(TraceConfig(
             seed=spec.seed, n_flows=spec.n_flows,
@@ -366,6 +361,7 @@ def run_schedule(
                                  rate_pps=spec.rate_pps)
         replayer.start()
         duration_ms = replayer.duration_ms
+        budget += EVENTS_PER_PACKET * len(trace.packets)
 
     for burst in spec.bursts:
         builder = _burst_packets(burst)
@@ -383,22 +379,19 @@ def run_schedule(
             at_ms = duration_ms / 2.0
         dep.call_at(at_ms, _launch_chain_op, dep, chain, chain_spec, handles)
 
-    dep.run()
+    dep.sim.run(max_events=budget)
     # Shares without a scheduled stop idle forever; a deferred operation
     # queued behind one only launches after the stop — so stop, re-run,
     # and repeat until every handle has completed.
     for _ in range(len(spec.ops) + len(spec.chains) + 1):
-        stopped_one = False
-        for entry in handles:
-            if stop_share_handle(entry["handle"]):
-                stopped_one = True
-        dep.run()
-        pending = [
-            entry for entry in handles
-            if entry["handle"].done is None
-            or not entry["handle"].done.triggered
-        ]
-        if not pending and not stopped_one:
+        if dep.sim.pending:
+            break
+        stopped = [stop_share_handle(entry["handle"]) for entry in handles]
+        dep.sim.run(max_events=budget)
+        if not any(stopped) and all(
+            entry["handle"].done is not None and entry["handle"].done.triggered
+            for entry in handles
+        ):
             break
 
     result = ConformanceResult(spec=spec)
@@ -413,6 +406,12 @@ def run_schedule(
         + check_isolation(dep.obs.audit.registry)
         + _check_completeness(dep, handles)
     )
+    if dep.sim.pending:
+        result.violations.append(Violation(
+            "liveness", dep.sim.now, None, None,
+            detail="the schedule never quiesced: still busy after %d "
+                   "simulator events" % budget,
+        ))
     if spec.chains:
         # Per-hop ground truth: the chain's multicast rule delivers each
         # packet to every hop, which the whole-instance check would

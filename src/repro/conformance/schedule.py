@@ -16,8 +16,27 @@ shrinking pass can tighten an abort without re-deriving the timeline.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Callable, Dict, List, Optional, Sequence
+
+from repro.controller.move import Guarantee
+from repro.nfs.ids import IntrusionDetector
+from repro.nfs.lb import LoadBalancer
+from repro.nfs.monitor import AssetMonitor
+from repro.nfs.nat import NetworkAddressTranslator
+from repro.nfs.proxy import CachingProxy
+from repro.nfs.redup import REDecoder, REEncoder
+
+#: Every bundled NF a schedule may name (§7's modified NFs plus extras).
+NF_FACTORIES: Dict[str, Callable[..., Any]] = {
+    "monitor": AssetMonitor,
+    "ids": IntrusionDetector,
+    "nat": NetworkAddressTranslator,
+    "proxy": CachingProxy,
+    "lb": LoadBalancer,
+    "re-encoder": REEncoder,
+    "re-decoder": REDecoder,
+}
 
 #: Operation kinds a schedule may fire. ``splitmerge`` is the §2.2
 #: baseline's migrate; the rest are the OpenNF northbound.
@@ -45,13 +64,6 @@ class BurstSpec:
     packets: int = 3
     server: str = "203.0.113.9"
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BurstSpec":
-        return cls(**data)
-
 
 @dataclass
 class OpSpec:
@@ -75,6 +87,10 @@ class OpSpec:
     def __post_init__(self) -> None:
         if self.kind not in OP_KINDS:
             raise ValueError("unknown op kind %r" % (self.kind,))
+        if self.kind != "share":
+            Guarantee.parse(self.guarantee)
+        elif self.guarantee not in ("strong", "strict"):
+            raise ValueError("unknown consistency %r" % (self.guarantee,))
 
     @property
     def expected_dirty(self) -> bool:
@@ -82,13 +98,6 @@ class OpSpec:
         return self.kind == "splitmerge" or (
             self.kind == "move" and self.guarantee in ("ng", "none")
         )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OpSpec":
-        return cls(**data)
 
 
 @dataclass
@@ -118,6 +127,10 @@ class ChainOpSpec:
             raise ValueError("ChainOpSpec.kind must be 'chain'")
         if not self.hops:
             raise ValueError("a chain op needs at least one hop")
+        for hop in self.hops:
+            _check_nf(hop)
+        for level in [self.guarantee, *self.hop_guarantees.values()]:
+            Guarantee.parse(level)
 
     @property
     def expected_dirty(self) -> bool:
@@ -126,13 +139,6 @@ class ChainOpSpec:
             for hop in self.hops
         ]
         return any(level in ("ng", "none") for level in levels)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChainOpSpec":
-        return cls(**data)
 
 
 @dataclass
@@ -161,6 +167,9 @@ class ScheduleSpec:
     #: ``inst1..instN`` topology for the chain's per-hop instance pairs.
     chains: List[ChainOpSpec] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        _check_nf(self.nf)
+
     @property
     def expected_dirty(self) -> bool:
         return any(op.expected_dirty for op in self.ops) or any(
@@ -187,23 +196,17 @@ class ScheduleSpec:
     # -------------------------------------------------------------- round-trip
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["ops"] = [op.to_dict() for op in self.ops]
-        data["bursts"] = [burst.to_dict() for burst in self.bursts]
-        data["chains"] = [chain.to_dict() for chain in self.chains]
-        return data
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScheduleSpec":
+        """Build a spec from outside input: an unknown key, NF, op kind
+        or guarantee is a ``ValueError`` naming it, before anything runs."""
         data = dict(data)
-        data["ops"] = [OpSpec.from_dict(op) for op in data.get("ops", [])]
-        data["bursts"] = [
-            BurstSpec.from_dict(b) for b in data.get("bursts", [])
-        ]
-        data["chains"] = [
-            ChainOpSpec.from_dict(c) for c in data.get("chains", [])
-        ]
-        return cls(**data)
+        for key, child in (("ops", OpSpec), ("bursts", BurstSpec),
+                           ("chains", ChainOpSpec)):
+            data[key] = [_build(child, item) for item in data.get(key, [])]
+        return _build(cls, data)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -213,14 +216,22 @@ class ScheduleSpec:
         return cls.from_dict(json.loads(text))
 
 
+def _check_nf(name: str) -> None:
+    if name not in NF_FACTORIES:
+        raise ValueError("unknown NF %r (one of: %s)"
+                         % (name, ", ".join(NF_FACTORIES)))
+
+
+def _build(cls, data: dict):
+    unknown = sorted(set(data) - {spec.name for spec in fields(cls)})
+    if unknown:
+        raise ValueError("unknown %s key(s): %s"
+                         % (cls.__name__, ", ".join(unknown)))
+    return cls(**data)
+
+
 # ---------------------------------------------------------------- strategies
-
-
-def _strategies():
-    """Import hypothesis lazily so the spec model has no hard dep."""
-    from hypothesis import strategies as st
-
-    return st
+# (Each imports hypothesis itself: the spec model has no hard dep.)
 
 
 def op_specs(
@@ -230,7 +241,7 @@ def op_specs(
     abortable: bool = True,
 ):
     """Strategy for one :class:`OpSpec` over small adversarial ranges."""
-    st = _strategies()
+    from hypothesis import strategies as st
 
     @st.composite
     def build(draw) -> OpSpec:
@@ -241,11 +252,13 @@ def op_specs(
         if kind == "share":
             guarantee = "strong"
         scope = "multi" if kind in ("copy", "share") else "per"
-        abort_at = None
+        window = st.floats(0.5, 20.0, allow_nan=False, allow_infinity=False)
+        abort_at = stop_at = None
         if abortable and kind in ("move", "copy") and draw(st.booleans()):
-            abort_at = draw(
-                st.floats(0.5, 20.0, allow_nan=False, allow_infinity=False)
-            )
+            abort_at = draw(window)
+        # (Drawn for shares only: every other kind's draws are unchanged.)
+        if kind == "share" and draw(st.booleans()):
+            stop_at = draw(window)
         return OpSpec(
             kind=kind,
             at_ms=draw(
@@ -257,7 +270,7 @@ def op_specs(
             guarantee=guarantee,
             scope=scope,
             abort_at_ms=abort_at,
-            stop_at_ms=None,
+            stop_at_ms=stop_at,
         )
 
     return build()
@@ -265,7 +278,7 @@ def op_specs(
 
 def burst_specs():
     """Strategy for one racing packet burst."""
-    st = _strategies()
+    from hypothesis import strategies as st
 
     @st.composite
     def build(draw) -> BurstSpec:
@@ -296,7 +309,7 @@ def schedule_specs(
     only); pass ``kinds=("splitmerge",)`` or ``guarantees=("ng",)`` to
     hunt for the baselines' defects instead.
     """
-    st = _strategies()
+    from hypothesis import strategies as st
 
     @st.composite
     def build(draw) -> ScheduleSpec:

@@ -28,7 +28,9 @@ from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 from repro.flowspace.filter import Filter, FlowId
 from repro.nf.costs import NFCostModel
 from repro.nf.events import EventAction, EventRule, PacketEvent
-from repro.nf.state import FLOW_FIELDS, Scope, StateChunk, StateSpec
+from repro.nf.state import (
+    FLOW_FIELDS, MERGE, MERGE_UNLESS_SNAPSHOT, Scope, StateChunk, StateSpec,
+)
 from repro.net.channel import AtMostOnce
 from repro.net.packet import Packet
 from repro.obs import NULL_OBS
@@ -67,6 +69,15 @@ class NetworkFunction:
             scope.tag: (specs,) if isinstance(specs, StateSpec) else tuple(specs)
             for scope, specs in cls.STATE.items()
         }
+        # A merging import rule needs its codec's MERGE table: fail here,
+        # not at the first merge.
+        for spec in (spec for specs in cls._specs.values() for spec in specs):
+            if (spec.on_import in (MERGE, MERGE_UNLESS_SNAPSHOT)
+                    and getattr(spec.codec, "MERGE", None) is None):
+                raise TypeError("%s.%s merges on import, but its codec %s "
+                                "declares no MERGE table"
+                                % (cls.__name__, spec.store,
+                                   getattr(spec.codec, "__name__", None)))
         # Every NF class holds the derived handlers in its own namespace:
         # the ledger's profiler wraps them per class, looked up there
         # (``NF_STATE_HANDLERS`` in benchmarks/ledger/adapter.py).

@@ -3,20 +3,24 @@
 Covers the full NF × guarantee × faults × batching matrix (every cell
 must be clean or *explicitly* expected-dirty — no silent skips), the
 Split/Merge baseline's non-conformance with its persisted
-counterexample, the hypothesis interleaving machines, the formal
+counterexample, the interleaving search over schedules, the formal
 properties on synthetic streams (proof that the one trace judge *can*
 fail, and cites each fact once), corpus replay, the isolation property
 over concurrent operations, and the ``repro conform`` CLI.
 """
 
+import ast
+import glob
 import json
 import os
+import re
 import shutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import conformance
 from repro.cli import main as cli_main
 from repro.conformance import (
     BurstSpec,
@@ -26,15 +30,20 @@ from repro.conformance import (
     check_trace_properties,
     hunt_counterexample,
     load_corpus,
-    make_conformance_machine,
     matrix_cells,
     parse_filter_repr,
     replay_entry,
     run_cell,
     run_schedule,
+    save_entry,
 )
+from repro.conformance import runner
+from repro.conformance.schedule import burst_specs, op_specs
 from repro.flowspace import Filter
-from repro.obs import audit_entries, load_trace_entries, write_trace
+from repro.harness.properties import check_loss_free
+from repro.obs import (
+    Violation, audit_entries, load_trace_entries, write_trace,
+)
 
 pytestmark = pytest.mark.conformance
 
@@ -110,20 +119,209 @@ def test_hunt_shrinks_a_splitmerge_counterexample():
     assert len(spec.ops) == 1
 
 
-# ---------------------------------------------------- interleaving machines
+# ------------------------------------------------------ interleaving search
 
 
-MonitorLFMachine = make_conformance_machine(nf="monitor", guarantee="lf")
-TestMonitorLFInterleavings = MonitorLFMachine.TestCase
-TestMonitorLFInterleavings.settings = settings(
-    max_examples=8, stateful_step_count=10
+def interleavings(nf, guarantee):
+    """Bursts-only schedules (exact replay, no background trace): up to
+    three move / copy / share ops over ``PREFIX_POOL`` in either
+    direction, move / copy aborts and share teardowns, racing up to six
+    1-5 packet bursts from ``BURST_CLIENTS``. Moves run ``guarantee``."""
+    return st.builds(
+        ScheduleSpec, nf=st.just(nf), seed=st.just(0), n_flows=st.just(0),
+        data_packets=st.just(0),
+        ops=st.lists(op_specs(guarantees=(guarantee,)), max_size=3),
+        bursts=st.lists(burst_specs(), max_size=6),
+    )
+
+
+def test_run_schedule_is_the_one_execution_path():
+    """The kit builds a ``Deployment`` in one place: a second execution
+    path, with its own injection, drain and verdict, fails this."""
+    sites = []
+    for path in glob.glob(os.path.join(os.path.dirname(conformance.__file__),
+                                       "*.py")):
+        with open(path) as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        sites.extend(
+            (os.path.basename(path), getattr(top, "name", None))
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Call) and "Deployment" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            )
+        )
+    assert sites == [("runner.py", "run_schedule")]
+
+
+_LOST = re.compile(r"packet uid=(\d+) captured but never processed")
+
+
+def _strong_move(op):
+    return op.kind == "move" and op.guarantee.endswith("(strong)")
+
+
+def unexplained_failures(result):
+    """The failures of ``result`` (run with ``keep_deployment=True``)
+    that no open ROADMAP item 2 defect explains. Each clause matches
+    only its defect's signature; drop it when the fix lands:
+
+    * 2(ii): a packet parked in an aborted op-strong move's redirect
+      buffer (``ctrl.buffer`` at ``redirect``) is never processed
+      (corpus entry ``op-strong-abort-strands``); and an op-strong move
+      that starts once such a move has aborted, over overlapping flow
+      space, polls switch counters for ever (``liveness``);
+    * 2(vii): a packet an NF drops for a share from one control round
+      trip before the share's ``sb.disableEvents`` starts until it ends
+      is never processed: its DROP event meets a controller that has
+      already dropped its interest.
+
+    The ground-truth oracle is re-run over every packet but the excused
+    ones, so any other loss or duplicate is still news. (Why not
+    ``result.clean``: docs/conformance.md, "Interleaving search".)
+    """
+    ops = audit_entries(result.entries).registry.ops
+    parked, drops, teardowns = set(), {}, {}
+    for _time, _kind, fact in result.entries:
+        name = fact.get("name")
+        if name == "ctrl.buffer" and fact.get("where") == "redirect":
+            parked.add((fact.get("trace_id"), fact.get("uid")))
+        elif name == "nf.drop":
+            drops[fact["span_id"]] = fact["start_ms"]
+        elif name == "sb.disableEvents":
+            teardowns.setdefault(fact["attrs"].get("trace_id"), []).append(
+                (fact["start_ms"] - fact["duration_ms"], fact["end_ms"]))
+
+    def livelocked():
+        return any(
+            _strong_move(a) and a.aborted and _strong_move(b) and b.open
+            and b.started_ms >= a.closed_ms
+            and parse_filter_repr(a.filter).intersects(
+                parse_filter_repr(b.filter))
+            for a in ops.values() for b in ops.values()
+        )
+
+    def in_teardown(op, span_ids):
+        windows = teardowns.get(op.trace_id, ())
+        return op.kind == "share" and span_ids and all(
+            any(lo <= drops.get(span, -1.0) <= hi for lo, hi in windows)
+            for span in span_ids
+        )
+
+    news, excused = [], set()
+    for violation in result.violations:
+        op = ops.get(violation.trace_id)
+        lost = _LOST.fullmatch(violation.detail)
+        if violation.check == "liveness" and livelocked():
+            continue
+        if violation.check == "loss-free" and op is not None and lost:
+            uid = int(lost.group(1))
+            if (_strong_move(op) and op.aborted
+                    and (op.trace_id, uid) in parked) or in_teardown(
+                        op, violation.span_ids):
+                excused.add(uid)
+                continue
+        news.append(violation.render())
+    dep = result.deployment
+    uids = {uid for _time, uid, _actions in dep.switch.forward_log}
+    loss_free, detail = check_loss_free(dep.switch, dep.nfs.values(),
+                                        uids - excused)
+    if not loss_free:
+        news.append("loss-free ground truth: " + detail)
+    return news
+
+
+#: ROADMAP 2(ii)'s livelock: after an aborted op-strong move, a second
+#: one over the same flow space polls switch counters for ever.
+LIVELOCK = ScheduleSpec(
+    nf="nat", seed=0, n_flows=0, data_packets=0,
+    ops=[OpSpec(kind="move", at_ms=17.4, guarantee="op-strong"),
+         OpSpec(kind="move", at_ms=0.5, guarantee="op-strong",
+                abort_at_ms=7.9)],
+    bursts=[BurstSpec(at_ms=1.5), BurstSpec(at_ms=26.6)],
 )
 
-NatStrongMachine = make_conformance_machine(nf="nat", guarantee="op-strong")
-TestNatStrongInterleavings = NatStrongMachine.TestCase
-TestNatStrongInterleavings.settings = settings(
-    max_examples=5, stateful_step_count=8
-)
+
+def _teardown_race(*burst_times):
+    """ROADMAP 2(vii): a share stopped 1 ms in, bursts racing it."""
+    return ScheduleSpec(
+        nf="monitor", seed=0, n_flows=0, data_packets=0,
+        ops=[OpSpec(kind="share", at_ms=1.0, guarantee="strong",
+                    scope="multi", stop_at_ms=1.0)],
+        bursts=[BurstSpec(at_ms=at, packets=1) for at in burst_times],
+    )
+
+
+class TestOpenDefectClauses:
+    """``unexplained_failures`` excuses each open defect by its
+    signature only, and never the ground truth beyond it."""
+
+    def corpus_run(self, name):
+        entries = {entry.name: entry for entry in load_corpus(CORPUS_DIR)}
+        return run_schedule(entries[name].spec, keep_deployment=True)
+
+    def test_each_open_defect_is_excused(self):
+        for result in (self.corpus_run("op-strong-abort-strands"),
+                       run_schedule(_teardown_race(10.0),
+                                    keep_deployment=True),
+                       run_schedule(LIVELOCK, keep_deployment=True)):
+            assert not result.clean
+            assert unexplained_failures(result) == [], result.summary()
+
+    def test_a_loss_off_the_signature_is_news(self):
+        strands = self.corpus_run("op-strong-abort-strands")
+        (lost,) = strands.violations
+        lost.detail = "packet uid=99 captured but never processed"
+        assert unexplained_failures(strands) == [lost.render()]
+        lost.detail = "packet uid=1 dropped with no record"
+        assert unexplained_failures(strands)
+        teardown = run_schedule(_teardown_race(10.0), keep_deployment=True)
+        teardown.violations[0].span_ids = [1]  # (not a drop)
+        assert unexplained_failures(teardown)
+        for name in ("splitmerge-loss", "ng-under-load"):
+            assert unexplained_failures(self.corpus_run(name)), name
+
+    def test_a_liveness_verdict_without_the_livelock_is_news(self):
+        strands = self.corpus_run("op-strong-abort-strands")
+        strands.violations.append(Violation("liveness", 0.0, None, None))
+        assert unexplained_failures(strands)
+
+    def test_ground_truth_is_checked_past_an_excused_loss(self):
+        teardown = run_schedule(_teardown_race(10.0, 30.0),
+                                keep_deployment=True)
+        assert unexplained_failures(teardown) == []
+        for nf in teardown.deployment.nfs.values():
+            nf.processing_log.clear()  # (the 30 ms packet goes missing)
+        assert unexplained_failures(teardown) == [
+            "loss-free ground truth: missing=[2] duplicated=[]"]
+
+
+def test_the_event_budget_grows_with_the_schedule():
+    """A clean run is never cut as a livelock: a strong share over a few
+    hundred trace packets takes more events than its operations alone
+    are allowed, and still runs to completion."""
+    spec = ScheduleSpec(
+        nf="monitor", seed=1, n_flows=40, data_packets=10,
+        ops=[OpSpec(kind="share", at_ms=1.0, guarantee="strong",
+                    scope="multi")],
+    )
+    result = run_schedule(spec, keep_deployment=True)
+    assert result.clean, result.summary()
+    assert result.deployment.sim.events_processed > 2 * runner.EVENTS_PER_OP
+
+
+class TestMonitorLFInterleavings:
+    @given(spec=interleavings("monitor", "lf"))
+    def test_no_interleaving_breaks_a_guarantee_anew(self, spec):
+        result = run_schedule(spec, keep_deployment=True)
+        assert not unexplained_failures(result), result.summary()
+
+
+class TestNatStrongInterleavings:
+    @given(spec=interleavings("nat", "op-strong"))
+    def test_no_interleaving_breaks_a_guarantee_anew(self, spec):
+        result = run_schedule(spec, keep_deployment=True)
+        assert not unexplained_failures(result), result.summary()
 
 
 # ----------------------------------------------------- property checkers
@@ -359,10 +557,18 @@ class TestConcurrentOperationIsolation:
 
 
 class TestCorpusReplay:
+    def test_a_livelock_entry_replays(self, tmp_path):
+        """``liveness`` is read off the live simulator; the persisted
+        trace cannot show it, so replay does not compare it."""
+        result = run_schedule(LIVELOCK)
+        assert "liveness" in result.check_kinds()
+        entry = save_entry(str(tmp_path), "livelock", LIVELOCK, result)
+        assert replay_entry(entry).problems == []
+
     def test_corpus_is_populated(self):
         names = {entry.name for entry in load_corpus(CORPUS_DIR)}
-        assert {"splitmerge-loss", "ng-under-load",
-                "abort-racing-put"} <= names
+        assert {"splitmerge-loss", "ng-under-load", "abort-racing-put",
+                "op-strong-abort-strands"} <= names
 
     @pytest.mark.parametrize(
         "entry", load_corpus(CORPUS_DIR), ids=lambda e: e.name
@@ -441,6 +647,33 @@ class TestConformCli:
 
     def test_replay_empty_dir(self, tmp_path):
         assert cli_main(["conform", "--replay", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("schedule, named", [
+        ({"nf": "monitor", "bogus": 1}, "bogus"),
+        ({"nf": "firewall"}, "firewall"),
+        ({"nf": "monitor", "ops": [{"kind": "move", "guarantee": "nope"}]},
+         "nope"),
+    ], ids=["unknown-key", "unknown-nf", "unknown-guarantee"])
+    def test_malformed_schedule_file_exits_2(self, tmp_path, capsys,
+                                            schedule, named):
+        path = tmp_path / "bad.schedule.json"
+        path.write_text(json.dumps(schedule))
+        assert cli_main(["conform", str(path)]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_malformed_corpus_entry_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.schedule.json"
+        path.write_text(json.dumps({"schedule": {"nf": "firewall"}}))
+        assert cli_main(["conform", "--replay", str(tmp_path)]) == 2
+        assert "firewall" in capsys.readouterr().err
+
+    def test_hunt_reports_only_a_missing_example(self, monkeypatch):
+        def crash(target):
+            raise RuntimeError("the hunt itself broke")
+
+        monkeypatch.setattr(conformance, "hunt_counterexample", crash)
+        with pytest.raises(RuntimeError):
+            cli_main(["conform", "--hunt", "splitmerge"])
 
     def test_single_schedule_file(self, tmp_path, capsys):
         spec = ScheduleSpec(

@@ -17,7 +17,10 @@ from repro.nf import (
 from repro.nf import record as merge
 from repro.nf.events import DO_NOT_BUFFER, DO_NOT_DROP, EventRule, PacketEvent
 from repro.nf.record import Convert, Field, Tag
-from repro.nf.state import EVERYTHING, MULTI, PER, PER_AND_MULTI
+from repro.nf.base import NetworkFunction
+from repro.nf.state import (
+    EVERYTHING, MERGE_UNLESS_SNAPSHOT, MULTI, PER, PER_AND_MULTI, StateSpec,
+)
 from repro.nfs.monitor import AssetMonitor
 from repro.sim import Simulator
 from tests.conftest import make_packet
@@ -110,6 +113,16 @@ class TestDeclaredRecords:
             class Partial(merge.Record):
                 FIELDS = ("host", "hits")
                 MERGE = dict(host=merge.keep)
+
+    def test_a_merging_import_rule_needs_a_merge_table(self):
+        class Unmerged(merge.Record):
+            FIELDS = ("host", "hits")
+
+        with pytest.raises(TypeError, match=r"Throwaway\.flows merges .* "
+                                            r"Unmerged declares no MERGE"):
+            class Throwaway(NetworkFunction):
+                STATE = {Scope.PERFLOW: StateSpec("flows", Unmerged,
+                                                  MERGE_UNLESS_SNAPSHOT)}
 
 
 class TestEventRule:
