@@ -16,8 +16,8 @@ delivered packets crossed *every* hop) and reconfiguration latency, and
 asserts the chain op is perfectly clean while the naive sequence is
 demonstrably dirty.
 
-Writes ``benchmarks/results/BENCH_chain.json`` (gated by
-``check_regression.py``: ``*_ms`` keys must not grow > 25%) and a
+Writes ``benchmarks/results/BENCH_chain.json`` (``make results-check``
+fails unless a fresh run leaves it byte-identical) and a
 human-readable table. Runs standalone (``python
 benchmarks/bench_chain.py``) or under pytest.
 """

@@ -16,7 +16,9 @@ Ground-truth logging is off in both runs so the measurement isolates
 the telemetry layer itself. The on-run must also be *behaviorally*
 invisible: identical control-message counts and an identical simulated
 move duration, pinned here and (byte-for-byte) by the determinism
-suite.
+suite. Both, and the simulator's event count, must also equal the
+committed results exactly: the simulated clock moves only in a change
+that regenerates this file on purpose.
 
 A second, smaller scenario gates the retention quality bar of the
 flight recorder, the one bounded trace store: over an audited run of
@@ -24,11 +26,10 @@ sequential moves, some of them aborted, every aborted operation must
 have exactly one abort bundle whose causal slice is its complete stored
 trace, while at most 10% of the clean operations are bundled.
 
-Writes ``benchmarks/results/BENCH_obs_overhead.json`` (gated by
-``check_regression.py``: ``overhead_pct`` must stay <= 5.0 absolute,
-``*messages*`` counts must not grow) plus a human-readable table. Runs
-standalone (``python benchmarks/bench_obs_overhead.py``) or under
-pytest.
+Writes ``benchmarks/results/BENCH_obs_overhead.json`` plus a
+human-readable table, after checking the fresh run against the
+committed file. Runs standalone (``python
+benchmarks/bench_obs_overhead.py``) or under pytest.
 """
 
 from __future__ import annotations
@@ -67,6 +68,16 @@ MOVE_FILTER = Filter({"nw_src": "10.0.1.0/29"}, symmetric=True)
 
 MAX_OVERHEAD_PCT = 5.0
 MAX_CLEAN_KEEP_FRACTION = 0.10
+RESULTS_PATH = os.path.join(RESULTS_DIR, "BENCH_obs_overhead.json")
+#: ``overhead`` keys that the simulated clock fixes: a fresh run must
+#: reproduce the committed value exactly.
+PINNED_KEYS = (
+    "control_messages_off",
+    "control_messages_on",
+    "move_simulated_off_ms",
+    "move_simulated_on_ms",
+    "sim_events",
+)
 
 # Retention-quality scenario.
 Q_FLOWS = 40
@@ -244,15 +255,32 @@ def run_bench() -> dict:
         "overhead": overhead,
         "retention": retention,
     }
+    check_pinned(overhead)
     # The tentpole's acceptance gate: full telemetry costs <= 5%.
     assert overhead["overhead_pct"] <= MAX_OVERHEAD_PCT, overhead
     return results
 
 
+def check_pinned(overhead: dict) -> None:
+    """The fresh run's simulated facts equal the committed file's.
+
+    A change that means to move the simulated clock deletes the
+    committed file and regenerates it.
+    """
+    if not os.path.exists(RESULTS_PATH):
+        return
+    with open(RESULTS_PATH) as handle:
+        committed = json.load(handle)["overhead"]
+    moved = {
+        key: (committed[key], overhead[key])
+        for key in PINNED_KEYS if committed[key] != overhead[key]
+    }
+    assert not moved, "simulated facts moved (committed, fresh): %r" % moved
+
+
 def write_results(results: dict) -> str:
     os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, "BENCH_obs_overhead.json")
-    with open(path, "w") as handle:
+    with open(RESULTS_PATH, "w") as handle:
         json.dump(results, handle, indent=2, sort_keys=True)
         handle.write("\n")
     overhead = results["overhead"]
@@ -283,7 +311,7 @@ def write_results(results: dict) -> str:
             retention["clean_ops"],
         ),
     )
-    return path
+    return RESULTS_PATH
 
 
 def test_bench_obs_overhead():

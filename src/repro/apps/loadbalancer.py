@@ -1,7 +1,7 @@
 """Load-balanced network monitoring (Figure 8 of the paper).
 
-Monitors per-instance load and, when rebalancing assigns a local prefix
-to a different IDS/monitor instance, runs ``movePrefix``:
+Assigns local prefixes to IDS/monitor instances and, when a prefix is
+reassigned to a different instance, runs ``movePrefix``:
 
 1. ``copy(old, new, {nw_src: prefix}, MULTI)`` — scan counters are
    copied (not moved) because connections may exist between one
@@ -15,7 +15,7 @@ to a different IDS/monitor instance, runs ``movePrefix``:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.flowspace.filter import Filter
 from repro.net.flowtable import LOW_PRIORITY
@@ -29,12 +29,10 @@ class LoadBalancedMonitoring:
         self,
         controller,
         recopy_interval_ms: float = 60_000.0,
-        imbalance_threshold: float = 2.0,
     ) -> None:
         self.controller = controller
         self.sim = controller.sim
         self.recopy_interval_ms = recopy_interval_ms
-        self.imbalance_threshold = imbalance_threshold
         #: prefix -> instance name
         self.assignment: Dict[str, str] = {}
         self._recopy_pairs: List[tuple] = []
@@ -99,32 +97,3 @@ class LoadBalancedMonitoring:
     def stop(self) -> None:
         """Stop the background re-copy loop (end of experiment)."""
         self._stopped = True
-
-    # -------------------------------------------------------------- balancing
-
-    def instance_loads(self) -> Dict[str, int]:
-        """Packets processed per instance (the load signal)."""
-        return {
-            name: client.nf.packets_processed
-            for name, client in self.controller.clients.items()
-        }
-
-    def pick_rebalance(self) -> Optional[tuple]:
-        """Suggest (prefix, old, new) when load imbalance crosses threshold."""
-        loads = {
-            name: load
-            for name, load in self.instance_loads().items()
-            if name in self.assignment.values()
-        }
-        if len(loads) < 2:
-            return None
-        busiest = max(loads, key=lambda n: loads[n])
-        calmest = min(loads, key=lambda n: loads[n])
-        if loads[calmest] == 0 and loads[busiest] == 0:
-            return None
-        if loads[busiest] < self.imbalance_threshold * max(loads[calmest], 1):
-            return None
-        for prefix, owner in self.assignment.items():
-            if owner == busiest:
-                return (prefix, busiest, calmest)
-        return None

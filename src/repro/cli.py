@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -77,8 +76,7 @@ _MODE_FLAGS = {
                    help="partition flow-space ownership across N "
                         "controller shards (serialized message loops)"),
     "faults": dict(metavar="SPEC", default=None,
-                   help="fault-plan spec, e.g. 'seed=3,drop=0.05' "
-                        "(default: $OPENNF_FAULTS if set)"),
+                   help="fault-plan spec, e.g. 'seed=3,drop=0.05'"),
     "batching": dict(action="store_true",
                      help="batch control-plane messages (§8.3)"),
     "offload": dict(action="store_true",
@@ -93,17 +91,11 @@ def _add_mode_flags(parser, *names: str) -> None:
 
 
 def _mode_kwargs(args: argparse.Namespace) -> dict:
-    """``Deployment`` keywords for the mode flags this subcommand has."""
-    modes = {
+    """``Deployment`` keywords for the mode flags this subcommand has
+    (``--faults`` passes its spec string: ``Deployment`` parses it)."""
+    return {
         name: getattr(args, name) for name in _MODE_FLAGS if name in args
     }
-    if "faults" in modes:
-        # A spec string: ``Deployment`` parses it.
-        spec = modes["faults"]
-        if spec is None:
-            spec = os.environ.get("OPENNF_FAULTS")
-        modes["faults"] = spec or None
-    return modes
 
 
 def _build_parser() -> argparse.ArgumentParser:

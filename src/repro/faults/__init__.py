@@ -8,8 +8,8 @@ See :mod:`repro.faults.plan` for the model. Typical use::
                                                      exclude=("ctrl->sw",))])
     dep = Deployment(faults=plan)
 
-or, from a compact spec string (the CLI's ``--faults`` flag and the
-``OPENNF_FAULTS`` environment variable both use this form)::
+or, from a compact spec string (the form the CLI's ``--faults`` flag
+takes)::
 
     plan = FaultPlan.from_spec("drop=0.05,seed=3,crash=inst2@55")
 """

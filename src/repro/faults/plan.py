@@ -224,7 +224,7 @@ class FaultPlan:
 
     @classmethod
     def from_spec(cls, spec: str) -> "FaultPlan":
-        """Parse a compact ``key=value,...`` spec (CLI / OPENNF_FAULTS).
+        """Parse a compact ``key=value,...`` spec (the CLI's ``--faults``).
 
         Recognized keys::
 

@@ -7,7 +7,6 @@ from repro.harness.measure import (
     completion_times,
     sustained_throughput,
     throughput_timeline,
-    time_to_reach,
 )
 from repro.harness.scenarios import (
     LOCAL_NET_FILTER,
@@ -34,7 +33,6 @@ __all__ = [
     "run_move_experiment",
     "sustained_throughput",
     "throughput_timeline",
-    "time_to_reach",
     "check_chain_loss_free",
     "check_loss_free",
     "check_order_preserving",

@@ -105,26 +105,31 @@ class Deployment:
         self.nfs: Dict[str, NetworkFunction] = {}
 
     def add_nf(self, nf: NetworkFunction) -> NFClient:
-        """Attach an NF behind a data-path link and register it southbound."""
+        """Wire an NF into the data path and register it southbound."""
+        nf.attach_obs(self.obs)
+        nf.record_ground_truth = self.record_ground_truth
+        self.nfs[nf.name] = nf
+        return self.controller.register_nf(nf, port=self._attach(nf))
+
+    def _attach(self, nf: NetworkFunction) -> str:
+        """Put ``nf`` behind a link from the switch; returns its port."""
         link = Link(
             self.sim, name="sw->%s" % nf.name, latency_ms=NF_LINK_LATENCY_MS
         )
-        nf.attach_obs(self.obs)
-        nf.record_ground_truth = self.record_ground_truth
         self.switch.attach(nf.name, nf.receive, link)
-        self.nfs[nf.name] = nf
-        return self.controller.register_nf(nf, port=nf.name)
+        return nf.name
 
     def set_default_route(
         self, nf_name: str, flt: Optional[Filter] = None
     ) -> None:
-        """Bootstrap rule: send (matching) traffic to ``nf_name``.
+        """Bootstrap rule: send (matching) traffic to ``nf_name``'s port.
 
         Installed directly in the table (deployment-time configuration,
         not a controller operation).
         """
         self.switch.table.install(
-            flt or Filter.wildcard(), LOW_PRIORITY, [nf_name], self.sim.now
+            flt or Filter.wildcard(), LOW_PRIORITY,
+            [self.controller.port_of(nf_name)], self.sim.now,
         )
 
     def chain(

@@ -132,28 +132,3 @@ def sustained_throughput(
     ]
     return sum(window) / len(window) if window else 0.0
 
-
-def time_to_reach(
-    timeline: Sequence[Tuple[float, float]],
-    target_pps: float,
-    after_ms: float = 0.0,
-    sustain_buckets: int = 2,
-) -> Optional[float]:
-    """First time (≥ ``after_ms``) throughput sustains ``target_pps``.
-
-    "Sustains" means ``sustain_buckets`` consecutive buckets at or above
-    the target; returns the start of the first such run, or None.
-    """
-    run = 0
-    for t, pps in timeline:
-        if t < after_ms:
-            continue
-        if pps >= target_pps:
-            run += 1
-            if run >= sustain_buckets:
-                return t - (sustain_buckets - 1) * (
-                    timeline[1][0] - timeline[0][0] if len(timeline) > 1 else 0
-                )
-        else:
-            run = 0
-    return None

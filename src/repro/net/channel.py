@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs import NULL_OBS
@@ -129,9 +130,9 @@ class ControlChannel:
         self._flush_epoch = 0
         self._next_frame_id = 0
         #: Frame ids already delivered (tracked only under a fault
-        #: injector): a duplicated frame must dedup *as a unit*, so
-        #: at-most-once extends from requests to whole frames.
-        self._frames_delivered: set = set()
+        #: injector): a duplicated frame must dedup *as a unit*, so the
+        #: peers' bounded at-most-once table extends to whole frames.
+        self._frames_seen = AtMostOnce(sim)
         #: flush reason -> frames shipped for it.
         self.frames_by_reason: Dict[str, int] = defaultdict(int)
         self.frames_deduplicated = 0
@@ -160,11 +161,6 @@ class ControlChannel:
         reg.publish("chan.frame_dedup", self.frames_deduplicated, channel=name)
         for reason, count in self.frames_by_reason.items():
             reg.publish("chan.flush", count, channel=name, reason=reason)
-
-    def transfer_time(self, size_bytes: int) -> float:
-        """Latency + transmission time for a message of ``size_bytes``
-        on an idle channel."""
-        return self.latency_ms + size_bytes / self.bandwidth_bytes_per_ms
 
     def send(
         self, size_bytes: int, deliver: Callable[..., None], *args: Any
@@ -293,11 +289,17 @@ class ControlChannel:
         retransmitted batch must dedup *as a unit* so none of its
         messages double-applies.
         """
-        if self.faults is not None:
-            if frame_id in self._frames_delivered:
-                self.frames_deduplicated += 1
-                return
-            self._frames_delivered.add(frame_id)
+        if self.faults is None:
+            self._unpack(entries)
+        elif self._frames_seen.deliver(
+            frame_id, partial(self._unpack, entries)
+        ) is not None:
+            self.frames_deduplicated += 1
+
+    @staticmethod
+    def _unpack(
+        entries: List[Tuple[int, Callable[..., None], tuple, Any]],
+    ) -> None:
         index = 0
         total = len(entries)
         while index < total:
@@ -325,7 +327,8 @@ class AtMostOnce:
     stub numbers its requests from one counter, so every id at or below
     the highest evicted one was either delivered already or given up on
     by its caller: such an id is absorbed, never run, which keeps the
-    guarantee while the table stays bounded by the request rate.
+    guarantee while the table stays bounded by the request rate. A
+    channel numbers its batch frames the same way and dedups them here.
     """
 
     def __init__(self, sim: Simulator) -> None:

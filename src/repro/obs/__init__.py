@@ -6,9 +6,9 @@ measurable from inside a run instead of post-hoc. It provides:
 
 * :class:`~repro.obs.span.Tracer` — nested spans with attributes,
   stamped by the *simulation* clock (never wall time);
-* :class:`~repro.obs.metrics.MetricsRegistry` — labelled counters /
-  gauges / histograms (packets buffered, events flushed, chunks
-  transferred, wire bytes, drops);
+* :class:`~repro.obs.metrics.MetricsRegistry` — labelled counters and
+  histograms (packets buffered, events flushed, chunks transferred,
+  wire bytes, drops);
 * the in-memory exporter tests and the CLI read, and
   :func:`~repro.obs.audit.write_trace` for a replayable ``.trace.jsonl``;
 * :class:`~repro.obs.operation.OperationTrace` — the bridge that
@@ -44,7 +44,6 @@ from repro.obs.export import InMemoryExporter, render_timeline
 from repro.obs.metrics import (
     BoundedHistogram,
     Counter,
-    Gauge,
     MetricsRegistry,
 )
 from repro.obs.operation import OperationTrace
@@ -119,7 +118,6 @@ __all__ = [
     "BoundedHistogram",
     "Counter",
     "FlightRecorder",
-    "Gauge",
     "InMemoryExporter",
     "MetricsRegistry",
     "NULL_OBS",

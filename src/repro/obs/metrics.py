@@ -1,4 +1,4 @@
-"""Counters, gauges, and histograms with label sets.
+"""Counters and histograms with label sets.
 
 A :class:`MetricsRegistry` holds named instruments; each instrument
 keeps one numeric series per label set (``counter.inc(1, nf="inst1")``
@@ -197,23 +197,6 @@ class Counter(_Instrument):
         """Sum across every label set."""
         self._collect()
         return sum(self._series.values())
-
-
-class Gauge(_Instrument):
-    """A value that can move both ways (queue depth, active transfers)."""
-
-    kind = "gauge"
-
-    def set(self, value: float, **labels: Any) -> None:
-        self._series[self._key(labels)] = value
-
-    def add(self, delta: float, **labels: Any) -> None:
-        key = self._key(labels)
-        self._series[key] = self._series.get(key, 0) + delta
-
-    def value(self, **labels: Any) -> float:
-        self._collect()
-        return self._series.get(_label_key(labels), 0)
 
 
 class _Buckets:
@@ -418,9 +401,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
     def histogram(self, name: str) -> BoundedHistogram:
         return self._get(name, BoundedHistogram)
 
@@ -470,7 +450,7 @@ class MetricsRegistry:
     def render_prometheus(self) -> str:
         """Exposition-format text dump of every instrument.
 
-        Counters and gauges render one sample per label set; histograms
+        Counters render one sample per label set; histograms
         render as summaries (``{quantile="0.5"}`` …) plus ``_sum`` and
         ``_count`` samples, via the instrument's own snapshot summary.
         """

@@ -26,16 +26,3 @@ def derive_rng(root_seed: int, stream_name: str) -> random.Random:
     )
     return random.Random(mixed)
 
-
-class SeededStreams:
-    """A collection of named, independent RNG streams under one root seed."""
-
-    def __init__(self, root_seed: int) -> None:
-        self.root_seed = root_seed
-        self._streams = {}
-
-    def stream(self, name: str) -> random.Random:
-        """Get (or create) the RNG stream called ``name``."""
-        if name not in self._streams:
-            self._streams[name] = derive_rng(self.root_seed, name)
-        return self._streams[name]

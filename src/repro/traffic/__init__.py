@@ -9,14 +9,12 @@ from repro.traffic.generator import (
     tcp_flow,
 )
 from repro.traffic.replay import TraceReplayer
-from repro.traffic.serialize import load_trace, save_trace
 from repro.traffic.traces import (
     MALWARE_BODY,
     MODERN_AGENT,
     OUTDATED_AGENT,
     Trace,
     TraceConfig,
-    build_cellular_trace,
     build_datacenter_trace,
     build_university_cloud_trace,
     malware_signatures,
@@ -31,14 +29,11 @@ __all__ = [
     "Trace",
     "TraceConfig",
     "TraceReplayer",
-    "build_cellular_trace",
     "build_datacenter_trace",
     "build_university_cloud_trace",
     "ftp_session",
     "http_exchange",
-    "load_trace",
     "malware_signatures",
     "port_scan",
-    "save_trace",
     "tcp_flow",
 ]

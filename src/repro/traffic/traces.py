@@ -11,8 +11,7 @@ the evaluation actually depends on:
   known-malware bodies and some sent by outdated browsers (the IDS
   scenarios of §6 and §8.4);
 * a long-tailed flow-duration distribution (~9 % of HTTP flows longer
-  than 25 minutes drives the §8.4 scale-in result; up to 40 % of
-  cellular flows exceed 10 minutes motivates §2.1);
+  than 25 minutes drives the §8.4 scale-in result);
 * port scans from external hosts (multi-flow scan counters).
 
 A trace is an ordered list of :class:`~repro.traffic.generator.FlowBlueprint`
@@ -197,53 +196,3 @@ def build_datacenter_trace(config: TraceConfig) -> Trace:
         flows.append(flow)
     return Trace(_interleave(flows), flows, config)
 
-
-def build_cellular_trace(config: TraceConfig) -> Trace:
-    """Cellular-provider mix (§2.1's always-up-to-date scenario).
-
-    Characteristics the motivation depends on: a heavy long-flow tail
-    ("up to 40 % of flows in cellular networks last longer than 10
-    minutes" [36]), plus many short machine-to-machine exchanges. Set
-    ``config.long_flow_fraction`` (default here: 0.4) to steer the tail.
-    """
-    rng = derive_rng(config.seed, "cellular")
-    from repro.flowspace.fivetuple import FiveTuple
-
-    long_fraction = config.long_flow_fraction or 0.4
-    flows: List[FlowBlueprint] = []
-    for index in range(config.n_flows):
-        subscriber = "10.%d.%d.%d" % (
-            10 + rng.randrange(4), rng.randrange(1, 250), rng.randrange(1, 250)
-        )
-        server = _server(rng.randrange(config.n_servers))
-        src_port = 40000 + index
-        long_flow = rng.random() < long_fraction
-        if long_flow:
-            # Long-lived session: streaming / push connection.
-            flow = tcp_flow(
-                FiveTuple(subscriber, src_port, server, 443),
-                data_packets=config.data_packets * 8,
-                payload_size=900,
-                close=config.close_flows,
-            )
-            flow.kind = "cellular-long"
-        elif rng.random() < 0.5:
-            flow = http_exchange(
-                subscriber, src_port, server,
-                url="/api/%d" % index,
-                host="api.cell.example",
-                reply_body=BENIGN_BODY_UNIT * 4,
-                close=config.close_flows,
-            )
-            flow.kind = "cellular-http"
-        else:
-            # Machine-to-machine heartbeat: tiny exchange.
-            flow = tcp_flow(
-                FiveTuple(subscriber, src_port, server, 8883),
-                data_packets=2,
-                payload_size=64,
-                close=config.close_flows,
-            )
-            flow.kind = "cellular-m2m"
-        flows.append(flow)
-    return Trace(_interleave(flows), flows, config)

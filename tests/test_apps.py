@@ -85,29 +85,6 @@ class TestLoadBalancedMonitoring:
         assert len(b.alerts_of("port_scan")) == 1
         app.stop()
 
-    def test_pick_rebalance_suggests_when_imbalanced(self):
-        dep, (a, b) = build_multi_instance_deployment(2, nf_factory=ids_factory)
-        app = LoadBalancedMonitoring(dep.controller, imbalance_threshold=2.0)
-        app.assign("10.0.1.0/24", "inst1")
-        app.assign("10.0.2.0/24", "inst2")
-        dep.sim.run()
-        for i in range(20):
-            flow = FiveTuple("10.0.1.5", 1000 + i, "203.0.113.9", 80)
-            dep.inject(make_packet(flow, flags=("SYN",)))
-        dep.sim.run()
-        suggestion = app.pick_rebalance()
-        assert suggestion is not None
-        prefix, old, new = suggestion
-        assert old == "inst1" and new == "inst2"
-
-    def test_pick_rebalance_quiet_when_balanced(self):
-        dep, _ = build_multi_instance_deployment(2, nf_factory=ids_factory)
-        app = LoadBalancedMonitoring(dep.controller)
-        app.assign("10.0.1.0/24", "inst1")
-        app.assign("10.0.2.0/24", "inst2")
-        dep.sim.run()
-        assert app.pick_rebalance() is None
-
 
 class TestFastFailureRecovery:
     def test_standby_receives_flow_state_on_key_packets(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness import sustained_throughput, throughput_timeline, time_to_reach
+from repro.harness import sustained_throughput, throughput_timeline
 
 
 class FakeNF:
@@ -43,19 +43,3 @@ class TestSustainedThroughput:
     def test_empty_window(self):
         assert sustained_throughput([], 0.0) == 0.0
 
-
-class TestTimeToReach:
-    def test_finds_sustained_run(self):
-        timeline = [(0.0, 10.0), (50.0, 90.0), (100.0, 95.0), (150.0, 96.0)]
-        t = time_to_reach(timeline, 90.0, sustain_buckets=2)
-        assert t == 50.0
-
-    def test_single_spike_not_sustained(self):
-        timeline = [(0.0, 10.0), (50.0, 95.0), (100.0, 10.0), (150.0, 10.0)]
-        assert time_to_reach(timeline, 90.0, sustain_buckets=2) is None
-
-    def test_after_ms_skips_early_run(self):
-        timeline = [(0.0, 95.0), (50.0, 95.0), (100.0, 10.0),
-                    (150.0, 95.0), (200.0, 95.0)]
-        t = time_to_reach(timeline, 90.0, after_ms=100.0, sustain_buckets=2)
-        assert t == 150.0

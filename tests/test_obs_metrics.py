@@ -1,6 +1,6 @@
 """Metrics semantics plus the buffered-packet conservation property.
 
-The registry half pins down counter/gauge/histogram behaviour (label
+The registry half pins down counter/histogram behaviour (label
 separation, monotonicity, reset, kind conflicts). The property half
 asserts the invariant the loss-free guarantee rests on: every packet
 the controller buffers during a successful move is later released, and
@@ -52,15 +52,6 @@ class TestCounter:
         counter.inc(4)
         assert counter.value() == 5
         assert counter.snapshot() == {"_": 5}
-
-
-class TestGauge:
-    def test_set_add_value(self):
-        gauge = MetricsRegistry().gauge("depth")
-        gauge.set(7, queue="q")
-        gauge.add(-3, queue="q")
-        assert gauge.value(queue="q") == 4
-        assert gauge.value(queue="other") == 0
 
 
 class TestHistogram:
@@ -181,15 +172,12 @@ class TestHistogram:
     def test_render_prometheus(self):
         registry = MetricsRegistry()
         registry.counter("pkts.total").inc(3, nf="a")
-        registry.gauge("depth").set(2)
         hist = registry.histogram("rpc_ms")
         hist.observe(1.0, op="put")
         hist.observe(3.0, op="put")
         text = registry.render_prometheus()
         assert "# TYPE pkts_total counter" in text
         assert 'pkts_total{nf="a"} 3' in text
-        assert "# TYPE depth gauge" in text
-        assert "depth 2" in text
         assert "# TYPE rpc_ms summary" in text
         assert 'rpc_ms{op="put",quantile="0.5"} 1' in text
         assert 'rpc_ms{op="put",quantile="0.99"} 3' in text

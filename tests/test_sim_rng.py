@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.rng import SeededStreams, derive_rng
+from repro.sim.rng import derive_rng
 
 
 class TestDeriveRng:
@@ -27,17 +27,3 @@ class TestDeriveRng:
         assert rng.randrange(1_000_000) == derive_rng(7, "stable-check") \
             .randrange(1_000_000)
 
-
-class TestSeededStreams:
-    def test_stream_cached(self):
-        streams = SeededStreams(5)
-        assert streams.stream("x") is streams.stream("x")
-
-    def test_streams_isolated(self):
-        streams = SeededStreams(5)
-        first = streams.stream("a").random()
-        # Drawing from another stream does not perturb the first.
-        streams.stream("b").random()
-        fresh = SeededStreams(5)
-        fresh.stream("b")  # create in a different order
-        assert fresh.stream("a").random() == first

@@ -12,7 +12,6 @@ from repro.traffic import (
     MALWARE_BODY,
     TraceConfig,
     TraceReplayer,
-    build_cellular_trace,
     build_datacenter_trace,
     build_university_cloud_trace,
     http_exchange,
@@ -103,23 +102,6 @@ class TestTraces:
         kinds = {f.kind for f in trace.flows}
         assert "mice" in kinds
         assert trace.flow_count == 50
-
-    def test_cellular_trace_long_tail(self):
-        trace = build_cellular_trace(
-            TraceConfig(seed=8, n_flows=100, long_flow_fraction=0.4)
-        )
-        long_flows = trace.flows_of_kind("cellular-long")
-        assert 25 <= len(long_flows) <= 55  # ~40 % of flows
-        # Long flows are much longer than the m2m heartbeats.
-        m2m = trace.flows_of_kind("cellular-m2m")
-        assert m2m
-        assert len(long_flows[0]) > 5 * len(m2m[0])
-
-    def test_cellular_trace_deterministic(self):
-        config = TraceConfig(seed=4, n_flows=20)
-        a = build_cellular_trace(config)
-        b = build_cellular_trace(config)
-        assert [x.payload for x in a.packets] == [x.payload for x in b.packets]
 
     def test_signatures_match_malware_body(self):
         import hashlib
@@ -251,61 +233,3 @@ class TestReplayer:
 
         assert play(eager=False) == play(eager=True)
 
-
-class TestTraceSerialization:
-    def test_roundtrip(self, tmp_path):
-        from repro.traffic import load_trace, save_trace
-
-        trace = build_university_cloud_trace(TraceConfig(seed=2, n_flows=12))
-        path = str(tmp_path / "trace.jsonl")
-        written = save_trace(trace, path)
-        assert written == len(trace.packets)
-        loaded = load_trace(path)
-        assert len(loaded.packets) == len(trace.packets)
-        assert [b.payload for b in loaded.packets] == \
-            [b.payload for b in trace.packets]
-        assert [b.tcp_flags for b in loaded.packets] == \
-            [b.tcp_flags for b in trace.packets]
-        assert loaded.flow_count == trace.flow_count
-
-    def test_loaded_trace_replays_identically(self, sim, tmp_path):
-        from repro.traffic import load_trace, save_trace
-
-        trace = build_university_cloud_trace(TraceConfig(seed=3, n_flows=5))
-        path = str(tmp_path / "trace.jsonl")
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        seen = []
-        TraceReplayer(sim, lambda p: seen.append(p.payload),
-                      loaded.packets, 1000.0).start()
-        sim.run()
-        assert seen == [b.payload for b in trace.packets]
-
-    def test_rejects_foreign_files(self, tmp_path):
-        from repro.traffic import load_trace
-
-        path = tmp_path / "bogus.jsonl"
-        path.write_text('{"format": "something-else"}\n')
-        with pytest.raises(ValueError):
-            load_trace(str(path))
-
-    def test_rejects_truncated_trace(self, tmp_path):
-        from repro.traffic import load_trace, save_trace
-
-        trace = build_university_cloud_trace(TraceConfig(seed=3, n_flows=3))
-        path = str(tmp_path / "trace.jsonl")
-        save_trace(trace, path)
-        with open(path) as handle:
-            lines = handle.readlines()
-        with open(path, "w") as handle:
-            handle.writelines(lines[:-2])
-        with pytest.raises(ValueError):
-            load_trace(path)
-
-    def test_rejects_empty_file(self, tmp_path):
-        from repro.traffic import load_trace
-
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(ValueError):
-            load_trace(str(path))
