@@ -11,6 +11,11 @@ were forwarded to the NF instances by the switch." Operationally: for
 each flow, the sequence of uids processed (merged across instances,
 ordered by processing completion time) equals the sequence in which the
 switch first forwarded them.
+
+Both are judged at the ports the deployment wired to the instances
+(:func:`nf_ports`), which are not the NFs' names on every topology, and
+a judge that saw packets processed but judged none fails: it would
+otherwise pass whatever was lost.
 """
 
 from __future__ import annotations
@@ -18,6 +23,28 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.net.switch import CONTROLLER_PORT, Switch
+
+
+def nf_ports(switch: Switch, nfs) -> List[str]:
+    """The ports of ``switch`` that reach ``nfs``, read off its wiring.
+
+    Whatever port a deployment attached an NF at (``Deployment._attach``
+    returns it and ``controller.port_of`` names it: the NF's own name on
+    one switch, ``leaf-<nf>`` on a two-tier spine), that port delivers
+    to the NF's ``receive``, or to a switch one of whose ports does.
+    """
+    targets = {id(nf) for nf in nfs}
+    return [port for port in switch.ports
+            if _reaches(switch.receiver_at(port), targets)]
+
+
+def _reaches(receiver, targets: Set[int]) -> bool:
+    owner = getattr(receiver, "__self__", None)
+    if id(owner) in targets:
+        return True
+    return isinstance(owner, Switch) and any(
+        _reaches(owner.receiver_at(port), targets) for port in owner.ports
+    )
 
 
 def switch_forwarding_order(
@@ -75,15 +102,18 @@ def check_loss_free(
     """Every switch-forwarded packet processed exactly once.
 
     Returns ``(ok, detail)``; on failure, ``detail`` names the missing
-    or duplicated uids (truncated).
+    or duplicated uids (truncated), or says that no processed packet was
+    ever forwarded towards the NFs' ports: nothing was judged.
     """
-    ports = [nf.name for nf in nfs]
+    ports = nf_ports(switch, nfs)
     forwarded = switch_forwarding_order(switch, ports, uids)
     counts: Dict[int, int] = {}
     for nf in nfs:
         for _time, uid in nf.processing_log:
             if uids is None or uid in uids:
                 counts[uid] = counts.get(uid, 0) + 1
+    if counts and not forwarded:
+        return False, _judged_none(len(counts), ports)
     missing = [uid for uid in forwarded if counts.get(uid, 0) == 0]
     duplicated = [uid for uid, n in counts.items() if n > 1]
     if not missing and not duplicated:
@@ -146,12 +176,13 @@ def check_order_preserving(
     ``packets`` is the population to examine (e.g. ``replayer.injected``).
     """
     uid_set = {p.uid for p in packets}
-    forwarded = switch_forwarding_order(
-        switch, [nf.name for nf in nfs], uid_set
-    )
+    ports = nf_ports(switch, nfs)
+    forwarded = switch_forwarding_order(switch, ports, uid_set)
     processed = merged_processing_order(nfs, uid_set)
     processed_set = set(processed)
     forwarded_filtered = [uid for uid in forwarded if uid in processed_set]
+    if processed and not forwarded_filtered:
+        return False, _judged_none(len(processed), ports)
 
     if not per_flow:
         if processed == forwarded_filtered:
@@ -176,6 +207,11 @@ def check_order_preserving(
                 _first_divergence(by_forward, by_process),
             )
     return True, ""
+
+
+def _judged_none(processed: int, ports: Sequence[str]) -> str:
+    return ("judged no packet: none of the %d processed packets was "
+            "forwarded to ports %s" % (processed, sorted(ports)))
 
 
 def _first_divergence(expected: Sequence[int], actual: Sequence[int]) -> str:

@@ -9,12 +9,17 @@ from §5.1 of the paper are stated — and tested — in terms of these uids.
 ``marks`` carries OpenNF's out-of-band annotations: the controller tags
 packets it re-injects with ``"do-not-buffer"`` (order-preserving move,
 §5.1.2) or ``"do-not-drop"`` (share, §5.2.2).
+
+A replay keeps every packet it injects, so a packet allocates no
+container it rarely uses: an unmarked packet shares one empty ``marks``
+set, and a packet built from a frozenset of flags (as every
+:class:`~repro.traffic.generator.PacketBlueprint` hands it) shares it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, FrozenSet, Iterable, Optional, Set
+from typing import Any, Dict, FrozenSet, Iterable, Optional
 
 from repro.flowspace.filter import packet_match_keys
 from repro.flowspace.fivetuple import FiveTuple
@@ -23,6 +28,8 @@ HEADER_OVERHEAD_BYTES = 54  # Ethernet + IPv4 + TCP headers
 
 #: The flags that end a connection (``is_fin_or_rst``).
 _TERMINATING_FLAGS = frozenset(("FIN", "RST"))
+#: The ``marks`` of every unmarked packet; :meth:`Packet.mark` rebinds.
+_NO_MARKS: FrozenSet[str] = frozenset()
 
 _uid_counter = itertools.count(1)
 
@@ -65,11 +72,12 @@ class Packet:
     ) -> None:
         self.uid = next(_uid_counter)
         self.five_tuple = five_tuple
+        # (``frozenset`` of a frozenset is that frozenset: no copy.)
         self.tcp_flags: FrozenSet[str] = frozenset(tcp_flags)
         self.seq = seq
         self.payload = payload
         self.size_bytes = HEADER_OVERHEAD_BYTES + len(payload)
-        self.marks: Set[str] = set()
+        self.marks: FrozenSet[str] = _NO_MARKS
         self.created_at = created_at
         self.extra_headers = extra_headers or {}
 
@@ -133,7 +141,7 @@ class Packet:
 
     def mark(self, name: str) -> "Packet":
         """Attach an out-of-band annotation (e.g. ``"do-not-buffer"``)."""
-        self.marks.add(name)
+        self.marks = self.marks | {name}
         return self
 
     def has_mark(self, name: str) -> bool:

@@ -162,6 +162,11 @@ class Switch:
     def ports(self) -> Sequence[str]:
         return tuple(self._ports)
 
+    def receiver_at(self, port_name: str) -> Callable[[Packet], None]:
+        """What ``port_name`` delivers to: an NF's ``receive``, or the
+        ``inject`` of a switch below this one."""
+        return self._ports[port_name].receiver
+
     # -- data path ---------------------------------------------------------------
 
     def inject(self, packet: Packet) -> None:

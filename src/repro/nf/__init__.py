@@ -34,7 +34,6 @@ from repro.nf.state import (
     PER_AND_MULTI,
     Scope,
     StateChunk,
-    chunks_total_bytes,
     normalize_scope,
 )
 
@@ -63,6 +62,5 @@ __all__ = [
     "SQUID_COSTS",
     "Scope",
     "StateChunk",
-    "chunks_total_bytes",
     "normalize_scope",
 ]

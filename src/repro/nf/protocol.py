@@ -9,7 +9,9 @@ than a bare wildcard.
 
 The channels only need a message's *length*, so the stubs never encode
 a request: a :class:`Request` computes its size from its field lengths
-(a filter's or flowid's own JSON is measured once per object). The
+(a filter's or flowid's own JSON is measured once per object, by
+:func:`wire_length`). State chunks are sized the same way, from their
+parts (:attr:`repro.nf.state.StateChunk.size_bytes`). The
 ``*_request`` constructors below stay the definition of what is on the
 wire, and ``tests/test_southbound.py`` pins :meth:`Request.size`
 against ``len(encode(...))`` of what they build.
@@ -29,6 +31,7 @@ Message kinds::
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.flowspace.filter import Filter, FlowId
@@ -58,9 +61,29 @@ def batch_frame_size(sizes: Iterable[int]) -> int:
     return FRAME_OVERHEAD_BYTES + payload
 
 
-#: The canonical wire encoder, shared with
-#: :meth:`repro.nf.state.StateChunk.to_json_bytes`.
+#: The canonical wire encoder: sorted keys, compact separators and
+#: ``ensure_ascii`` (the default), so every encoding is pure ASCII and
+#: its length in characters is its length in bytes. Control messages
+#: and :meth:`repro.nf.state.StateChunk.to_json_bytes` encode with it;
+#: :func:`wire_length` measures what it would produce.
 WIRE_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+# WIRE_JSON's settings as one C encoder, built once: ``JSONEncoder.encode``
+# builds a new one on every call. It skips the circular-reference check
+# (wire values are trees; a cycle still fails, as a RecursionError).
+# ``None`` when the stdlib runs without its C accelerator.
+_WIRE_C = None if c_make_encoder is None else c_make_encoder(
+    None, WIRE_JSON.default, encode_basestring_ascii, None,
+    WIRE_JSON.key_separator, WIRE_JSON.item_separator,
+    WIRE_JSON.sort_keys, WIRE_JSON.skipkeys, WIRE_JSON.allow_nan,
+)
+
+
+def wire_length(value: Any) -> int:
+    """Length in bytes of ``value``'s canonical wire JSON (``WIRE_JSON``)."""
+    if _WIRE_C is None:
+        return len(WIRE_JSON.encode(value))
+    return len("".join(_WIRE_C(value, 0)))
 
 
 def encode(message: Dict[str, Any]) -> bytes:
@@ -92,11 +115,11 @@ _FLAG_BYTES = len(',"":true')
 _RID_BYTES = len(',"rid":')
 
 
-def _filter_bytes(flt: Filter) -> int:
+def filter_bytes(flt: Filter) -> int:
     """Encoded length of ``flt.to_dict()``, measured once per object."""
     size = flt._wire_size
     if size is None:
-        size = flt._wire_size = len(WIRE_JSON.encode(flt.to_dict()))
+        size = flt._wire_size = wire_length(flt.to_dict())
     return size
 
 
@@ -124,11 +147,11 @@ class Request:
         if chunks is not None:
             size += _CHUNKS_BYTES + len(str(chunks))
         if flt is not None:
-            size += _FILTER_BYTES + _filter_bytes(flt)
+            size += _FILTER_BYTES + filter_bytes(flt)
         if flowids is not None:
             size += _FLOWIDS_BYTES + max(len(flowids) - 1, 0)
             for flowid in flowids:
-                size += _filter_bytes(flowid)
+                size += filter_bytes(flowid)
         if action is not None:
             size += _ACTION_BYTES + len(action)
         flags = [name for name, on in opts.items() if on]

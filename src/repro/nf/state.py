@@ -12,7 +12,8 @@ A :class:`StateChunk` is the unit the southbound API transfers: one or
 more related internal structures for the same flow (or flow aggregate),
 serialized to a JSON-friendly dict, tagged with the
 :class:`~repro.flowspace.filter.FlowId` it pertains to. The chunk's JSON
-size drives transfer and (de)serialization costs.
+size drives transfer and (de)serialization costs; it is summed from the
+chunk's parts, so nothing encodes a chunk just to size it.
 
 A :class:`StateSpec` writes that taxonomy down as data: an NF declares,
 per scope, which store holds the state, the record codec and the import
@@ -28,7 +29,7 @@ import zlib
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.flowspace.filter import FlowId
-from repro.nf.protocol import WIRE_JSON
+from repro.nf.protocol import WIRE_JSON, filter_bytes, wire_length
 
 
 class Scope(enum.Enum):
@@ -77,6 +78,13 @@ def normalize_scope(scope) -> tuple:
     return tuple(scope)
 
 
+#: Encoded length of a chunk's envelope ``{"data":,"flowid":,"scope":""}``
+#: without its three values (keys sort, so they always sit in this order).
+_ENVELOPE_BYTES = len('{"data":,"flowid":,"scope":""}')
+#: Encoded length of an all-flows chunk's flowid, ``null``.
+_NULL_BYTES = len("null")
+
+
 class StateChunk:
     """One transferable unit of NF state."""
 
@@ -104,10 +112,21 @@ class StateChunk:
 
     @property
     def size_bytes(self) -> int:
-        """Serialized size; computed from the JSON encoding if not preset."""
-        if self._size is None:
-            self._size = len(self.to_json_bytes())
-        return self._size
+        """Serialized size, ``len(to_json_bytes())``, unless preset.
+
+        Summed from the parts of the encoding instead of encoding the
+        chunk: the envelope plus the scope's tag, the flowid's JSON (its
+        length is measured once per flowid object) and ``data``'s.
+        """
+        size = self._size
+        if size is None:
+            flowid = self.flowid
+            size = self._size = (
+                _ENVELOPE_BYTES + len(self.scope.tag)
+                + (_NULL_BYTES if flowid is None else filter_bytes(flowid))
+                + wire_length(self.data)
+            )
+        return size
 
     @property
     def compressed_size_bytes(self) -> int:
@@ -157,11 +176,6 @@ class StateChunk:
             self.flowid,
             self.size_bytes,
         )
-
-
-def chunks_total_bytes(chunks: List[StateChunk]) -> int:
-    """Total serialized size of a chunk list."""
-    return sum(chunk.size_bytes for chunk in chunks)
 
 
 def chunks_wire_bytes(chunks: List[StateChunk]) -> int:

@@ -14,10 +14,14 @@ with fresh uids).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.flowspace.fivetuple import TCP, FiveTuple
 from repro.net.packet import Packet
+
+#: One frozenset per distinct flag tuple, shared by every blueprint —
+#: and so every packet built from one — that carries those flags.
+_FLAG_SETS: Dict[Tuple[str, ...], FrozenSet[str]] = {}
 
 
 @dataclass(frozen=True)
@@ -28,10 +32,18 @@ class PacketBlueprint:
     tcp_flags: Tuple[str, ...] = ()
     seq: int = 0
     payload: str = ""
+    #: ``tcp_flags`` as the shared frozenset each built packet holds.
+    _flag_set: FrozenSet[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        flags = _FLAG_SETS.get(self.tcp_flags)
+        if flags is None:
+            flags = _FLAG_SETS[self.tcp_flags] = frozenset(self.tcp_flags)
+        object.__setattr__(self, "_flag_set", flags)
 
     def build(self, created_at: float) -> Packet:
         return Packet(
-            self.five_tuple, self.tcp_flags, self.seq, self.payload, created_at
+            self.five_tuple, self._flag_set, self.seq, self.payload, created_at
         )
 
 

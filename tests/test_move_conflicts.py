@@ -17,11 +17,15 @@ from tests.conftest import make_packet
 
 
 def feed(dep, nf, count=10, net="10.0.1"):
+    """``count`` SYNs through the switch to ``nf``, the default route, so
+    the loss-free judge has forwarded packets to judge."""
+    before = nf.packets_processed
     for index in range(count):
         flow = FiveTuple("%s.%d" % (net, index + 1), 30000 + index,
                          "203.0.113.5", 80)
-        nf.receive(make_packet(flow, flags=("SYN",)))
+        dep.inject(make_packet(flow, flags=("SYN",)))
     dep.sim.run()
+    assert nf.packets_processed == before + count
 
 
 class TestMoveConflicts:

@@ -11,7 +11,6 @@ from repro.nf import (
     NFCrash,
     Scope,
     StateChunk,
-    chunks_total_bytes,
     normalize_scope,
 )
 from repro.nf import record as merge
@@ -47,13 +46,6 @@ class TestStateChunk:
     def test_size_override(self):
         chunk = StateChunk(Scope.MULTIFLOW, None, {"url": "/x"}, size_bytes=4096)
         assert chunk.size_bytes == 4096
-
-    def test_total_bytes(self):
-        chunks = [
-            StateChunk(Scope.PERFLOW, None, {}, size_bytes=10),
-            StateChunk(Scope.PERFLOW, None, {}, size_bytes=20),
-        ]
-        assert chunks_total_bytes(chunks) == 30
 
     def test_normalize_scope_aliases(self):
         assert normalize_scope("per") == PER

@@ -12,7 +12,7 @@ from repro.flowspace import Filter, FiveTuple, FlowId
 from repro.harness import run_move_experiment
 from repro.net.switch import Switch
 from repro.net.xfsm import BufferUntilRelease
-from repro.nf import EventAction, NFClient, Scope, protocol
+from repro.nf import EventAction, NFClient, Scope, StateChunk, protocol, state
 from repro.nfs.monitor import AssetMonitor
 from repro.sim import Event, Simulator
 from tests.conftest import make_packet
@@ -448,24 +448,89 @@ def test_chunk_wire_encoding_is_the_canonical_json(kind):
         ).encode("utf-8")
 
 
+@pytest.mark.parametrize("kind", sorted(NF_FACTORIES))
+def test_a_chunk_is_sized_exactly_as_it_is_encoded(kind):
+    """``size_bytes`` is summed from a chunk's parts, never encoded, and
+    is the length of its encoding for the content of every chunk each NF
+    exports, in every scope (a chunk the NF exports with a preset size,
+    a proxy's cached object, is re-wrapped without one); a compressed
+    chunk's ``size_bytes`` is its raw size."""
+    sim = Simulator()
+    nf = NF_FACTORIES[kind](sim, kind)
+    feed_flows(sim, nf, 4)
+    assert any(_chunks(nf, scope) for scope in Scope)
+    for scope in Scope:
+        for compressed in (False, True):
+            for exported in _chunks(nf, scope):
+                chunk = StateChunk(scope, exported.flowid, exported.data)
+                chunk.compressed = compressed
+                assert chunk.size_bytes == len(chunk.to_json_bytes()), chunk
+
+
+SIZED_DATA = [
+    {},
+    {"k": "v" * 100, "n": None, "on": True, "off": False},
+    {"ratio": 0.1, "big": 10 ** 20, "neg": -3, "nan": float("nan"),
+     "inf": float("-inf")},
+    {"nested": {"z": [1, [2, {"b": 1, "a": 2}]], "a": []}},
+    {"name": "caf\u00e9 \u2603 \U0001f600", "esc": "\"quoted\"\n\t\\"},
+]
+
+
+@pytest.mark.parametrize("scope", list(Scope), ids=lambda s: s.value)
+@pytest.mark.parametrize("flowid", [
+    None,
+    FlowId.for_host("10.0.1.7"),
+    FlowId.for_flow(FiveTuple("10.0.1.1", 1234, "203.0.113.5", 80)),
+    FlowId({"url": "/\u00fcber", "tcp_flags": frozenset({"SYN", "ACK"})}),
+], ids=["all-flows", "host", "flow", "url"])
+def test_a_chunk_sized_from_its_parts_matches_its_encoding(scope, flowid):
+    for data in SIZED_DATA:
+        assert protocol.wire_length(data) == len(protocol.encode(data))
+        for compressed in (False, True):
+            chunk = StateChunk(scope, flowid, data)
+            chunk.compressed = compressed
+            assert chunk.size_bytes == len(chunk.to_json_bytes()), data
+
+
 @pytest.fixture
 def encoded(monkeypatch):
-    """What ``JSONEncoder.encode`` was handed, by what it is the JSON of:
-    a state chunk's body, a filter's / flowid's dict, or anything else —
-    a whole control message, which nothing may encode just to size."""
-    seen = {"chunk": 0, "filter": 0, "message": 0}
-    real = json.JSONEncoder.encode
+    """What was encoded or measured, by what it is the JSON of.
 
-    def counting(self, obj):
+    ``JSONEncoder.encode`` handed a state chunk's whole envelope counts
+    as ``"chunk"``, anything else as ``"message"``: nothing may encode
+    either just to size it. ``wire_length`` handed a filter's / flowid's
+    dict counts as ``"filter"``, anything else (a chunk's data) as
+    ``"data"``; ``"measured"`` lists the filter objects whose size
+    ``filter_bytes`` had not yet cached.
+    """
+    seen = {"chunk": 0, "filter": 0, "data": 0, "message": 0,
+            "measured": []}
+    real_encode = json.JSONEncoder.encode
+    real_filter_bytes = protocol.filter_bytes
+
+    def counting_encode(self, obj):
         if isinstance(obj, dict) and set(obj) == {"scope", "flowid", "data"}:
             seen["chunk"] += 1
-        elif isinstance(obj, dict) and set(obj) == {"fields", "symmetric"}:
-            seen["filter"] += 1
         else:
             seen["message"] += 1
-        return real(self, obj)
+        return real_encode(self, obj)
 
-    monkeypatch.setattr(json.JSONEncoder, "encode", counting)
+    def counting_length(value):
+        is_filter = isinstance(value, dict) and set(value) == {
+            "fields", "symmetric"}
+        seen["filter" if is_filter else "data"] += 1
+        return len(real_encode(protocol.WIRE_JSON, value))
+
+    def counting_filter_bytes(flt):
+        if flt._wire_size is None:
+            seen["measured"].append(flt)
+        return real_filter_bytes(flt)
+
+    monkeypatch.setattr(json.JSONEncoder, "encode", counting_encode)
+    for module in (protocol, state):
+        monkeypatch.setattr(module, "wire_length", counting_length)
+        monkeypatch.setattr(module, "filter_bytes", counting_filter_bytes)
     return seen
 
 
@@ -490,22 +555,31 @@ def test_sizing_a_message_never_encodes_it(encoded):
     is each filter / flowid *object*, once — the 200-flow move meets
     150 more flowids in its delete request, and nothing else differs."""
     _dummy_move(50)
-    small = dict(encoded)
+    small = dict(encoded, measured=len(encoded["measured"]))
     _dummy_move(200)
-    large = {kind: encoded[kind] - small[kind] for kind in small}
+    large = {kind: len(count) if kind == "measured" else count
+             for kind, count in encoded.items()}
+    large = {kind: large[kind] - small[kind] for kind in small}
     assert small["message"] == large["message"] == 0
     assert small["chunk"] == large["chunk"] == 0
+    assert small["data"] == large["data"] == 0  # (sizes are preset)
     assert small["filter"] - 50 == large["filter"] - 200
     assert small["filter"] - 50 <= 2  # the move's filter (and wildcard)
+    assert small["filter"] == small["measured"]
+    assert large["filter"] == large["measured"]
 
 
-def test_a_chunk_is_encoded_once_however_often_it_is_sized(encoded):
-    """An ``AssetMonitor`` chunk has no preset size: exporting measures
-    it, and the put, ``_note_chunk`` and the report read the cached size."""
+def test_a_chunk_is_measured_once_however_often_it_is_sized(encoded):
+    """An ``AssetMonitor`` chunk has no preset size: exporting sums it
+    from its parts, never encoding it, and the put, ``_note_chunk`` and
+    the report read the cached size. Its data is measured once, and
+    each flowid object once, however many chunks and requests carry it."""
     result = run_move_experiment(guarantee="lf", n_flows=20)
     assert result.report.total_chunks > 0
-    assert encoded["chunk"] == result.report.total_chunks
-    assert encoded["message"] == 0
+    assert encoded["chunk"] == encoded["message"] == 0
+    assert encoded["data"] == result.report.total_chunks
+    measured = encoded["measured"]
+    assert encoded["filter"] == len(measured) == len({id(f) for f in measured})
 
 
 # ------------------------------------------- one streamed chunk, counted

@@ -57,9 +57,6 @@ ALLOWED: Dict[str, str] = {
     "repro.traffic.generator:ftp_session":
         "the FTP flows §5.1.2's data-channel example needs; no trace "
         "mix carries FTP yet, so only the IDS FTP tests replay it",
-    "repro.nf.state:chunks_total_bytes":
-        "a deletion candidate: the state layer sizes chunks on the wire "
-        "(chunks_wire_bytes), and nothing sums their raw sizes",
 }
 
 Definition = Tuple[str, str]  # ("repro.module", name)
