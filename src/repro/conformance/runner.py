@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.flowspace.filter import Filter
@@ -37,7 +38,7 @@ from repro.harness.properties import check_chain_loss_free, check_loss_free
 from repro.net.packet import reset_uid_counter
 from repro.nf.state import Scope
 from repro.baselines.splitmerge import SplitMergeMigrate
-from repro.traffic.generator import tcp_flow
+from repro.traffic.generator import PacketBlueprint, tcp_flow
 from repro.traffic.replay import TraceReplayer
 from repro.traffic.traces import TraceConfig, build_university_cloud_trace
 from repro.obs.audit import (
@@ -300,6 +301,17 @@ def _launch_op(dep: Deployment, op_spec: OpSpec, handles: List[dict]) -> None:
                     stop_share_handle, handle)
 
 
+@lru_cache(maxsize=16)
+def _trace_packets(
+    seed: int, n_flows: int, data_packets: int
+) -> Tuple[PacketBlueprint, ...]:
+    """A schedule's trace, built once per config: every matrix cell
+    replays the same one, and blueprints are immutable."""
+    return tuple(build_university_cloud_trace(TraceConfig(
+        seed=seed, n_flows=n_flows, data_packets=data_packets,
+    )).packets)
+
+
 def run_schedule(
     spec: ScheduleSpec,
     keep_deployment: bool = False,
@@ -353,15 +365,12 @@ def run_schedule(
     budget = EVENTS_PER_OP * (1 + len(spec.ops) + len(spec.chains))
     budget += EVENTS_PER_PACKET * sum(b.packets for b in spec.bursts)
     if spec.n_flows > 0:
-        trace = build_university_cloud_trace(TraceConfig(
-            seed=spec.seed, n_flows=spec.n_flows,
-            data_packets=spec.data_packets,
-        ))
-        replayer = TraceReplayer(dep.sim, dep.inject, trace.packets,
+        packets = _trace_packets(spec.seed, spec.n_flows, spec.data_packets)
+        replayer = TraceReplayer(dep.sim, dep.inject, packets,
                                  rate_pps=spec.rate_pps)
         replayer.start()
         duration_ms = replayer.duration_ms
-        budget += EVENTS_PER_PACKET * len(trace.packets)
+        budget += EVENTS_PER_PACKET * len(packets)
 
     for burst in spec.bursts:
         builder = _burst_packets(burst)

@@ -12,8 +12,13 @@ packets it re-injects with ``"do-not-buffer"`` (order-preserving move,
 
 A replay keeps every packet it injects, so a packet allocates no
 container it rarely uses: an unmarked packet shares one empty ``marks``
-set, and a packet built from a frozenset of flags (as every
-:class:`~repro.traffic.generator.PacketBlueprint` hands it) shares it.
+set, a packet built from a frozenset of flags (as every
+:class:`~repro.traffic.generator.PacketBlueprint` hands it) shares it,
+and a packet holds no ``extra_headers`` dict until one is written
+(reading ``extra_headers`` makes it, for a writer such as the RE
+encoder; :meth:`Packet.extra_header`, :meth:`Packet.headers` and
+:meth:`Packet.match_keys` read without making one). Its payload is
+shared as well: a ``str`` is immutable and is only ever rebound.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ class Packet:
         "size_bytes",
         "marks",
         "created_at",
-        "extra_headers",
+        "_extra_headers",
     )
 
     def __init__(
@@ -79,7 +84,23 @@ class Packet:
         self.size_bytes = HEADER_OVERHEAD_BYTES + len(payload)
         self.marks: FrozenSet[str] = _NO_MARKS
         self.created_at = created_at
-        self.extra_headers = extra_headers or {}
+        #: ``None`` until a header is written (see ``extra_headers``).
+        self._extra_headers = extra_headers or None
+
+    @property
+    def extra_headers(self) -> Dict[str, Any]:
+        """Header fields beyond the five-tuple and flags, writable in
+        place (``packet.extra_headers[name] = value``); the dict is made
+        on first access."""
+        extra = self._extra_headers
+        if extra is None:
+            extra = self._extra_headers = {}
+        return extra
+
+    def extra_header(self, name: str) -> Any:
+        """The extra header ``name``, or ``None``; makes no dict."""
+        extra = self._extra_headers
+        return None if extra is None else extra.get(name)
 
     def rewrite_payload(self, payload: str) -> None:
         """Replace the payload in place (e.g. an RE encoder's stripping),
@@ -125,9 +146,10 @@ class Packet:
         """
         five_tuple = self.five_tuple
         keys = five_tuple._match_keys
-        if keys is None or self.extra_headers:
+        extra = self._extra_headers
+        if keys is None or extra:
             keys = packet_match_keys(self.headers())
-            if not self.extra_headers:
+            if not extra:
                 object.__setattr__(five_tuple, "_match_keys", keys)
         return keys
 
@@ -136,7 +158,8 @@ class Packet:
         fields = self.five_tuple.headers()
         if self.tcp_flags:
             fields["tcp_flags"] = self.tcp_flags
-        fields.update(self.extra_headers)
+        if self._extra_headers:
+            fields.update(self._extra_headers)
         return fields
 
     def mark(self, name: str) -> "Packet":

@@ -100,7 +100,7 @@ class REDecoder(NetworkFunction):
         self.desync_drops = 0
 
     def process_packet(self, packet: Packet) -> None:
-        token = packet.extra_headers.get(RE_TOKEN_HEADER)
+        token = packet.extra_header(RE_TOKEN_HEADER)
         if token is not None:
             if self.store.lookup(token) is None:
                 self.desync_drops += 1

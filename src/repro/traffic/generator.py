@@ -9,11 +9,19 @@ them into the workload mixes the paper's evaluation uses.
 Packets are created lazily via :class:`PacketBlueprint` so a trace can be
 replayed several times (each replay makes fresh :class:`Packet` objects
 with fresh uids).
+
+Trace content is held once: the filler bodies of bulk flows and the
+segments of an HTTP reply stream are built once per distinct
+``(char, size)`` / ``(body, reply_chunk)`` and shared by every flow that
+carries them. That is safe because a payload is a ``str`` (immutable)
+and a packet's payload is only ever rebound
+(:meth:`~repro.net.packet.Packet.rewrite_payload`), never changed in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.flowspace.fivetuple import TCP, FiveTuple
@@ -24,27 +32,87 @@ from repro.net.packet import Packet
 _FLAG_SETS: Dict[Tuple[str, ...], FrozenSet[str]] = {}
 
 
-@dataclass(frozen=True)
 class PacketBlueprint:
-    """A packet waiting to be instantiated at replay time."""
+    """A packet waiting to be instantiated at replay time.
+
+    Immutable, and compared and hashed on its four fields as a frozen
+    dataclass is. A trace holds one per packet, so it is slotted by
+    hand (no per-instance ``__dict__``: about 72 B instead of 152 B);
+    ``dataclass(slots=True)`` needs Python 3.10.
+    """
+
+    __slots__ = ("five_tuple", "tcp_flags", "seq", "payload", "_flag_set")
 
     five_tuple: FiveTuple
-    tcp_flags: Tuple[str, ...] = ()
-    seq: int = 0
-    payload: str = ""
+    tcp_flags: Tuple[str, ...]
+    seq: int
+    payload: str
     #: ``tcp_flags`` as the shared frozenset each built packet holds.
-    _flag_set: FrozenSet[str] = field(init=False, repr=False, compare=False)
+    _flag_set: FrozenSet[str]
 
-    def __post_init__(self) -> None:
-        flags = _FLAG_SETS.get(self.tcp_flags)
+    def __init__(
+        self,
+        five_tuple: FiveTuple,
+        tcp_flags: Tuple[str, ...] = (),
+        seq: int = 0,
+        payload: str = "",
+    ) -> None:
+        flags = _FLAG_SETS.get(tcp_flags)
         if flags is None:
-            flags = _FLAG_SETS[self.tcp_flags] = frozenset(self.tcp_flags)
-        object.__setattr__(self, "_flag_set", flags)
+            flags = _FLAG_SETS[tcp_flags] = frozenset(tcp_flags)
+        setattr_ = object.__setattr__
+        setattr_(self, "five_tuple", five_tuple)
+        setattr_(self, "tcp_flags", tcp_flags)
+        setattr_(self, "seq", seq)
+        setattr_(self, "payload", payload)
+        setattr_(self, "_flag_set", flags)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def _fields(self) -> Tuple[FiveTuple, Tuple[str, ...], int, str]:
+        return (self.five_tuple, self.tcp_flags, self.seq, self.payload)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            "PacketBlueprint(five_tuple=%r, tcp_flags=%r, seq=%r, payload=%r)"
+            % self._fields()
+        )
+
+    def __reduce__(self):
+        return (PacketBlueprint, self._fields())
 
     def build(self, created_at: float) -> Packet:
         return Packet(
             self.five_tuple, self._flag_set, self.seq, self.payload, created_at
         )
+
+
+@lru_cache(maxsize=64)
+def _filler(char: str, size: int) -> str:
+    """A bulk-data body of ``size`` copies of ``char``, built once."""
+    return char * size
+
+
+@lru_cache(maxsize=64)
+def _reply_segments(body: str, chunk: int) -> Tuple[str, ...]:
+    """An HTTP reply (status line, ``Content-Length`` and ``body``) cut
+    into ``chunk``-byte data segments, built once per distinct reply."""
+    stream = "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+    return tuple(
+        stream[offset : offset + chunk] for offset in range(0, len(stream), chunk)
+    )
 
 
 @dataclass
@@ -96,17 +164,17 @@ def tcp_flow(
     if bidirectional:
         flow.add(flags=("SYN", "ACK"), reverse=True)
     flow.add(flags=("ACK",))
+    up = _filler("u", payload_size)
+    down = _filler("d", payload_size)
     seq_fwd = 0
     seq_rev = 0
     for index in range(data_packets):
         if bidirectional and index % 3 == 2:
-            body = "d" * payload_size
-            flow.add(flags=("ACK",), seq=seq_rev, payload=body, reverse=True)
-            seq_rev += len(body)
+            flow.add(flags=("ACK",), seq=seq_rev, payload=down, reverse=True)
+            seq_rev += len(down)
         else:
-            body = "u" * payload_size
-            flow.add(flags=("ACK",), seq=seq_fwd, payload=body)
-            seq_fwd += len(body)
+            flow.add(flags=("ACK",), seq=seq_fwd, payload=up)
+            seq_fwd += len(up)
     if close:
         flow.add(flags=("FIN", "ACK"), seq=seq_fwd)
         if bidirectional:
@@ -144,17 +212,14 @@ def http_exchange(
     )
     flow.add(flags=("ACK", "PSH"), seq=0, payload=request)
 
-    header = "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(reply_body)
-    reply_stream = header + reply_body
     offset = 0
-    while offset < len(reply_stream):
-        chunk = reply_stream[offset : offset + reply_chunk]
+    for chunk in _reply_segments(reply_body, reply_chunk):
         flow.add(flags=("ACK",), seq=offset, payload=chunk, reverse=True)
         offset += len(chunk)
 
     if close:
         flow.add(flags=("FIN", "ACK"), seq=len(request))
-        flow.add(flags=("FIN", "ACK"), seq=len(reply_stream), reverse=True)
+        flow.add(flags=("FIN", "ACK"), seq=offset, reverse=True)
     return flow
 
 
@@ -210,9 +275,9 @@ def ftp_session(
     )
     data.add(flags=("SYN",))
     data.add(flags=("SYN", "ACK"), reverse=True)
+    body = _filler("f", payload_size)
     offset = 0
     for _ in range(data_packets):
-        body = "f" * payload_size
         data.add(flags=("ACK",), seq=offset, payload=body)
         offset += payload_size
     data.add(flags=("FIN", "ACK"), seq=offset)

@@ -83,7 +83,3 @@ class TraceReplayer:
         packet = self.blueprints[index].build(created_at=sim.now)
         self.injected.append(packet)
         self.inject(packet)
-
-    def time_of_packet(self, index: int) -> float:
-        """When the ``index``-th packet is (or will be) injected."""
-        return index * self.interval_ms

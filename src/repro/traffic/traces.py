@@ -25,6 +25,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.flowspace.fivetuple import FiveTuple
 from repro.sim.rng import derive_rng
 from repro.traffic.generator import FlowBlueprint, PacketBlueprint, http_exchange, port_scan, tcp_flow
 
@@ -106,6 +107,8 @@ def _interleave(flows: Sequence[FlowBlueprint]) -> List[PacketBlueprint]:
 def build_university_cloud_trace(config: TraceConfig) -> Trace:
     """Local clients talking to cloud servers: mostly HTTP, some bulk TCP."""
     rng = derive_rng(config.seed, "university-cloud")
+    body_units = max(1, config.http_body_bytes // len(BENIGN_BODY_UNIT))
+    benign_body = BENIGN_BODY_UNIT * body_units
     flows: List[FlowBlueprint] = []
     for index in range(config.n_flows):
         client = _local_host(config, rng.randrange(config.n_local_hosts))
@@ -116,8 +119,7 @@ def build_university_cloud_trace(config: TraceConfig) -> Trace:
         if rng.random() < config.http_fraction:
             malicious = rng.random() < config.malware_fraction
             outdated = rng.random() < config.outdated_browser_fraction
-            body_units = max(1, config.http_body_bytes // len(BENIGN_BODY_UNIT))
-            body = MALWARE_BODY if malicious else BENIGN_BODY_UNIT * body_units
+            body = MALWARE_BODY if malicious else benign_body
             flow = http_exchange(
                 client,
                 client_port,
@@ -132,8 +134,6 @@ def build_university_cloud_trace(config: TraceConfig) -> Trace:
             if long_flow:
                 flow.kind += "-long"
         else:
-            from repro.flowspace.fivetuple import FiveTuple
-
             flow = tcp_flow(
                 FiveTuple(client, client_port, server, 443),
                 data_packets=data_packets,
@@ -158,8 +158,7 @@ def build_university_cloud_trace(config: TraceConfig) -> Trace:
 def build_datacenter_trace(config: TraceConfig) -> Trace:
     """Rack-to-rack mix: many short flows, a few heavy ones, some HTTP."""
     rng = derive_rng(config.seed, "datacenter")
-    from repro.flowspace.fivetuple import FiveTuple
-
+    benign_body = BENIGN_BODY_UNIT * max(1, config.http_body_bytes // 45)
     flows: List[FlowBlueprint] = []
     for index in range(config.n_flows):
         src = "10.0.%d.%d" % (rng.randrange(1, 9), rng.randrange(1, 200))
@@ -175,7 +174,7 @@ def build_datacenter_trace(config: TraceConfig) -> Trace:
                 dst,
                 url="/svc/%d" % index,
                 host="internal.example",
-                reply_body=BENIGN_BODY_UNIT * max(1, config.http_body_bytes // 45),
+                reply_body=benign_body,
                 close=config.close_flows,
             )
         elif roll < 0.9:

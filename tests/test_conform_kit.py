@@ -296,6 +296,30 @@ class TestOpenDefectClauses:
             "loss-free ground truth: missing=[2] duplicated=[]"]
 
 
+def test_one_trace_config_is_built_once(monkeypatch):
+    """Every cell of one trace config replays the same immutable
+    blueprints: a second run of the config does not rebuild them."""
+    builds = []
+    build = runner.build_university_cloud_trace
+
+    def counting(config):
+        builds.append((config.seed, config.n_flows, config.data_packets))
+        return build(config)
+
+    monkeypatch.setattr(runner, "build_university_cloud_trace", counting)
+    runner._trace_packets.cache_clear()
+    spec = ScheduleSpec(nf="monitor", seed=11, n_flows=6, data_packets=3,
+                        ops=[OpSpec(kind="move", guarantee="lf")])
+    first = run_schedule(spec)
+    second = run_schedule(spec)
+    assert builds == [(11, 6, 3)]
+    assert first.summary() == second.summary()
+    packets = runner._trace_packets(11, 6, 3)
+    assert isinstance(packets, tuple)
+    assert runner._trace_packets(11, 6, 3) is packets
+    runner._trace_packets.cache_clear()
+
+
 def test_the_event_budget_grows_with_the_schedule():
     """A clean run is never cut as a livelock: a strong share over a few
     hundred trace packets takes more events than its operations alone

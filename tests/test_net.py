@@ -1,5 +1,7 @@
 """Tests for packets, links, flow tables, the switch, and channels."""
 
+import gc
+
 import pytest
 
 from repro.flowspace import Filter, FiveTuple
@@ -15,6 +17,7 @@ from repro.net import (
     Switch,
 )
 from repro.net.packet import HEADER_OVERHEAD_BYTES
+from repro.nfs.redup import RE_TOKEN_HEADER, REDecoder
 from repro.sim import Simulator
 from repro.sim.rng import derive_rng
 from tests.conftest import make_packet
@@ -51,6 +54,40 @@ class TestPacket:
         assert Packet(flow, tcp_flags=("FIN", "ACK")).is_fin_or_rst()
         assert Packet(flow, tcp_flags=("RST",)).is_fin_or_rst()
         assert not Packet(flow, tcp_flags=("ACK",)).is_fin_or_rst()
+
+
+class TestPacketHeaders:
+    """A packet holds no header dict until a header is written."""
+
+    @staticmethod
+    def holds_a_dict(packet):
+        return any(isinstance(ref, dict) for ref in gc.get_referents(packet))
+
+    def test_reads_make_no_dict(self, flow):
+        packet = Packet(flow, tcp_flags=("ACK",), payload="data")
+        packet.headers()
+        packet.match_keys()
+        assert packet.extra_header(RE_TOKEN_HEADER) is None
+        REDecoder(Simulator(), "dec").process_packet(packet)
+        assert not self.holds_a_dict(packet)
+
+    def test_a_written_header_reaches_headers_and_match_keys(self, flow):
+        plain = Packet(flow)
+        packet = Packet(flow)
+        packet.extra_headers["tp_dst"] = 8080
+        assert self.holds_a_dict(packet)
+        assert packet.headers()["tp_dst"] == 8080
+        assert packet.extra_header("tp_dst") == 8080
+        assert packet.match_keys() != plain.match_keys()
+        assert not self.holds_a_dict(plain)
+
+    def test_constructor_headers_are_honoured(self, flow):
+        headers = {"http_url": "/x"}
+        packet = Packet(flow, extra_headers=headers)
+        assert packet.extra_headers is headers
+        assert packet.headers()["http_url"] == "/x"
+        assert packet.extra_header("http_url") == "/x"
+        assert not self.holds_a_dict(Packet(flow, extra_headers={}))
 
 
 class TestLink:

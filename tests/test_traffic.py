@@ -1,5 +1,11 @@
 """Tests for traffic generation and replay."""
 
+import copy
+import dataclasses
+import gc
+import hashlib
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +21,8 @@ from repro.traffic import (
     build_datacenter_trace,
     build_university_cloud_trace,
     http_exchange,
+    PacketBlueprint,
+    ftp_session,
     malware_signatures,
     port_scan,
     tcp_flow,
@@ -110,6 +118,130 @@ class TestTraces:
             malware_signatures()
 
 
+def content_digest(blueprints):
+    """sha256 over each blueprint's five-tuple, flags, seq and payload."""
+    digest = hashlib.sha256()
+    for bp in blueprints:
+        ft = bp.five_tuple
+        digest.update(repr((ft.src_ip, ft.src_port, ft.dst_ip, ft.dst_port,
+                            ft.proto, bp.tcp_flags, bp.seq,
+                            bp.payload)).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def dp_steady_packets():
+    """The blueprints the ledger's ``dp_steady`` workload replays."""
+    return build_university_cloud_trace(
+        TraceConfig(seed=7, n_flows=2000, data_packets=3)
+    ).packets[:12000]
+
+
+class TestTraceContent:
+    """Each distinct piece of trace content is held once, and the bytes
+    every trace carries are those of the per-packet builders."""
+
+    #: Pinned from the builders that made one string per packet.
+    PINS = {
+        "dp_steady": "b74854af61e81ae8d912300b22ea8e63346e4976c64815510cce6a2b9fc90fca",
+        "conformance": "990c146d7a27eab610a3738c9e518e7835f4264b4e5e9cc7883a0123af2ba93e",
+        "datacenter": "36da0bda9fb46419fff7dcf675c36a09760438bfb44201e5136d7dc647ed78e1",
+    }
+
+    def test_content_is_byte_identical(self):
+        assert content_digest(dp_steady_packets()) == self.PINS["dp_steady"]
+        conformance = build_university_cloud_trace(
+            TraceConfig(seed=11, n_flows=6, data_packets=3))
+        assert content_digest(conformance.packets) == self.PINS["conformance"]
+        datacenter = build_datacenter_trace(TraceConfig(seed=5, n_flows=200))
+        assert content_digest(datacenter.packets) == self.PINS["datacenter"]
+
+    def test_fillers_are_shared_across_flows(self):
+        a = tcp_flow(FiveTuple("10.0.0.1", 1000, "10.0.0.2", 80))
+        b = tcp_flow(FiveTuple("10.0.0.3", 1001, "10.0.0.4", 80))
+        for first, second in zip(a.packets, b.packets):
+            assert first.payload is second.payload
+        assert {len(bp.payload) for bp in a.packets} == {0, 512}
+        _, data = ftp_session("10.0.0.1", "10.0.0.2")
+        _, other = ftp_session("10.0.0.5", "10.0.0.6", data_port=50300)
+        assert data.packets[2].payload is other.packets[2].payload
+
+    def test_reply_segments_are_shared_across_benign_flows(self):
+        trace = build_university_cloud_trace(
+            TraceConfig(seed=3, n_flows=40, data_packets=3))
+        benign = trace.flows_of_kind("http")
+        assert len(benign) >= 2
+        replies = [
+            [bp for bp in flow.packets if bp.payload and bp.five_tuple
+             is not flow.five_tuple]
+            for flow in benign[:2]
+        ]
+        assert len(replies[0]) == len(replies[1]) > 1
+        for first, second in zip(*replies):
+            assert first.payload is second.payload
+            assert first.seq == second.seq
+
+    def test_dp_steady_input_fits_its_memory_budget(self):
+        """6.8 MB under tracemalloc when every packet held its own
+        payload string, 2.1 MB with the content shared."""
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already tracing")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            packets = dp_steady_packets()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(packets) == 12000
+        assert retained < 2.8e6, retained
+
+
+class TestPacketBlueprint:
+    def blueprint(self, **overrides):
+        fields = dict(five_tuple=FiveTuple("10.0.0.1", 1000, "10.0.0.2", 80),
+                      tcp_flags=("ACK",), seq=7, payload="abc")
+        fields.update(overrides)
+        return PacketBlueprint(**fields)
+
+    def test_holds_no_instance_dict(self):
+        assert not hasattr(self.blueprint(), "__dict__")
+
+    def test_assignment_raises(self):
+        bp = self.blueprint()
+        for name in ("payload", "seq", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(bp, name, "x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del bp.payload
+        assert bp.payload == "abc"
+
+    def test_equality_and_hash_are_on_the_four_fields(self):
+        bp = self.blueprint()
+        ft = bp.five_tuple
+        assert bp == self.blueprint()
+        assert hash(bp) == hash((ft, ("ACK",), 7, "abc"))
+        for change in (dict(tcp_flags=("SYN",)), dict(seq=8),
+                       dict(payload="abd"),
+                       dict(five_tuple=FiveTuple("10.0.0.1", 1001,
+                                                 "10.0.0.2", 80))):
+            assert bp != self.blueprint(**change)
+        assert bp != (ft, ("ACK",), 7, "abc")
+        assert copy.deepcopy(bp) == bp
+        assert repr(bp) == (
+            "PacketBlueprint(five_tuple=%r, tcp_flags=('ACK',), seq=7, "
+            "payload='abc')" % (ft,))
+
+    def test_defaults_and_built_packet(self):
+        ft = FiveTuple("10.0.0.1", 1000, "10.0.0.2", 80)
+        bp = PacketBlueprint(ft)
+        assert (bp.tcp_flags, bp.seq, bp.payload) == ((), 0, "")
+        packet = self.blueprint().build(created_at=2.5)
+        assert packet.tcp_flags == frozenset({"ACK"})
+        assert (packet.seq, packet.payload, packet.created_at) == (7, "abc", 2.5)
+
+
 class TestReplayer:
     def test_replay_at_rate(self, sim):
         trace = build_university_cloud_trace(TraceConfig(seed=1, n_flows=5))
@@ -144,7 +276,9 @@ class TestReplayer:
         replayer = TraceReplayer(sim, lambda p: None, trace.packets,
                                  rate_pps=2000.0)
         assert replayer.duration_ms == pytest.approx(len(trace.packets) * 0.5)
-        assert replayer.time_of_packet(3) == 1.5
+        replayer.start()
+        sim.run()
+        assert replayer.injected[3].created_at == 1.5
 
     @pytest.mark.parametrize("rate_pps", [0, 0.0, -5.0, float("nan")])
     def test_non_positive_rate_rejected_up_front(self, sim, rate_pps):
