@@ -18,7 +18,8 @@ then asks two independent judges:
    registry (:func:`check_trace_properties` does so for a bare trace);
 2. the live objects — the ground-truth oracle
    :func:`~repro.harness.properties.check_loss_free` over the switch's
-   and the NFs' own logs, and a completeness probe of the NFs' residual
+   and the NFs' own logs (a schedule that replays traffic must leave it
+   some packet to judge), and a completeness probe of the NFs' residual
    state, which no trace can show.
 
 Every failed check is one :class:`~repro.obs.audit.Violation`; a cell is
@@ -169,6 +170,8 @@ class ConformanceResult:
     violations: List[Violation] = field(default_factory=list)
     loss_free: bool = True
     loss_free_detail: str = ""
+    #: Packets the ground-truth oracle judged (per chain hop, the fewest).
+    judged: int = 0
     reports: List[Any] = field(default_factory=list)
     deployment: Optional[Deployment] = None
     #: The run's observability bundle, which :attr:`entries` reads.
@@ -425,13 +428,19 @@ def run_schedule(
         # Per-hop ground truth: the chain's multicast rule delivers each
         # packet to every hop, which the whole-instance check would
         # misread as N-fold duplication.
-        result.loss_free, result.loss_free_detail = check_chain_loss_free(
-            dep.switch, chain_hops
-        )
+        verdict = check_chain_loss_free(dep.switch, chain_hops)
     else:
-        result.loss_free, result.loss_free_detail = check_loss_free(
-            dep.switch, instances
-        )
+        verdict = check_loss_free(dep.switch, instances)
+    result.loss_free, result.loss_free_detail = verdict
+    result.judged = verdict.judged
+    if result.loss_free and not result.judged and (
+            spec.n_flows or spec.bursts):
+        # Traffic went in and the oracle judged none of it: a pass
+        # would be vacuous, whatever became of the packets.
+        result.loss_free = False
+        result.loss_free_detail = (
+            "judged no packet: the schedule replayed traffic and none "
+            "of it was forwarded to an instance")
     if keep_deployment:
         result.deployment = dep
     return result

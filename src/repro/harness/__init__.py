@@ -18,8 +18,6 @@ from repro.harness.properties import (
     check_chain_loss_free,
     check_loss_free,
     check_order_preserving,
-    merged_processing_order,
-    switch_forwarding_order,
 )
 
 __all__ = [
@@ -36,6 +34,4 @@ __all__ = [
     "check_chain_loss_free",
     "check_loss_free",
     "check_order_preserving",
-    "merged_processing_order",
-    "switch_forwarding_order",
 ]

@@ -76,9 +76,10 @@ class Deployment:
         #: move fast path); ``False`` keeps the window buffered at the
         #: controller.
         self.offload = bool(offload)
-        #: Ground-truth logging (forward_log / processing_log / durations).
-        #: Cheap bookkeeping, on by default; benchmarks turn it off so log
-        #: appends do not pollute wall-clock measurements.
+        #: Ground-truth logging (forward_log / processing_log / durations,
+        #: held in columns: 48 B per packet). On by default; benchmarks
+        #: turn it off so log appends do not pollute wall-clock
+        #: measurements.
         self.record_ground_truth = record_ground_truth
         self.switch = Switch(
             self.sim,

@@ -20,11 +20,13 @@ live.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict, deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.flowspace.filter import Filter
 from repro.net.channel import AtMostOnce, ControlChannel
+from repro.net.columns import Columns
 from repro.net.flowtable import FlowEntry, FlowTable
 from repro.net.link import Link
 from repro.net.packet import Packet
@@ -116,11 +118,17 @@ class Switch:
         self.xfsm_released = 0
         #: When False, ``forward_log`` stays empty — long-running scale
         #: benchmarks opt out so memory stays bounded; the properties the
-        #: log backs are simply unavailable then.
+        #: log backs are simply unavailable then. Recorded, it costs 24 B
+        #: per forwarding: a time, a uid and a reference to the actions.
         self.record_ground_truth = record_ground_truth
+        self._fwd_times = array("d")
+        self._fwd_uids = array("q")
+        self._fwd_actions: List[Tuple[str, ...]] = []
         #: Ordered log of (time, packet_uid, actions) — the ground truth the
-        #: order-preservation property is checked against.
-        self.forward_log: List[Tuple[float, int, Tuple[str, ...]]] = []
+        #: loss-free and order-preserving judges read.
+        self.forward_log = Columns(
+            self._fwd_times, self._fwd_uids, self._fwd_actions
+        )
         #: action -> table-matched outputs, controller port included:
         #: no always-on count has this split, so the guard writes it.
         self._fwd_counts: Dict[str, int] = {}
@@ -183,7 +191,9 @@ class Switch:
             return
         entry.count(packet)
         if self.record_ground_truth:
-            self.forward_log.append((self.sim.now, packet.uid, entry.actions))
+            self._fwd_times.append(self.sim.now)
+            self._fwd_uids.append(packet.uid)
+            self._fwd_actions.append(entry.actions)
         if self.obs.enabled:
             counts = self._fwd_counts
             for action in entry.actions:
@@ -302,7 +312,9 @@ class Switch:
         packet, port_name, on_emit = self._packet_out_queue.popleft()
         self.packet_outs_by_port[port_name] += 1
         if self.record_ground_truth:
-            self.forward_log.append((self.sim.now, packet.uid, (port_name,)))
+            self._fwd_times.append(self.sim.now)
+            self._fwd_uids.append(packet.uid)
+            self._fwd_actions.append((port_name,))
         self._output(packet, port_name)
         if on_emit is not None:
             on_emit()

@@ -22,6 +22,7 @@ added to Bro, PRADS, Squid and iptables (§4.2, §7).
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
@@ -32,6 +33,7 @@ from repro.nf.state import (
     FLOW_FIELDS, MERGE, MERGE_UNLESS_SNAPSHOT, Scope, StateChunk, StateSpec,
 )
 from repro.net.channel import AtMostOnce
+from repro.net.columns import Columns
 from repro.net.packet import Packet
 from repro.obs import NULL_OBS
 from repro.sim.core import Event, Simulator
@@ -60,7 +62,8 @@ class NetworkFunction:
 
     #: When False, the per-packet ground-truth logs (``processing_log``,
     #: ``proc_durations``) are not recorded — scale benchmarks opt out so
-    #: long runs do not grow memory without bound.
+    #: long runs do not grow memory without bound. Recorded, they cost
+    #: 24 B per processed packet: three columns of 8 B values.
     record_ground_truth = True
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -149,12 +152,21 @@ class NetworkFunction:
         self.packets_released = 0
         self.packets_lost_to_failure = 0
         self.events_raised = 0
+        # Ground truth, one value per processed packet in each column.
+        self._done_times = array("d")
+        self._done_uids = array("q")
+        self._durations = array("d")
         #: (completion_time, packet_uid) for every packet actually processed.
-        self.processing_log: List[Tuple[float, int]] = []
+        self.processing_log = Columns(
+            self._done_times, self._done_uids, tied=(self._durations,)
+        )
         #: (time, packet_uid) for every packet held by a BUFFER rule.
         self.buffered_log: List[Tuple[float, int]] = []
-        #: per-packet processing durations (for §8.2.1's overhead metric).
-        self.proc_durations: List[Tuple[float, float]] = []
+        #: (completion_time, duration) per processed packet (for §8.2.1's
+        #: overhead metric); the times are ``processing_log``'s own.
+        self.proc_durations = Columns(
+            self._done_times, self._durations, tied=(self._done_uids,)
+        )
 
     # ------------------------------------------------------------------ wiring
 
@@ -356,8 +368,9 @@ class NetworkFunction:
             return
         self.packets_processed += 1
         if self.record_ground_truth:
-            self.processing_log.append((self.sim.now, packet.uid))
-            self.proc_durations.append((self.sim.now, duration))
+            self._done_times.append(self.sim.now)
+            self._done_uids.append(packet.uid)
+            self._durations.append(duration)
         obs = self.obs
         if obs.enabled:
             obs.tracer.record("nf.process", nf=self.name,

@@ -66,6 +66,8 @@ def test_matrix_cell(cell):
     """
     result = run_cell(cell)
     assert result.ok, "%s: %s" % (cell.label(), result.summary())
+    # Every cell replays a trace: the oracle judged some of it.
+    assert result.judged > 0, cell.label()
     if not result.clean:
         # Expected-dirty cells must say *why* they are dirty — a dirty
         # verdict with no cited check would be a silent no-op run.
@@ -80,6 +82,23 @@ def test_matrix_covers_every_axis():
     assert {c.guarantee for c in cells} == {"ng", "lf", "lf+op",
                                            "strong-share"}
     assert sum(1 for c in cells if c.faults and c.batching) == 7 * 4
+
+
+def test_a_run_that_judged_no_packet_is_not_loss_free():
+    """Traffic went in, none reached an instance: no vacuous pass.
+
+    The corpus's stranded op-strong packet only ever went to the
+    controller, so the oracle judges nothing; a schedule with no
+    traffic at all has nothing to judge and passes.
+    """
+    (entry,) = [e for e in load_corpus(CORPUS_DIR)
+                if e.name == "op-strong-abort-strands"]
+    result = run_schedule(entry.spec)
+    assert result.judged == 0 and not result.loss_free
+    assert result.loss_free_detail.startswith("judged no packet")
+    assert result.check_kinds() == entry.checks
+    quiet = run_schedule(ScheduleSpec(nf="monitor", n_flows=0))
+    assert quiet.judged == 0 and quiet.loss_free
 
 
 # -------------------------------------------------- Split/Merge is broken

@@ -11,8 +11,6 @@ from repro.harness import (
     check_loss_free,
     check_order_preserving,
     completion_times,
-    merged_processing_order,
-    switch_forwarding_order,
 )
 from repro.net.flowtable import HIGH_PRIORITY, MID_PRIORITY
 from repro.nf import EventAction
@@ -158,8 +156,20 @@ class TestPropertyCheckers:
         packet = make_packet(FiveTuple("10.0.0.1", 1, "10.0.0.2", 80))
         dep.inject(packet)
         dep.sim.run()
-        order = switch_forwarding_order(dep.switch, ["inst1"])
-        assert order == [packet.uid]
+        loss_free = check_loss_free(dep.switch, [a])
+        order = check_order_preserving(dep.switch, [a], [packet])
+        assert loss_free == order == (True, "")
+        assert loss_free.judged == order.judged == 1
+
+    def test_controller_only_copies_are_not_judged(self):
+        dep, (a,) = build_multi_instance_deployment(1)
+        packet = make_packet(FiveTuple("10.0.0.1", 1, "10.0.0.2", 80))
+        dep.switch.forward_log = [(0.0, packet.uid, ("controller",))]
+        loss_free = check_loss_free(dep.switch, [a])
+        assert loss_free == (True, "") and loss_free.judged == 0
+        dep.switch.forward_log.append((1.0, packet.uid, ("inst1",)))
+        assert check_loss_free(dep.switch, [a]) == (
+            False, "missing=[%d] duplicated=[]" % packet.uid)
 
     def test_loss_free_checker_detects_missing(self):
         dep, (a,) = build_multi_instance_deployment(1)
@@ -179,17 +189,27 @@ class TestPropertyCheckers:
         dep.inject(second)
         dep.sim.run()
         # Forge an inversion in the processing log.
-        a.processing_log.reverse()
-        a.processing_log = [(t, uid) for (t, uid) in
-                            zip([1.0, 2.0], [u for (_t, u) in a.processing_log])]
+        reversed_uids = [u for (_t, u) in a.processing_log][::-1]
+        a.processing_log = list(zip([1.0, 2.0], reversed_uids))
         ok, detail = check_order_preserving(dep.switch, [a], [first, second])
         assert not ok
 
-    def test_merged_processing_order(self):
+    def test_processing_order_merges_instances_by_completion(self):
         dep, (a, b) = build_multi_instance_deployment(2)
-        a.processing_log = [(1.0, 10), (3.0, 30)]
-        b.processing_log = [(2.0, 20)]
-        assert merged_processing_order([a, b]) == [10, 20, 30]
+        flow = FiveTuple("10.0.0.1", 1, "10.0.0.2", 80)
+        packets = [make_packet(flow) for _ in range(3)]
+        first, second, third = (p.uid for p in packets)
+        a.processing_log = [(1.0, first), (3.0, third)]
+        b.processing_log = [(2.0, second)]
+
+        def forwarded(*uids):
+            dep.switch.forward_log = [(0.0, uid, ("inst1",)) for uid in uids]
+            return check_order_preserving(dep.switch, [a, b], packets,
+                                          per_flow=False)
+
+        assert forwarded(first, second, third) == (True, "")
+        assert forwarded(first, third, second) == (
+            False, "at 1 expected uid %d got %d" % (third, second))
 
 
 class TestLatencyMetrics:

@@ -185,6 +185,20 @@ class TestProcessingLoop:
         sim.run()
         assert [uid for (_t, uid) in nf.processing_log] == [p.uid for p in packets]
 
+    def test_durations_share_the_processing_log_times(self, sim, flow):
+        nf = monitor(sim)
+        for _ in range(2):
+            nf.receive(make_packet(flow))
+        sim.run()
+        nf.processing_log.clear()
+        assert list(nf.proc_durations) == []
+        last = make_packet(flow)
+        nf.receive(last)
+        sim.run()
+        ((done_at, uid),) = nf.processing_log
+        assert uid == last.uid
+        assert list(nf.proc_durations) == [(done_at, nf.costs.proc_ms)]
+
     def test_drop_rule_silent(self, sim, flow):
         nf = monitor(sim)
         nf.sb_enable_events(Filter.wildcard(), EventAction.DROP, silent=True)

@@ -91,12 +91,12 @@ class TestStrongOrderPreserving:
         assert ok, detail
         # Packets the controller sequenced (processed at the destination)
         # are in switch-arrival order among themselves.
-        dst_uids = [uid for (_t, uid) in b.processing_log]
-        from repro.harness import switch_forwarding_order
-
-        arrival = switch_forwarding_order(dep.switch, ["inst1", "inst2"],
-                                          set(dst_uids))
-        assert dst_uids == [uid for uid in arrival if uid in set(dst_uids)]
+        dst_uids = {uid for (_t, uid) in b.processing_log}
+        at_dst = [p for p in replayer.injected if p.uid in dst_uids]
+        verdict = check_order_preserving(dep.switch, [b], at_dst,
+                                         per_flow=False)
+        assert verdict == (True, ""), verdict
+        assert verdict.judged == len(dst_uids) > 0
 
     @given(seed=st.integers(0, 300),
            rate=st.sampled_from([2000.0, 5000.0]))
