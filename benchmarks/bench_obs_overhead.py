@@ -4,8 +4,9 @@ Scale-ready telemetry is only scale-ready if leaving it on is free
 enough to never think about. This benchmark runs the same 10k-flow
 scenario (steady traffic to one monitor, one loss-free move of a /29
 subnet mid-trace) twice per round — telemetry fully off, and fully on
-as ``repro top`` runs it (the full stored trace + bounded histograms +
-a progress reporter taking one frame per 1000 simulated ms) — as
+as ``repro run --show top`` runs it (the full stored trace + bounded
+histograms + a progress reporter taking one frame per 1000 simulated
+ms) — as
 ``PAIRS`` interleaved pairs whose first run alternates between off and
 on, and gates on the median pair's CPU-time ratio. The run is single-threaded, so CPU time *is*
 the wall-clock cost of telemetry — minus the scheduler noise of a
@@ -92,7 +93,7 @@ def run_one(telemetry: bool) -> dict:
         )
 
     def on_deployment(dep):
-        ProgressReporter(dep).start()  # repro top's default interval
+        ProgressReporter(dep).start()  # the top view's default interval
 
     start = time.perf_counter()
     cpu_start = time.process_time()

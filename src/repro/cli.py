@@ -1,32 +1,33 @@
-"""Command-line interface: quick demos and safety validation.
+"""Command-line interface: one observed move, conformance and validation.
 
 Usage::
 
-    python -m repro.cli demo-move --guarantee op --flows 200 --rate 2500
-    python -m repro.cli trace --guarantee op --flows 100
-    python -m repro.cli demo-move --faults "seed=3,drop=0.05" --guarantee op
-    python -m repro.cli audit --baseline splitmerge --flows 60 --rate 6000
+    python -m repro.cli run --guarantee op --flows 200 --rate 2500
+    python -m repro.cli run --faults "seed=3,drop=0.05" --guarantee op
+    python -m repro.cli run --show timeline,metrics --json spans.jsonl
+    python -m repro.cli run --show metrics --guarantee op --filter sb
+    python -m repro.cli run --show top --flows 500 --shards 2 --interval 500
+    python -m repro.cli run --show audit --baseline splitmerge --rate 6000
+    python -m repro.cli run --offload --batching --flows 500
     python -m repro.cli audit run.trace.jsonl
     python -m repro.cli audit bundle.json
-    python -m repro.cli metrics --guarantee op --filter sb
     python -m repro.cli validate --seeds 5
     python -m repro.cli conform
     python -m repro.cli conform --nf ids --guarantee strong-share
     python -m repro.cli conform tests/corpus/abort-racing-put.schedule.json
     python -m repro.cli conform --replay tests/corpus
     python -m repro.cli conform --hunt splitmerge --corpus-dir tests/corpus
-    python -m repro.cli conform --offload --shards 2
     python -m repro.cli chain --guarantee lf --shards 2
     python -m repro.cli chain --hop-guarantee nat=ng
-    python -m repro.cli offload --guarantee lf --flows 500
-    python -m repro.cli top --flows 500 --shards 2 --interval 500
     python -m repro.cli version
 
-``demo-move`` runs one instrumented move between two PRADS-like
-monitors and prints the operation report, phases, and property-check
-verdicts. ``trace`` runs the same experiment with the observability
-subsystem enabled and renders the operation's span timeline (optionally
-dumping the raw spans as JSON lines). ``validate`` sweeps seeds and
+``run`` starts one move mid-trace between two PRADS-like monitors, in
+any combination of the mode flags, and prints the views ``--show``
+names (default ``report``): ``report`` (phases, added latency, fault
+recovery, property verdicts), ``timeline`` (the span gantt),
+``metrics`` (Prometheus text), ``top`` (frames streamed during the
+run) and ``audit`` (the auditors' verdict and any post-mortem bundle).
+It ends on the operation's summary line. ``validate`` sweeps seeds and
 asserts the §5.1 guarantees hold (and that the no-guarantee mode
 demonstrably violates them).
 """
@@ -59,7 +60,7 @@ def _guarantee(value: str):
 
 def _add_run_flags(parser, guarantee: str, flows: int,
                    rate: float = 2500.0, seed: int = 7) -> None:
-    """The one-move experiment every run-style subcommand replays."""
+    """The traced experiment ``run`` and ``chain`` replay."""
     parser.add_argument("--guarantee", default=guarantee, type=_guarantee,
                         metavar="LEVEL",
                         help="move safety level (ng, loss-free/lf, op, "
@@ -98,7 +99,19 @@ def _mode_kwargs(args: argparse.Namespace) -> dict:
     }
 
 
+def _views(value: str) -> List[str]:
+    """argparse type: ``run``'s comma-separated views, in print order."""
+    views = value.split(",")
+    unknown = [view for view in views if view not in _VIEWS]
+    if unknown:
+        raise argparse.ArgumentTypeError("unknown view(s) %s (choose from %s)"
+                                         % (unknown, ", ".join(_VIEWS)))
+    return views
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.conformance.corpus import HUNT_TARGETS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="OpenNF reproduction command-line interface",
@@ -110,27 +123,44 @@ def _build_parser() -> argparse.ArgumentParser:
         added.set_defaults(func=func)
         return added
 
-    demo = command("demo-move", _cmd_demo_move,
-                   "run one instrumented move")
-    _add_run_flags(demo, "loss-free", flows=200)
-    demo.add_argument("--no-parallel", action="store_true",
-                      help="disable the parallelizing optimization")
-    demo.add_argument("--early-release", action="store_true")
-    demo.add_argument("--compress", action="store_true",
-                      help="zlib-compress state chunks (§8.3)")
-    demo.add_argument("--peer-to-peer", action="store_true",
-                      help="stream chunks NF-to-NF (footnote 10)")
-    _add_mode_flags(demo, "faults", "batching")
+    run = command("run", _cmd_run,
+                  "run one move mid-trace and print the views --show names")
+    run.add_argument("--show", type=_views, default=["report"],
+                     metavar="VIEW[,VIEW...]",
+                     help="what to print, in order: %s (default report)"
+                          % ", ".join(_VIEWS))
+    _add_run_flags(run, "loss-free", flows=200)
+    _add_mode_flags(run, *_MODE_FLAGS)
+    run.add_argument("--scope", default="per",
+                     help="state scope(s) to move (per, multi, all, ...)")
+    run.add_argument("--no-parallel", action="store_true",
+                     help="disable the parallelizing optimization")
+    run.add_argument("--early-release", action="store_true")
+    run.add_argument("--compress", action="store_true",
+                     help="zlib-compress state chunks (§8.3)")
+    run.add_argument("--peer-to-peer", action="store_true",
+                     help="stream chunks NF-to-NF (footnote 10)")
+    run.add_argument("--baseline", choices=["splitmerge"], default=None,
+                     help="run a prior-control-plane baseline instead "
+                          "of an OpenNF move")
+    run.add_argument("--abort-at", type=float, default=None, metavar="MS",
+                     help="abort the operation this many ms after it "
+                          "starts (exercises the recorder)")
+    run.add_argument("--json", metavar="PATH",
+                     help="timeline view: also write a .trace.jsonl")
+    run.add_argument("--filter", dest="name_filter", metavar="PREFIX",
+                     help="metrics view: only names starting here")
+    run.add_argument("--interval", type=float, default=1000.0,
+                     help="top view: frame interval in simulated ms")
+    run.add_argument("--jsonl", metavar="PATH",
+                     help="top view: append each frame as a JSON line")
+    run.add_argument("--bundle", metavar="PATH",
+                     help="audit view: also write the last bundle as JSON")
 
-    trace = command(
-        "trace", _cmd_trace,
-        "run one observed move and render its span timeline",
-    )
-    _add_run_flags(trace, "op", flows=100)
-    trace.add_argument("--scope", default="per",
-                       help="state scope(s) to move (per, multi, all, ...)")
-    trace.add_argument("--json", metavar="PATH", default=None,
-                       help="also dump raw spans/records as JSON lines")
+    audit = command("audit", _cmd_audit,
+                    "replay a recorded .trace.jsonl through the guarantee "
+                    "auditors, or render a flight-recorder bundle")
+    audit.add_argument("path", metavar="FILE")
 
     validate = command(
         "validate", _cmd_validate,
@@ -139,37 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--seeds", type=int, default=3)
     validate.add_argument("--flows", type=int, default=60)
     validate.add_argument("--rate", type=float, default=5000.0)
-
-    audit = command(
-        "audit", _cmd_audit,
-        "run the guarantee auditors over a live move, a recorded "
-        ".trace.jsonl, or render a flight-recorder bundle",
-    )
-    audit.add_argument("path", nargs="?", default=None, metavar="FILE",
-                       help="a flight-recorder bundle (.json) to render, "
-                            "or a span/record trace (.jsonl) to replay "
-                            "through the auditors; omit for a live run "
-                            "(which the remaining flags configure)")
-    _add_run_flags(audit, "loss-free", flows=60, rate=5000.0)
-    audit.add_argument("--baseline", choices=["splitmerge"], default=None,
-                       help="audit a prior-control-plane baseline instead "
-                            "of an OpenNF move")
-    _add_mode_flags(audit, "faults", "batching", "offload")
-    audit.add_argument("--abort-at", type=float, default=None, metavar="MS",
-                       help="abort the operation this many ms after it "
-                            "starts (exercises the recorder)")
-    audit.add_argument("--bundle", metavar="PATH", default=None,
-                       help="also write any captured post-mortem bundle "
-                            "as JSON to this path")
-
-    metrics = command(
-        "metrics", _cmd_metrics,
-        "run one observed move and print Prometheus-format metrics",
-    )
-    _add_run_flags(metrics, "op", flows=100)
-    metrics.add_argument("--filter", dest="name_filter", default=None,
-                         metavar="PREFIX",
-                         help="only print metrics whose name starts here")
 
     conform = command(
         "conform", _cmd_conform,
@@ -190,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     conform.add_argument("--replay", metavar="DIR", default=None,
                          help="replay every corpus entry in DIR instead "
                               "of running the matrix")
-    conform.add_argument("--hunt", choices=sorted_hunt_targets(),
+    conform.add_argument("--hunt", choices=sorted(HUNT_TARGETS),
                          default=None,
                          help="search + shrink a counterexample for a "
                               "known-defective path instead of the matrix")
@@ -217,69 +216,71 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="abort the chain operation this many ms after "
                             "it starts (exercises hop rollback)")
 
-    offload = command(
-        "offload", _cmd_offload,
-        "run the same move with and without data-plane offload "
-        "(switch-local buffer/release state machines) and print "
-        "the control-message and latency deltas",
-    )
-    _add_run_flags(offload, "loss-free", flows=200, rate=4000.0)
-    _add_mode_flags(offload, "batching")
-
-    top = command(
-        "top", _cmd_top,
-        "run one observed move and print a 'top'-style frame every "
-        "--interval: events received and inbox depth per shard, "
-        "ops in flight, per-NF processing rates, XFSM occupancy",
-    )
-    _add_run_flags(top, "loss-free", flows=200)
-    _add_mode_flags(top, "shards", "offload")
-    top.add_argument("--interval", type=float, default=1000.0,
-                     help="snapshot interval in simulated ms")
-    top.add_argument("--jsonl", metavar="PATH", default=None,
-                     help="append every frame as one JSON line "
-                          "(\"type\": \"frame\") to PATH")
-    top.add_argument("--prometheus", action="store_true",
-                     help="also print the metrics registry in "
-                          "Prometheus format at the end (as 'metrics')")
-
     command("version", _cmd_version, "print the package version")
     return parser
 
 
-def sorted_hunt_targets() -> List[str]:
-    from repro.conformance.corpus import HUNT_TARGETS
-
-    return sorted(HUNT_TARGETS)
-
-
-def _cmd_demo_move(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     from repro.harness import LOCAL_NET_FILTER
+    from repro.nf.state import normalize_scope
+    from repro.obs import ProgressReporter, format_top
 
-    operation = None
-    if args.compress or args.peer_to_peer:
-        def operation(dep):
-            return dep.controller.move(
-                "inst1", "inst2", LOCAL_NET_FILTER,
-                guarantee=args.guarantee,
-                parallel=not args.no_parallel,
-                early_release=args.early_release,
-                compress=args.compress,
-                peer_to_peer=args.peer_to_peer,
+    try:
+        if args.baseline is not None and args.abort_at is not None:
+            raise ValueError(
+                "--abort-at cannot be combined with --baseline %s (the "
+                "baseline does not act on an abort)" % args.baseline
             )
+        normalize_scope(args.scope)
+        if args.json and "timeline" in args.show:
+            open(args.json, "w").close()
+    except (ValueError, OSError) as exc:
+        print("repro run: error: %s" % exc, file=sys.stderr)
+        return 2
+
+    def operation(dep):
+        if args.baseline == "splitmerge":
+            from repro.baselines import SplitMergeMigrate
+
+            return SplitMergeMigrate(dep.controller, "inst1", "inst2",
+                                     LOCAL_NET_FILTER)
+        op = dep.controller.move(
+            "inst1", "inst2", LOCAL_NET_FILTER, scope=args.scope,
+            guarantee=args.guarantee, parallel=not args.no_parallel,
+            early_release=args.early_release, compress=args.compress,
+            peer_to_peer=args.peer_to_peer,
+        )
+        if args.abort_at is not None:
+            dep.sim.schedule(args.abort_at, op.abort, "aborted via CLI")
+        return op
+
+    frames = []  # the top view's, printed as they stream
+
+    def show_frame(snap):
+        frames.append(snap)
+        print(format_top(snap))
+
+    def arm_top(dep):
+        ProgressReporter(dep, args.interval, sink=show_frame).start()
 
     result = run_move_experiment(
-        guarantee=args.guarantee,
-        parallel=not args.no_parallel,
-        early_release=args.early_release,
-        n_flows=args.flows,
-        rate_pps=args.rate,
-        seed=args.seed,
+        n_flows=args.flows, rate_pps=args.rate, seed=args.seed,
         operation=operation,
+        on_deployment=arm_top if "top" in args.show else None,
+        observe=bool({"timeline", "metrics", "top"} & set(args.show)),
+        audit="audit" in args.show,
         **_mode_kwargs(args),
     )
+    failed = [_VIEWS[view](result, args, frames) for view in args.show]
     report = result.report
     print(report.summary())
+    if report.aborted:
+        print("ABORTED: %s" % report.aborted)
+    return 1 if (report.aborted or any(failed)) else 0
+
+
+def _show_report(result, args, frames) -> None:
+    report = result.report
     for phase, offset in sorted(report.phases.items(), key=lambda kv: kv[1]):
         print("  %-22s +%.1f ms" % (phase, offset))
     print("added latency: avg %.1f ms, max %.1f ms over %d affected packets"
@@ -299,59 +300,74 @@ def _cmd_demo_move(args: argparse.Namespace) -> int:
     print("loss-free: %s   order-preserving: %s"
           % ("yes" if result.loss_free else "NO",
              "yes" if result.order_preserving else "NO"))
-    if report.aborted:
-        print("ABORTED: %s" % report.aborted)
-        return 1
-    return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.nf.state import normalize_scope
+def _show_timeline(result, args, frames) -> None:
     from repro.obs import entries_from_obs, render_timeline, write_trace
 
-    try:
-        normalize_scope(args.scope)
-        if args.json:
-            open(args.json, "w").close()
-    except (ValueError, OSError) as exc:
-        print("repro trace: error: %s" % exc, file=sys.stderr)
-        return 2
-
-    result = run_move_experiment(
-        guarantee=args.guarantee,
-        n_flows=args.flows,
-        rate_pps=args.rate,
-        seed=args.seed,
-        scope=args.scope,
-        observe=True,
-    )
-    report = result.report
-    exporter = result.deployment.obs.exporter
-    print(report.summary())
-    print()
-    print(render_timeline(exporter.spans))
-    metrics = result.deployment.obs.metrics.snapshot()
-    interesting = [
-        name for name in sorted(metrics)
-        if name.startswith(("ctrl.", "nf.packets", "chan."))
-    ]
-    if interesting:
-        print("metrics:")
-        for name in interesting:
-            series = metrics[name]["series"]
-            for labels, value in sorted(series.items()):
-                print("  %-40s %s" % (
-                    "%s{%s}" % (name, labels) if labels != "_" else name,
-                    value,
-                ))
+    obs = result.deployment.obs
+    print(render_timeline(obs.exporter.spans))
     if args.json:
-        write_trace(entries_from_obs(result.deployment.obs), args.json)
+        write_trace(entries_from_obs(obs), args.json)
         print("wrote %d spans / %d records to %s"
-              % (len(exporter.spans), len(exporter.records), args.json))
-    if report.aborted:
-        print("ABORTED: %s" % report.aborted)
-        return 1
-    return 0
+              % (len(obs.exporter.spans), len(obs.exporter.records),
+                 args.json))
+
+
+def _show_metrics(result, args, frames) -> None:
+    text = result.deployment.obs.metrics.render_prometheus()
+    if args.name_filter:
+        from repro.obs.metrics import _NAME_SANITIZE
+
+        # Names are spelled dotted (ctrl.inbox) but rendered sanitized
+        # (ctrl_inbox): match the prefix the way the renderer wrote it.
+        prefix = _NAME_SANITIZE.sub("_", args.name_filter)
+        text = "".join(
+            "# TYPE " + block for block in text.split("# TYPE ")
+            if block and block.startswith(prefix)
+        )
+    sys.stdout.write(text)
+
+
+def _show_top(result, args, frames) -> None:
+    from repro.obs import format_top, snapshot_top
+
+    print(format_top(snapshot_top(result.deployment)))
+    if args.jsonl:
+        with open(args.jsonl, "a") as handle:
+            handle.writelines(
+                json.dumps(dict(snap, type="frame"), sort_keys=True) + "\n"
+                for snap in frames
+            )
+        print("wrote %d frames to %s" % (len(frames), args.jsonl))
+
+
+def _show_audit(result, args, frames) -> bool:
+    from repro.obs import render_bundle
+
+    obs = result.deployment.obs
+    violations = obs.violations()
+    _print_violations(violations)
+    for bundle in obs.recorder.bundles:
+        print()
+        print(render_bundle(bundle))
+    if args.bundle and obs.recorder.bundles:
+        with open(args.bundle, "w") as handle:
+            json.dump(obs.recorder.bundles[-1], handle, indent=2,
+                      sort_keys=True)
+        print("wrote bundle to %s" % args.bundle)
+    return bool(violations)
+
+
+#: ``run``'s views: each reads the finished run (``top`` also the frames
+#: it streamed) and returns True when the run should exit 1.
+_VIEWS = {
+    "report": _show_report,
+    "timeline": _show_timeline,
+    "metrics": _show_metrics,
+    "top": _show_top,
+    "audit": _show_audit,
+}
 
 
 def _print_violations(violations) -> None:
@@ -367,81 +383,29 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.obs import render_bundle
     from repro.obs.audit import parse_trace
 
-    if args.path is not None:
-        # Offline mode: a bundle to render, or a trace to replay.
-        try:
-            with open(args.path) as handle:
-                text = handle.read()
-        except OSError as exc:
-            print("repro audit: error: %s" % exc, file=sys.stderr)
-            return 2
+    try:
+        with open(args.path) as handle:
+            text = handle.read()
         if not text:
-            print("repro audit: error: %s is empty" % args.path,
-                  file=sys.stderr)
-            return 2
-        # A bundle is one JSON document naming its causal slice; a
-        # trace is one document per line and never parsed whole.
-        if '"causal_slice"' in text:
-            try:
-                payload = json.loads(text)
-            except ValueError:
-                payload = None
-            if isinstance(payload, dict) and "causal_slice" in payload:
-                print(render_bundle(payload))
-                return 0
-        from repro.conformance.runner import judge_trace
-
-        entries, _skipped = parse_trace(text.splitlines(), args.path)
-        violations = judge_trace(entries)
-        _print_violations(violations)
-        return 1 if violations else 0
-
-    # Live mode: run an audited experiment.
-    from repro.harness import LOCAL_NET_FILTER, run_move_experiment
-
-    if args.baseline is not None and args.abort_at is not None:
-        print("repro audit: error: --abort-at cannot be combined with "
-              "--baseline %s (the baseline does not act on an abort)"
-              % args.baseline, file=sys.stderr)
+            raise OSError("%s is empty" % args.path)
+    except OSError as exc:
+        print("repro audit: error: %s" % exc, file=sys.stderr)
         return 2
-    operation = None
-    if args.baseline == "splitmerge":
-        from repro.baselines import SplitMergeMigrate
+    # A bundle is one JSON document naming its causal slice; a trace is
+    # one document per line and never parsed whole.
+    if '"causal_slice"' in text:
+        try:
+            payload = json.loads(text)
+        except ValueError:
+            payload = None
+        if isinstance(payload, dict) and "causal_slice" in payload:
+            print(render_bundle(payload))
+            return 0
+    from repro.conformance.runner import judge_trace
 
-        def operation(dep):
-            return SplitMergeMigrate(
-                dep.controller, "inst1", "inst2", LOCAL_NET_FILTER
-            )
-    elif args.abort_at is not None:
-        def operation(dep):
-            op = dep.controller.move(
-                "inst1", "inst2", LOCAL_NET_FILTER,
-                guarantee=args.guarantee,
-            )
-            dep.sim.schedule(args.abort_at, op.abort, "aborted via CLI")
-            return op
-
-    result = run_move_experiment(
-        guarantee=args.guarantee,
-        n_flows=args.flows,
-        rate_pps=args.rate,
-        seed=args.seed,
-        operation=operation,
-        audit=True,
-        **_mode_kwargs(args),
-    )
-    obs = result.deployment.obs
-    print(result.report.summary())
-    violations = obs.violations()
+    entries, _skipped = parse_trace(text.splitlines(), args.path)
+    violations = judge_trace(entries)
     _print_violations(violations)
-    for bundle in obs.recorder.bundles:
-        print()
-        print(render_bundle(bundle))
-    if args.bundle and obs.recorder.bundles:
-        with open(args.bundle, "w") as handle:
-            json.dump(obs.recorder.bundles[-1], handle, indent=2,
-                      sort_keys=True)
-        print("wrote bundle to %s" % args.bundle)
     return 1 if violations else 0
 
 
@@ -557,7 +521,6 @@ def _cmd_conform(args: argparse.Namespace) -> int:
              expected_dirty, len(failed)))
     return 1 if failed else 0
 
-
 def _cmd_chain(args: argparse.Namespace) -> int:
     from repro.conformance.runner import NF_FACTORIES
     from repro.harness import (
@@ -575,7 +538,11 @@ def _cmd_chain(args: argparse.Namespace) -> int:
                   "got %r" % override, file=sys.stderr)
             return 2
         hop, level = override.split("=", 1)
-        hop_guarantees[hop.strip()] = _guarantee(level.strip())
+        try:
+            hop_guarantees[hop.strip()] = _guarantee(level.strip())
+        except argparse.ArgumentTypeError as exc:
+            print("repro chain: error: %s" % exc, file=sys.stderr)
+            return 2
 
     hops = [("ids", ("ids1", "ids2")), ("nat", ("nat1", "nat2")),
             ("proxy", ("proxy1", "proxy2"))]
@@ -636,99 +603,6 @@ def _cmd_chain(args: argparse.Namespace) -> int:
         print("ABORTED: %s" % report.aborted)
         return 1
     return 1 if (dep.obs.violations() or not ok) else 0
-
-
-def _cmd_offload(args: argparse.Namespace) -> int:
-    rows = []
-    for label, offload in (("classic", False), ("offload", True)):
-        result = run_move_experiment(
-            guarantee=args.guarantee,
-            n_flows=args.flows,
-            rate_pps=args.rate,
-            seed=args.seed,
-            offload=offload,
-            **_mode_kwargs(args),
-        )
-        messages = result.deployment.control_messages_sent
-        rows.append((result, messages))
-        print("%-8s %s" % (label, result.report.summary()))
-        print("         control messages: %-6d move latency: %.1f ms   "
-              "switch-buffered: %d   loss-free: %s   order: %s"
-              % (messages, result.report.duration_ms,
-                 result.report.packets_buffered_at_switch,
-                 "yes" if result.loss_free else "NO",
-                 "yes" if result.order_preserving else "NO"))
-    (base, base_msgs), (fast, fast_msgs) = rows
-    if fast_msgs and fast.report.duration_ms:
-        print("offload delta: %.1fx fewer control messages, "
-              "%.1fx lower move latency"
-              % (base_msgs / float(fast_msgs),
-                 base.report.duration_ms / fast.report.duration_ms))
-    bad = any(
-        r.report.aborted or not r.loss_free for r, _ in rows
-    )
-    return 1 if bad else 0
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    result = run_move_experiment(
-        guarantee=args.guarantee,
-        n_flows=args.flows,
-        rate_pps=args.rate,
-        seed=args.seed,
-        observe=True,
-    )
-    text = result.deployment.obs.metrics.render_prometheus()
-    if args.name_filter:
-        from repro.obs.metrics import _NAME_SANITIZE
-
-        # Names are spelled dotted (ctrl.inbox) but rendered sanitized
-        # (ctrl_inbox): match the prefix the way the renderer wrote it.
-        prefix = _NAME_SANITIZE.sub("_", args.name_filter)
-        blocks = []
-        for block in text.split("# TYPE "):
-            if block and block.startswith(prefix):
-                blocks.append("# TYPE " + block)
-        text = "".join(blocks)
-    sys.stdout.write(text)
-    return 1 if result.report.aborted else 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.obs import ProgressReporter, format_top, snapshot_top
-
-    frames = []
-
-    def show(snap):
-        frames.append(snap)
-        print(format_top(snap))
-
-    def on_deployment(dep):
-        ProgressReporter(dep, interval_ms=args.interval, sink=show).start()
-
-    result = run_move_experiment(
-        guarantee=args.guarantee,
-        n_flows=args.flows,
-        rate_pps=args.rate,
-        seed=args.seed,
-        observe=True,
-        on_deployment=on_deployment,
-        **_mode_kwargs(args),
-    )
-    dep = result.deployment
-    print(format_top(snapshot_top(dep)))
-    print(result.report.summary())
-    if args.jsonl:
-        with open(args.jsonl, "a") as handle:
-            for snap in frames:
-                handle.write(
-                    json.dumps(dict(snap, type="frame"), sort_keys=True)
-                    + "\n"
-                )
-        print("wrote %d frames to %s" % (len(frames), args.jsonl))
-    if args.prometheus:
-        sys.stdout.write(dep.obs.metrics.render_prometheus())
-    return 1 if result.report.aborted else 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -37,13 +37,6 @@ class LatencyReport:
     def max_added_ms(self) -> float:
         return max(self.samples) if self.samples else 0.0
 
-    def percentile(self, fraction: float) -> float:
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        index = min(len(ordered) - 1, int(fraction * len(ordered)))
-        return ordered[index]
-
 
 def _median(values: List[float]) -> float:
     if not values:

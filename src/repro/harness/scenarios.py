@@ -79,7 +79,7 @@ def run_move_experiment(
     dep.set_default_route("inst1")
     if on_deployment is not None:
         # Pre-run seam: attach reporters/probes before traffic starts
-        # (the `repro top` dashboard arms its ProgressReporter here).
+        # (`repro run --show top` arms its ProgressReporter here).
         on_deployment(dep)
 
     config = trace_config or TraceConfig(

@@ -14,8 +14,8 @@ distributions (``op.latency_ms`` per kind, ...).
 The reporter re-schedules itself on the simulator and stops on the
 first tick that finds the event queue empty — it can therefore never
 wedge ``sim.run()`` into an infinite loop, at the cost of the clock
-possibly ending on a tick boundary. ``repro top`` renders each frame
-via :func:`format_top`.
+possibly ending on a tick boundary. ``repro run --show top`` renders
+each frame via :func:`format_top`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, Optional
 
 
 def snapshot_top(deployment) -> Dict[str, Any]:
-    """One ``repro top`` frame: live state of a running deployment.
+    """One top-view frame: live state of a running deployment.
 
     Pure reads (queue lengths, counters, admission-table size) — never
     mutates the simulation. Per-NF *rates* are not in the raw snapshot

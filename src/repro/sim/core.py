@@ -246,18 +246,6 @@ class Simulator:
             self.now = until
         return self.now
 
-    def run_until_triggered(self, event: Event, limit: float = 1e12) -> Any:
-        """Run until ``event`` fires; return its value. Errors if it never does."""
-        while not event.triggered:
-            if not self._queue:
-                raise SimulationError(
-                    "event %r never triggered (queue drained)" % (event.name,)
-                )
-            if self.now > limit:
-                raise SimulationError("simulation exceeded limit while waiting")
-            self.run(max_events=1)
-        return event.value
-
 
 # Down here because the two modules need each other: ``process`` takes
 # the classes above from this one, and ``spawn`` takes ``Process``.

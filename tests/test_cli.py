@@ -1,4 +1,9 @@
-"""Tests for the command-line interface."""
+"""Tests for the command-line interface.
+
+``repro run`` prints one move through the views ``--show`` names; the
+classes below cover its ``report`` view (the default), ``timeline``,
+``metrics`` and ``top``, then every mode flag under every view.
+"""
 
 import pytest
 
@@ -12,7 +17,7 @@ class TestCli:
         assert "opennf-repro" in out
 
     def test_demo_move_lossfree(self, capsys):
-        code = main(["demo-move", "--flows", "30", "--seed", "3"])
+        code = main(["run", "--flows", "30", "--seed", "3"])
         out = capsys.readouterr().out
         assert code == 0
         assert "loss-free: yes" in out
@@ -20,7 +25,7 @@ class TestCli:
 
     def test_demo_move_op_with_extensions(self, capsys):
         code = main([
-            "demo-move", "--guarantee", "op", "--flows", "30",
+            "run", "--guarantee", "op", "--flows", "30",
             "--compress", "--peer-to-peer",
         ])
         out = capsys.readouterr().out
@@ -28,14 +33,14 @@ class TestCli:
         assert "order-preserving: yes" in out
 
     def test_demo_move_ng_reports_violation(self, capsys):
-        code = main(["demo-move", "--guarantee", "ng", "--flows", "30",
+        code = main(["run", "--guarantee", "ng", "--flows", "30",
                      "--rate", "6000"])
         out = capsys.readouterr().out
         assert code == 0  # the demo ran; the guarantee simply isn't held
         assert "loss-free: NO" in out
 
     def test_demo_move_under_faults_reports_recovery(self, capsys):
-        code = main(["demo-move", "--guarantee", "op", "--flows", "100",
+        code = main(["run", "--guarantee", "op", "--flows", "100",
                      "--faults", "seed=3,drop=0.05"])
         out = capsys.readouterr().out
         assert code == 0
@@ -46,13 +51,14 @@ class TestCli:
         assert "loss-free: yes   order-preserving: yes" in out
 
     def test_demo_move_without_faults_prints_no_plan(self, capsys):
-        assert main(["demo-move", "--flows", "20"]) == 0
+        assert main(["run", "--flows", "20"]) == 0
         out = capsys.readouterr().out
         assert "faults[" not in out and "retries:" not in out
 
     def test_audit_baseline_refuses_abort_at(self, capsys):
         # Split/Merge does not act on an abort: the flag would be ignored.
-        code = main(["audit", "--baseline", "splitmerge", "--abort-at", "5"])
+        code = main(["run", "--show", "audit", "--baseline", "splitmerge",
+                     "--abort-at", "5"])
         captured = capsys.readouterr()
         assert code == 2
         assert "--abort-at cannot be combined with --baseline" in captured.err
@@ -67,6 +73,23 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_unknown_view_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--show", "report,bogus"])
+        assert exc.value.code == 2
+        assert "unknown view(s) ['bogus']" in capsys.readouterr().err
+
+    def test_removed_subcommands_are_gone(self):
+        from repro.cli import _build_parser
+
+        subparsers = next(
+            action for action in _build_parser()._actions
+            if action.dest == "command"
+        )
+        assert sorted(subparsers.choices) == [
+            "audit", "chain", "conform", "run", "validate", "version",
+        ]
 
 
 class TestChainCommand:
@@ -105,22 +128,31 @@ class TestChainCommand:
         assert code == 2
         assert "unknown hop" in err
 
+    def test_chain_rejects_unknown_hop_guarantee(self, capsys):
+        code = main(["chain", "--hop-guarantee", "nat=bogus"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "repro chain: error: unknown guarantee 'bogus'\n"
+        assert captured.out == ""
+
 
 @pytest.mark.obs
 class TestTraceCommand:
     def test_trace_renders_timeline(self, capsys):
-        code = main(["trace", "--guarantee", "op", "--flows", "30"])
+        code = main(["run", "--show", "timeline", "--guarantee", "op",
+                     "--flows", "30"])
         out = capsys.readouterr().out
         assert code == 0
         assert "move.state-transfer" in out
         assert "move.dst-release" in out
-        assert "metrics:" in out
         assert "ms" in out
+        # The summary line closes the run, after every view.
+        assert out.splitlines()[-1].startswith("move[")
 
     def test_trace_json_dump(self, tmp_path, capsys):
         path = tmp_path / "spans.jsonl"
-        code = main(["trace", "--guarantee", "loss-free", "--flows", "20",
-                     "--json", str(path)])
+        code = main(["run", "--show", "timeline", "--guarantee", "loss-free",
+                     "--flows", "20", "--json", str(path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "wrote" in out
@@ -137,7 +169,8 @@ class TestTraceCommand:
 @pytest.mark.obs
 class TestMetricsCommand:
     def test_filter_takes_the_dotted_name(self, capsys):
-        code = main(["metrics", "--flows", "20", "--filter", "ctrl.inbox"])
+        code = main(["run", "--show", "metrics", "--guarantee", "op",
+                     "--flows", "20", "--filter", "ctrl.inbox"])
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("# TYPE ctrl_inbox counter\n")
@@ -150,8 +183,8 @@ class TestTopCommand:
     def test_top_streams_snapshots_and_exports(self, tmp_path, capsys):
         path = tmp_path / "frames.jsonl"
         code = main([
-            "top", "--flows", "20", "--interval", "50",
-            "--jsonl", str(path), "--prometheus",
+            "run", "--show", "top,metrics", "--flows", "20",
+            "--interval", "50", "--jsonl", str(path),
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -173,15 +206,15 @@ class TestTopCommand:
         assert "# TYPE op_latency_ms summary" in out
         assert "# TYPE ctrl_inbox counter" in out
         # Appends: a second run adds its frames after the first's.
-        main(["top", "--flows", "20", "--interval", "50",
+        main(["run", "--show", "top", "--flows", "20", "--interval", "50",
               "--jsonl", str(path)])
         capsys.readouterr()
         assert len(path.read_text().splitlines()) == 2 * len(lines)
 
-    #: sha256 of ``repro top --flows 20 --interval 50`` stdout up to
-    #: the ``move[`` summary (every frame), per mode cell. The frames
-    #: are pure reads of the deployment, so these move only when the
-    #: simulated clock or the frame layout does.
+    #: sha256 of ``repro run --show top --flows 20 --interval 50``
+    #: stdout up to the ``move[`` summary (every frame), per mode cell.
+    #: The frames are pure reads of the deployment, so these move only
+    #: when the simulated clock or the frame layout does.
     FRAME_DIGESTS = {
         "plain": "f22355df0227c10c964cc17b05c458d1ee35c32d77d1f2bfe545fa50587d8403",
         "shards2": "10e6534bf573042c456eb8b3dbf39ecf350bfb1f5c970ff54154f35d84abdbd8",
@@ -196,7 +229,8 @@ class TestTopCommand:
     def test_top_frames_are_pinned(self, cell, extra, capsys):
         import hashlib
 
-        code = main(["top", "--flows", "20", "--interval", "50"] + extra)
+        code = main(["run", "--show", "top", "--flows", "20",
+                     "--interval", "50"] + extra)
         out = capsys.readouterr().out
         assert code == 0
         frames = out[:out.index("\nmove[") + 1]
@@ -204,8 +238,31 @@ class TestTopCommand:
         assert digest == self.FRAME_DIGESTS[cell], frames
 
     def test_top_sharded_offloaded(self, capsys):
-        code = main(["top", "--flows", "20", "--shards", "2",
+        code = main(["run", "--show", "top", "--flows", "20", "--shards", "2",
                      "--offload", "--interval", "100"])
         out = capsys.readouterr().out
         assert code == 0
         assert "shard 0:" in out and "shard 1:" in out
+
+
+class TestRunModes:
+    """Every mode flag works under every view: one run per mode shows
+    all five views and each prints its marker."""
+
+    MARKERS = ("loss-free:", "move.state-transfer", "# TYPE",
+               "ops-in-flight", "violations:")
+
+    @pytest.mark.parametrize("mode", [
+        [],
+        ["--shards", "2"],
+        ["--faults", "seed=3,drop=0.05"],
+        ["--batching"],
+        ["--offload"],
+    ], ids=["none", "shards2", "faults", "batching", "offload"])
+    def test_every_view_under_every_mode(self, mode, capsys):
+        code = main(["run", "--flows", "20",
+                     "--show", "report,timeline,metrics,top,audit"] + mode)
+        out = capsys.readouterr().out
+        assert code == 0, out
+        missing = [marker for marker in self.MARKERS if marker not in out]
+        assert not missing, out

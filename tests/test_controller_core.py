@@ -234,12 +234,6 @@ class TestLatencyMetrics:
         report = LatencyReport()
         assert report.average_added_ms == 0.0
         assert report.max_added_ms == 0.0
-        assert report.percentile(0.9) == 0.0
-
-    def test_percentile(self):
-        report = LatencyReport(samples=[1.0, 2.0, 3.0, 4.0, 5.0])
-        assert report.percentile(0.0) == 1.0
-        assert report.percentile(0.99) == 5.0
 
 
 class TestDeploymentHelpers:

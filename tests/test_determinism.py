@@ -81,7 +81,7 @@ class TestObservedDeterminism:
 
 @pytest.mark.obs
 class TestTelemetryDeterminism:
-    """Full telemetry (``repro top``'s frames + the stored trace) is passive.
+    """Full telemetry (the top view's frames + the stored trace) is passive.
 
     The scale-ready claim rests on this: a progress reporter ticking
     every 25 ms, the full trace and the bounded histograms left on

@@ -1,8 +1,9 @@
 """Every command and repo path the docs name exists.
 
-README.md, DESIGN.md, EXPERIMENTS.md, ``docs/*.md`` and the verify
-skill name ``make`` targets, ``repro`` / ``python -m repro.cli``
-subcommands with their flags, and repo paths (``src/…``, ``tests/…``,
+README.md, DESIGN.md, EXPERIMENTS.md, ``docs/*.md``, the verify skill
+and the usage lines of ``src/repro/cli.py``'s docstring name ``make``
+targets, ``repro`` / ``python -m repro.cli`` subcommands with their
+flags, and repo paths (``src/…``, ``tests/…``,
 ``benchmarks/…``, ``examples/…``, ``docs/…``, and module paths such as
 ``repro/obs/audit.py`` or ``controller/move.py``). Commands are read
 from code spans and fenced blocks, paths from those and link targets;
@@ -18,6 +19,7 @@ from typing import Dict, Iterator, List, Tuple
 
 import pytest
 
+import repro.cli
 from repro.cli import _build_parser
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -58,10 +60,17 @@ def _code(text: str) -> List[str]:
     return spans + INLINE.findall(FENCED.sub("", text))
 
 
+def _usage_lines() -> List[str]:
+    """The indented block after ``Usage::`` in the CLI's docstring."""
+    block = repro.cli.__doc__.split("Usage::", 1)[1].split("\n\n")[1]
+    return [line.strip() for line in block.splitlines()]
+
+
 def _mentions() -> Iterator[Tuple[str, List[str], List[str]]]:
     for doc in DOCS:
         text = doc.read_text()
         yield (str(doc.relative_to(ROOT)), _code(text), LINK.findall(text))
+    yield ("src/repro/cli.py", _usage_lines(), [])
 
 
 def _resolve(path: str) -> bool:
@@ -88,6 +97,9 @@ def _subcommands() -> Dict[str, argparse.ArgumentParser]:
 def test_docs_are_scanned():
     names = [doc.name for doc in DOCS]
     assert {"README.md", "DESIGN.md", "EXPERIMENTS.md", "api.md"} <= set(names)
+    usage = _usage_lines()
+    assert usage[0].startswith("python -m repro.cli run")
+    assert all(line.startswith("python -m repro.cli ") for line in usage)
 
 
 def test_every_make_target_named_exists():
@@ -153,7 +165,7 @@ def test_experiments_quotes_every_table2_row():
 
 
 @pytest.mark.parametrize("text,found", [
-    ("python -m repro.cli demo-move --faults S", [("demo-move", " --faults S")]),
+    ("python -m repro.cli run --faults S", [("run", " --faults S")]),
     ("repro conform --shards 2", [("conform", " --shards 2")]),
     ("from repro import Deployment", []),
     ("src/repro/cli.py", []),

@@ -367,14 +367,3 @@ class TestEvent:
         sim.run()
         assert evt.value == "done"
         assert sim.now == 7.5
-
-    def test_run_until_triggered_returns_value(self, sim):
-        evt = sim.timeout(3.0, "v")
-        sim.schedule(10.0, lambda: None)
-        assert sim.run_until_triggered(evt) == "v"
-        assert sim.now == 3.0
-
-    def test_run_until_triggered_raises_when_queue_drains(self, sim):
-        evt = sim.event("never")
-        with pytest.raises(SimulationError):
-            sim.run_until_triggered(evt)

@@ -1,4 +1,4 @@
-"""The sim-clock series: ``repro top``'s run snapshot and the reporter.
+"""The sim-clock series: the top view's run snapshot and the reporter.
 
 A strictly passive reporter that derives per-NF rates from counter
 deltas instead of touching the per-packet hot path.
