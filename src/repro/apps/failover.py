@@ -27,24 +27,16 @@ LOCAL_PREFIX = "10.0.0.0/8"
 class FastFailureRecovery:
     """The Figure 9 control application."""
 
-    def __init__(
-        self,
-        controller,
-        health_poll_ms: float = 100.0,
-    ) -> None:
+    def __init__(self, controller) -> None:
         self.controller = controller
         self.sim = controller.sim
-        self.health_poll_ms = health_poll_ms
         #: primary name -> standby name
         self.standbys: Dict[str, str] = {}
         self.updates_triggered = 0
         self.recoveries = 0
-        self._watching = False
-        self._stopped = False
-        self._recovered: set = set()
         #: primary name -> [(interest handle, filter)] for the three
-        #: notify subscriptions; removed on stop() and on failover so
-        #: neither the interests nor the NF-side event rules leak.
+        #: notify subscriptions; removed on failover so neither the
+        #: interests nor the NF-side event rules leak.
         self._subscriptions: Dict[str, List[Tuple[int, Filter]]] = {}
 
     def init_standby(self, norm: Any, stby: Any, warm_start: bool = True) -> Event:
@@ -92,21 +84,6 @@ class FastFailureRecovery:
         )
         self.controller.copy(norm_name, stby_name, host_filter, scope="multi")
 
-    def watch(self) -> None:
-        """Start automatic failure detection: poll each primary's health
-        and fail over the moment it dies (a controller-side liveness
-        probe standing in for the prototype's monitoring channel)."""
-        if self._watching:
-            return
-        self._watching = True
-        self.sim.spawn(self._health_loop(), name="failover-watch")
-
-    def stop(self) -> None:
-        """Stop watching and release every notify subscription."""
-        self._stopped = True
-        for norm_name in list(self._subscriptions):
-            self._unsubscribe(norm_name)
-
     def _unsubscribe(self, norm_name: str) -> None:
         """Remove the controller interests and NF-side event rules that
         :meth:`init_standby` created for one primary."""
@@ -119,22 +96,6 @@ class FastFailureRecovery:
             if not client.nf.failed:
                 client.disable_events(flt)
 
-    def _health_loop(self):
-        while not self._stopped:
-            for norm_name in list(self.standbys):
-                if norm_name in self._recovered:
-                    continue
-                nf = self.controller.client(norm_name).nf
-                if nf.failed:
-                    self._recovered.add(norm_name)
-                    self.recover(norm_name)
-            if all(name in self._recovered for name in self.standbys):
-                # No watched primary remains; polling forever would only
-                # keep the simulation's event queue alive.
-                break
-            yield self.health_poll_ms
-        self._watching = False
-
     def recover(self, norm: Any, flt: Optional[Filter] = None) -> Event:
         """Fail over: reroute ``norm``'s traffic to its standby.
 
@@ -145,7 +106,6 @@ class FastFailureRecovery:
         norm_name = self.controller.client(norm).name
         stby_name = self.standbys[norm_name]
         self.recoveries += 1
-        self._recovered.add(norm_name)
         self._unsubscribe(norm_name)
         return self.controller.switch_client.install(
             flt or Filter.wildcard(),

@@ -58,6 +58,32 @@ def _guarantee(value: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _bounded(kind: type, low: float, strict: bool):
+    """argparse type: a ``kind`` number ``> low`` (``strict``) or ``>= low``.
+
+    A value the run cannot use (no flows, no seeds, a zero or negative
+    rate) is a usage error, not a traceback or a vacuous pass.
+    """
+    def parse(text: str):
+        value = kind(text)  # argparse reports "invalid <kind> value"
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                "must be %s %g, not %s" % (">" if strict else ">=", low, text))
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_POSITIVE = _bounded(float, 0, strict=True)
+_COUNT = _bounded(int, 1, strict=False)
+_NON_NEGATIVE = _bounded(float, 0, strict=False)
+
+
+class _MoveRejected(Exception):
+    """The move's constructor refused a combination of ``run``'s flags."""
+
+
 def _add_run_flags(parser, guarantee: str, flows: int,
                    rate: float = 2500.0, seed: int = 7) -> None:
     """The traced experiment ``run`` and ``chain`` replay."""
@@ -65,8 +91,8 @@ def _add_run_flags(parser, guarantee: str, flows: int,
                         metavar="LEVEL",
                         help="move safety level (ng, loss-free/lf, op, "
                              "op-strong, or any Guarantee alias)")
-    parser.add_argument("--flows", type=int, default=flows)
-    parser.add_argument("--rate", type=float, default=rate,
+    parser.add_argument("--flows", type=_COUNT, default=flows)
+    parser.add_argument("--rate", type=_POSITIVE, default=rate,
                         help="replay rate in packets/second")
     parser.add_argument("--seed", type=int, default=seed)
 
@@ -120,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, func, help: str) -> argparse.ArgumentParser:
         added = sub.add_parser(name, help=help)
-        added.set_defaults(func=func)
+        added.set_defaults(func=func, parser=added)
         return added
 
     run = command("run", _cmd_run,
@@ -143,14 +169,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--baseline", choices=["splitmerge"], default=None,
                      help="run a prior-control-plane baseline instead "
                           "of an OpenNF move")
-    run.add_argument("--abort-at", type=float, default=None, metavar="MS",
+    run.add_argument("--abort-at", type=_NON_NEGATIVE, default=None,
+                     metavar="MS",
                      help="abort the operation this many ms after it "
                           "starts (exercises the recorder)")
     run.add_argument("--json", metavar="PATH",
                      help="timeline view: also write a .trace.jsonl")
     run.add_argument("--filter", dest="name_filter", metavar="PREFIX",
                      help="metrics view: only names starting here")
-    run.add_argument("--interval", type=float, default=1000.0,
+    run.add_argument("--interval", type=_POSITIVE, default=1000.0,
                      help="top view: frame interval in simulated ms")
     run.add_argument("--jsonl", metavar="PATH",
                      help="top view: append each frame as a JSON line")
@@ -166,9 +193,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "validate", _cmd_validate,
         "check the §5.1 guarantees over several seeds",
     )
-    validate.add_argument("--seeds", type=int, default=3)
-    validate.add_argument("--flows", type=int, default=60)
-    validate.add_argument("--rate", type=float, default=5000.0)
+    validate.add_argument("--seeds", type=_COUNT, default=3)
+    validate.add_argument("--flows", type=_COUNT, default=60)
+    validate.add_argument("--rate", type=_POSITIVE, default=5000.0)
 
     conform = command(
         "conform", _cmd_conform,
@@ -212,7 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override one hop's guarantee, e.g. nat=ng "
                             "(repeatable)")
     _add_mode_flags(chain, "shards", "faults", "batching")
-    chain.add_argument("--abort-at", type=float, default=None, metavar="MS",
+    chain.add_argument("--abort-at", type=_NON_NEGATIVE, default=None,
+                       metavar="MS",
                        help="abort the chain operation this many ms after "
                             "it starts (exercises hop rollback)")
 
@@ -244,12 +272,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
             return SplitMergeMigrate(dep.controller, "inst1", "inst2",
                                      LOCAL_NET_FILTER)
-        op = dep.controller.move(
-            "inst1", "inst2", LOCAL_NET_FILTER, scope=args.scope,
-            guarantee=args.guarantee, parallel=not args.no_parallel,
-            early_release=args.early_release, compress=args.compress,
-            peer_to_peer=args.peer_to_peer,
-        )
+        try:
+            op = dep.controller.move(
+                "inst1", "inst2", LOCAL_NET_FILTER, scope=args.scope,
+                guarantee=args.guarantee, parallel=not args.no_parallel,
+                early_release=args.early_release, compress=args.compress,
+                peer_to_peer=args.peer_to_peer,
+            )
+        except ValueError as exc:
+            raise _MoveRejected(str(exc)) from None
         if args.abort_at is not None:
             dep.sim.schedule(args.abort_at, op.abort, "aborted via CLI")
         return op
@@ -263,14 +294,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     def arm_top(dep):
         ProgressReporter(dep, args.interval, sink=show_frame).start()
 
-    result = run_move_experiment(
-        n_flows=args.flows, rate_pps=args.rate, seed=args.seed,
-        operation=operation,
-        on_deployment=arm_top if "top" in args.show else None,
-        observe=bool({"timeline", "metrics", "top"} & set(args.show)),
-        audit="audit" in args.show,
-        **_mode_kwargs(args),
-    )
+    try:
+        result = run_move_experiment(
+            n_flows=args.flows, rate_pps=args.rate, seed=args.seed,
+            operation=operation,
+            on_deployment=arm_top if "top" in args.show else None,
+            observe=bool({"timeline", "metrics", "top"} & set(args.show)),
+            audit="audit" in args.show,
+            **_mode_kwargs(args),
+        )
+    except _MoveRejected as exc:
+        args.parser.error(str(exc))
     failed = [_VIEWS[view](result, args, frames) for view in args.show]
     report = result.report
     print(report.summary())

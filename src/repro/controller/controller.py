@@ -50,7 +50,7 @@ from repro.controller.chain import ChainOperation
 from repro.controller.copy import CopyOperation
 from repro.controller.forwarding import SW_CHANNEL_LATENCY_MS, SwitchClient
 from repro.controller.move import Guarantee, MoveOperation
-from repro.controller.operation import DeferredOperation, Operation, when_all
+from repro.controller.operation import DeferredOperation, Operation
 from repro.controller.pump import ChunkPump
 from repro.controller.share import ShareOperation
 from repro.controller.sharding import CrossShardOperation, ShardMap
@@ -275,27 +275,9 @@ class OpenNFController:
         return sum(shard.events_received for shard in self.replicas)
 
     @property
-    def packet_ins_received(self) -> int:
-        return sum(shard.packet_ins_received for shard in self.replicas)
-
-    @property
-    def events_duplicate_dropped(self) -> int:
-        return sum(self.event_duplicates.values())
-
-    @property
     def operations_queued_for_conflict(self) -> int:
         """Total operations (any kind) deferred by admission control."""
         return sum(self.deferrals.values())
-
-    @property
-    def moves_queued_for_conflict(self) -> int:
-        return sum(count for (_home, kind, _crossed), count
-                   in self.deferrals.items() if kind == "move")
-
-    @property
-    def cross_shard_operations(self) -> int:
-        return sum(count for (_home, _kind, crossed), count
-                   in self.deferrals.items() if crossed)
 
     def _publish(self, reg) -> None:
         """Pull collector: the plane-wide counts above."""
@@ -413,14 +395,6 @@ class OpenNFController:
         self._port_to_nf[nf_port] = nf.name
         return client
 
-    def deregister_nf(self, name: str) -> None:
-        """Forget a retired instance: client, port binding, event state."""
-        self.clients.pop(name, None)
-        port = self.nf_ports.pop(name, None)
-        if port is not None and self._port_to_nf.get(port) == name:
-            del self._port_to_nf[port]
-        self._reset_event_reorder(name)
-
     def _on_nf_failed(self, nf: NetworkFunction) -> None:
         self._reset_event_reorder(nf.name)
 
@@ -453,10 +427,6 @@ class OpenNFController:
         """Switch port that reaches the given NF."""
         name = nf if isinstance(nf, str) else nf.name
         return self.nf_ports[name]
-
-    def instance_at_port(self, port: str) -> Optional[str]:
-        """Inverse of :meth:`port_of`: which NF sits behind ``port``."""
-        return self._port_to_nf.get(port)
 
     # ------------------------------------------------------------------ dispatch
 
@@ -566,13 +536,6 @@ class OpenNFController:
             else self._route(packet)
         shard.packet_ins_received += 1
         shard.inbox.push(("packet-in", packet, None))
-
-    def inbox_drained(self):
-        """Fires once every shard has handled what it has queued so far."""
-        drained = self.sim.event("inboxes-drained")
-        when_all([shard.inbox.drained() for shard in self.replicas],
-                 drained.trigger)
-        return drained
 
     def _handle_inbox_item(self, item) -> None:
         kind, payload, handler = item

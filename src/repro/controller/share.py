@@ -116,6 +116,8 @@ class ShareOperation(Operation):
         self._group_busy: Dict[Any, bool] = {}
         self._awaiting: Dict[Tuple[str, int], Any] = {}
         self._redirected_entries: List[Tuple[Filter, int, Tuple[str, ...]]] = []
+        #: switch port -> the shared instance behind it.
+        self._instance_at_port: Dict[str, str] = {}
         #: Teardown waits here until every serialization queue drains.
         self._drain_waiters: List[Any] = []
         #: origin name -> its bound ``ctrl.share.updates`` series.
@@ -143,10 +145,13 @@ class ShareOperation(Operation):
 
     def _step_redirect_entries(self, parent):
         entries = yield self.switch.read_entries(self.flt)
-        names = {client.name for client in self.instances}
+        self._instance_at_port = {
+            self.controller.port_of(client.name): client.name
+            for client in self.instances
+        }
         for entry in entries:
             _filter, _priority, actions = entry
-            if names & {self.controller.instance_at_port(a) for a in actions}:
+            if self._instance_at_port.keys() & set(actions):
                 self._redirected_entries.append(entry)
         yield from self._install_entries(lambda actions: [CONTROLLER_PORT])
         self._interest_handles.append(
@@ -232,7 +237,7 @@ class ShareOperation(Operation):
         for entry_filter, priority, actions in self._redirected_entries:
             if entry_filter.matches_packet(packet):
                 for action in actions:
-                    name = self.controller.instance_at_port(action)
+                    name = self._instance_at_port.get(action)
                     if name and (best is None or priority > best[0]):
                         best = (priority, name)
         return None if best is None else best[1]

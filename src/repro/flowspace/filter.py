@@ -199,12 +199,6 @@ class Filter:
         """An exact-match filter for one flow (both directions by default)."""
         return cls(five_tuple.headers(), symmetric=symmetric)
 
-    def with_fields(self, **extra: Any) -> "Filter":
-        """A copy of this filter with additional/overridden constraints."""
-        merged = dict(self.fields)
-        merged.update(extra)
-        return Filter(merged, symmetric=self.symmetric)
-
     # -- packet matching ------------------------------------------------------
 
     def matches_headers(self, headers: Mapping[str, Any]) -> bool:

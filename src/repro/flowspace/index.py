@@ -39,8 +39,8 @@ def _canonical_bucket(key: Tuple) -> Tuple:
 class FlowKeyedStore:
     """A ``FlowId -> value`` mapping with an exact-match key index.
 
-    Supports the dict operations the NFs use (get/set/del/pop/in/len/
-    iteration/keys/values/items) plus :meth:`keys_matching`, the indexed
+    Supports the dict operations the NFs use (get/set/del/pop/len/
+    iteration/values) plus :meth:`keys_matching`, the indexed
     replacement for the per-``state_keys`` linear filter scan. Iteration
     and ``keys_matching`` results follow insertion order, exactly like
     the plain dict this replaces.
@@ -77,17 +77,11 @@ class FlowKeyedStore:
         del self._data[flowid]
         self._unindex(flowid)
 
-    def __contains__(self, flowid: object) -> bool:
-        return flowid in self._data
-
     def __len__(self) -> int:
         return len(self._data)
 
     def __iter__(self) -> Iterator[FlowId]:
         return iter(self._data)
-
-    def __bool__(self) -> bool:
-        return bool(self._data)
 
     def get(self, flowid: FlowId, default: Any = None) -> Any:
         return self._data.get(flowid, default)
@@ -101,19 +95,8 @@ class FlowKeyedStore:
             return default[0]
         raise KeyError(flowid)
 
-    def keys(self):
-        return self._data.keys()
-
     def values(self):
         return self._data.values()
-
-    def items(self):
-        return self._data.items()
-
-    def clear(self) -> None:
-        self._data.clear()
-        self._exact.clear()
-        del self._partial[:]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "FlowKeyedStore(%r)" % (self._data,)

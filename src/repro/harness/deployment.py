@@ -222,6 +222,3 @@ class Deployment:
                 counts[uid] = counts.get(uid, 0) + 1
         return counts
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Convenience passthrough to the simulator."""
-        return self.sim.run(until=until)

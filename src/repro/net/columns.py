@@ -10,46 +10,28 @@ entry's ``actions`` tuple), and makes a row tuple only when one is read.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Sequence
 
 
 class Columns:
     """A log stored as columns that reads like the list of its rows.
 
-    It iterates, indexes, takes ``len``, clears and compares (with
-    another log or a list of row tuples) as that list would. The writer
-    keeps the columns it passed in and appends to them directly, one
-    value to each. Two logs may share a column: an NF's
-    ``proc_durations`` reads its ``processing_log``'s times. ``tied``
-    names columns cleared with this log's rows though not read with
-    them, so that clearing either log keeps both aligned.
+    It iterates and takes ``len`` as that list would. The writer keeps
+    the columns it passed in and appends to them directly, one value to
+    each. Two logs may share a column: an NF's ``proc_durations`` reads
+    its ``processing_log``'s times.
     """
 
-    __slots__ = ("_columns", "_tied")
+    __slots__ = ("_columns",)
 
-    def __init__(self, *columns: Sequence, tied: Tuple[Sequence, ...] = ()):
+    def __init__(self, *columns: Sequence):
         self._columns = columns
-        self._tied = tied
-
-    def clear(self) -> None:
-        for column in self._columns + self._tied:
-            del column[:]
 
     def __iter__(self) -> Iterator[tuple]:
         return zip(*self._columns)
 
     def __len__(self) -> int:
         return len(self._columns[0])
-
-    def __getitem__(self, index: int) -> tuple:
-        return tuple(column[index] for column in self._columns)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (Columns, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return "Columns(%r)" % list(self)

@@ -396,6 +396,3 @@ class Switch:
                 flushed += machine.release(flt, port)
         return flushed
 
-    def state_machines(self) -> List[XFSMInstance]:
-        """The currently installed machines (stats inspection)."""
-        return list(self._xfsm_machines)

@@ -157,16 +157,12 @@ class NetworkFunction:
         self._done_uids = array("q")
         self._durations = array("d")
         #: (completion_time, packet_uid) for every packet actually processed.
-        self.processing_log = Columns(
-            self._done_times, self._done_uids, tied=(self._durations,)
-        )
+        self.processing_log = Columns(self._done_times, self._done_uids)
         #: (time, packet_uid) for every packet held by a BUFFER rule.
         self.buffered_log: List[Tuple[float, int]] = []
         #: (completion_time, duration) per processed packet (for §8.2.1's
         #: overhead metric); the times are ``processing_log``'s own.
-        self.proc_durations = Columns(
-            self._done_times, self._durations, tied=(self._done_uids,)
-        )
+        self.proc_durations = Columns(self._done_times, self._durations)
 
     # ------------------------------------------------------------------ wiring
 

@@ -22,9 +22,6 @@ class SignatureDB:
     def __init__(self, digests: Iterable[str] = ()) -> None:
         self._digests: Set[str] = {d.lower() for d in digests}
 
-    def add(self, digest: str) -> None:
-        self._digests.add(digest.lower())
-
     def matches(self, digest: str) -> bool:
         """Whether ``digest`` identifies known malware."""
         return digest.lower() in self._digests

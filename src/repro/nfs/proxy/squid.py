@@ -179,9 +179,3 @@ class CachingProxy(NetworkFunction):
         ),
         Scope.ALLFLOWS: StateSpec("stats", on_import=ADD),
     }
-
-    # --------------------------------------------------------------- inspection
-
-    def hit_ratio(self) -> float:
-        total = self.stats["hits"] + self.stats["misses"]
-        return self.stats["hits"] / total if total else 0.0

@@ -29,29 +29,6 @@ class InMemoryExporter:
         self.export_record: Callable[[Dict[str, Any]], None] = \
             self.records.append
 
-    # ------------------------------------------------------------------ query
-
-    def find(self, name: str) -> List[Span]:
-        """Finished spans with this exact name, ordered by start time."""
-        return sorted(
-            (s for s in self.spans if s.name == name),
-            key=lambda s: (s.start, s.span_id),
-        )
-
-    def roots(self) -> List[Span]:
-        """Finished spans with no parent, ordered by start time."""
-        return sorted(
-            (s for s in self.spans if s.parent_id is None),
-            key=lambda s: (s.start, s.span_id),
-        )
-
-    def children_of(self, span: Span) -> List[Span]:
-        """Direct children of ``span``, ordered by start time."""
-        return sorted(
-            (s for s in self.spans if s.parent_id == span.span_id),
-            key=lambda s: (s.start, s.span_id),
-        )
-
 
 def render_timeline(
     spans: List[Span], width: int = 48, clip_to: Optional[str] = None

@@ -13,7 +13,7 @@ Scale-readiness (two mechanisms the soak harness depends on):
   :class:`BoundedHistogram` storing log-spaced bucket counts (growth
   factor ``GAMMA`` = 2^(1/4), ~19% relative bucket width) instead of
   every raw sample, so a million observations cost a few dozen ints.
-  ``count``/``sum``/``min``/``max``/``mean`` stay *exact*; percentiles
+  ``count``/``sum``/``min``/``max`` stay *exact*; percentiles
   are nearest-rank over the cumulative buckets, clamped to the observed
   ``[min, max]``, and therefore within one bucket width of the
   raw-sample answer (the nearest-rank oracle in ``tests/oracles.py``).
@@ -35,8 +35,6 @@ Semantics the test suite pins down:
 * counters are monotone — a negative increment raises ``ValueError``;
 * a histogram sample must be finite — NaN or ±inf raises ``ValueError``;
 * label sets are order-insensitive and fully separating;
-* ``registry.reset()`` clears every series but keeps the instruments,
-  so one registry can span several scenarios;
 * re-requesting a name with a different instrument kind is an error;
 * ``percentile`` validates ``0 <= q <= 100`` and returns the exact
   min/max at ``q=0``/``q=100``.
@@ -47,7 +45,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -84,9 +82,6 @@ class _Instrument:
     """Base: one named instrument holding per-label-set series."""
 
     kind = "instrument"
-    #: Runs the owning registry's pull collectors (the registry sets it):
-    #: every public read calls it first, so no published series is stale.
-    _collect: Callable[[], None] = staticmethod(lambda: None)
 
     def __init__(
         self, name: str, max_label_sets: Optional[int] = DEFAULT_MAX_LABEL_SETS
@@ -126,24 +121,11 @@ class _Instrument:
             return OVERFLOW_KEY
         return key
 
-    def label_sets(self) -> List[Dict[str, str]]:
-        """Every label combination this instrument has seen."""
-        self._collect()
-        return [dict(key) for key in sorted(self._series)]
-
-    def reset(self) -> None:
-        self._series.clear()
-        self.overflow_routed = 0
-
     def _snapshot_value(self, value: Any) -> Any:
         return value
 
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-friendly dump: label-set repr -> value."""
-        self._collect()
-        return self._dump()
-
     def _dump(self) -> Dict[str, Any]:
+        """JSON-friendly dump: label-set repr -> value."""
         return {
             ",".join("%s=%s" % kv for kv in key) or "_": self._snapshot_value(v)
             for key, v in sorted(self._series.items())
@@ -189,15 +171,6 @@ class Counter(_Instrument):
         series appears on the first write, as with :meth:`inc`."""
         return _BoundCounter(self.name, self._series, self._key(labels))
 
-    def value(self, **labels: Any) -> float:
-        self._collect()
-        return self._series.get(_label_key(labels), 0)
-
-    def total(self) -> float:
-        """Sum across every label set."""
-        self._collect()
-        return sum(self._series.values())
-
 
 class _Buckets:
     """Fixed-memory distribution state for one bounded-histogram series.
@@ -208,8 +181,8 @@ class _Buckets:
     of *occupied* buckets — independent of the observation count.
 
     It is also the series' bound handle (:meth:`BoundedHistogram.bind`):
-    it joins its histogram's series with its first sample, and again
-    with the first one after a reset, so an unsampled series never shows.
+    it joins its histogram's series with its first sample, so an
+    unsampled series never shows.
     """
 
     __slots__ = (
@@ -220,9 +193,6 @@ class _Buckets:
     def __init__(self, series: Dict[LabelKey, Any], key: LabelKey) -> None:
         self._series = series
         self._key = key
-        self.clear()
-
-    def clear(self) -> None:
         self.count = 0
         self.total = 0.0
         self.vmin = math.inf
@@ -322,38 +292,6 @@ class BoundedHistogram(_Instrument):
             state = self._states[key] = _Buckets(self._series, key)
         return state
 
-    def reset(self) -> None:
-        for state in self._states.values():
-            state.clear()  # bound handles stay valid and rejoin on a sample
-        super().reset()
-
-    def count(self, **labels: Any) -> int:
-        state = self._series.get(_label_key(labels))
-        return state.count if state is not None else 0
-
-    def sum(self, **labels: Any) -> float:
-        state = self._series.get(_label_key(labels))
-        return state.total if state is not None else 0.0
-
-    def min(self, **labels: Any) -> Optional[float]:
-        state = self._series.get(_label_key(labels))
-        return state.vmin if state is not None and state.count else None
-
-    def max(self, **labels: Any) -> Optional[float]:
-        state = self._series.get(_label_key(labels))
-        return state.vmax if state is not None and state.count else None
-
-    def mean(self, **labels: Any) -> Optional[float]:
-        state = self._series.get(_label_key(labels))
-        if state is None or not state.count:
-            return None
-        return state.total / state.count
-
-    def percentile(self, q: float, **labels: Any) -> Optional[float]:
-        """Bucketed nearest-rank percentile (``None`` when empty)."""
-        state = self._series.get(_label_key(labels))
-        return state.percentile(q) if state is not None else None
-
     def _snapshot_value(self, value: _Buckets) -> Dict[str, float]:
         summary = {
             "count": value.count,
@@ -389,7 +327,6 @@ class MetricsRegistry:
         instrument = self._instruments.get(name)
         if instrument is None:
             instrument = cls(name, max_label_sets=self.max_label_sets)
-            instrument._collect = self.collect
             self._instruments[name] = instrument
         elif instrument.kind != cls.kind:
             raise TypeError(
@@ -426,18 +363,6 @@ class MetricsRegistry:
             self._instruments[name]._series.clear()
         for fn in self._collectors:
             fn(self)
-
-    def names(self) -> List[str]:
-        return sorted(self._instruments)
-
-    def __iter__(self) -> Iterator[_Instrument]:
-        self.collect()
-        return iter(self._instruments.values())
-
-    def reset(self) -> None:
-        """Zero every series (between scenarios) without re-registering."""
-        for instrument in self._instruments.values():
-            instrument.reset()
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """JSON-friendly dump of every instrument."""

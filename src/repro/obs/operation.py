@@ -86,10 +86,6 @@ class OperationTrace:
             attrs,
         )
 
-    def event(self, name: str, **attrs: Any) -> None:
-        """Point annotation on the root span (no-op when disabled)."""
-        self.root.event(name, **attrs)
-
     def finish(self, aborted: Optional[str] = None) -> None:
         """Close the root span (idempotent), tagging abort causes.
 

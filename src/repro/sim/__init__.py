@@ -13,14 +13,13 @@ deterministic given a seed.
 """
 
 from repro.sim.core import Event, Simulator, SimulationError
-from repro.sim.process import AllOf, AnyOf, Process, ProcessKilled
+from repro.sim.process import AllOf, AnyOf, Process
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
     "Process",
-    "ProcessKilled",
     "SimulationError",
     "Simulator",
 ]

@@ -191,12 +191,6 @@ class Simulator:
             raise SimulationError("rearm() outside a running callback")
         heappush(self._queue, (when, seq, running[2], running[3]))
 
-    def call_at(
-        self, when: float, callback: Callable[..., None], *args: Any
-    ) -> None:
-        """Run ``callback(*args)`` at absolute simulated time ``when``."""
-        self.schedule(when - self.now, callback, *args)
-
     def event(self, name: str = "") -> Event:
         """Create a new pending :class:`Event`."""
         return Event(self, name)

@@ -24,10 +24,6 @@ from typing import Any, Iterable, List, Optional
 from repro.sim.core import Event, SimulationError, Simulator
 
 
-class ProcessKilled(Exception):
-    """Raised inside a process generator when :meth:`Process.kill` is called."""
-
-
 class AllOf:
     """Composite wait: resumes when *all* given events/processes have fired.
 
@@ -68,22 +64,6 @@ class Process:
         # Start on the next tick so spawn() returns before the body runs.
         sim.schedule(0.0, self._step, None, None)
 
-    @property
-    def alive(self) -> bool:
-        """Whether the process is still running."""
-        return self._alive
-
-    @property
-    def result(self) -> Any:
-        """Return value of the generator (requires the process to be done)."""
-        return self.done.value
-
-    def kill(self, reason: str = "killed") -> None:
-        """Throw :class:`ProcessKilled` into the process on the next tick."""
-        if not self._alive:
-            return
-        self.sim.schedule(0.0, self._step, None, ProcessKilled(reason))
-
     def _step(self, send_value: Any, throw_exc: Optional[BaseException]) -> None:
         if not self._alive:
             return
@@ -95,10 +75,6 @@ class Process:
         except StopIteration as stop:
             self._alive = False
             self.done.trigger(stop.value)
-            return
-        except ProcessKilled as killed:
-            self._alive = False
-            self.done.fail(killed)
             return
         except Exception as exc:
             # Any other uncaught exception terminates the process; waiters

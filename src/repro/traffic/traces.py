@@ -75,12 +75,6 @@ class Trace:
     def flow_count(self) -> int:
         return len(self.flows)
 
-    def __len__(self) -> int:
-        return len(self.packets)
-
-    def flows_of_kind(self, kind: str) -> List[FlowBlueprint]:
-        return [flow for flow in self.flows if flow.kind == kind]
-
 
 def _local_host(config: TraceConfig, index: int) -> str:
     return "10.0.%d.%d" % (1 + (index // 200), 1 + (index % 200))

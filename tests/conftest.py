@@ -60,6 +60,43 @@ def make_packet(flow, flags=(), seq=0, payload="", created_at=0.0):
                   created_at=created_at)
 
 
+def clear_log(log):
+    """Drop every row of a ground-truth log (``forward_log``,
+    ``processing_log``) in place: the known-bad twin of a clean run."""
+    for column in log._columns:
+        del column[:]
+
+
+def series(registry, name):
+    """``name``'s series as the registry's snapshot shows them: label
+    string (``"nf=a,op=get"``, ``"_"`` unlabelled) -> value."""
+    return registry.snapshot().get(name, {"series": {}})["series"]
+
+
+def counter_total(registry, name):
+    """Sum of counter ``name`` across its label sets."""
+    return sum(series(registry, name).values())
+
+
+def _by_start(spans):
+    return sorted(spans, key=lambda s: (s.start, s.span_id))
+
+
+def spans_named(exporter, name):
+    """Finished spans with this exact name, ordered by start time."""
+    return _by_start(s for s in exporter.spans if s.name == name)
+
+
+def root_spans(exporter):
+    """Finished spans with no parent, ordered by start time."""
+    return _by_start(s for s in exporter.spans if s.parent_id is None)
+
+
+def children_of(exporter, span):
+    """Direct children of ``span``, ordered by start time."""
+    return _by_start(s for s in exporter.spans if s.parent_id == span.span_id)
+
+
 @pytest.fixture
 def two_monitor_deployment():
     """A deployment with two PRADS monitors, traffic defaulting to the first."""

@@ -37,6 +37,7 @@ from repro.obs import (
 )
 from repro.traffic.replay import TraceReplayer
 from repro.traffic.traces import TraceConfig, build_university_cloud_trace
+from tests.conftest import spans_named
 
 pytestmark = pytest.mark.obs
 
@@ -138,7 +139,7 @@ class TestConcurrentMovesAreToldApart:
                 ))
 
         dep.call_at(replayer.duration_ms / 2.0, start_both)
-        dep.run()
+        dep.sim.run()
         assert [h.report.aborted for h in handles] == [None, None]
         assert check_loss_free(dep.switch, nfs) == (True, "")
         return dep, handles
@@ -179,7 +180,7 @@ class TestConcurrentMovesAreToldApart:
         dep, handles = self._run([("inst1", "inst2", self.LOW),
                                   ("inst1", "inst3", self.HIGH)])
         by_dst = {h.report.dst: h.trace.trace_id for h in handles}
-        captured = dep.obs.exporter.find("nf.drop") + [
+        captured = spans_named(dep.obs.exporter, "nf.drop") + [
             r for r in dep.obs.exporter.records if r["name"] == "nf.buffer"
         ]
         assert captured
@@ -211,7 +212,7 @@ class TestBaselinesViolate:
         # nf.drop span; cross-check against the exported spans.
         drops = {
             s.span_id: s
-            for s in result.deployment.obs.exporter.find("nf.drop")
+            for s in spans_named(result.deployment.obs.exporter, "nf.drop")
         }
         for violation in loss:
             assert violation.op_kind == "splitmerge-migrate"

@@ -28,6 +28,7 @@ from repro.obs import audit_entries
 from repro.obs import metrics as obs_metrics
 from repro.obs.audit import AUDITORS, SUBSCRIPTIONS, OpRegistry
 from repro.obs.span import Span, Tracer
+from tests.conftest import counter_total
 from tests.oracles import broadcast_audit
 
 #: Cell ``i`` of the matrix runs in mode ``i % 3``, as the ledger's
@@ -288,7 +289,7 @@ class TestAuditedEntryCounts:
         counts, _at_finish = entry_counts
         runs = [self._run(counts, n_flows) for n_flows in (6, 12)]
         rpcs = [
-            dep.obs.metrics.counter("sb.rpcs").total() for _seen, dep in runs
+            counter_total(dep.obs.metrics, "sb.rpcs") for _seen, dep in runs
         ]
         assert rpcs[1] > rpcs[0]
         assert runs[0][0]["label_key"] == runs[1][0]["label_key"]

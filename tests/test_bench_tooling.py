@@ -13,6 +13,7 @@ import json
 import pathlib
 import re
 import subprocess
+import sys
 import types
 
 import pytest
@@ -142,3 +143,62 @@ def test_make_conform_is_the_ci_matrix():
     assert "make conform" in ci
     # The one CLI conform run CI makes itself is the counterexample hunt.
     assert re.findall(r"repro\.cli conform\s+(--\w+)", ci) == ["--hunt"]
+
+
+# ---------------------------------------------------------------- make reach
+
+CENSUSED = '''\
+import functools
+
+
+def plain():
+    return 1
+
+
+class Box:
+    @property
+    def size(self):
+        return 2
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def make():
+        return Box()
+
+
+def outer():
+    def inner():
+        return 3
+    return inner()
+
+
+def never():
+    return 4
+'''
+
+
+def test_reach_reports_exactly_the_uncalled_def(bench, tmp_path):
+    """Decorated defs are where a file-and-line match goes wrong: a code
+    object starts at its first decorator, the ``def`` line after it."""
+    reach = bench("reach")
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "censused.py").write_text(CENSUSED)
+    env = reach.hook_env(tmp_path / "hook", src, tmp_path / "calls",
+                         [str(src)])
+    subprocess.run(
+        [sys.executable, "-c", "import censused as c\n"
+         "c.plain(); c.Box.make().size; c.outer()"],
+        env=env, check=True,
+    )
+    defs = reach.definitions(src)
+    assert sorted(defs.values()) == [
+        "censused:Box.make", "censused:Box.size", "censused:never",
+        "censused:outer", "censused:outer.inner", "censused:plain",
+    ]
+    called = reach.read_calls(tmp_path / "calls", src)
+    unreached, unexcused, stale = reach.judge(defs, called, {})
+    assert unreached == unexcused == ["censused:never"] and stale == []
+    # An entry excuses what it matches; one that excuses nothing is stale.
+    allowed = {"censused:nev*": "why", "censused:plain": "why"}
+    assert reach.judge(defs, called, allowed)[1:] == ([], ["censused:plain"])

@@ -10,6 +10,22 @@ import pytest
 from repro.cli import main
 
 
+#: A flag value or combination the run cannot use -> argparse's error.
+BAD_FLAGS = {
+    "run --no-parallel --early-release":
+        "early release requires the parallelizing optimization",
+    "run --no-parallel --peer-to-peer":
+        "peer-to-peer transfer implies chunk streaming",
+    "run --rate 0": "argument --rate: must be > 0, not 0",
+    "run --rate -5": "argument --rate: must be > 0, not -5",
+    "run --interval 0": "argument --interval: must be > 0",
+    "run --flows -3": "argument --flows: must be >= 1, not -3",
+    "run --abort-at -1": "argument --abort-at: must be >= 0",
+    "chain --flows 0": "argument --flows: must be >= 1, not 0",
+    "validate --seeds 0": "argument --seeds: must be >= 1",
+}
+
+
 class TestCli:
     def test_version(self, capsys):
         assert main(["version"]) == 0
@@ -63,6 +79,20 @@ class TestCli:
         assert code == 2
         assert "--abort-at cannot be combined with --baseline" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", list(BAD_FLAGS))
+    def test_bad_flags_are_usage_errors(self, command, capsys):
+        # Exit 2 with argparse's one-line error: no traceback, and no
+        # run that passes because it judged nothing.
+        with pytest.raises(SystemExit) as exc:
+            main(command.split())
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        last = captured.err.strip().splitlines()[-1]
+        assert last.startswith("repro %s: error: %s"
+                               % (command.split()[0], BAD_FLAGS[command]))
 
     def test_validate_passes(self, capsys):
         code = main(["validate", "--seeds", "1", "--flows", "30"])

@@ -44,6 +44,7 @@ from repro.harness.properties import check_loss_free
 from repro.obs import (
     Violation, audit_entries, load_trace_entries, write_trace,
 )
+from tests.conftest import clear_log
 
 pytestmark = pytest.mark.conformance
 
@@ -310,7 +311,7 @@ class TestOpenDefectClauses:
                                 keep_deployment=True)
         assert unexplained_failures(teardown) == []
         for nf in teardown.deployment.nfs.values():
-            nf.processing_log.clear()  # (the 30 ms packet goes missing)
+            clear_log(nf.processing_log)  # (the 30 ms packet goes missing)
         assert unexplained_failures(teardown) == [
             "loss-free ground truth: missing=[2] duplicated=[]"]
 

@@ -8,8 +8,7 @@ Three bugs, each pinned here:
 2. Deferred operations could starve: a waiting ``DeferredOperation``
    was not in the admission table, so later operations overlapping the
    *deferred* filter (but not the in-flight one) leapfrogged it.
-3. ``instance_at_port`` linearly scanned ``nf_ports`` per packet-in,
-   and ``register_nf`` silently let two NFs claim the same port.
+3. ``register_nf`` silently let two NFs claim the same port.
 
 Plus the abort-while-deferred race: an abort landing in the same sim
 timestamp as the last conflict's ``done`` must not launch the operation
@@ -82,7 +81,7 @@ class TestEventReorderReset:
         ctrl.handle_nf_event(_sequenced_event(sim, "inst1", 1))
         sim.run()
         assert len(received) == 3
-        assert ctrl.events_duplicate_dropped == 0
+        assert sum(ctrl.event_duplicates.values()) == 0
 
     def test_crash_releases_buffered_out_of_order_events(self):
         sim, ctrl = self._reliable_controller()
@@ -103,18 +102,6 @@ class TestEventReorderReset:
         assert len(received) == 2
         assert ctrl._event_reorder == {}
 
-    def test_deregister_clears_sequencing_state(self):
-        sim, ctrl = self._reliable_controller()
-        nf = DummyNF(sim, "inst1")
-        ctrl.register_nf(nf, port="p1")
-        ctrl.handle_nf_event(_sequenced_event(sim, "inst1", 1))
-        sim.run()
-        assert "inst1" in ctrl._event_reorder
-        ctrl.deregister_nf("inst1")
-        assert "inst1" not in ctrl._event_reorder
-        assert ctrl.instance_at_port("p1") is None
-        assert "inst1" not in ctrl.clients
-
 
 class TestPortMap:
     def test_register_rejects_duplicate_port(self):
@@ -124,27 +111,27 @@ class TestPortMap:
         with pytest.raises(ValueError, match="already claimed"):
             ctrl.register_nf(DummyNF(sim, "inst2"), port="p1")
         # The first registration still holds the port.
-        assert ctrl.instance_at_port("p1") == "inst1"
+        assert ctrl._port_to_nf.get("p1") == "inst1"
 
     def test_instance_at_port_reverse_map(self):
         sim = Simulator()
         ctrl = OpenNFController(sim)
         ctrl.register_nf(DummyNF(sim, "inst1"), port="p1")
         ctrl.register_nf(DummyNF(sim, "inst2"), port="p2")
-        assert ctrl.instance_at_port("p1") == "inst1"
-        assert ctrl.instance_at_port("p2") == "inst2"
-        assert ctrl.instance_at_port("p9") is None
+        assert ctrl._port_to_nf.get("p1") == "inst1"
+        assert ctrl._port_to_nf.get("p2") == "inst2"
+        assert ctrl._port_to_nf.get("p9") is None
 
     def test_same_name_reregistration_moves_port(self):
         sim = Simulator()
         ctrl = OpenNFController(sim)
         ctrl.register_nf(DummyNF(sim, "inst1"), port="p1")
         ctrl.register_nf(DummyNF(sim, "inst1"), port="p2")
-        assert ctrl.instance_at_port("p1") is None
-        assert ctrl.instance_at_port("p2") == "inst1"
+        assert ctrl._port_to_nf.get("p1") is None
+        assert ctrl._port_to_nf.get("p2") == "inst1"
         # The vacated port is claimable again.
         ctrl.register_nf(DummyNF(sim, "inst3"), port="p1")
-        assert ctrl.instance_at_port("p1") == "inst3"
+        assert ctrl._port_to_nf.get("p1") == "inst3"
 
 
 class TestDeferralFifo:

@@ -7,7 +7,7 @@ from repro.harness import build_multi_instance_deployment
 from repro.nf import EventAction, Scope
 from repro.nfs.monitor import AssetMonitor
 from repro.traffic import TraceConfig, TraceReplayer, build_university_cloud_trace
-from tests.conftest import make_packet
+from tests.conftest import make_packet, spans_named
 
 
 def feed(dep, nf, count=10, client="10.0.1.2"):
@@ -284,15 +284,15 @@ class TestShareUpdateSpans:
         dep.sim.run()
 
         exporter = dep.obs.exporter
-        updates = exporter.find("share.update")
+        updates = spans_named(exporter, "share.update")
         assert len(updates) == share.packets_serialized
         assert len(updates) >= 4
-        root = exporter.find("share")[0]
+        root = spans_named(exporter, "share")[0]
         assert all(u.parent_id == root.span_id for u in updates)
         assert all(u.attrs["group"] for u in updates)
         # One global group: the update regions must be strictly serial.
         for earlier, later in zip(updates, updates[1:]):
             assert later.start >= earlier.end
         # The initial sync phase closed before any packet was serialized.
-        sync = exporter.find("share.sync")[0]
+        sync = spans_named(exporter, "share.sync")[0]
         assert sync.end <= updates[0].start

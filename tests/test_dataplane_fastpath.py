@@ -246,7 +246,7 @@ class TestStateStoreDifferential:
                 fid = FlowId.for_host(rng.choice(IPS))
             else:
                 fid = FlowId(random_five_tuple(rng).headers())
-            if fid in store and rng.random() < 0.3:
+            if store.get(fid) is not None and rng.random() < 0.3:
                 del store[fid]
             else:
                 store[fid] = {"step": step}
@@ -303,7 +303,8 @@ class TestStateStoreDifferential:
                 store[fid] = mirror[fid] = {"step": step}
             if step % 10 == 0:
                 assert list(store) == list(mirror)
-                assert list(store.items()) == list(mirror.items())
+                assert [(fid, store[fid]) for fid in store] == \
+                    list(mirror.items())
                 for _ in range(10):
                     flt = any_filter(rng, pool, parsable=True)
                     assert store.keys_matching(flt, FIVE_FIELDS) == \
@@ -457,7 +458,7 @@ def _steady_run(packets, rate_pps=5000.0):
     dep.set_default_route(
         "ids", Filter({"nw_src": "10.0.1.0/28"}, symmetric=True))
     TraceReplayer(dep.sim, dep.inject, packets, rate_pps=rate_pps).start()
-    dep.run()
+    dep.sim.run()
     assert mon.packets_processed + ids.packets_processed == len(packets)
     return mon, ids
 
@@ -532,7 +533,7 @@ class TestInternedFlowIds:
                 scope="per", guarantee="lf+op"))
 
         dep.sim.schedule(replayer.duration_ms * 0.5, move)
-        dep.run()
+        dep.sim.run()
         assert ops[0].report.aborted is None and len(held) >= 20
         assert len(src.conns) == 0
         stored = {fid: fid for fid in dst.conns}
@@ -780,11 +781,11 @@ class TestCompiledFilters:
             mon.sb_enable_events(event_rule, EventAction.PROCESS)
             dep.switch.install_state_machine(
                 Filter.wildcard(), BufferUntilRelease())
-            dep.run()
+            dep.sim.run()
             dep.switch.release_state_machine(Filter.wildcard(), "mon")
-            assert [m.state for m in dep.switch.state_machines()] == [REDIRECT]
+            assert [m.state for m in dep.switch._xfsm_machines] == [REDIRECT]
             TraceReplayer(dep.sim, dep.inject, packets, rate_pps=5000.0).start()
-            dep.run()
+            dep.sim.run()
             assert mon.packets_processed + side.packets_processed == 2000
             assert mon.packets_processed and side.packets_processed
             assert mon.events_raised

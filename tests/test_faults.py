@@ -400,25 +400,14 @@ class TestCrashSemantics:
 
 
 class TestFailoverHygiene:
-    """Satellites: subscription cleanup and health-loop termination."""
+    """A failover releases the dead primary's subscriptions."""
 
     def _deployment(self):
         dep, (a, b) = build_multi_instance_deployment(2)
-        app = FastFailureRecovery(dep.controller, health_poll_ms=10.0)
+        app = FastFailureRecovery(dep.controller)
         app.init_standby("inst1", "inst2")
         dep.sim.run()
         return dep, app, a, b
-
-    def test_stop_releases_subscriptions(self):
-        dep, app, a, b = self._deployment()
-        ctrl = dep.controller
-        before = len(ctrl._packet_interests) + len(ctrl._event_interests)
-        assert before >= 3  # the three notify() subscriptions
-        app.stop()
-        dep.sim.run()
-        after = len(ctrl._packet_interests) + len(ctrl._event_interests)
-        assert after == before - 3
-        assert app._subscriptions == {}
 
     def test_failover_releases_primary_subscriptions(self):
         dep, app, a, b = self._deployment()
@@ -430,13 +419,3 @@ class TestFailoverHygiene:
         after = len(ctrl._packet_interests) + len(ctrl._event_interests)
         assert after == before - 3
         assert "inst1" not in app._subscriptions
-
-    def test_health_loop_exits_after_last_recovery(self):
-        dep, app, a, b = self._deployment()
-        app.watch()
-        a.failed = True
-        dep.sim.run(until=dep.sim.now + 200.0)
-        assert app.recoveries == 1
-        assert app._watching is False  # loop ended, queue can drain
-        # With no watcher alive the sim must now run dry on its own.
-        dep.sim.run()

@@ -209,7 +209,7 @@ class TestRecordGroundTruth:
         sim.run()
         # Forwarding still happens; only the ground-truth log is skipped.
         assert len(seen) == 1
-        assert switch.forward_log == []
+        assert list(switch.forward_log) == []
         assert switch.forwarded == 1
 
     def test_forward_log_on_by_default(self):

@@ -103,7 +103,7 @@ def _overlapping_moves(shards, mode, guarantee):
     start = replayer.duration_ms / 2.0
     dep.call_at(start, move, "inst1", "inst2", "10.0.1.0/24")
     dep.call_at(start + 1.0, move, "inst2", "inst3", "10.0.0.0/8")
-    dep.run()
+    dep.sim.run()
     return _record(dep, [op.done.value for op in ops])
 
 

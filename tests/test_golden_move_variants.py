@@ -115,7 +115,7 @@ def _record(dep, reports):
         "reports": [_report_dict(r) for r in reports],
         "clock": [dep.sim.now, dep.sim.events_processed],
         "control_messages_sent": dep.control_messages_sent,
-        "machines_left": len(dep.switch.state_machines()),
+        "machines_left": len(dep.switch._xfsm_machines),
         "nf_packets": {
             name: [client.nf.packets_received, client.nf.packets_processed]
             for name, client in sorted(dep.controller.clients.items())
@@ -182,7 +182,7 @@ def _run_chain(cell, observe):
         dep.sim.schedule(150.0, lambda: ops[0].abort("golden abort"))
 
     dep.sim.schedule(replayer.duration_ms / 2.0, kickoff)
-    dep.run()
+    dep.sim.run()
     return dep, [ops[0].done.value] + ops[0].hop_reports
 
 

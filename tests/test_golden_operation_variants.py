@@ -258,7 +258,7 @@ def _run_chain(cell, observe):
             _schedule_fault(dep, op, fault)
 
     dep.sim.schedule(replayer.duration_ms / 2.0, kickoff)
-    dep.run()
+    dep.sim.run()
     op = ops[0]
     extra = {
         "active": [hop.active for hop in chain.hops],

@@ -22,6 +22,7 @@ import pytest
 from repro import AssetMonitor, Deployment, Filter, IntrusionDetector, SignatureDB
 from repro.harness import check_loss_free, check_order_preserving
 from repro.traffic import TraceReplayer, malware_signatures
+from tests.conftest import clear_log
 from tests.test_traffic import dp_steady_packets
 
 LOG_BYTES_PER_PACKET = 64
@@ -60,10 +61,10 @@ def replay():
         processed = sum(nf.packets_processed for nf in nfs)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
-        dep.switch.forward_log.clear()
+        clear_log(dep.switch.forward_log)
         for nf in nfs:
-            nf.processing_log.clear()
-            nf.proc_durations.clear()
+            clear_log(nf.processing_log)
+            clear_log(nf.proc_durations)
         gc.collect()
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:

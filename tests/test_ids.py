@@ -402,37 +402,3 @@ class TestIntrusionDetector:
     def test_is_outdated_browser(self):
         assert is_outdated_browser("Mozilla/4.0 (compatible; MSIE 6.0)")
         assert not is_outdated_browser("Mozilla/5.0 (X11; Linux)")
-
-
-class TestConnLogRendering:
-    def test_tsv_output(self, sim, tmp_path):
-        from repro.nfs.ids.logs import write_conn_log
-
-        ids = IntrusionDetector(sim, "bro")
-        flow = http_exchange("10.0.1.2", 1234, "203.0.113.5",
-                             reply_body="x", close=True)
-        drive_flow(sim, ids, flow)
-        path = str(tmp_path / "conn.log")
-        count = write_conn_log(ids, path)
-        assert count == 1
-        text = open(path).read()
-        assert text.startswith("#separator")
-        assert "#fields\tts\tid" in text
-        lines = [l for l in text.splitlines() if not l.startswith("#")]
-        assert len(lines) == 1
-        record = lines[0].split("\t")
-        assert record[2] == "tcp"
-        assert record[4] == "SF"
-        assert record[-1] == "F"  # not abnormal
-
-    def test_abnormal_flag_rendered(self, sim, tmp_path):
-        from repro.nfs.ids.logs import render_conn_log
-
-        ids = IntrusionDetector(sim, "bro")
-        flow = http_exchange("10.0.1.2", 1234, "203.0.113.5",
-                             reply_body="x" * 500, close=False)
-        drive_flow(sim, ids, flow)
-        ids.finalize_logs()
-        text = render_conn_log(ids.conn_log)
-        data_lines = [l for l in text.splitlines() if not l.startswith("#")]
-        assert data_lines[0].endswith("T")  # abnormal

@@ -6,7 +6,7 @@ from repro.controller.move import Guarantee
 from repro.flowspace import Filter, FiveTuple
 from repro.harness import run_move_experiment
 from repro.nf import Scope
-from tests.conftest import make_packet
+from tests.conftest import counter_total, make_packet
 
 
 class TestGuaranteeParsing:
@@ -134,7 +134,7 @@ class TestLossFreeMove:
             "prads1", "prads2",
             Filter({"nw_src": clients % 0 + "/24"}, symmetric=True),
             scope="per", guarantee="lf", early_release=True)))
-        dep.run()
+        dep.sim.run()
         assert ops[0].report.aborted is None
         assert (src.conn_count(), dst.conn_count()) == (0, 12)
         assert src.event_rule_count == 0
@@ -295,7 +295,6 @@ class TestTraceBackedInvariants:
         result = run_move_experiment(guarantee="lf", n_flows=30, observe=True)
         metrics = result.deployment.obs.metrics
         # Every buffered-then-released packet left via the packet-out path.
-        released = metrics.counter(
-            "ctrl.move.buffered_packets_released").total()
-        packet_outs = metrics.counter("ctrl.packet_outs").total()
+        released = counter_total(metrics, "ctrl.move.buffered_packets_released")
+        packet_outs = counter_total(metrics, "ctrl.packet_outs")
         assert packet_outs >= released > 0

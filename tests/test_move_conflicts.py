@@ -37,7 +37,7 @@ class TestMoveConflicts:
         first = dep.controller.move("inst1", "inst2", broad, guarantee="lf")
         second = dep.controller.move("inst2", "inst3", narrow, guarantee="lf")
         dep.sim.run()
-        assert dep.controller.moves_queued_for_conflict == 1
+        assert dep.controller.operations_queued_for_conflict == 1
         assert first.done.triggered
         assert second.done.triggered
         # The deferred move ran after the first completed and found the
@@ -55,7 +55,7 @@ class TestMoveConflicts:
         first = dep.controller.move("inst1", "inst2", left, guarantee="lf")
         second = dep.controller.move("inst1", "inst3", right, guarantee="lf")
         dep.sim.run()
-        assert dep.controller.moves_queued_for_conflict == 0
+        assert dep.controller.operations_queued_for_conflict == 0
         # Ran overlapped in time.
         assert (second.report.started_at
                 < first.done.value.finished_at)
@@ -111,7 +111,7 @@ class TestSymmetricConflicts:
         dep.sim.schedule(replayer.duration_ms * 0.3, issue)
         # Bounded: the conflicting pair, admitted together, never ends.
         dep.sim.run(max_events=max_events)
-        assert dep.controller.moves_queued_for_conflict == 1
+        assert dep.controller.operations_queued_for_conflict == 1
         assert all(op.done.triggered for op in ops)
         assert all(op.done.value.aborted is None for op in ops)
         ok, detail = check_loss_free(dep.switch, nfs)

@@ -187,17 +187,15 @@ class TestProcessingLoop:
 
     def test_durations_share_the_processing_log_times(self, sim, flow):
         nf = monitor(sim)
-        for _ in range(2):
-            nf.receive(make_packet(flow))
+        packets = [make_packet(flow) for _ in range(2)]
+        for packet in packets:
+            nf.receive(packet)
         sim.run()
-        nf.processing_log.clear()
-        assert list(nf.proc_durations) == []
-        last = make_packet(flow)
-        nf.receive(last)
-        sim.run()
-        ((done_at, uid),) = nf.processing_log
-        assert uid == last.uid
-        assert list(nf.proc_durations) == [(done_at, nf.costs.proc_ms)]
+        assert [uid for (_t, uid) in nf.processing_log] == \
+            [p.uid for p in packets]
+        assert list(nf.proc_durations) == [
+            (done_at, nf.costs.proc_ms) for (done_at, _uid) in nf.processing_log
+        ]
 
     def test_drop_rule_silent(self, sim, flow):
         nf = monitor(sim)
@@ -341,7 +339,7 @@ class TestStateTransferTiming:
         proc = nf.sb_get(Scope.PERFLOW, Filter.wildcard())
         start = sim.now
         sim.run()
-        chunks = proc.result
+        chunks = proc.done.value
         assert len(chunks) == 1
         assert sim.now - start >= nf.costs.serialize_ms(chunks[0].size_bytes)
 
@@ -378,9 +376,9 @@ class TestStateTransferTiming:
         sim.run()
         get_proc = src.sb_get(Scope.PERFLOW, Filter.wildcard())
         sim.run()
-        put_proc = dst.sb_put(get_proc.result)
+        put_proc = dst.sb_put(get_proc.done.value)
         sim.run()
-        assert put_proc.result == 1
+        assert put_proc.done.value == 1
         assert dst.conn_count() == 1
 
     def test_delete_removes_and_counts(self, sim, flow):
@@ -389,10 +387,10 @@ class TestStateTransferTiming:
         sim.run()
         get_proc = nf.sb_get(Scope.PERFLOW, Filter.wildcard())
         sim.run()
-        flowids = [c.flowid for c in get_proc.result]
+        flowids = [c.flowid for c in get_proc.done.value]
         del_proc = nf.sb_delete(Scope.PERFLOW, flowids)
         sim.run()
-        assert del_proc.result == 1
+        assert del_proc.done.value == 1
         assert nf.conn_count() == 0
 
     def test_operations_serialize_fifo(self, sim, flow):

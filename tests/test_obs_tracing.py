@@ -19,6 +19,7 @@ from repro.obs import (
     render_timeline,
 )
 from repro.sim import Simulator
+from tests.conftest import children_of, root_spans, spans_named
 
 pytestmark = pytest.mark.obs
 
@@ -38,8 +39,8 @@ class TestTracerBasics:
                 pass
             with root.child("leaf-b"):
                 pass
-        assert [s.name for s in exporter.roots()] == ["root"]
-        kids = exporter.children_of(exporter.find("root")[0])
+        assert [s.name for s in root_spans(exporter)] == ["root"]
+        kids = children_of(exporter, spans_named(exporter, "root")[0])
         assert [s.name for s in kids] == ["leaf-a", "leaf-b"]
         assert all(k.parent_id == root.span_id for k in kids)
 
@@ -59,7 +60,7 @@ class TestTracerBasics:
         with pytest.raises(RuntimeError):
             with tracer.span("doomed"):
                 raise RuntimeError("boom")
-        assert exporter.find("doomed")[0].status == "error"
+        assert spans_named(exporter, "doomed")[0].status == "error"
 
     def test_disabled_tracer_returns_null_span(self, sim):
         tracer = Tracer(sim=sim, enabled=False)
@@ -99,12 +100,12 @@ class TestMoveSpanTree:
 
     def test_exactly_one_move_root(self, observed):
         exporter = observed.deployment.obs.exporter
-        moves = exporter.find("move")
+        moves = spans_named(exporter, "move")
         assert len(moves) == 1
         assert moves[0].parent_id is None
 
     def test_root_attributes(self, observed):
-        root = observed.deployment.obs.exporter.find("move")[0]
+        root = spans_named(observed.deployment.obs.exporter, "move")[0]
         assert root.attrs["guarantee"] == "loss-free order-preserving"
         assert root.attrs["src"] == "inst1"
         assert root.attrs["dst"] == "inst2"
@@ -113,8 +114,8 @@ class TestMoveSpanTree:
 
     def test_children_in_figure6_order(self, observed):
         exporter = observed.deployment.obs.exporter
-        root = exporter.find("move")[0]
-        children = exporter.children_of(root)
+        root = spans_named(exporter, "move")[0]
+        children = children_of(exporter, root)
         names = [c.name for c in children]
         assert names == [
             "move.events-enabled",
@@ -134,28 +135,28 @@ class TestMoveSpanTree:
 
     def test_two_phase_update_nested_and_ordered(self, observed):
         exporter = observed.deployment.obs.exporter
-        fwd = exporter.find("move.forwarding-update")[0]
-        steps = exporter.children_of(fwd)
+        fwd = spans_named(exporter, "move.forwarding-update")[0]
+        steps = children_of(exporter, fwd)
         assert [s.name for s in steps] == [
             "move.phase1-install",
             "move.await-first-packet",
             "move.phase2-install",
             "move.await-last-packet",
         ]
-        phase1 = exporter.find("move.phase1-install")[0]
-        phase2 = exporter.find("move.phase2-install")[0]
+        phase1 = spans_named(exporter, "move.phase1-install")[0]
+        phase2 = spans_named(exporter, "move.phase2-install")[0]
         assert phase1.end <= phase2.start
 
     def test_transfer_nested_under_state_transfer(self, observed):
         exporter = observed.deployment.obs.exporter
-        transfer = exporter.find("move.state-transfer")[0]
-        scopes = exporter.children_of(transfer)
+        transfer = spans_named(exporter, "move.state-transfer")[0]
+        scopes = children_of(exporter, transfer)
         assert [s.name for s in scopes] == ["move.transfer.perflow"]
         assert scopes[0].attrs["chunks"] > 0
 
     def test_sim_clock_timestamps(self, observed):
         exporter = observed.deployment.obs.exporter
-        root = exporter.find("move")[0]
+        root = spans_named(exporter, "move")[0]
         report = observed.report
         assert root.start == report.started_at
         # Simulated milliseconds, not a wall-clock epoch.
@@ -177,7 +178,7 @@ class TestMoveSpanTree:
             "dst-released": "move.dst-release",
         }
         for mark, span_name in span_for_mark.items():
-            span = exporter.find(span_name)[0]
+            span = spans_named(exporter, span_name)[0]
             assert report.phases[mark] == pytest.approx(
                 span.end - report.started_at
             )
@@ -193,26 +194,26 @@ class TestOtherGuaranteeTrees:
     def test_lf_tree_has_reroute_no_forwarding_update(self):
         result = observed_ids_move("lf")
         exporter = result.deployment.obs.exporter
-        root = exporter.find("move")[0]
-        names = [c.name for c in exporter.children_of(root)]
+        root = spans_named(exporter, "move")[0]
+        names = [c.name for c in children_of(exporter, root)]
         assert "move.reroute" in names
         assert "move.forwarding-update" not in names
-        flush = exporter.find("move.event-flush")[0]
-        transfer = exporter.find("move.state-transfer")[0]
+        flush = spans_named(exporter, "move.event-flush")[0]
+        transfer = spans_named(exporter, "move.state-transfer")[0]
         assert transfer.end <= flush.start
 
     def test_ng_tree(self):
         result = observed_ids_move("ng")
         exporter = result.deployment.obs.exporter
-        root = exporter.find("move")[0]
-        names = [c.name for c in exporter.children_of(root)]
+        root = spans_named(exporter, "move")[0]
+        names = [c.name for c in children_of(exporter, root)]
         assert names[:3] == ["move.lock", "move.state-transfer", "move.reroute"]
 
     def test_strong_tree_redirects_first(self):
         result = observed_ids_move("op-strong")
         exporter = result.deployment.obs.exporter
-        root = exporter.find("move")[0]
-        names = [c.name for c in exporter.children_of(root)]
+        root = spans_named(exporter, "move")[0]
+        names = [c.name for c in children_of(exporter, root)]
         assert names[0] == "move.redirect"
         assert "move.await-last-packet" in names
 
@@ -230,7 +231,7 @@ class TestZeroOverheadWhenDisabled:
 
     def test_disabled_metrics_stay_empty(self):
         result = run_move_experiment(guarantee="op", n_flows=20)
-        assert result.deployment.obs.metrics.names() == []
+        assert result.deployment.obs.metrics.snapshot() == {}
 
     def test_observation_does_not_change_timing(self):
         plain = run_move_experiment(guarantee="op", n_flows=20, seed=3)
@@ -245,10 +246,10 @@ class TestSbSpans:
     def test_rpc_spans_present_and_clocked(self):
         result = observed_ids_move("op")
         exporter = result.deployment.obs.exporter
-        gets = exporter.find("sb.get.perflow")
+        gets = spans_named(exporter, "sb.get.perflow")
         assert gets and gets[0].attrs["nf"] == "inst1"
-        puts = exporter.find("sb.put.perflow")
+        puts = spans_named(exporter, "sb.put.perflow")
         assert puts and all(p.attrs["nf"] == "inst2" for p in puts)
         assert all(p.duration_ms > 0 for p in puts)
-        installs = exporter.find("sw.install")
+        installs = spans_named(exporter, "sw.install")
         assert len(installs) >= 2

@@ -166,8 +166,9 @@ class TestUnifiedAdmission:
         assert copy.report is None  # not started yet
         dep.sim.run()
         assert dep.controller.operations_queued_for_conflict == 1
-        # copy is not a move; the move-only counter must not tick.
-        assert dep.controller.moves_queued_for_conflict == 0
+        # The deferral is tallied under the copy, not as a move.
+        assert [kind for _home, kind, _crossed
+                in dep.controller.deferrals] == ["copy"]
         assert move.done.triggered and copy.done.triggered
         assert copy.report.kind == "copy"
         assert copy.report.started_at >= move.done.value.finished_at

@@ -29,7 +29,6 @@ class TestCachingProxy:
         send_request(sim, proxy, client_flow(1), "/a", 1000)
         assert proxy.stats["misses"] == 1
         assert proxy.stats["hits"] == 1
-        assert proxy.hit_ratio() == 0.5
 
     def test_transaction_progresses_with_pulls(self, sim):
         proxy = CachingProxy(sim, "squid")
@@ -223,7 +222,7 @@ class TestRedundancyElimination:
         for packet in (raw, repeat):
             encoder.encode(packet)
             dep.inject(packet)
-        dep.run()
+        dep.sim.run()
         assert repeat.payload == ""
         assert repeat.size_bytes == HEADER_OVERHEAD_BYTES
         entry = dep.switch.table.lookup(repeat)

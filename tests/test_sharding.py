@@ -11,6 +11,7 @@ registration view.
 
 import repro
 from repro.controller.controller import OpenNFController
+from repro.controller.operation import when_all
 from repro.controller.sharding import ShardMap
 from repro.flowspace import Filter, FiveTuple
 from repro.harness import Deployment
@@ -72,6 +73,12 @@ class TestShardMap:
             ShardMap(0)
 
 
+def _cross_shard_operations(plane):
+    """Operations admission saw cross a shard boundary."""
+    return sum(count for (_home, _kind, crossed), count
+               in plane.deferrals.items() if crossed)
+
+
 def _run_move(n_flows=60):
     """One preloaded DummyNF move; returns (report, deployment)."""
     reset_uid_counter()
@@ -83,7 +90,7 @@ def _run_move(n_flows=60):
     src.preload(n_flows, base_ip="172.16.0.0")
     flt = Filter({"nw_src": "172.16.0.0/16"}, symmetric=True)
     op = dep.controller.move("inst1", "inst2", flt, guarantee="lf")
-    dep.run()
+    dep.sim.run()
     assert op.done.triggered
     return op.report, dep
 
@@ -102,7 +109,7 @@ class TestOneControllerClass:
 
     def test_single_shard_never_hands_off(self):
         _report, dep = _run_move()
-        assert dep.controller.cross_shard_operations == 0
+        assert _cross_shard_operations(dep.controller) == 0
         assert dep.controller.handoffs_completed == 0
 
 
@@ -121,7 +128,7 @@ class TestParallelism:
         right = Filter({"nw_src": "172.17.0.0/16"}, symmetric=True)
         op1 = dep.controller.move("inst1", "inst2", left, guarantee="lf")
         op2 = dep.controller.move("inst3", "inst4", right, guarantee="lf")
-        dep.run()
+        dep.sim.run()
         assert op1.done.triggered and op2.done.triggered
         return op1.report.duration_ms, op2.report.duration_ms
 
@@ -166,7 +173,7 @@ def _concurrent_moves(shards):
         dep.controller.move(src, dst, flt, scope="per", guarantee="lf")
         for src, dst, flt in planned
     ))
-    dep.run()
+    dep.sim.run()
     reports = [move.done.value for move in moves]
     assert sum(r.total_chunks for r in reports) == \
         SCALING_PAIRS * SCALING_FLOWS
@@ -190,9 +197,9 @@ def _event_drain_ms(shards):
         dep.controller.handle_nf_event(
             PacketEvent("gen", packet, EventAction.PROCESS, dep.sim.now))
     drained = []
-    dep.controller.inbox_drained().add_callback(
-        lambda _evt: drained.append(dep.sim.now))
-    dep.run()
+    when_all([shard.inbox.drained() for shard in dep.controller.replicas],
+             lambda: drained.append(dep.sim.now))
+    dep.sim.run()
     return round(drained[0], 3)
 
 
@@ -249,7 +256,7 @@ class TestCrossShard:
         result = run_schedule(spec, keep_deployment=True)
         assert result.ok, result.summary()
         plane = result.deployment.controller
-        assert plane.cross_shard_operations >= 1
+        assert _cross_shard_operations(plane) >= 1
         assert plane.handoffs_completed >= 1
 
     def test_cross_shard_copy_audits_clean(self):
@@ -259,7 +266,7 @@ class TestCrossShard:
         )
         result = run_schedule(spec, keep_deployment=True)
         assert result.ok, result.summary()
-        assert result.deployment.controller.cross_shard_operations >= 1
+        assert _cross_shard_operations(result.deployment.controller) >= 1
 
     def test_cross_shard_share_audits_clean(self):
         spec = _cross_shard_spec(
@@ -269,7 +276,7 @@ class TestCrossShard:
         )
         result = run_schedule(spec, keep_deployment=True)
         assert result.ok, result.summary()
-        assert result.deployment.controller.cross_shard_operations >= 1
+        assert _cross_shard_operations(result.deployment.controller) >= 1
 
     def test_handoff_transfers_ownership_persistently(self):
         dep = Deployment(shards=2)
@@ -286,7 +293,7 @@ class TestCrossShard:
         results = []
         dep.sim.schedule(1.0, lambda: results.append(
             dep.controller.move("inst4", "inst2", Filter({"nw_proto": 6}))))
-        dep.run()
+        dep.sim.run()
         op2 = results[0]
         assert op1.done.triggered and op2.done.triggered
         assert plane.handoffs_completed == 1
@@ -311,7 +318,7 @@ class TestCrossShard:
             dep.controller.move("inst4", "inst2", Filter({"nw_proto": 6}))))
         # Abort while the cross-shard op is still waiting on op1.
         dep.sim.schedule(2.0, lambda: holder[0].abort("changed my mind"))
-        dep.run()
+        dep.sim.run()
         op2 = holder[0]
         assert op1.done.triggered and op2.done.triggered
         assert op2.operation is None
@@ -346,7 +353,7 @@ class TestCrossShard:
             prefix = prefixes[round_ % 2]
             first = plane.move("inst1", "inst2", bridge, guarantee="lf")
             second = plane.move("inst2", "inst1", prefix, guarantee="lf")
-            dep.run()
+            dep.sim.run()
             assert first.done.triggered and second.done.triggered
             unpruned.append((prefix, second.shard))
         assert plane.handoffs_completed == 50
@@ -373,7 +380,7 @@ class TestSharedView:
             dep.add_nf(DummyNF(dep.sim, name))
         plane = dep.controller
         assert set(plane.clients) == {"inst1", "inst2", "inst3"}
-        assert plane.instance_at_port("inst2") == "inst2"
+        assert plane.nf_ports["inst2"] == "inst2"
 
     def test_duplicate_port_rejected(self):
         dep = Deployment(shards=4)
@@ -394,7 +401,7 @@ class TestSharedView:
             assert plane._route(Packet(flow)).shard_id == shard
             plane.handle_nf_event(PacketEvent(
                 "inst1", Packet(flow), EventAction.PROCESS, dep.sim.now))
-        dep.run()
+        dep.sim.run()
         assert len(seen) == 2
         assert [s.events_received for s in plane.replicas] == [1, 1]
         plane.remove_interest(handle)

@@ -48,7 +48,7 @@ class TestScheduling:
         seen = []
         sim.schedule(2.0, seen.append, "b")
         with pytest.raises(SimulationError):
-            sim.call_at(float("nan"), seen.append, "nan")
+            sim.schedule(float("nan"), seen.append, "nan")
         sim.schedule(1.0, seen.append, "a")
         assert sim.run() == 2.0
         assert seen == ["a", "b"] and sim.now == 2.0
@@ -109,10 +109,9 @@ class TestScheduling:
         sim.run()
         assert seen == list(range(50)) + ["bound"]
 
-    def test_schedule_and_call_at_return_nothing(self, sim):
+    def test_schedule_returns_nothing(self, sim):
         # Nothing to cancel through: a stale timer checks its owner.
         assert sim.schedule(1.0, lambda: None) is None
-        assert sim.call_at(2.0, lambda: None) is None
 
     def test_run_until_stops_before_a_later_entry(self, sim):
         seen = []
@@ -146,14 +145,6 @@ class TestScheduling:
             sim.run(max_events=100)
         assert seen == list(range(250))
         assert sim.events_processed == 250
-
-    def test_call_at_absolute_time(self, sim):
-        sim.schedule(5.0, lambda: None)
-        sim.run()
-        seen = []
-        sim.call_at(12.0, lambda: seen.append(sim.now))
-        sim.run()
-        assert seen == [12.0]
 
     def test_events_processed_counter(self, sim):
         for i in range(3):

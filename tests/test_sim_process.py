@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import (
-    AllOf, AnyOf, Event, Process, ProcessKilled, SimulationError, Simulator,
+    AllOf, AnyOf, Event, Process, SimulationError, Simulator,
 )
 
 
@@ -30,8 +30,7 @@ class TestBasicProcess:
         process = sim.spawn(proc())
         sim.run()
         assert process.done.value == "result"
-        assert process.result == "result"
-        assert not process.alive
+        assert process.done.triggered
 
     def test_body_starts_after_spawn_returns(self, sim):
         log = []
@@ -161,7 +160,7 @@ class TestBasicProcess:
 
         process = sim.spawn(parent())
         sim.run()
-        assert process.result == "child-result"
+        assert process.done.value == "child-result"
 
     def test_unsupported_yield_raises(self, sim):
         def proc():
@@ -181,36 +180,6 @@ class TestBasicProcess:
         sim.run()
         assert not process.done.ok
         assert isinstance(process.done.exception, RuntimeError)
-
-
-class TestKill:
-    def test_kill_raises_inside(self, sim):
-        cleaned = []
-
-        def proc():
-            try:
-                yield 100.0
-            except ProcessKilled:
-                cleaned.append("cleanup")
-                raise
-
-        process = sim.spawn(proc())
-        sim.schedule(5.0, lambda: process.kill())
-        sim.run()
-        assert cleaned == ["cleanup"]
-        assert not process.alive
-        assert isinstance(process.done.exception, ProcessKilled)
-
-    def test_kill_after_done_is_noop(self, sim):
-        def proc():
-            yield 1.0
-            return "ok"
-
-        process = sim.spawn(proc())
-        sim.run()
-        process.kill()
-        sim.run()
-        assert process.result == "ok"
 
 
 class TestComposites:

@@ -195,7 +195,7 @@ class TestRejectedRerouteAbortsTheOperation:
             == [(LOW_PRIORITY, ("inst1",))]
         assert dep.nfs["inst1"].conn_count() == 30
         assert [nf.event_rule_count for nf in dep.nfs.values()] == [0, 0]
-        assert dep.switch.state_machines() == []
+        assert dep.switch._xfsm_machines == []
         assert dep.controller._event_interests == []
         assert dep.controller._packet_interests == []
         ok, detail = check_loss_free(dep.switch, list(dep.nfs.values()))

@@ -1,8 +1,10 @@
-"""Tests for the two-tier (spine + leaf) topology."""
+"""Tests for the two-tier (spine + leaf) topology, and the judges'
+negative controls on it and on one switch."""
 
 import pytest
 
 from repro.flowspace import Filter, FiveTuple
+from repro.harness import Deployment
 from repro.harness.properties import (
     check_loss_free,
     check_order_preserving,
@@ -15,13 +17,13 @@ from repro.net.topology import (
 )
 from repro.nfs.monitor import AssetMonitor
 from repro.traffic import TraceConfig, TraceReplayer, build_university_cloud_trace
-from tests.conftest import make_packet
+from tests.conftest import clear_log, make_packet
 
 LOCAL = Filter({"nw_src": "10.0.0.0/8"}, symmetric=True)
 
 
-def build(**modes):
-    topo = TwoTierTopology(**modes)
+def build(topology=TwoTierTopology, **modes):
+    topo = topology(**modes)
     src = AssetMonitor(topo.sim, "prads1")
     dst = AssetMonitor(topo.sim, "prads2")
     topo.add_nf(src)
@@ -30,11 +32,12 @@ def build(**modes):
     return topo, src, dst
 
 
-def move_across_leaves(guarantee, n_flows=60, rate=2500.0):
+def move_across_leaves(guarantee, n_flows=60, rate=2500.0,
+                       data_packets=20, **deployment):
     """A move of prads1's flows to prads2 halfway through a replay."""
-    topo, src, dst = build()
+    topo, src, dst = build(**deployment)
     trace = build_university_cloud_trace(
-        TraceConfig(seed=9, n_flows=n_flows, data_packets=20)
+        TraceConfig(seed=9, n_flows=n_flows, data_packets=data_packets)
     )
     replayer = TraceReplayer(topo.sim, topo.inject, trace.packets, rate)
     replayer.start()
@@ -60,7 +63,7 @@ class TestTwoTier:
         topo, src, _dst = build()
         topo.inject(make_packet(flow))
         topo.sim.run()
-        done_at = src.processing_log[0][0]
+        ((done_at, _uid),) = src.processing_log
         # spine->leaf link + leaf->nf link + processing, at least.
         assert done_at >= LEAF_LATENCY_MS + NF_LINK_LATENCY_MS
 
@@ -105,14 +108,14 @@ class TestTwoTierJudgesAreNotBlind:
 
     def test_a_cleared_processing_log_fails_the_judge(self):
         topo, src, dst, _replayer, _report = move_across_leaves("ng")
-        src.processing_log.clear()
+        clear_log(src.processing_log)
         ok, detail = check_loss_free(topo.switch, [src, dst])
         assert not ok
         assert detail.startswith("missing=")
 
     def test_processed_packets_never_forwarded_fail_every_judge(self):
         topo, src, dst, replayer, _report = move_across_leaves("lf")
-        topo.switch.forward_log.clear()
+        clear_log(topo.switch.forward_log)
         ok, detail = check_loss_free(topo.switch, [src, dst])
         assert not ok and detail.startswith("judged no packet")
         ok, detail = check_order_preserving(
@@ -120,31 +123,44 @@ class TestTwoTierJudgesAreNotBlind:
         assert not ok and detail.startswith("judged no packet")
 
 
-@pytest.mark.parametrize("modes", [
-    {"shards": 2},
-    {"batching": True},
-    {"offload": True},
-    {"faults": "seed=3,drop=0.05"},
-], ids=lambda modes: ",".join(modes))
-def test_every_deployment_mode_runs_across_leaves(modes):
+#: {two-tier, one switch} x {classic, shards 2, batching, offload,
+#: faults}; the two-tier cells keep their mode's name as their id.
+MODE_GRID = [
+    pytest.param(topology, modes, id=prefix + (",".join(modes) or "classic"))
+    for topology, prefix in (
+        (TwoTierTopology, ""), (Deployment, "one-switch-"))
+    for modes in ({}, {"shards": 2}, {"batching": True}, {"offload": True},
+                  {"faults": "seed=3,drop=0.05"})
+]
+
+
+@pytest.mark.parametrize("topology, modes", MODE_GRID)
+def test_every_deployment_mode_runs_across_leaves(topology, modes):
     """The spine is the deployment's switch, so a mode applies as on
-    one switch: a loss-free move across leaves still loses nothing."""
-    topo, src, dst = build(observe=True, audit=True, **modes)
-    trace = build_university_cloud_trace(
-        TraceConfig(seed=9, n_flows=30, data_packets=10)
-    )
-    replayer = TraceReplayer(topo.sim, topo.inject, trace.packets, 2500.0)
-    replayer.start()
-    holder = {}
-    topo.sim.schedule(
-        replayer.duration_ms / 2,
-        lambda: holder.update(op=topo.controller.move(
-            "prads1", "prads2", LOCAL, guarantee="lf")),
-    )
-    topo.sim.run()
-    report = holder["op"].done.value
+    one switch: a loss-free move across leaves still loses nothing, and
+    the judges pass it. Its known-bad twin, the same run with its
+    forward log cleared, fails both judges for judging nothing."""
+    topo, src, dst, replayer, report = move_across_leaves(
+        "lf", n_flows=30, data_packets=10, topology=topology,
+        observe=True, audit=True, **modes)
     assert report.aborted is None
     assert dst.conn_count() == 30
     assert topo.obs.violations() == []
     processed = {uid for nf in (src, dst) for (_t, uid) in nf.processing_log}
     assert {p.uid for p in replayer.injected} <= processed
+    assert check_loss_free(topo.switch, [src, dst]) == (True, "")
+    clear_log(topo.switch.forward_log)
+    for ok, detail in (
+        check_loss_free(topo.switch, [src, dst]),
+        check_order_preserving(topo.switch, [src, dst], replayer.injected),
+    ):
+        assert not ok and detail.startswith("judged no packet"), detail
+
+
+@pytest.mark.parametrize("topology, modes", MODE_GRID)
+def test_a_no_guarantee_move_fails_the_judge_in_every_mode(topology, modes):
+    topo, src, dst, _replayer, report = move_across_leaves(
+        "ng", topology=topology, **modes)
+    assert report.packets_dropped > 0
+    ok, detail = check_loss_free(topo.switch, [src, dst])
+    assert not ok and detail.startswith("missing="), detail

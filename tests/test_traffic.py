@@ -98,7 +98,7 @@ class TestTraces:
         trace = build_university_cloud_trace(
             TraceConfig(seed=3, n_flows=10, n_scanners=2, scan_targets=8)
         )
-        assert trace.flows_of_kind("scan")
+        assert [f for f in trace.flows if f.kind == "scan"]
 
     def test_interleaving_keeps_flows_concurrent(self):
         trace = build_university_cloud_trace(TraceConfig(seed=4, n_flows=10))
@@ -168,7 +168,7 @@ class TestTraceContent:
     def test_reply_segments_are_shared_across_benign_flows(self):
         trace = build_university_cloud_trace(
             TraceConfig(seed=3, n_flows=40, data_packets=3))
-        benign = trace.flows_of_kind("http")
+        benign = [f for f in trace.flows if f.kind == "http"]
         assert len(benign) >= 2
         replies = [
             [bp for bp in flow.packets if bp.payload and bp.five_tuple
