@@ -266,6 +266,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("repro run: error: %s" % exc, file=sys.stderr)
         return 2
 
+    moves = []  # the move the run made, for its late-abort verdict
+
     def operation(dep):
         if args.baseline == "splitmerge":
             from repro.baselines import SplitMergeMigrate
@@ -283,6 +285,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise _MoveRejected(str(exc)) from None
         if args.abort_at is not None:
             dep.sim.schedule(args.abort_at, op.abort, "aborted via CLI")
+        moves.append(op)
         return op
 
     frames = []  # the top view's, printed as they stream
@@ -308,9 +311,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     failed = [_VIEWS[view](result, args, frames) for view in args.show]
     report = result.report
     print(report.summary())
+    late = [op.late_abort for op in moves if op.late_abort]
+    for note in report.notes + late:
+        print("  note: %s" % note)
     if report.aborted:
         print("ABORTED: %s" % report.aborted)
-    return 1 if (report.aborted or any(failed)) else 0
+    return 1 if (report.aborted or late or any(failed)) else 0
 
 
 def _show_report(result, args, frames) -> None:
@@ -624,7 +630,8 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     print(report.summary())
     for hop_report in operation.hop_reports:
         print("  hop %-8s %s" % ("%s:" % hop_report.src, hop_report.summary()))
-    for note in report.notes:
+    late = [operation.late_abort] if operation.late_abort else []
+    for note in report.notes + late:
         print("  note: %s" % note)
     print("actives: %s" % " → ".join(
         "%s=%s" % (hop.name, hop.active) for hop in chain.hops
@@ -636,7 +643,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     if report.aborted:
         print("ABORTED: %s" % report.aborted)
         return 1
-    return 1 if (dep.obs.violations() or not ok) else 0
+    return 1 if (dep.obs.violations() or not ok or late) else 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

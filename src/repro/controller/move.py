@@ -752,7 +752,5 @@ class MoveOperation(Operation):
             # Remove the source's event rules (global and late-locked per-flow).
             yield self.src.disable_events_covered(self.flt)
             self._count_src_drops()
-            buffered = self.dst.nf.buffered_log[self._dst_buffered_at_start :]
-            self.report.packets_buffered_at_dst = len(buffered)
-            for _time, uid in buffered:
-                self.report.affected_uids.add(uid)
+            self.report.packets_buffered_at_dst = len(self._dst_buffered)
+            self.report.affected_uids.update(self._dst_buffered)

@@ -115,6 +115,12 @@ class Operation:
     flt: Optional[Filter] = None
     #: Abort reason once requested (drivers poll via _checkpoint()).
     _abort_requested: Optional[str] = None
+    #: Simulated time of that request.
+    _abort_requested_at: float = 0.0
+    #: Set when an abort was requested after the last checkpoint, so the
+    #: operation completed instead: a note saying when. (The report is
+    #: left alone: the abort changed nothing the operation did.)
+    late_abort: Optional[str] = None
 
     def __init__(
         self,
@@ -183,11 +189,14 @@ class Operation:
 
         The operation driver notices at its next checkpoint and unwinds
         through its abort-recovery path; the eventual report carries
-        ``aborted``. Aborting an already finished operation is a no-op.
+        ``aborted``. One requested after the last checkpoint is not acted
+        on: the operation completes and :attr:`late_abort` says so.
+        Aborting an already finished operation is a no-op.
         """
         if self.done is not None and not self.done.triggered:
             if self._abort_requested is None:
                 self._abort_requested = reason
+                self._abort_requested_at = self.sim.now
         return self.done
 
     def _abort_target(self) -> str:
@@ -208,15 +217,25 @@ class Operation:
         report = self.report
         report.started_at = self.sim.now
         if self.src is not None:
-            # Baselines of the report's drop and buffered-packet counts.
+            # The report's drop count is a delta; the packets buffered
+            # at the destination are collected while the operation runs.
             self._src_drops_at_start = self.src.nf.packets_dropped_silent
-            self._dst_buffered_at_start = len(self.dst.nf.buffered_log)
+            self._dst_buffered = self.dst.nf.watch_buffered()
         failure: Optional[Exception] = None
         try:
             try:
                 self._checkpoint()
                 yield from self._walk(self.plan.steps, self.trace.root)
                 yield from self._cleanup()
+                if self._abort_requested is not None and not report.aborted:
+                    # Requested after the last checkpoint: the operation
+                    # completed, and must not look as if none was asked.
+                    self.late_abort = (
+                        "abort requested at +%.1f ms (%s) came after the "
+                        "%s's last checkpoint; it ran to completion"
+                        % (self._abort_requested_at - report.started_at,
+                           self._abort_requested, self.kind)
+                    )
             except RECOVERABLE as crash:
                 # An instance died or became unreachable past the retry
                 # budget, the caller aborted, or the switch refused a
@@ -238,6 +257,8 @@ class Operation:
             report.finished_at = self.sim.now
             failure = exc
         finally:
+            if self.src is not None:
+                self.dst.nf.unwatch_buffered(self._dst_buffered)
             self._drop_interests()
             self._finalize_reliability()
             self.trace.finish(aborted=report.aborted)

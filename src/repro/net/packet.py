@@ -10,12 +10,12 @@ from §5.1 of the paper are stated — and tested — in terms of these uids.
 packets it re-injects with ``"do-not-buffer"`` (order-preserving move,
 §5.1.2) or ``"do-not-drop"`` (share, §5.2.2).
 
-A replay keeps every packet it injects, so a packet allocates no
-container it rarely uses: an unmarked packet shares one empty ``marks``
-set, a packet built from a frozenset of flags (as every
-:class:`~repro.traffic.generator.PacketBlueprint` hands it) shares it,
-and a packet holds no ``extra_headers`` dict until one is written
-(reading ``extra_headers`` makes it, for a writer such as the RE
+A packet is built per emission, and again on every read of a replay's
+record, so it allocates no container it rarely uses: an unmarked packet
+shares one empty ``marks`` set, a packet built from a frozenset of flags
+(as every :class:`~repro.traffic.generator.PacketBlueprint` hands it)
+shares it, and a packet holds no ``extra_headers`` dict until one is
+written (reading ``extra_headers`` makes it, for a writer such as the RE
 encoder; :meth:`Packet.extra_header`, :meth:`Packet.headers` and
 :meth:`Packet.match_keys` read without making one). Its payload is
 shared as well: a ``str`` is immutable and is only ever rebound.
@@ -74,8 +74,11 @@ class Packet:
         payload: str = "",
         created_at: float = 0.0,
         extra_headers: Optional[Dict[str, Any]] = None,
+        uid: Optional[int] = None,
     ) -> None:
-        self.uid = next(_uid_counter)
+        # A replay's read-back passes the uid the packet drew when it
+        # was built, so rebuilding it mints none.
+        self.uid = next(_uid_counter) if uid is None else uid
         self.five_tuple = five_tuple
         # (``frozenset`` of a frozenset is that frozenset: no copy.)
         self.tcp_flags: FrozenSet[str] = frozenset(tcp_flags)

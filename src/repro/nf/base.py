@@ -158,8 +158,8 @@ class NetworkFunction:
         self._durations = array("d")
         #: (completion_time, packet_uid) for every packet actually processed.
         self.processing_log = Columns(self._done_times, self._done_uids)
-        #: (time, packet_uid) for every packet held by a BUFFER rule.
-        self.buffered_log: List[Tuple[float, int]] = []
+        #: The open :meth:`watch_buffered` lists, by ``id``.
+        self._buffer_watches: Dict[int, List[int]] = {}
         #: (completion_time, duration) per processed packet (for §8.2.1's
         #: overhead metric); the times are ``processing_log``'s own.
         self.proc_durations = Columns(self._done_times, self._durations)
@@ -333,7 +333,8 @@ class NetworkFunction:
                 ).finish()
         else:  # BUFFER
             self.packets_buffered_by_event += 1
-            self.buffered_log.append((self.sim.now, packet.uid))
+            for watch in self._buffer_watches.values():
+                watch.append(packet.uid)
             obs = self.obs
             if obs.enabled:
                 obs.tracer.record("nf.buffer", nf=self.name,
@@ -341,6 +342,17 @@ class NetworkFunction:
                                   trace_id=rule.trace_id)
             self._rule_buffers.setdefault(id(rule), []).append(packet)
             self.sim.schedule(self.costs.disposition_ms, self._drain)
+
+    def watch_buffered(self) -> List[int]:
+        """A list that collects the uid of every packet a BUFFER rule
+        holds here from now until :meth:`unwatch_buffered`. An operation
+        keeps one open while it runs, so nothing outlives it."""
+        watch: List[int] = []
+        self._buffer_watches[id(watch)] = watch
+        return watch
+
+    def unwatch_buffered(self, watch: List[int]) -> None:
+        del self._buffer_watches[id(watch)]
 
     def _begin_processing(self, packet: Packet, rule: Optional[EventRule]) -> None:
         costs = self.costs

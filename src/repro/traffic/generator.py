@@ -93,9 +93,12 @@ class PacketBlueprint:
     def __reduce__(self):
         return (PacketBlueprint, self._fields())
 
-    def build(self, created_at: float) -> Packet:
+    def build(self, created_at: float, uid: Optional[int] = None) -> Packet:
+        """A packet of this blueprint: a fresh uid, or ``uid`` to rebuild
+        one already injected (:class:`~repro.traffic.replay.InjectedPackets`)."""
         return Packet(
-            self.five_tuple, self._flag_set, self.seq, self.payload, created_at
+            self.five_tuple, self._flag_set, self.seq, self.payload,
+            created_at, None, uid,
         )
 
 

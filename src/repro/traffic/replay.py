@@ -3,16 +3,61 @@
 The paper replays traces "at 2500 packets/second" (and sweeps 1–10 kpps
 in Figure 11). :class:`TraceReplayer` instantiates each blueprint at its
 scheduled time and injects it into a callable (normally
-``switch.inject``), recording every packet for later property checks.
+``switch.inject``). It keeps no packet: what it injected stays readable
+for later property checks through :class:`InjectedPackets`, which holds
+8 B per packet (its uid) and builds each packet again on read.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from array import array
+from typing import Callable, Sequence
 
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
 from repro.traffic.generator import PacketBlueprint
+
+
+class InjectedPackets:
+    """The packets a replay has injected so far, in injection order.
+
+    A read-only sequence (``len``, indexing, slicing, iteration) that
+    holds no packet. Emission ``k`` built blueprint ``k`` at
+    ``start + k * interval_ms`` and drew one uid; the uid is all that is
+    recorded (8 B, in an ``array('q')``), and reading packet ``k`` builds
+    it again from the three: the same uid, the same ``created_at`` float
+    the emission ran at, and the blueprint's own five-tuple (so per-flow
+    memos keyed on it still hit), flags, seq and payload. A read mints
+    no uid, so it moves no later packet's.
+
+    A rebuilt packet is the packet *as built*: what an NF did to it in
+    place (an RE encoder's rewritten payload, marks, extra headers) is
+    not reflected, and every read returns a new object.
+    """
+
+    __slots__ = ("_blueprints", "_uids", "_start_ms", "_interval_ms")
+
+    def __init__(self, blueprints: Sequence[PacketBlueprint],
+                 interval_ms: float) -> None:
+        self._blueprints = blueprints
+        self._uids = array("q")
+        self._start_ms = 0.0
+        self._interval_ms = interval_ms
+
+    def __len__(self) -> int:
+        return len(self._uids)
+
+    def __getitem__(self, index):
+        # Iteration runs through here too: an object with no __iter__ is
+        # walked by index until IndexError, with no generator frame.
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self._uids)))]
+        uid = self._uids[index]  # (IndexError ends an iteration)
+        if index < 0:
+            index += len(self._uids)
+        return self._blueprints[index].build(
+            self._start_ms + index * self._interval_ms, uid
+        )
 
 
 class TraceReplayer:
@@ -29,10 +74,13 @@ class TraceReplayer:
             raise ValueError("rate_pps must be positive, got %r" % (rate_pps,))
         self.sim = sim
         self.inject = inject
-        self.blueprints = list(blueprints)
+        #: The caller's sequence, not a copy: it must not change while
+        #: the replay runs or its packets are read.
+        self.blueprints = blueprints
         self.interval_ms = 1000.0 / rate_pps
-        #: Every packet instantiated, in injection order.
-        self.injected: List[Packet] = []
+        #: Every packet injected so far, rebuilt on read.
+        self.injected = InjectedPackets(blueprints, self.interval_ms)
+        self._uids = self.injected._uids
         self._started = False
         #: Stream entry to run next: a packet index, or ``len(blueprints)``
         #: for the ``finished`` trigger that closes the stream.
@@ -58,7 +106,7 @@ class TraceReplayer:
             raise RuntimeError("replay already started")
         self._started = True
         sim = self.sim
-        self._start_ms = sim.now
+        self._start_ms = self.injected._start_ms = sim.now
         sim.schedule(0.0, self._emit)
         #: Entry ``k`` runs under tie-break number ``_seq0 + k``: entry 0
         #: drew its own just now, the block behind it is for the rest.
@@ -75,11 +123,11 @@ class TraceReplayer:
         # The next entry first, so the queue is never empty while packets
         # remain. Its time is always this product, never a running sum:
         # the float ``schedule(following * interval_ms)`` computed at
-        # ``start``.
+        # ``start``, which is also the ``created_at`` a read rebuilds.
         sim.rearm(
             self._start_ms + following * self.interval_ms,
             self._seq0 + following,
         )
         packet = self.blueprints[index].build(created_at=sim.now)
-        self.injected.append(packet)
+        self._uids.append(packet.uid)
         self.inject(packet)

@@ -55,6 +55,15 @@ class TestCli:
         assert code == 0  # the demo ran; the guarantee simply isn't held
         assert "loss-free: NO" in out
 
+    def test_an_abort_after_the_last_checkpoint_fails_the_run(self, capsys):
+        # 30 ms into a 44.7 ms move: past its last checkpoint.
+        code = main(["run", "--flows", "60", "--abort-at", "30"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert ("note: abort requested at +30.0 ms (aborted via CLI) came "
+                "after the move's last checkpoint" in out)
+        assert "ABORTED" not in out
+
     def test_demo_move_under_faults_reports_recovery(self, capsys):
         code = main(["run", "--guarantee", "op", "--flows", "100",
                      "--faults", "seed=3,drop=0.05"])

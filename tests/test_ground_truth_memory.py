@@ -10,6 +10,13 @@ monitor and an IDS, ground truth on) under tracemalloc:
 * the loss-free and order judges' transient peak over that run stays
   under :data:`JUDGE_PEAK_BYTES`: ~3.95 MB with per-uid sets, dicts and
   rank maps, ~0.85 MB with arrays indexed by uid.
+
+And what a run holds grows with what is in flight, not with the trace:
+one 500-flow monitor trace replayed 1x and 4x (the same flows, so the
+same per-flow state) holds at most :data:`HELD_BYTES_PER_PACKET` more per
+extra replayed packet. With ground truth off that is the replay's uid
+record (8 B); with it on, the three logs' columns besides. A replayer
+that kept every ``Packet`` held ~188 B / ~238 B.
 """
 
 from __future__ import annotations
@@ -21,12 +28,19 @@ import pytest
 
 from repro import AssetMonitor, Deployment, Filter, IntrusionDetector, SignatureDB
 from repro.harness import check_loss_free, check_order_preserving
-from repro.traffic import TraceReplayer, malware_signatures
+from repro.traffic import (
+    TraceConfig,
+    TraceReplayer,
+    build_university_cloud_trace,
+    malware_signatures,
+)
 from tests.conftest import clear_log
 from tests.test_traffic import dp_steady_packets
 
 LOG_BYTES_PER_PACKET = 64
 JUDGE_PEAK_BYTES = 1.5e6
+#: record_ground_truth -> bytes held per extra replayed packet.
+HELD_BYTES_PER_PACKET = {False: 16, True: 64}
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +100,51 @@ def test_logs_fit_their_bytes_per_packet(replay):
 
 def test_judges_fit_their_peak(replay):
     assert replay["judge_peak"] <= JUDGE_PEAK_BYTES, replay["judge_peak"]
+
+
+def _held_after_replay(blueprints, ground_truth):
+    """Traced bytes a finished monitor replay of ``blueprints`` holds,
+    the deployment and the replayer kept alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dep = Deployment(record_ground_truth=ground_truth)
+        monitor = AssetMonitor(dep.sim, "mon")
+        dep.add_nf(monitor)
+        dep.set_default_route("mon")
+        replayer = TraceReplayer(dep.sim, dep.inject, blueprints,
+                                 rate_pps=5000.0).start()
+        dep.sim.run()
+        assert monitor.packets_processed == len(replayer.injected)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def held_per_packet():
+    """record_ground_truth -> bytes held per extra replayed packet."""
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc already tracing")
+    packets = build_university_cloud_trace(
+        TraceConfig(seed=11, n_flows=500, data_packets=3)).packets
+    once, four_times = list(packets), list(packets) * 4
+    # Process-wide memos (interned flow ids, flag sets) fill on the
+    # first replay of these flows; they must not count as held by either.
+    _held_after_replay(once, True)
+    return {
+        ground_truth: (_held_after_replay(four_times, ground_truth)
+                       - _held_after_replay(once, ground_truth))
+        / (len(four_times) - len(once))
+        for ground_truth in (False, True)
+    }
+
+
+@pytest.mark.parametrize("ground_truth", [False, True],
+                         ids=["ground-truth-off", "ground-truth-on"])
+def test_a_run_holds_what_is_in_flight_not_the_trace(
+        held_per_packet, ground_truth):
+    per_packet = held_per_packet[ground_truth]
+    assert per_packet <= HELD_BYTES_PER_PACKET[ground_truth], per_packet

@@ -153,6 +153,8 @@ class TestOrderPreservingMove:
     def test_buffers_packets_at_destination(self):
         result = run_move_experiment("op", n_flows=60, rate_pps=5000.0)
         assert result.report.packets_buffered_at_dst > 0
+        # ... and the destination keeps no record of them past the move.
+        assert result.deployment.nfs["inst2"]._buffer_watches == {}
 
     def test_costs_more_than_lf(self):
         lf = run_move_experiment("lf", n_flows=60)

@@ -118,6 +118,7 @@ class TestAbort:
         # The abort unwound like a destination failure: exported chunks
         # were restored to the source.
         assert any("restored" in note for note in result.report.notes)
+        assert op.late_abort is None
 
     def test_abort_disables_the_source_events_exactly_once(self):
         """The unwind used to send ``disable_events_covered`` twice; the
@@ -140,6 +141,24 @@ class TestAbort:
         assert result.loss_free, result.loss_free_detail
         assert dep.obs.violations() == []
 
+    def test_an_abort_after_the_last_checkpoint_is_reported(self):
+        """An abort landing in the move's cleanup can no longer unwind
+        it: the move completes, and says the abort came too late."""
+        ops = []
+
+        def operation(dep):
+            ops.append(dep.controller.move("inst1", "inst2", BROAD,
+                                           guarantee="lf"))
+            dep.sim.schedule(30.0, ops[0].abort, "too late")
+            return ops[0]
+
+        result = run_move_experiment(n_flows=60, operation=operation)
+        assert result.report.aborted is None
+        assert result.report.duration_ms > 30.0
+        assert ops[0].late_abort == (
+            "abort requested at +30.0 ms (too late) came after the move's "
+            "last checkpoint; it ran to completion")
+
     def test_abort_after_completion_is_a_noop(self):
         dep, (a, b) = build_multi_instance_deployment(2)
         feed(dep, a, 4)
@@ -150,7 +169,7 @@ class TestAbort:
         done = op.abort("too late")
         assert done is op.done
         dep.sim.run()
-        assert op.report.aborted is None
+        assert op.report.aborted is None and op.late_abort is None
         assert b.conn_count() == 4
 
 

@@ -27,6 +27,8 @@ from repro.traffic import (
     port_scan,
     tcp_flow,
 )
+from repro.net.packet import Packet
+from tests.conftest import make_packet
 from tests.oracles import eager_schedule_each
 
 
@@ -295,7 +297,47 @@ class TestReplayer:
         assert sim.pending == 1
         sim.run()
         assert replayer.finished.triggered and sim.now == 3.0
-        assert replayer.duration_ms == 0.0 and replayer.injected == []
+        assert replayer.duration_ms == 0.0 and len(replayer.injected) == 0
+
+    def test_reads_rebuild_each_packet_across_a_uid_gap(self):
+        """A burst injected mid-replay draws uids between two of the
+        replay's, so the replay's uids have a gap. Every packet read
+        back still carries the uid the NF processed it under and the
+        time it was emitted at, and reading mints no uid."""
+        trace = build_university_cloud_trace(TraceConfig(seed=2, n_flows=6))
+        dep = Deployment()
+        monitor = AssetMonitor(dep.sim, "mon")
+        dep.add_nf(monitor)
+        dep.set_default_route("mon")
+        emitted = []
+
+        def inject(packet):
+            emitted.append((packet, dep.sim.now))
+            dep.inject(packet)
+
+        replayer = TraceReplayer(dep.sim, inject, trace.packets,
+                                 rate_pps=3000.0).start()
+        burst = FiveTuple("10.0.9.1", 4000, "203.0.113.5", 80)
+        dep.inject_at(replayer.duration_ms / 2,
+                      lambda: [make_packet(burst) for _ in range(5)])
+        dep.sim.run()
+        view = replayer.injected
+        assert len(view) == len(emitted) == len(trace.packets)
+        uids = [p.uid for p in view]
+        assert any(b - a > 1 for a, b in zip(uids, uids[1:]))
+        processed = [uid for _when, uid in monitor.processing_log]
+        assert [uid for uid in processed if uid in set(uids)] == uids
+        assert len(processed) == len(uids) + 5
+        for packet, (original, now) in zip(view, emitted):
+            assert (packet.uid, packet.created_at) == (original.uid, now)
+            assert packet.five_tuple is original.five_tuple
+            assert (packet.tcp_flags, packet.seq, packet.payload) == (
+                original.tcp_flags, original.seq, original.payload)
+        assert [p.uid for p in view[3:9]] == uids[3:9]
+        assert view[-1].uid == uids[-1]
+        with pytest.raises(IndexError):
+            view[len(uids)]
+        assert Packet(burst).uid == max(processed) + 1
 
     def test_the_queue_holds_what_is_in_flight_not_the_trace(self):
         trace = build_university_cloud_trace(
