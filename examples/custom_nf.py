@@ -19,9 +19,9 @@ Run:  python examples/custom_nf.py
 """
 
 from repro import Deployment, Filter, FlowId, NetworkFunction, Scope
+from repro.costs import NFCostModel
 from repro.flowspace import FlowKeyedStore
 from repro.nf.conformance import check_nf_conformance
-from repro.nf.costs import NFCostModel
 from repro.nf.record import Record
 from repro.nf.state import ADD, HOST_FIELDS, MERGE, StateSpec
 from repro.traffic import TraceConfig, TraceReplayer, build_university_cloud_trace

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from repro.costs import RECOPY_INTERVAL_MS
 from repro.flowspace.filter import Filter
 from repro.net.flowtable import LOW_PRIORITY
 from repro.sim.core import Event
@@ -28,7 +29,7 @@ class LoadBalancedMonitoring:
     def __init__(
         self,
         controller,
-        recopy_interval_ms: float = 60_000.0,
+        recopy_interval_ms: float = RECOPY_INTERVAL_MS,
     ) -> None:
         self.controller = controller
         self.sim = controller.sim

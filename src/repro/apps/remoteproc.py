@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from typing import Any, List, Set
 
+from repro.costs import REMOTE_POLL_INTERVAL_MS
 from repro.flowspace.filter import Filter
 from repro.sim.core import Event
 
 
 #: Alert kind that escalates a flow to the cloud IDS.
 TRIGGER_KIND = "outdated_browser"
-#: How often the local IDS's alert stream is polled.
-POLL_INTERVAL_MS = 25.0
 
 
 class SelectiveRemoteProcessing:
@@ -66,7 +65,7 @@ class SelectiveRemoteProcessing:
                     scope="per",
                     guarantee="loss-free",
                 )
-            yield POLL_INTERVAL_MS
+            yield REMOTE_POLL_INTERVAL_MS
         self.stopped.trigger()
 
     def stop(self) -> None:

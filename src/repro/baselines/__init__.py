@@ -2,15 +2,10 @@
 
 from repro.baselines.rerouteonly import RerouteOnlyScaler
 from repro.baselines.splitmerge import SplitMergeMigrate
-from repro.baselines.vmreplication import (
-    SNAPSHOT_BANDWIDTH_BYTES_PER_MS,
-    VMReplicator,
-    full_state_size,
-)
+from repro.baselines.vmreplication import VMReplicator, full_state_size
 
 __all__ = [
     "RerouteOnlyScaler",
-    "SNAPSHOT_BANDWIDTH_BYTES_PER_MS",
     "SplitMergeMigrate",
     "VMReplicator",
     "full_state_size",

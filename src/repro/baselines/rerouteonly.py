@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, List
 
+from repro.costs import REROUTE_POLL_INTERVAL_MS
 from repro.flowspace.filter import Filter
 from repro.net.flowtable import HIGH_PRIORITY, MID_PRIORITY
 from repro.net.switch import TableFullError
@@ -29,7 +30,8 @@ from repro.sim.process import AllOf
 class RerouteOnlyScaler:
     """Scale by steering new flows only; never move state."""
 
-    def __init__(self, controller, poll_interval_ms: float = 500.0) -> None:
+    def __init__(self, controller,
+                 poll_interval_ms: float = REROUTE_POLL_INTERVAL_MS) -> None:
         self.controller = controller
         self.sim = controller.sim
         self.poll_interval_ms = poll_interval_ms

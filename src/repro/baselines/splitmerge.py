@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from typing import Any, List
 
+from repro.costs import DRAIN_GRACE_MS
 from repro.flowspace.filter import Filter
 from repro.net.flowtable import HIGH_PRIORITY, MID_PRIORITY
 from repro.net.packet import Packet
 from repro.net.switch import CONTROLLER_PORT
 from repro.nf.events import EventAction
 from repro.nf.state import Scope
-from repro.controller.move import DRAIN_GRACE_MS
 from repro.controller.operation import Operation, _plan
 from repro.sim.process import AllOf
 

@@ -18,14 +18,12 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.costs import CHANNEL_BANDWIDTH_BYTES_PER_MS, SNAPSHOT_OVERHEAD_MS
 from repro.flowspace.filter import Filter
 from repro.nf.base import NetworkFunction
 from repro.nf.state import Scope
 from repro.controller.reports import OperationReport
 from repro.sim.core import Event, Simulator
-
-#: Default snapshot transfer bandwidth: 1 Gbps in bytes/ms.
-SNAPSHOT_BANDWIDTH_BYTES_PER_MS = 125_000.0
 
 
 def full_state_size(nf: NetworkFunction) -> int:
@@ -46,7 +44,7 @@ class VMReplicator:
     def __init__(
         self,
         sim: Simulator,
-        snapshot_overhead_ms: float = 50.0,
+        snapshot_overhead_ms: float = SNAPSHOT_OVERHEAD_MS,
     ) -> None:
         self.sim = sim
         self.snapshot_overhead_ms = snapshot_overhead_ms
@@ -76,7 +74,7 @@ class VMReplicator:
 
         transfer_ms = (
             self.snapshot_overhead_ms
-            + report.total_bytes / SNAPSHOT_BANDWIDTH_BYTES_PER_MS
+            + report.total_bytes / CHANNEL_BANDWIDTH_BYTES_PER_MS
         )
         done = self.sim.event("vm-clone-done")
 

@@ -40,6 +40,7 @@ import sys
 from typing import List, Optional
 
 from repro import __version__
+from repro.faults import FaultPlan
 from repro.harness import run_move_experiment
 
 
@@ -80,6 +81,16 @@ _COUNT = _bounded(int, 1, strict=False)
 _NON_NEGATIVE = _bounded(float, 0, strict=False)
 
 
+def _fault_spec(value: str) -> str:
+    """argparse type: a spec ``FaultPlan.from_spec`` takes, kept as text
+    (each ``Deployment`` builds its own plan from it)."""
+    try:
+        FaultPlan.from_spec(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return value
+
+
 class _MoveRejected(Exception):
     """The move's constructor refused a combination of ``run``'s flags."""
 
@@ -99,10 +110,10 @@ def _add_run_flags(parser, guarantee: str, flows: int,
 
 #: Control-path mode flags, named after the ``Deployment`` keyword each sets.
 _MODE_FLAGS = {
-    "shards": dict(type=int, default=1, metavar="N",
+    "shards": dict(type=_COUNT, default=1, metavar="N",
                    help="partition flow-space ownership across N "
                         "controller shards (serialized message loops)"),
-    "faults": dict(metavar="SPEC", default=None,
+    "faults": dict(type=_fault_spec, metavar="SPEC", default=None,
                    help="fault-plan spec, e.g. 'seed=3,drop=0.05'"),
     "batching": dict(action="store_true",
                      help="batch control-plane messages (§8.3)"),

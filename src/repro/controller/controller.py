@@ -38,17 +38,20 @@ import itertools
 from collections import defaultdict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.costs import (
+    CHANNEL_BANDWIDTH_BYTES_PER_MS, EVENT_GAP_TIMEOUT_MS, MSG_PROC_MS,
+    NF_CHANNEL_LATENCY_MS, SW_CHANNEL_LATENCY_MS)
 from repro.flowspace.filter import Filter
 from repro.net.channel import BatchConfig, ControlChannel
 from repro.net.packet import Packet
 from repro.net.switch import Switch
 from repro.nf.base import NetworkFunction
 from repro.nf.events import EVENT_ACK_BYTES, PacketEvent
-from repro.nf.southbound import NF_CHANNEL_LATENCY_MS, NFClient
+from repro.nf.southbound import NFClient
 from repro.nf.state import normalize_scope
 from repro.controller.chain import ChainOperation
 from repro.controller.copy import CopyOperation
-from repro.controller.forwarding import SW_CHANNEL_LATENCY_MS, SwitchClient
+from repro.controller.forwarding import SwitchClient
 from repro.controller.move import Guarantee, MoveOperation
 from repro.controller.operation import DeferredOperation, Operation
 from repro.controller.pump import ChunkPump
@@ -195,8 +198,8 @@ class OpenNFController:
         self,
         sim: Simulator,
         switch: Optional[Switch] = None,
-        msg_proc_ms: float = 0.15,
-        nf_channel_bandwidth_bytes_per_ms: float = 125_000.0,
+        msg_proc_ms: float = MSG_PROC_MS,
+        nf_channel_bandwidth_bytes_per_ms: float = CHANNEL_BANDWIDTH_BYTES_PER_MS,
         obs=None,
         faults=None,
         batching: Optional[BatchConfig] = None,
@@ -231,10 +234,6 @@ class OpenNFController:
         #: Per-NF in-order reassembly for sequenced events:
         #: nf_name -> {"next": seq, "pending": {seq: event}}.
         self._event_reorder: Dict[str, Dict[str, Any]] = {}
-        #: How long a sequence gap may stall delivery before the missing
-        #: event is presumed abandoned by the NF and skipped (keeps one
-        #: permanently lost event from wedging the inbox forever).
-        self.event_gap_timeout_ms = 200.0
         #: nf_name -> sequenced events dropped as duplicates / gaps skipped.
         self.event_duplicates: Dict[str, int] = defaultdict(int)
         self.event_gaps_skipped: Dict[str, int] = defaultdict(int)
@@ -496,7 +495,7 @@ class OpenNFController:
             # A predecessor is missing; if the NF abandoned it the gap
             # would stall delivery forever, so arm a skip timer.
             self.sim.schedule(
-                self.event_gap_timeout_ms,
+                EVENT_GAP_TIMEOUT_MS,
                 self._check_event_gap, event.nf_name, state["next"],
             )
 
@@ -517,7 +516,7 @@ class OpenNFController:
         self._release_in_order(state)
         if state["pending"]:
             self.sim.schedule(
-                self.event_gap_timeout_ms,
+                EVENT_GAP_TIMEOUT_MS,
                 self._check_event_gap, nf_name, state["next"],
             )
 

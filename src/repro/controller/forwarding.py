@@ -22,9 +22,6 @@ from repro.nf.southbound import REQUEST_BYTES, Call, SouthboundStub
 from repro.obs import NULL_OBS
 from repro.sim.core import Event, Simulator
 
-#: Calibrated controller↔switch control-channel propagation delay.
-SW_CHANNEL_LATENCY_MS = 0.6
-
 
 class SwitchClient(SouthboundStub):
     """RPC stub for the SDN switch.

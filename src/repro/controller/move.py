@@ -45,6 +45,9 @@ import enum
 import functools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.costs import (
+    COUNTER_POLL_MS, DRAIN_GRACE_MS, FIRST_PACKET_TIMEOUT_MS,
+    NF_CHANNEL_LATENCY_MS, PEER_RESHIP_BACKOFF_MS)
 from repro.flowspace.filter import Filter, FlowId
 from repro.net.channel import ControlChannel
 from repro.net.flowtable import HIGH_PRIORITY, MID_PRIORITY
@@ -53,7 +56,7 @@ from repro.net.switch import CONTROLLER_PORT
 from repro.net.xfsm import BufferUntilRelease
 from repro.nf.base import NFCrash
 from repro.nf.events import DO_NOT_BUFFER, EventAction, PacketEvent
-from repro.nf.southbound import NF_CHANNEL_LATENCY_MS, SouthboundError
+from repro.nf.southbound import SouthboundError
 from repro.nf.state import Scope, StateChunk
 from repro.controller.operation import (
     RECOVERABLE,
@@ -63,15 +66,6 @@ from repro.controller.operation import (
 )
 from repro.controller.pipeline import transfer_scope
 from repro.sim.process import AllOf, AnyOf
-
-#: How long cleanup waits for in-flight packets to drain before the
-#: source's event rules and the shadowed MID rule are retired.
-DRAIN_GRACE_MS = 30.0
-#: Bound on ``wait(GOT_FIRST_PKT_FROM_SW)`` in the two-phase update.
-FIRST_PACKET_TIMEOUT_MS = 40.0
-#: Interval between rule-counter reads while confirming the controller
-#: saw every packet the MID rule forwarded (footnote 9).
-COUNTER_POLL_MS = 8.0
 
 
 class Guarantee(enum.Enum):
@@ -619,7 +613,7 @@ class MoveOperation(Operation):
             )
             for chunk in missing:
                 peer.send(chunk.wire_size_bytes + 74, deliver, chunk)
-            yield 25.0 * reship_rounds
+            yield PEER_RESHIP_BACKOFF_MS * reship_rounds
         if put_events:
             yield AllOf(put_events)
 

@@ -42,14 +42,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Tuple
 
+from repro.costs import HANDOFF_LATENCY_MS
 from repro.flowspace.filter import Filter
 from repro.flowspace.ip import parse_prefix
 from repro.controller.operation import DeferredOperation, Operation, when_all
-
-#: One control-channel round trip between shards: the cost of the
-#: ownership-transfer message exchange in a cross-shard handshake (the
-#: drain barrier is extra, and workload-driven).
-HANDOFF_LATENCY_MS = 5.0
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3

@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro.costs import SHARE_UPDATE_TIMEOUT_MS
 from repro.flowspace.filter import Filter
 from repro.net.packet import Packet
 from repro.net.switch import CONTROLLER_PORT
@@ -101,10 +102,6 @@ class ShareOperation(Operation):
         self.latency_samples: List[float] = []
         self.packets_serialized = 0
         self.updates_skipped = 0
-        #: Reliable mode only: how long a worker waits for an origin's
-        #: completion event before declaring it dead (a crashed origin
-        #: never raises one; without a bound its group wedges forever).
-        self.update_timeout_ms = 250.0
         self.started = self.sim.event("share-started")
         #: A share is "done" once stopped.
         self.stopped = self.done
@@ -277,7 +274,7 @@ class ShareOperation(Operation):
                         # A crashed origin never raises its completion
                         # event; bound the wait so the group survives.
                         yield AnyOf(
-                            [waiter, self.sim.timeout(self.update_timeout_ms)]
+                            [waiter, self.sim.timeout(SHARE_UPDATE_TIMEOUT_MS)]
                         )
                         if not waiter.triggered:
                             self._awaiting.pop(

@@ -32,9 +32,11 @@ behavior change, which the determinism regression suite pins down.
 from __future__ import annotations
 
 import fnmatch
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.costs import FAULT_DELAY_SPIKE_MS
 from repro.sim.rng import derive_rng
 
 
@@ -67,9 +69,11 @@ class ChannelFaults:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError("%s=%r outside [0, 1]" % (name, value))
-        if self.delay_ms < 0:
-            raise ValueError("delay_ms must be >= 0")
+        if not 0 <= self.delay_ms < math.inf:
+            raise ValueError("delay_ms=%r is not a finite ms >= 0" % self.delay_ms)
         for start, end in self.partitions:
+            if not math.isfinite(start + end):
+                raise ValueError("partition (%r, %r) is not finite" % (start, end))
             if end < start:
                 raise ValueError(
                     "partition window (%r, %r) ends before it starts"
@@ -93,6 +97,8 @@ class CrashSpec:
             )
         if self.on_nth_rpc is not None and self.on_nth_rpc < 1:
             raise ValueError("on_nth_rpc counts from 1")
+        if self.at_ms is not None and not 0 <= self.at_ms < math.inf:
+            raise ValueError("crash time %r is not a finite ms >= 0" % self.at_ms)
 
 
 class Verdict:
@@ -286,7 +292,7 @@ class FaultPlan:
             else:
                 raise ValueError("unknown fault spec key %r" % key)
         if delay_p and not delay_ms:
-            delay_ms = 10.0  # a spike probability with no magnitude is a no-op
+            delay_ms = FAULT_DELAY_SPIKE_MS  # else the spikes would be 0 ms
         exclude: Tuple[str, ...] = ()
         if patterns is None:
             patterns = list(cls.NF_CHANNEL_PATTERNS)

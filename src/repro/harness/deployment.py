@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.costs import CHANNEL_BANDWIDTH_BYTES_PER_MS, MSG_PROC_MS
 from repro.flowspace.filter import Filter
 from repro.net.flowtable import LOW_PRIORITY
 from repro.net.link import Link
@@ -24,19 +25,13 @@ from repro.obs import Observability
 from repro.sim.core import Simulator
 
 
-#: Calibrated switch→NF data-path link latency.
-NF_LINK_LATENCY_MS = 0.25
-
-
 class Deployment:
     """A wired-up simulation: switch + controller + NFs."""
 
     def __init__(
         self,
-        flowmod_delay_ms: float = 10.0,
-        packet_out_rate_pps: float = 4000.0,
-        msg_proc_ms: float = 0.15,
-        nf_channel_bandwidth_bytes_per_ms: float = 125_000.0,
+        msg_proc_ms: float = MSG_PROC_MS,
+        nf_channel_bandwidth_bytes_per_ms: float = CHANNEL_BANDWIDTH_BYTES_PER_MS,
         observe: bool = False,
         audit: bool = False,
         faults=None,
@@ -84,8 +79,6 @@ class Deployment:
         self.switch = Switch(
             self.sim,
             name="sw",
-            flowmod_delay_ms=flowmod_delay_ms,
-            packet_out_rate_pps=packet_out_rate_pps,
             obs=self.obs,
             record_ground_truth=record_ground_truth,
         )
@@ -114,9 +107,7 @@ class Deployment:
 
     def _attach(self, nf: NetworkFunction) -> str:
         """Put ``nf`` behind a link from the switch; returns its port."""
-        link = Link(
-            self.sim, name="sw->%s" % nf.name, latency_ms=NF_LINK_LATENCY_MS
-        )
+        link = Link(self.sim, name="sw->%s" % nf.name)
         self.switch.attach(nf.name, nf.receive, link)
         return nf.name
 

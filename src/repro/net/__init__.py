@@ -1,6 +1,6 @@
 """Network substrate: packets, links, the SDN switch, and control channels."""
 
-from repro.net.channel import GIGABIT_BYTES_PER_MS, ControlChannel
+from repro.net.channel import ControlChannel
 from repro.net.flowtable import (
     HIGH_PRIORITY,
     LOW_PRIORITY,
@@ -17,7 +17,6 @@ __all__ = [
     "ControlChannel",
     "FlowEntry",
     "FlowTable",
-    "GIGABIT_BYTES_PER_MS",
     "HEADER_OVERHEAD_BYTES",
     "HIGH_PRIORITY",
     "LOW_PRIORITY",

@@ -28,24 +28,18 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.costs import (
+    BATCH_FLUSH_INTERVAL_MS, CHANNEL_BANDWIDTH_BYTES_PER_MS, CHANNEL_LATENCY_MS,
+    DUPLICATE_GAP_MS, RPC_BACKOFF, RPC_MAX_ATTEMPTS, RPC_MAX_TIMEOUT_MS,
+    RPC_TIMEOUT_MS)
 from repro.obs import NULL_OBS
 from repro.sim.core import Simulator
 
-#: 1 Gbps expressed in bytes per millisecond.
-GIGABIT_BYTES_PER_MS = 125_000.0
-
-#: The southbound retry schedule: a per-call timeout with capped
-#: exponential backoff — 25 ms doubling to 400 ms, seven attempts. The
-#: client stubs retry on it; the peers' :class:`AtMostOnce` tables hold
-#: responses for as long as it runs.
-RPC_TIMEOUT_MS = 25.0
-RPC_BACKOFF = 2.0
-RPC_MAX_TIMEOUT_MS = 400.0
-RPC_MAX_ATTEMPTS = 7
-
 
 def rpc_timeout_ms(attempt: int) -> float:
-    """How long attempt number ``attempt`` (from 0) waits for a response."""
+    """How long attempt ``attempt`` (from 0) of a southbound call waits for
+    its response; the peers' :class:`AtMostOnce` tables hold responses
+    for as long as the schedule runs."""
     return min(RPC_TIMEOUT_MS * RPC_BACKOFF ** attempt, RPC_MAX_TIMEOUT_MS)
 
 
@@ -78,7 +72,7 @@ class BatchConfig:
     #: instead of timing out after one or two messages; any plain send
     #: on the channel still flushes immediately (ordering barrier), so
     #: request/response RPC traffic never waits out the full interval.
-    flush_interval_ms: float = 4.0
+    flush_interval_ms: float = BATCH_FLUSH_INTERVAL_MS
     #: Max state-chunk frames in flight in the get→put pipeline. A
     #: frame counts as in flight until its put RPC round-trip finishes,
     #: so the window must cover the bandwidth-delay product of the
@@ -103,8 +97,8 @@ class ControlChannel:
         self,
         sim: Simulator,
         name: str = "",
-        latency_ms: float = 0.5,
-        bandwidth_bytes_per_ms: float = GIGABIT_BYTES_PER_MS,
+        latency_ms: float = CHANNEL_LATENCY_MS,
+        bandwidth_bytes_per_ms: float = CHANNEL_BANDWIDTH_BYTES_PER_MS,
         obs=None,
     ) -> None:
         self.sim = sim
@@ -199,7 +193,7 @@ class ControlChannel:
             delay += verdict.extra_delay_ms
             for copy in range(1, verdict.copies):
                 # Duplicates trail the original by their own spike draw.
-                sim.schedule(delay + 0.05 * copy, deliver, *args)
+                sim.schedule(delay + DUPLICATE_GAP_MS * copy, deliver, *args)
             self.messages_duplicated += verdict.copies - 1
         sim.schedule(delay, deliver, *args)
         return delay

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Optional
 
+from repro.costs import NF_LINK_LATENCY_MS
 from repro.sim.core import Simulator
 
 
@@ -21,7 +22,7 @@ class Link:
         self,
         sim: Simulator,
         name: str = "",
-        latency_ms: float = 0.25,
+        latency_ms: float = NF_LINK_LATENCY_MS,
         jitter_ms: float = 0.0,
         loss_rate: float = 0.0,
         rng: Optional[random.Random] = None,

@@ -24,6 +24,7 @@ from array import array
 from collections import defaultdict, deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+from repro.costs import FLOWMOD_DELAY_MS, PACKET_OUT_RATE_PPS
 from repro.flowspace.filter import Filter
 from repro.net.channel import AtMostOnce, ControlChannel
 from repro.net.columns import Columns
@@ -69,8 +70,8 @@ class Switch:
         self,
         sim: Simulator,
         name: str = "sw",
-        flowmod_delay_ms: float = 4.0,
-        packet_out_rate_pps: float = 4000.0,
+        flowmod_delay_ms: float = FLOWMOD_DELAY_MS,
+        packet_out_rate_pps: float = PACKET_OUT_RATE_PPS,
         table_capacity: Optional[int] = None,
         obs=None,
         record_ground_truth: bool = True,

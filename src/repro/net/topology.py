@@ -20,16 +20,13 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.costs import LEAF_LINK_LATENCY_MS, LEAF_NF_LINK_LATENCY_MS
 from repro.flowspace.filter import Filter
 from repro.harness.deployment import Deployment
 from repro.net.flowtable import LOW_PRIORITY
 from repro.net.link import Link
 from repro.net.switch import Switch
 from repro.nf.base import NetworkFunction
-
-#: Spine→leaf and leaf→NF link latencies.
-LEAF_LATENCY_MS = 0.2
-NF_LINK_LATENCY_MS = 0.1
 
 
 class TwoTierTopology(Deployment):
@@ -54,13 +51,13 @@ class TwoTierTopology(Deployment):
             nf.name,
             nf.receive,
             Link(self.sim, name="%s->%s" % (leaf_name, nf.name),
-                 latency_ms=NF_LINK_LATENCY_MS),
+                 latency_ms=LEAF_NF_LINK_LATENCY_MS),
         )
         leaf.table.install(Filter.wildcard(), LOW_PRIORITY, [nf.name], 0.0)
         self.switch.attach(
             leaf_name,
             leaf.inject,
             Link(self.sim, name="%s->%s" % (self.switch.name, leaf_name),
-                 latency_ms=LEAF_LATENCY_MS),
+                 latency_ms=LEAF_LINK_LATENCY_MS),
         )
         return leaf_name

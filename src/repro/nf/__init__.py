@@ -1,23 +1,14 @@
-"""NF framework: state taxonomy, southbound API, events, and cost models.
+"""NF framework: state taxonomy, southbound API and events.
 
 This package is the southbound half of OpenNF (§4 of the paper): the
 :class:`~repro.nf.base.NetworkFunction` base class NFs extend, the
 :class:`~repro.nf.southbound.NFClient` the controller uses to reach them,
-the event machinery, and per-NF timing models calibrated to the paper's
-measurements.
+and the event machinery. The per-NF timing models live in
+:mod:`repro.costs`.
 """
 
 from repro.nf.base import NetworkFunction, NFCrash
 from repro.nf.conformance import ConformanceReport, check_nf_conformance
-from repro.nf.costs import (
-    BRO_COSTS,
-    DUMMY_COSTS,
-    IPTABLES_COSTS,
-    NFCostModel,
-    PRADS_COSTS,
-    REDUP_COSTS,
-    SQUID_COSTS,
-)
 from repro.nf.events import (
     DO_NOT_BUFFER,
     DO_NOT_DROP,
@@ -41,25 +32,18 @@ __all__ = [
     "ALL",
     "ConformanceReport",
     "check_nf_conformance",
-    "BRO_COSTS",
     "DO_NOT_BUFFER",
     "DO_NOT_DROP",
-    "DUMMY_COSTS",
     "EVERYTHING",
     "EventAction",
     "EventRule",
-    "IPTABLES_COSTS",
     "MULTI",
     "NFClient",
-    "NFCostModel",
     "NFCrash",
     "NetworkFunction",
     "PER",
     "PER_AND_MULTI",
-    "PRADS_COSTS",
     "PacketEvent",
-    "REDUP_COSTS",
-    "SQUID_COSTS",
     "Scope",
     "StateChunk",
     "normalize_scope",

@@ -26,8 +26,8 @@ from array import array
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
+from repro.costs import EVENT_RETRANSMIT_MS, NFCostModel
 from repro.flowspace.filter import Filter, FlowId
-from repro.nf.costs import NFCostModel
 from repro.nf.events import EventAction, EventRule, PacketEvent
 from repro.nf.state import (
     FLOW_FIELDS, MERGE, MERGE_UNLESS_SNAPSHOT, Scope, StateChunk, StateSpec,
@@ -127,7 +127,6 @@ class NetworkFunction:
         self._crash_on_rpc: Optional[Tuple[int, str]] = None
         # Reliable event channel: sequence numbers + ack + retransmit.
         self.reliable_events = False
-        self.event_retransmit_ms = 15.0
         self.event_max_attempts = 8
         self._event_seq = 0
         self._unacked_events: Dict[int, PacketEvent] = {}
@@ -455,7 +454,7 @@ class NetworkFunction:
             event.size_bytes, self.event_sink, event
         )
         self.sim.schedule(
-            self.event_retransmit_ms * attempt,
+            EVENT_RETRANSMIT_MS * attempt,
             self._check_event_ack, event.seq, attempt,
         )
 

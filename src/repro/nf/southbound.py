@@ -55,13 +55,9 @@ from collections import defaultdict
 from functools import lru_cache, partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.costs import RPC_MAX_ATTEMPTS
 from repro.flowspace.filter import Filter, FlowId
-from repro.net.channel import (
-    RPC_MAX_ATTEMPTS,
-    BatchConfig,
-    ControlChannel,
-    rpc_timeout_ms,
-)
+from repro.net.channel import BatchConfig, ControlChannel, rpc_timeout_ms
 from repro.nf.base import NetworkFunction
 from repro.nf.events import EventAction
 from repro.nf import protocol
@@ -76,8 +72,6 @@ REQUEST_BYTES = 128
 CHUNK_OVERHEAD_BYTES = 74
 #: Extra request bytes for a request id on calls without a JSON body.
 REQUEST_ID_BYTES = 10
-#: Calibrated controller↔NF (and NF↔NF) control-channel propagation delay.
-NF_CHANNEL_LATENCY_MS = 1.0
 
 
 class SouthboundError(Exception):

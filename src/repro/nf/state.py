@@ -28,6 +28,7 @@ import json
 import zlib
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
+from repro.costs import COMPRESSED_SIZE_FRACTION
 from repro.flowspace.filter import FlowId
 from repro.nf.protocol import WIRE_JSON, filter_bytes, wire_length
 
@@ -139,7 +140,7 @@ class StateChunk:
         """
         if self._compressed_size is None:
             if self._size is not None and self._size > 4096:
-                self._compressed_size = int(self._size * 0.62)
+                self._compressed_size = int(self._size * COMPRESSED_SIZE_FRACTION)
             else:
                 self._compressed_size = len(
                     zlib.compress(self.to_json_bytes(), 6)

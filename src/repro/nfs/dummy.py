@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.costs import DUMMY_COSTS, NFCostModel
 from repro.flowspace.filter import FlowId
 from repro.flowspace.fivetuple import FiveTuple
 from repro.flowspace.index import FlowKeyedStore
 from repro.nf.base import NetworkFunction
-from repro.nf.costs import DUMMY_COSTS, NFCostModel
 from repro.nf.state import Scope, StateChunk, StateSpec
 from repro.net.packet import Packet
 from repro.sim.core import Simulator

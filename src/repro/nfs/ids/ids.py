@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.costs import BRO_COSTS, NFCostModel
 from repro.flowspace.filter import FlowId
 from repro.flowspace.index import FlowKeyedStore
 from repro.nf.base import NetworkFunction
-from repro.nf.costs import BRO_COSTS, NFCostModel
 from repro.nf.state import ADD, HOST_FIELDS, MERGE, POP, REPLACE, Scope, StateSpec
 from repro.net.packet import Packet
 from repro.nfs.ids.connection import Connection

@@ -22,24 +22,14 @@ from __future__ import annotations
 from operator import and_
 from typing import List, Optional, Sequence
 
+from repro.costs import LB_COSTS, NFCostModel
 from repro.flowspace.filter import FlowId
 from repro.flowspace.index import FlowKeyedStore
 from repro.nf.base import NetworkFunction
-from repro.nf.costs import NFCostModel
 from repro.nf.record import Record, keep
 from repro.nf.state import ADD, HOST_FIELDS, MERGE, Scope, StateChunk, StateSpec
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
-
-#: Cheap per-flow records, comparable to conntrack.
-LB_COSTS = NFCostModel(
-    proc_ms=0.03,
-    serialize_base_ms=0.06,
-    serialize_per_kb_ms=0.005,
-    deserialize_base_ms=0.03,
-    deserialize_per_kb_ms=0.002,
-    call_overhead_ms=1.0,
-)
 
 
 class BackendStats(Record):

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.costs import PRADS_COSTS, NFCostModel
 from repro.flowspace.filter import FlowId
 from repro.flowspace.index import FlowKeyedStore
 from repro.nf.base import NetworkFunction
-from repro.nf.costs import PRADS_COSTS, NFCostModel
 from repro.nf.record import Record, add_counters, earliest, latest, union
 from repro.nf.state import (
     ADD, HOST_FIELDS, MERGE, MERGE_UNLESS_SNAPSHOT, Scope, StateSpec,

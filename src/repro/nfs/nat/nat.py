@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.costs import IPTABLES_COSTS, NFCostModel
 from repro.flowspace.filter import FlowId
 from repro.flowspace.index import FlowKeyedStore
 from repro.nf.base import NetworkFunction
-from repro.nf.costs import IPTABLES_COSTS, NFCostModel
 from repro.nf.state import REPLACE, Scope, StateSpec
 from repro.net.packet import Packet
 from repro.nfs.nat.conntrack import CLOSED, ESTABLISHED, NEW, ConntrackEntry

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.costs import SQUID_COSTS, NFCostModel
 from repro.flowspace.filter import Filter, FlowId
 from repro.flowspace.index import FlowKeyedStore
 from repro.flowspace.ip import ip_in_prefix
 from repro.nf.base import NetworkFunction, NFCrash
-from repro.nf.costs import SQUID_COSTS, NFCostModel
 from repro.nf.record import Record
 from repro.nf.state import ADD, Scope, StateChunk, StateSpec, merge_into
 from repro.net.packet import Packet

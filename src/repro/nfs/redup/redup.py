@@ -18,8 +18,8 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Optional
 
+from repro.costs import REDUP_COSTS, NFCostModel
 from repro.nf.base import NetworkFunction
-from repro.nf.costs import REDUP_COSTS, NFCostModel
 from repro.nf.record import Record, overlay
 from repro.nf.state import MERGE, Scope, StateSpec
 from repro.net.packet import Packet

@@ -70,6 +70,12 @@ def test_every_committed_record_but_the_last_names_its_commit():
         for line in (RESULTS / "history.jsonl").read_text().splitlines()
     ]
     assert [row["pr"] for row in rows[:-1] if row["commit"] is None] == []
+    # A named commit is a short hash of its own, never its parent's.
+    named = [row for row in rows if row["commit"] is not None]
+    assert [row["pr"] for row in named
+            if not re.fullmatch(r"[0-9a-f]{7,40}", row["commit"])
+            or row["commit"] == row["parent"]] == []
+    assert len({row["commit"] for row in named}) == len(named)
 
 
 # -------------------------------------------------------------------- Table 2

@@ -7,7 +7,7 @@ classes below cover its ``report`` view (the default), ``timeline``,
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 
 
 #: A flag value or combination the run cannot use -> argparse's error.
@@ -24,6 +24,30 @@ BAD_FLAGS = {
     "chain --flows 0": "argument --flows: must be >= 1, not 0",
     "validate --seeds 0": "argument --seeds: must be >= 1",
 }
+
+#: A mode flag value no deployment can take -> argparse's error, in every
+#: subcommand that has the flag (each used to end in a traceback, exit 1).
+BAD_MODE_FLAGS = {
+    "--shards 0": "argument --shards: must be >= 1, not 0",
+    "--shards -1": "argument --shards: must be >= 1, not -1",
+    "--faults drop=2": "argument --faults: drop_p=2.0 outside [0, 1]",
+    "--faults seed=x": "argument --faults: invalid literal for int()",
+    "--faults delay=0.5,delay_ms=nan":
+        "argument --faults: delay_ms=nan is not a finite ms >= 0",
+}
+
+
+def _subcommands_with(flag):
+    subparsers = next(action for action in _build_parser()._actions
+                      if action.dest == "command")
+    return sorted(name for name, sub in subparsers.choices.items()
+                  if flag in sub._option_string_actions)
+
+
+BAD_FLAGS.update(
+    ("%s %s" % (sub, bad), error) for bad, error in BAD_MODE_FLAGS.items()
+    for sub in _subcommands_with(bad.split()[0])
+)
 
 
 class TestCli:
@@ -120,8 +144,6 @@ class TestCli:
         assert "unknown view(s) ['bogus']" in capsys.readouterr().err
 
     def test_removed_subcommands_are_gone(self):
-        from repro.cli import _build_parser
-
         subparsers = next(
             action for action in _build_parser()._actions
             if action.dest == "command"

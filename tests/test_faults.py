@@ -89,6 +89,15 @@ class TestFaultPlanSpec:
         "drop",
         "crash=inst1",
         "drop=2.0",
+        # Non-finite or negative times: each used to pass validation and
+        # then kill the run (nan delay) or crash inst2 at t=0 (nan time).
+        "delay=0.5,delay_ms=nan",
+        "delay=0.5,delay_ms=inf",
+        "partition=nan:5",
+        "partition=5:inf",
+        "crash=inst2@-5",
+        "crash=inst2@nan",
+        "crash=inst2@inf",
     ])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ValueError):
@@ -101,6 +110,10 @@ class TestFaultPlanSpec:
             CrashSpec("inst1", at_ms=5.0, on_nth_rpc=2).validate()
         with pytest.raises(ValueError):
             CrashSpec("inst1", on_nth_rpc=0).validate()
+        for at_ms in (-5.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="not a finite ms"):
+                CrashSpec("inst1", at_ms=at_ms).validate()
+        CrashSpec("inst1", at_ms=0.0).validate()
 
     def test_partition_window_drops_everything(self):
         rule = ChannelFaults(pattern="*", partitions=[(10.0, 20.0)])

@@ -4,10 +4,10 @@ from operator import or_
 
 import pytest
 
+from repro.costs import NFCostModel
 from repro.flowspace import Filter, FlowId
 from repro.nf import (
     EventAction,
-    NFCostModel,
     NFCrash,
     Scope,
     StateChunk,

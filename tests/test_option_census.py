@@ -42,11 +42,6 @@ ALLOWED: Dict[Tuple[str, str], str] = {
         "every NF takes its calibrated cost model the same way, so an NF "
         "factory is uniformly (sim, name, costs=); AssetMonitor's is the "
         "one tests and bench_scenario_overload swap",
-    ("Deployment", "flowmod_delay_ms"):
-        "the switch's calibrated flow-mod delay (§8.1.1); tests vary it "
-        "on Switch, and this is the documented way to model another switch",
-    ("Deployment", "packet_out_rate_pps"):
-        "the switch's calibrated packet-out rate (§8.1.1), as above",
 }
 
 Option = Tuple[str, str]

@@ -282,22 +282,22 @@ WIRE_PIN = {
     ('disable_events_covered', True): (1, 138, 1, 128, 3, 1.002128),
     ('drain_barrier', False): (1, 128, 1, 128, 2, 1.002048),
     ('drain_barrier', True): (1, 138, 1, 128, 3, 1.002128),
-    ('install', False): (1, 128, 0, 0, 2, 4.501024),
-    ('install', True): (1, 128, 0, 0, 2, 4.501024),
-    ('install_batch', False): (1, 176, 0, 0, 3, 4.501408),
-    ('install_batch', True): (1, 176, 0, 0, 3, 4.501408),
-    ('remove', False): (1, 128, 0, 0, 2, 4.501024),
-    ('remove', True): (1, 128, 0, 0, 2, 4.501024),
+    ('install', False): (1, 128, 0, 0, 2, 10.501024),
+    ('install', True): (1, 128, 0, 0, 2, 10.501024),
+    ('install_batch', False): (1, 176, 0, 0, 3, 10.501408),
+    ('install_batch', True): (1, 176, 0, 0, 3, 10.501408),
+    ('remove', False): (1, 128, 0, 0, 2, 10.501024),
+    ('remove', True): (1, 128, 0, 0, 2, 10.501024),
     ('packet_out_barrier', False): (1, 128, 0, 0, 1, 0.501024),
     ('packet_out_barrier', True): (1, 128, 0, 0, 1, 0.501024),
     ('read_entries', False): (1, 128, 1, 192, 2, 1.00256),
     ('read_entries', True): (1, 128, 1, 192, 2, 1.00256),
     ('read_counters', False): (1, 128, 1, 128, 2, 1.002048),
     ('read_counters', True): (1, 128, 1, 128, 2, 1.002048),
-    ('install_state_machine', False): (1, 128, 0, 0, 2, 4.501024),
-    ('install_state_machine', True): (1, 138, 0, 0, 3, 4.501104),
-    ('remove_state_machine', False): (1, 128, 0, 0, 2, 4.501024),
-    ('remove_state_machine', True): (1, 138, 0, 0, 3, 4.501104),
+    ('install_state_machine', False): (1, 128, 0, 0, 2, 10.501024),
+    ('install_state_machine', True): (1, 138, 0, 0, 3, 10.501104),
+    ('remove_state_machine', False): (1, 128, 0, 0, 2, 10.501024),
+    ('remove_state_machine', True): (1, 138, 0, 0, 3, 10.501104),
     ('release_state_machine', False): (1, 128, 1, 128, 2, 1.002048),
     ('release_state_machine', True): (1, 138, 1, 128, 3, 1.002128),
 }

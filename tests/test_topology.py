@@ -3,6 +3,7 @@ negative controls on it and on one switch."""
 
 import pytest
 
+from repro.costs import LEAF_LINK_LATENCY_MS, LEAF_NF_LINK_LATENCY_MS
 from repro.flowspace import Filter, FiveTuple
 from repro.harness import Deployment
 from repro.harness.properties import (
@@ -10,11 +11,7 @@ from repro.harness.properties import (
     check_order_preserving,
     nf_ports,
 )
-from repro.net.topology import (
-    LEAF_LATENCY_MS,
-    NF_LINK_LATENCY_MS,
-    TwoTierTopology,
-)
+from repro.net.topology import TwoTierTopology
 from repro.nfs.monitor import AssetMonitor
 from repro.traffic import TraceConfig, TraceReplayer, build_university_cloud_trace
 from tests.conftest import clear_log, make_packet
@@ -81,7 +78,7 @@ class TestTwoTier:
         topo.sim.run()
         ((done_at, _uid),) = src.processing_log
         # spine->leaf link + leaf->nf link + processing, at least.
-        assert done_at >= LEAF_LATENCY_MS + NF_LINK_LATENCY_MS
+        assert done_at >= LEAF_LINK_LATENCY_MS + LEAF_NF_LINK_LATENCY_MS
 
     def test_packet_out_reaches_nf_behind_leaf(self, flow):
         topo, src, _dst = build()
@@ -149,6 +146,12 @@ def test_every_deployment_mode_runs_across_leaves(topology, modes):
     processed = {uid for nf in (src, dst) for (_t, uid) in nf.processing_log}
     assert {p.uid for p in replayer.injected} <= processed
     assert check_loss_free(topo.switch, [src, dst]) == (True, "")
+    # A leaf's one rule goes in through ``table.install`` at t=0, so no
+    # leaf ever pays its flow-mod delay.
+    leaves = getattr(topo, "leaves", {}).values()
+    assert len(leaves) == (2 if topology is TwoTierTopology else 0)
+    for leaf in leaves:
+        assert leaf.flowmods == {"install": 0, "remove": 0}
     clear_log(topo.switch.forward_log)
     for ok, detail in (
         check_loss_free(topo.switch, [src, dst]),
